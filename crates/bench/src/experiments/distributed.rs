@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coconut_core::backend::partition;
-use coconut_core::{BuildOptions, IndexConfig, LocalShard, LsmCoconut, ShardSet, Snapshot};
+use coconut_core::{BuildOptions, IndexConfig, LocalShard, LsmCoconut, Query, ShardSet, Snapshot};
 use coconut_series::dataset::Dataset;
 use coconut_series::index::Answer;
 use coconut_series::Value;
@@ -438,7 +438,7 @@ fn run_k(
         report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_hits(&reply)?;
-        let local = oracle.knn(q, KNN_K, Deadline::NONE)?;
+        let local = oracle.search(q, &Query::knn(KNN_K), false)?.value;
         let (single_hits, _) = single.exact_knn(q, KNN_K, Deadline::NONE)?;
         if !same_hits(&remote, &local) || !same_hits(&remote, &single_hits) {
             report.divergences += 1;
@@ -461,8 +461,8 @@ fn run_k(
         report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_hits(&reply)?;
-        let local = oracle.range(q, eps, Deadline::NONE)?;
-        let (single_hits, _) = single.exact_range(q, eps, Deadline::NONE)?;
+        let local = oracle.search(q, &Query::range(eps), false)?.value;
+        let (single_hits, _) = single.search(q, &Query::range(eps))?;
         if !same_hits(&remote, &local) || !same_hits(&remote, &single_hits) {
             report.divergences += 1;
             eprintln!("RANGE diverged (k={k}): remote {remote:?} local {local:?}");

@@ -1,6 +1,6 @@
 //! Figure 9: query answering experiments.
 
-use coconut_core::{BuildOptions, CoconutTree, IndexConfig};
+use coconut_core::{BuildOptions, CoconutTree, IndexConfig, Query};
 use coconut_series::index::{QueryStats, SeriesIndex};
 use coconut_storage::Result;
 use coconut_summary::SaxConfig;
@@ -268,7 +268,11 @@ fn exact_radius_tables(env: &Env) -> Result<(Table, Table)> {
         let mut stats = QueryStats::default();
         let (_, m) = crate::harness::measure(&w.stats, || {
             for q in &w.queries {
-                let (_, s) = tree.exact_search_with_radius(q, radius)?;
+                let seeded = Query {
+                    radius,
+                    ..Query::nearest()
+                };
+                let (_, s) = tree.search(q, &seeded)?;
                 stats.add(&s);
             }
             Ok(())

@@ -1,16 +1,19 @@
 //! Command implementations for the `coconut` CLI.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use coconut_core::manifest::Manifest;
+use coconut_core::query::nearest_of;
 use coconut_core::{
-    BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, LsmCoconut,
+    BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, Kind, LsmCoconut,
+    Metric, Query,
 };
 use coconut_series::dataset::{write_dataset, Dataset};
 use coconut_series::distance::znormalize;
 use coconut_series::gen::{AstronomyGen, Generator, RandomWalkGen, SeismicGen};
-use coconut_series::index::SeriesIndex;
+use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
 use coconut_storage::{Error, IoStats, Result};
 use coconut_summary::SaxConfig;
@@ -158,69 +161,30 @@ pub fn run(cmd: Command) -> Result<()> {
         } => {
             let stats = Arc::new(IoStats::new());
             let ds = Dataset::open(&data, Arc::clone(&stats))?;
-            let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-            let query = make_query(&ds, seed, pos)?;
-
-            // Try tree first, then trie (each checks its header).
-            enum AnyIndex {
-                Tree(CoconutTree),
-                Trie(CoconutTrie),
-            }
-            let idx = match CoconutTree::open(&index, &ds, threads) {
-                Ok(t) => AnyIndex::Tree(t),
-                Err(_) => AnyIndex::Trie(CoconutTrie::open(&index, &ds, threads)?),
-            };
-
-            let t0 = Instant::now();
-            if let Some(eps) = range_eps {
-                let (hits, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_range(&query, eps)?,
-                    AnyIndex::Trie(_) => {
-                        return Err(Error::invalid("range queries require a ctree index"))
-                    }
-                };
-                println!("{} series within distance {eps}:", hits.len());
-                for h in hits.iter().take(50) {
-                    println!("  #{:<10} dist {:.4}", h.pos, h.dist);
-                }
-                report_time(t0, &qstats);
+            let series = make_query(&ds, seed, pos)?;
+            let (kind, metric) = if let Some(eps) = range_eps {
+                (Kind::Range(eps), Metric::Ed)
             } else if let Some(band) = dtw_band {
-                let (ans, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_search_dtw(&query, band)?,
-                    AnyIndex::Trie(_) => {
-                        return Err(Error::invalid("DTW queries require a ctree index"))
-                    }
-                };
-                println!("DTW(band {band}) nearest: #{} at {:.4}", ans.pos, ans.dist);
-                report_time(t0, &qstats);
+                (Kind::Nearest, Metric::Dtw(band))
             } else if approximate {
-                let ans = match &idx {
-                    AnyIndex::Tree(t) => t.approximate_search(&query, radius)?,
-                    AnyIndex::Trie(t) => t.approximate_search(&query, radius)?,
-                };
-                println!(
-                    "approximate nearest (radius {radius}): #{} at {:.4}",
-                    ans.pos, ans.dist
-                );
-                println!("time {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+                (Kind::Approx, Metric::Ed)
             } else if k > 1 {
-                let (hits, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_knn(&query, k)?,
-                    AnyIndex::Trie(_) => {
-                        return Err(Error::invalid("k-NN queries require a ctree index"))
-                    }
-                };
-                println!("top-{k} nearest:");
-                for (rank, h) in hits.iter().enumerate() {
-                    println!("  {}. #{:<10} dist {:.4}", rank + 1, h.pos, h.dist);
-                }
-                report_time(t0, &qstats);
+                (Kind::Knn(k), Metric::Ed)
             } else {
-                let (ans, qstats) = match &idx {
-                    AnyIndex::Tree(t) => t.exact_search_with_radius(&query, radius)?,
-                    AnyIndex::Trie(t) => t.exact_search_with_radius(&query, radius)?,
-                };
-                println!("exact nearest: #{} at {:.4}", ans.pos, ans.dist);
+                (Kind::Nearest, Metric::Ed)
+            };
+            let query = Query {
+                metric,
+                radius,
+                ..Query::new(kind)
+            };
+            let search = open_index(&index, &ds)?;
+            let t0 = Instant::now();
+            let (hits, qstats) = search(&series, &query)?;
+            print!("{}", answer_lines(&query, &hits));
+            if kind == Kind::Approx {
+                println!("time {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+            } else {
                 report_time(t0, &qstats);
             }
             Ok(())
@@ -640,7 +604,61 @@ fn make_query(ds: &Dataset, seed: Option<u64>, pos: Option<u64>) -> Result<Vec<V
     }
 }
 
-fn report_time(t0: Instant, qstats: &coconut_series::index::QueryStats) {
+/// A [`SortedLeafIndex::search`] over whichever index kind a file holds.
+///
+/// [`SortedLeafIndex::search`]: coconut_core::SortedLeafIndex::search
+type Search = Box<dyn Fn(&[Value], &Query) -> Result<(Vec<Answer>, QueryStats)>>;
+
+/// Open the index file at `path`: try tree first, then trie (each checks
+/// its header).
+fn open_index(path: &Path, ds: &Dataset) -> Result<Search> {
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    Ok(match CoconutTree::open(path, ds, threads) {
+        Ok(tree) => Box::new(move |series, query| tree.search(series, query)),
+        Err(_) => {
+            let trie = CoconutTrie::open(path, ds, threads)?;
+            Box::new(move |series, query| trie.search(series, query))
+        }
+    })
+}
+
+/// The answer part of `coconut query`'s output for `query`'s mode.
+fn answer_lines(query: &Query, hits: &[Answer]) -> String {
+    let best = nearest_of(hits);
+    let mut out = String::new();
+    match (query.kind, query.metric) {
+        (Kind::Range(eps), _) => {
+            out += &format!("{} series within distance {eps}:\n", hits.len());
+            for h in hits.iter().take(50) {
+                out += &format!("  #{:<10} dist {:.4}\n", h.pos, h.dist);
+            }
+        }
+        (Kind::Knn(k), _) => {
+            out += &format!("top-{k} nearest:\n");
+            for (rank, h) in hits.iter().enumerate() {
+                out += &format!("  {}. #{:<10} dist {:.4}\n", rank + 1, h.pos, h.dist);
+            }
+        }
+        (Kind::Approx, _) => {
+            out += &format!(
+                "approximate nearest (radius {}): #{} at {:.4}\n",
+                query.radius, best.pos, best.dist
+            );
+        }
+        (Kind::Nearest, Metric::Dtw(band)) => {
+            out += &format!(
+                "DTW(band {band}) nearest: #{} at {:.4}\n",
+                best.pos, best.dist
+            );
+        }
+        (Kind::Nearest, Metric::Ed) => {
+            out += &format!("exact nearest: #{} at {:.4}\n", best.pos, best.dist);
+        }
+    }
+    out
+}
+
+fn report_time(t0: Instant, qstats: &QueryStats) {
     println!(
         "time {:.1} ms  (fetched {} records, pruned {}, {} lower bounds)",
         t0.elapsed().as_secs_f64() * 1e3,
@@ -721,28 +739,31 @@ mod tests {
     }
 
     #[test]
-    fn tree_only_modes_work_and_trie_rejects_them() {
+    fn every_query_mode_answers_the_same_on_tree_and_trie() {
         let dir = TempDir::new("cli").unwrap();
         let data = gen_cmd(&dir, "d.ds", 200);
-        let tree_dir = dir.path().join("t");
-        run(Command::Build {
-            index: "ctree".into(),
-            materialized: false,
-            leaf: 32,
-            split_policy: Default::default(),
-            memory_mb: 1,
-            out_dir: tree_dir.clone(),
-            data: data.clone(),
-            shards: 1,
-        })
-        .unwrap();
-        let tree_idx = std::fs::read_dir(&tree_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "idx"))
+        let build = |index: &str| {
+            let out_dir = dir.path().join(index);
+            run(Command::Build {
+                index: index.into(),
+                materialized: false,
+                leaf: 32,
+                split_policy: Default::default(),
+                memory_mb: 1,
+                out_dir: out_dir.clone(),
+                data: data.clone(),
+                shards: 1,
+            })
             .unwrap();
-        let q = |k, dtw, range| Command::Query {
-            index: tree_idx.clone(),
+            std::fs::read_dir(&out_dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| p.extension().is_some_and(|e| e == "idx"))
+                .unwrap()
+        };
+        let (tree_idx, trie_idx) = (build("ctree"), build("ctrie"));
+        let q = |index: &std::path::Path, k, dtw, range| Command::Query {
+            index: index.to_path_buf(),
             data: data.clone(),
             seed: Some(5),
             pos: None,
@@ -752,39 +773,33 @@ mod tests {
             range_eps: range,
             approximate: false,
         };
-        run(q(5, None, None)).unwrap(); // k-NN
-        run(q(1, Some(4), None)).unwrap(); // DTW
-        run(q(1, None, Some(10.0))).unwrap(); // range
+        for idx in [&tree_idx, &trie_idx] {
+            run(q(idx, 5, None, None)).unwrap(); // k-NN
+            run(q(idx, 1, Some(4), None)).unwrap(); // DTW
+            run(q(idx, 1, None, Some(10.0))).unwrap(); // range
+        }
 
-        let trie_dir = dir.path().join("tr");
-        run(Command::Build {
-            index: "ctrie".into(),
-            materialized: false,
-            leaf: 32,
-            split_policy: Default::default(),
-            memory_mb: 1,
-            out_dir: trie_dir.clone(),
-            data: data.clone(),
-            shards: 1,
-        })
-        .unwrap();
-        let trie_idx = std::fs::read_dir(&trie_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "idx"))
-            .unwrap();
-        let bad = Command::Query {
-            index: trie_idx,
-            data,
-            seed: Some(5),
-            pos: None,
-            k: 1,
-            radius: 1,
-            dtw_band: Some(4),
-            range_eps: None,
-            approximate: false,
+        let ds = Dataset::open(&data, Arc::new(IoStats::new())).unwrap();
+        let series = make_query(&ds, Some(5), None).unwrap();
+        let (tree, trie) = (
+            open_index(&tree_idx, &ds).unwrap(),
+            open_index(&trie_idx, &ds).unwrap(),
+        );
+        let dtw = Query {
+            metric: Metric::Dtw(4),
+            ..Query::nearest()
         };
-        assert!(run(bad).is_err());
+        for query in [Query::nearest(), Query::knn(5), Query::range(10.0), dtw] {
+            let (on_tree, _) = tree(&series, &query).unwrap();
+            let (on_trie, _) = trie(&series, &query).unwrap();
+            assert!(!on_tree.is_empty(), "{query:?}");
+            assert_eq!(
+                answer_lines(&query, &on_trie),
+                answer_lines(&query, &on_tree),
+                "{query:?}"
+            );
+            assert_eq!(on_trie, on_tree, "{query:?}");
+        }
     }
 
     #[test]

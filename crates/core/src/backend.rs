@@ -3,7 +3,7 @@
 //! PR 3 parallelized *construction* over key-range shards inside one
 //! process ([`crate::shard`]); this module promotes a shard to a deployment
 //! boundary. A [`ShardBackend`] is one shard's query surface — build its
-//! slice, answer EXACT/KNN/RANGE over it — and a [`ShardSet`] owns the
+//! slice, answer a [`Query`] over it — and a [`ShardSet`] owns the
 //! key-space partition map and merges per-shard candidates into globally
 //! exact answers. Two implementations exist:
 //!
@@ -18,23 +18,23 @@
 //!
 //! # Scatter-gather with pruning-bound sharing
 //!
-//! EXACT and KNN queries visit shards **in ascending position order**,
-//! passing each shard the best bound merged from the shards before it (the
-//! best distance for 1-NN, the k-th best for k-NN). A later shard therefore
-//! prunes with earlier shards' results and returns only candidates that
-//! could still enter the global answer. Dropping candidates at or beyond
-//! the bound is exact, not heuristic: the global order is `(dist, pos)`,
-//! and every existing entry at the bound has a strictly lower position
-//! (earlier shard), so a later tie could never displace it. RANGE queries
-//! have no bound to share and scatter to all shards concurrently.
+//! Bounded queries (1-NN, k-NN) visit shards **in ascending position
+//! order**, passing each shard the best bound merged from the shards before
+//! it ([`Query::tightened`]: the best distance for 1-NN, the k-th best for
+//! k-NN). A later shard therefore prunes with earlier shards' results and
+//! returns only candidates that could still enter the global answer.
+//! Dropping candidates at or beyond the bound is exact, not heuristic: the
+//! global order is `(dist, pos)`, and every existing entry at the bound has
+//! a strictly lower position (earlier shard), so a later tie could never
+//! displace it. Range queries have no bound to share and scatter to all
+//! shards concurrently.
 //!
 //! # Graceful degradation
 //!
-//! The strict methods ([`ShardSet::exact`], [`ShardSet::knn`],
-//! [`ShardSet::range`]) fail the whole query when any shard fails — the
-//! answer is bit-identical to a single index or it is an error. The
-//! `*_degraded` variants instead skip shards that are unreachable or out
-//! of deadline budget and return a [`Partial`]: the exact answer over the
+//! A strict [`ShardSet::search`] fails the whole query when any shard
+//! fails — the answer is bit-identical to a single index or it is an
+//! error. A degraded one instead skips shards that are unreachable or out
+//! of deadline budget and returns a [`Partial`]: the exact answer over the
 //! live slices plus the *named* missing slices ([`ShardBackend::slice`] is
 //! static partition-map data, so a dead shard can still be named). A
 //! degraded answer is never silently wrong — every position it could have
@@ -49,6 +49,7 @@ use coconut_series::Value;
 use coconut_storage::{Deadline, Error, Result};
 
 use crate::lsm::LsmCoconut;
+use crate::query::{nearest_of, Kind, Query};
 use crate::shard::shard_ranges;
 use coconut_series::dataset::Dataset;
 
@@ -70,10 +71,7 @@ pub struct ShardInfo {
 }
 
 /// One shard of the fabric: a key-range slice that can build itself and
-/// answer exact queries over whatever prefix of the slice it has indexed.
-///
-/// All query methods take a pruning `bound` where the global merge can
-/// supply one (`f64::INFINITY` disables it) and a cooperative [`Deadline`].
+/// answer queries over whatever prefix of the slice it has indexed.
 pub trait ShardBackend {
     /// The shard's assigned slice, known statically from the partition
     /// map — available without a round trip even when the shard is down,
@@ -87,18 +85,10 @@ pub trait ShardBackend {
     /// range); returns the post-build [`ShardInfo`].
     fn build(&self, upto: u64) -> Result<ShardInfo>;
 
-    /// Exact 1-NN over the shard's indexed prefix, pruned by `bound`. When
-    /// nothing beats the bound the returned answer has
-    /// `is_some() == false` — the caller's candidate stands.
-    fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer>;
-
-    /// Exact k-NN over the shard's indexed prefix; only candidates with
-    /// distance below `bound` are returned.
-    fn knn(&self, query: &[Value], k: usize, bound: f64, deadline: Deadline)
-        -> Result<Vec<Answer>>;
-
-    /// All series within Euclidean distance `epsilon`, sorted by distance.
-    fn range(&self, query: &[Value], epsilon: f64, deadline: Deadline) -> Result<Vec<Answer>>;
+    /// Answer `query` over the shard's indexed prefix: `(dist, pos)`-sorted
+    /// answers strictly below `query.bound` (none when nothing beats it —
+    /// the caller's candidates stand).
+    fn search(&self, series: &[Value], query: &Query) -> Result<Vec<Answer>>;
 }
 
 /// The in-process [`ShardBackend`]: an [`LsmCoconut`] created with
@@ -161,26 +151,8 @@ impl ShardBackend for LocalShard {
         self.info()
     }
 
-    fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer> {
-        Ok(self.lsm.snapshot().exact_bounded(query, bound, deadline)?.0)
-    }
-
-    fn knn(
-        &self,
-        query: &[Value],
-        k: usize,
-        bound: f64,
-        deadline: Deadline,
-    ) -> Result<Vec<Answer>> {
-        Ok(self
-            .lsm
-            .snapshot()
-            .exact_knn_bounded(query, k, bound, deadline)?
-            .0)
-    }
-
-    fn range(&self, query: &[Value], epsilon: f64, deadline: Deadline) -> Result<Vec<Answer>> {
-        Ok(self.lsm.snapshot().exact_range(query, epsilon, deadline)?.0)
+    fn search(&self, series: &[Value], query: &Query) -> Result<Vec<Answer>> {
+        Ok(self.lsm.search(series, query)?.0)
     }
 }
 
@@ -271,187 +243,93 @@ impl<B: ShardBackend> ShardSet<B> {
         Ok(covered)
     }
 
+    /// Run `ask` against every shard concurrently; one result per shard,
+    /// in partition order.
+    fn scatter<T: Send>(&self, ask: impl Fn(&B) -> Result<T> + Sync) -> Vec<Result<T>>
+    where
+        B: Sync,
+    {
+        std::thread::scope(|scope| {
+            let ask = &ask;
+            let handles: Vec<_> = self
+                .shards
+                .iter()
+                .map(|shard| scope.spawn(move || ask(shard)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err(Error::invalid("shard worker panicked")))
+                })
+                .collect()
+        })
+    }
+
     /// Dispatch builds so the whole fabric is indexed up to `upto`
     /// (each shard clamps to its slice); returns the per-shard infos.
     pub fn build(&self, upto: u64) -> Result<Vec<ShardInfo>>
     where
         B: Sync,
     {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.build(upto)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| Error::invalid("shard build worker panicked"))?
-                })
-                .collect()
-        })
+        self.scatter(|shard| shard.build(upto))
+            .into_iter()
+            .collect()
     }
 
-    /// Exact 1-NN: query shards in ascending position order, each pruned by
-    /// the best distance merged so far. Bit-identical to a single
-    /// whole-dataset index's answer.
-    pub fn exact(&self, query: &[Value], deadline: Deadline) -> Result<Answer> {
-        let mut best = Answer::none();
-        for shard in &self.shards {
-            let a = shard.exact(query, best.dist, deadline)?;
-            best.merge(a);
-        }
-        Ok(best)
-    }
-
-    /// Exact k-NN: query shards in ascending position order, each pruned by
-    /// the k-th best distance merged so far (infinity until the merged set
-    /// fills). Bit-identical to a single whole-dataset index's answer.
-    pub fn knn(&self, query: &[Value], k: usize, deadline: Deadline) -> Result<Vec<Answer>> {
-        let mut all: Vec<Answer> = Vec::new();
-        if k == 0 {
-            return Ok(all);
-        }
-        for shard in &self.shards {
-            let bound = if all.len() == k {
-                all[k - 1].dist
-            } else {
-                f64::INFINITY
-            };
-            let answers = shard.knn(query, k, bound, deadline)?;
-            all.extend(answers);
-            all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-            all.truncate(k);
-        }
-        Ok(all)
-    }
-
-    /// Range query: no bound to share, so scatter to every shard
-    /// concurrently and merge-sort the hits by `(dist, pos)`.
-    pub fn range(&self, query: &[Value], epsilon: f64, deadline: Deadline) -> Result<Vec<Answer>>
-    where
-        B: Sync,
-    {
-        let per_shard: Vec<Vec<Answer>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.range(query, epsilon, deadline)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| Error::invalid("shard range worker panicked"))?
-                })
-                .collect::<Result<Vec<_>>>()
-        })?;
-        let mut all: Vec<Answer> = per_shard.into_iter().flatten().collect();
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-        Ok(all)
-    }
-
-    /// [`ShardSet::exact`] with graceful degradation: an unreachable or
-    /// timed-out shard contributes its slice to [`Partial::missing`]
-    /// instead of failing the query. Later shards still prune with the
-    /// bound merged from the live shards before them, so the value is the
-    /// exact 1-NN over the non-missing slices.
-    pub fn exact_degraded(&self, query: &[Value], deadline: Deadline) -> Result<Partial<Answer>> {
-        let mut best = Answer::none();
-        let mut missing = Vec::new();
-        for shard in &self.shards {
-            match shard.exact(query, best.dist, deadline) {
-                Ok(a) => best.merge(a),
-                Err(e) if degradable(&e) => missing.push(shard.slice()),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Partial {
-            value: best,
-            missing,
-        })
-    }
-
-    /// [`ShardSet::knn`] with graceful degradation (see
-    /// [`ShardSet::exact_degraded`]); the value is the exact top-k over
+    /// Answer `query` across the shards, bit-identical to a single
+    /// whole-dataset index: bounded kinds visit shards in ascending position
+    /// order, each pruned by what the shards before it found
+    /// ([`Query::tightened`]); range queries have no bound to share and
+    /// scatter to every shard concurrently. Per-shard answers merge under
+    /// the `(dist, pos)` order.
+    ///
+    /// A shard that is unreachable or out of deadline budget fails a strict
+    /// query; with `degraded` it contributes its slice to
+    /// [`Partial::missing`] instead, and the value is the exact answer over
     /// the non-missing slices.
-    pub fn knn_degraded(
+    pub fn search(
         &self,
-        query: &[Value],
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Partial<Vec<Answer>>> {
-        let mut all: Vec<Answer> = Vec::new();
-        let mut missing = Vec::new();
-        if k == 0 {
-            return Ok(Partial {
-                value: all,
-                missing,
-            });
-        }
-        for shard in &self.shards {
-            let bound = if all.len() == k {
-                all[k - 1].dist
-            } else {
-                f64::INFINITY
-            };
-            match shard.knn(query, k, bound, deadline) {
-                Ok(answers) => {
-                    all.extend(answers);
-                    all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-                    all.truncate(k);
-                }
-                Err(e) if degradable(&e) => missing.push(shard.slice()),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Partial {
-            value: all,
-            missing,
-        })
-    }
-
-    /// [`ShardSet::range`] with graceful degradation (see
-    /// [`ShardSet::exact_degraded`]); the value is every in-range hit from
-    /// the non-missing slices, merge-sorted by `(dist, pos)`.
-    pub fn range_degraded(
-        &self,
-        query: &[Value],
-        epsilon: f64,
-        deadline: Deadline,
+        series: &[Value],
+        query: &Query,
+        degraded: bool,
     ) -> Result<Partial<Vec<Answer>>>
     where
         B: Sync,
     {
-        let per_shard: Vec<Result<Vec<Answer>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.range(query, epsilon, deadline)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(Error::invalid("shard range worker panicked")))
-                })
-                .collect()
-        });
-        let mut all: Vec<Answer> = Vec::new();
+        // Range: ask every shard up front, concurrently (empty otherwise).
+        let scattered = if matches!(query.kind, Kind::Range(_)) {
+            self.scatter(|shard| shard.search(series, query))
+        } else {
+            Vec::new()
+        };
+        let mut scattered = scattered.into_iter();
+        let mut value = Vec::new();
         let mut missing = Vec::new();
-        for (shard, result) in self.shards.iter().zip(per_shard) {
-            match result {
-                Ok(hits) => all.extend(hits),
-                Err(e) if degradable(&e) => missing.push(shard.slice()),
+        for shard in &self.shards {
+            // Bounded kinds ask in turn, under the bound merged so far.
+            let answered = scattered
+                .next()
+                .unwrap_or_else(|| shard.search(series, &query.tightened(&value)));
+            match answered {
+                Ok(answers) => query.merge(&mut value, answers),
+                Err(e) if degraded && degradable(&e) => missing.push(shard.slice()),
                 Err(e) => return Err(e),
             }
         }
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-        Ok(Partial {
-            value: all,
-            missing,
-        })
+        Ok(Partial { value, missing })
+    }
+
+    /// Strict exact 1-NN under `deadline` ([`ShardSet::search`]).
+    pub fn exact(&self, query: &[Value], deadline: Deadline) -> Result<Answer>
+    where
+        B: Sync,
+    {
+        let nearest = Query {
+            deadline,
+            ..Query::nearest()
+        };
+        Ok(nearest_of(&self.search(query, &nearest, false)?.value))
     }
 }
 
@@ -505,6 +383,24 @@ mod tests {
         q
     }
 
+    /// One shard's 1-NN below `bound`.
+    fn nearest_below(shard: &LocalShard, q: &[Value], bound: f64) -> Answer {
+        let bounded = Query {
+            bound,
+            ..Query::nearest()
+        };
+        nearest_of(&shard.search(q, &bounded).unwrap())
+    }
+
+    /// The set's degraded-mode 1-NN.
+    fn exact_degraded(set: &ShardSet<FlakyShard>, q: &[Value]) -> Partial<Answer> {
+        let partial = set.search(q, &Query::nearest(), true).unwrap();
+        Partial {
+            value: nearest_of(&partial.value),
+            missing: partial.missing,
+        }
+    }
+
     #[test]
     fn partition_map_is_contiguous_and_validated() {
         let ranges = partition(10, 3);
@@ -547,15 +443,15 @@ mod tests {
                 );
 
                 let (want_k, _) = snap.exact_knn(&q, 5, Deadline::NONE).unwrap();
-                let got_k = set.knn(&q, 5, Deadline::NONE).unwrap();
+                let got_k = set.search(&q, &Query::knn(5), false).unwrap().value;
                 assert_eq!(got_k.len(), want_k.len(), "k={k}");
                 for (g, w) in got_k.iter().zip(want_k.iter()) {
                     assert_eq!((g.pos, g.dist.to_bits()), (w.pos, w.dist.to_bits()));
                 }
 
                 let eps = want_k.last().unwrap().dist;
-                let (want_r, _) = snap.exact_range(&q, eps, Deadline::NONE).unwrap();
-                let got_r = set.range(&q, eps, Deadline::NONE).unwrap();
+                let (want_r, _) = snap.search(&q, &Query::range(eps)).unwrap();
+                let got_r = set.search(&q, &Query::range(eps), false).unwrap().value;
                 assert_eq!(got_r.len(), want_r.len(), "k={k}");
                 for (g, w) in got_r.iter().zip(want_r.iter()) {
                     assert_eq!((g.pos, g.dist.to_bits()), (w.pos, w.dist.to_bits()));
@@ -571,17 +467,13 @@ mod tests {
         let set = local_set(&dir, &ds, 2);
         let q = query(9);
         let shard = &set.shards()[0];
-        let unbounded = shard.exact(&q, f64::INFINITY, Deadline::NONE).unwrap();
+        let unbounded = nearest_below(shard, &q, f64::INFINITY);
         assert!(unbounded.is_some());
         // A bound below the shard's best suppresses the candidate entirely.
-        let suppressed = shard
-            .exact(&q, unbounded.dist / 2.0, Deadline::NONE)
-            .unwrap();
+        let suppressed = nearest_below(shard, &q, unbounded.dist / 2.0);
         assert!(!suppressed.is_some());
         // A bound just above it returns the identical answer.
-        let loose = shard
-            .exact(&q, unbounded.dist * 2.0, Deadline::NONE)
-            .unwrap();
+        let loose = nearest_below(shard, &q, unbounded.dist * 2.0);
         assert_eq!(
             (loose.pos, loose.dist.to_bits()),
             (unbounded.pos, unbounded.dist.to_bits())
@@ -642,23 +534,9 @@ mod tests {
             self.check()?;
             self.inner.build(upto)
         }
-        fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer> {
+        fn search(&self, series: &[Value], query: &Query) -> Result<Vec<Answer>> {
             self.check()?;
-            self.inner.exact(query, bound, deadline)
-        }
-        fn knn(
-            &self,
-            query: &[Value],
-            k: usize,
-            bound: f64,
-            deadline: Deadline,
-        ) -> Result<Vec<Answer>> {
-            self.check()?;
-            self.inner.knn(query, k, bound, deadline)
-        }
-        fn range(&self, query: &[Value], epsilon: f64, deadline: Deadline) -> Result<Vec<Answer>> {
-            self.check()?;
-            self.inner.range(query, epsilon, deadline)
+            self.inner.search(series, query)
         }
     }
 
@@ -707,14 +585,14 @@ mod tests {
         let set = flaky_set(&dir, &ds, 3);
         let q = query(31);
         let strict = set.exact(&q, Deadline::NONE).unwrap();
-        let partial = set.exact_degraded(&q, Deadline::NONE).unwrap();
+        let partial = exact_degraded(&set, &q);
         assert!(partial.is_complete());
         assert_eq!(
             (partial.value.pos, partial.value.dist.to_bits()),
             (strict.pos, strict.dist.to_bits())
         );
-        let strict_k = set.knn(&q, 5, Deadline::NONE).unwrap();
-        let partial_k = set.knn_degraded(&q, 5, Deadline::NONE).unwrap();
+        let strict_k = set.search(&q, &Query::knn(5), false).unwrap().value;
+        let partial_k = set.search(&q, &Query::knn(5), true).unwrap();
         assert!(partial_k.is_complete());
         assert_eq!(partial_k.value.len(), strict_k.len());
         for (g, w) in partial_k.value.iter().zip(strict_k.iter()) {
@@ -740,7 +618,7 @@ mod tests {
             assert!(err.is_unavailable(), "{err}");
 
             // Degraded mode answers over the live slices and names the hole.
-            let partial = set.exact_degraded(&q, Deadline::NONE).unwrap();
+            let partial = exact_degraded(&set, &q);
             assert_eq!(partial.missing, vec![victim_slice.clone()]);
             let want = oracle_excluding(&ds, &q, &partial.missing);
             assert_eq!(
@@ -748,14 +626,14 @@ mod tests {
                 (want.pos, want.dist.to_bits())
             );
 
-            let partial_k = set.knn_degraded(&q, 3, Deadline::NONE).unwrap();
+            let partial_k = set.search(&q, &Query::knn(3), true).unwrap();
             assert_eq!(partial_k.missing, vec![victim_slice.clone()]);
             for hit in &partial_k.value {
                 assert!(!victim_slice.contains(&hit.pos), "hit from a dead slice");
             }
 
             let eps = partial.value.dist * 2.0;
-            let partial_r = set.range_degraded(&q, eps, Deadline::NONE).unwrap();
+            let partial_r = set.search(&q, &Query::range(eps), true).unwrap();
             assert_eq!(partial_r.missing, vec![victim_slice.clone()]);
             for hit in &partial_r.value {
                 assert!(!victim_slice.contains(&hit.pos), "hit from a dead slice");
@@ -768,7 +646,7 @@ mod tests {
             .dead
             .store(false, std::sync::atomic::Ordering::Relaxed);
         let q = query(207);
-        let partial = set.exact_degraded(&q, Deadline::NONE).unwrap();
+        let partial = exact_degraded(&set, &q);
         assert!(partial.is_complete());
         let strict = set.exact(&q, Deadline::NONE).unwrap();
         assert_eq!(

@@ -10,11 +10,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use coconut_series::dataset::Dataset;
-use coconut_storage::{ExternalSorter, IoStats, Result, SortReport, SortedStream};
+use coconut_storage::{ExternalSorter, IoStats, RecordStream, Result, SortReport, SortedStream};
 use coconut_summary::sax::Summarizer;
 use coconut_summary::SaxConfig;
 
+use crate::config::BuildOptions;
 use crate::records::{KeyPos, KeyPosCodec, KeySeries, KeySeriesCodec};
+use crate::shard::{sorted_key_pos_sharded, sorted_key_series_sharded};
 
 /// Scan `positions` of `dataset` (a contiguous range) and return the
 /// `(key, position)` pairs sorted by key — the non-materialized pipeline.
@@ -67,6 +69,61 @@ pub fn sorted_key_series(
         })?;
     }
     sorter.finish()
+}
+
+/// The `(key, position)` records of `range` in sorted order under `opts`:
+/// one external sort, or `opts.shards` parallel sorts K-way merged. The
+/// merged stream is record-for-record identical to one big sort, so either
+/// source feeds the same loader loop.
+pub(crate) fn key_pos_stream(
+    dataset: &Dataset,
+    range: std::ops::Range<u64>,
+    sax: &SaxConfig,
+    opts: &BuildOptions,
+    tmp_dir: &Path,
+) -> Result<Box<dyn RecordStream<Item = KeyPos>>> {
+    let stats = dataset.file().stats();
+    let memory = opts.memory_bytes;
+    Ok(if opts.shards > 1 {
+        Box::new(sorted_key_pos_sharded(
+            dataset,
+            range,
+            sax,
+            memory,
+            tmp_dir,
+            stats,
+            opts.shards,
+        )?)
+    } else {
+        Box::new(sorted_key_pos(dataset, range, sax, memory, tmp_dir, stats)?)
+    })
+}
+
+/// [`key_pos_stream`] for materialized (`-Full`) builds: whole records.
+pub(crate) fn key_series_stream(
+    dataset: &Dataset,
+    range: std::ops::Range<u64>,
+    sax: &SaxConfig,
+    opts: &BuildOptions,
+    tmp_dir: &Path,
+) -> Result<Box<dyn RecordStream<Item = KeySeries>>> {
+    let stats = dataset.file().stats();
+    let memory = opts.memory_bytes;
+    Ok(if opts.shards > 1 {
+        Box::new(sorted_key_series_sharded(
+            dataset,
+            range,
+            sax,
+            memory,
+            tmp_dir,
+            stats,
+            opts.shards,
+        )?)
+    } else {
+        Box::new(sorted_key_series(
+            dataset, range, sax, memory, tmp_dir, stats,
+        )?)
+    })
 }
 
 /// A summary of how a build went, reported by the experiment harness.

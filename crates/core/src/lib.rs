@@ -13,15 +13,19 @@
 //!   entirely: a balanced B+-tree bulk-loaded with *median-based* splits
 //!   (UB-tree style), densely packed to a configurable fill factor.
 //!
+//! Both are one [`leaves::SortedLeafIndex`] — sorted contiguous leaves plus
+//! the in-memory summarizations — under a different [`leaves::Directory`].
 //! Both come in non-materialized (leaves hold `(key, position)` pointers
 //! into the raw file) and materialized / `-Full` (leaves hold the raw
-//! series) flavors, and both answer:
+//! series) flavors, and both answer every [`query::Query`] through one
+//! `search`:
 //!
-//! * **approximate** queries (Algorithm 4) — visit the leaf where the query
+//! * the **approximate** step (Algorithm 4) — visit the leaf where the query
 //!   would live, plus `radius` neighboring leaves (contiguous on disk);
-//! * **exact** queries (Algorithm 5, *CoconutTreeSIMS*) — a skip-sequential
-//!   scan over in-memory summarizations, pruned by the approximate answer,
-//!   with lower bounds computed by parallel threads.
+//! * the **exact** step (Algorithm 5, *CoconutTreeSIMS*) — a skip-sequential
+//!   scan over in-memory summarizations ([`sims::sims_scan`]), pruned by
+//!   the approximate answers, with lower bounds computed by parallel
+//!   threads.
 //!
 //! [`lsm::LsmCoconut`] grows the paper's future-work suggestion into a
 //! streaming subsystem: batches bulk-load into LSM runs, a
@@ -57,8 +61,10 @@ pub mod compaction;
 pub mod config;
 pub mod layout;
 mod le;
+pub mod leaves;
 pub mod lsm;
 pub mod manifest;
+pub mod query;
 pub mod records;
 pub mod shard;
 pub mod sims;
@@ -71,9 +77,11 @@ pub use coconut_storage::{Deadline, Error, Result};
 pub use compaction::{CompactionPolicy, CompactionPolicyKind, LeveledPolicy, TieredPolicy};
 pub use config::{BuildOptions, IndexConfig};
 pub use layout::ScrubReport;
+pub use leaves::{Directory, SortedLeafIndex};
 pub use lsm::{
     IngestWriter, KillPoint, LsmCoconut, RunScrub, Snapshot, WriteStats, QUARANTINE_DIR,
 };
+pub use query::{Kind, Metric, Query};
 pub use split::{AdaptivePolicy, FixedBinaryPolicy, SplitPolicy, SplitPolicyKind};
 pub use tree::CoconutTree;
 pub use trie::CoconutTrie;

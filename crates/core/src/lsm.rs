@@ -87,6 +87,7 @@ use crate::compaction::{CompactionPolicy, CompactionPolicyKind, TieredPolicy};
 use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::ScrubReport;
 use crate::manifest::{run_dir_name, Manifest, RunMeta};
+use crate::query::{first, Query};
 use crate::records::{KeyPos, KeySeries};
 use crate::tree::{CoconutTree, LeafEntryStream};
 
@@ -905,16 +906,10 @@ impl LsmCoconut {
             .sum()
     }
 
-    /// Exact k-nearest-neighbors merged across runs (per-run answer lists
-    /// are merged by distance; per-run stats are aggregated).
-    pub fn exact_knn(&self, query: &[Value], k: usize) -> Result<(Vec<Answer>, QueryStats)> {
-        self.snapshot().exact_knn(query, k, Deadline::NONE)
-    }
-
-    /// Exact range query merged across runs: every series within Euclidean
-    /// distance `epsilon`, sorted by distance.
-    pub fn exact_range(&self, query: &[Value], epsilon: f64) -> Result<(Vec<Answer>, QueryStats)> {
-        self.snapshot().exact_range(query, epsilon, Deadline::NONE)
+    /// Answer `query` over a freshly pinned snapshot
+    /// ([`Snapshot::search`]).
+    pub fn search(&self, series: &[Value], query: &Query) -> Result<(Vec<Answer>, QueryStats)> {
+        self.snapshot().search(series, query)
     }
 }
 
@@ -1016,125 +1011,62 @@ impl Snapshot {
         self.len() == 0
     }
 
-    /// Approximate 1-NN over the pinned runs (best leaf per run, merged).
-    pub fn approximate(&self, query: &[Value]) -> Result<Answer> {
-        let mut best = Answer::none();
-        for run in &self.runs {
-            best.merge(run.approximate(query)?);
-        }
-        Ok(best)
-    }
-
-    /// Exact 1-NN merged across the pinned runs, under a cooperative
-    /// `deadline` (pass [`Deadline::NONE`] for no limit).
-    pub fn exact(&self, query: &[Value], deadline: Deadline) -> Result<(Answer, QueryStats)> {
-        let mut best = Answer::none();
+    /// Answer `query` over the pinned runs: each run is searched with the
+    /// bound tightened by what the runs before it found
+    /// ([`Query::tightened`] — runs cover ascending position ranges), and
+    /// the per-run answers merge under the `(dist, pos)` order. Per-run
+    /// work counters are summed.
+    pub fn search(&self, series: &[Value], query: &Query) -> Result<(Vec<Answer>, QueryStats)> {
+        let mut merged = Vec::new();
         let mut stats = QueryStats::default();
         for run in &self.runs {
-            let (a, s) = run.exact_search_deadline(query, deadline)?;
-            best.merge(a);
+            let (answers, s) = run.search(series, &query.tightened(&merged))?;
+            query.merge(&mut merged, answers);
             stats.add(&s);
         }
-        Ok((best, stats))
+        Ok((merged, stats))
     }
 
-    /// [`Snapshot::exact`] with an external pruning `bound`: the scan of
-    /// every run starts with a best-so-far no higher than `bound` (which
-    /// also tightens run to run), so records that cannot beat the caller's
-    /// existing candidate are skipped. When nothing here beats the bound
-    /// the returned answer has `is_some() == false` — the caller's
-    /// candidate stands. `f64::INFINITY` recovers [`Snapshot::exact`]'s
-    /// answer exactly.
+    /// Approximate 1-NN over the pinned runs (best leaf per run, merged).
+    pub fn approximate(&self, query: &[Value]) -> Result<Answer> {
+        Ok(first(self.search(query, &Query::approx())?).0)
+    }
+
+    /// Exact 1-NN under a cooperative `deadline` ([`Deadline::NONE`] for no
+    /// limit).
+    pub fn exact(&self, query: &[Value], deadline: Deadline) -> Result<(Answer, QueryStats)> {
+        self.exact_bounded(query, f64::INFINITY, deadline)
+    }
+
+    /// [`Snapshot::exact`] returning only an answer below `bound`; when
+    /// nothing here beats it the answer has `is_some() == false` — the
+    /// caller's candidate stands.
     pub fn exact_bounded(
         &self,
         query: &[Value],
         bound: f64,
         deadline: Deadline,
     ) -> Result<(Answer, QueryStats)> {
-        let mut best = Answer {
-            pos: u64::MAX,
-            dist: bound,
+        let nearest = Query {
+            bound,
+            deadline,
+            ..Query::nearest()
         };
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (a, s) = run.exact_search_bounded_deadline(query, best.dist, deadline)?;
-            best.merge(a);
-            stats.add(&s);
-        }
-        Ok((best, stats))
+        self.search(query, &nearest).map(first)
     }
 
-    /// Exact k-NN merged across the pinned runs, under a cooperative
-    /// `deadline`.
+    /// Exact k-NN under a cooperative `deadline`.
     pub fn exact_knn(
         &self,
         query: &[Value],
         k: usize,
         deadline: Deadline,
     ) -> Result<(Vec<Answer>, QueryStats)> {
-        let mut all = Vec::new();
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (answers, s) = run.exact_knn_deadline(query, k, deadline)?;
-            all.extend(answers);
-            stats.add(&s);
-        }
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-        all.truncate(k);
-        Ok((all, stats))
-    }
-
-    /// [`Snapshot::exact_knn`] with an external pruning `bound`: only
-    /// candidates with distance below `bound` can enter the result, and the
-    /// bound tightens run to run as the merged set fills (runs cover
-    /// ascending position ranges, so a later tie at the bound would sort
-    /// after the existing entries under the `(dist, pos)` order anyway).
-    /// `f64::INFINITY` recovers [`Snapshot::exact_knn`]'s answer exactly.
-    pub fn exact_knn_bounded(
-        &self,
-        query: &[Value],
-        k: usize,
-        bound: f64,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        let mut all: Vec<Answer> = Vec::new();
-        let mut stats = QueryStats::default();
-        if k == 0 {
-            return Ok((all, stats));
-        }
-        for run in &self.runs {
-            let local = if all.len() == k {
-                all[k - 1].dist.min(bound)
-            } else {
-                bound
-            };
-            let (answers, s) = run.exact_knn_bounded_deadline(query, k, local, deadline)?;
-            all.extend(answers);
-            stats.add(&s);
-            all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-            all.truncate(k);
-        }
-        Ok((all, stats))
-    }
-
-    /// Exact range query merged across the pinned runs, under a cooperative
-    /// `deadline`: every series within Euclidean distance `epsilon`, sorted
-    /// by distance.
-    pub fn exact_range(
-        &self,
-        query: &[Value],
-        epsilon: f64,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        let mut all = Vec::new();
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (answers, s) = run.exact_range_deadline(query, epsilon, deadline)?;
-            all.extend(answers);
-            stats.add(&s);
-        }
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.pos.cmp(&b.pos)));
-        Ok((all, stats))
+        let knn = Query {
+            deadline,
+            ..Query::knn(k)
+        };
+        self.search(query, &knn)
     }
 }
 
@@ -1859,7 +1791,7 @@ impl SeriesIndex for LsmCoconut {
     }
 
     fn exact(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.snapshot().exact(query, Deadline::NONE)
+        self.search(query, &Query::nearest()).map(first)
     }
 
     fn disk_bytes(&self) -> u64 {
@@ -2117,7 +2049,7 @@ mod tests {
             .map(|(i, s)| (i as u64, euclidean(&q, s)))
             .collect();
         dists.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let (top, stats_q) = lsm.exact_knn(&q, 5).unwrap();
+        let (top, stats_q) = lsm.search(&q, &Query::knn(5)).unwrap();
         assert_eq!(top.len(), 5);
         for (got, want) in top.iter().zip(dists.iter()) {
             assert_eq!(got.pos, want.0);
@@ -2125,7 +2057,7 @@ mod tests {
         assert!(stats_q.lower_bounds >= all.len() as u64);
         // Range: every series within the 8th-nearest distance.
         let eps = dists[7].1;
-        let (hits, _) = lsm.exact_range(&q, eps).unwrap();
+        let (hits, _) = lsm.search(&q, &Query::range(eps)).unwrap();
         let expected: Vec<u64> = dists
             .iter()
             .take_while(|&&(_, d)| d <= eps)
@@ -2339,10 +2271,11 @@ mod tests {
         let expired = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
         assert!(snap.exact(&q, expired).unwrap_err().is_deadline());
         assert!(snap.exact_knn(&q, 3, expired).unwrap_err().is_deadline());
-        assert!(snap
-            .exact_range(&q, 1.0, expired)
-            .unwrap_err()
-            .is_deadline());
+        let range = Query {
+            deadline: expired,
+            ..Query::range(1.0)
+        };
+        assert!(snap.search(&q, &range).unwrap_err().is_deadline());
         // And an unexpired one leaves answers intact.
         let far = Deadline::after(std::time::Duration::from_secs(3600));
         let (a1, _) = snap.exact(&q, far).unwrap();

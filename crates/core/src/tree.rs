@@ -9,14 +9,10 @@
 //! implicit in bulk loading: any node boundary may fall between any two
 //! records, so no common-prefix constraint wastes space.
 //!
-//! Queries:
-//! * [`CoconutTree::approximate_search`] (Algorithm 4) descends to the leaf
-//!   where the query's key would be inserted and evaluates it plus `radius`
-//!   neighboring leaves on each side — neighbors are physically adjacent,
-//!   so this is one sequential read.
-//! * [`CoconutTree::exact_search`] (Algorithm 5, *CoconutTreeSIMS*) seeds a
-//!   best-so-far from approximate search, then runs the parallel
-//!   skip-sequential SIMS scan.
+//! The leaves, their persistence and every query live in
+//! [`crate::leaves::SortedLeafIndex`]; this module is what makes the index
+//! a *tree*: the [`SeparatorLevels`] directory, fixed-size leaf packing,
+//! and B+-tree updates.
 //!
 //! Post-build [`CoconutTree::insert`] implements classic B+-tree leaf
 //! inserts with median splits; split-off leaves are appended at the end of
@@ -28,88 +24,118 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use coconut_series::dataset::Dataset;
-use coconut_series::distance::euclidean_sq;
-use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{CountedFile, Deadline, Error, IoStats, RecordStream, Result, SortReport};
-use coconut_summary::paa::paa;
+use coconut_storage::{CountedFile, Error, RecordStream, Result, SortReport};
 use coconut_summary::sax::Summarizer;
 use coconut_summary::ZKey;
 
-use crate::builder::{sorted_key_pos, sorted_key_series, BuildReport};
+use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
-use crate::layout::{
-    crc32, read_directory, write_directory, EntryLayout, IndexHeader, LeafMeta, LeafStore,
-    CHECKSUM_VERSION,
-};
+use crate::layout::{crc32, IndexHeader, LeafMeta, LeafStore};
+use crate::leaves::{Directory, SortedLeafIndex};
 use crate::records::SortedRecord;
-use crate::shard::{sorted_key_pos_sharded, sorted_key_series_sharded};
-use crate::sims::{sims_exact, sims_exact_knn_bounded, SeriesFetcher};
 
 static TREE_ID: AtomicU64 = AtomicU64::new(0);
 
-/// In-memory summarization arrays for SIMS (rebuilt lazily after inserts).
-struct Summaries {
-    /// Keys in raw-file order; index `i` is position `range.start + i`.
-    keys_by_pos: Vec<ZKey>,
-    /// Keys in leaf (sorted) order.
-    keys_leaf_order: Vec<ZKey>,
-    /// Raw positions in leaf order (parallel to `keys_leaf_order`).
-    pos_leaf_order: Vec<u64>,
-    /// First scan index of each leaf (prefix sums; one extra final entry).
-    leaf_starts: Vec<u64>,
+/// The Coconut-Tree index: sorted leaves under [`SeparatorLevels`].
+pub type CoconutTree = SortedLeafIndex<SeparatorLevels>;
+
+/// Coconut-Tree's directory: in-memory B+-tree separator levels over the
+/// leaves' first keys. Nothing of it is stored — reopening rebuilds it from
+/// the leaf directory.
+pub struct SeparatorLevels {
+    fanout: usize,
+    /// `levels[0]` holds each leaf's first key, each higher level the first
+    /// key of `fanout`-sized groups.
+    levels: Vec<Vec<ZKey>>,
 }
 
-/// The Coconut-Tree index.
-pub struct CoconutTree {
-    config: IndexConfig,
-    materialized: bool,
-    threads: usize,
-    dataset: Dataset,
-    file: Arc<CountedFile>,
-    store: LeafStore,
-    leaves: Vec<LeafMeta>,
-    /// Internal separator levels; `levels[0]` holds each leaf's first key,
-    /// each higher level the first key of `internal_fanout`-sized groups.
-    levels: Vec<Vec<ZKey>>,
-    summaries: RwLock<Option<Arc<Summaries>>>,
-    entry_count: u64,
-    next_block: u32,
-    /// Positions covered: `range.start..range.end` of the dataset.
-    range: std::ops::Range<u64>,
-    build_report: BuildReport,
-    default_radius: usize,
+impl SeparatorLevels {
+    fn rebuild(&mut self, leaves: &[LeafMeta]) {
+        self.levels.clear();
+        if leaves.is_empty() {
+            return;
+        }
+        let mut level: Vec<ZKey> = leaves.iter().map(|l| l.first_key).collect();
+        loop {
+            let next: Option<Vec<ZKey>> = if level.len() <= self.fanout {
+                None
+            } else {
+                Some(level.chunks(self.fanout).map(|c| c[0]).collect())
+            };
+            self.levels.push(level);
+            match next {
+                Some(n) => level = n,
+                None => break,
+            }
+        }
+    }
+}
+
+impl Directory for SeparatorLevels {
+    const KIND: u8 = 0;
+    const NAME: &'static str = "CTree";
+
+    fn next_file_id() -> u64 {
+        TREE_ID.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn empty(config: &IndexConfig) -> Self {
+        SeparatorLevels {
+            fanout: config.internal_fanout,
+            levels: Vec::new(),
+        }
+    }
+
+    fn bulk_load(tree: &mut CoconutTree, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
+        let (range, sax) = (tree.range.clone(), tree.config.sax);
+        if opts.materialized {
+            let mut stream = key_series_stream(&tree.dataset, range, &sax, opts, tmp_dir)?;
+            tree.pack(stream.as_mut())
+        } else {
+            let mut stream = key_pos_stream(&tree.dataset, range, &sax, opts, tmp_dir)?;
+            tree.pack(stream.as_mut())
+        }
+    }
+
+    /// Descend the internal levels to the leaf whose key range contains
+    /// `key`.
+    fn descend(&self, key: ZKey) -> Option<usize> {
+        // Non-empty leaves imply at least one level (`rebuild`).
+        let top = self.levels.last()?;
+        let mut idx = top.partition_point(|&k| k <= key).saturating_sub(1);
+        for level in self.levels.iter().rev().skip(1) {
+            let lo = idx * self.fanout;
+            let hi = ((idx + 1) * self.fanout).min(level.len());
+            idx = lo
+                + level[lo..hi]
+                    .partition_point(|&k| k <= key)
+                    .saturating_sub(1);
+        }
+        Some(idx)
+    }
+
+    /// The tree tail has no records; the header only carries the policy
+    /// byte so reopen reconstructs the config.
+    fn write_tail(&self, _file: &CountedFile) -> Result<u8> {
+        Ok(0)
+    }
+
+    fn read_tail(
+        _file: &CountedFile,
+        _header: &IndexHeader,
+        _tail: u64,
+        leaves: &[LeafMeta],
+        config: &IndexConfig,
+    ) -> Result<Self> {
+        let mut levels = Self::empty(config);
+        levels.rebuild(leaves);
+        Ok(levels)
+    }
 }
 
 impl CoconutTree {
-    /// Bulk-load a tree over all of `dataset` (Algorithm 3). Files are
-    /// created in `dir`; sort scratch goes there too.
-    pub fn build(
-        dataset: &Dataset,
-        config: &IndexConfig,
-        dir: &Path,
-        opts: BuildOptions,
-    ) -> Result<Self> {
-        Self::build_range(dataset, 0..dataset.len(), config, dir, opts)
-    }
-
-    /// Bulk-load a tree over the positions `range` of `dataset` (used by the
-    /// LSM extension, whose runs cover contiguous position ranges).
-    pub fn build_range(
-        dataset: &Dataset,
-        range: std::ops::Range<u64>,
-        config: &IndexConfig,
-        dir: &Path,
-        opts: BuildOptions,
-    ) -> Result<Self> {
-        let mut tree = Self::new_empty(dataset, range, config, dir, &opts)?;
-        tree.bulk_load(dir, &opts)?;
-        Ok(tree)
-    }
-
     /// Bulk-load a tree from an already-sorted record stream covering
     /// exactly the positions of `range` — the LSM compaction path, where
     /// `stream` is a K-way [`coconut_storage::MergedStream`] over the leaf
@@ -128,205 +154,19 @@ impl CoconutTree {
         opts: BuildOptions,
         stream: &mut dyn RecordStream<Item = R>,
     ) -> Result<Self> {
-        let mut tree = Self::new_empty(dataset, range, config, dir, &opts)?;
-        tree.load_stream(stream)?;
+        let mut tree = Self::create(dataset, range, config, dir, &opts)?;
+        tree.pack(stream)?;
         Ok(tree)
     }
 
-    /// Validate inputs and create the (empty) index file in `dir`.
-    fn new_empty(
-        dataset: &Dataset,
-        range: std::ops::Range<u64>,
-        config: &IndexConfig,
-        dir: &Path,
-        opts: &BuildOptions,
-    ) -> Result<Self> {
-        config.validate()?;
-        if dataset.series_len() != config.sax.series_len {
-            return Err(Error::invalid(format!(
-                "dataset series length {} != config series length {}",
-                dataset.series_len(),
-                config.sax.series_len
-            )));
-        }
-        if range.end > dataset.len() || range.start > range.end {
-            return Err(Error::invalid("build range out of dataset bounds"));
-        }
-        let id = TREE_ID.fetch_add(1, Ordering::Relaxed);
-        let suffix = if opts.materialized { "full" } else { "ptr" };
-        let path = dir.join(format!("ctree-{id}-{suffix}.idx"));
-        let stats = Arc::clone(dataset.file().stats());
-        let file = Arc::new(CountedFile::create(&path, stats)?);
-        let entry = EntryLayout {
-            series_len: config.sax.series_len,
-            materialized: opts.materialized,
-        };
-        let store = LeafStore::new(Arc::clone(&file), entry, config.leaf_capacity);
-
-        Ok(CoconutTree {
-            config: *config,
-            materialized: opts.materialized,
-            threads: opts.threads.max(1),
-            dataset: dataset.clone(),
-            file,
-            store,
-            leaves: Vec::new(),
-            levels: Vec::new(),
-            summaries: RwLock::new(None),
-            entry_count: 0,
-            next_block: 0,
-            range,
-            build_report: BuildReport::default(),
-            default_radius: 1,
-        })
-    }
-
-    /// Sort the range's records and feed them to the loader. Sharded builds
-    /// sort K subranges in parallel and K-way merge; the merged stream is
-    /// record-for-record identical to one big sort, so either source feeds
-    /// the same loader loop.
-    fn bulk_load(&mut self, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
-        let stats = Arc::clone(self.dataset.file().stats());
-        if opts.materialized {
-            let mut stream: Box<dyn RecordStream<Item = crate::records::KeySeries>> =
-                if opts.shards > 1 {
-                    Box::new(sorted_key_series_sharded(
-                        &self.dataset,
-                        self.range.clone(),
-                        &self.config.sax,
-                        opts.memory_bytes,
-                        tmp_dir,
-                        &stats,
-                        opts.shards,
-                    )?)
-                } else {
-                    Box::new(sorted_key_series(
-                        &self.dataset,
-                        self.range.clone(),
-                        &self.config.sax,
-                        opts.memory_bytes,
-                        tmp_dir,
-                        &stats,
-                    )?)
-                };
-            self.load_stream(stream.as_mut())
-        } else {
-            let mut stream: Box<dyn RecordStream<Item = crate::records::KeyPos>> =
-                if opts.shards > 1 {
-                    Box::new(sorted_key_pos_sharded(
-                        &self.dataset,
-                        self.range.clone(),
-                        &self.config.sax,
-                        opts.memory_bytes,
-                        tmp_dir,
-                        &stats,
-                        opts.shards,
-                    )?)
-                } else {
-                    Box::new(sorted_key_pos(
-                        &self.dataset,
-                        self.range.clone(),
-                        &self.config.sax,
-                        opts.memory_bytes,
-                        tmp_dir,
-                        &stats,
-                    )?)
-                };
-            self.load_stream(stream.as_mut())
-        }
-    }
-
-    /// The bottom-up loader loop (Algorithm 3, lines 13–20): pack sorted
-    /// records into left-to-right leaves, then build the in-memory levels,
-    /// persist the directory, and keep the summarization arrays.
-    fn load_stream<R: SortedRecord>(
-        &mut self,
-        stream: &mut dyn RecordStream<Item = R>,
-    ) -> Result<()> {
-        let n = self.range.end - self.range.start;
-        let entry = *self.store.entry();
-        let eb = entry.entry_bytes();
+    /// Median packing: every leaf takes the same `fill_factor`-scaled number
+    /// of records, whatever their keys; then build the levels and persist.
+    fn pack<R: SortedRecord>(&mut self, stream: &mut dyn RecordStream<Item = R>) -> Result<()> {
         let per_leaf = self.config.bulk_leaf_entries();
-        let mut block_buf: Vec<u8> = Vec::with_capacity(per_leaf * eb);
-        let mut entry_buf = vec![0u8; eb];
-        let mut first_key = ZKey::MIN;
-        let mut in_leaf = 0usize;
-
-        let mut keys_by_pos = vec![ZKey::MIN; n as usize];
-        let mut keys_leaf_order = Vec::with_capacity(n as usize);
-        let mut pos_leaf_order = Vec::with_capacity(n as usize);
-
-        // A closure cannot borrow self mutably twice, so the leaf-flush is a
-        // small macro over locals.
-        macro_rules! flush_leaf {
-            () => {
-                if in_leaf > 0 {
-                    let crc = crc32(&block_buf);
-                    let blocks_used = self.store.write_leaf(self.next_block, &block_buf)?;
-                    self.leaves.push(LeafMeta {
-                        first_key,
-                        count: in_leaf as u32,
-                        block: self.next_block,
-                        blocks_used,
-                        crc,
-                    });
-                    self.next_block += blocks_used;
-                    block_buf.clear();
-                    in_leaf = 0;
-                }
-            };
-        }
-
-        while let Some(rec) = stream.next_item()? {
-            if self.materialized && rec.series().is_none() {
-                return Err(Error::invalid(
-                    "materialized build fed a stream without payloads",
-                ));
-            }
-            let (key, pos) = (rec.key(), rec.pos());
-            if !self.range.contains(&pos) {
-                return Err(Error::invalid(format!(
-                    "record position {pos} outside build range {:?}",
-                    self.range
-                )));
-            }
-            entry.encode(key, pos, rec.series(), &mut entry_buf);
-            if in_leaf == 0 {
-                first_key = key;
-            }
-            block_buf.extend_from_slice(&entry_buf);
-            keys_by_pos[(pos - self.range.start) as usize] = key;
-            keys_leaf_order.push(key);
-            pos_leaf_order.push(pos);
-            in_leaf += 1;
-            self.entry_count += 1;
-            if in_leaf == per_leaf {
-                flush_leaf!();
-            }
-        }
+        self.load(|| stream.next_item(), std::iter::repeat(per_leaf))?;
         self.build_report.sort = stream.report();
-        flush_leaf!();
-        debug_assert_eq!(in_leaf, 0);
-
-        self.build_report.items = self.entry_count;
-        self.build_report.leaves = self.leaves.len() as u64;
-        self.rebuild_levels();
-        self.persist_directory()?;
-        let leaf_starts = Self::compute_leaf_starts(&self.leaves);
-        *self.summaries.write() = Some(Arc::new(Summaries {
-            keys_by_pos,
-            keys_leaf_order,
-            pos_leaf_order,
-            leaf_starts,
-        }));
-        Ok(())
-    }
-
-    /// Open a previously built index file. `dataset` must be the raw file it
-    /// was built over.
-    pub fn open(path: &Path, dataset: &Dataset, threads: usize) -> Result<Self> {
-        let range = 0..dataset.len();
-        Self::open_impl(path, dataset, threads, range, false)
+        self.dir.rebuild(&self.leaves);
+        self.persist()
     }
 
     /// Open a previously built index file as a run covering exactly the
@@ -342,75 +182,7 @@ impl CoconutTree {
         threads: usize,
         range: std::ops::Range<u64>,
     ) -> Result<Self> {
-        Self::open_impl(path, dataset, threads, range, true)
-    }
-
-    fn open_impl(
-        path: &Path,
-        dataset: &Dataset,
-        threads: usize,
-        range: std::ops::Range<u64>,
-        check_count: bool,
-    ) -> Result<Self> {
-        if range.start > range.end || range.end > dataset.len() {
-            return Err(Error::invalid("open range out of dataset bounds"));
-        }
-        let stats = Arc::clone(dataset.file().stats());
-        let file = Arc::new(CountedFile::open_rw(path, stats)?);
-        let header = IndexHeader::read_from(&file)?;
-        if header.kind != 0 {
-            return Err(Error::corrupt("not a Coconut-Tree index file"));
-        }
-        if header.series_len as usize != dataset.series_len() {
-            return Err(Error::corrupt("index/dataset series length mismatch"));
-        }
-        if check_count && header.entry_count != range.end - range.start {
-            return Err(Error::corrupt(format!(
-                "index holds {} entries but its recorded range {range:?} spans {}",
-                header.entry_count,
-                range.end - range.start
-            )));
-        }
-        let config = IndexConfig {
-            sax: coconut_summary::SaxConfig {
-                series_len: header.series_len as usize,
-                segments: header.segments as usize,
-                card_bits: header.card_bits,
-            },
-            leaf_capacity: header.leaf_capacity as usize,
-            fill_factor: 1.0,
-            internal_fanout: 64,
-            split_policy: crate::split::SplitPolicyKind::from_u8(header.split_policy)?,
-        };
-        config.validate()?;
-        let (leaves, _) = read_directory(&file, header.dir_offset)?;
-        let entry = EntryLayout {
-            series_len: config.sax.series_len,
-            materialized: header.materialized,
-        };
-        let store = LeafStore::new(Arc::clone(&file), entry, config.leaf_capacity);
-        let mut tree = CoconutTree {
-            config,
-            materialized: header.materialized,
-            threads: threads.max(1),
-            dataset: dataset.clone(),
-            file,
-            store,
-            leaves,
-            levels: Vec::new(),
-            summaries: RwLock::new(None),
-            entry_count: header.entry_count,
-            next_block: header.num_blocks as u32,
-            range,
-            build_report: BuildReport::default(),
-            default_radius: 1,
-        };
-        // The on-disk index does not record its own range; `open` assumes
-        // the common whole-dataset case (`open_range` is told it by the LSM
-        // manifest), and `load_summaries` re-derives and cross-checks the
-        // contiguous position range from the entries themselves.
-        tree.rebuild_levels();
-        Ok(tree)
+        Self::open_covering(path, dataset, threads, range, true)
     }
 
     /// Stream this tree's entries in leaf order — which, for a bulk-loaded
@@ -434,155 +206,9 @@ impl CoconutTree {
         }
     }
 
-    fn persist_directory(&mut self) -> Result<()> {
-        let dir_offset = write_directory(&self.file, &self.leaves)?;
-        let header = IndexHeader {
-            kind: 0,
-            materialized: self.materialized,
-            series_len: self.config.sax.series_len as u32,
-            segments: self.config.sax.segments as u16,
-            card_bits: self.config.sax.card_bits,
-            leaf_capacity: self.config.leaf_capacity as u32,
-            entry_count: self.entry_count,
-            num_blocks: self.next_block as u64,
-            dir_offset,
-            // The tree tail has no policy-dependent records; only the
-            // policy byte is carried so reopen reconstructs the config.
-            tail_version: 0,
-            split_policy: self.config.split_policy.as_u8(),
-            checksums: CHECKSUM_VERSION,
-        };
-        header.write_to(&self.file)?;
-        self.file.sync()
-    }
-
-    /// Re-read every leaf block and verify it against its directory CRC
-    /// (the `coconut scrub` primitive). Returns on the first corrupt leaf
-    /// with a typed [`Error::Corrupt`]; legacy unchecked leaves are counted
-    /// but not verifiable.
-    pub fn verify(&self) -> Result<crate::layout::ScrubReport> {
-        crate::layout::scrub_leaves(&self.store, &self.leaves)
-    }
-
-    fn compute_leaf_starts(leaves: &[LeafMeta]) -> Vec<u64> {
-        let mut starts = Vec::with_capacity(leaves.len() + 1);
-        let mut acc = 0u64;
-        for l in leaves {
-            starts.push(acc);
-            acc += l.count as u64;
-        }
-        starts.push(acc);
-        starts
-    }
-
-    fn rebuild_levels(&mut self) {
-        self.levels.clear();
-        if self.leaves.is_empty() {
-            return;
-        }
-        let mut level: Vec<ZKey> = self.leaves.iter().map(|l| l.first_key).collect();
-        let fanout = self.config.internal_fanout;
-        loop {
-            let next: Option<Vec<ZKey>> = if level.len() <= fanout {
-                None
-            } else {
-                Some(level.chunks(fanout).map(|c| c[0]).collect())
-            };
-            self.levels.push(level);
-            match next {
-                Some(n) => level = n,
-                None => break,
-            }
-        }
-    }
-
-    /// Descend the internal levels to the leaf whose key range contains
-    /// `key` (the leaf the key would be inserted into). Returns the leaf
-    /// index and the number of internal nodes visited.
-    fn descend(&self, key: ZKey) -> Option<(usize, u64)> {
-        if self.leaves.is_empty() {
-            return None;
-        }
-        let fanout = self.config.internal_fanout;
-        let mut visited = 0u64;
-        // Non-empty leaves imply at least one level (`rebuild_levels`).
-        let top = self.levels.last()?;
-        let mut idx = top.partition_point(|&k| k <= key).saturating_sub(1);
-        visited += 1;
-        for level in self.levels.iter().rev().skip(1) {
-            let lo = idx * fanout;
-            let hi = ((idx + 1) * fanout).min(level.len());
-            let window = &level[lo..hi];
-            idx = lo + window.partition_point(|&k| k <= key).saturating_sub(1);
-            visited += 1;
-        }
-        Some((idx, visited))
-    }
-
     /// Height of the tree (internal levels above the leaves).
     pub fn height(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The build report (sort runs / merge passes / leaf count).
-    pub fn build_report(&self) -> BuildReport {
-        self.build_report
-    }
-
-    /// The index configuration.
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    /// Entry count of every leaf, in leaf order. Divide by
-    /// `config().leaf_capacity` for fill fractions.
-    pub fn leaf_entry_counts(&self) -> Vec<usize> {
-        self.leaves.iter().map(|l| l.count as usize).collect()
-    }
-
-    /// Leaves beyond `leaf_capacity`: always zero for Coconut-Tree, whose
-    /// median-based packing never overfills — exposed so LSM occupancy
-    /// aggregation treats both index kinds uniformly.
-    pub fn oversized_leaf_count(&self) -> u64 {
-        self.leaves
-            .iter()
-            .filter(|l| l.count as usize > self.config.leaf_capacity)
-            .count() as u64
-    }
-
-    /// Whether leaves embed raw series.
-    pub fn is_materialized(&self) -> bool {
-        self.materialized
-    }
-
-    /// Entries in the index.
-    pub fn len(&self) -> u64 {
-        self.entry_count
-    }
-
-    /// True when the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entry_count == 0
-    }
-
-    /// The position range of the dataset this index covers.
-    pub fn covered_range(&self) -> std::ops::Range<u64> {
-        self.range.clone()
-    }
-
-    /// Set the leaf radius used by the `SeriesIndex` trait entry points.
-    pub fn set_default_radius(&mut self, radius: usize) {
-        self.default_radius = radius;
-    }
-
-    /// Route leaf reads through a shared buffer pool (`file_id` must be
-    /// unique per index within the pool). Models "RAM available to queries".
-    pub fn attach_cache(
-        &mut self,
-        cache: std::sync::Arc<coconut_storage::PageCache>,
-        file_id: u32,
-    ) {
-        self.store.attach_cache(cache, file_id);
+        self.dir.levels.len()
     }
 
     /// Fraction of logically adjacent leaves that are physically adjacent
@@ -597,427 +223,6 @@ impl CoconutTree {
             .filter(|w| w[1].block == w[0].block + w[0].blocks_used)
             .count();
         adjacent as f64 / (self.leaves.len() - 1) as f64
-    }
-
-    fn query_key(&self, query: &[Value]) -> Result<ZKey> {
-        if query.len() != self.config.sax.series_len {
-            return Err(Error::invalid(format!(
-                "query length {} != series length {}",
-                query.len(),
-                self.config.sax.series_len
-            )));
-        }
-        let mut summarizer = Summarizer::new(self.config.sax);
-        Ok(summarizer.zkey(query))
-    }
-
-    /// Evaluate the true distance of every entry in leaves `lo..=hi`.
-    fn eval_leaf_range(
-        &self,
-        lo: usize,
-        hi: usize,
-        query: &[Value],
-        best: &mut Answer,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let entry = self.store.entry();
-        let mut leaf_buf = Vec::new();
-        let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let mut best_sq = best.dist * best.dist;
-        for li in lo..=hi {
-            let leaf = &self.leaves[li];
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            stats.leaves_visited += 1;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                if self.materialized {
-                    entry.series_into(e, &mut series_buf);
-                } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
-                }
-                stats.records_fetched += 1;
-                let d_sq = euclidean_sq(query, &series_buf);
-                if d_sq < best_sq {
-                    best_sq = d_sq;
-                    *best = Answer {
-                        pos,
-                        dist: d_sq.sqrt(),
-                    };
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Approximate search (Algorithm 4): evaluate the target leaf plus
-    /// `radius` leaves on each side.
-    pub fn approximate_search(&self, query: &[Value], radius: usize) -> Result<Answer> {
-        Ok(self.approximate_search_with_stats(query, radius)?.0)
-    }
-
-    /// Approximate search returning its work counters.
-    pub fn approximate_search_with_stats(
-        &self,
-        query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        let key = self.query_key(query)?;
-        let mut stats = QueryStats::default();
-        let Some((li, visited)) = self.descend(key) else {
-            return Ok((Answer::none(), stats));
-        };
-        stats.leaves_visited += visited; // internal node visits
-        let lo = li.saturating_sub(radius);
-        let hi = (li + radius).min(self.leaves.len() - 1);
-        let mut best = Answer::none();
-        let mut leaf_stats = QueryStats::default();
-        self.eval_leaf_range(lo, hi, query, &mut best, &mut leaf_stats)?;
-        stats.leaves_visited = leaf_stats.leaves_visited; // report leaf I/O only
-        stats.records_fetched = leaf_stats.records_fetched;
-        Ok((best, stats))
-    }
-
-    fn load_summaries(&self) -> Result<Arc<Summaries>> {
-        if let Some(s) = self.summaries.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let mut write = self.summaries.write();
-        if let Some(s) = write.as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        // "if SAX sums are not in memory, load them" — scan the leaf region
-        // sequentially and rebuild all arrays.
-        let entry = self.store.entry();
-        let mut keys_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut pos_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut leaf_buf = Vec::new();
-        let mut min_pos = u64::MAX;
-        let mut max_pos = 0u64;
-        for leaf in &self.leaves {
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                keys_leaf_order.push(entry.key(e));
-                pos_leaf_order.push(pos);
-                min_pos = min_pos.min(pos);
-                max_pos = max_pos.max(pos);
-            }
-        }
-        let (start, end) = if pos_leaf_order.is_empty() {
-            (0, 0)
-        } else {
-            (min_pos, max_pos + 1)
-        };
-        if end - start != self.entry_count {
-            return Err(Error::corrupt(
-                "index does not cover a contiguous position range",
-            ));
-        }
-        let mut keys_by_pos = vec![ZKey::MIN; (end - start) as usize];
-        for (k, p) in keys_leaf_order.iter().zip(pos_leaf_order.iter()) {
-            keys_by_pos[(p - start) as usize] = *k;
-        }
-        let leaf_starts = Self::compute_leaf_starts(&self.leaves);
-        let s = Arc::new(Summaries {
-            keys_by_pos,
-            keys_leaf_order,
-            pos_leaf_order,
-            leaf_starts,
-        });
-        *write = Some(Arc::clone(&s));
-        Ok(s)
-    }
-
-    /// Exact search (Algorithm 5) seeded by approximate search with the
-    /// default radius.
-    pub fn exact_search(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius(query, self.default_radius)
-    }
-
-    /// Exact search with an explicit seed radius (the paper's CTree(1) /
-    /// CTree(10) variants).
-    pub fn exact_search_with_radius(
-        &self,
-        query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius_deadline(query, radius, Deadline::NONE)
-    }
-
-    /// [`Self::exact_search`] under a cooperative [`Deadline`]: the SIMS scan
-    /// checks the deadline at its early-abandon checkpoints and aborts with
-    /// [`coconut_storage::Error::Deadline`] when it expires.
-    pub fn exact_search_deadline(
-        &self,
-        query: &[Value],
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius_deadline(query, self.default_radius, deadline)
-    }
-
-    /// [`Self::exact_search_with_radius`] under a cooperative [`Deadline`].
-    pub fn exact_search_with_radius_deadline(
-        &self,
-        query: &[Value],
-        radius: usize,
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        let (seed, stats) = self.approximate_search_with_stats(query, radius)?;
-        self.sims_exact_from_seed(query, seed, stats, deadline)
-    }
-
-    /// [`Self::exact_search_deadline`] with an external pruning `bound`: the
-    /// best-so-far starts no higher than `bound`, so the scan skips every
-    /// record that could not beat it. A scatter-gather coordinator passes
-    /// the best distance merged from shards queried so far. When nothing in
-    /// this index beats the bound the returned answer is
-    /// [`Answer::none`]-like (`pos == u64::MAX`) with `dist == bound` — the
-    /// caller's existing candidate already wins.
-    pub fn exact_search_bounded_deadline(
-        &self,
-        query: &[Value],
-        bound: f64,
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        let (mut seed, stats) = self.approximate_search_with_stats(query, self.default_radius)?;
-        seed.merge(Answer {
-            pos: u64::MAX,
-            dist: bound,
-        });
-        self.sims_exact_from_seed(query, seed, stats, deadline)
-    }
-
-    /// The shared SIMS tail of the exact-search entry points: run the scan
-    /// with `seed` as the initial best-so-far and fold its counters into
-    /// `stats`.
-    fn sims_exact_from_seed(
-        &self,
-        query: &[Value],
-        seed: Answer,
-        mut stats: QueryStats,
-        deadline: Deadline,
-    ) -> Result<(Answer, QueryStats)> {
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let (answer, sims_stats) = if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                deadline,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                deadline,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answer, stats))
-    }
-
-    /// Exact range query (extension): all series within Euclidean distance
-    /// `epsilon` of the query, sorted by distance.
-    pub fn exact_range(&self, query: &[Value], epsilon: f64) -> Result<(Vec<Answer>, QueryStats)> {
-        self.exact_range_deadline(query, epsilon, Deadline::NONE)
-    }
-
-    /// [`Self::exact_range`] under a cooperative [`Deadline`].
-    pub fn exact_range_deadline(
-        &self,
-        query: &[Value],
-        epsilon: f64,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        self.query_key(query)?; // validates the length
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                deadline,
-            )
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                deadline,
-            )
-        }
-    }
-
-    /// Exact 1-NN under Dynamic Time Warping with a Sakoe–Chiba band of
-    /// radius `band` (extension; Section 2 of the paper notes DTW
-    /// compatibility). The best-so-far is seeded by computing true DTW
-    /// distances to the contents of the query's target leaf.
-    pub fn exact_search_dtw(&self, query: &[Value], band: usize) -> Result<(Answer, QueryStats)> {
-        let key = self.query_key(query)?;
-        let mut stats = QueryStats::default();
-        let mut seed = Answer::none();
-        if let Some((li, _)) = self.descend(key) {
-            // Seed bsf with true DTW over the target leaf's members.
-            let entry = self.store.entry();
-            let mut leaf_buf = Vec::new();
-            let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-            let leaf = &self.leaves[li];
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            stats.leaves_visited += 1;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                if self.materialized {
-                    entry.series_into(e, &mut series_buf);
-                } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
-                }
-                stats.records_fetched += 1;
-                let cutoff = seed.dist * seed.dist;
-                if let Some(d_sq) =
-                    coconut_series::dtw::dtw_sq_early_abandon(query, &series_buf, band, cutoff)
-                {
-                    if d_sq < cutoff {
-                        seed = Answer {
-                            pos,
-                            dist: d_sq.sqrt(),
-                        };
-                    }
-                }
-            }
-        }
-        let summaries = self.load_summaries()?;
-        let (answer, sims_stats) = if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            crate::sims::sims_exact_dtw(
-                query,
-                band,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_exact_dtw(
-                query,
-                band,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answer, stats))
-    }
-
-    /// Exact k-nearest-neighbors (extension beyond the paper).
-    pub fn exact_knn(&self, query: &[Value], k: usize) -> Result<(Vec<Answer>, QueryStats)> {
-        self.exact_knn_deadline(query, k, Deadline::NONE)
-    }
-
-    /// [`Self::exact_knn`] under a cooperative [`Deadline`].
-    pub fn exact_knn_deadline(
-        &self,
-        query: &[Value],
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        self.exact_knn_bounded_deadline(query, k, f64::INFINITY, deadline)
-    }
-
-    /// [`Self::exact_knn_deadline`] with an external pruning `bound`: only
-    /// candidates with distance below `bound` can enter the result (see
-    /// [`crate::sims::sims_exact_knn_bounded`]). `f64::INFINITY` recovers
-    /// the plain k-NN scan exactly.
-    pub fn exact_knn_bounded_deadline(
-        &self,
-        query: &[Value],
-        k: usize,
-        bound: f64,
-        deadline: Deadline,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        let (seed, mut stats) = self.approximate_search_with_stats(query, self.default_radius)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let seeds = if seed.is_some() {
-            vec![seed]
-        } else {
-            Vec::new()
-        };
-        let (answers, sims_stats) = if self.materialized {
-            let mut fetcher = LeafOrderFetcher::new(&self.store, &self.leaves, &summaries);
-            sims_exact_knn_bounded(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                k,
-                bound,
-                &seeds,
-                &mut fetcher,
-                deadline,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            sims_exact_knn_bounded(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                k,
-                bound,
-                &seeds,
-                &mut fetcher,
-                deadline,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answers, stats))
     }
 
     /// Insert one new series that was appended to the dataset at `pos`
@@ -1044,17 +249,10 @@ impl CoconutTree {
         entry.encode(key, pos, payload, &mut entry_buf);
 
         if self.leaves.is_empty() {
-            self.store.write_leaf(self.next_block, &entry_buf)?;
-            self.leaves.push(LeafMeta {
-                first_key: key,
-                count: 1,
-                block: self.next_block,
-                blocks_used: 1,
-                crc: crc32(&entry_buf),
-            });
-            self.next_block += 1;
+            self.push_leaf(key, &mut entry_buf)?;
         } else {
-            let (li, _) = self
+            let li = self
+                .dir
                 .descend(key)
                 .ok_or_else(|| Error::corrupt("a non-empty tree failed to descend"))?;
             let mut leaf_buf = Vec::new();
@@ -1077,7 +275,7 @@ impl CoconutTree {
                 self.leaves[li].crc = crc32(&leaf_buf);
                 if slot == 0 {
                     self.leaves[li].first_key = key;
-                    self.rebuild_levels();
+                    self.dir.rebuild(&self.leaves);
                 }
             } else {
                 // Median split: left half stays in place, right half goes to
@@ -1104,7 +302,7 @@ impl CoconutTree {
                     },
                 );
                 self.next_block += 1;
-                self.rebuild_levels();
+                self.dir.rebuild(&self.leaves);
             }
         }
         self.entry_count += 1;
@@ -1149,22 +347,14 @@ impl CoconutTree {
             // Degenerate case: bulk-load the batch as the initial contents.
             let per_leaf = self.config.bulk_leaf_entries();
             let mut entry_buf = vec![0u8; eb];
+            let mut block_buf = Vec::with_capacity(per_leaf * eb);
             for chunk in items.chunks(per_leaf) {
-                let mut block_buf = Vec::with_capacity(chunk.len() * eb);
                 for &(k, p, s) in chunk {
                     let payload = self.materialized.then_some(s);
                     entry.encode(k, p, payload, &mut entry_buf);
                     block_buf.extend_from_slice(&entry_buf);
                 }
-                let blocks_used = self.store.write_leaf(self.next_block, &block_buf)?;
-                self.leaves.push(LeafMeta {
-                    first_key: chunk[0].0,
-                    count: chunk.len() as u32,
-                    block: self.next_block,
-                    blocks_used,
-                    crc: crc32(&block_buf),
-                });
-                self.next_block += blocks_used;
+                self.push_leaf(chunk[0].0, &mut block_buf)?;
             }
         } else {
             // Group items by their target leaf under the *current*
@@ -1250,16 +440,15 @@ impl CoconutTree {
         }
         self.entry_count += items.len() as u64;
         self.range.end = first_pos + batch.len() as u64;
-        self.rebuild_levels();
+        self.dir.rebuild(&self.leaves);
         self.update_summaries_after_batch(&items);
-        self.persist_directory()
+        self.persist()
     }
 
     /// After a batch insert, extend the in-memory summaries instead of
-    /// rebuilding them where possible. Non-materialized exact search only
-    /// reads `keys_by_pos` (the raw-file-order scan), which extends in
-    /// place; the leaf-order arrays are only consulted by materialized
-    /// indexes, which fall back to a full lazy rebuild.
+    /// rebuilding them where possible: a pointer index's keys are in
+    /// raw-file order, which extends in place; a materialized index's are
+    /// in leaf order and fall back to a full lazy rebuild.
     fn update_summaries_after_batch(&mut self, items: &[(ZKey, u64, &[Value])]) {
         let mut guard = self.summaries.write();
         if self.materialized {
@@ -1271,34 +460,15 @@ impl CoconutTree {
             Ok(mut s) => {
                 let start = self.range.start;
                 let new_len = (self.range.end - start) as usize;
-                s.keys_by_pos.resize(new_len, ZKey::MIN);
+                s.keys.resize(new_len, ZKey::MIN);
                 for &(k, p, _) in items {
-                    s.keys_by_pos[(p - start) as usize] = k;
+                    s.keys[(p - start) as usize] = k;
                 }
                 *guard = Some(Arc::new(s));
             }
             // A concurrent query still holds the snapshot: rebuild lazily.
             Err(_) => *guard = None,
         }
-    }
-
-    /// Mean leaf occupancy relative to `leaf_capacity`.
-    pub fn avg_fill(&self) -> f64 {
-        if self.leaves.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.leaves.iter().map(|l| l.count as u64).sum();
-        total as f64 / (self.leaves.len() as u64 * self.config.leaf_capacity as u64) as f64
-    }
-
-    /// Shared I/O statistics (same sink as the dataset).
-    pub fn io_stats(&self) -> &Arc<IoStats> {
-        self.dataset.file().stats()
-    }
-
-    /// Path of the index file.
-    pub fn index_path(&self) -> &Path {
-        self.file.path()
     }
 }
 
@@ -1348,106 +518,22 @@ impl<R: SortedRecord> RecordStream for LeafEntryStream<'_, R> {
     }
 }
 
-/// SIMS fetcher for non-materialized indexes: scan index `i` is raw-file
-/// position `start + i`, so fetches walk the raw file forward
-/// (skip-sequential).
-pub(crate) struct RawFileFetcher<'a> {
-    pub dataset: &'a Dataset,
-    pub start: u64,
-}
-
-impl SeriesFetcher for RawFileFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
-        let pos = self.start + i as u64;
-        self.dataset.read_into(pos, out)?;
-        Ok(pos)
-    }
-}
-
-/// SIMS fetcher for materialized indexes: scan order is leaf order, which is
-/// the physical order of the (bulk-loaded) index file; reads each needed
-/// leaf block once, forward.
-pub(crate) struct LeafOrderFetcher<'a> {
-    store: &'a LeafStore,
-    leaves: &'a [LeafMeta],
-    leaf_starts: &'a [u64],
-    pos_leaf_order: &'a [u64],
-    cur_leaf: usize,
-    leaf_buf: Vec<u8>,
-    loaded: bool,
-}
-
-impl<'a> LeafOrderFetcher<'a> {
-    fn new(store: &'a LeafStore, leaves: &'a [LeafMeta], summaries: &'a Summaries) -> Self {
-        LeafOrderFetcher {
-            store,
-            leaves,
-            leaf_starts: &summaries.leaf_starts,
-            pos_leaf_order: &summaries.pos_leaf_order,
-            cur_leaf: 0,
-            leaf_buf: Vec::new(),
-            loaded: false,
-        }
-    }
-}
-
-impl SeriesFetcher for LeafOrderFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
-        let i64 = i as u64;
-        // Advance to the leaf containing scan index i (indexes arrive in
-        // increasing order; binary search only on big skips).
-        if !self.loaded || i64 >= self.leaf_starts[self.cur_leaf + 1] {
-            while i64 >= self.leaf_starts[self.cur_leaf + 1] {
-                self.cur_leaf += 1;
-            }
-            self.store
-                .read_leaf(&self.leaves[self.cur_leaf], &mut self.leaf_buf)?;
-            self.loaded = true;
-        }
-        let slot = (i64 - self.leaf_starts[self.cur_leaf]) as usize;
-        let e = self.store.entry_slice(&self.leaf_buf, slot);
-        self.store.entry().series_into(e, out);
-        Ok(self.pos_leaf_order[i])
-    }
-}
-
-impl SeriesIndex for CoconutTree {
-    fn name(&self) -> String {
-        if self.materialized {
-            "CTreeFull".into()
-        } else {
-            "CTree".into()
-        }
-    }
-
-    fn approximate(&self, query: &[Value]) -> Result<Answer> {
-        self.approximate_search(query, self.default_radius)
-    }
-
-    fn exact(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search(query)
-    }
-
-    fn disk_bytes(&self) -> u64 {
-        self.file.len()
-    }
-
-    fn leaf_count(&self) -> u64 {
-        self.leaves.len() as u64
-    }
-
-    fn avg_leaf_fill(&self) -> f64 {
-        self.avg_fill()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{first, Metric, Query};
     use coconut_series::dataset::write_dataset;
     use coconut_series::distance::{euclidean, znormalize};
     use coconut_series::gen::{Generator, RandomWalkGen};
-    use coconut_storage::TempDir;
+    use coconut_series::index::{Answer, SeriesIndex};
+    use coconut_storage::{IoStats, TempDir};
+
+    fn dtw(band: usize) -> Query {
+        Query {
+            metric: Metric::Dtw(band),
+            ..Query::nearest()
+        }
+    }
 
     const LEN: usize = 64;
 
@@ -1875,7 +961,7 @@ mod tests {
 
     #[test]
     fn dtw_search_matches_brute_force() {
-        use coconut_series::dtw::dtw;
+        use coconut_series::dtw::dtw as dtw_dist;
         let dir = TempDir::new("ctree").unwrap();
         let ds = make_dataset(&dir, 300);
         for materialized in [false, true] {
@@ -1887,14 +973,14 @@ mod tests {
             for seed in 800..805 {
                 let q = query(seed);
                 for band in [2usize, 6] {
-                    let (ans, stats) = tree.exact_search_dtw(&q, band).unwrap();
+                    let (ans, stats) = tree.search(&q, &dtw(band)).map(first).unwrap();
                     // Brute force DTW.
                     let mut best = Answer::none();
                     for p in 0..300 {
                         let s = ds.get(p).unwrap();
                         best.merge(Answer {
                             pos: p,
-                            dist: dtw(&q, &s, band),
+                            dist: dtw_dist(&q, &s, band),
                         });
                     }
                     assert_eq!(
@@ -1916,7 +1002,7 @@ mod tests {
             CoconutTree::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
         let q = query(11);
         let (ed, _) = tree.exact_search(&q).unwrap();
-        let (dt, _) = tree.exact_search_dtw(&q, 5).unwrap();
+        let (dt, _) = tree.search(&q, &dtw(5)).map(first).unwrap();
         assert!(dt.dist <= ed.dist + 1e-9);
     }
 
@@ -1931,8 +1017,8 @@ mod tests {
         for seed in 700..720 {
             let q = query(seed);
             let key = tree.query_key(&q).unwrap();
-            let (li, _) = tree.descend(key).unwrap();
-            let flat = tree.levels[0]
+            let li = tree.dir.descend(key).unwrap();
+            let flat = tree.dir.levels[0]
                 .partition_point(|&k| k <= key)
                 .saturating_sub(1);
             assert_eq!(li, flat, "seed {seed}");

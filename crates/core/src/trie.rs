@@ -27,35 +27,29 @@
 //! Both policies produce bit-identical *query answers* (exact search runs
 //! over the same sorted keys either way); only the leaf partitioning and
 //! the approximate-search seed differ.
+//!
+//! The leaves, their persistence and every query live in
+//! [`crate::leaves::SortedLeafIndex`]; this module is what makes the index
+//! a *trie*: the [`PrefixNodes`] directory, its on-disk tail, and the
+//! prefix carving that decides where one leaf ends and the next begins.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::RwLock;
-
-use coconut_series::dataset::Dataset;
-use coconut_series::distance::euclidean_sq;
-use coconut_series::index::{Answer, QueryStats, SeriesIndex};
-use coconut_series::Value;
-use coconut_storage::{CountedFile, Deadline, Error, RecordStream, Result};
-use coconut_summary::paa::paa;
-use coconut_summary::sax::Summarizer;
+use coconut_storage::{CountedFile, Error, Result};
 use coconut_summary::ZKey;
 
-use crate::builder::{sorted_key_pos, sorted_key_series, BuildReport};
+use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
-use crate::layout::{
-    crc32, read_directory, write_directory, EntryLayout, IndexHeader, LeafMeta, LeafStore,
-    CHECKSUM_VERSION,
-};
-use crate::records::{KeyPos, KeySeries};
-use crate::shard::{sorted_key_pos_sharded, sorted_key_series_sharded};
-use crate::sims::{sims_exact, SeriesFetcher};
+use crate::layout::{IndexHeader, LeafMeta};
+use crate::leaves::{Directory, SortedLeafIndex};
+use crate::records::KeyPos;
 use crate::split::{child_counts, merge_slots, SplitPolicy, SplitPolicyKind};
-use crate::tree::RawFileFetcher;
 
 static TRIE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// The Coconut-Trie index: sorted leaves under [`PrefixNodes`].
+pub type CoconutTrie = SortedLeafIndex<PrefixNodes>;
 
 /// A node of the in-memory trie skeleton. Chains of one-child prefix nodes
 /// are path-compressed: each node records its own bit depth.
@@ -72,316 +66,98 @@ enum TrieNode {
     Multi { depth: u32, bits: u8, start: u32 },
 }
 
-/// In-memory summaries for SIMS (same shape as Coconut-Tree's).
-struct Summaries {
-    keys_by_pos: Vec<ZKey>,
-    keys_leaf_order: Vec<ZKey>,
-    pos_leaf_order: Vec<u64>,
-    leaf_starts: Vec<u64>,
-}
-
-/// The Coconut-Trie index.
-pub struct CoconutTrie {
-    config: IndexConfig,
-    materialized: bool,
-    threads: usize,
-    dataset: Dataset,
-    file: Arc<CountedFile>,
-    store: LeafStore,
-    leaves: Vec<LeafMeta>,
+/// Coconut-Trie's directory: the prefix-node skeleton over the leaves,
+/// persisted as the index file's tail.
+pub struct PrefixNodes {
+    /// Interleaved key bits (`SaxConfig::word_bits`).
+    total_bits: usize,
+    policy: SplitPolicyKind,
     nodes: Vec<TrieNode>,
     /// Slot arena for `TrieNode::Multi` nodes (empty on fixed builds).
     children: Vec<u32>,
     root: Option<u32>,
-    summaries: RwLock<Option<Arc<Summaries>>>,
-    entry_count: u64,
-    range: std::ops::Range<u64>,
-    build_report: BuildReport,
-    default_radius: usize,
 }
 
-impl CoconutTrie {
-    /// Bulk-load a trie over all of `dataset` (Algorithm 2).
-    pub fn build(
-        dataset: &Dataset,
-        config: &IndexConfig,
-        dir: &Path,
-        opts: BuildOptions,
-    ) -> Result<Self> {
-        Self::build_range(dataset, 0..dataset.len(), config, dir, opts)
-    }
+/// One bulk load's carving state: the sorted keys, the policy, and the
+/// leaf sizes emitted so far (leaf `i` takes the next `leaf_sizes[i]` keys).
+struct Carver<'a> {
+    dir: &'a mut PrefixNodes,
+    keys: &'a [ZKey],
+    policy: &'a dyn SplitPolicy,
+    capacity: usize,
+    leaf_sizes: Vec<usize>,
+    oversized: u64,
+}
 
-    /// Bulk-load a trie over the positions `range` of `dataset`.
-    pub fn build_range(
-        dataset: &Dataset,
-        range: std::ops::Range<u64>,
-        config: &IndexConfig,
-        dir: &Path,
-        opts: BuildOptions,
-    ) -> Result<Self> {
-        config.validate()?;
-        if dataset.series_len() != config.sax.series_len {
-            return Err(Error::invalid("dataset/config series length mismatch"));
-        }
-        if range.end > dataset.len() || range.start > range.end {
-            return Err(Error::invalid("build range out of dataset bounds"));
-        }
-        let id = TRIE_ID.fetch_add(1, Ordering::Relaxed);
-        let suffix = if opts.materialized { "full" } else { "ptr" };
-        let path = dir.join(format!("ctrie-{id}-{suffix}.idx"));
-        let stats = Arc::clone(dataset.file().stats());
-        let file = Arc::new(CountedFile::create(&path, stats)?);
-        let entry = EntryLayout {
-            series_len: config.sax.series_len,
-            materialized: opts.materialized,
-        };
-        let store = LeafStore::new(Arc::clone(&file), entry, config.leaf_capacity);
-        let mut trie = CoconutTrie {
-            config: *config,
-            materialized: opts.materialized,
-            threads: opts.threads.max(1),
-            dataset: dataset.clone(),
-            file,
-            store,
-            leaves: Vec::new(),
-            nodes: Vec::new(),
-            children: Vec::new(),
-            root: None,
-            summaries: RwLock::new(None),
-            entry_count: 0,
-            range: range.clone(),
-            build_report: BuildReport::default(),
-            default_radius: 1,
-        };
-        trie.bulk_load(dir, &opts)?;
-        Ok(trie)
-    }
-
-    fn bulk_load(&mut self, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
-        // Phase 1: sort the (key, position) pairs. Like the paper, we rely
-        // on the summarizations fitting in memory ("usually all the
-        // summarizations and their offsets fit in main memory"); the raw
-        // payloads of -Full builds are still sorted externally below.
-        let stats = Arc::clone(self.dataset.file().stats());
-        let mut sorted: Vec<KeyPos> =
-            Vec::with_capacity((self.range.end - self.range.start) as usize);
-        {
-            let mut stream: Box<dyn RecordStream<Item = KeyPos>> = if opts.shards > 1 {
-                Box::new(sorted_key_pos_sharded(
-                    &self.dataset,
-                    self.range.clone(),
-                    &self.config.sax,
-                    opts.memory_bytes,
-                    tmp_dir,
-                    &stats,
-                    opts.shards,
-                )?)
-            } else {
-                Box::new(sorted_key_pos(
-                    &self.dataset,
-                    self.range.clone(),
-                    &self.config.sax,
-                    opts.memory_bytes,
-                    tmp_dir,
-                    &stats,
-                )?)
-            };
-            self.build_report.sort = stream.report();
-            while let Some(kp) = stream.next_item()? {
-                sorted.push(kp);
-            }
-        }
-        self.entry_count = sorted.len() as u64;
-
-        // Phase 2: recursively carve the sorted order into prefix leaves
-        // (insertBottomUp + CompactSubtree): a maximal subtree whose entries
-        // fit one leaf becomes one leaf. How an oversized subtree splits is
-        // the policy's call (fixed binary vs adaptive variable fanout).
-        let total_bits = self.config.sax.word_bits();
-        let policy = self.config.split_policy.policy();
-        let keys: Vec<ZKey> = sorted.iter().map(|kp| kp.key).collect();
-        let mut ranges: Vec<(usize, usize)> = Vec::new(); // leaf -> [lo, hi)
-        if !keys.is_empty() {
-            let root = self.carve(&keys, 0, keys.len(), 0, total_bits, &mut ranges, &*policy);
-            self.root = Some(root);
-        }
-
-        // Phase 3: write the leaves contiguously, left to right.
-        let entry = *self.store.entry();
-        let eb = entry.entry_bytes();
-        let mut next_block = 0u32;
-        if opts.materialized {
-            // The -Full variant re-sorts with payloads and streams them into
-            // the leaf layout (the extra sort-merge passes the paper charges
-            // Coconut-Trie-Full for).
-            let mut stream: Box<dyn RecordStream<Item = KeySeries>> = if opts.shards > 1 {
-                Box::new(sorted_key_series_sharded(
-                    &self.dataset,
-                    self.range.clone(),
-                    &self.config.sax,
-                    opts.memory_bytes,
-                    tmp_dir,
-                    &stats,
-                    opts.shards,
-                )?)
-            } else {
-                Box::new(sorted_key_series(
-                    &self.dataset,
-                    self.range.clone(),
-                    &self.config.sax,
-                    opts.memory_bytes,
-                    tmp_dir,
-                    &stats,
-                )?)
-            };
-            let mut entry_buf = vec![0u8; eb];
-            let mut block_buf: Vec<u8> = Vec::new();
-            for &(lo, hi) in &ranges {
-                block_buf.clear();
-                let mut first_key = ZKey::MIN;
-                for (i, expected) in sorted[lo..hi].iter().enumerate() {
-                    let rec = stream.next_item()?.ok_or_else(|| {
-                        Error::corrupt("materialized stream shorter than key stream")
-                    })?;
-                    debug_assert_eq!(rec.key, expected.key);
-                    if i == 0 {
-                        first_key = rec.key;
-                    }
-                    entry.encode(rec.key, rec.pos, Some(&rec.series), &mut entry_buf);
-                    block_buf.extend_from_slice(&entry_buf);
-                }
-                let blocks_used = self.store.write_leaf(next_block, &block_buf)?;
-                self.leaves.push(LeafMeta {
-                    first_key,
-                    count: (hi - lo) as u32,
-                    block: next_block,
-                    blocks_used,
-                    crc: crc32(&block_buf),
-                });
-                next_block += blocks_used;
-            }
-        } else {
-            let mut entry_buf = vec![0u8; eb];
-            let mut block_buf: Vec<u8> = Vec::new();
-            for &(lo, hi) in &ranges {
-                block_buf.clear();
-                for kp in &sorted[lo..hi] {
-                    entry.encode(kp.key, kp.pos, None, &mut entry_buf);
-                    block_buf.extend_from_slice(&entry_buf);
-                }
-                let blocks_used = self.store.write_leaf(next_block, &block_buf)?;
-                self.leaves.push(LeafMeta {
-                    first_key: sorted[lo].key,
-                    count: (hi - lo) as u32,
-                    block: next_block,
-                    blocks_used,
-                    crc: crc32(&block_buf),
-                });
-                next_block += blocks_used;
-            }
-        }
-
-        self.build_report.items = self.entry_count;
-        self.build_report.leaves = self.leaves.len() as u64;
-        self.persist(next_block)?;
-
-        // Summaries come for free from the sorted pairs.
-        let n = (self.range.end - self.range.start) as usize;
-        let mut keys_by_pos = vec![ZKey::MIN; n];
-        for kp in &sorted {
-            keys_by_pos[(kp.pos - self.range.start) as usize] = kp.key;
-        }
-        let keys_leaf_order: Vec<ZKey> = sorted.iter().map(|kp| kp.key).collect();
-        let pos_leaf_order: Vec<u64> = sorted.iter().map(|kp| kp.pos).collect();
-        let mut leaf_starts = Vec::with_capacity(self.leaves.len() + 1);
-        let mut acc = 0u64;
-        for l in &self.leaves {
-            leaf_starts.push(acc);
-            acc += l.count as u64;
-        }
-        leaf_starts.push(acc);
-        *self.summaries.write() = Some(Arc::new(Summaries {
-            keys_by_pos,
-            keys_leaf_order,
-            pos_leaf_order,
-            leaf_starts,
-        }));
-        Ok(())
+impl Carver<'_> {
+    fn leaf(&mut self, entries: usize) -> u32 {
+        self.leaf_sizes.push(entries);
+        self.dir.nodes.push(TrieNode::Leaf {
+            leaf: (self.leaf_sizes.len() - 1) as u32,
+        });
+        (self.dir.nodes.len() - 1) as u32
     }
 
     /// Recursively partition the sorted keys `[lo, hi)` starting at bit
-    /// `depth`; appends leaf ranges in order and returns the subtree's node
+    /// `depth`; appends leaf sizes in order and returns the subtree's node
     /// index. Every key in the window shares its first `depth` bits, so the
     /// window is sorted by the remaining bits — all boundaries are binary
     /// searches.
-    #[allow(clippy::too_many_arguments)]
-    fn carve(
-        &mut self,
-        keys: &[ZKey],
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        total_bits: usize,
-        ranges: &mut Vec<(usize, usize)>,
-        policy: &dyn SplitPolicy,
-    ) -> u32 {
+    fn carve(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
         debug_assert!(lo < hi);
-        if hi - lo <= self.config.leaf_capacity || depth == total_bits {
-            if hi - lo > self.config.leaf_capacity {
+        let total_bits = self.dir.total_bits;
+        if hi - lo <= self.capacity || depth == total_bits {
+            if hi - lo > self.capacity {
                 // Identical keys beyond capacity cannot be refined further;
                 // count the oversized leaf instead of absorbing it silently.
-                self.build_report.oversized_leaves += 1;
+                self.oversized += 1;
             }
-            let leaf_id = ranges.len() as u32;
-            ranges.push((lo, hi));
-            self.nodes.push(TrieNode::Leaf { leaf: leaf_id });
-            return (self.nodes.len() - 1) as u32;
+            return self.leaf(hi - lo);
         }
-        let bits = policy
-            .choose_bits(&keys[lo..hi], depth, total_bits, self.config.leaf_capacity)
+        let window = &self.keys[lo..hi];
+        let bits = self
+            .policy
+            .choose_bits(window, depth, total_bits, self.capacity)
             .clamp(1, total_bits - depth);
         if bits == 1 {
             // The paper's binary split, kept verbatim: fixed-policy builds
             // must stay byte-identical to the pre-policy builder.
-            let mid = lo + keys[lo..hi].partition_point(|k| k.bit(depth, total_bits) == 0);
+            let mid = lo + window.partition_point(|k| k.bit(depth, total_bits) == 0);
             if mid == lo || mid == hi {
                 // All entries share this bit: path-compress (the paper's
                 // createUptree emits a chain of one-child nodes; we skip them).
-                return self.carve(keys, lo, hi, depth + 1, total_bits, ranges, policy);
+                return self.carve(lo, hi, depth + 1);
             }
-            let zero = self.carve(keys, lo, mid, depth + 1, total_bits, ranges, policy);
-            let one = self.carve(keys, mid, hi, depth + 1, total_bits, ranges, policy);
-            self.nodes.push(TrieNode::Internal {
+            let zero = self.carve(lo, mid, depth + 1);
+            let one = self.carve(mid, hi, depth + 1);
+            self.dir.nodes.push(TrieNode::Internal {
                 depth: depth as u32,
                 zero,
                 one,
             });
-            return (self.nodes.len() - 1) as u32;
+            return (self.dir.nodes.len() - 1) as u32;
         }
-        let counts = child_counts(&keys[lo..hi], depth, bits, total_bits);
+        let counts = child_counts(window, depth, bits, total_bits);
         if counts.iter().filter(|&&c| c > 0).count() == 1 {
             // Every entry shares all `bits` bits: path-compress the whole
             // window (the multi-bit generalization of the binary case).
-            return self.carve(keys, lo, hi, depth + bits, total_bits, ranges, policy);
+            return self.carve(lo, hi, depth + bits);
         }
         // Greedily merge undersized consecutive slots into shared leaves;
         // only a single still-oversized slot deepens.
         let fanout = 1usize << bits;
         let mut slot_nodes = vec![u32::MAX; fanout];
         let mut cursor = lo;
-        for g in merge_slots(&counts, self.config.leaf_capacity) {
+        for g in merge_slots(&counts, self.capacity) {
             let (glo, ghi) = (cursor, cursor + g.entries);
             cursor = ghi;
             if g.entries == 0 {
                 continue; // routed to a neighboring group's node below
             }
-            let node = if g.entries <= self.config.leaf_capacity {
-                let leaf_id = ranges.len() as u32;
-                ranges.push((glo, ghi));
-                self.nodes.push(TrieNode::Leaf { leaf: leaf_id });
-                (self.nodes.len() - 1) as u32
+            let node = if g.entries <= self.capacity {
+                self.leaf(g.entries)
             } else {
-                self.carve(keys, glo, ghi, depth + bits, total_bits, ranges, policy)
+                self.carve(glo, ghi, depth + bits)
             };
             for s in g.slots {
                 slot_nodes[s] = node;
@@ -406,32 +182,117 @@ impl CoconutTrie {
                 *slot = last;
             }
         }
-        let start = self.children.len() as u32;
-        self.children.extend_from_slice(&slot_nodes);
-        self.nodes.push(TrieNode::Multi {
+        let start = self.dir.children.len() as u32;
+        self.dir.children.extend_from_slice(&slot_nodes);
+        self.dir.nodes.push(TrieNode::Multi {
             depth: depth as u32,
             bits: bits as u8,
             start,
         });
-        (self.nodes.len() - 1) as u32
+        (self.dir.nodes.len() - 1) as u32
+    }
+}
+
+impl Directory for PrefixNodes {
+    const KIND: u8 = 1;
+    const NAME: &'static str = "CTrie";
+
+    fn next_file_id() -> u64 {
+        TRIE_ID.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Re-read every leaf block and verify it against its directory CRC
-    /// (the `coconut scrub` primitive). Returns on the first corrupt leaf
-    /// with a typed error; legacy unchecked leaves are counted but not
-    /// verifiable.
-    pub fn verify(&self) -> Result<crate::layout::ScrubReport> {
-        crate::layout::scrub_leaves(&self.store, &self.leaves)
+    fn empty(config: &IndexConfig) -> Self {
+        PrefixNodes {
+            total_bits: config.sax.word_bits(),
+            policy: config.split_policy,
+            nodes: Vec::new(),
+            children: Vec::new(),
+            root: None,
+        }
     }
 
-    fn persist(&mut self, num_blocks: u32) -> Result<()> {
-        let dir_offset = write_directory(&self.file, &self.leaves)?;
-        // Trie skeleton tail. Version 0 (fixed policy) is the original
-        // fixed-width encoding — node count, then 13-byte (tag, a, b)
-        // triples — kept byte-for-byte so fixed builds round-trip against
-        // pre-versioning readers and files. Version 1 (adaptive policy)
-        // uses variable-length records to fit the Multi node's slot table.
-        let tail_version: u8 = match self.config.split_policy {
+    fn bulk_load(trie: &mut CoconutTrie, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
+        let (range, sax) = (trie.range.clone(), trie.config.sax);
+        // Phase 1: sort the (key, position) pairs. Like the paper, we rely
+        // on the summarizations fitting in memory ("usually all the
+        // summarizations and their offsets fit in main memory"); the raw
+        // payloads of -Full builds are still sorted externally below.
+        let mut sorted: Vec<KeyPos> = Vec::with_capacity((range.end - range.start) as usize);
+        {
+            let mut stream = key_pos_stream(&trie.dataset, range.clone(), &sax, opts, tmp_dir)?;
+            trie.build_report.sort = stream.report();
+            while let Some(kp) = stream.next_item()? {
+                sorted.push(kp);
+            }
+        }
+
+        // Phase 2: recursively carve the sorted order into prefix leaves
+        // (insertBottomUp + CompactSubtree): a maximal subtree whose entries
+        // fit one leaf becomes one leaf. How an oversized subtree splits is
+        // the policy's call (fixed binary vs adaptive variable fanout).
+        let keys: Vec<ZKey> = sorted.iter().map(|kp| kp.key).collect();
+        let policy = trie.config.split_policy.policy();
+        let mut carver = Carver {
+            keys: &keys,
+            policy: &*policy,
+            capacity: trie.config.leaf_capacity,
+            leaf_sizes: Vec::new(),
+            oversized: 0,
+            dir: &mut trie.dir,
+        };
+        let root = (!keys.is_empty()).then(|| carver.carve(0, keys.len(), 0));
+        let Carver {
+            leaf_sizes,
+            oversized,
+            ..
+        } = carver;
+        drop(keys);
+        trie.dir.root = root;
+        trie.build_report.oversized_leaves = oversized;
+
+        // Phase 3: write the leaves contiguously, left to right.
+        if opts.materialized {
+            // The -Full variant re-sorts with payloads and streams them into
+            // the leaf layout (the extra sort-merge passes the paper charges
+            // Coconut-Trie-Full for).
+            drop(sorted);
+            let mut stream = key_series_stream(&trie.dataset, range, &sax, opts, tmp_dir)?;
+            trie.load(|| stream.next_item(), leaf_sizes.into_iter())?;
+        } else {
+            let mut records = sorted.iter();
+            trie.load(|| Ok(records.next().copied()), leaf_sizes.into_iter())?;
+        }
+        trie.persist()
+    }
+
+    /// Descend to the leaf the query key belongs to.
+    fn descend(&self, key: ZKey) -> Option<usize> {
+        let mut node = self.root?;
+        loop {
+            match self.nodes[node as usize] {
+                TrieNode::Leaf { leaf } => return Some(leaf as usize),
+                TrieNode::Internal { depth, zero, one } => {
+                    node = if key.bit(depth as usize, self.total_bits) == 0 {
+                        zero
+                    } else {
+                        one
+                    };
+                }
+                TrieNode::Multi { depth, bits, start } => {
+                    let v = key.bits(depth as usize, bits as usize, self.total_bits);
+                    node = self.children[start as usize + v as usize];
+                }
+            }
+        }
+    }
+
+    /// Trie skeleton tail. Version 0 (fixed policy) is the original
+    /// fixed-width encoding — node count, then 13-byte (tag, a, b)
+    /// triples — kept byte-for-byte so fixed builds round-trip against
+    /// pre-versioning readers and files. Version 1 (adaptive policy)
+    /// uses variable-length records to fit the Multi node's slot table.
+    fn write_tail(&self, file: &CountedFile) -> Result<u8> {
+        let tail_version: u8 = match self.policy {
             SplitPolicyKind::Fixed => 0,
             SplitPolicyKind::Adaptive => 1,
         };
@@ -465,54 +326,23 @@ impl CoconutTrie {
             }
         }
         buf.extend_from_slice(&self.root.map_or(u32::MAX, |r| r).to_le_bytes());
-        self.file.append(&buf)?;
-        let header = IndexHeader {
-            kind: 1,
-            materialized: self.materialized,
-            series_len: self.config.sax.series_len as u32,
-            segments: self.config.sax.segments as u16,
-            card_bits: self.config.sax.card_bits,
-            leaf_capacity: self.config.leaf_capacity as u32,
-            entry_count: self.entry_count,
-            num_blocks: num_blocks as u64,
-            dir_offset,
-            tail_version,
-            split_policy: self.config.split_policy.as_u8(),
-            checksums: CHECKSUM_VERSION,
-        };
-        header.write_to(&self.file)?;
-        self.file.sync()
+        file.append(&buf)?;
+        Ok(tail_version)
     }
 
-    /// Open a previously built trie index file.
-    pub fn open(path: &Path, dataset: &Dataset, threads: usize) -> Result<Self> {
-        let stats = Arc::clone(dataset.file().stats());
-        let file = Arc::new(CountedFile::open_rw(path, stats)?);
-        let header = IndexHeader::read_from(&file)?;
-        if header.kind != 1 {
-            return Err(Error::corrupt("not a Coconut-Trie index file"));
-        }
-        if header.series_len as usize != dataset.series_len() {
-            return Err(Error::corrupt("index/dataset series length mismatch"));
-        }
-        let config = IndexConfig {
-            sax: coconut_summary::SaxConfig {
-                series_len: header.series_len as usize,
-                segments: header.segments as usize,
-                card_bits: header.card_bits,
-            },
-            leaf_capacity: header.leaf_capacity as usize,
-            fill_factor: 1.0,
-            internal_fanout: 64,
-            split_policy: SplitPolicyKind::from_u8(header.split_policy)?,
-        };
-        config.validate()?;
-        let (leaves, tail) = read_directory(&file, header.dir_offset)?;
+    fn read_tail(
+        file: &CountedFile,
+        header: &IndexHeader,
+        tail: u64,
+        _leaves: &[LeafMeta],
+        config: &IndexConfig,
+    ) -> Result<Self> {
+        let mut dir = Self::empty(config);
         let mut count_buf = [0u8; 8];
         file.read_exact_at(&mut count_buf, tail)?;
         let node_count = u64::from_le_bytes(count_buf) as usize;
-        let mut nodes = Vec::with_capacity(node_count);
-        let mut children: Vec<u32> = Vec::new();
+        let nodes = &mut dir.nodes;
+        let children = &mut dir.children;
         let root_raw = match header.tail_version {
             0 => {
                 // Fixed-width 13-byte records.
@@ -602,89 +432,15 @@ impl CoconutTrie {
         } else {
             Some(root_raw)
         };
-        let entry = EntryLayout {
-            series_len: config.sax.series_len,
-            materialized: header.materialized,
-        };
-        let store = LeafStore::new(Arc::clone(&file), entry, config.leaf_capacity);
-        Ok(CoconutTrie {
-            config,
-            materialized: header.materialized,
-            threads: threads.max(1),
-            dataset: dataset.clone(),
-            file,
-            store,
-            leaves,
-            nodes,
-            children,
-            root,
-            summaries: RwLock::new(None),
-            entry_count: header.entry_count,
-            range: 0..dataset.len(),
-            build_report: BuildReport::default(),
-            default_radius: 1,
-        })
+        dir.root = root;
+        Ok(dir)
     }
+}
 
-    /// The build report.
-    pub fn build_report(&self) -> BuildReport {
-        self.build_report
-    }
-
-    /// Entries in the index.
-    pub fn len(&self) -> u64 {
-        self.entry_count
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entry_count == 0
-    }
-
-    /// Whether leaves embed raw series.
-    pub fn is_materialized(&self) -> bool {
-        self.materialized
-    }
-
-    /// Set the leaf radius used by the trait entry points.
-    pub fn set_default_radius(&mut self, radius: usize) {
-        self.default_radius = radius;
-    }
-
-    /// Route leaf reads through a shared buffer pool (`file_id` must be
-    /// unique per index within the pool).
-    pub fn attach_cache(
-        &mut self,
-        cache: std::sync::Arc<coconut_storage::PageCache>,
-        file_id: u32,
-    ) {
-        self.store.attach_cache(cache, file_id);
-    }
-
+impl CoconutTrie {
     /// Number of trie nodes (internal + leaf) in the skeleton.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The index configuration (reconstructed from the header on open).
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    /// Entry count of every leaf, in leaf order. Divide by
-    /// `config().leaf_capacity` for fill fractions.
-    pub fn leaf_entry_counts(&self) -> Vec<usize> {
-        self.leaves.iter().map(|l| l.count as usize).collect()
-    }
-
-    /// Leaves holding more entries than `leaf_capacity` (only possible when
-    /// identical keys exceed capacity). Computed from the directory, so it
-    /// is correct for reopened indexes too.
-    pub fn oversized_leaf_count(&self) -> u64 {
-        self.leaves
-            .iter()
-            .filter(|l| l.count as usize > self.config.leaf_capacity)
-            .count() as u64
+        self.dir.nodes.len()
     }
 
     /// Bit depth of every leaf, in leaf order: the interleaved key bits
@@ -692,7 +448,7 @@ impl CoconutTrie {
     /// one-child levels are skipped, matching the in-memory skeleton).
     pub fn leaf_depths(&self) -> Vec<u32> {
         let mut out = vec![0u32; self.leaves.len()];
-        let Some(root) = self.root else {
+        let Some(root) = self.dir.root else {
             return out;
         };
         // (node, bit depth at which the node's subtree starts). Merged
@@ -700,7 +456,7 @@ impl CoconutTrie {
         // distinct child once.
         let mut stack: Vec<(u32, u32)> = vec![(root, 0)];
         while let Some((node, at)) = stack.pop() {
-            match self.nodes[node as usize] {
+            match self.dir.nodes[node as usize] {
                 TrieNode::Leaf { leaf } => out[leaf as usize] = at,
                 TrieNode::Internal { depth, zero, one } => {
                     stack.push((zero, depth + 1));
@@ -708,7 +464,7 @@ impl CoconutTrie {
                 }
                 TrieNode::Multi { depth, bits, start } => {
                     let fanout = 1usize << bits;
-                    let slots = &self.children[start as usize..start as usize + fanout];
+                    let slots = &self.dir.children[start as usize..start as usize + fanout];
                     let mut prev = u32::MAX;
                     for &child in slots {
                         if child != prev {
@@ -721,393 +477,18 @@ impl CoconutTrie {
         }
         out
     }
-
-    /// Path of the index file.
-    pub fn index_path(&self) -> &Path {
-        self.file.path()
-    }
-
-    /// Descend to the leaf the query key belongs to.
-    fn descend(&self, key: ZKey) -> Option<(usize, u64)> {
-        let total_bits = self.config.sax.word_bits();
-        let mut node = self.root?;
-        let mut visited = 0u64;
-        loop {
-            visited += 1;
-            match self.nodes[node as usize] {
-                TrieNode::Leaf { leaf } => return Some((leaf as usize, visited)),
-                TrieNode::Internal { depth, zero, one } => {
-                    node = if key.bit(depth as usize, total_bits) == 0 {
-                        zero
-                    } else {
-                        one
-                    };
-                }
-                TrieNode::Multi { depth, bits, start } => {
-                    let v = key.bits(depth as usize, bits as usize, total_bits);
-                    node = self.children[start as usize + v as usize];
-                }
-            }
-        }
-    }
-
-    fn query_key(&self, query: &[Value]) -> Result<ZKey> {
-        if query.len() != self.config.sax.series_len {
-            return Err(Error::invalid("query length mismatch"));
-        }
-        let mut summarizer = Summarizer::new(self.config.sax);
-        Ok(summarizer.zkey(query))
-    }
-
-    fn eval_leaf_range(
-        &self,
-        lo: usize,
-        hi: usize,
-        query: &[Value],
-        best: &mut Answer,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let entry = self.store.entry();
-        let mut leaf_buf = Vec::new();
-        let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let mut best_sq = best.dist * best.dist;
-        for li in lo..=hi {
-            let leaf = &self.leaves[li];
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            stats.leaves_visited += 1;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                if self.materialized {
-                    entry.series_into(e, &mut series_buf);
-                } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
-                }
-                stats.records_fetched += 1;
-                let d_sq = euclidean_sq(query, &series_buf);
-                if d_sq < best_sq {
-                    best_sq = d_sq;
-                    *best = Answer {
-                        pos,
-                        dist: d_sq.sqrt(),
-                    };
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Approximate search: descend to the single most promising leaf, plus
-    /// `radius` physically neighboring leaves (contiguous on disk — the
-    /// property Coconut-Trie adds over the state of the art).
-    pub fn approximate_search(&self, query: &[Value], radius: usize) -> Result<Answer> {
-        Ok(self.approximate_search_with_stats(query, radius)?.0)
-    }
-
-    /// Approximate search with work counters.
-    pub fn approximate_search_with_stats(
-        &self,
-        query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        let key = self.query_key(query)?;
-        let mut stats = QueryStats::default();
-        let Some((li, _)) = self.descend(key) else {
-            return Ok((Answer::none(), stats));
-        };
-        let lo = li.saturating_sub(radius);
-        let hi = (li + radius).min(self.leaves.len() - 1);
-        let mut best = Answer::none();
-        self.eval_leaf_range(lo, hi, query, &mut best, &mut stats)?;
-        Ok((best, stats))
-    }
-
-    fn load_summaries(&self) -> Result<Arc<Summaries>> {
-        if let Some(s) = self.summaries.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let mut write = self.summaries.write();
-        if let Some(s) = write.as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let entry = self.store.entry();
-        let mut keys_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut pos_leaf_order = Vec::with_capacity(self.entry_count as usize);
-        let mut leaf_starts = Vec::with_capacity(self.leaves.len() + 1);
-        let mut leaf_buf = Vec::new();
-        let mut acc = 0u64;
-        let mut min_pos = u64::MAX;
-        let mut max_pos = 0u64;
-        for leaf in &self.leaves {
-            leaf_starts.push(acc);
-            acc += leaf.count as u64;
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                keys_leaf_order.push(entry.key(e));
-                pos_leaf_order.push(pos);
-                min_pos = min_pos.min(pos);
-                max_pos = max_pos.max(pos);
-            }
-        }
-        leaf_starts.push(acc);
-        let (start, end) = if pos_leaf_order.is_empty() {
-            (0, 0)
-        } else {
-            (min_pos, max_pos + 1)
-        };
-        if end - start != self.entry_count {
-            return Err(Error::corrupt(
-                "index does not cover a contiguous position range",
-            ));
-        }
-        let mut keys_by_pos = vec![ZKey::MIN; (end - start) as usize];
-        for (k, p) in keys_leaf_order.iter().zip(pos_leaf_order.iter()) {
-            keys_by_pos[(p - start) as usize] = *k;
-        }
-        let s = Arc::new(Summaries {
-            keys_by_pos,
-            keys_leaf_order,
-            pos_leaf_order,
-            leaf_starts,
-        });
-        *write = Some(Arc::clone(&s));
-        Ok(s)
-    }
-
-    /// Exact search via SIMS, seeded by approximate search with the default
-    /// radius.
-    pub fn exact_search(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search_with_radius(query, self.default_radius)
-    }
-
-    /// Exact search with an explicit seed radius.
-    pub fn exact_search_with_radius(
-        &self,
-        query: &[Value],
-        radius: usize,
-    ) -> Result<(Answer, QueryStats)> {
-        let (seed, mut stats) = self.approximate_search_with_stats(query, radius)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let (answer, sims_stats) = if self.materialized {
-            let mut fetcher = TrieLeafFetcher {
-                store: &self.store,
-                leaves: &self.leaves,
-                leaf_starts: &summaries.leaf_starts,
-                pos_leaf_order: &summaries.pos_leaf_order,
-                cur_leaf: 0,
-                leaf_buf: Vec::new(),
-                loaded: false,
-            };
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            sims_exact(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                seed,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answer, stats))
-    }
-
-    /// Exact k-nearest-neighbors (extension beyond the paper).
-    pub fn exact_knn(&self, query: &[Value], k: usize) -> Result<(Vec<Answer>, QueryStats)> {
-        let (seed, mut stats) = self.approximate_search_with_stats(query, self.default_radius)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        let seeds = if seed.is_some() {
-            vec![seed]
-        } else {
-            Vec::new()
-        };
-        let (answers, sims_stats) = if self.materialized {
-            let mut fetcher = TrieLeafFetcher {
-                store: &self.store,
-                leaves: &self.leaves,
-                leaf_starts: &summaries.leaf_starts,
-                pos_leaf_order: &summaries.pos_leaf_order,
-                cur_leaf: 0,
-                leaf_buf: Vec::new(),
-                loaded: false,
-            };
-            crate::sims::sims_exact_knn(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                k,
-                &seeds,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_exact_knn(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                k,
-                &seeds,
-                &mut fetcher,
-                Deadline::NONE,
-            )?
-        };
-        stats.add(&sims_stats);
-        Ok((answers, stats))
-    }
-
-    /// Exact range query (extension): every series within Euclidean
-    /// distance `epsilon`, sorted by distance.
-    pub fn exact_range(&self, query: &[Value], epsilon: f64) -> Result<(Vec<Answer>, QueryStats)> {
-        self.query_key(query)?;
-        let summaries = self.load_summaries()?;
-        let query_paa = paa(query, self.config.sax.segments);
-        if self.materialized {
-            let mut fetcher = TrieLeafFetcher {
-                store: &self.store,
-                leaves: &self.leaves,
-                leaf_starts: &summaries.leaf_starts,
-                pos_leaf_order: &summaries.pos_leaf_order,
-                cur_leaf: 0,
-                leaf_buf: Vec::new(),
-                loaded: false,
-            };
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_leaf_order,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                Deadline::NONE,
-            )
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-                start: self.range.start,
-            };
-            crate::sims::sims_range(
-                query,
-                &query_paa,
-                &summaries.keys_by_pos,
-                &self.config.sax,
-                self.threads,
-                epsilon,
-                &mut fetcher,
-                Deadline::NONE,
-            )
-        }
-    }
-
-    /// Mean leaf occupancy relative to capacity — low by construction for
-    /// prefix splitting (the paper reports ~10%).
-    pub fn avg_fill(&self) -> f64 {
-        if self.leaves.is_empty() {
-            return 0.0;
-        }
-        let slots: u64 = self
-            .leaves
-            .iter()
-            .map(|l| l.blocks_used as u64 * self.config.leaf_capacity as u64)
-            .sum();
-        self.entry_count as f64 / slots as f64
-    }
-}
-
-/// Materialized-trie SIMS fetcher (leaf order; forward-only).
-struct TrieLeafFetcher<'a> {
-    store: &'a LeafStore,
-    leaves: &'a [LeafMeta],
-    leaf_starts: &'a [u64],
-    pos_leaf_order: &'a [u64],
-    cur_leaf: usize,
-    leaf_buf: Vec<u8>,
-    loaded: bool,
-}
-
-impl SeriesFetcher for TrieLeafFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
-        let i64 = i as u64;
-        if !self.loaded || i64 >= self.leaf_starts[self.cur_leaf + 1] {
-            while i64 >= self.leaf_starts[self.cur_leaf + 1] {
-                self.cur_leaf += 1;
-            }
-            self.store
-                .read_leaf(&self.leaves[self.cur_leaf], &mut self.leaf_buf)?;
-            self.loaded = true;
-        }
-        let slot = (i64 - self.leaf_starts[self.cur_leaf]) as usize;
-        let e = self.store.entry_slice(&self.leaf_buf, slot);
-        self.store.entry().series_into(e, out);
-        Ok(self.pos_leaf_order[i])
-    }
-}
-
-impl SeriesIndex for CoconutTrie {
-    fn name(&self) -> String {
-        if self.materialized {
-            "CTrieFull".into()
-        } else {
-            "CTrie".into()
-        }
-    }
-
-    fn approximate(&self, query: &[Value]) -> Result<Answer> {
-        self.approximate_search(query, self.default_radius)
-    }
-
-    fn exact(&self, query: &[Value]) -> Result<(Answer, QueryStats)> {
-        self.exact_search(query)
-    }
-
-    fn disk_bytes(&self) -> u64 {
-        self.file.len()
-    }
-
-    fn leaf_count(&self) -> u64 {
-        self.leaves.len() as u64
-    }
-
-    fn avg_leaf_fill(&self) -> f64 {
-        self.avg_fill()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconut_series::dataset::write_dataset;
+    use coconut_series::dataset::{write_dataset, Dataset};
     use coconut_series::distance::{euclidean, znormalize};
     use coconut_series::gen::{Generator, RandomWalkGen};
+    use coconut_series::index::{Answer, SeriesIndex};
+    use coconut_series::Value;
     use coconut_storage::{IoStats, TempDir};
+    use std::sync::Arc;
 
     const LEN: usize = 64;
 

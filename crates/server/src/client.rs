@@ -35,7 +35,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use coconut_core::{ShardBackend, ShardInfo};
+use coconut_core::{Kind, Metric, Query, ShardBackend, ShardInfo};
 use coconut_series::index::Answer;
 use coconut_series::Value;
 use coconut_storage::{Deadline, Error, Result};
@@ -401,6 +401,28 @@ fn fmt_bound(bound: f64) -> String {
     }
 }
 
+/// The request line that asks a shard worker for `query` over `series` —
+/// the one place a [`Query`] becomes wire bytes. The protocol has verbs for
+/// Euclidean 1-NN, k-NN and range only.
+fn wire_line(series: &[Value], query: &Query) -> Result<String> {
+    let verb = match (query.metric, query.kind) {
+        (Metric::Ed, Kind::Nearest) => "EXACT".to_string(),
+        (Metric::Ed, Kind::Knn(k)) => format!("KNN k={k}"),
+        (Metric::Ed, Kind::Range(eps)) => format!("RANGE eps={eps}"),
+        (Metric::Dtw(_), _) | (_, Kind::Approx) => {
+            return Err(Error::invalid(
+                "the wire protocol has no verb for DTW or approximate queries",
+            ))
+        }
+    };
+    Ok(format!(
+        "{verb} {}{}{}",
+        fmt_query(series),
+        fmt_deadline(query.deadline),
+        fmt_bound(query.bound)
+    ))
+}
+
 /// Pull `key=` from a reply's `key=value` fields.
 fn field<'a>(body: &'a str, key: &str) -> Result<&'a str> {
     body.split_whitespace()
@@ -486,48 +508,18 @@ impl ShardBackend for RemoteShard {
         parse_shard_info(&body)
     }
 
-    fn exact(&self, query: &[Value], bound: f64, deadline: Deadline) -> Result<Answer> {
-        let line = format!(
-            "EXACT {}{}{}",
-            fmt_query(query),
-            fmt_deadline(deadline),
-            fmt_bound(bound)
-        );
-        let body = self.request(&line, deadline)?;
-        let answer = parse_answer(&body)?;
-        self.note_candidates(answer.is_some() as usize);
-        Ok(answer)
-    }
-
-    fn knn(
-        &self,
-        query: &[Value],
-        k: usize,
-        bound: f64,
-        deadline: Deadline,
-    ) -> Result<Vec<Answer>> {
-        let line = format!(
-            "KNN k={k} {}{}{}",
-            fmt_query(query),
-            fmt_deadline(deadline),
-            fmt_bound(bound)
-        );
-        let body = self.request(&line, deadline)?;
-        let hits = parse_hits(&body)?;
-        self.note_candidates(hits.len());
-        Ok(hits)
-    }
-
-    fn range(&self, query: &[Value], epsilon: f64, deadline: Deadline) -> Result<Vec<Answer>> {
-        let line = format!(
-            "RANGE eps={epsilon} {}{}",
-            fmt_query(query),
-            fmt_deadline(deadline)
-        );
-        let body = self.request(&line, deadline)?;
-        let hits = parse_hits(&body)?;
-        self.note_candidates(hits.len());
-        Ok(hits)
+    fn search(&self, series: &[Value], query: &Query) -> Result<Vec<Answer>> {
+        let body = self.request(&wire_line(series, query)?, query.deadline)?;
+        let answers = match query.kind {
+            Kind::Nearest => {
+                let answer = parse_answer(&body)?;
+                // `pos=none`: nothing beat the bound.
+                Vec::from_iter(answer.is_some().then_some(answer))
+            }
+            _ => parse_hits(&body)?,
+        };
+        self.note_candidates(answers.len());
+        Ok(answers)
     }
 }
 
@@ -638,6 +630,43 @@ mod tests {
         assert!(shard.is_down());
         // An explicit probe bypasses the breaker.
         assert!(shard.probe().is_err());
+    }
+
+    #[test]
+    fn queries_format_to_their_wire_lines() {
+        let q: Vec<Value> = vec![1.5, -0.25];
+        assert_eq!(
+            wire_line(&q, &Query::nearest()).unwrap(),
+            "EXACT q=v:1.5,-0.25"
+        );
+        let bounded = Query {
+            bound: 0.75,
+            ..Query::knn(3)
+        };
+        assert_eq!(
+            wire_line(&q, &bounded).unwrap(),
+            "KNN k=3 q=v:1.5,-0.25 bound=0.75"
+        );
+        assert_eq!(
+            wire_line(&q, &Query::range(2.5)).unwrap(),
+            "RANGE eps=2.5 q=v:1.5,-0.25"
+        );
+        let timed = Query {
+            deadline: Deadline::after(Duration::from_secs(3600)),
+            ..Query::nearest()
+        };
+        assert!(wire_line(&q, &timed)
+            .unwrap()
+            .starts_with("EXACT q=v:1.5,-0.25 deadline_ms="));
+        for unsupported in [
+            Query::approx(),
+            Query {
+                metric: Metric::Dtw(4),
+                ..Query::nearest()
+            },
+        ] {
+            assert!(wire_line(&q, &unsupported).is_err());
+        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! the wire round trip loses information (it does not: distances travel
 //! as shortest-roundtrip decimals).
 //!
-//! Scatter-gather rounds:
+//! Scatter-gather rounds (all of it `ShardSet::search`):
 //!
 //! * `EXACT` visits shards in ascending slice order, passing each the best
 //!   distance so far as its pruning `bound=` — a shard whose slice cannot
 //!   beat the bound does almost no work and returns `pos=none`.
 //! * `KNN` keeps the merged top-k across shards and forwards the current
-//!   k-th distance as the bound; the final merge sorts by
+//!   k-th distance as the bound; the merge sorts by
 //!   `(distance, position)` so ties break identically to a single index.
 //! * `RANGE` has a fixed radius (no bound tightening), so all shards are
 //!   queried in parallel and the hit lists are merged sorted.
@@ -27,14 +27,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coconut_core::backend::partition;
-use coconut_core::ShardSet;
+use coconut_core::{Query, ShardSet};
 use coconut_series::dataset::Dataset;
 use coconut_storage::{Deadline, Error, Result};
 
 use crate::client::{ClientConfig, RemoteShard};
 use crate::engine::{
-    err_reply, fmt_answer, fmt_hits, fmt_shard_info, parse_err_reply, resolve_query, Handler,
-    Outcome,
+    err_reply, fmt_query_reply, fmt_shard_info, parse_err_reply, resolve_query, Handler, Outcome,
 };
 use crate::metrics::CoordinatorMetrics;
 use crate::protocol::{parse, Request};
@@ -159,84 +158,28 @@ impl CoordinatorEngine {
             Request::Ping => Ok("OK pong".into()),
             Request::Health => Ok(self.health_line()),
             Request::Stats => Ok(format!("{}# EOF", self.metrics.render())),
-            Request::Exact {
-                query,
-                deadline_ms,
-                bound: _,
-                degraded,
-            } => {
+            Request::Exact { .. } | Request::Knn { .. } | Request::Range { .. } => {
+                let wire = request
+                    .query()
+                    .ok_or_else(|| Error::invalid("not a query request"))?;
                 // An incoming bound= is ignored: the coordinator derives
                 // per-shard bounds from its own scatter-gather rounds.
-                let deadline = self.deadline(*deadline_ms);
-                let q = resolve_query(&self.dataset, query)?;
-                let started = Instant::now();
-                let (answer, missing) = if *degraded {
-                    let partial = self.set.exact_degraded(&q, deadline)?;
-                    (partial.value, partial.missing)
-                } else {
-                    (self.set.exact(&q, deadline)?, Vec::new())
+                let query = Query {
+                    bound: f64::INFINITY,
+                    deadline: self.deadline(wire.deadline_ms),
+                    ..wire.query
                 };
-                self.metrics.record_query(started.elapsed().as_secs_f64());
-                self.note_degraded(&missing);
-                Ok(format!(
-                    "OK exact {} covered={} seq={}{}",
-                    fmt_answer(&answer),
-                    covered(),
-                    seq(),
-                    fmt_missing(&missing)
-                ))
-            }
-            Request::Knn {
-                k,
-                query,
-                deadline_ms,
-                bound: _,
-                degraded,
-            } => {
-                let deadline = self.deadline(*deadline_ms);
-                let q = resolve_query(&self.dataset, query)?;
+                let q = resolve_query(&self.dataset, wire.series)?;
                 let started = Instant::now();
-                let (answers, missing) = if *degraded {
-                    let partial = self.set.knn_degraded(&q, *k, deadline)?;
-                    (partial.value, partial.missing)
-                } else {
-                    (self.set.knn(&q, *k, deadline)?, Vec::new())
-                };
+                let found = self.set.search(&q, &query, wire.degraded)?;
                 self.metrics.record_query(started.elapsed().as_secs_f64());
-                self.note_degraded(&missing);
+                if !found.is_complete() {
+                    self.metrics.degraded.inc();
+                }
                 Ok(format!(
-                    "OK knn k={} covered={} seq={} hits={}{}",
-                    k,
-                    covered(),
-                    seq(),
-                    fmt_hits(&answers),
-                    fmt_missing(&missing)
-                ))
-            }
-            Request::Range {
-                epsilon,
-                query,
-                deadline_ms,
-                degraded,
-            } => {
-                let deadline = self.deadline(*deadline_ms);
-                let q = resolve_query(&self.dataset, query)?;
-                let started = Instant::now();
-                let (answers, missing) = if *degraded {
-                    let partial = self.set.range_degraded(&q, *epsilon, deadline)?;
-                    (partial.value, partial.missing)
-                } else {
-                    (self.set.range(&q, *epsilon, deadline)?, Vec::new())
-                };
-                self.metrics.record_query(started.elapsed().as_secs_f64());
-                self.note_degraded(&missing);
-                Ok(format!(
-                    "OK range eps={} covered={} seq={} hits={}{}",
-                    epsilon,
-                    covered(),
-                    seq(),
-                    fmt_hits(&answers),
-                    fmt_missing(&missing)
+                    "{}{}",
+                    fmt_query_reply(&query.kind, &found.value, covered(), seq()),
+                    fmt_missing(&found.missing)
                 ))
             }
             Request::Ingest { upto } => {
@@ -290,13 +233,6 @@ impl CoordinatorEngine {
                  send them to the shard workers",
             )),
             Request::Quit => Ok("OK bye".into()),
-        }
-    }
-
-    /// Count a degraded (shards lost) answer in the metrics.
-    fn note_degraded(&self, missing: &[std::ops::Range<u64>]) {
-        if !missing.is_empty() {
-            self.metrics.degraded.inc();
         }
     }
 

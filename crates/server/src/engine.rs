@@ -29,7 +29,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coconut_core::{BuildOptions, IndexConfig, LsmCoconut, ShardInfo};
+use coconut_core::query::nearest_of;
+use coconut_core::{BuildOptions, IndexConfig, Kind, LsmCoconut, Query, ShardInfo};
 use coconut_series::dataset::Dataset;
 use coconut_series::distance::znormalize;
 use coconut_series::gen::{Generator, RandomWalkGen};
@@ -246,73 +247,28 @@ impl Engine {
             Request::Ping => Ok("OK pong".into()),
             Request::Health => Ok(self.health_line()),
             Request::Stats => Ok(format!("{}# EOF", self.metrics_text())),
-            Request::Exact {
-                query,
-                deadline_ms,
-                bound,
+            Request::Exact { .. } | Request::Knn { .. } | Request::Range { .. } => {
+                let wire = request
+                    .query()
+                    .ok_or_else(|| Error::invalid("not a query request"))?;
                 // A single node (or one shard's slice) has no shards to
                 // lose; mode=degraded is accepted but never degrades here.
-                degraded: _,
-            } => {
-                let deadline = self.deadline(*deadline_ms);
+                let query = Query {
+                    deadline: self.deadline(wire.deadline_ms),
+                    ..wire.query
+                };
                 let snap = self.current()?.snapshot();
-                let q = resolve_query(&self.dataset, query)?;
+                let q = resolve_query(&self.dataset, wire.series)?;
                 let started = Instant::now();
-                let (answer, stats) =
-                    snap.exact_bounded(&q, bound.unwrap_or(f64::INFINITY), deadline)?;
+                let (answers, stats) = snap.search(&q, &query)?;
                 self.metrics
                     .record_query(started.elapsed().as_secs_f64(), &stats);
-                Ok(format!(
-                    "OK exact {} covered={} seq={} fetched={}",
-                    fmt_answer(&answer),
-                    snap.covered_end(),
-                    snap.seq(),
-                    stats.records_fetched
-                ))
-            }
-            Request::Knn {
-                k,
-                query,
-                deadline_ms,
-                bound,
-                degraded: _,
-            } => {
-                let deadline = self.deadline(*deadline_ms);
-                let snap = self.current()?.snapshot();
-                let q = resolve_query(&self.dataset, query)?;
-                let started = Instant::now();
-                let (answers, stats) =
-                    snap.exact_knn_bounded(&q, *k, bound.unwrap_or(f64::INFINITY), deadline)?;
-                self.metrics
-                    .record_query(started.elapsed().as_secs_f64(), &stats);
-                Ok(format!(
-                    "OK knn k={} covered={} seq={} hits={}",
-                    k,
-                    snap.covered_end(),
-                    snap.seq(),
-                    fmt_hits(&answers)
-                ))
-            }
-            Request::Range {
-                epsilon,
-                query,
-                deadline_ms,
-                degraded: _,
-            } => {
-                let deadline = self.deadline(*deadline_ms);
-                let snap = self.current()?.snapshot();
-                let q = resolve_query(&self.dataset, query)?;
-                let started = Instant::now();
-                let (answers, stats) = snap.exact_range(&q, *epsilon, deadline)?;
-                self.metrics
-                    .record_query(started.elapsed().as_secs_f64(), &stats);
-                Ok(format!(
-                    "OK range eps={} covered={} seq={} hits={}",
-                    epsilon,
-                    snap.covered_end(),
-                    snap.seq(),
-                    fmt_hits(&answers)
-                ))
+                let mut reply =
+                    fmt_query_reply(&query.kind, &answers, snap.covered_end(), snap.seq());
+                if query.kind == Kind::Nearest {
+                    reply.push_str(&format!(" fetched={}", stats.records_fetched));
+                }
+                Ok(reply)
             }
             Request::Ingest { upto } => {
                 let lsm = self.current()?;
@@ -549,6 +505,26 @@ pub(crate) fn fmt_hits(answers: &[Answer]) -> String {
         .map(|a| format!("{}:{}", a.pos, a.dist))
         .collect::<Vec<_>>()
         .join(",")
+}
+
+/// The reply to a query of `kind`, up to the fields single nodes and
+/// coordinators share: what was found, over which prefix.
+pub(crate) fn fmt_query_reply(kind: &Kind, answers: &[Answer], covered: u64, seq: u64) -> String {
+    match kind {
+        // (no wire verb yields an approximate query yet)
+        Kind::Nearest | Kind::Approx => format!(
+            "OK exact {} covered={covered} seq={seq}",
+            fmt_answer(&nearest_of(answers))
+        ),
+        Kind::Knn(k) => format!(
+            "OK knn k={k} covered={covered} seq={seq} hits={}",
+            fmt_hits(answers)
+        ),
+        Kind::Range(eps) => format!(
+            "OK range eps={eps} covered={covered} seq={seq} hits={}",
+            fmt_hits(answers)
+        ),
+    }
 }
 
 /// Serialize a [`ShardInfo`] as its wire fields.

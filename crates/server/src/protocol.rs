@@ -33,6 +33,7 @@
 //! byte-identical to the strict one. A single node has no shards to lose,
 //! so `mode=degraded` is accepted but never degrades there.
 
+use coconut_core::Query;
 use coconut_series::Value;
 
 /// A request line the parser could not understand: what was wrong, plus the
@@ -171,6 +172,59 @@ pub enum Request {
     Gc,
     /// Close the connection.
     Quit,
+}
+
+/// The query a request line carries, in the form every layer below the
+/// protocol answers ([`Request::query`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WireQuery<'a> {
+    /// How the request names its query vector.
+    pub series: &'a QuerySpec,
+    /// Kind and `bound=` as parsed; the deadline is left for the engine,
+    /// which owns the server default.
+    pub query: Query,
+    /// Per-request deadline in milliseconds (None = server default).
+    pub deadline_ms: Option<u64>,
+    /// `mode=degraded`.
+    pub degraded: bool,
+}
+
+impl Request {
+    /// The query of an `EXACT` / `KNN` / `RANGE` request (`None` for every
+    /// other verb).
+    pub fn query(&self) -> Option<WireQuery<'_>> {
+        let (query, series, deadline_ms, bound, degraded) = match self {
+            Request::Exact {
+                query,
+                deadline_ms,
+                bound,
+                degraded,
+            } => (Query::nearest(), query, deadline_ms, *bound, degraded),
+            Request::Knn {
+                k,
+                query,
+                deadline_ms,
+                bound,
+                degraded,
+            } => (Query::knn(*k), query, deadline_ms, *bound, degraded),
+            Request::Range {
+                epsilon,
+                query,
+                deadline_ms,
+                degraded,
+            } => (Query::range(*epsilon), query, deadline_ms, None, degraded),
+            _ => return None,
+        };
+        Some(WireQuery {
+            series,
+            query: Query {
+                bound: bound.unwrap_or(f64::INFINITY),
+                ..query
+            },
+            deadline_ms: *deadline_ms,
+            degraded: *degraded,
+        })
+    }
 }
 
 fn bad(msg: impl std::fmt::Display, token: &str) -> ParseError {
@@ -381,6 +435,22 @@ mod tests {
             Request::Ingest { upto: Some(4000) }
         );
         assert_eq!(parse("INGEST").unwrap(), Request::Ingest { upto: None });
+    }
+
+    #[test]
+    fn query_requests_convert_to_one_query() {
+        use coconut_core::Kind;
+        let r = parse("KNN k=5 q=pos:12 bound=2.5 deadline_ms=40 mode=degraded").unwrap();
+        let w = r.query().unwrap();
+        assert_eq!(w.series, &QuerySpec::Pos(12));
+        assert_eq!((w.query.kind, w.query.bound), (Kind::Knn(5), 2.5));
+        assert_eq!((w.deadline_ms, w.degraded), (Some(40), true));
+        let w = parse("EXACT q=seed:7").unwrap();
+        assert_eq!(w.query().unwrap().query, Query::nearest());
+        let w = parse("RANGE eps=1.5 q=seed:7").unwrap();
+        assert_eq!(w.query().unwrap().query, Query::range(1.5));
+        assert!(parse("PING").unwrap().query().is_none());
+        assert!(parse("INGEST upto=4").unwrap().query().is_none());
     }
 
     #[test]

@@ -9,11 +9,20 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use coconut::index::query::first;
 use coconut::index::{BuildOptions, CoconutTree, IndexConfig};
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
 use coconut::series::dtw::dtw;
 use coconut::series::gen::Generator;
+
+/// Exact 1-NN under DTW with a Sakoe–Chiba band of radius `band`.
+fn dtw_nearest(band: usize) -> Query {
+    Query {
+        metric: Metric::Dtw(band),
+        ..Query::nearest()
+    }
+}
 
 fn main() -> coconut::storage::Result<()> {
     let dir = TempDir::new("dtw")?;
@@ -56,7 +65,7 @@ fn main() -> coconut::storage::Result<()> {
     );
     for band in [2usize, 5, 10, 20] {
         let t0 = Instant::now();
-        let (ans, qstats) = tree.exact_search_dtw(&query, band)?;
+        let (ans, qstats) = tree.search(&query, &dtw_nearest(band)).map(first)?;
         println!(
             "{:<10} {:>10} {:>12} {:>10.4} {:>8.1}ms   ({} fetched, {} pruned by index bound)",
             "dtw",
@@ -73,7 +82,7 @@ fn main() -> coconut::storage::Result<()> {
 
     // Verify the widest-band answer against brute force.
     let band = 20;
-    let (fast, _) = tree.exact_search_dtw(&query, band)?;
+    let (fast, _) = tree.search(&query, &dtw_nearest(band)).map(first)?;
     let mut best = (u64::MAX, f64::INFINITY);
     let t0 = Instant::now();
     for p in 0..n {

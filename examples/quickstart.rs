@@ -52,13 +52,17 @@ fn main() -> coconut::storage::Result<()> {
         coconut::series::distance::znormalize(&mut q);
         q
     };
-    let approx = tree.approximate_search(&query, 1)?;
+    // Every kind of query is one `Query` handed to `search`; answers come
+    // back sorted by (distance, position).
+    let (approx, _) = tree.search(&query, &Query::approx())?;
+    let approx = approx[0];
     println!(
         "approximate answer: series #{} at distance {:.3}",
         approx.pos, approx.dist
     );
 
-    let (exact, qstats) = tree.exact_search(&query)?;
+    let (exact, qstats) = tree.search(&query, &Query::nearest())?;
+    let exact = exact[0];
     println!(
         "exact answer:       series #{} at distance {:.3} \
          (fetched {} of {} records, pruned {})",
@@ -67,7 +71,7 @@ fn main() -> coconut::storage::Result<()> {
     assert!(exact.dist <= approx.dist);
 
     // 4. k-NN (an extension beyond the paper).
-    let (top5, _) = tree.exact_knn(&query, 5)?;
+    let (top5, _) = tree.search(&query, &Query::knn(5))?;
     println!("top-5 neighbors:");
     for (rank, a) in top5.iter().enumerate() {
         println!(

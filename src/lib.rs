@@ -33,12 +33,14 @@
 //! let config = IndexConfig::default_for_len(64);
 //! let tree = CoconutTree::build(&dataset, &config, dir.path(), BuildOptions::default())?;
 //!
-//! // 3. Ask for the nearest neighbor of a fresh query.
+//! // 3. Ask for the nearest neighbor of a fresh query: every kind of query
+//! //    is one `Query` handed to `search`, answers sorted by (dist, pos).
 //! let query = RandomWalkGen::new(42).generate(64);
-//! let approx = tree.approximate_search(&query, 1)?;
-//! let (exact, _stats) = tree.exact_search(&query)?;
-//! assert!(exact.is_some());
-//! assert!(exact.dist <= approx.dist);
+//! let (approx, _stats) = tree.search(&query, &Query::approx())?;
+//! let (exact, _stats) = tree.search(&query, &Query::nearest())?;
+//! assert!(exact[0].dist <= approx[0].dist);
+//! let (top5, _stats) = tree.search(&query, &Query::knn(5))?;
+//! assert_eq!(top5[0], exact[0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -77,8 +79,8 @@
 //! let mut lsm = LsmCoconut::open(&idx_dir, &dataset, BuildOptions::default())?;
 //! assert_eq!(lsm.covered_end(), 400);
 //! lsm.ingest(&dataset)?;                    // re-ingest the lost tail
-//! let (nearest, _stats) = lsm.exact(&RandomWalkGen::new(9).generate(64))?;
-//! assert!(nearest.is_some());
+//! let (nearest, _stats) = lsm.search(&RandomWalkGen::new(9).generate(64), &Query::nearest())?;
+//! assert!(!nearest.is_empty());
 //! lsm.compact()?;                           // optional: merge to a single run
 //! assert_eq!(lsm.run_count(), 1);
 //! # Ok(())
@@ -97,8 +99,8 @@ pub mod prelude {
         AdsIndex, AdsVariant, DsTree, Isax2Index, RTreeIndex, SerialScan, VerticalIndex,
     };
     pub use crate::index::{
-        BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, KillPoint,
-        LeveledPolicy, LsmCoconut, Snapshot, TieredPolicy,
+        BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, KillPoint, Kind,
+        LeveledPolicy, LsmCoconut, Metric, Query, Snapshot, TieredPolicy,
     };
     pub use crate::series::dataset::{write_dataset, Dataset, DatasetWriter};
     pub use crate::series::gen::{AstronomyGen, Generator, RandomWalkGen, SeismicGen};

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use coconut::baselines::SerialScan;
+use coconut::index::query::first;
 use coconut::index::{BuildOptions, CoconutTree, CoconutTrie, IndexConfig};
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
@@ -197,7 +198,11 @@ fn dtw_search_exact_on_odd_config() {
     .unwrap();
     for q in queries(len) {
         let band = 5;
-        let (got, _) = tree.exact_search_dtw(&q, band).unwrap();
+        let dtw_nearest = Query {
+            metric: Metric::Dtw(band),
+            ..Query::nearest()
+        };
+        let (got, _) = tree.search(&q, &dtw_nearest).map(first).unwrap();
         let mut best = (u64::MAX, f64::INFINITY);
         for p in 0..150u64 {
             let s = ds.get(p).unwrap();

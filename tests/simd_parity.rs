@@ -11,11 +11,11 @@
 //! test compare scalar against scalar (trivially green) while every other
 //! suite exercises the scalar path end to end.
 
-use coconut::index::sims::{sims_exact, sims_exact_knn, sims_range, SeriesFetcher};
+use coconut::index::query::nearest_of;
+use coconut::index::sims::{sims_scan, Collector, Ed, SeriesFetcher, TopK, Within};
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
 use coconut::series::Value;
-use coconut::summary::paa::paa;
 use coconut::summary::sax::Summarizer;
 use coconut::summary::ZKey;
 use std::fmt::Write as _;
@@ -29,6 +29,29 @@ impl SeriesFetcher for VecFetcher<'_> {
         out.copy_from_slice(&self.data[i]);
         Ok(i as u64)
     }
+}
+
+/// One unseeded two-thread SIMS scan of `data` for `q` into `hits`.
+fn scan<C: Collector>(
+    q: &[Value],
+    data: &[Vec<Value>],
+    keys: &[ZKey],
+    config: &SaxConfig,
+    mut hits: C,
+) -> Vec<Answer> {
+    let mut fetcher = VecFetcher { data };
+    let ed = Ed::new(q, config);
+    sims_scan(
+        &ed,
+        q.len(),
+        keys,
+        2,
+        &mut fetcher,
+        &mut hits,
+        Deadline::NONE,
+    )
+    .unwrap();
+    hits.into_answers()
 }
 
 /// Deterministic workload: 600 random-walk series, 12 queries, exact 1-NN +
@@ -52,20 +75,8 @@ fn answers_digest() -> String {
     for qi in 0..12 {
         let mut q = qgen.generate(len);
         znormalize(&mut q);
-        let qp = paa(&q, config.segments);
-
-        let mut fetcher = VecFetcher { data: &data };
-        let (ans, _) = sims_exact(
-            &q,
-            &qp,
-            &keys,
-            &config,
-            2,
-            Answer::none(),
-            &mut fetcher,
-            Deadline::NONE,
-        )
-        .unwrap();
+        let top1 = TopK::new(1, f64::INFINITY);
+        let ans = nearest_of(&scan(&q, &data, &keys, &config, top1));
         let _ = writeln!(
             digest,
             "q{qi} exact pos={} dist={:016x}",
@@ -73,19 +84,7 @@ fn answers_digest() -> String {
             ans.dist.to_bits()
         );
 
-        let mut fetcher = VecFetcher { data: &data };
-        let (knn, _) = sims_exact_knn(
-            &q,
-            &qp,
-            &keys,
-            &config,
-            2,
-            3,
-            &[],
-            &mut fetcher,
-            Deadline::NONE,
-        )
-        .unwrap();
+        let knn = scan(&q, &data, &keys, &config, TopK::new(3, f64::INFINITY));
         for (r, a) in knn.iter().enumerate() {
             let _ = writeln!(
                 digest,
@@ -95,19 +94,8 @@ fn answers_digest() -> String {
             );
         }
 
-        let mut fetcher = VecFetcher { data: &data };
         let eps = ans.dist * 1.5 + 0.1;
-        let (range, _) = sims_range(
-            &q,
-            &qp,
-            &keys,
-            &config,
-            2,
-            eps,
-            &mut fetcher,
-            Deadline::NONE,
-        )
-        .unwrap();
+        let range = scan(&q, &data, &keys, &config, Within::new(eps, f64::INFINITY));
         let _ = writeln!(digest, "q{qi} range n={}", range.len());
         for a in range.iter().take(5) {
             let _ = writeln!(
