@@ -47,9 +47,9 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A fixed set of worker threads fed connections through a bounded queue.
 pub struct Pool<H: Handler = Engine> {
+    handler: Arc<H>,
     tx: Mutex<Option<SyncSender<TcpStream>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    _marker: std::marker::PhantomData<fn() -> H>,
 }
 
 impl<H: Handler> Pool<H> {
@@ -82,14 +82,16 @@ impl<H: Handler> Pool<H> {
             })
             .collect();
         Pool {
+            handler,
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(workers),
-            _marker: std::marker::PhantomData,
         }
     }
 
-    /// Hand a connection to the pool. Returns `false` (connection refused,
-    /// `ERR busy` already written) when the admission queue is full.
+    /// Hand a connection to the pool. Returns `false` when the admission
+    /// queue is full: the refusal is counted ([`Handler::on_rejected`])
+    /// *before* `ERR busy` is written, so a client that has read the reply
+    /// already sees it in the metrics.
     pub fn dispatch(&self, stream: TcpStream) -> bool {
         let tx = match self.tx.lock().clone() {
             Some(tx) => tx,
@@ -98,6 +100,7 @@ impl<H: Handler> Pool<H> {
         match tx.try_send(stream) {
             Ok(()) => true,
             Err(TrySendError::Full(mut stream)) | Err(TrySendError::Disconnected(mut stream)) => {
+                self.handler.on_rejected();
                 let _ = stream.write_all(b"ERR busy: admission queue full\n");
                 let _ = stream.shutdown(std::net::Shutdown::Both);
                 false
