@@ -1,21 +1,39 @@
 //! The sorted-leaf index both Coconut indexes are: one contiguous region of
 //! leaves holding the dataset's entries in `(key, position)` order, the
-//! in-memory summarizations SIMS scans, and a [`Directory`] that maps a
+//! in-memory [`Summaries`] SIMS scans, and a [`Directory`] that maps a
 //! query key to the leaf it would live in.
 //!
 //! Coconut-Tree and Coconut-Trie differ only in how that directory is
 //! carved over the sorted leaves — by median (any boundary between two
 //! records) or by key prefix — and therefore in where the bulk loader cuts
 //! one leaf from the next. Everything else lives here once: the file and
-//! leaf store, persistence, the lazily loaded summaries, seed
-//! evaluation, both SIMS fetchers and the single [`SortedLeafIndex::search`]
-//! every query runs through:
+//! leaf store, persistence, the lazily loaded summaries, the probe, both
+//! SIMS fetchers and the single [`SortedLeafIndex::search`] every query
+//! runs through:
 //!
-//! 1. descend the directory to the query key's leaf and evaluate it plus
-//!    `radius` neighbors on each side — physically adjacent, so one
-//!    sequential read (Algorithm 4);
-//! 2. unless the query is approximate, run the skip-sequential SIMS scan
-//!    over the summarizations, seeded by step 1 (Algorithm 5).
+//! 1. **probe** (Algorithm 4): descend the directory to the query key's
+//!    leaf and read it plus `radius` neighbors on each side. Each entry is
+//!    lower-bounded from the key stored beside it, entries are visited in
+//!    ascending `(bound, position)` order and fetched only while their
+//!    bound can still enter the result — the answer is the true best of
+//!    those leaves, for a fraction of their raw fetches;
+//! 2. unless the query is approximate, the SIMS scan over the summaries,
+//!    seeded by step 1 (Algorithm 5, [`crate::sims::sims_scan`]).
+//!
+//! # The summaries
+//!
+//! Pointer and materialized indexes keep one layout, in *leaf order*: per
+//! leaf its entries' SAX symbols (the z-order keys de-interleaved once, when
+//! the summaries are loaded — the key orders the leaves, only its symbols
+//! bound a distance), every entry's raw-file position, and one symbol box
+//! per leaf. Sorting makes a leaf a contiguous range of the z-order curve, so
+//! the prefix its first and last key share is an iSAX word covering all of
+//! its entries ([`coconut_summary::zorder::key_range_box`]) — the
+//! node-level bound of the top-down indexes, obtained from two keys with
+//! nothing stored. The summaries are loaded from the leaves by the first
+//! exact query — after a build, a reopen or an insert alike (the leaf
+//! range split over the index's threads) — so a build holds none beside
+//! its sort buffers, nor a compaction beside the runs it merges.
 
 use std::ops::Range;
 use std::path::Path;
@@ -27,7 +45,9 @@ use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
 use coconut_storage::{CountedFile, Error, IoStats, Result};
+use coconut_summary::mindist::SymbolDecoder;
 use coconut_summary::sax::Summarizer;
+use coconut_summary::zorder::key_range_box;
 use coconut_summary::{SaxConfig, ZKey};
 
 use crate::builder::BuildReport;
@@ -38,7 +58,10 @@ use crate::layout::{
 };
 use crate::query::{first, Kind, Metric, Query};
 use crate::records::SortedRecord;
-use crate::sims::{sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within};
+use crate::sims::{
+    balanced_chunks, scatter, sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within,
+    PARALLEL_MIN_KEYS,
+};
 use crate::split::SplitPolicyKind;
 
 /// What distinguishes one sorted-leaf index flavor from the other: how the
@@ -83,29 +106,156 @@ pub trait Directory: Sized {
     ) -> Result<Self>;
 }
 
-/// In-memory summarization arrays for SIMS (rebuilt lazily after inserts).
-pub(crate) struct Summaries {
-    /// Keys in scan order: raw-file order for pointer indexes (index `i`
-    /// is position `range.start + i`), leaf order for materialized ones.
-    pub keys: Vec<ZKey>,
-    /// Materialized only: the raw position of each scan index.
+/// The in-memory summarizations SIMS scans, in leaf order (loaded from the
+/// leaves by the first exact query, and again after an insert): 16 B of
+/// symbols and 8 B of position per entry at the default configuration, plus
+/// one symbol box per leaf.
+pub struct Summaries {
+    decoder: SymbolDecoder,
+    /// Per leaf, its entries' SAX symbols segment-major: the symbol of the
+    /// leaf's entry `e`, segment `j`, sits at `(start * segments) + j *
+    /// count + e`, so one segment of eight consecutive entries is one
+    /// 8-byte load.
+    symbols: Vec<u8>,
+    /// The raw-file position of each scan index.
     pos: Vec<u64>,
-    /// Materialized only: first scan index of each leaf, plus the total.
-    leaf_starts: Vec<u64>,
+    /// First scan index of each leaf, plus the total.
+    leaf_starts: Vec<usize>,
+    /// Per leaf, `segments` lower then `segments` upper symbol bounds.
+    boxes: Vec<u8>,
+}
+
+/// One leaf of [`Summaries`].
+pub struct LeafSummary<'a> {
+    /// Scan index of the leaf's first entry.
+    pub start: usize,
+    /// The segment-major symbol block of its entries.
+    pub symbols: &'a [u8],
+    /// Per segment, the smallest symbol any entry can hold.
+    pub lo: &'a [u8],
+    /// Per segment, the largest symbol any entry can hold.
+    pub hi: &'a [u8],
 }
 
 impl Summaries {
-    /// Arrays for `n` entries, to be filled in leaf order.
-    fn new(materialized: bool, n: usize) -> Self {
-        Summaries {
-            keys: if materialized {
-                Vec::with_capacity(n)
-            } else {
-                vec![ZKey::MIN; n]
-            },
-            pos: Vec::with_capacity(if materialized { n } else { 0 }),
-            leaf_starts: Vec::new(),
+    /// Summaries over `(key, position)`-sorted `entries` cut into leaves of
+    /// `leaf_sizes` entries (the last leaf takes the rest) — what an index
+    /// holding exactly those leaves would load.
+    pub fn from_sorted(
+        sax: &SaxConfig,
+        entries: &[(ZKey, u64)],
+        leaf_sizes: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let w = sax.segments;
+        let decoder = SymbolDecoder::new(sax);
+        let mut symbols = vec![0; entries.len() * w];
+        let mut boxes = Vec::new();
+        let mut leaf_starts = vec![0];
+        let mut sizes = leaf_sizes.into_iter();
+        let mut keys = Vec::new();
+        let mut start = 0;
+        while start < entries.len() {
+            let size = sizes.next().unwrap_or(usize::MAX);
+            let end = start + size.clamp(1, entries.len() - start);
+            keys.clear();
+            keys.extend(entries[start..end].iter().map(|&(key, _)| key));
+            let at = boxes.len();
+            boxes.resize(at + 2 * w, 0);
+            summarize_leaf(
+                &decoder,
+                &keys,
+                &mut symbols[start * w..end * w],
+                &mut boxes[at..],
+            );
+            leaf_starts.push(end);
+            start = end;
         }
+        Summaries {
+            decoder,
+            symbols,
+            pos: entries.iter().map(|&(_, pos)| pos).collect(),
+            leaf_starts,
+            boxes,
+        }
+    }
+
+    fn segments(&self) -> usize {
+        self.decoder.config().segments
+    }
+
+    /// Entries summarized.
+    pub fn len(&self) -> usize {
+        self.pos.len()
+    }
+
+    /// True when no entry is summarized.
+    pub fn is_empty(&self) -> bool {
+        self.pos.is_empty()
+    }
+
+    /// Leaves summarized.
+    pub fn leaf_count(&self) -> usize {
+        self.leaf_starts.len() - 1
+    }
+
+    /// Entries in leaf `leaf`.
+    pub fn leaf_len(&self, leaf: usize) -> usize {
+        self.leaf_starts[leaf + 1] - self.leaf_starts[leaf]
+    }
+
+    /// The symbols and box of leaf `leaf`.
+    pub fn leaf(&self, leaf: usize) -> LeafSummary<'_> {
+        let w = self.segments();
+        let (start, end) = (self.leaf_starts[leaf], self.leaf_starts[leaf + 1]);
+        let (lo, hi) = self.boxes[leaf * 2 * w..(leaf + 1) * 2 * w].split_at(w);
+        LeafSummary {
+            start,
+            symbols: &self.symbols[start * w..end * w],
+            lo,
+            hi,
+        }
+    }
+
+    /// The raw-file position of scan index `i`.
+    #[inline]
+    pub fn pos(&self, i: usize) -> u64 {
+        self.pos[i]
+    }
+}
+
+/// The not yet filled tails of the three per-entry / per-leaf arrays of a
+/// [`Summaries`] under construction.
+struct LeafSlices<'a> {
+    symbols: &'a mut [u8],
+    pos: &'a mut [u64],
+    boxes: &'a mut [u8],
+}
+
+impl<'a> LeafSlices<'a> {
+    /// Split off the part covering the next `entries` entries in `leaves`
+    /// leaves of `w`-segment summaries.
+    fn split_front(&mut self, entries: usize, leaves: usize, w: usize) -> LeafSlices<'a> {
+        fn front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+            let (head, tail) = std::mem::take(rest).split_at_mut(n);
+            *rest = tail;
+            head
+        }
+        LeafSlices {
+            symbols: front(&mut self.symbols, entries * w),
+            pos: front(&mut self.pos, entries),
+            boxes: front(&mut self.boxes, leaves * 2 * w),
+        }
+    }
+}
+
+/// De-interleave one leaf's sorted `keys` into its segment-major `symbols`
+/// block and its `[lo.., hi..]` symbol box.
+fn summarize_leaf(decoder: &SymbolDecoder, keys: &[ZKey], symbols: &mut [u8], lo_hi: &mut [u8]) {
+    decoder.decode_into(keys, symbols);
+    if let (Some(&first), Some(&last)) = (keys.first(), keys.last()) {
+        let sax = decoder.config();
+        let (lo, hi) = lo_hi.split_at_mut(sax.segments);
+        key_range_box(first, last, sax, lo, hi);
     }
 }
 
@@ -226,7 +376,7 @@ impl<D: Directory> SortedLeafIndex<D> {
     /// The bottom-up loader loop (Algorithm 3, lines 13–20): pack the
     /// `(key, pos)`-sorted records `next` yields into left-to-right leaves,
     /// cutting leaf `i` after `leaf_sizes[i]` records (and at the end of
-    /// the stream), and keep the summarization arrays.
+    /// the stream).
     pub(crate) fn load<R: SortedRecord>(
         &mut self,
         mut next: impl FnMut() -> Result<Option<R>>,
@@ -239,8 +389,6 @@ impl<D: Directory> SortedLeafIndex<D> {
         let mut first_key = ZKey::MIN;
         let mut in_leaf = 0usize;
         let mut leaf_size = leaf_sizes.next().unwrap_or(usize::MAX);
-
-        let mut summaries = Summaries::new(self.materialized, n);
 
         while let Some(rec) = next()? {
             if self.materialized && rec.series().is_none() {
@@ -260,12 +408,6 @@ impl<D: Directory> SortedLeafIndex<D> {
                 first_key = key;
             }
             block_buf.extend_from_slice(&entry_buf);
-            if self.materialized {
-                summaries.keys.push(key);
-                summaries.pos.push(pos);
-            } else {
-                summaries.keys[(pos - self.range.start) as usize] = key;
-            }
             in_leaf += 1;
             self.entry_count += 1;
             if in_leaf == leaf_size {
@@ -286,10 +428,12 @@ impl<D: Directory> SortedLeafIndex<D> {
 
         self.build_report.items = self.entry_count;
         self.build_report.leaves = self.leaves.len() as u64;
-        if self.materialized {
-            summaries.leaf_starts = leaf_starts(&self.leaves);
-        }
-        *self.summaries.write() = Some(Arc::new(summaries));
+        // The first exact query loads the summaries from the leaves just
+        // written: building them here, beside the sort's buffers (and, in a
+        // compaction, beside the summaries of the runs being merged), would
+        // set the process's peak memory for a build that may never be
+        // queried.
+        *self.summaries.write() = None;
         Ok(())
     }
 
@@ -497,10 +641,17 @@ impl<D: Directory> SortedLeafIndex<D> {
         Ok(Summarizer::new(self.config.sax).zkey(query))
     }
 
-    /// Offer the true distance of every entry in `leaves` to `hits`.
+    /// The probe (Algorithm 4): offer `hits` the best entries of `leaves`.
+    /// Every entry is lower-bounded from the key stored beside it, and a
+    /// leaf's entries are fetched in ascending `(bound, position)` order
+    /// while their bound can still enter `hits` — so `hits` ends up holding
+    /// exactly what fetching every entry would have left there. Leaves are
+    /// taken nearest `target` first: the likeliest to tighten the cutoff
+    /// that spares the others their fetches.
     fn eval_leaves<M: Distance, C: Collector>(
         &self,
         leaves: std::ops::RangeInclusive<usize>,
+        target: usize,
         metric: &M,
         hits: &mut C,
         stats: &mut QueryStats,
@@ -508,14 +659,40 @@ impl<D: Directory> SortedLeafIndex<D> {
         let entry = self.store.entry();
         let mut leaf_buf = Vec::new();
         let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        for leaf in &self.leaves[leaves] {
+        let (mut keys, mut bounds) = (Vec::new(), Vec::new());
+        let mut order: Vec<(f64, u64, usize)> = Vec::new();
+        let mut nearest_first: Vec<usize> = leaves.collect();
+        nearest_first.sort_by_key(|&l| (l.abs_diff(target), l));
+        for l in nearest_first {
+            let leaf = &self.leaves[l];
             self.store.read_leaf(leaf, &mut leaf_buf)?;
             stats.leaves_visited += 1;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
+            let slots = 0..leaf.count as usize;
+            keys.clear();
+            keys.extend(
+                slots
+                    .clone()
+                    .map(|slot| entry.key(self.store.entry_slice(&leaf_buf, slot))),
+            );
+            bounds.resize(keys.len(), 0.0);
+            metric.table().mindist_batch_into(&keys, &mut bounds);
+            // Only entries under the cutoff so far can ever be fetched.
+            let cutoff = hits.cutoff();
+            order.clear();
+            order.extend(slots.filter(|&slot| bounds[slot] <= cutoff).map(|slot| {
+                let pos = entry.pos(self.store.entry_slice(&leaf_buf, slot));
+                (bounds[slot], pos, slot)
+            }));
+            stats.pruned += (keys.len() - order.len()) as u64;
+            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (fetched, &(bound, pos, slot)) in order.iter().enumerate() {
+                if bound > hits.cutoff() {
+                    // Sorted by bound and the cutoff only tightens.
+                    stats.pruned += (order.len() - fetched) as u64;
+                    break;
+                }
                 if self.materialized {
-                    entry.series_into(e, &mut series_buf);
+                    entry.series_into(self.store.entry_slice(&leaf_buf, slot), &mut series_buf);
                 } else {
                     self.dataset.read_into(pos, &mut series_buf)?;
                 }
@@ -536,34 +713,64 @@ impl<D: Directory> SortedLeafIndex<D> {
         if let Some(s) = write.as_ref() {
             return Ok(Arc::clone(s));
         }
-        // "if SAX sums are not in memory, load them" — scan the leaf region
-        // sequentially and rebuild the arrays.
-        let n = self.entry_count as usize;
-        let entry = self.store.entry();
-        let mut s = Summaries::new(self.materialized, n);
-        let mut leaf_buf = Vec::new();
-        for leaf in &self.leaves {
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
-            for slot in 0..leaf.count as usize {
-                let e = self.store.entry_slice(&leaf_buf, slot);
-                let pos = entry.pos(e);
-                let i = pos
-                    .checked_sub(self.range.start)
-                    .filter(|&i| i < self.entry_count)
-                    .ok_or_else(|| {
-                        Error::corrupt("index does not cover a contiguous position range")
-                    })?;
-                if self.materialized {
-                    s.keys.push(entry.key(e));
-                    s.pos.push(pos);
-                } else {
-                    s.keys[i as usize] = entry.key(e);
+        // "if SAX sums are not in memory, load them" — read the leaf region
+        // back, each worker a contiguous share of the leaves, filling its
+        // own disjoint part of the arrays.
+        let (n, w) = (self.entry_count as usize, self.config.sax.segments);
+        let mut leaf_starts = vec![0];
+        leaf_starts.extend(self.leaves.iter().scan(0usize, |end, l| {
+            *end += l.count as usize;
+            Some(*end)
+        }));
+        if leaf_starts.last() != Some(&n) {
+            return Err(Error::corrupt("leaf directory and entry count disagree"));
+        }
+        let mut s = Summaries {
+            decoder: SymbolDecoder::new(&self.config.sax),
+            symbols: vec![0; n * w],
+            pos: vec![0; n],
+            leaf_starts,
+            boxes: vec![0; self.leaves.len() * 2 * w],
+        };
+        let mut out = LeafSlices {
+            symbols: &mut s.symbols,
+            pos: &mut s.pos,
+            boxes: &mut s.boxes,
+        };
+        let (decoder, store, range) = (&s.decoder, &self.store, &self.range);
+        let fill = |(leaves, mut out): (&[LeafMeta], LeafSlices<'_>)| -> Result<()> {
+            let entry = store.entry();
+            let (mut leaf_buf, mut keys) = (Vec::new(), Vec::new());
+            for leaf in leaves {
+                store.read_leaf(leaf, &mut leaf_buf)?;
+                let out = out.split_front(leaf.count as usize, 1, w);
+                keys.clear();
+                for (slot, pos) in out.pos.iter_mut().enumerate() {
+                    let e = store.entry_slice(&leaf_buf, slot);
+                    *pos = entry.pos(e);
+                    if !range.contains(pos) {
+                        return Err(Error::corrupt(
+                            "index does not cover a contiguous position range",
+                        ));
+                    }
+                    keys.push(entry.key(e));
                 }
+                summarize_leaf(decoder, &keys, out.symbols, out.boxes);
             }
-        }
-        if self.materialized {
-            s.leaf_starts = leaf_starts(&self.leaves);
-        }
+            Ok(())
+        };
+        let workers = if n < PARALLEL_MIN_KEYS {
+            1
+        } else {
+            self.threads
+        };
+        let shares = balanced_chunks(&self.leaves, workers, |l| l.count as usize)
+            .into_iter()
+            .map(|leaves| {
+                let entries = leaves.iter().map(|l| l.count as usize).sum();
+                (leaves, out.split_front(entries, leaves.len(), w))
+            });
+        scatter(shares, fill).into_iter().collect::<Result<()>>()?;
         let s = Arc::new(s);
         *write = Some(Arc::clone(&s));
         Ok(s)
@@ -611,7 +818,7 @@ impl<D: Directory> SortedLeafIndex<D> {
             if let Some(leaf) = self.dir.descend(key) {
                 let lo = leaf.saturating_sub(query.radius);
                 let hi = leaf.saturating_add(query.radius).min(self.leaves.len() - 1);
-                self.eval_leaves(lo..=hi, metric, &mut hits, &mut stats)?;
+                self.eval_leaves(lo..=hi, leaf, metric, &mut hits, &mut stats)?;
             }
         }
         if query.kind != Kind::Approx {
@@ -629,7 +836,7 @@ impl<D: Directory> SortedLeafIndex<D> {
                 sims_scan(
                     metric,
                     series_len,
-                    &summaries.keys,
+                    &summaries,
                     self.threads,
                     &mut fetcher,
                     &mut hits,
@@ -638,12 +845,11 @@ impl<D: Directory> SortedLeafIndex<D> {
             } else {
                 let mut fetcher = RawFileFetcher {
                     dataset: &self.dataset,
-                    start: self.range.start,
                 };
                 sims_scan(
                     metric,
                     series_len,
-                    &summaries.keys,
+                    &summaries,
                     self.threads,
                     &mut fetcher,
                     &mut hits,
@@ -691,37 +897,23 @@ impl<D: Directory> SortedLeafIndex<D> {
     }
 }
 
-/// First scan index of each leaf (prefix sums; one extra final entry).
-fn leaf_starts(leaves: &[LeafMeta]) -> Vec<u64> {
-    let mut starts = Vec::with_capacity(leaves.len() + 1);
-    let mut acc = 0u64;
-    for l in leaves {
-        starts.push(acc);
-        acc += l.count as u64;
-    }
-    starts.push(acc);
-    starts
-}
-
-/// SIMS fetcher for non-materialized indexes: scan index `i` is raw-file
-/// position `start + i`, so fetches walk the raw file forward
-/// (skip-sequential).
+/// SIMS fetcher for non-materialized indexes: candidates arrive in raw-file
+/// position order, so fetches walk the raw file forward (skip-sequential).
 struct RawFileFetcher<'a> {
     dataset: &'a Dataset,
-    start: u64,
 }
 
 impl SeriesFetcher for RawFileFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
-        let pos = self.start + i as u64;
-        self.dataset.read_into(pos, out)?;
-        Ok(pos)
+    const POSITION_ORDER: bool = true;
+
+    fn fetch(&mut self, _i: usize, pos: u64, out: &mut [Value]) -> Result<()> {
+        self.dataset.read_into(pos, out)
     }
 }
 
-/// SIMS fetcher for materialized indexes: scan order is leaf order, which is
-/// the physical order of the (bulk-loaded) index file; reads each needed
-/// leaf block once, forward.
+/// SIMS fetcher for materialized indexes: candidates arrive in scan (leaf)
+/// order, which is the physical order of the (bulk-loaded) index file;
+/// reads each needed leaf block once, forward.
 struct LeafOrderFetcher<'a> {
     store: &'a LeafStore,
     leaves: &'a [LeafMeta],
@@ -732,23 +924,24 @@ struct LeafOrderFetcher<'a> {
 }
 
 impl SeriesFetcher for LeafOrderFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
+    const POSITION_ORDER: bool = false;
+
+    fn fetch(&mut self, i: usize, _pos: u64, out: &mut [Value]) -> Result<()> {
         let starts = &self.summaries.leaf_starts;
-        let i64 = i as u64;
         // Advance to the leaf containing scan index i (indexes arrive in
         // increasing order).
-        if !self.loaded || i64 >= starts[self.cur_leaf + 1] {
-            while i64 >= starts[self.cur_leaf + 1] {
+        if !self.loaded || i >= starts[self.cur_leaf + 1] {
+            while i >= starts[self.cur_leaf + 1] {
                 self.cur_leaf += 1;
             }
             self.store
                 .read_leaf(&self.leaves[self.cur_leaf], &mut self.leaf_buf)?;
             self.loaded = true;
         }
-        let slot = (i64 - starts[self.cur_leaf]) as usize;
+        let slot = i - starts[self.cur_leaf];
         let e = self.store.entry_slice(&self.leaf_buf, slot);
         self.store.entry().series_into(e, out);
-        Ok(self.summaries.pos[i])
+        Ok(())
     }
 }
 

@@ -1891,7 +1891,9 @@ mod tests {
             let (ans, stats_q) = lsm.exact(&query(100 + round)).unwrap();
             let expect = brute_force(&all, &query(100 + round));
             assert_eq!(ans.pos, expect.pos, "round {round}");
-            assert!(stats_q.lower_bounds >= all.len() as u64, "round {round}");
+            // Every record of every run is accounted for: fetched or pruned.
+            let accounted = stats_q.pruned + stats_q.records_fetched;
+            assert!(accounted >= all.len() as u64, "round {round}");
         }
         lsm.wait_for_compactions().unwrap();
         assert!(
@@ -2054,7 +2056,7 @@ mod tests {
         for (got, want) in top.iter().zip(dists.iter()) {
             assert_eq!(got.pos, want.0);
         }
-        assert!(stats_q.lower_bounds >= all.len() as u64);
+        assert!(stats_q.pruned + stats_q.records_fetched >= all.len() as u64);
         // Range: every series within the 8th-nearest distance.
         let eps = dists[7].1;
         let (hits, _) = lsm.search(&q, &Query::range(eps)).unwrap();

@@ -2,119 +2,189 @@
 //!
 //! The paper's exact search keeps every record's sortable summarization in
 //! main memory ("the SAX summaries of 1 billion data series occupy merely
-//! 16 GB"), and answers a query in three steps:
+//! 16 GB"), seeds a best-so-far with an approximate search, lower-bounds
+//! the records with parallel threads, and fetches the raw series only where
+//! the bound beats the best-so-far, in storage order — a *skip-sequential*
+//! scan.
 //!
-//! 1. seed a best-so-far (`bsf`) with an approximate search;
-//! 2. compute a lower bound (MINDIST) for *every* record with multiple
-//!    parallel threads over the in-memory array;
-//! 3. walk the records in storage order, fetching the raw series only where
-//!    the lower bound beats the current `bsf` — a *skip-sequential* scan,
-//!    because the summary array is aligned with the on-disk order.
+//! [`sims_scan`] is that loop, and it uses what the sort bought: the
+//! summaries ([`Summaries`]) are kept leaf by leaf, and a leaf of the
+//! sorted order is a tight box in SAX space. The scan walks the leaves in
+//! batches of [`PARALLEL_MIN_KEYS`] keys, each batch under the cutoff the
+//! collector holds when it starts (the probe's, at first), in two phases:
 //!
-//! [`sims_scan`] is that loop, once, over three parameters: the scan order
-//! differs per index flavor (raw-file order for non-materialized indexes,
-//! leaf order for materialized ones), so the fetch is a [`SeriesFetcher`];
-//! the lower bound and true distance are a [`Distance`] ([`Ed`], [`Dtw`]);
-//! and what "beats the `bsf`" means is a [`Collector`] ([`TopK`] for 1-NN
-//! and k-NN, [`Within`] for range queries).
+//! * **A — bound.** Every leaf's box is lower-bounded first
+//!   ([`QueryDistTable::box_bound`]); a leaf whose box is already beyond the
+//!   cutoff is skipped whole, none of its keys touched. Inside the surviving
+//!   leaves the table-sum kernel bounds each entry and keeps only those at
+//!   or under the cutoff ([`QueryDistTable::bounds_under`]) — a short list
+//!   of `(scan index, bound)` candidates instead of a bound per record.
+//!   The phase is pure, so a full batch is split over scoped threads by
+//!   contiguous leaf ranges; a near query, whose probe already pruned
+//!   almost every leaf, never fills one and never spawns.
+//! * **B — fetch.** The candidates are walked sequentially in storage order
+//!   — raw-file position for pointer indexes, scan (leaf) order for
+//!   materialized ones — each re-checked against the cutoff as it tightens,
+//!   then fetched and measured. Candidates accumulate across batches and
+//!   are swept once, after the last batch, unless [`SWEEP_CANDIDATES`] of
+//!   them pile up first: then they are swept early, which tightens the
+//!   cutoff for the batches still to come and bounds the scan's working set
+//!   by a batch rather than by the index.
+//!
+//! The fetch is a [`SeriesFetcher`]; the lower bound and true distance are a
+//! [`Distance`] ([`Ed`], [`Dtw`] — both reduce their bound to one per-query
+//! [`QueryDistTable`], so one kernel serves both); and what "beats the
+//! best-so-far" means is a [`Collector`] ([`TopK`] for 1-NN and k-NN,
+//! [`Within`] for range queries).
 //!
 //! # Invariants
 //!
 //! * **One answer order.** Collectors rank by `(dist, pos)`
-//!   ([`crate::query::dist_pos`]) and the scan skips a record only when its
-//!   lower bound *exceeds* the collector's cutoff, so equal distances
-//!   resolve to the lower position whatever order the scan visits records
-//!   in — a materialized index returns exactly what a pointer index does.
-//! * **Monotone fetches.** The scan visits indexes in strictly increasing
-//!   order, and [`SeriesFetcher`] implementations rely on it: they are
-//!   forward-only cursors, which is what makes the scan *skip-sequential*
-//!   (every raw-file/leaf read moves forward, never seeks back).
-//! * **Kernel dispatch is process-wide and answer-invariant.** The MINDIST
-//!   batch kernel and the early-abandoning Euclidean distance go through
+//!   ([`crate::query::dist_pos`]) and the scan skips a record — or a leaf —
+//!   only when its lower bound *exceeds* the collector's cutoff, so equal
+//!   distances resolve to the lower position whatever order the scan visits
+//!   records in — a materialized index returns exactly what a pointer
+//!   index does.
+//! * **Monotone fetches.** A sweep visits its candidates in strictly
+//!   increasing storage order, which is what makes the scan
+//!   *skip-sequential* (every raw-file/leaf read moves forward, never seeks
+//!   back). Scan indexes also keep increasing from one sweep to the next, so
+//!   a materialized index's [`SeriesFetcher`] is a forward-only cursor over
+//!   the leaf file for the whole scan; a pointer index restarts its walk of
+//!   the raw file only when a badly seeded query needs a second sweep.
+//! * **Kernel dispatch is process-wide and answer-invariant.** The bound
+//!   kernels and the early-abandoning Euclidean distance go through
 //!   `coconut_series::simd`'s runtime dispatch (AVX2 where available, a
 //!   bit-identical scalar mirror otherwise). Setting the environment
 //!   variable `COCONUT_FORCE_SCALAR=1` before the first query pins the
 //!   scalar mirror; answers are bit-identical either way (enforced by
 //!   `tests/simd_parity.rs` and the per-kernel property suites).
-//! * **Threads share nothing but the bound array.** The parallel MINDIST
-//!   pass splits the key array into disjoint chunks, one per worker, each
-//!   with its own [`QueryDistTable`]-driven scratch. Note this is *query*
-//!   parallelism; the *build*-side rule that concurrent workers divide the
-//!   memory budget (K sorters get `budget / K` each) is documented on
-//!   [`coconut_storage::ExternalSorter::new`] and `crate::shard`.
-//! * **Split-policy independence.** SIMS scans the *full* sorted key
-//!   array and visits records in storage order — neither step consults
-//!   node boundaries — so answers are bit-identical no matter which
-//!   [`crate::split::SplitPolicy`] shaped the trie above the keys. Only
-//!   the approximate bsf-seeding descent touches nodes, and a different
-//!   seed can only change *work*, never the exact answer.
+//! * **Threads change neither answers nor counters.** Batches are cut by
+//!   key count and each works from the one cutoff it started under, so the
+//!   candidate lists — and with them every [`QueryStats`] field — are the
+//!   same for any thread count; the workers share only the read-only table
+//!   and summaries and return their candidates in leaf order. Note this is
+//!   *query* parallelism; the *build*-side rule that concurrent workers
+//!   divide the memory budget (K sorters get `budget / K` each) is
+//!   documented on [`coconut_storage::ExternalSorter::new`] and
+//!   `crate::shard`.
+//! * **Leaf boundaries prune work, never answers.** A leaf box contains
+//!   every key of its leaf, so its bound never exceeds theirs: skipping the
+//!   leaf drops only records the key pass would have dropped one by one.
+//!   Answers are therefore bit-identical no matter which
+//!   [`crate::split::SplitPolicy`] or packing cut the leaves; a different
+//!   cut (like a different probe seed) only changes how much is skipped.
 
 use coconut_series::distance::euclidean_sq_early_abandon;
 use coconut_series::dtw::{dtw_sq_early_abandon, lb_keogh_sq, Envelope};
 use coconut_series::index::{Answer, QueryStats};
 use coconut_series::Value;
 use coconut_storage::{Deadline, Result};
-use coconut_summary::mindist::{envelope_segment_bounds, mindist_env_zkey, QueryDistTable};
+use coconut_summary::mindist::{envelope_segment_bounds, QueryDistTable};
 use coconut_summary::paa::paa;
 use coconut_summary::{SaxConfig, ZKey};
 
+use crate::leaves::Summaries;
 use crate::query::dist_pos;
 
-/// How many scan iterations pass between two [`Deadline`] checks. The scan
-/// body is tens-to-hundreds of nanoseconds per record, so checking the
-/// clock every 64 records bounds overrun to microseconds while keeping the
-/// check itself off the per-record path.
+/// How many phase-B candidates pass between two [`Deadline`] checks (phase
+/// A checks once per batch). A candidate costs a raw fetch, so
+/// checking the clock every 64 bounds overrun to well under a millisecond
+/// while keeping the check itself off the per-record path.
 const DEADLINE_STRIDE: usize = 64;
 
-/// Fetches the raw series for scan index `i` (in the summary array's order).
+/// Fetches the raw series of a scan candidate.
 ///
-/// Implementations are stateful cursors: SIMS guarantees indexes arrive in
-/// increasing order, so fetchers can stream forward (skip-sequentially).
+/// Implementations are stateful cursors: SIMS guarantees candidates arrive
+/// in increasing storage order, so fetchers can stream forward
+/// (skip-sequentially).
 pub trait SeriesFetcher {
-    /// Fill `out` with the series at scan index `i`; return its raw-file
-    /// position.
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64>;
+    /// Which order is storage order: raw-file position (`true`, pointer
+    /// indexes) or scan index, i.e. leaf order (`false`, materialized
+    /// indexes).
+    const POSITION_ORDER: bool;
+
+    /// Fill `out` with the series at scan index `i`, raw-file position
+    /// `pos`.
+    fn fetch(&mut self, i: usize, pos: u64, out: &mut [Value]) -> Result<()>;
 }
 
-/// Below this many keys the scan runs single-threaded: one mindist costs
-/// ~100 ns, so spawning scoped OS threads only pays for itself once the
-/// scan itself reaches tens of milliseconds (measured in `bench_query`'s
+/// Below this many keys a bound pass runs single-threaded: one bound costs
+/// nanoseconds, so spawning scoped OS threads only pays for itself once the
+/// pass itself reaches milliseconds (measured in `bench_query`'s
 /// `sims_threads` group — at 20k keys extra threads *lose* ~35%).
 pub const PARALLEL_MIN_KEYS: usize = 1 << 17;
 
-/// Fill `out[i]` from `keys[i]` with `bound_chunk`, splitting the arrays
-/// into one disjoint chunk per worker once there are `min_parallel_keys`.
-fn parallel_fill(
-    keys: &[ZKey],
-    threads: usize,
-    min_parallel_keys: usize,
-    bound_chunk: impl Fn(&[ZKey], &mut [f64]) + Sync,
-) -> Vec<f64> {
-    let n = keys.len();
-    let mut out = vec![0.0f64; n];
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n < min_parallel_keys {
-        bound_chunk(keys, &mut out);
-        return out;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (keys_chunk, out_chunk) in keys.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let bound_chunk = &bound_chunk;
-            s.spawn(move || bound_chunk(keys_chunk, out_chunk));
+/// Once this many candidates have survived phase A, phase B sweeps them
+/// before the next batch is bounded: the fetches tighten the cutoff, so the
+/// remaining batches keep fewer, and a query the probe seeded badly (a
+/// quarter of the keys can survive a loose k-NN cutoff) holds a batch of
+/// candidates at a time instead of all of them. Most queries stay under it
+/// and fetch in one sweep.
+pub const SWEEP_CANDIDATES: usize = 1 << 14;
+
+/// Cut `items` into at most `parts` contiguous chunks of near-equal total
+/// `weight`, in order.
+pub(crate) fn balanced_chunks<T>(
+    items: &[T],
+    parts: usize,
+    weight: impl Fn(&T) -> usize,
+) -> Vec<&[T]> {
+    let total: usize = items.iter().map(&weight).sum();
+    let share = total.div_ceil(parts.max(1)).max(1);
+    let mut chunks = Vec::new();
+    let (mut start, mut acc) = (0, 0);
+    for (i, item) in items.iter().enumerate() {
+        acc += weight(item);
+        if acc >= share {
+            chunks.push(&items[start..=i]);
+            (start, acc) = (i + 1, 0);
         }
-    });
-    out
+    }
+    if start < items.len() {
+        chunks.push(&items[start..]);
+    }
+    chunks
+}
+
+/// Run `work` on every share — the first on this thread, the others on
+/// scoped threads of their own — and return the results in share order.
+pub(crate) fn scatter<S: Send, T: Send>(
+    shares: impl IntoIterator<Item = S>,
+    work: impl Fn(S) -> T + Sync,
+) -> Vec<T> {
+    let mut shares = shares.into_iter();
+    let Some(mine) = shares.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> = shares
+            .map(|share| scope.spawn(move || work(share)))
+            .collect();
+        let mut results = vec![work(mine)];
+        for worker in spawned {
+            match worker.join() {
+                Ok(result) => results.push(result),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        results
+    })
 }
 
 /// Compute the MINDIST lower bound of every key against `query_paa`, using
-/// `threads` worker threads (step 2 of Algorithm 5).
+/// `threads` worker threads.
 ///
-/// The scan is batched: the query's squared distance to every SAX region is
+/// The pass is batched: the query's squared distance to every SAX region is
 /// tabulated once ([`QueryDistTable`]), then keys are block-decoded into
 /// struct-of-arrays scratch and bounded [`coconut_summary::mindist::MINDIST_BATCH`]
 /// at a time by the runtime-dispatched vector kernel (AVX2 gathers + BMI2
 /// decode where available, a bit-identical scalar mirror otherwise).
+///
+/// [`sims_scan`] no longer bounds raw keys — it works from the decoded,
+/// leaf-ordered [`Summaries`] — so this is a library function for callers
+/// that hold a bare key array.
 pub fn parallel_mindists(
     query_paa: &[f64],
     keys: &[ZKey],
@@ -134,9 +204,21 @@ pub fn parallel_mindists_with_threshold(
     min_parallel_keys: usize,
 ) -> Vec<f64> {
     let table = QueryDistTable::new(query_paa, config);
-    parallel_fill(keys, threads, min_parallel_keys, |k, o| {
-        table.mindist_batch_into(k, o)
-    })
+    let n = keys.len();
+    let mut out = vec![0.0f64; n];
+    let threads = threads.clamp(1, n.max(1));
+    if threads <= 1 || n < min_parallel_keys {
+        table.mindist_batch_into(keys, &mut out);
+        return out;
+    }
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|s| {
+        for (keys_chunk, out_chunk) in keys.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            let table = &table;
+            s.spawn(move || table.mindist_batch_into(keys_chunk, out_chunk));
+        }
+    });
+    out
 }
 
 /// The squared early-abandon cutoff for a distance-space `cutoff`. Squaring
@@ -147,11 +229,12 @@ fn padded_sq(cutoff: f64) -> f64 {
     (cutoff * cutoff) * (1.0 + 8.0 * f64::EPSILON)
 }
 
-/// The distance a scan ranks by: an index-level lower bound per key and the
-/// true distance per fetched series.
+/// The distance a scan ranks by: an index-level lower bound, tabulated per
+/// query, and the true distance per fetched series.
 pub trait Distance: Sync {
-    /// Lower-bound each of `keys` into `out` (same length).
-    fn lower_bounds(&self, keys: &[ZKey], out: &mut [f64]);
+    /// The query's squared distance to every SAX region: what lower-bounds
+    /// a key, a decoded symbol block, or a leaf box.
+    fn table(&self) -> &QueryDistTable;
 
     /// The distance to `candidate`, or `None` once it provably exceeds
     /// `cutoff` (a returned distance may still exceed it by rounding).
@@ -175,8 +258,8 @@ impl<'a> Ed<'a> {
 }
 
 impl Distance for Ed<'_> {
-    fn lower_bounds(&self, keys: &[ZKey], out: &mut [f64]) {
-        self.table.mindist_batch_into(keys, out);
+    fn table(&self) -> &QueryDistTable {
+        &self.table
     }
 
     fn eval(&self, candidate: &[Value], cutoff: f64) -> Option<f64> {
@@ -191,14 +274,13 @@ pub struct Dtw<'a> {
     query: &'a [Value],
     band: usize,
     envelope: Envelope,
-    env_lo: Vec<f64>,
-    env_hi: Vec<f64>,
-    config: SaxConfig,
+    table: QueryDistTable,
 }
 
 impl<'a> Dtw<'a> {
     /// Build the warping envelope of `query` for a Sakoe–Chiba band of
-    /// radius `band` and its per-segment bounds under `config`.
+    /// radius `band` and tabulate its per-segment intervals against every
+    /// SAX region of `config`.
     pub fn new(query: &'a [Value], band: usize, config: &SaxConfig) -> Self {
         let envelope = Envelope::new(query, band);
         let (env_lo, env_hi) =
@@ -206,19 +288,15 @@ impl<'a> Dtw<'a> {
         Dtw {
             query,
             band,
+            table: QueryDistTable::for_envelope(&env_lo, &env_hi, config),
             envelope,
-            env_lo,
-            env_hi,
-            config: *config,
         }
     }
 }
 
 impl Distance for Dtw<'_> {
-    fn lower_bounds(&self, keys: &[ZKey], out: &mut [f64]) {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = mindist_env_zkey(&self.env_lo, &self.env_hi, k, &self.config);
-        }
+    fn table(&self) -> &QueryDistTable {
+        &self.table
     }
 
     fn eval(&self, candidate: &[Value], cutoff: f64) -> Option<f64> {
@@ -334,46 +412,152 @@ impl Collector for Within {
     }
 }
 
-/// The SIMS scan (Algorithm 5, steps 2–3): lower-bound every key with
-/// `threads` workers, then walk the records in storage order, fetching and
-/// measuring only those whose bound can still enter `hits`. `keys[i]` must
-/// be the summarization of the record the fetcher returns for scan index
-/// `i`; `hits` arrives holding the approximate-search seeds. `deadline` is
-/// checked before the bounds pass and every 64 records after; an
-/// expired deadline aborts with [`coconut_storage::Error::Deadline`].
+/// `(scan index, bound)` of the entries that survived phase A.
+type Candidates = Vec<(usize, f64)>;
+
+/// Phase A over one batch of `leaves`: append the `(scan index, bound)` of
+/// every entry whose bound does not exceed `cutoff` to `candidates`, in
+/// scan order, splitting the batch over `workers` scoped threads by
+/// contiguous leaf ranges (one worker runs inline, spawning nothing).
+/// Each worker fills one of `parts`, the scan's reusable buffers: they are
+/// allocated here, by the thread that keeps them, so they grow in its
+/// allocator arena batch after batch instead of leaving a high-water mark
+/// in the arena of every short-lived worker.
+fn bound_batch(
+    table: &QueryDistTable,
+    summaries: &Summaries,
+    leaves: &[usize],
+    cutoff: f64,
+    workers: usize,
+    parts: &mut Vec<Candidates>,
+    candidates: &mut Candidates,
+) {
+    let shares = balanced_chunks(leaves, workers, |&l| summaries.leaf_len(l));
+    if parts.len() < shares.len() {
+        parts.resize_with(shares.len(), || Vec::with_capacity(256));
+    }
+    scatter(
+        shares.into_iter().zip(parts.iter_mut()),
+        |(leaves, part)| {
+            for &l in leaves {
+                let leaf = summaries.leaf(l);
+                table.bounds_under(leaf.symbols, cutoff, leaf.start, part);
+            }
+        },
+    );
+    for part in parts {
+        candidates.append(part);
+    }
+}
+
+/// The SIMS scan (Algorithm 5), seeded by the probe's hits in `hits`: walk
+/// the leaves in batches of [`PARALLEL_MIN_KEYS`] keys (phase A: leaf
+/// boxes, then the keys of the surviving leaves, with `threads` workers)
+/// and fetch the surviving candidates in storage order (phase B) — see the
+/// module docs. One sweep of phase B serves the whole scan unless more
+/// than [`SWEEP_CANDIDATES`] pile up first, so the working set is bounded
+/// by a batch, not by the index. `deadline` is checked per batch and every
+/// 64 candidates; an expired deadline aborts with
+/// [`coconut_storage::Error::Deadline`].
+///
+/// The returned [`QueryStats`] count the `lower_bounds` computed (one per
+/// leaf box, one per key of a surviving leaf), `records_fetched`, and
+/// `pruned` records skipped unfetched — every entry of a skipped leaf
+/// included, so `pruned + records_fetched == summaries.len()`.
 pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
     series_len: usize,
-    keys: &[ZKey],
+    summaries: &Summaries,
     threads: usize,
     fetcher: &mut F,
     hits: &mut C,
     deadline: Deadline,
 ) -> Result<QueryStats> {
-    let mut stats = QueryStats::default();
-    deadline.check()?;
-    let bounds = parallel_fill(keys, threads, PARALLEL_MIN_KEYS, |k, o| {
-        dist.lower_bounds(k, o)
-    });
-    stats.lower_bounds += keys.len() as u64;
+    let limits = (PARALLEL_MIN_KEYS, SWEEP_CANDIDATES);
+    scan_batched(
+        dist, series_len, summaries, threads, fetcher, hits, deadline, limits,
+    )
+}
 
+/// [`sims_scan`] with explicit `(keys per batch, candidates per sweep)`
+/// (so tests can reach the multi-batch, multi-sweep and threaded paths on
+/// a few thousand keys).
+#[allow(clippy::too_many_arguments)]
+fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
+    dist: &D,
+    series_len: usize,
+    summaries: &Summaries,
+    threads: usize,
+    fetcher: &mut F,
+    hits: &mut C,
+    deadline: Deadline,
+    (batch_keys, sweep_candidates): (usize, usize),
+) -> Result<QueryStats> {
+    let mut stats = QueryStats::default();
+    let table = dist.table();
     let mut buf = vec![0.0 as Value; series_len];
-    let mut cutoff = hits.cutoff();
-    for (i, &bound) in bounds.iter().enumerate() {
-        if i.is_multiple_of(DEADLINE_STRIDE) {
-            deadline.check()?;
+    let (mut candidates, mut parts) = (Candidates::new(), Vec::new());
+    let mut batch: Vec<usize> = Vec::new();
+    let leaves = summaries.leaf_count();
+    let mut next = 0;
+    while next < leaves {
+        // Phase A: the next leaves whose box survives, a batch of keys.
+        deadline.check()?;
+        let mut cutoff = hits.cutoff();
+        let mut keys = 0;
+        batch.clear();
+        while next < leaves && keys < batch_keys {
+            let leaf = summaries.leaf(next);
+            if table.box_bound(leaf.lo, leaf.hi) <= cutoff {
+                batch.push(next);
+                keys += summaries.leaf_len(next);
+            } else {
+                stats.pruned += summaries.leaf_len(next) as u64;
+            }
+            next += 1;
         }
-        if bound > cutoff {
-            stats.pruned += 1;
+        // A full batch is worth splitting; a short one (the whole scan of
+        // a near query, the tail of any other) runs inline.
+        let workers = if keys < batch_keys { 1 } else { threads };
+        let before = candidates.len();
+        bound_batch(
+            table,
+            summaries,
+            &batch,
+            cutoff,
+            workers,
+            &mut parts,
+            &mut candidates,
+        );
+        stats.lower_bounds += keys as u64;
+        stats.pruned += (keys - (candidates.len() - before)) as u64;
+        if candidates.len() < sweep_candidates && next < leaves {
             continue;
         }
-        let pos = fetcher.fetch(i, &mut buf)?;
-        stats.records_fetched += 1;
-        if let Some(d) = dist.eval(&buf, cutoff) {
-            hits.offer(Answer { pos, dist: d });
-            cutoff = hits.cutoff();
+
+        // Phase B: fetch in storage order under the tightening cutoff.
+        if F::POSITION_ORDER {
+            candidates.sort_unstable_by_key(|&(i, _)| summaries.pos(i));
         }
+        for (n, &(i, bound)) in candidates.iter().enumerate() {
+            if n.is_multiple_of(DEADLINE_STRIDE) {
+                deadline.check()?;
+            }
+            if bound > cutoff {
+                stats.pruned += 1;
+                continue;
+            }
+            let pos = summaries.pos(i);
+            fetcher.fetch(i, pos, &mut buf)?;
+            stats.records_fetched += 1;
+            if let Some(d) = dist.eval(&buf, cutoff) {
+                hits.offer(Answer { pos, dist: d });
+                cutoff = hits.cutoff();
+            }
+        }
+        candidates.clear();
     }
+    stats.lower_bounds += leaves as u64;
     Ok(stats)
 }
 
@@ -390,10 +574,23 @@ mod tests {
     }
 
     impl SeriesFetcher for VecFetcher<'_> {
-        fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
-            out.copy_from_slice(&self.data[i]);
-            Ok(i as u64)
+        const POSITION_ORDER: bool = true;
+
+        fn fetch(&mut self, _i: usize, pos: u64, out: &mut [Value]) -> Result<()> {
+            out.copy_from_slice(&self.data[pos as usize]);
+            Ok(())
         }
+    }
+
+    /// Entries per leaf of the test summaries: not a multiple of the
+    /// kernel's 8-lane block, so every leaf has a scalar tail.
+    const LEAF: usize = 37;
+
+    /// The summaries an index over `keys` (key `i` at position `i`) holds.
+    fn summarize(keys: &[ZKey], config: &SaxConfig) -> Summaries {
+        let mut entries: Vec<(ZKey, u64)> = keys.iter().copied().zip(0..).collect();
+        entries.sort_unstable();
+        Summaries::from_sorted(config, &entries, std::iter::repeat(LEAF))
     }
 
     fn setup(n: usize, len: usize) -> (Vec<Vec<Value>>, Vec<ZKey>, SaxConfig) {
@@ -430,7 +627,7 @@ mod tests {
         let stats = sims_scan(
             &Ed::new(q, config),
             q.len(),
-            keys,
+            &summarize(keys, config),
             threads,
             &mut VecFetcher { data },
             &mut hits,
@@ -460,7 +657,9 @@ mod tests {
             let top = TopK::new(1, f64::INFINITY);
             let (ans, stats) = scan(&q, &data, &keys, &config, 2, top, Deadline::NONE).unwrap();
             assert_eq!(ans, brute_force(&q, &data)[..1]);
-            assert_eq!(stats.lower_bounds, 500);
+            // One bound per leaf box, one per key of a surviving leaf.
+            let leaves = 500u64.div_ceil(LEAF as u64);
+            assert!((leaves..=500 + leaves).contains(&stats.lower_bounds));
             assert_eq!(stats.pruned + stats.records_fetched, 500);
         }
     }
@@ -494,6 +693,90 @@ mod tests {
         // Force the threaded path despite the small key count.
         let parallel = parallel_mindists_with_threshold(&qp, &keys, &config, 4, 1);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn batches_sweeps_and_threads_change_neither_answers_nor_stats() {
+        let (data, keys, config) = setup(3000, 64);
+        let sums = summarize(&keys, &config);
+        for seed in 0..6 {
+            let q = query(40 + seed, 64);
+            let ed = Ed::new(&q, &config);
+            let oracle = brute_force(&q, &data);
+            // Unseeded 7-NN: the first batches keep (and sweep) the most.
+            let run = |threads: usize, limits: (usize, usize)| {
+                let mut hits = TopK::new(7, f64::INFINITY);
+                let mut fetcher = VecFetcher { data: &data };
+                let stats = scan_batched(
+                    &ed,
+                    64,
+                    &sums,
+                    threads,
+                    &mut fetcher,
+                    &mut hits,
+                    Deadline::NONE,
+                    limits,
+                )
+                .unwrap();
+                assert_eq!(
+                    hits.into_answers(),
+                    oracle[..7],
+                    "{threads} threads {limits:?}"
+                );
+                assert_eq!(stats.pruned + stats.records_fetched, 3000);
+                stats
+            };
+            // 200-key batches (threaded: each reaches the batch size) and a
+            // sweep every 50 candidates; then one batch, one sweep.
+            for limits in [(200, 50), (usize::MAX, usize::MAX)] {
+                let one = run(1, limits);
+                assert_eq!(run(2, limits), one);
+                assert_eq!(run(4, limits), one);
+            }
+            // Sweeping early tightens the cutoff for the later batches.
+            assert!(
+                run(1, (200, 50)).lower_bounds <= run(1, (usize::MAX, usize::MAX)).lower_bounds
+            );
+        }
+    }
+
+    #[test]
+    fn bound_batch_is_the_same_on_any_worker_count() {
+        let (_, keys, config) = setup(3000, 64);
+        let sums = summarize(&keys, &config);
+        let q = query(4, 64);
+        let ed = Ed::new(&q, &config);
+        let leaves: Vec<usize> = (0..sums.leaf_count()).filter(|l| l % 5 != 2).collect();
+        // A cutoff about a third of the keys pass.
+        let mut all = parallel_mindists(&paa(&q, config.segments), &keys, &config, 1);
+        all.sort_by(f64::total_cmp);
+        let cutoff = all[1000];
+        let mut inline = Vec::new();
+        let mut parts = Vec::new();
+        bound_batch(
+            ed.table(),
+            &sums,
+            &leaves,
+            cutoff,
+            1,
+            &mut parts,
+            &mut inline,
+        );
+        assert!(!inline.is_empty() && inline.windows(2).all(|w| w[0].0 < w[1].0));
+        for workers in [2, 4, 200] {
+            let mut split = Vec::new();
+            bound_batch(
+                ed.table(),
+                &sums,
+                &leaves,
+                cutoff,
+                workers,
+                &mut parts,
+                &mut split,
+            );
+            assert_eq!(split, inline, "{workers} workers");
+        }
+        assert!(balanced_chunks(&leaves, 4, |&l| sums.leaf_len(l)).len() == 4);
     }
 
     #[test]
@@ -539,24 +822,32 @@ mod tests {
         const ORDER: [u64; 4] = [7, 2, 9, 4];
         struct Shuffled<'a>(&'a [Value]);
         impl SeriesFetcher for Shuffled<'_> {
-            fn fetch(&mut self, i: usize, out: &mut [Value]) -> Result<u64> {
+            const POSITION_ORDER: bool = false;
+
+            fn fetch(&mut self, _i: usize, _pos: u64, out: &mut [Value]) -> Result<()> {
                 out.copy_from_slice(self.0);
-                Ok(ORDER[i])
+                Ok(())
             }
         }
-        fn collect<C: Collector>(ed: &Ed<'_>, keys: &[ZKey], s: &[Value], mut hits: C) -> Vec<u64> {
-            sims_scan(ed, 64, keys, 1, &mut Shuffled(s), &mut hits, Deadline::NONE).unwrap();
+        fn collect<C: Collector>(
+            ed: &Ed<'_>,
+            sums: &Summaries,
+            s: &[Value],
+            mut hits: C,
+        ) -> Vec<u64> {
+            sims_scan(ed, 64, sums, 1, &mut Shuffled(s), &mut hits, Deadline::NONE).unwrap();
             hits.into_answers().iter().map(|a| a.pos).collect()
         }
         let config = SaxConfig::default_for_len(64);
         let s = query(1, 64);
-        let keys = [Summarizer::new(config).zkey(&s); 4];
+        let key = Summarizer::new(config).zkey(&s);
+        let sums = Summaries::from_sorted(&config, &ORDER.map(|pos| (key, pos)), [3]);
         let q = query(2, 64);
         let ed = Ed::new(&q, &config);
-        let top2 = collect(&ed, &keys, &s, TopK::new(2, f64::INFINITY));
+        let top2 = collect(&ed, &sums, &s, TopK::new(2, f64::INFINITY));
         assert_eq!(top2, [2, 4]);
         let within = Within::new(euclidean(&q, &s), f64::INFINITY);
-        assert_eq!(collect(&ed, &keys, &s, within), [2, 4, 7, 9]);
+        assert_eq!(collect(&ed, &sums, &s, within), [2, 4, 7, 9]);
     }
 
     #[test]

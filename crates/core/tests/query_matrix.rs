@@ -12,11 +12,18 @@
 //! * `bound` is strict, `f64::INFINITY` is no bound, and a bound at the
 //!   true nearest distance returns nothing;
 //! * an expired [`Deadline`] fails with a typed deadline error.
+//!
+//! Beside the matrix: answers *and* work counters do not depend on the
+//! thread count; a bound below every leaf box prunes the whole index
+//! untouched; one-leaf and empty indexes answer; inserts invalidate the
+//! summaries and the next exact search reloads them; and the probe returns
+//! the true best of its seed leaves while fetching only part of them.
 
 use std::sync::Arc;
 
 use coconut_core::backend::partition;
 use coconut_core::query::dist_pos;
+use coconut_core::records::KeyPos;
 use coconut_core::{
     BuildOptions, CoconutTree, CoconutTrie, IndexConfig, Kind, LocalShard, LsmCoconut, Metric,
     Query, ShardSet, SplitPolicyKind,
@@ -25,9 +32,10 @@ use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::dtw::dtw;
 use coconut_series::gen::{Generator, RandomWalkGen};
-use coconut_series::index::Answer;
+use coconut_series::index::{Answer, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{Deadline, IoStats, Result, TempDir};
+use coconut_storage::{Deadline, IoStats, RecordStream, Result, TempDir};
+use coconut_summary::sax::Summarizer;
 
 const LEN: usize = 64;
 const N: u64 = 240;
@@ -120,12 +128,15 @@ fn bits(answers: &[Answer]) -> Vec<(u64, u64)> {
 
 type Search = Box<dyn Fn(&[Value], &Query) -> Result<Vec<Answer>>>;
 
-/// The seven layers under test, by name.
-fn cells(dir: &TempDir, ds: &Dataset) -> Vec<(&'static str, Search)> {
-    let opts = |materialized| BuildOptions {
+fn opts(materialized: bool) -> BuildOptions {
+    BuildOptions {
         materialized,
         ..BuildOptions::default()
-    };
+    }
+}
+
+/// The seven layers under test, by name.
+fn cells(dir: &TempDir, ds: &Dataset) -> Vec<(&'static str, Search)> {
     let adaptive = config().with_split_policy(SplitPolicyKind::Adaptive);
     let mut cells: Vec<(&'static str, Search)> = Vec::new();
     for (name, materialized) in [("ctree ptr", false), ("ctree full", true)] {
@@ -176,18 +187,23 @@ fn cells(dir: &TempDir, ds: &Dataset) -> Vec<(&'static str, Search)> {
     cells
 }
 
+/// `all` as a dataset file in `dir`.
+fn dataset(dir: &TempDir, all: &[Vec<Value>]) -> Dataset {
+    let stats = Arc::new(IoStats::new());
+    let path = dir.path().join("data.bin");
+    let mut w = DatasetWriter::create(&path, LEN, true, Arc::clone(&stats)).unwrap();
+    for s in all {
+        w.append(s).unwrap();
+    }
+    w.finish().unwrap();
+    Dataset::open(&path, stats).unwrap()
+}
+
 #[test]
 fn every_layer_answers_every_query_like_brute_force() {
     let dir = TempDir::new("query-matrix").unwrap();
     let all = series();
-    let stats = Arc::new(IoStats::new());
-    let path = dir.path().join("data.bin");
-    let mut w = DatasetWriter::create(&path, LEN, true, Arc::clone(&stats)).unwrap();
-    for s in &all {
-        w.append(s).unwrap();
-    }
-    w.finish().unwrap();
-    let ds = Dataset::open(&path, stats).unwrap();
+    let ds = dataset(&dir, &all);
     // The dataset ties where it claims to.
     let mirrored = brute_force(&all, &mirror_query(), Metric::Ed);
     assert_eq!((mirrored[0].pos, mirrored[1].pos), (30, 150));
@@ -263,6 +279,213 @@ fn every_layer_answers_every_query_like_brute_force() {
                     "{}",
                     at("approx")
                 );
+            }
+        }
+    }
+}
+
+/// Every bounded kind under both metrics.
+fn exact_queries() -> Vec<Query> {
+    let mut queries = Vec::new();
+    for metric in [Metric::Ed, Metric::Dtw(BAND)] {
+        for kind in [Kind::Nearest, Kind::Knn(5), Kind::Knn(25), Kind::Range(6.0)] {
+            queries.push(Query {
+                metric,
+                ..Query::new(kind)
+            });
+        }
+    }
+    queries
+}
+
+#[test]
+fn answers_and_stats_do_not_depend_on_threads() {
+    let dir = TempDir::new("query-matrix").unwrap();
+    let ds = dataset(&dir, &series());
+    for materialized in [false, true] {
+        let build = |threads| {
+            let opts = BuildOptions {
+                threads,
+                ..opts(materialized)
+            };
+            CoconutTree::build(&ds, &config(), dir.path(), opts).unwrap()
+        };
+        // (The matrix above checks the default thread count against brute
+        // force; equality with it carries that over.)
+        let (one, two, four) = (build(1), build(2), build(4));
+        for q in queries() {
+            for query in exact_queries() {
+                let want = one.search(&q, &query).unwrap();
+                assert_eq!(two.search(&q, &query).unwrap(), want, "{query:?}");
+                assert_eq!(four.search(&q, &query).unwrap(), want, "{query:?}");
+                // The counters account for every record, and bounds are only
+                // computed per leaf box and per key of a surviving leaf.
+                let stats = want.1;
+                assert!(stats.pruned + stats.records_fetched >= N, "{query:?}");
+                assert!(stats.lower_bounds <= N + one.leaf_count(), "{query:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_bound_below_every_leaf_box_prunes_the_index_untouched() {
+    let dir = TempDir::new("query-matrix").unwrap();
+    let ds = dataset(&dir, &series());
+    for materialized in [false, true] {
+        let tree = CoconutTree::build(&ds, &config(), dir.path(), opts(materialized)).unwrap();
+        for q in queries() {
+            for query in exact_queries() {
+                // Nothing is strictly below distance zero: no box is.
+                let query = Query {
+                    bound: 0.0,
+                    ..query
+                };
+                let (answers, stats) = tree.search(&q, &query).unwrap();
+                assert!(answers.is_empty(), "{query:?}");
+                assert_eq!(stats.records_fetched, 0, "{query:?}");
+                assert_eq!(stats.lower_bounds, tree.leaf_count(), "{query:?}");
+                assert!(stats.pruned >= N, "{query:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_leaf_and_empty_indexes_answer() {
+    let dir = TempDir::new("query-matrix").unwrap();
+    let all = series();
+    let ds = dataset(&dir, &all);
+    for materialized in [false, true] {
+        for entries in [0u64, 1, 11] {
+            let range = 0..entries;
+            let tree =
+                CoconutTree::build_range(&ds, range, &config(), dir.path(), opts(materialized))
+                    .unwrap();
+            assert_eq!(tree.leaf_count(), entries.min(1));
+            // (An empty index file does not reopen — its directory lands
+            // under the header — so only the built handle is checked there.)
+            let reopened = (entries > 0)
+                .then(|| CoconutTree::open_range(tree.index_path(), &ds, 2, 0..entries).unwrap());
+            for q in queries() {
+                for query in exact_queries() {
+                    let oracle = brute_force(&all[..entries as usize], &q, query.metric);
+                    let want = bits(&expected(&oracle, &query));
+                    let at = format!("{entries} entries, {query:?}");
+                    assert_eq!(bits(&tree.search(&q, &query).unwrap().0), want, "{at}");
+                    if let Some(reopened) = &reopened {
+                        assert_eq!(bits(&reopened.search(&q, &query).unwrap().0), want, "{at}");
+                    }
+                }
+                let (approx, _) = tree.search(&q, &Query::approx()).unwrap();
+                let best = brute_force(&all[..entries as usize], &q, Metric::Ed);
+                assert_eq!(bits(&approx), bits(&best[..entries.min(1) as usize]));
+            }
+        }
+    }
+}
+
+#[test]
+fn inserts_invalidate_the_summaries_and_the_next_search_reloads_them() {
+    let dir = TempDir::new("query-matrix").unwrap();
+    let all = series();
+    let ds = dataset(&dir, &all);
+    for materialized in [false, true] {
+        let mut tree =
+            CoconutTree::build_range(&ds, 0..100, &config(), dir.path(), opts(materialized))
+                .unwrap();
+        let check = |tree: &CoconutTree, covered: usize| {
+            for q in queries() {
+                for query in exact_queries() {
+                    let oracle = brute_force(&all[..covered], &q, query.metric);
+                    let got = tree.search(&q, &query).unwrap().0;
+                    let at = format!("full={materialized}, {covered} covered, {query:?}");
+                    assert_eq!(bits(&got), bits(&expected(&oracle, &query)), "{at}");
+                }
+            }
+        };
+        // Warm summaries, then grow the tree under them: one at a time
+        // (splitting leaves), then a batch, searching after each step.
+        check(&tree, 100);
+        for pos in 100..140 {
+            tree.insert(pos, &all[pos as usize]).unwrap();
+        }
+        check(&tree, 140);
+        tree.insert_batch(140, &all[140..]).unwrap();
+        check(&tree, N as usize);
+    }
+}
+
+/// The leaves of `tree` as `(first key, positions)`, in leaf order.
+fn leaves_of(tree: &CoconutTree) -> Vec<(coconut_summary::ZKey, Vec<u64>)> {
+    let mut entries = tree.leaf_entries::<KeyPos>();
+    tree.leaf_entry_counts()
+        .into_iter()
+        .map(|count| {
+            let leaf: Vec<KeyPos> = (0..count)
+                .map(|_| entries.next_item().unwrap().unwrap())
+                .collect();
+            (leaf[0].key, leaf.iter().map(|e| e.pos).collect())
+        })
+        .collect()
+}
+
+#[test]
+fn the_probe_returns_the_true_best_of_its_seed_leaves_for_a_share_of_their_fetches() {
+    let dir = TempDir::new("query-matrix").unwrap();
+    let all = series();
+    let ds = dataset(&dir, &all);
+    // A member with a little noise: its own entry bounds almost everything
+    // else in the seed leaves away.
+    let mut near = all[100].clone();
+    near[5] += 0.03;
+    near[41] -= 0.02;
+    let mut probes = queries();
+    probes.push(near);
+    for materialized in [false, true] {
+        let tree = CoconutTree::build(&ds, &config(), dir.path(), opts(materialized)).unwrap();
+        let leaves = leaves_of(&tree);
+        for (qi, q) in probes.iter().enumerate() {
+            let key = Summarizer::new(config().sax).zkey(q);
+            let target = leaves
+                .partition_point(|(first, _)| *first <= key)
+                .saturating_sub(1);
+            for metric in [Metric::Ed, Metric::Dtw(BAND)] {
+                for radius in [0usize, 1, 3] {
+                    let lo = target.saturating_sub(radius);
+                    let hi = (target + radius).min(leaves.len() - 1);
+                    let seeds: Vec<u64> = leaves[lo..=hi]
+                        .iter()
+                        .flat_map(|(_, positions)| positions.iter().copied())
+                        .collect();
+                    let best = brute_force(&all, q, metric)
+                        .into_iter()
+                        .find(|a| seeds.contains(&a.pos))
+                        .unwrap();
+                    let query = Query {
+                        metric,
+                        radius,
+                        ..Query::approx()
+                    };
+                    let (got, stats) = tree.search(q, &query).unwrap();
+                    let at = format!("full={materialized} query {qi} {metric:?} radius {radius}");
+                    assert_eq!(bits(&got), bits(&[best]), "{at}");
+                    assert_eq!(stats.leaves_visited, (hi - lo + 1) as u64, "{at}");
+                    assert_eq!(stats.lower_bounds, 0, "{at}: the probe loads no summaries");
+                    assert_eq!(
+                        stats.pruned + stats.records_fetched,
+                        seeds.len() as u64,
+                        "{at}"
+                    );
+                    if qi == probes.len() - 1 {
+                        assert!(
+                            stats.records_fetched < seeds.len() as u64 / 2,
+                            "{at}: fetched {} of {}",
+                            stats.records_fetched,
+                            seeds.len()
+                        );
+                    }
+                }
             }
         }
     }

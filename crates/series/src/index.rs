@@ -43,15 +43,31 @@ impl Answer {
 
 /// Work counters accumulated while answering one query — the paper's
 /// Figure 9f reports `records_fetched` ("visited records") directly.
+///
+/// For the Coconut indexes the counters are exact and repeat run to run,
+/// whatever the thread count. The exact scan accounts for every record it
+/// covers, so over an index (or snapshot, or shard set) of `N` records
+/// `pruned + records_fetched >= N` — the probe's own work comes on top —
+/// while `lower_bounds <= N + leaves`: a leaf whose box bound already
+/// exceeds the cutoff is skipped without bounding its keys.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Leaf nodes (or equivalent disk units) visited.
+    /// Leaf nodes (or equivalent disk units) read: for the Coconut indexes,
+    /// the leaf blocks the probe reads (the scan works from the in-memory
+    /// summaries).
     pub leaves_visited: u64,
-    /// Raw series fetched and compared with the true distance.
+    /// Raw series fetched and compared with the true distance, by the
+    /// probe and the scan together.
     pub records_fetched: u64,
-    /// Candidates pruned by a lower-bound test.
+    /// Records skipped unfetched because a lower bound exceeded the
+    /// cutoff: every entry of a leaf pruned by its box, every key filtered
+    /// inside a surviving leaf, every candidate dropped when the cutoff
+    /// tightened before its turn — and the seed-leaf entries the probe
+    /// passed over.
     pub pruned: u64,
-    /// Lower-bound (mindist) computations performed.
+    /// Lower bounds computed by the exact scan: one per leaf box plus one
+    /// per key inside a surviving leaf. (The probe's per-entry bounds over
+    /// its few seed leaves are not counted.)
     pub lower_bounds: u64,
 }
 

@@ -15,6 +15,14 @@
 //! Three granularities are provided: full-cardinality SAX words (records),
 //! iSAX masks (index nodes), and z-order keys (records in Coconut indexes,
 //! decoded on the fly without allocation).
+//!
+//! The exact search works from one per-query [`QueryDistTable`] — for
+//! Euclidean distance ([`QueryDistTable::new`]) and for the DTW envelope
+//! bound ([`QueryDistTable::for_envelope`]) alike — over summaries a
+//! [`SymbolDecoder`] de-interleaved once, leaf by leaf, into segment-major
+//! symbol blocks: [`QueryDistTable::box_bound`] lower-bounds a whole leaf,
+//! [`QueryDistTable::bounds_under`] its entries, keeping only those at or
+//! under a cutoff.
 
 use crate::breakpoints::{region, region_table};
 use crate::config::SaxConfig;
@@ -128,19 +136,6 @@ pub fn mindist_env_sax(env_lo: &[f64], env_hi: &[f64], symbols: &[u8], config: &
     finish(acc, config)
 }
 
-/// [`mindist_env_sax`] against a z-order key (decoded on the fly).
-#[inline]
-pub fn mindist_env_zkey(env_lo: &[f64], env_hi: &[f64], key: ZKey, config: &SaxConfig) -> f64 {
-    let mut symbols = [0u8; 32];
-    crate::zorder::deinterleave_into(
-        key,
-        config.segments,
-        config.card_bits,
-        &mut symbols[..config.segments],
-    );
-    mindist_env_sax(env_lo, env_hi, &symbols[..config.segments], config)
-}
-
 /// Per-segment (min of lower, max of upper) bounds of a DTW query
 /// envelope — the index-level companion of `coconut_series::dtw::Envelope`.
 pub fn envelope_segment_bounds(
@@ -168,6 +163,14 @@ pub fn envelope_segment_bounds(
 
 /// Keys per block of the batched MINDIST kernel (one AVX2 gather pair).
 pub const MINDIST_BATCH: usize = 8;
+
+/// Entries per segment row of a [`QueryDistTable`]: one per possible `u8`
+/// symbol whatever the cardinality (rows of smaller alphabets are padded
+/// with infinity), so no symbol byte can index out of the table.
+const TABLE_ROW: usize = 256;
+
+/// Segments a block kernel sums between two early-abandon checks.
+const ABANDON_STRIDE: usize = 4;
 
 /// Most segments any stack scratch buffer supports (the workspace-wide
 /// assumption already baked into [`mindist_paa_zkey`] and the summarizer).
@@ -208,43 +211,122 @@ fn pext_masks(segments: usize, card_bits: u8) -> Vec<PextMask> {
         .collect()
 }
 
-/// A query's precomputed squared distances to every SAX region: entry
-/// `j * cardinality + s` is `dist_to_region_sq(paa[j], region(s))`. With it,
-/// a record's raw MINDIST is a pure sum of `segments` table loads — no
-/// breakpoint lookups, no branches — which is what the batched kernel
-/// vectorizes with AVX2 gathers. Built once per query (Algorithm 5 computes
-/// millions of MINDISTs per query against one PAA).
-///
-/// All paths — single-key, scalar batch, AVX2 batch — add the same table
-/// entries in the same segment order, so their results are bit-identical.
+/// De-interleaves z-order keys back into SAX symbols, a block at a time and
+/// segment-major: BMI2 `PEXT` where the process-wide dispatch allows it, the
+/// portable [`crate::zorder::deinterleave_into`] otherwise (bit-exact equal).
 #[derive(Debug, Clone)]
-pub struct QueryDistTable {
+pub struct SymbolDecoder {
     config: SaxConfig,
-    card: usize,
-    scale: f64,
-    table: Vec<f64>,
     masks: Vec<PextMask>,
 }
 
+impl SymbolDecoder {
+    /// A decoder for keys built under `config`.
+    pub fn new(config: &SaxConfig) -> Self {
+        debug_assert!(config.segments <= MAX_SEGMENTS);
+        SymbolDecoder {
+            config: *config,
+            masks: pext_masks(config.segments, config.card_bits),
+        }
+    }
+
+    /// The configuration of the keys this decoder reads.
+    pub fn config(&self) -> &SaxConfig {
+        &self.config
+    }
+
+    /// Decode `keys` into the segment-major block `out`
+    /// (`keys.len() * segments` bytes): the symbol of key `e`, segment `j`,
+    /// lands at `j * keys.len() + e` — the layout
+    /// [`QueryDistTable::bounds_under`] scans.
+    pub fn decode_into(&self, keys: &[ZKey], out: &mut [u8]) {
+        assert_eq!(out.len(), keys.len() * self.config.segments);
+        self.decode_strided(coconut_series::simd::active(), keys, out, keys.len());
+    }
+
+    /// Decode `keys` so that key `b`'s segment-`j` symbol lands at
+    /// `sym[j * stride + b]`.
+    fn decode_strided(&self, dispatch: Dispatch, keys: &[ZKey], sym: &mut [u8], stride: usize) {
+        debug_assert!(keys.len() <= stride);
+        debug_assert!(keys.is_empty() || sym.len() >= (self.masks.len() - 1) * stride + keys.len());
+        #[cfg(target_arch = "x86_64")]
+        if dispatch == Dispatch::Avx2 && std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: BMI2 support verified above.
+            unsafe { x86::decode_pext(&self.masks, keys, sym, stride) };
+            return;
+        }
+        let _ = dispatch;
+        let w = self.config.segments;
+        let mut row = [0u8; MAX_SEGMENTS];
+        for (b, &k) in keys.iter().enumerate() {
+            crate::zorder::deinterleave_into(k, w, self.config.card_bits, &mut row[..w]);
+            for (j, &s) in row[..w].iter().enumerate() {
+                sym[j * stride + b] = s;
+            }
+        }
+    }
+}
+
+/// A query's precomputed squared distances to every SAX region: entry
+/// `j * TABLE_ROW + s` is the squared distance from the query's segment
+/// `j` — its PAA value, or for DTW its envelope interval — to region `s`.
+/// With it, a record's raw bound is a pure sum of `segments` table loads —
+/// no breakpoint lookups, no branches — which is what the batched kernels
+/// vectorize with AVX2 gathers. Built once per query (Algorithm 5 computes
+/// millions of bounds per query against one table).
+///
+/// All paths — single-key, scalar batch, AVX2 batch, over keys or over
+/// decoded symbol blocks — add the same table entries in the same segment
+/// order, so their results are bit-identical.
+#[derive(Debug, Clone)]
+pub struct QueryDistTable {
+    config: SaxConfig,
+    scale: f64,
+    table: Vec<f64>,
+    /// Per segment, the symbol whose region is nearest the query (distance
+    /// zero). A row only grows moving away from it, so the minimum over a
+    /// symbol interval sits at the interval's end nearer this symbol.
+    nearest: Vec<u8>,
+    decoder: SymbolDecoder,
+}
+
 impl QueryDistTable {
-    /// Build the table for `query_paa` under `config`.
+    /// The Euclidean table: distances from `query_paa` to every region.
     pub fn new(query_paa: &[f64], config: &SaxConfig) -> Self {
         debug_assert_eq!(query_paa.len(), config.segments);
-        debug_assert!(config.segments <= MAX_SEGMENTS);
+        Self::tabulate(config, |j, lo, hi| dist_to_region_sq(query_paa[j], lo, hi))
+    }
+
+    /// The DTW table: distances from the query envelope's per-segment
+    /// intervals ([`envelope_segment_bounds`]) to every region, so a table
+    /// sum is [`mindist_env_sax`].
+    pub fn for_envelope(env_lo: &[f64], env_hi: &[f64], config: &SaxConfig) -> Self {
+        debug_assert_eq!(env_lo.len(), config.segments);
+        debug_assert_eq!(env_hi.len(), config.segments);
+        Self::tabulate(config, |j, lo, hi| {
+            interval_dist_sq(env_lo[j], env_hi[j], lo, hi)
+        })
+    }
+
+    /// Fill the table from `dist_sq(segment, region lo, region hi)`.
+    fn tabulate(config: &SaxConfig, dist_sq: impl Fn(usize, f64, f64) -> f64) -> Self {
         let card = config.cardinality();
         let rt = region_table(config.card_bits);
-        let mut table = Vec::with_capacity(config.segments * card);
-        for &p in query_paa {
-            for s in 0..card {
-                table.push(dist_to_region_sq(p, rt.lo()[s], rt.hi()[s]));
+        let mut table = vec![f64::INFINITY; config.segments * TABLE_ROW];
+        let mut nearest = Vec::with_capacity(config.segments);
+        for (j, row) in table.chunks_exact_mut(TABLE_ROW).enumerate() {
+            for (s, entry) in row[..card].iter_mut().enumerate() {
+                *entry = dist_sq(j, rt.lo()[s], rt.hi()[s]);
             }
+            let at = (0..card).min_by(|&a, &b| row[a].total_cmp(&row[b]));
+            nearest.push(at.unwrap_or(0) as u8);
         }
         QueryDistTable {
             config: *config,
-            card,
             scale: config.series_len as f64 / config.segments as f64,
             table,
-            masks: pext_masks(config.segments, config.card_bits),
+            nearest,
+            decoder: SymbolDecoder::new(config),
         }
     }
 
@@ -259,7 +341,7 @@ impl QueryDistTable {
         debug_assert_eq!(symbols.len(), self.config.segments);
         let mut acc = 0.0f64;
         for (j, &s) in symbols.iter().enumerate() {
-            acc += self.table[j * self.card + s as usize];
+            acc += self.table[j * TABLE_ROW + s as usize];
         }
         acc
     }
@@ -271,6 +353,85 @@ impl QueryDistTable {
         let w = self.config.segments;
         crate::zorder::deinterleave_into(key, w, self.config.card_bits, &mut symbols[..w]);
         (self.scale * self.mindist_sq_raw(&symbols[..w])).sqrt()
+    }
+
+    /// A lower bound on the bound of every symbol vector inside the box
+    /// `lo[j]..=hi[j]` ([`crate::zorder::key_range_box`]): per segment the
+    /// smallest table entry of the interval — zero when the query's own
+    /// symbol lies inside, else the entry at the nearer end — summed in
+    /// segment order, so it never exceeds the bound of a vector in the box.
+    pub fn box_bound(&self, lo: &[u8], hi: &[u8]) -> f64 {
+        debug_assert_eq!(lo.len(), self.config.segments);
+        debug_assert_eq!(hi.len(), self.config.segments);
+        let mut acc = 0.0f64;
+        for (j, (&lo, &hi)) in lo.iter().zip(hi).enumerate() {
+            let at = self.nearest[j].clamp(lo, hi);
+            acc += self.table[j * TABLE_ROW + at as usize];
+        }
+        (self.scale * acc).sqrt()
+    }
+
+    /// Bound every entry of a segment-major symbol block
+    /// ([`SymbolDecoder::decode_into`]; `block.len() / segments` entries)
+    /// and push `(first + e, bound)` for each entry `e` whose bound does
+    /// not exceed `cutoff` — the fused bound-and-filter of the SIMS key
+    /// pass. Bounds are bit-identical to [`QueryDistTable::mindist_zkey`]
+    /// of the encoded keys on every dispatch.
+    pub fn bounds_under(
+        &self,
+        block: &[u8],
+        cutoff: f64,
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        self.bounds_under_with(coconut_series::simd::active(), block, cutoff, first, out);
+    }
+
+    /// [`QueryDistTable::bounds_under`] with an explicit dispatch (exposed
+    /// so tests can force either path).
+    pub fn bounds_under_with(
+        &self,
+        dispatch: Dispatch,
+        block: &[u8],
+        cutoff: f64,
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let w = self.config.segments;
+        assert_eq!(block.len() % w, 0);
+        let count = block.len() / w;
+        // Filter in squared space first, so the square root is only paid
+        // by the few entries near the cutoff: a scaled sum above `limit`
+        // has a (correctly rounded) root above `cutoff`, because `limit`
+        // is padded past the square of the next float up.
+        let limit = cutoff * cutoff * (1.0 + 4.0 * f64::EPSILON);
+        let mut keep = |e: usize, raw: f64| {
+            let scaled = self.scale * raw;
+            if scaled > limit {
+                return;
+            }
+            let bound = scaled.sqrt();
+            if bound <= cutoff {
+                out.push((first + e, bound));
+            }
+        };
+        let use_avx2 = use_avx2(dispatch);
+        let n8 = count - count % MINDIST_BATCH;
+        let mut raw = [0.0f64; MINDIST_BATCH];
+        for e in (0..n8).step_by(MINDIST_BATCH) {
+            if self.accumulate_block(use_avx2, &block[e..], count, limit, &mut raw) {
+                for (b, &r) in raw.iter().enumerate() {
+                    keep(e + b, r);
+                }
+            }
+        }
+        for e in n8..count {
+            let mut acc = 0.0f64;
+            for j in 0..w {
+                acc += self.table[j * TABLE_ROW + block[j * count + e] as usize];
+            }
+            keep(e, acc);
+        }
     }
 
     /// MINDIST of every key into `out` (`out.len() == keys.len()`), using
@@ -293,139 +454,162 @@ impl QueryDistTable {
         let mut sym = [0u8; MAX_SEGMENTS * MINDIST_BATCH];
         let sym = &mut sym[..w * MINDIST_BATCH];
         let n8 = keys.len() - keys.len() % MINDIST_BATCH;
-        let mut i = 0;
-        #[cfg(target_arch = "x86_64")]
-        let use_avx2 = dispatch == Dispatch::Avx2 && std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(target_arch = "x86_64")]
-        let use_pext = use_avx2 && std::arch::is_x86_feature_detected!("bmi2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = dispatch;
-        while i < n8 {
-            let block = &keys[i..i + MINDIST_BATCH];
-            #[cfg(target_arch = "x86_64")]
-            if use_pext {
-                // SAFETY: BMI2 support verified above.
-                unsafe { x86::decode_block_pext(&self.masks, block, sym) };
-            } else {
-                self.decode_block_scalar(block, sym);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            self.decode_block_scalar(block, sym);
-
-            let mut raw = [0.0f64; MINDIST_BATCH];
-            #[cfg(target_arch = "x86_64")]
-            if use_avx2 {
-                // SAFETY: AVX2 support verified above; `sym` holds `w`
-                // 8-byte lanes and every index is below `w * card`.
-                unsafe { x86::accumulate_block_avx2(&self.table, self.card, w, sym, &mut raw) };
-            } else {
-                accumulate_block_scalar(&self.table, self.card, w, sym, &mut raw);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            accumulate_block_scalar(&self.table, self.card, w, sym, &mut raw);
-
-            for (o, &r) in out[i..i + MINDIST_BATCH].iter_mut().zip(raw.iter()) {
+        let use_avx2 = use_avx2(dispatch);
+        let mut raw = [0.0f64; MINDIST_BATCH];
+        for (block, out) in keys[..n8]
+            .chunks_exact(MINDIST_BATCH)
+            .zip(out.chunks_exact_mut(MINDIST_BATCH))
+        {
+            self.decoder
+                .decode_strided(dispatch, block, sym, MINDIST_BATCH);
+            self.accumulate_block(use_avx2, sym, MINDIST_BATCH, f64::INFINITY, &mut raw);
+            for (o, &r) in out.iter_mut().zip(raw.iter()) {
                 *o = (self.scale * r).sqrt();
             }
-            i += MINDIST_BATCH;
         }
         for (o, &k) in out[n8..].iter_mut().zip(keys[n8..].iter()) {
             *o = self.mindist_zkey(k);
         }
     }
 
-    /// Decode [`MINDIST_BATCH`] keys into the segment-major scratch with
-    /// the portable bit-by-bit deinterleave.
-    fn decode_block_scalar(&self, keys: &[ZKey], sym: &mut [u8]) {
+    /// Sum the table entries of the [`MINDIST_BATCH`] entries whose
+    /// segment-`j` symbols sit at `sym[j * stride..][..MINDIST_BATCH]` into
+    /// `out`. Returns `false`, leaving `out` unspecified, as soon as every
+    /// entry's scaled partial sum exceeds `limit` (checked every
+    /// [`ABANDON_STRIDE`] segments): sums only grow, so none of the eight
+    /// can end at or under it. `f64::INFINITY` never abandons.
+    #[inline]
+    fn accumulate_block(
+        &self,
+        use_avx2: bool,
+        sym: &[u8],
+        stride: usize,
+        limit: f64,
+        out: &mut [f64; MINDIST_BATCH],
+    ) -> bool {
         let w = self.config.segments;
-        let bits = self.config.card_bits;
-        let mut row = [0u8; MAX_SEGMENTS];
-        for (b, &k) in keys.iter().enumerate() {
-            crate::zorder::deinterleave_into(k, w, bits, &mut row[..w]);
-            for (j, &s) in row[..w].iter().enumerate() {
-                sym[j * MINDIST_BATCH + b] = s;
-            }
+        assert!(sym.len() >= (w - 1) * stride + MINDIST_BATCH);
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2 {
+            // SAFETY: AVX2 support verified by `use_avx2`; the assertion
+            // above keeps every 8-byte lane load inside `sym`, and the
+            // table holds `TABLE_ROW` entries per segment, so any `u8`
+            // symbol gathers in bounds.
+            return unsafe {
+                x86::accumulate_block_avx2(&self.table, w, sym, stride, self.scale, limit, out)
+            };
         }
+        let _ = use_avx2;
+        accumulate_block_scalar(&self.table, w, sym, stride, self.scale, limit, out)
+    }
+}
+
+/// Whether `dispatch` selects the AVX2 kernels on this machine.
+fn use_avx2(dispatch: Dispatch) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return dispatch == Dispatch::Avx2 && std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = dispatch;
+        false
     }
 }
 
 /// Scalar mirror of the AVX2 gather kernel: 8 independent per-key
 /// accumulators, segments added in ascending order — the same additions in
-/// the same order as both the vector path and the single-key path.
+/// the same order as both the vector path and the single-key path — and
+/// the same early-abandon checks.
 fn accumulate_block_scalar(
     table: &[f64],
-    card: usize,
     segments: usize,
     sym: &[u8],
+    stride: usize,
+    scale: f64,
+    limit: f64,
     out: &mut [f64; MINDIST_BATCH],
-) {
+) -> bool {
     let mut acc = [0.0f64; MINDIST_BATCH];
     for j in 0..segments {
-        let row = &table[j * card..(j + 1) * card];
-        let lane = &sym[j * MINDIST_BATCH..(j + 1) * MINDIST_BATCH];
+        let row = &table[j * TABLE_ROW..(j + 1) * TABLE_ROW];
+        let lane = &sym[j * stride..j * stride + MINDIST_BATCH];
         for (a, &s) in acc.iter_mut().zip(lane.iter()) {
             *a += row[s as usize];
         }
+        if (j + 1) % ABANDON_STRIDE == 0 && acc.iter().all(|&a| scale * a > limit) {
+            return false;
+        }
     }
     *out = acc;
+    true
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{PextMask, ZKey, MINDIST_BATCH};
+    use super::{PextMask, ZKey, ABANDON_STRIDE, MINDIST_BATCH, TABLE_ROW};
     use std::arch::x86_64::*;
 
-    /// Decode a block of keys via BMI2 `PEXT`: two extracts per segment
-    /// instead of one shift/mask step per bit. Bit-exact equal to
-    /// [`crate::zorder::deinterleave_into`].
+    /// Decode keys via BMI2 `PEXT`: two extracts per segment instead of one
+    /// shift/mask step per bit. Bit-exact equal to
+    /// [`crate::zorder::deinterleave_into`]; key `b`'s segment-`j` symbol
+    /// lands at `sym[j * stride + b]`.
     ///
     /// # Safety
-    /// Caller must verify BMI2 support; `sym` must hold
-    /// `masks.len() * MINDIST_BATCH` bytes and `keys` exactly
-    /// [`MINDIST_BATCH`] keys.
+    /// Caller must verify BMI2 support.
     #[target_feature(enable = "bmi2")]
-    pub unsafe fn decode_block_pext(masks: &[PextMask], keys: &[ZKey], sym: &mut [u8]) {
-        debug_assert_eq!(keys.len(), MINDIST_BATCH);
+    pub unsafe fn decode_pext(masks: &[PextMask], keys: &[ZKey], sym: &mut [u8], stride: usize) {
         for (b, &k) in keys.iter().enumerate() {
             let klo = k.0 as u64;
             let khi = (k.0 >> 64) as u64;
             for (j, m) in masks.iter().enumerate() {
                 let s = _pext_u64(klo, m.lo) | (_pext_u64(khi, m.hi) << m.shift);
-                sym[j * MINDIST_BATCH + b] = s as u8;
+                sym[j * stride + b] = s as u8;
             }
         }
     }
 
     /// Sum the per-segment table entries of 8 keys at once: zero-extend
     /// each segment's 8 symbols to i32 lane indices, gather 2×4 `f64`
-    /// distances, and add into two 4-lane accumulators.
+    /// distances, and add into two 4-lane accumulators; every
+    /// [`ABANDON_STRIDE`] segments, return `false` if all eight scaled
+    /// partial sums already exceed `limit`.
     ///
     /// # Safety
     /// Caller must verify AVX2 support; `table` must hold
-    /// `segments * card` entries and `sym` `segments` 8-byte lanes of
-    /// symbols `< card`.
+    /// `segments * TABLE_ROW` entries and `sym` 8 bytes at `j * stride`
+    /// for every segment `j`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn accumulate_block_avx2(
         table: &[f64],
-        card: usize,
         segments: usize,
         sym: &[u8],
+        stride: usize,
+        scale: f64,
+        limit: f64,
         out: &mut [f64; MINDIST_BATCH],
-    ) {
+    ) -> bool {
         let mut acc_lo = _mm256_setzero_pd();
         let mut acc_hi = _mm256_setzero_pd();
+        let (scale, limit) = (_mm256_set1_pd(scale), _mm256_set1_pd(limit));
         let base = table.as_ptr();
         for j in 0..segments {
-            let bytes = _mm_loadl_epi64(sym.as_ptr().add(j * MINDIST_BATCH) as *const __m128i);
+            let bytes = _mm_loadl_epi64(sym.as_ptr().add(j * stride) as *const __m128i);
             let idx = _mm256_cvtepu8_epi32(bytes);
-            let idx = _mm256_add_epi32(idx, _mm256_set1_epi32((j * card) as i32));
+            let idx = _mm256_add_epi32(idx, _mm256_set1_epi32((j * TABLE_ROW) as i32));
             let idx_lo = _mm256_castsi256_si128(idx);
             let idx_hi = _mm256_extracti128_si256::<1>(idx);
             acc_lo = _mm256_add_pd(acc_lo, _mm256_i32gather_pd::<8>(base, idx_lo));
             acc_hi = _mm256_add_pd(acc_hi, _mm256_i32gather_pd::<8>(base, idx_hi));
+            if (j + 1) % ABANDON_STRIDE == 0 {
+                let over_lo = _mm256_cmp_pd::<_CMP_GT_OQ>(_mm256_mul_pd(scale, acc_lo), limit);
+                let over_hi = _mm256_cmp_pd::<_CMP_GT_OQ>(_mm256_mul_pd(scale, acc_hi), limit);
+                if _mm256_movemask_pd(_mm256_and_pd(over_lo, over_hi)) == 0xF {
+                    return false;
+                }
+            }
         }
         _mm256_storeu_pd(out.as_mut_ptr(), acc_lo);
         _mm256_storeu_pd(out.as_mut_ptr().add(4), acc_hi);
+        true
     }
 }
 
@@ -666,17 +850,106 @@ mod tests {
     }
 
     #[test]
-    fn envelope_zkey_agrees_with_sax() {
+    fn envelope_table_agrees_with_sax() {
         use coconut_series::dtw::Envelope;
         let c = cfg();
         let q = wavy(8, c.series_len);
         let env = Envelope::new(&q, 5);
         let (lo, hi) = envelope_segment_bounds(&env.lower, &env.upper, c.segments);
-        let s = wavy(90, c.series_len);
-        let word = sax_word(&s, &c);
-        let key = interleave(word.symbols(), c.card_bits);
-        let a = mindist_env_sax(&lo, &hi, word.symbols(), &c);
-        let b = mindist_env_zkey(&lo, &hi, key, &c);
-        assert!((a - b).abs() < 1e-12);
+        let table = QueryDistTable::for_envelope(&lo, &hi, &c);
+        for seed in 90..110 {
+            let word = sax_word(&wavy(seed, c.series_len), &c);
+            let key = interleave(word.symbols(), c.card_bits);
+            let a = mindist_env_sax(&lo, &hi, word.symbols(), &c);
+            assert_eq!(a.to_bits(), table.mindist_zkey(key).to_bits());
+        }
+    }
+
+    /// Sorted keys of `n` wavy series under `c`.
+    fn sorted_keys(c: &SaxConfig, n: u32) -> Vec<ZKey> {
+        let mut keys: Vec<ZKey> = (0..n)
+            .map(|i| {
+                interleave(
+                    sax_word(&wavy(i + 300, c.series_len), c).symbols(),
+                    c.card_bits,
+                )
+            })
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn symbol_block_bounds_match_key_bounds_on_every_dispatch() {
+        use coconut_series::simd::Dispatch;
+        // Leaf sizes around the 8-lane block: tails of 0..7, a lone entry,
+        // and a key wider than 64 bits.
+        for (series_len, segments, card_bits) in [(64usize, 8usize, 8u8), (256, 16, 8), (60, 20, 3)]
+        {
+            let c = SaxConfig {
+                series_len,
+                segments,
+                card_bits,
+            };
+            let table = QueryDistTable::new(&paa(&wavy(5, series_len), segments), &c);
+            let decoder = SymbolDecoder::new(&c);
+            for n in [1u32, 7, 8, 9, 16, 37] {
+                let keys = sorted_keys(&c, n);
+                let mut block = vec![0u8; keys.len() * segments];
+                decoder.decode_into(&keys, &mut block);
+                let expect: Vec<f64> = keys.iter().map(|&k| table.mindist_zkey(k)).collect();
+                let mut sorted = expect.clone();
+                sorted.sort_by(f64::total_cmp);
+                for cutoff in [f64::MAX, sorted[keys.len() / 2], -1.0] {
+                    let want: Vec<(usize, u64)> = expect
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &b)| b <= cutoff)
+                        .map(|(e, b)| (100 + e, b.to_bits()))
+                        .collect();
+                    for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+                        let mut got = Vec::new();
+                        table.bounds_under_with(dispatch, &block, cutoff, 100, &mut got);
+                        let got: Vec<(usize, u64)> =
+                            got.iter().map(|&(e, b)| (e, b.to_bits())).collect();
+                        assert_eq!(got, want, "{dispatch:?} w={segments} n={n} cutoff={cutoff}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn box_bound_never_exceeds_a_member_bound() {
+        use crate::zorder::key_range_box;
+        use coconut_series::dtw::Envelope;
+        let c = cfg();
+        let keys = sorted_keys(&c, 64);
+        let q = wavy(2, c.series_len);
+        let env = Envelope::new(&q, 4);
+        let (env_lo, env_hi) = envelope_segment_bounds(&env.lower, &env.upper, c.segments);
+        let tables = [
+            QueryDistTable::new(&paa(&q, c.segments), &c),
+            QueryDistTable::for_envelope(&env_lo, &env_hi, &c),
+        ];
+        let (mut lo, mut hi) = (vec![0u8; c.segments], vec![0u8; c.segments]);
+        for table in &tables {
+            // Every contiguous run of the sorted keys is a possible leaf.
+            for a in 0..keys.len() {
+                for b in a..keys.len() {
+                    key_range_box(keys[a], keys[b], &c, &mut lo, &mut hi);
+                    let bound = table.box_bound(&lo, &hi);
+                    for &k in &keys[a..=b] {
+                        assert!(bound <= table.mindist_zkey(k), "leaf {a}..={b}");
+                    }
+                }
+            }
+            // A one-key leaf's box is the key itself.
+            key_range_box(keys[3], keys[3], &c, &mut lo, &mut hi);
+            assert_eq!(
+                table.box_bound(&lo, &hi).to_bits(),
+                table.mindist_zkey(keys[3]).to_bits()
+            );
+        }
     }
 }

@@ -141,9 +141,58 @@ pub fn prefix_bits_at_depth(depth: usize, config: &SaxConfig) -> Vec<u8> {
     (0..w).map(|j| ((depth + w - 1 - j) / w) as u8).collect()
 }
 
+/// The SAX-space box of every key in the sorted range `[first, last]`: the
+/// keys share the z-order prefix `first` and `last` have in common, which
+/// fixes the top [`prefix_bits_at_depth`] bits of each segment's symbol and
+/// leaves the rest free, so segment `j`'s symbols lie in `lo[j]..=hi[j]`.
+/// A sorted leaf is such a range, which makes this its iSAX node word —
+/// read off two keys, with nothing stored.
+pub fn key_range_box(first: ZKey, last: ZKey, config: &SaxConfig, lo: &mut [u8], hi: &mut [u8]) {
+    debug_assert!(first <= last);
+    let (w, bits) = (config.segments, config.card_bits as usize);
+    let diff = first.0 ^ last.0;
+    let common = (w * bits).saturating_sub(128 - diff.leading_zeros() as usize);
+    deinterleave_into(first, w, config.card_bits, lo);
+    for j in 0..w {
+        let free = bits - (common + w - 1 - j) / w;
+        let span = ((1u16 << free) - 1) as u8;
+        lo[j] &= !span;
+        hi[j] = lo[j] | span;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_range_box_holds_exactly_the_common_prefix() {
+        let cfg = SaxConfig {
+            series_len: 64,
+            segments: 4,
+            card_bits: 3,
+        };
+        let (mut lo, mut hi) = ([0u8; 4], [0u8; 4]);
+        // One key: a point.
+        let k = interleave(&[5, 2, 7, 0], 3);
+        key_range_box(k, k, &cfg, &mut lo, &mut hi);
+        assert_eq!((lo, hi), ([5, 2, 7, 0], [5, 2, 7, 0]));
+        // Keys that differ in the very first bit: the whole space.
+        key_range_box(ZKey::MIN, interleave(&[7; 4], 3), &cfg, &mut lo, &mut hi);
+        assert_eq!((lo, hi), ([0; 4], [7; 4]));
+        // First difference at interleaved bit 5 (segment 1, second bit):
+        // segment 0 keeps two bits, the others one.
+        let a = interleave(&[0b101, 0b100, 0b011, 0b110], 3);
+        let b = interleave(&[0b100, 0b110, 0b000, 0b100], 3);
+        key_range_box(a, b, &cfg, &mut lo, &mut hi);
+        assert_eq!(lo, [0b100, 0b100, 0b000, 0b100]);
+        assert_eq!(hi, [0b101, 0b111, 0b011, 0b111]);
+        // Every key between the two lies inside the box.
+        for k in a.0..=b.0 {
+            let s = deinterleave(ZKey(k), 4, 3);
+            assert!((0..4).all(|j| lo[j] <= s[j] && s[j] <= hi[j]), "{k:b}");
+        }
+    }
 
     #[test]
     fn paper_figure4_example() {

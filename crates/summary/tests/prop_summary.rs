@@ -186,6 +186,43 @@ proptest! {
     }
 
     #[test]
+    fn symbol_block_bounds_are_dispatch_invariant(
+        q in znormed(64),
+        words in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 8), 1..70),
+        keep in 0usize..70,
+    ) {
+        // The fused bound-and-filter over a decoded leaf block must keep
+        // exactly the entries whose per-key bound is at or under the cutoff,
+        // with bit-identical bounds, on every dispatch and for any leaf
+        // size (incl. tails shorter than the 8-lane block) — early
+        // abandoning included.
+        use coconut_series::simd::Dispatch;
+        use coconut_summary::mindist::{QueryDistTable, SymbolDecoder};
+        let cfg = SaxConfig { series_len: 64, segments: 8, card_bits: 8 };
+        let table = QueryDistTable::new(&paa(&q, cfg.segments), &cfg);
+        let mut keys: Vec<_> = words.iter().map(|w| interleave(w, cfg.card_bits)).collect();
+        keys.sort();
+        let mut block = vec![0u8; keys.len() * cfg.segments];
+        SymbolDecoder::new(&cfg).decode_into(&keys, &mut block);
+        let bounds: Vec<f64> = keys.iter().map(|&k| mindist_paa_zkey(&paa(&q, 8), k, &cfg)).collect();
+        // A cutoff that is itself one of the bounds (ties at the boundary
+        // survive), or none.
+        let cutoff = bounds.get(keep).copied().unwrap_or(f64::MAX);
+        let want: Vec<(usize, u64)> = bounds
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b <= cutoff)
+            .map(|(e, b)| (7 + e, b.to_bits()))
+            .collect();
+        for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+            let mut got = Vec::new();
+            table.bounds_under_with(dispatch, &block, cutoff, 7, &mut got);
+            let got: Vec<(usize, u64)> = got.iter().map(|&(e, b)| (e, b.to_bits())).collect();
+            prop_assert_eq!(&got, &want);
+        }
+    }
+
+    #[test]
     fn batched_mindist_handles_wide_configs(
         q in znormed(120),
         words in proptest::collection::vec(proptest::collection::vec(0u8..16, 30), 1..20),

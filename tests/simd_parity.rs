@@ -11,6 +11,7 @@
 //! test compare scalar against scalar (trivially green) while every other
 //! suite exercises the scalar path end to end.
 
+use coconut::index::leaves::Summaries;
 use coconut::index::query::nearest_of;
 use coconut::index::sims::{sims_scan, Collector, Ed, SeriesFetcher, TopK, Within};
 use coconut::prelude::*;
@@ -25,13 +26,17 @@ struct VecFetcher<'a> {
 }
 
 impl SeriesFetcher for VecFetcher<'_> {
-    fn fetch(&mut self, i: usize, out: &mut [Value]) -> coconut::storage::Result<u64> {
-        out.copy_from_slice(&self.data[i]);
-        Ok(i as u64)
+    const POSITION_ORDER: bool = true;
+
+    fn fetch(&mut self, _i: usize, pos: u64, out: &mut [Value]) -> coconut::storage::Result<()> {
+        out.copy_from_slice(&self.data[pos as usize]);
+        Ok(())
     }
 }
 
-/// One unseeded two-thread SIMS scan of `data` for `q` into `hits`.
+/// One unseeded two-thread SIMS scan of `data` for `q` into `hits`, over
+/// the summaries an index with 50-entry leaves would hold (`keys[i]`
+/// summarizes `data[i]`, at position `i`).
 fn scan<C: Collector>(
     q: &[Value],
     data: &[Vec<Value>],
@@ -41,10 +46,12 @@ fn scan<C: Collector>(
 ) -> Vec<Answer> {
     let mut fetcher = VecFetcher { data };
     let ed = Ed::new(q, config);
+    let mut entries: Vec<(ZKey, u64)> = keys.iter().copied().zip(0..).collect();
+    entries.sort_unstable();
     sims_scan(
         &ed,
         q.len(),
-        keys,
+        &Summaries::from_sorted(config, &entries, std::iter::repeat(50)),
         2,
         &mut fetcher,
         &mut hits,
