@@ -47,46 +47,6 @@ fn bench_queries(c: &mut Criterion) {
     }
     group.finish();
 
-    // Buffer-pool ablation: repeat approximate queries on a materialized
-    // tree, with and without a shared leaf-block cache.
-    let mut group = c.benchmark_group("buffer_pool");
-    group.sample_size(20);
-    {
-        let config = IndexConfig {
-            sax: SaxConfig::default_for_len(len),
-            leaf_capacity: 200,
-            fill_factor: 1.0,
-            internal_fanout: 64,
-            split_policy: coconut_core::SplitPolicyKind::Fixed,
-        };
-        let opts = BuildOptions {
-            memory_bytes: 64 << 20,
-            materialized: true,
-            threads: 4,
-            shards: 1,
-        };
-        let cold = CoconutTree::build(&w.dataset, &config, build_dir.path(), opts.clone()).unwrap();
-        let mut warm = CoconutTree::build(&w.dataset, &config, build_dir.path(), opts).unwrap();
-        warm.attach_cache(coconut_storage::PageCache::new(64 << 20), 1);
-        let mut qi = 0usize;
-        group.bench_function("uncached", |b| {
-            b.iter(|| {
-                let q = &w.queries[qi % w.queries.len()];
-                qi += 1;
-                cold.approximate_search(black_box(q), 1).unwrap()
-            })
-        });
-        let mut qi = 0usize;
-        group.bench_function("cached", |b| {
-            b.iter(|| {
-                let q = &w.queries[qi % w.queries.len()];
-                qi += 1;
-                warm.approximate_search(black_box(q), 1).unwrap()
-            })
-        });
-    }
-    group.finish();
-
     // SIMS thread scaling on the Coconut-Tree.
     let mut group = c.benchmark_group("sims_threads");
     group.sample_size(20);

@@ -13,6 +13,11 @@
 //! stays meaningful regardless of the environment; the env state is still
 //! recorded in the JSON (`force_scalar`). Only on hardware without AVX2 do
 //! both columns collapse to scalar and the ratio sit at ~1.
+//!
+//! The `crc64` rows give the checksum under every leaf read and manifest
+//! the same trajectory: MB/s of the bit-at-a-time reference, the portable
+//! slicing-by-8 kernel and the carry-less-multiply folding kernel over one
+//! leaf block (48 KB) and over a buffer beyond the L2 cache (2 MB).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -20,6 +25,7 @@ use std::time::Instant;
 use coconut_series::distance::znormalize;
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::simd::{detect, kernels_for, Dispatch};
+use coconut_storage::atomic::{crc64_folding, crc64_reference, crc64_slicing8};
 use coconut_storage::Result;
 use coconut_summary::mindist::{mindist_paa_zkey, QueryDistTable};
 use coconut_summary::paa::paa;
@@ -61,6 +67,35 @@ struct Entry {
 impl Entry {
     fn speedup(&self) -> f64 {
         self.scalar_ns / self.simd_ns
+    }
+}
+
+/// Throughput of the three CRC-64 kernels over one buffer size.
+struct CrcEntry {
+    name: String,
+    reference_mb_s: f64,
+    slicing8_mb_s: f64,
+    /// Zero where the CPU lacks PCLMULQDQ.
+    folding_mb_s: f64,
+}
+
+fn crc_entry(label: &str, bytes: usize) -> CrcEntry {
+    let buf: Vec<u8> = (0..bytes).map(|i| (i * 131 + 7) as u8).collect();
+    let iters = ((8 << 20) / bytes).max(1);
+    let mb_s = |f: &dyn Fn(&[u8]) -> u64| {
+        bytes as f64 * 1e3
+            / time_ns(9, iters, || {
+                std::hint::black_box(f(std::hint::black_box(&buf)));
+            })
+    };
+    CrcEntry {
+        name: format!("crc64/{label}"),
+        reference_mb_s: mb_s(&crc64_reference),
+        slicing8_mb_s: mb_s(&crc64_slicing8),
+        folding_mb_s: match crc64_folding(&[]) {
+            Some(_) => mb_s(&|b| crc64_folding(b).unwrap_or_default()),
+            None => 0.0,
+        },
     }
 }
 
@@ -169,6 +204,22 @@ pub fn run(env: &Env) -> Result<()> {
     }
     table_out.emit(&env.results_dir)?;
 
+    let checksums = [crc_entry("48KB", 48_000), crc_entry("2MB", 2 << 20)];
+    let mut crc_out = Table::new(
+        "bench_crc64",
+        "CRC-64/XZ kernels (MB/s, median)",
+        &["buffer", "reference", "slicing8", "folding"],
+    );
+    for c in &checksums {
+        crc_out.push_row(vec![
+            c.name.clone(),
+            format!("{:.0}", c.reference_mb_s),
+            format!("{:.0}", c.slicing8_mb_s),
+            format!("{:.0}", c.folding_mb_s),
+        ]);
+    }
+    crc_out.emit(&env.results_dir)?;
+
     // Hand-rolled JSON (no serde in the offline workspace); one object per
     // entry keeps the baseline diffable PR over PR.
     let mut json = String::new();
@@ -192,6 +243,15 @@ pub fn run(env: &Env) -> Result<()> {
             e.speedup()
         );
         json.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n  \"checksums\": [\n");
+    for (i, c) in checksums.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"name\": \"{}\", \"reference_mb_s\": {:.0}, \"slicing8_mb_s\": {:.0}, \"folding_mb_s\": {:.0}}}",
+            c.name, c.reference_mb_s, c.slicing8_mb_s, c.folding_mb_s
+        );
+        json.push_str(if i + 1 < checksums.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
     std::fs::create_dir_all(&env.results_dir)?;

@@ -31,8 +31,7 @@
 use std::sync::Arc;
 
 use coconut_series::Value;
-use coconut_storage::cache::PageKey;
-use coconut_storage::{crc64, CountedFile, Error, PageCache, Result};
+use coconut_storage::{crc64, CountedFile, Error, Result};
 use coconut_summary::ZKey;
 
 /// Offset of the first leaf block (the header page).
@@ -306,16 +305,12 @@ pub fn read_directory(file: &CountedFile, offset: u64) -> Result<(Vec<LeafMeta>,
     Ok((leaves, end))
 }
 
-/// Reader/writer for fixed-size leaf blocks, optionally backed by a shared
-/// buffer pool.
+/// Reader/writer for fixed-size leaf blocks.
 #[derive(Debug, Clone)]
 pub struct LeafStore {
     file: Arc<CountedFile>,
     entry: EntryLayout,
     capacity: usize,
-    /// Optional buffer pool: leaf blocks are cached under
-    /// `(cache_file_id, block_no)`.
-    cache: Option<(Arc<PageCache>, u32)>,
 }
 
 impl LeafStore {
@@ -325,14 +320,7 @@ impl LeafStore {
             file,
             entry,
             capacity,
-            cache: None,
         }
-    }
-
-    /// Route subsequent block reads through `cache` (identified by
-    /// `file_id` within the pool). Writes invalidate affected blocks.
-    pub fn attach_cache(&mut self, cache: Arc<PageCache>, file_id: u32) {
-        self.cache = Some((cache, file_id));
     }
 
     /// The entry layout.
@@ -360,32 +348,15 @@ impl LeafStore {
     }
 
     /// Read the entries of `leaf` into `buf` (resized to fit); afterwards
-    /// `buf` holds `leaf.count` packed entries. Reads go through the
-    /// attached buffer pool when present. When the leaf carries a CRC
+    /// `buf` holds `leaf.count` packed entries. When the leaf carries a CRC
     /// (checksummed `DIR2` directories) the packed bytes are verified and a
     /// mismatch surfaces as [`Error::Corrupt`] naming the block.
     pub fn read_leaf(&self, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
         let bytes = leaf.count as usize * self.entry.entry_bytes();
         debug_assert!(bytes <= leaf.blocks_used as usize * self.block_bytes());
         buf.resize(bytes, 0);
-        if let Some((cache, file_id)) = &self.cache {
-            // Cache whole leaf extents (blocks_used * block) keyed by the
-            // first physical block number.
-            let key = PageKey {
-                file_id: *file_id,
-                page_no: leaf.block as u64,
-            };
-            let extent = cache.get_with(key, || {
-                let mut full = vec![0u8; leaf.blocks_used as usize * self.block_bytes()];
-                self.file
-                    .read_exact_at(&mut full, self.block_offset(leaf.block))?;
-                Ok(full)
-            })?;
-            buf.copy_from_slice(&extent[..bytes]);
-        } else {
-            self.file
-                .read_exact_at(buf, self.block_offset(leaf.block))?;
-        }
+        self.file
+            .read_exact_at(buf, self.block_offset(leaf.block))?;
         if leaf.crc != 0 && crc32(buf) != leaf.crc {
             return Err(Error::corrupt(format!(
                 "leaf block {} failed checksum ({} entries)",
@@ -397,19 +368,12 @@ impl LeafStore {
 
     /// Write `entries` (packed) as leaf `block`, zero-padding to the block
     /// boundary. `entries` may span multiple blocks for oversized leaves.
-    /// Invalidates the affected cache extent.
     pub fn write_leaf(&self, block: u32, entries: &[u8]) -> Result<u32> {
         debug_assert_eq!(entries.len() % self.entry.entry_bytes(), 0);
         let blocks_used = entries.len().div_ceil(self.block_bytes()).max(1) as u32;
         let mut padded = vec![0u8; blocks_used as usize * self.block_bytes()];
         padded[..entries.len()].copy_from_slice(entries);
         self.file.write_all_at(&padded, self.block_offset(block))?;
-        if let Some((cache, file_id)) = &self.cache {
-            cache.invalidate(PageKey {
-                file_id: *file_id,
-                page_no: block as u64,
-            });
-        }
         Ok(blocks_used)
     }
 

@@ -7,39 +7,51 @@
 //! carved over the sorted leaves — by median (any boundary between two
 //! records) or by key prefix — and therefore in where the bulk loader cuts
 //! one leaf from the next. Everything else lives here once: the file and
-//! leaf store, persistence, the lazily loaded summaries, the probe, both
-//! SIMS fetchers and the single [`SortedLeafIndex::search`] every query
-//! runs through:
+//! leaf store, persistence, the summaries, the probe, both SIMS fetchers
+//! and the single [`SortedLeafIndex::search`] every query runs through:
 //!
 //! 1. **probe** (Algorithm 4): descend the directory to the query key's
-//!    leaf and read it plus `radius` neighbors on each side. Each entry is
-//!    lower-bounded from the key stored beside it, entries are visited in
-//!    ascending `(bound, position)` order and fetched only while their
-//!    bound can still enter the result — the answer is the true best of
-//!    those leaves, for a fraction of their raw fetches;
+//!    leaf and take it plus `radius` neighbors on each side. Each entry is
+//!    lower-bounded from its symbols, entries are visited in ascending
+//!    `(bound, position)` order and fetched only while their bound can
+//!    still enter the result — the answer is the true best of those
+//!    leaves, for a fraction of their raw fetches;
 //! 2. unless the query is approximate, the SIMS scan over the summaries,
 //!    seeded by step 1 (Algorithm 5, [`crate::sims::sims_scan`]).
 //!
 //! # The summaries
 //!
-//! Pointer and materialized indexes keep one layout, in *leaf order*: per
-//! leaf its entries' SAX symbols (the z-order keys de-interleaved once, when
-//! the summaries are loaded — the key orders the leaves, only its symbols
-//! bound a distance), every entry's raw-file position, and one symbol box
-//! per leaf. Sorting makes a leaf a contiguous range of the z-order curve, so
-//! the prefix its first and last key share is an iSAX word covering all of
+//! [`Summaries`] is a directory of load-once leaf blocks, one shape for
+//! pointer and materialized indexes. What an index holds from the moment it
+//! is built, opened or changed is read off the leaf directory alone: where
+//! each leaf starts in scan order and one symbol box per leaf. Sorting makes
+//! a leaf a contiguous range of the z-order curve, so the prefix its first
+//! key shares with the next leaf's first key is an iSAX word covering all of
 //! its entries ([`coconut_summary::zorder::key_range_box`]) — the
-//! node-level bound of the top-down indexes, obtained from two keys with
-//! nothing stored. The summaries are loaded from the leaves by the first
-//! exact query — after a build, a reopen or an insert alike (the leaf
-//! range split over the index's threads) — so a build holds none beside
-//! its sort buffers, nor a compaction beside the runs it merges.
+//! node-level bound of the top-down indexes, obtained from two directory
+//! keys with nothing stored and nothing read.
+//!
+//! A leaf's [`LeafBlock`] — its entries' SAX symbols, segment-major (the
+//! z-order keys de-interleaved: the key orders the leaves, only its symbols
+//! bound a distance), and their raw-file positions — is read, CRC-checked
+//! and decoded the first time a query needs it: the probe for its seed
+//! leaves, the scan for a leaf whose box survives the cutoff, inside the
+//! worker that scans it — into its place in two arrays the whole index
+//! shares, allocated zeroed by the first query, so the blocks cost no
+//! allocator bookkeeping and go back to the system in one piece with the
+//! index. Opening an index is therefore O(directory) and a
+//! build or a compaction holds no summaries beside its buffers ("if SAX
+//! sums are not in memory, load them", Algorithm 5, taken leaf by leaf). A
+//! cold query reads the leaves it cannot prune; a warm one reads none — a
+//! pointer index never reads a leaf twice, a materialized one goes back to
+//! a leaf only for the payloads it fetches.
 
+use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
@@ -54,14 +66,11 @@ use crate::builder::BuildReport;
 use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::{
     crc32, read_directory, write_directory, EntryLayout, IndexHeader, LeafMeta, LeafStore,
-    ScrubReport, CHECKSUM_VERSION,
+    ScrubReport, CHECKSUM_VERSION, LEAF_REGION_OFFSET,
 };
 use crate::query::{first, Kind, Metric, Query};
 use crate::records::SortedRecord;
-use crate::sims::{
-    balanced_chunks, scatter, sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within,
-    PARALLEL_MIN_KEYS,
-};
+use crate::sims::{sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within};
 use crate::split::SplitPolicyKind;
 
 /// What distinguishes one sorted-leaf index flavor from the other: how the
@@ -106,91 +115,177 @@ pub trait Directory: Sized {
     ) -> Result<Self>;
 }
 
-/// The in-memory summarizations SIMS scans, in leaf order (loaded from the
-/// leaves by the first exact query, and again after an insert): 16 B of
-/// symbols and 8 B of position per entry at the default configuration, plus
-/// one symbol box per leaf.
+/// The in-memory summarizations SIMS scans, in leaf order: per leaf a
+/// symbol box (from the directory, always there) and a [`LeafBlock`] loaded
+/// the first time a query touches the leaf — 16 B of symbols and 8 B of
+/// position per entry at the default configuration.
+///
+/// The blocks of one index share two arrays, allocated zeroed by the first
+/// query and filled leaf by leaf: one allocation the allocator hands back
+/// to the system when the index (an LSM run, say) is dropped, and of which
+/// only the pages of touched leaves are ever resident.
 pub struct Summaries {
     decoder: SymbolDecoder,
-    /// Per leaf, its entries' SAX symbols segment-major: the symbol of the
-    /// leaf's entry `e`, segment `j`, sits at `(start * segments) + j *
-    /// count + e`, so one segment of eight consecutive entries is one
-    /// 8-byte load.
-    symbols: Vec<u8>,
-    /// The raw-file position of each scan index.
-    pos: Vec<u64>,
     /// First scan index of each leaf, plus the total.
     leaf_starts: Vec<usize>,
     /// Per leaf, `segments` lower then `segments` upper symbol bounds.
     boxes: Vec<u8>,
+    /// Per leaf, whether its part of `arrays` is filled; the lock is held
+    /// while it is being filled.
+    loaded: Vec<Mutex<bool>>,
+    arrays: OnceLock<Arrays>,
+    /// Where blocks load from (`None`: built with every block in place).
+    source: Option<LeafSource>,
 }
 
-/// One leaf of [`Summaries`].
-pub struct LeafSummary<'a> {
-    /// Scan index of the leaf's first entry.
-    pub start: usize,
-    /// The segment-major symbol block of its entries.
+/// One leaf as the probe and the scan read it.
+#[derive(Clone, Copy)]
+pub struct LeafBlock<'a> {
+    /// The entries' SAX symbols, segment-major: entry `e`'s segment `j`
+    /// sits at `j * count + e`, so one segment of eight consecutive entries
+    /// is one 8-byte load.
     pub symbols: &'a [u8],
-    /// Per segment, the smallest symbol any entry can hold.
-    pub lo: &'a [u8],
-    /// Per segment, the largest symbol any entry can hold.
-    pub hi: &'a [u8],
+    /// The entries' raw-file positions.
+    pub pos: &'a [u64],
+}
+
+/// Every leaf's symbols (leaf `l`'s block at `leaf_starts[l] * segments`)
+/// and positions (at `leaf_starts[l]`), in scan order.
+struct Arrays {
+    symbols: WriteOnce<u8>,
+    pos: WriteOnce<u64>,
+}
+
+/// A fixed-size array that threads fill in disjoint parts, each part once,
+/// and read only afterwards. The array itself enforces none of this: the
+/// accessors are `unsafe` and [`Summaries::block`], their one caller, keeps
+/// the discipline with a lock per part.
+struct WriteOnce<T>(Box<[UnsafeCell<T>]>);
+
+// SAFETY: the cells are reached only through `read` and `write`, whose
+// callers guarantee that a part being written is referenced by nobody else;
+// given that, sharing the array is sharing `&[T]` and handing out disjoint
+// `&mut [T]`, which needs `T: Sync + Send`.
+unsafe impl<T: Send + Sync> Sync for WriteOnce<T> {}
+
+impl<T> WriteOnce<T> {
+    fn new(values: Vec<T>) -> Self {
+        let values = Box::into_raw(values.into_boxed_slice());
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
+        // slices have one layout and the box may own it under either type.
+        WriteOnce(unsafe { Box::from_raw(values as *mut [UnsafeCell<T>]) })
+    }
+
+    /// # Safety
+    ///
+    /// No write to `part` may be in progress or start while the returned
+    /// slice is alive.
+    unsafe fn read(&self, part: Range<usize>) -> &[T] {
+        let cells = &self.0[part];
+        // SAFETY: the cells are `cells.len()` initialised `T`s, and the
+        // caller rules out a concurrent write.
+        unsafe { std::slice::from_raw_parts(cells.as_ptr().cast(), cells.len()) }
+    }
+
+    /// # Safety
+    ///
+    /// The caller must be the only one reading or writing `part` while the
+    /// returned slice is alive.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn write(&self, part: Range<usize>) -> &mut [T] {
+        let cells = &self.0[part];
+        // SAFETY: the pointer comes out of `UnsafeCell`s, so writing through
+        // it is allowed, and the caller holds the part exclusively.
+        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), cells.len()) }
+    }
+}
+
+/// The leaves of an index file, as [`Summaries`] reads them back.
+struct LeafSource {
+    store: LeafStore,
+    leaves: Vec<LeafMeta>,
+    /// Every position must fall in the range the index covers.
+    range: Range<u64>,
 }
 
 impl Summaries {
     /// Summaries over `(key, position)`-sorted `entries` cut into leaves of
     /// `leaf_sizes` entries (the last leaf takes the rest) — what an index
-    /// holding exactly those leaves would load.
+    /// holding exactly those leaves would end up with, every block loaded.
     pub fn from_sorted(
         sax: &SaxConfig,
         entries: &[(ZKey, u64)],
         leaf_sizes: impl IntoIterator<Item = usize>,
     ) -> Self {
-        let w = sax.segments;
-        let decoder = SymbolDecoder::new(sax);
-        let mut symbols = vec![0; entries.len() * w];
-        let mut boxes = Vec::new();
-        let mut leaf_starts = vec![0];
+        let mut leaves = Vec::new();
         let mut sizes = leaf_sizes.into_iter();
-        let mut keys = Vec::new();
         let mut start = 0;
         while start < entries.len() {
             let size = sizes.next().unwrap_or(usize::MAX);
             let end = start + size.clamp(1, entries.len() - start);
-            keys.clear();
-            keys.extend(entries[start..end].iter().map(|&(key, _)| key));
-            let at = boxes.len();
-            boxes.resize(at + 2 * w, 0);
-            summarize_leaf(
-                &decoder,
-                &keys,
-                &mut symbols[start * w..end * w],
-                &mut boxes[at..],
-            );
-            leaf_starts.push(end);
+            leaves.push(&entries[start..end]);
             start = end;
         }
-        Summaries {
-            decoder,
-            symbols,
-            pos: entries.iter().map(|&(_, pos)| pos).collect(),
-            leaf_starts,
-            boxes,
+        let mut s = Self::new(sax, leaves.iter().map(|leaf| (leaf[0].0, leaf.len())), None);
+        let mut symbols = vec![0; entries.len() * sax.segments];
+        let mut keys = Vec::new();
+        for (leaf, start) in leaves.iter().zip(&s.leaf_starts) {
+            keys.clear();
+            keys.extend(leaf.iter().map(|&(key, _)| key));
+            let block = start * sax.segments..(start + leaf.len()) * sax.segments;
+            s.decoder.decode_into(&keys, &mut symbols[block]);
         }
+        s.arrays = OnceLock::from(Arrays {
+            symbols: WriteOnce::new(symbols),
+            pos: WriteOnce::new(entries.iter().map(|&(_, pos)| pos).collect()),
+        });
+        s.loaded = leaves.iter().map(|_| Mutex::new(true)).collect();
+        s
     }
 
-    fn segments(&self) -> usize {
-        self.decoder.config().segments
+    /// The directory level alone — O(leaves), nothing read: `leaves` yields
+    /// each leaf's `(first key, entry count)` in order.
+    fn new(
+        sax: &SaxConfig,
+        leaves: impl Iterator<Item = (ZKey, usize)> + Clone,
+        source: Option<LeafSource>,
+    ) -> Self {
+        let w = sax.segments;
+        let mut leaf_starts = vec![0];
+        leaf_starts.extend(leaves.clone().scan(0, |end, (_, count)| {
+            *end += count;
+            Some(*end)
+        }));
+        // A leaf's keys run from its first key up to the next leaf's (the
+        // last leaf's: up to the largest key there is).
+        let max_key = ZKey(u128::MAX >> (128 - w * sax.card_bits as usize));
+        let uppers = leaves.clone().map(|(first, _)| first).skip(1);
+        let mut boxes = vec![0; (leaf_starts.len() - 1) * 2 * w];
+        for (lo_hi, ((first, _), next)) in boxes
+            .chunks_exact_mut(2 * w)
+            .zip(leaves.zip(uppers.chain([max_key])))
+        {
+            let (lo, hi) = lo_hi.split_at_mut(w);
+            key_range_box(first, next, sax, lo, hi);
+        }
+        Summaries {
+            decoder: SymbolDecoder::new(sax),
+            loaded: (1..leaf_starts.len()).map(|_| Mutex::new(false)).collect(),
+            arrays: OnceLock::new(),
+            leaf_starts,
+            boxes,
+            source,
+        }
     }
 
     /// Entries summarized.
     pub fn len(&self) -> usize {
-        self.pos.len()
+        self.leaf_starts[self.leaf_count()]
     }
 
     /// True when no entry is summarized.
     pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
+        self.len() == 0
     }
 
     /// Leaves summarized.
@@ -198,64 +293,93 @@ impl Summaries {
         self.leaf_starts.len() - 1
     }
 
+    /// First scan index of each leaf, plus the total.
+    pub fn leaf_starts(&self) -> &[usize] {
+        &self.leaf_starts
+    }
+
     /// Entries in leaf `leaf`.
     pub fn leaf_len(&self, leaf: usize) -> usize {
         self.leaf_starts[leaf + 1] - self.leaf_starts[leaf]
     }
 
-    /// The symbols and box of leaf `leaf`.
-    pub fn leaf(&self, leaf: usize) -> LeafSummary<'_> {
-        let w = self.segments();
-        let (start, end) = (self.leaf_starts[leaf], self.leaf_starts[leaf + 1]);
-        let (lo, hi) = self.boxes[leaf * 2 * w..(leaf + 1) * 2 * w].split_at(w);
-        LeafSummary {
-            start,
-            symbols: &self.symbols[start * w..end * w],
-            lo,
-            hi,
-        }
+    /// Per segment, the smallest and the largest symbol an entry of leaf
+    /// `leaf` can hold.
+    pub fn leaf_box(&self, leaf: usize) -> (&[u8], &[u8]) {
+        let w = self.decoder.config().segments;
+        self.boxes[leaf * 2 * w..(leaf + 1) * 2 * w].split_at(w)
     }
 
-    /// The raw-file position of scan index `i`.
-    #[inline]
-    pub fn pos(&self, i: usize) -> u64 {
-        self.pos[i]
+    /// Leaves whose block is in memory.
+    pub fn loaded_blocks(&self) -> usize {
+        self.loaded.iter().filter(|l| *l.lock()).count()
     }
-}
 
-/// The not yet filled tails of the three per-entry / per-leaf arrays of a
-/// [`Summaries`] under construction.
-struct LeafSlices<'a> {
-    symbols: &'a mut [u8],
-    pos: &'a mut [u64],
-    boxes: &'a mut [u8],
-}
-
-impl<'a> LeafSlices<'a> {
-    /// Split off the part covering the next `entries` entries in `leaves`
-    /// leaves of `w`-segment summaries.
-    fn split_front(&mut self, entries: usize, leaves: usize, w: usize) -> LeafSlices<'a> {
-        fn front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-            let (head, tail) = std::mem::take(rest).split_at_mut(n);
-            *rest = tail;
-            head
+    /// The block of leaf `leaf`: read from the index file, CRC-checked and
+    /// de-interleaved by the first caller that asks (a second one waits for
+    /// it), and only borrowed ever after. A failed load leaves the leaf
+    /// unloaded, so the next caller fails — or succeeds — on its own read.
+    pub fn block(&self, leaf: usize) -> Result<LeafBlock<'_>> {
+        let w = self.decoder.config().segments;
+        let arrays = self.arrays.get_or_init(|| Arrays {
+            symbols: WriteOnce::new(vec![0; self.len() * w]),
+            pos: WriteOnce::new(vec![0; self.len()]),
+        });
+        let entries = self.leaf_starts[leaf]..self.leaf_starts[leaf + 1];
+        let symbols = entries.start * w..entries.end * w;
+        let mut loaded = self.loaded[leaf].lock();
+        if !*loaded {
+            let Some(source) = &self.source else {
+                return Err(Error::invalid("summaries hold no leaf file to load from"));
+            };
+            // SAFETY: a leaf's parts of the two arrays are written here
+            // only, with the leaf's lock held and its flag unset, and read
+            // only once the flag is set — so nobody else refers to them.
+            let (symbols, pos) = unsafe {
+                (
+                    arrays.symbols.write(symbols.clone()),
+                    arrays.pos.write(entries.clone()),
+                )
+            };
+            self.fill(source, leaf, symbols, pos)?;
+            *loaded = true;
         }
-        LeafSlices {
-            symbols: front(&mut self.symbols, entries * w),
-            pos: front(&mut self.pos, entries),
-            boxes: front(&mut self.boxes, leaves * 2 * w),
-        }
+        drop(loaded);
+        // SAFETY: the flag is set, so these parts are never written again,
+        // and taking the lock ordered their one write before this read.
+        Ok(unsafe {
+            LeafBlock {
+                symbols: arrays.symbols.read(symbols),
+                pos: arrays.pos.read(entries),
+            }
+        })
     }
-}
 
-/// De-interleave one leaf's sorted `keys` into its segment-major `symbols`
-/// block and its `[lo.., hi..]` symbol box.
-fn summarize_leaf(decoder: &SymbolDecoder, keys: &[ZKey], symbols: &mut [u8], lo_hi: &mut [u8]) {
-    decoder.decode_into(keys, symbols);
-    if let (Some(&first), Some(&last)) = (keys.first(), keys.last()) {
-        let sax = decoder.config();
-        let (lo, hi) = lo_hi.split_at_mut(sax.segments);
-        key_range_box(first, last, sax, lo, hi);
+    /// Read leaf `leaf` back from `source` into its `symbols` block and its
+    /// `pos`itions.
+    fn fill(
+        &self,
+        source: &LeafSource,
+        leaf: usize,
+        symbols: &mut [u8],
+        pos: &mut [u64],
+    ) -> Result<()> {
+        let (store, entry) = (&source.store, source.store.entry());
+        let mut leaf_buf = Vec::new();
+        store.read_leaf(&source.leaves[leaf], &mut leaf_buf)?;
+        let mut keys = Vec::with_capacity(pos.len());
+        for (slot, pos) in pos.iter_mut().enumerate() {
+            let e = store.entry_slice(&leaf_buf, slot);
+            *pos = entry.pos(e);
+            if !source.range.contains(pos) {
+                return Err(Error::corrupt(
+                    "index does not cover a contiguous position range",
+                ));
+            }
+            keys.push(entry.key(e));
+        }
+        self.decoder.decode_into(&keys, symbols);
+        Ok(())
     }
 }
 
@@ -270,7 +394,7 @@ pub struct SortedLeafIndex<D> {
     pub(crate) store: LeafStore,
     pub(crate) leaves: Vec<LeafMeta>,
     pub(crate) dir: D,
-    pub(crate) summaries: RwLock<Option<Arc<Summaries>>>,
+    summaries: Summaries,
     pub(crate) entry_count: u64,
     pub(crate) next_block: u32,
     /// Positions covered: `range.start..range.end` of the dataset.
@@ -365,7 +489,7 @@ impl<D: Directory> SortedLeafIndex<D> {
             store: LeafStore::new(file, entry, config.leaf_capacity),
             leaves: Vec::new(),
             dir,
-            summaries: RwLock::new(None),
+            summaries: Summaries::new(&config.sax, std::iter::empty(), None),
             entry_count: 0,
             next_block: 0,
             range,
@@ -428,13 +552,21 @@ impl<D: Directory> SortedLeafIndex<D> {
 
         self.build_report.items = self.entry_count;
         self.build_report.leaves = self.leaves.len() as u64;
-        // The first exact query loads the summaries from the leaves just
-        // written: building them here, beside the sort's buffers (and, in a
-        // compaction, beside the summaries of the runs being merged), would
-        // set the process's peak memory for a build that may never be
-        // queried.
-        *self.summaries.write() = None;
+        self.leaves_changed();
         Ok(())
+    }
+
+    /// Re-derive the summaries' directory level after `leaves` changed:
+    /// O(leaves), and every block of the old directory is dropped (a query
+    /// reloads the ones it touches).
+    pub(crate) fn leaves_changed(&mut self) {
+        let source = LeafSource {
+            store: self.store.clone(),
+            leaves: self.leaves.clone(),
+            range: self.range.clone(),
+        };
+        let leaves = self.leaves.iter().map(|l| (l.first_key, l.count as usize));
+        self.summaries = Summaries::new(&self.config.sax, leaves, Some(source));
     }
 
     /// Write the packed entries in `block` as the next leaf at the end of
@@ -457,6 +589,10 @@ impl<D: Directory> SortedLeafIndex<D> {
     /// header and sync.
     pub(crate) fn persist(&self) -> Result<()> {
         let file = self.store.file();
+        if file.len() < LEAF_REGION_OFFSET {
+            // No leaf was written: keep the directory off the header page.
+            file.write_all_at(&[0; LEAF_REGION_OFFSET as usize], 0)?;
+        }
         let dir_offset = write_directory(file, &self.leaves)?;
         let tail_version = self.dir.write_tail(file)?;
         let header = IndexHeader {
@@ -525,10 +661,13 @@ impl<D: Directory> SortedLeafIndex<D> {
         config.validate()?;
         let (leaves, tail) = read_directory(&file, header.dir_offset)?;
         let dir = D::read_tail(&file, &header, tail, &leaves, &config)?;
+        if leaves.iter().map(|l| l.count as u64).sum::<u64>() != header.entry_count {
+            return Err(Error::corrupt("leaf directory and entry count disagree"));
+        }
         // The on-disk index does not record its own range; `open` assumes
         // the common whole-dataset case (the LSM manifest tells
-        // `open_range`), and `load_summaries` cross-checks every entry's
-        // position against it.
+        // `open_range`), and every leaf block loaded cross-checks its
+        // entries' positions against it.
         let mut index = Self::over(
             file,
             dataset,
@@ -541,6 +680,7 @@ impl<D: Directory> SortedLeafIndex<D> {
         index.leaves = leaves;
         index.entry_count = header.entry_count;
         index.next_block = header.num_blocks as u32;
+        index.leaves_changed();
         Ok(index)
     }
 
@@ -599,10 +739,10 @@ impl<D: Directory> SortedLeafIndex<D> {
         self.range.clone()
     }
 
-    /// Route leaf reads through a shared buffer pool (`file_id` must be
-    /// unique per index within the pool). Models "RAM available to queries".
-    pub fn attach_cache(&mut self, cache: Arc<coconut_storage::PageCache>, file_id: u32) {
-        self.store.attach_cache(cache, file_id);
+    /// Leaves whose block — symbols and positions — a query has loaded so
+    /// far (none right after a build, an open or an insert).
+    pub fn loaded_blocks(&self) -> usize {
+        self.summaries.loaded_blocks()
     }
 
     /// Mean leaf occupancy relative to the slots of the blocks the leaves
@@ -642,12 +782,13 @@ impl<D: Directory> SortedLeafIndex<D> {
     }
 
     /// The probe (Algorithm 4): offer `hits` the best entries of `leaves`.
-    /// Every entry is lower-bounded from the key stored beside it, and a
-    /// leaf's entries are fetched in ascending `(bound, position)` order
-    /// while their bound can still enter `hits` — so `hits` ends up holding
-    /// exactly what fetching every entry would have left there. Leaves are
-    /// taken nearest `target` first: the likeliest to tighten the cutoff
-    /// that spares the others their fetches.
+    /// Every entry is lower-bounded from its symbols in the leaf's block
+    /// (the one the scan uses), and a leaf's entries are fetched in
+    /// ascending `(bound, position)` order while their bound can still
+    /// enter `hits` — so `hits` ends up holding exactly what fetching every
+    /// entry would have left there. Leaves are taken nearest `target`
+    /// first: the likeliest to tighten the cutoff that spares the others
+    /// their fetches.
     fn eval_leaves<M: Distance, C: Collector>(
         &self,
         leaves: std::ops::RangeInclusive<usize>,
@@ -659,32 +800,28 @@ impl<D: Directory> SortedLeafIndex<D> {
         let entry = self.store.entry();
         let mut leaf_buf = Vec::new();
         let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let (mut keys, mut bounds) = (Vec::new(), Vec::new());
+        let mut under = Vec::new();
         let mut order: Vec<(f64, u64, usize)> = Vec::new();
         let mut nearest_first: Vec<usize> = leaves.collect();
         nearest_first.sort_by_key(|&l| (l.abs_diff(target), l));
         for l in nearest_first {
-            let leaf = &self.leaves[l];
-            self.store.read_leaf(leaf, &mut leaf_buf)?;
+            let block = self.summaries.block(l)?;
             stats.leaves_visited += 1;
-            let slots = 0..leaf.count as usize;
-            keys.clear();
-            keys.extend(
-                slots
-                    .clone()
-                    .map(|slot| entry.key(self.store.entry_slice(&leaf_buf, slot))),
-            );
-            bounds.resize(keys.len(), 0.0);
-            metric.table().mindist_batch_into(&keys, &mut bounds);
             // Only entries under the cutoff so far can ever be fetched.
-            let cutoff = hits.cutoff();
+            under.clear();
+            metric
+                .table()
+                .bounds_under(block.symbols, hits.cutoff(), 0, &mut under);
+            stats.pruned += (block.pos.len() - under.len()) as u64;
             order.clear();
-            order.extend(slots.filter(|&slot| bounds[slot] <= cutoff).map(|slot| {
-                let pos = entry.pos(self.store.entry_slice(&leaf_buf, slot));
-                (bounds[slot], pos, slot)
-            }));
-            stats.pruned += (keys.len() - order.len()) as u64;
+            order.extend(
+                under
+                    .iter()
+                    .map(|&(slot, bound)| (bound, block.pos[slot], slot)),
+            );
             order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // A materialized leaf is read back only if a payload is wanted.
+            let mut payloads_read = false;
             for (fetched, &(bound, pos, slot)) in order.iter().enumerate() {
                 if bound > hits.cutoff() {
                     // Sorted by bound and the cutoff only tightens.
@@ -692,6 +829,10 @@ impl<D: Directory> SortedLeafIndex<D> {
                     break;
                 }
                 if self.materialized {
+                    if !payloads_read {
+                        self.store.read_leaf(&self.leaves[l], &mut leaf_buf)?;
+                        payloads_read = true;
+                    }
                     entry.series_into(self.store.entry_slice(&leaf_buf, slot), &mut series_buf);
                 } else {
                     self.dataset.read_into(pos, &mut series_buf)?;
@@ -703,77 +844,6 @@ impl<D: Directory> SortedLeafIndex<D> {
             }
         }
         Ok(())
-    }
-
-    fn load_summaries(&self) -> Result<Arc<Summaries>> {
-        if let Some(s) = self.summaries.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let mut write = self.summaries.write();
-        if let Some(s) = write.as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        // "if SAX sums are not in memory, load them" — read the leaf region
-        // back, each worker a contiguous share of the leaves, filling its
-        // own disjoint part of the arrays.
-        let (n, w) = (self.entry_count as usize, self.config.sax.segments);
-        let mut leaf_starts = vec![0];
-        leaf_starts.extend(self.leaves.iter().scan(0usize, |end, l| {
-            *end += l.count as usize;
-            Some(*end)
-        }));
-        if leaf_starts.last() != Some(&n) {
-            return Err(Error::corrupt("leaf directory and entry count disagree"));
-        }
-        let mut s = Summaries {
-            decoder: SymbolDecoder::new(&self.config.sax),
-            symbols: vec![0; n * w],
-            pos: vec![0; n],
-            leaf_starts,
-            boxes: vec![0; self.leaves.len() * 2 * w],
-        };
-        let mut out = LeafSlices {
-            symbols: &mut s.symbols,
-            pos: &mut s.pos,
-            boxes: &mut s.boxes,
-        };
-        let (decoder, store, range) = (&s.decoder, &self.store, &self.range);
-        let fill = |(leaves, mut out): (&[LeafMeta], LeafSlices<'_>)| -> Result<()> {
-            let entry = store.entry();
-            let (mut leaf_buf, mut keys) = (Vec::new(), Vec::new());
-            for leaf in leaves {
-                store.read_leaf(leaf, &mut leaf_buf)?;
-                let out = out.split_front(leaf.count as usize, 1, w);
-                keys.clear();
-                for (slot, pos) in out.pos.iter_mut().enumerate() {
-                    let e = store.entry_slice(&leaf_buf, slot);
-                    *pos = entry.pos(e);
-                    if !range.contains(pos) {
-                        return Err(Error::corrupt(
-                            "index does not cover a contiguous position range",
-                        ));
-                    }
-                    keys.push(entry.key(e));
-                }
-                summarize_leaf(decoder, &keys, out.symbols, out.boxes);
-            }
-            Ok(())
-        };
-        let workers = if n < PARALLEL_MIN_KEYS {
-            1
-        } else {
-            self.threads
-        };
-        let shares = balanced_chunks(&self.leaves, workers, |l| l.count as usize)
-            .into_iter()
-            .map(|leaves| {
-                let entries = leaves.iter().map(|l| l.count as usize).sum();
-                (leaves, out.split_front(entries, leaves.len(), w))
-            });
-        scatter(shares, fill).into_iter().collect::<Result<()>>()?;
-        let s = Arc::new(s);
-        *write = Some(Arc::clone(&s));
-        Ok(s)
     }
 
     /// Answer `query` for `series` (z-normalized, of the index's series
@@ -822,13 +892,13 @@ impl<D: Directory> SortedLeafIndex<D> {
             }
         }
         if query.kind != Kind::Approx {
-            let summaries = self.load_summaries()?;
+            let summaries = &self.summaries;
             let series_len = self.config.sax.series_len;
             let scanned = if self.materialized {
                 let mut fetcher = LeafOrderFetcher {
                     store: &self.store,
                     leaves: &self.leaves,
-                    summaries: &summaries,
+                    starts: summaries.leaf_starts(),
                     cur_leaf: 0,
                     leaf_buf: Vec::new(),
                     loaded: false,
@@ -836,7 +906,7 @@ impl<D: Directory> SortedLeafIndex<D> {
                 sims_scan(
                     metric,
                     series_len,
-                    &summaries,
+                    summaries,
                     self.threads,
                     &mut fetcher,
                     &mut hits,
@@ -849,7 +919,7 @@ impl<D: Directory> SortedLeafIndex<D> {
                 sims_scan(
                     metric,
                     series_len,
-                    &summaries,
+                    summaries,
                     self.threads,
                     &mut fetcher,
                     &mut hits,
@@ -906,8 +976,9 @@ struct RawFileFetcher<'a> {
 impl SeriesFetcher for RawFileFetcher<'_> {
     const POSITION_ORDER: bool = true;
 
-    fn fetch(&mut self, _i: usize, pos: u64, out: &mut [Value]) -> Result<()> {
-        self.dataset.read_into(pos, out)
+    fn fetch(&mut self, pos: u64, out: &mut [Value]) -> Result<u64> {
+        self.dataset.read_into(pos, out)?;
+        Ok(pos)
     }
 }
 
@@ -917,7 +988,8 @@ impl SeriesFetcher for RawFileFetcher<'_> {
 struct LeafOrderFetcher<'a> {
     store: &'a LeafStore,
     leaves: &'a [LeafMeta],
-    summaries: &'a Summaries,
+    /// First scan index of each leaf, plus the total.
+    starts: &'a [usize],
     cur_leaf: usize,
     leaf_buf: Vec<u8>,
     loaded: bool,
@@ -926,8 +998,8 @@ struct LeafOrderFetcher<'a> {
 impl SeriesFetcher for LeafOrderFetcher<'_> {
     const POSITION_ORDER: bool = false;
 
-    fn fetch(&mut self, i: usize, _pos: u64, out: &mut [Value]) -> Result<()> {
-        let starts = &self.summaries.leaf_starts;
+    fn fetch(&mut self, i: u64, out: &mut [Value]) -> Result<u64> {
+        let (i, starts) = (i as usize, self.starts);
         // Advance to the leaf containing scan index i (indexes arrive in
         // increasing order).
         if !self.loaded || i >= starts[self.cur_leaf + 1] {
@@ -941,7 +1013,7 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
         let slot = i - starts[self.cur_leaf];
         let e = self.store.entry_slice(&self.leaf_buf, slot);
         self.store.entry().series_into(e, out);
-        Ok(())
+        Ok(self.store.entry().pos(e))
     }
 }
 

@@ -8,20 +8,26 @@
 //! scan.
 //!
 //! [`sims_scan`] is that loop, and it uses what the sort bought: the
-//! summaries ([`Summaries`]) are kept leaf by leaf, and a leaf of the
-//! sorted order is a tight box in SAX space. The scan walks the leaves in
+//! summaries ([`Summaries`]) are kept leaf by leaf — a box per leaf from
+//! the directory, the leaf's block of symbols and positions loaded by the
+//! first query that needs it ("if SAX sums are not in memory, load them",
+//! one leaf at a time) — and a leaf of the sorted order is a tight box in
+//! SAX space. The scan walks the leaves in
 //! batches of [`PARALLEL_MIN_KEYS`] keys, each batch under the cutoff the
 //! collector holds when it starts (the probe's, at first), in two phases:
 //!
 //! * **A — bound.** Every leaf's box is lower-bounded first
 //!   ([`QueryDistTable::box_bound`]); a leaf whose box is already beyond the
-//!   cutoff is skipped whole, none of its keys touched. Inside the surviving
-//!   leaves the table-sum kernel bounds each entry and keeps only those at
-//!   or under the cutoff ([`QueryDistTable::bounds_under`]) — a short list
-//!   of `(scan index, bound)` candidates instead of a bound per record.
-//!   The phase is pure, so a full batch is split over scoped threads by
-//!   contiguous leaf ranges; a near query, whose probe already pruned
-//!   almost every leaf, never fills one and never spawns.
+//!   cutoff is skipped whole, none of its keys touched — nor read, if no
+//!   query loaded its block before. Inside the surviving leaves (their
+//!   blocks loaded by the worker that gets there first) the table-sum
+//!   kernel bounds each entry and keeps only those at or under the cutoff
+//!   ([`QueryDistTable::bounds_under`]) — a short list of `(where it is
+//!   stored, bound)` candidates instead of a bound per record. Workers
+//!   share nothing they write but a leaf's load-once block, so a full
+//!   batch is split over scoped threads by contiguous leaf ranges; a near
+//!   query, whose probe already pruned almost every leaf, never fills one
+//!   and never spawns.
 //! * **B — fetch.** The candidates are walked sequentially in storage order
 //!   — raw-file position for pointer indexes, scan (leaf) order for
 //!   materialized ones — each re-checked against the cutoff as it tightens,
@@ -62,8 +68,9 @@
 //! * **Threads change neither answers nor counters.** Batches are cut by
 //!   key count and each works from the one cutoff it started under, so the
 //!   candidate lists — and with them every [`QueryStats`] field — are the
-//!   same for any thread count; the workers share only the read-only table
-//!   and summaries and return their candidates in leaf order. Note this is
+//!   same for any thread count, and whichever blocks earlier queries left
+//!   loaded; the workers share only the read-only table and the summaries
+//!   and return their candidates in leaf order. Note this is
 //!   *query* parallelism; the *build*-side rule that concurrent workers
 //!   divide the memory budget (K sorters get `budget / K` each) is
 //!   documented on [`coconut_storage::ExternalSorter::new`] and
@@ -99,14 +106,15 @@ const DEADLINE_STRIDE: usize = 64;
 /// in increasing storage order, so fetchers can stream forward
 /// (skip-sequentially).
 pub trait SeriesFetcher {
-    /// Which order is storage order: raw-file position (`true`, pointer
-    /// indexes) or scan index, i.e. leaf order (`false`, materialized
-    /// indexes).
+    /// Which order is storage order, and so what a candidate is known by:
+    /// its raw-file position (`true`, pointer indexes) or its scan index,
+    /// i.e. leaf order (`false`, materialized indexes).
     const POSITION_ORDER: bool;
 
-    /// Fill `out` with the series at scan index `i`, raw-file position
-    /// `pos`.
-    fn fetch(&mut self, i: usize, pos: u64, out: &mut [Value]) -> Result<()>;
+    /// Fill `out` with the series stored at `at` — a raw-file position or a
+    /// scan index, as [`Self::POSITION_ORDER`] says — and return its
+    /// raw-file position.
+    fn fetch(&mut self, at: u64, out: &mut [Value]) -> Result<u64>;
 }
 
 /// Below this many keys a bound pass runs single-threaded: one bound costs
@@ -412,42 +420,80 @@ impl Collector for Within {
     }
 }
 
-/// `(scan index, bound)` of the entries that survived phase A.
-type Candidates = Vec<(usize, f64)>;
+/// An entry that survived phase A: where it is stored — its raw-file
+/// position or its scan index, whichever orders the fetcher's storage —
+/// and its lower bound.
+type Candidate = (u64, f64);
 
-/// Phase A over one batch of `leaves`: append the `(scan index, bound)` of
-/// every entry whose bound does not exceed `cutoff` to `candidates`, in
-/// scan order, splitting the batch over `workers` scoped threads by
-/// contiguous leaf ranges (one worker runs inline, spawning nothing).
-/// Each worker fills one of `parts`, the scan's reusable buffers: they are
-/// allocated here, by the thread that keeps them, so they grow in its
-/// allocator arena batch after batch instead of leaving a high-water mark
-/// in the arena of every short-lived worker.
+/// One phase-A worker's reusable buffers: the kernel's `(entry, bound)`
+/// output for the leaf at hand, and the candidates of its share. The first
+/// part's list is also where a scan's candidates pile up until a sweep.
+struct Part {
+    under: Vec<(usize, f64)>,
+    kept: Vec<Candidate>,
+}
+
+impl Default for Part {
+    fn default() -> Self {
+        Part {
+            under: Vec::with_capacity(256),
+            kept: Vec::with_capacity(256),
+        }
+    }
+}
+
+/// Phase A over one batch of `leaves`: append every entry whose bound does
+/// not exceed `cutoff` (known by position if `by_pos`, by scan index
+/// otherwise) to the first of `parts` (there is always one), in scan order,
+/// splitting the batch
+/// over `workers` scoped threads by contiguous leaf ranges (one worker runs
+/// inline, spawning nothing). A worker loads the blocks of its leaves that
+/// no query touched before, so a cold scan reads and decodes in parallel.
+/// Each worker fills one of `parts`, the scan's reusable buffers — the
+/// first appends where the candidates pile up, the others' lists follow it
+/// there: they are allocated here, by the thread that keeps them, so they
+/// grow in its allocator arena batch after batch instead of leaving a
+/// high-water mark in the arena of every short-lived worker.
 fn bound_batch(
     table: &QueryDistTable,
     summaries: &Summaries,
     leaves: &[usize],
-    cutoff: f64,
+    (cutoff, by_pos): (f64, bool),
     workers: usize,
-    parts: &mut Vec<Candidates>,
-    candidates: &mut Candidates,
-) {
+    parts: &mut Vec<Part>,
+) -> Result<()> {
     let shares = balanced_chunks(leaves, workers, |&l| summaries.leaf_len(l));
     if parts.len() < shares.len() {
-        parts.resize_with(shares.len(), || Vec::with_capacity(256));
+        parts.resize_with(shares.len(), Part::default);
     }
-    scatter(
+    let loaded = scatter(
         shares.into_iter().zip(parts.iter_mut()),
-        |(leaves, part)| {
+        |(leaves, part)| -> Result<()> {
             for &l in leaves {
-                let leaf = summaries.leaf(l);
-                table.bounds_under(leaf.symbols, cutoff, leaf.start, part);
+                let block = summaries.block(l)?;
+                let start = summaries.leaf_starts()[l];
+                part.under.clear();
+                table.bounds_under(block.symbols, cutoff, 0, &mut part.under);
+                part.kept.extend(part.under.iter().map(|&(e, bound)| {
+                    let at = if by_pos {
+                        block.pos[e]
+                    } else {
+                        (start + e) as u64
+                    };
+                    (at, bound)
+                }));
             }
+            Ok(())
         },
     );
-    for part in parts {
-        candidates.append(part);
+    // Every part is drained even when a block failed to load: the buffers
+    // outlive the batch.
+    if let Some((first, rest)) = parts.split_first_mut() {
+        for part in rest {
+            first.kept.append(&mut part.kept);
+        }
     }
+    loaded.into_iter().collect()
 }
 
 /// The SIMS scan (Algorithm 5), seeded by the probe's hits in `hits`: walk
@@ -496,7 +542,7 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
     let mut stats = QueryStats::default();
     let table = dist.table();
     let mut buf = vec![0.0 as Value; series_len];
-    let (mut candidates, mut parts) = (Candidates::new(), Vec::new());
+    let mut parts = vec![Part::default()];
     let mut batch: Vec<usize> = Vec::new();
     let leaves = summaries.leaf_count();
     let mut next = 0;
@@ -507,8 +553,8 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
         let mut keys = 0;
         batch.clear();
         while next < leaves && keys < batch_keys {
-            let leaf = summaries.leaf(next);
-            if table.box_bound(leaf.lo, leaf.hi) <= cutoff {
+            let (lo, hi) = summaries.leaf_box(next);
+            if table.box_bound(lo, hi) <= cutoff {
                 batch.push(next);
                 keys += summaries.leaf_len(next);
             } else {
@@ -519,16 +565,10 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
         // A full batch is worth splitting; a short one (the whole scan of
         // a near query, the tail of any other) runs inline.
         let workers = if keys < batch_keys { 1 } else { threads };
-        let before = candidates.len();
-        bound_batch(
-            table,
-            summaries,
-            &batch,
-            cutoff,
-            workers,
-            &mut parts,
-            &mut candidates,
-        );
+        let before = parts[0].kept.len();
+        let by = (cutoff, F::POSITION_ORDER);
+        bound_batch(table, summaries, &batch, by, workers, &mut parts)?;
+        let candidates = &mut parts[0].kept;
         stats.lower_bounds += keys as u64;
         stats.pruned += (keys - (candidates.len() - before)) as u64;
         if candidates.len() < sweep_candidates && next < leaves {
@@ -537,9 +577,9 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
 
         // Phase B: fetch in storage order under the tightening cutoff.
         if F::POSITION_ORDER {
-            candidates.sort_unstable_by_key(|&(i, _)| summaries.pos(i));
+            candidates.sort_unstable_by_key(|&(pos, _)| pos);
         }
-        for (n, &(i, bound)) in candidates.iter().enumerate() {
+        for (n, &(at, bound)) in candidates.iter().enumerate() {
             if n.is_multiple_of(DEADLINE_STRIDE) {
                 deadline.check()?;
             }
@@ -547,8 +587,7 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
                 stats.pruned += 1;
                 continue;
             }
-            let pos = summaries.pos(i);
-            fetcher.fetch(i, pos, &mut buf)?;
+            let pos = fetcher.fetch(at, &mut buf)?;
             stats.records_fetched += 1;
             if let Some(d) = dist.eval(&buf, cutoff) {
                 hits.offer(Answer { pos, dist: d });
@@ -576,9 +615,9 @@ mod tests {
     impl SeriesFetcher for VecFetcher<'_> {
         const POSITION_ORDER: bool = true;
 
-        fn fetch(&mut self, _i: usize, pos: u64, out: &mut [Value]) -> Result<()> {
+        fn fetch(&mut self, pos: u64, out: &mut [Value]) -> Result<u64> {
             out.copy_from_slice(&self.data[pos as usize]);
-            Ok(())
+            Ok(pos)
         }
     }
 
@@ -751,30 +790,18 @@ mod tests {
         let mut all = parallel_mindists(&paa(&q, config.segments), &keys, &config, 1);
         all.sort_by(f64::total_cmp);
         let cutoff = all[1000];
-        let mut inline = Vec::new();
-        let mut parts = Vec::new();
-        bound_batch(
-            ed.table(),
-            &sums,
-            &leaves,
-            cutoff,
-            1,
-            &mut parts,
-            &mut inline,
-        );
+        let mut parts = vec![Part::default()];
+        bound_batch(ed.table(), &sums, &leaves, (cutoff, false), 1, &mut parts).unwrap();
+        let inline = std::mem::take(&mut parts[0].kept);
         assert!(!inline.is_empty() && inline.windows(2).all(|w| w[0].0 < w[1].0));
         for workers in [2, 4, 200] {
-            let mut split = Vec::new();
-            bound_batch(
-                ed.table(),
-                &sums,
-                &leaves,
-                cutoff,
-                workers,
-                &mut parts,
-                &mut split,
+            let by = (cutoff, false);
+            bound_batch(ed.table(), &sums, &leaves, by, workers, &mut parts).unwrap();
+            assert_eq!(
+                std::mem::take(&mut parts[0].kept),
+                inline,
+                "{workers} workers"
             );
-            assert_eq!(split, inline, "{workers} workers");
         }
         assert!(balanced_chunks(&leaves, 4, |&l| sums.leaf_len(l)).len() == 4);
     }
@@ -824,9 +851,9 @@ mod tests {
         impl SeriesFetcher for Shuffled<'_> {
             const POSITION_ORDER: bool = false;
 
-            fn fetch(&mut self, _i: usize, _pos: u64, out: &mut [Value]) -> Result<()> {
+            fn fetch(&mut self, i: u64, out: &mut [Value]) -> Result<u64> {
                 out.copy_from_slice(self.0);
-                Ok(())
+                Ok(ORDER[i as usize])
             }
         }
         fn collect<C: Collector>(

@@ -306,7 +306,7 @@ impl CoconutTree {
         }
         self.entry_count += 1;
         self.range.end = pos + 1;
-        *self.summaries.write() = None; // rebuilt lazily
+        self.leaves_changed();
         Ok(())
     }
 
@@ -440,7 +440,7 @@ impl CoconutTree {
         self.entry_count += items.len() as u64;
         self.range.end = first_pos + batch.len() as u64;
         self.dir.rebuild(&self.leaves);
-        *self.summaries.write() = None; // rebuilt lazily
+        self.leaves_changed();
         self.persist()
     }
 }
@@ -832,57 +832,6 @@ mod tests {
             delta.random_ops(),
             delta.total_ops()
         );
-    }
-
-    #[test]
-    fn buffer_pool_serves_repeat_queries_without_changing_answers() {
-        let dir = TempDir::new("ctree").unwrap();
-        let ds = make_dataset(&dir, 600);
-        let mut tree = CoconutTree::build(
-            &ds,
-            &small_config(),
-            dir.path(),
-            BuildOptions::default().materialized(),
-        )
-        .unwrap();
-        let q = query(64);
-        let (cold, _) = tree.exact_search(&q).unwrap();
-
-        let cache = coconut_storage::PageCache::new(16 << 20);
-        tree.attach_cache(Arc::clone(&cache), 1);
-        let (warm1, _) = tree.exact_search(&q).unwrap();
-        let (warm2, _) = tree.exact_search(&q).unwrap();
-        assert_eq!(cold.pos, warm1.pos);
-        assert_eq!(cold.pos, warm2.pos);
-        let cs = cache.stats();
-        assert!(cs.hits > 0, "second query should hit the pool ({cs:?})");
-        assert!(cs.used_bytes <= cache.capacity_bytes());
-    }
-
-    #[test]
-    fn buffer_pool_sees_fresh_data_after_inserts() {
-        let dir = TempDir::new("ctree").unwrap();
-        let ds = make_dataset(&dir, 400);
-        let mut tree = CoconutTree::build_range(
-            &ds,
-            0..300,
-            &small_config(),
-            dir.path(),
-            BuildOptions::default(),
-        )
-        .unwrap();
-        let cache = coconut_storage::PageCache::new(16 << 20);
-        tree.attach_cache(Arc::clone(&cache), 7);
-        let member = ds.get(350).unwrap();
-        // Warm the cache before the insert.
-        let (before, _) = tree.exact_search(&member).unwrap();
-        assert!(before.dist > 0.0, "series 350 not yet indexed");
-        // Index the remaining series; cached leaf blocks must be refreshed.
-        let batch: Vec<Vec<Value>> = (300..400).map(|p| ds.get(p).unwrap()).collect();
-        tree.insert_batch(300, &batch).unwrap();
-        let (after, _) = tree.exact_search(&member).unwrap();
-        assert_eq!(after.pos, 350);
-        assert!(after.dist < 1e-4);
     }
 
     #[test]

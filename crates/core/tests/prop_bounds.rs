@@ -65,16 +65,18 @@ proptest! {
             let table = metric.table();
             let mut seen = 0;
             for l in 0..summaries.leaf_count() {
-                let leaf = summaries.leaf(l);
-                prop_assert_eq!(leaf.start, seen);
-                let box_bound = table.box_bound(leaf.lo, leaf.hi);
+                let start = summaries.leaf_starts()[l];
+                prop_assert_eq!(start, seen);
+                let (lo, hi) = summaries.leaf_box(l);
+                let box_bound = table.box_bound(lo, hi);
+                let block = summaries.block(l).unwrap();
                 let mut bounds = Vec::new();
-                table.bounds_under(leaf.symbols, f64::MAX, leaf.start, &mut bounds);
+                table.bounds_under(block.symbols, f64::MAX, start, &mut bounds);
                 prop_assert_eq!(bounds.len(), summaries.leaf_len(l));
                 for (i, bound) in bounds {
                     prop_assert_eq!(i, seen);
                     let (key, pos) = entries[i];
-                    prop_assert_eq!(summaries.pos(i), pos);
+                    prop_assert_eq!(block.pos[i - start], pos);
                     prop_assert_eq!(bound.to_bits(), table.mindist_zkey(key).to_bits());
                     prop_assert!(box_bound <= bound, "leaf {l}: box {box_bound} > key {bound}");
                     let true_dist = distance(&q, &data[pos as usize], band);

@@ -15,9 +15,10 @@
 //!
 //! Beside the matrix: answers *and* work counters do not depend on the
 //! thread count; a bound below every leaf box prunes the whole index
-//! untouched; one-leaf and empty indexes answer; inserts invalidate the
-//! summaries and the next exact search reloads them; and the probe returns
-//! the true best of its seed leaves while fetching only part of them.
+//! untouched; one-leaf and empty indexes answer, reopened too; inserts drop
+//! the loaded leaf blocks and every search after one reloads what it
+//! touches; and the probe returns the true best of its seed leaves while
+//! fetching only part of them.
 
 use std::sync::Arc;
 
@@ -363,23 +364,21 @@ fn one_leaf_and_empty_indexes_answer() {
                 CoconutTree::build_range(&ds, range, &config(), dir.path(), opts(materialized))
                     .unwrap();
             assert_eq!(tree.leaf_count(), entries.min(1));
-            // (An empty index file does not reopen — its directory lands
-            // under the header — so only the built handle is checked there.)
-            let reopened = (entries > 0)
-                .then(|| CoconutTree::open_range(tree.index_path(), &ds, 2, 0..entries).unwrap());
+            let reopened = CoconutTree::open_range(tree.index_path(), &ds, 2, 0..entries).unwrap();
+            assert_eq!(reopened.leaf_count(), entries.min(1));
             for q in queries() {
                 for query in exact_queries() {
                     let oracle = brute_force(&all[..entries as usize], &q, query.metric);
                     let want = bits(&expected(&oracle, &query));
                     let at = format!("{entries} entries, {query:?}");
                     assert_eq!(bits(&tree.search(&q, &query).unwrap().0), want, "{at}");
-                    if let Some(reopened) = &reopened {
-                        assert_eq!(bits(&reopened.search(&q, &query).unwrap().0), want, "{at}");
-                    }
+                    assert_eq!(bits(&reopened.search(&q, &query).unwrap().0), want, "{at}");
                 }
-                let (approx, _) = tree.search(&q, &Query::approx()).unwrap();
                 let best = brute_force(&all[..entries as usize], &q, Metric::Ed);
-                assert_eq!(bits(&approx), bits(&best[..entries.min(1) as usize]));
+                for index in [&tree, &reopened] {
+                    let (approx, _) = index.search(&q, &Query::approx()).unwrap();
+                    assert_eq!(bits(&approx), bits(&best[..entries.min(1) as usize]));
+                }
             }
         }
     }
@@ -404,11 +403,18 @@ fn inserts_invalidate_the_summaries_and_the_next_search_reloads_them() {
                 }
             }
         };
-        // Warm summaries, then grow the tree under them: one at a time
+        // Warm blocks, then grow the tree under them: one at a time
         // (splitting leaves), then a batch, searching after each step.
         check(&tree, 100);
+        assert!(tree.loaded_blocks() > 0);
         for pos in 100..140 {
             tree.insert(pos, &all[pos as usize]).unwrap();
+            assert_eq!(tree.loaded_blocks(), 0);
+            // The new member is found, by a search that reloads what it
+            // touches.
+            let (found, _) = tree.exact_search(&all[pos as usize]).unwrap();
+            let first = brute_force(&all[..=pos as usize], &all[pos as usize], Metric::Ed)[0];
+            assert_eq!(bits(&[found]), bits(&[first]), "after insert {pos}");
         }
         check(&tree, 140);
         tree.insert_batch(140, &all[140..]).unwrap();

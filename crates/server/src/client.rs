@@ -4,12 +4,15 @@
 //! *identical* code over local and remote shards — the in-process
 //! `LocalShard` is the bit-identity oracle for this client.
 //!
-//! Reliability model: one connection per shard, requests serialized under
-//! a mutex (the coordinator fans out across shards, not across requests to
-//! one shard). Every request gets a bounded retry budget with capped
-//! exponential backoff; refused connections and mid-request I/O errors
-//! reconnect and retry until the budget — or the query's deadline — runs
-//! out, then surface a typed [`Error::Unavailable`].
+//! Reliability model: a small stack of idle connections per shard. A
+//! request pops one (or dials), holds it for its round trip and pushes it
+//! back after a clean reply, so the coordinator's workers never queue
+//! behind each other on one socket; how many are open is bounded by how
+//! many workers the coordinator runs. Every request gets a bounded retry
+//! budget with capped exponential backoff; refused connections and
+//! mid-request I/O errors drop the connection, reconnect and retry until
+//! the budget — or the query's deadline — runs out, then surface a typed
+//! [`Error::Unavailable`].
 //!
 //! A shard that exhausts its retry budget trips a **circuit breaker**: for
 //! a capped, doubling hold-off window further requests fail fast with
@@ -32,6 +35,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,7 +121,9 @@ pub struct RemoteShard {
     resolved: SocketAddr,
     range: Range<u64>,
     config: ClientConfig,
-    conn: Mutex<Option<BufReader<TcpStream>>>,
+    /// Connections no request holds, each left clean by its last reply.
+    idle: Mutex<Vec<BufReader<TcpStream>>>,
+    in_flight: AtomicU64,
     down: Mutex<DownState>,
     metrics: Option<Arc<ShardClientMetrics>>,
 }
@@ -148,7 +154,8 @@ impl RemoteShard {
             resolved,
             range,
             config,
-            conn: Mutex::new(None),
+            idle: Mutex::new(Vec::new()),
+            in_flight: AtomicU64::new(0),
             down,
             metrics,
         })
@@ -192,10 +199,7 @@ impl RemoteShard {
     /// Explicit health probe: one `PING` round trip, bypassing the circuit
     /// breaker (this *is* the re-probe). Success resets the breaker.
     pub fn probe(&self) -> Result<()> {
-        let mut conn = self.conn.lock();
-        let result = self.request_locked(&mut conn, "PING", Deadline::NONE);
-        drop(conn);
-        match result {
+        match self.round_trip("PING", Deadline::NONE) {
             Ok(_) => {
                 self.mark_up();
                 Ok(())
@@ -225,15 +229,18 @@ impl RemoteShard {
                 self.addr
             )));
         }
-        let mut conn = self.conn.lock();
+        let in_flight = |now: u64| {
+            if let Some(m) = &self.metrics {
+                m.in_flight.set(now as f64);
+            }
+        };
         if let Some(m) = &self.metrics {
             m.requests.inc();
-            m.in_flight.set(1.0);
         }
-        let result = self.request_locked(&mut conn, line, deadline);
-        drop(conn);
+        in_flight(self.in_flight.fetch_add(1, Ordering::Relaxed) + 1);
+        let result = self.round_trip(line, deadline);
+        in_flight(self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1);
         if let Some(m) = &self.metrics {
-            m.in_flight.set(0.0);
             if matches!(&result, Err(e) if e.is_unavailable()) {
                 m.unavailable.inc();
             }
@@ -248,7 +255,18 @@ impl RemoteShard {
         result
     }
 
-    fn request_locked(
+    /// [`RemoteShard::with_retries`] on an idle connection (or a fresh one),
+    /// which goes back on the stack if the last attempt left it clean.
+    fn round_trip(&self, line: &str, deadline: Deadline) -> Result<String> {
+        let mut conn = self.idle.lock().pop();
+        let result = self.with_retries(&mut conn, line, deadline);
+        if let Some(clean) = conn {
+            self.idle.lock().push(clean);
+        }
+        result
+    }
+
+    fn with_retries(
         &self,
         conn: &mut Option<BufReader<TcpStream>>,
         line: &str,
@@ -630,6 +648,58 @@ mod tests {
         assert!(shard.is_down());
         // An explicit probe bypasses the breaker.
         assert!(shard.probe().is_err());
+    }
+
+    #[test]
+    fn a_parked_request_does_not_block_the_next_one() {
+        use std::sync::mpsc::channel;
+        // A stub worker: answers PING at once, and SHARD-INFO only when
+        // told to.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (parked_tx, parked_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let stub = std::thread::spawn(move || {
+            let mut handlers = Vec::new();
+            let mut release_rx = Some(release_rx);
+            // One connection per concurrent request, then one reused.
+            for stream in listener.incoming().take(2) {
+                let mut reader = BufReader::new(stream.unwrap());
+                let parked_tx = parked_tx.clone();
+                let release_rx = release_rx.take();
+                handlers.push(std::thread::spawn(move || {
+                    let mut line = String::new();
+                    while reader.read_line(&mut line).unwrap() > 0 {
+                        let reply = if line.starts_with("PING") {
+                            "OK pong\n"
+                        } else {
+                            parked_tx.send(()).unwrap();
+                            release_rx.as_ref().unwrap().recv().unwrap();
+                            "OK shard-info start=0 end=10 covered=10 seq=1 runs=1\n"
+                        };
+                        reader.get_ref().write_all(reply.as_bytes()).unwrap();
+                        line.clear();
+                    }
+                }));
+            }
+            for handler in handlers {
+                handler.join().unwrap();
+            }
+        });
+        let shard = RemoteShard::new(addr, 0..10, ClientConfig::default(), None).unwrap();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| shard.info());
+            parked_rx.recv().unwrap(); // the stub holds SHARD-INFO un-answered
+            shard.probe().unwrap();
+            release_tx.send(()).unwrap();
+            assert_eq!(parked.join().unwrap().unwrap().covered_end, 10);
+        });
+        // Both connections went back on the stack and serve again.
+        assert_eq!(shard.idle.lock().len(), 2);
+        shard.probe().unwrap();
+        assert_eq!(shard.idle.lock().len(), 2);
+        drop(shard);
+        stub.join().unwrap();
     }
 
     #[test]

@@ -318,8 +318,8 @@ pub struct ShardClientMetrics {
     pub unavailable: Arc<Counter>,
     /// Candidate answers this shard contributed to scatter-gather merges.
     pub candidates: Arc<Counter>,
-    /// Requests currently being serviced by this shard (0 or 1: the client
-    /// serializes requests per connection).
+    /// Requests currently being serviced by this shard (at most one per
+    /// coordinator worker, each on a connection of its own).
     pub in_flight: Arc<Gauge>,
 }
 

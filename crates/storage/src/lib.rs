@@ -9,8 +9,6 @@
 //!   experiments can report modeled I/O cost alongside wall-clock time.
 //! * [`CountedFile`] — a positioned file handle whose accesses feed
 //!   [`IoStats`].
-//! * [`PageFile`] and [`PageCache`] — fixed-size page access with an
-//!   LRU buffer pool bounded by an explicit byte budget.
 //! * [`MemoryBudget`] — a shared, thread-safe byte budget used to emulate
 //!   "memory available to the algorithm" (the x-axis of the paper's
 //!   Figures 8a/8b and the fixed-memory setting of Figures 8d/8e/10).
@@ -18,8 +16,8 @@
 //!   generation under a memory budget followed by k-way merge
 //!   (the "partitioning" and "merging" phases of Section 3.1).
 //! * [`atomic`] — crash-safe file replacement (write-temp + fsync + rename)
-//!   and CRC-64 payload checksumming, used by the LSM manifest in
-//!   `coconut-core`.
+//!   and the CRC-64 kernels (carry-less-multiply folding, slicing-by-8)
+//!   under the LSM manifest and every index block of `coconut-core`.
 //! * [`fault`] — deterministic, seeded fault injection ([`FaultPlan`]):
 //!   injectable I/O errors, short writes, fsync failures, stalls, and
 //!   connection drops, hooked through the atomic-write path, the external
@@ -38,7 +36,6 @@
 
 pub mod atomic;
 pub mod budget;
-pub mod cache;
 pub mod deadline;
 pub mod error;
 pub mod extsort;
@@ -46,17 +43,14 @@ pub mod fault;
 pub mod file;
 pub mod iostats;
 pub mod metrics;
-pub mod pagefile;
 pub mod tempdir;
 
 pub use atomic::{atomic_write, crc64};
 pub use budget::MemoryBudget;
-pub use cache::PageCache;
 pub use deadline::Deadline;
 pub use error::{Error, Result};
 pub use extsort::{Codec, ExternalSorter, MergedStream, RecordStream, SortReport, SortedStream};
 pub use fault::{FaultAction, FaultPlan, Trigger};
 pub use file::CountedFile;
 pub use iostats::{DiskProfile, IoSnapshot, IoStats};
-pub use pagefile::PageFile;
 pub use tempdir::TempDir;

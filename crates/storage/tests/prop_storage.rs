@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
+use coconut_storage::atomic::{crc64, crc64_folding, crc64_reference, crc64_slicing8};
 use coconut_storage::extsort::U64Codec;
-use coconut_storage::{Codec, CountedFile, ExternalSorter, IoStats, PageCache, PageFile, TempDir};
+use coconut_storage::{Codec, CountedFile, ExternalSorter, IoStats, TempDir};
 use proptest::prelude::*;
 
 /// A codec with a larger record, to exercise non-trivial serialization.
@@ -83,27 +84,35 @@ proptest! {
     }
 
     #[test]
-    fn page_cache_returns_same_bytes_as_disk(
-        pages in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 64..=64), 1..20),
-        capacity_pages in 1usize..8,
-        accesses in proptest::collection::vec(any::<u16>(), 1..100),
-    ) {
-        let dir = TempDir::new("prop-cache").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let f = CountedFile::create(dir.path().join("c.bin"), stats).unwrap();
-        let pf = PageFile::new(Arc::new(f), 64).unwrap();
-        for p in &pages {
-            pf.append_page(p).unwrap();
+    fn crc64_kernels_equal_the_bitwise_reference(len in 0usize..=70_000, seed in any::<u64>()) {
+        // One buffer, every alignment of its start: the folding kernel's
+        // loads are unaligned and its 64/16/1-byte stages cut by length.
+        let mut state = seed | 1;
+        let buf: Vec<u8> = (0..len + 16)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            let bytes = &buf[offset..offset + len];
+            let want = crc64_reference(bytes);
+            prop_assert_eq!(crc64_slicing8(bytes), want, "slicing-by-8, offset {}", offset);
+            prop_assert_eq!(crc64(bytes), want, "dispatched, offset {}", offset);
+            if let Some(folded) = crc64_folding(bytes) {
+                prop_assert_eq!(folded, want, "folding, offset {}", offset);
+            }
         }
-        let cache = PageCache::new((capacity_pages * 64) as u64);
-        for a in accesses {
-            let page_no = (a as usize) % pages.len();
-            let got = cache
-                .get(coconut_storage::cache::PageKey { file_id: 0, page_no: page_no as u64 }, &pf)
-                .unwrap();
-            prop_assert_eq!(&got[..], &pages[page_no][..]);
-        }
-        let stats = cache.stats();
-        prop_assert!(stats.used_bytes <= (capacity_pages * 64) as u64);
     }
+}
+
+#[test]
+fn crc64_is_crc64_xz() {
+    const CHECK: u64 = 0x995D_C9BB_DF19_39FA;
+    assert_eq!(crc64_reference(b"123456789"), CHECK);
+    assert_eq!(crc64_slicing8(b"123456789"), CHECK);
+    assert_eq!(crc64(b"123456789"), CHECK);
+    assert!(crc64_folding(b"123456789").is_none_or(|crc| crc == CHECK));
 }

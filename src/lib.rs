@@ -9,7 +9,7 @@
 //! * [`series`] — data series model, distances, dataset files, generators.
 //! * [`summary`] — PAA / SAX / iSAX summarizations and the paper's sortable
 //!   (bit-interleaved, z-ordered) summarization.
-//! * [`storage`] — disk-access-model I/O accounting, page cache, external
+//! * [`storage`] — disk-access-model I/O accounting, checksums, external
 //!   sort.
 //! * [`index`] — Coconut-Tree and Coconut-Trie (the paper's contribution).
 //! * [`baselines`] — iSAX 2.0, ADS+/ADSFull, STR R-tree, DSTree, Vertical

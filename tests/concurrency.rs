@@ -1,7 +1,7 @@
 //! Concurrency integration tests: indexes answer queries from many threads
-//! simultaneously (all query paths take `&self`), with and without a
-//! shared buffer pool, and the LSM layer sustains multi-writer ingest
-//! under live-snapshot query load and forced compaction churn.
+//! simultaneously (all query paths take `&self`), and the LSM layer
+//! sustains multi-writer ingest under live-snapshot query load and forced
+//! compaction churn.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use coconut::index::{
 };
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
-use coconut::storage::{Deadline, PageCache};
+use coconut::storage::Deadline;
 
 const LEN: usize = 64;
 const N: u64 = 500;
@@ -76,45 +76,9 @@ fn parallel_exact_queries_agree_with_scan() {
 }
 
 #[test]
-fn shared_buffer_pool_under_contention() {
-    let (dir, dataset, queries) = setup();
-    let opts = BuildOptions {
-        memory_bytes: 1 << 20,
-        materialized: true,
-        threads: 1,
-        shards: 1,
-    };
-    let mut tree = CoconutTree::build(&dataset, &config(), dir.path(), opts).unwrap();
-    // A deliberately tiny pool: constant eviction churn while 8 threads
-    // read through it.
-    let cache = PageCache::new(4096);
-    tree.attach_cache(Arc::clone(&cache), 0);
-    let tree = Arc::new(tree);
-    let scan = SerialScan::new(&dataset);
-    let truths: Vec<u64> = queries
-        .iter()
-        .map(|q| scan.exact(q).unwrap().0.pos)
-        .collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..8usize {
-            let tree = Arc::clone(&tree);
-            let queries = &queries;
-            let truths = &truths;
-            s.spawn(move || {
-                for (q, &want) in queries.iter().zip(truths.iter()) {
-                    let (a, _) = tree.exact_search(q).unwrap();
-                    assert_eq!(a.pos, want);
-                }
-            });
-        }
-    });
-    assert!(cache.stats().used_bytes <= 4096);
-}
-
-#[test]
 fn lazy_summary_load_races_are_safe() {
-    // First exact query after open() loads summaries; fire many at once.
+    // The first exact queries after open() load the leaf blocks they
+    // touch; fire many at once.
     let (dir, dataset, queries) = setup();
     let opts = BuildOptions {
         memory_bytes: 1 << 20,

@@ -28,9 +28,9 @@ struct VecFetcher<'a> {
 impl SeriesFetcher for VecFetcher<'_> {
     const POSITION_ORDER: bool = true;
 
-    fn fetch(&mut self, _i: usize, pos: u64, out: &mut [Value]) -> coconut::storage::Result<()> {
+    fn fetch(&mut self, pos: u64, out: &mut [Value]) -> coconut::storage::Result<u64> {
         out.copy_from_slice(&self.data[pos as usize]);
-        Ok(())
+        Ok(pos)
     }
 }
 
