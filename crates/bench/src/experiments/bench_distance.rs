@@ -14,6 +14,17 @@
 //! recorded in the JSON (`force_scalar`). Only on hardware without AVX2 do
 //! both columns collapse to scalar and the ratio sit at ~1.
 //!
+//! The `bounds_under` rows time the key pass exact queries run
+//! (`QueryDistTable::key_filter`), in **ns per key** over one 2,000-entry
+//! leaf block (the default leaf capacity), at a cutoff about 3% of the
+//! entries pass and at no cutoff: `bounds_under_exact` is the `f64`
+//! table-sum kernel alone, `bounds_under` what queries run — the 4-bit fast
+//! scan in front of it on AVX2, the exact kernel alone on the scalar
+//! dispatch and with no cutoff (so its scalar column is the exact one). The
+//! `key_pass_threads` rows time one loaded key pass of a few thousand to
+//! 262,144 keys on one thread and split over two scoped threads — the
+//! measurement behind `coconut_core::sims::PARALLEL_MIN_KEYS`.
+//!
 //! The `crc64` rows give the checksum under every leaf read and manifest
 //! the same trajectory: MB/s of the bit-at-a-time reference, the portable
 //! slicing-by-8 kernel and the carry-less-multiply folding kernel over one
@@ -27,7 +38,7 @@ use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::simd::{detect, kernels_for, Dispatch};
 use coconut_storage::atomic::{crc64_folding, crc64_reference, crc64_slicing8};
 use coconut_storage::Result;
-use coconut_summary::mindist::{mindist_paa_zkey, QueryDistTable};
+use coconut_summary::mindist::{mindist_paa_zkey, KeyFilter, QueryDistTable, SymbolDecoder};
 use coconut_summary::paa::paa;
 use coconut_summary::sax::sax_word;
 use coconut_summary::zorder::interleave;
@@ -38,6 +49,12 @@ use crate::harness::Table;
 
 /// Keys in the batched-MINDIST measurement (a small SIMS scan).
 const SCAN_KEYS: usize = 16 * 1024;
+
+/// Entries of the leaf block the key-pass rows bound.
+const LEAF_KEYS: usize = 2_000;
+
+/// Key counts of the one- vs two-thread key-pass rows.
+const THREAD_KEYS: [usize; 7] = [8_000, 16_000, 32_000, 64_000, 96_000, 128_000, 262_000];
 
 /// Median ns per iteration of `f`, over `samples` timed samples of `iters`
 /// calls each (after one warm-up sample).
@@ -96,6 +113,42 @@ fn crc_entry(label: &str, bytes: usize) -> CrcEntry {
             Some(_) => mb_s(&|b| crc64_folding(b).unwrap_or_default()),
             None => 0.0,
         },
+    }
+}
+
+/// One loaded key pass over `keys` keys of `block`s on one thread and split
+/// over two scoped threads (one spawned), in µs.
+struct ThreadEntry {
+    keys: usize,
+    one_thread_us: f64,
+    two_threads_us: f64,
+}
+
+/// Time the fast-scan key pass over `keys` keys (`blocks` of `LEAF_KEYS`
+/// entries, cycled) on one and on two threads, under `filter`.
+fn thread_entry(filter: &KeyFilter<'_>, blocks: &[Vec<u8>], keys: usize) -> ThreadEntry {
+    let count = keys / LEAF_KEYS;
+    let pass = |share: std::ops::Range<usize>| {
+        let mut out = Vec::with_capacity(256);
+        for b in share {
+            out.clear();
+            filter.bounds_under(&blocks[b % blocks.len()], 0, &mut out);
+            std::hint::black_box(out.len());
+        }
+    };
+    let iters = (1_000_000 / keys).max(3);
+    let one = time_ns(9, iters, || pass(0..count));
+    let two = time_ns(9, iters, || {
+        std::thread::scope(|scope| {
+            let other = scope.spawn(|| pass(count / 2..count));
+            pass(0..count / 2);
+            other.join().expect("a key-pass thread panicked");
+        })
+    });
+    ThreadEntry {
+        keys,
+        one_thread_us: one / 1e3,
+        two_threads_us: two / 1e3,
     }
 }
 
@@ -177,6 +230,68 @@ pub fn run(env: &Env) -> Result<()> {
     entries.push(batch);
     entries.push(vs_prebatch);
 
+    // The key pass: `LEAF_KEYS`-entry segment-major leaf blocks of sorted
+    // keys, bounded under a cutoff ~3% of the first block's entries pass
+    // and under none, per key.
+    let decoder = SymbolDecoder::new(&config);
+    let blocks: Vec<Vec<u8>> = keys
+        .chunks_exact(LEAF_KEYS)
+        .map(|leaf| {
+            let mut leaf = leaf.to_vec();
+            leaf.sort_unstable();
+            let mut block = vec![0u8; LEAF_KEYS * config.segments];
+            decoder.decode_into(&leaf, &mut block);
+            block
+        })
+        .collect();
+    let mut bounds = Vec::new();
+    table.bounds_under(&blocks[0], f64::INFINITY, 0, &mut bounds);
+    let mut sorted: Vec<f64> = bounds.iter().map(|&(_, b)| b).collect();
+    sorted.sort_by(f64::total_cmp);
+    let tight = sorted[LEAF_KEYS * 3 / 100];
+    let mut under = Vec::with_capacity(LEAF_KEYS);
+    for (label, cutoff) in [("cutoff_3pct", tight), ("no_cutoff", f64::INFINITY)] {
+        let filter = table.key_filter(cutoff);
+        let mut per_key = |dispatch: Dispatch, fast: bool| {
+            time_ns(15, 200, || {
+                under.clear();
+                if fast {
+                    filter.bounds_under_with(dispatch, &blocks[0], 0, &mut under);
+                } else {
+                    filter.exact_bounds_under_with(dispatch, &blocks[0], 0, &mut under);
+                }
+                std::hint::black_box(under.len());
+            }) / LEAF_KEYS as f64
+        };
+        let exact = Entry {
+            name: format!("bounds_under_exact_ns_per_key/{LEAF_KEYS}_keys/{label}"),
+            scalar_ns: per_key(Dispatch::Scalar, false),
+            simd_ns: per_key(detect(), false),
+        };
+        let fast = Entry {
+            name: format!("bounds_under_ns_per_key/{LEAF_KEYS}_keys/{label}"),
+            scalar_ns: per_key(Dispatch::Scalar, true),
+            simd_ns: per_key(detect(), true),
+        };
+        // Cross-kernel ratio: the exact SIMD kernel vs the fast scan.
+        let vs = Entry {
+            name: format!("bounds_under_exact_simd_vs_fast_scan/{LEAF_KEYS}_keys/{label}"),
+            scalar_ns: exact.simd_ns,
+            simd_ns: fast.simd_ns,
+        };
+        entries.extend([exact, fast, vs]);
+    }
+    // Distinct copies, so the largest pass streams its symbols from memory
+    // as a real one does rather than from cache.
+    let tight_filter = table.key_filter(tight);
+    let copies: Vec<Vec<u8>> = (0..THREAD_KEYS[THREAD_KEYS.len() - 1] / LEAF_KEYS)
+        .map(|b| blocks[b % blocks.len()].clone())
+        .collect();
+    let threads: Vec<ThreadEntry> = THREAD_KEYS
+        .iter()
+        .map(|&keys| thread_entry(&tight_filter, &copies, keys))
+        .collect();
+
     let raw = RandomWalkGen::new(9).generate(256);
     let shift = raw[0] as f64;
     entries.push(Entry {
@@ -220,6 +335,20 @@ pub fn run(env: &Env) -> Result<()> {
     }
     crc_out.emit(&env.results_dir)?;
 
+    let mut threads_out = Table::new(
+        "bench_key_pass_threads",
+        "loaded fast-scan key pass: one thread vs two (us, median)",
+        &["keys", "one_thread_us", "two_threads_us"],
+    );
+    for t in &threads {
+        threads_out.push_row(vec![
+            t.keys.to_string(),
+            format!("{:.1}", t.one_thread_us),
+            format!("{:.1}", t.two_threads_us),
+        ]);
+    }
+    threads_out.emit(&env.results_dir)?;
+
     // Hand-rolled JSON (no serde in the offline workspace); one object per
     // entry keeps the baseline diffable PR over PR.
     let mut json = String::new();
@@ -243,6 +372,15 @@ pub fn run(env: &Env) -> Result<()> {
             e.speedup()
         );
         json.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n  \"key_pass_threads\": [\n");
+    for (i, t) in threads.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"keys\": {}, \"one_thread_us\": {:.1}, \"two_threads_us\": {:.1}}}",
+            t.keys, t.one_thread_us, t.two_threads_us
+        );
+        json.push_str(if i + 1 < threads.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"checksums\": [\n");
     for (i, c) in checksums.iter().enumerate() {

@@ -350,8 +350,10 @@ impl LeafStore {
     /// Read the entries of `leaf` into `buf` (resized to fit); afterwards
     /// `buf` holds `leaf.count` packed entries. When the leaf carries a CRC
     /// (checksummed `DIR2` directories) the packed bytes are verified and a
-    /// mismatch surfaces as [`Error::Corrupt`] naming the block.
+    /// mismatch surfaces as [`Error::Corrupt`] naming the block. The
+    /// read is the `leaf.read` fault site ([`coconut_storage::fault`]).
     pub fn read_leaf(&self, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
+        coconut_storage::fault::check("leaf.read")?;
         let bytes = leaf.count as usize * self.entry.entry_bytes();
         debug_assert!(bytes <= leaf.blocks_used as usize * self.block_bytes());
         buf.resize(bytes, 0);

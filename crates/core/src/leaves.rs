@@ -16,8 +16,10 @@
 //!    `(bound, position)` order and fetched only while their bound can
 //!    still enter the result — the answer is the true best of those
 //!    leaves, for a fraction of their raw fetches;
-//! 2. unless the query is approximate, the SIMS scan over the summaries,
-//!    seeded by step 1 (Algorithm 5, [`crate::sims::sims_scan`]).
+//! 2. unless the query is approximate, the SIMS scan over the summaries of
+//!    every other leaf, seeded by step 1 (Algorithm 5,
+//!    [`crate::sims::sims_scan`]): the probe leaves nothing in its own
+//!    leaves for the scan to find.
 //!
 //! # The summaries
 //!
@@ -49,6 +51,7 @@
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -56,7 +59,7 @@ use parking_lot::Mutex;
 use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{CountedFile, Error, IoStats, Result};
+use coconut_storage::{CountedFile, Deadline, Error, IoStats, Result};
 use coconut_summary::mindist::SymbolDecoder;
 use coconut_summary::sax::Summarizer;
 use coconut_summary::zorder::key_range_box;
@@ -70,7 +73,7 @@ use crate::layout::{
 };
 use crate::query::{first, Kind, Metric, Query};
 use crate::records::SortedRecord;
-use crate::sims::{sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within};
+use crate::sims::{sims_scan_except, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within};
 use crate::split::SplitPolicyKind;
 
 /// What distinguishes one sorted-leaf index flavor from the other: how the
@@ -130,9 +133,11 @@ pub struct Summaries {
     leaf_starts: Vec<usize>,
     /// Per leaf, `segments` lower then `segments` upper symbol bounds.
     boxes: Vec<u8>,
-    /// Per leaf, whether its part of `arrays` is filled; the lock is held
-    /// while it is being filled.
-    loaded: Vec<Mutex<bool>>,
+    /// Per leaf, whether its part of `arrays` is filled: set (`Release`)
+    /// after the fill, read (`Acquire`) before the part is.
+    loaded: Vec<AtomicBool>,
+    /// Per leaf, held while its part of `arrays` is being filled.
+    filling: Vec<Mutex<()>>,
     arrays: OnceLock<Arrays>,
     /// Where blocks load from (`None`: built with every block in place).
     source: Option<LeafSource>,
@@ -239,7 +244,7 @@ impl Summaries {
             symbols: WriteOnce::new(symbols),
             pos: WriteOnce::new(entries.iter().map(|&(_, pos)| pos).collect()),
         });
-        s.loaded = leaves.iter().map(|_| Mutex::new(true)).collect();
+        s.loaded = leaves.iter().map(|_| AtomicBool::new(true)).collect();
         s
     }
 
@@ -270,7 +275,10 @@ impl Summaries {
         }
         Summaries {
             decoder: SymbolDecoder::new(sax),
-            loaded: (1..leaf_starts.len()).map(|_| Mutex::new(false)).collect(),
+            loaded: (1..leaf_starts.len())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            filling: (1..leaf_starts.len()).map(|_| Mutex::new(())).collect(),
             arrays: OnceLock::new(),
             leaf_starts,
             boxes,
@@ -312,7 +320,14 @@ impl Summaries {
 
     /// Leaves whose block is in memory.
     pub fn loaded_blocks(&self) -> usize {
-        self.loaded.iter().filter(|l| *l.lock()).count()
+        (0..self.leaf_count())
+            .filter(|&l| self.is_loaded(l))
+            .count()
+    }
+
+    /// Whether leaf `leaf`'s block is in memory.
+    pub(crate) fn is_loaded(&self, leaf: usize) -> bool {
+        self.loaded[leaf].load(Ordering::Acquire)
     }
 
     /// The block of leaf `leaf`: read from the index file, CRC-checked and
@@ -327,26 +342,32 @@ impl Summaries {
         });
         let entries = self.leaf_starts[leaf]..self.leaf_starts[leaf + 1];
         let symbols = entries.start * w..entries.end * w;
-        let mut loaded = self.loaded[leaf].lock();
-        if !*loaded {
-            let Some(source) = &self.source else {
-                return Err(Error::invalid("summaries hold no leaf file to load from"));
-            };
-            // SAFETY: a leaf's parts of the two arrays are written here
-            // only, with the leaf's lock held and its flag unset, and read
-            // only once the flag is set — so nobody else refers to them.
-            let (symbols, pos) = unsafe {
-                (
-                    arrays.symbols.write(symbols.clone()),
-                    arrays.pos.write(entries.clone()),
-                )
-            };
-            self.fill(source, leaf, symbols, pos)?;
-            *loaded = true;
+        if !self.is_loaded(leaf) {
+            let filling = self.filling[leaf].lock();
+            if !self.loaded[leaf].load(Ordering::Relaxed) {
+                let Some(source) = &self.source else {
+                    return Err(Error::invalid("summaries hold no leaf file to load from"));
+                };
+                // SAFETY: a leaf's parts of the two arrays are written here
+                // only, with the leaf's fill lock held and its flag unset,
+                // and read only once the flag is set — so nobody else
+                // refers to them.
+                let (symbols, pos) = unsafe {
+                    (
+                        arrays.symbols.write(symbols.clone()),
+                        arrays.pos.write(entries.clone()),
+                    )
+                };
+                self.fill(source, leaf, symbols, pos)?;
+                self.loaded[leaf].store(true, Ordering::Release);
+            }
+            drop(filling);
         }
-        drop(loaded);
-        // SAFETY: the flag is set, so these parts are never written again,
-        // and taking the lock ordered their one write before this read.
+        // SAFETY: the flag is set, so these parts are never written again;
+        // their one write is ordered before this read either by the flag
+        // (`Release` store after the write, `Acquire` load that saw it) or
+        // by the fill lock (released by the writer after the write, taken
+        // here before the flag was seen set).
         Ok(unsafe {
             LeafBlock {
                 symbols: arrays.symbols.read(symbols),
@@ -786,7 +807,8 @@ impl<D: Directory> SortedLeafIndex<D> {
     /// (the one the scan uses), and a leaf's entries are fetched in
     /// ascending `(bound, position)` order while their bound can still
     /// enter `hits` — so `hits` ends up holding exactly what fetching every
-    /// entry would have left there. Leaves are taken nearest `target`
+    /// entry would have left there, and the scan passes these leaves by.
+    /// Leaves are taken nearest `target`
     /// first: the likeliest to tighten the cutoff that spares the others
     /// their fetches.
     fn eval_leaves<M: Distance, C: Collector>(
@@ -800,6 +822,7 @@ impl<D: Directory> SortedLeafIndex<D> {
         let entry = self.store.entry();
         let mut leaf_buf = Vec::new();
         let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
+        let mut raw_bytes = Vec::new();
         let mut under = Vec::new();
         let mut order: Vec<(f64, u64, usize)> = Vec::new();
         let mut nearest_first: Vec<usize> = leaves.collect();
@@ -835,7 +858,8 @@ impl<D: Directory> SortedLeafIndex<D> {
                     }
                     entry.series_into(self.store.entry_slice(&leaf_buf, slot), &mut series_buf);
                 } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
+                    self.dataset
+                        .read_into_with(pos, &mut series_buf, &mut raw_bytes)?;
                 }
                 stats.records_fetched += 1;
                 if let Some(dist) = metric.eval(&series_buf, hits.cutoff()) {
@@ -883,52 +907,78 @@ impl<D: Directory> SortedLeafIndex<D> {
     ) -> Result<(Vec<Answer>, QueryStats)> {
         let mut stats = QueryStats::default();
         query.deadline.check()?;
+        let mut seeds = 0..0;
         // A range query's cutoff is fixed: seeds could not tighten it.
         if !matches!(query.kind, Kind::Range(_)) {
             if let Some(leaf) = self.dir.descend(key) {
                 let lo = leaf.saturating_sub(query.radius);
                 let hi = leaf.saturating_add(query.radius).min(self.leaves.len() - 1);
                 self.eval_leaves(lo..=hi, leaf, metric, &mut hits, &mut stats)?;
+                seeds = lo..hi + 1;
             }
         }
         if query.kind != Kind::Approx {
-            let summaries = &self.summaries;
-            let series_len = self.config.sax.series_len;
-            let scanned = if self.materialized {
-                let mut fetcher = LeafOrderFetcher {
-                    store: &self.store,
-                    leaves: &self.leaves,
-                    starts: summaries.leaf_starts(),
-                    cur_leaf: 0,
-                    leaf_buf: Vec::new(),
-                    loaded: false,
-                };
-                sims_scan(
-                    metric,
-                    series_len,
-                    summaries,
-                    self.threads,
-                    &mut fetcher,
-                    &mut hits,
-                    query.deadline,
-                )?
-            } else {
-                let mut fetcher = RawFileFetcher {
-                    dataset: &self.dataset,
-                };
-                sims_scan(
-                    metric,
-                    series_len,
-                    summaries,
-                    self.threads,
-                    &mut fetcher,
-                    &mut hits,
-                    query.deadline,
-                )?
-            };
-            stats.add(&scanned);
+            stats.add(&self.scan(metric, &mut hits, seeds, query.deadline)?);
         }
         Ok((hits.into_answers(), stats))
+    }
+
+    /// The SIMS scan over this index's summaries but the probe's `seeds`
+    /// ([`crate::sims::sims_scan_except`]), fetching from the raw file or,
+    /// materialized, from the leaves.
+    fn scan<M: Distance, C: Collector>(
+        &self,
+        metric: &M,
+        hits: &mut C,
+        seeds: Range<usize>,
+        deadline: Deadline,
+    ) -> Result<QueryStats> {
+        let (summaries, len, threads) = (&self.summaries, self.config.sax.series_len, self.threads);
+        if self.materialized {
+            let mut fetcher = self.leaf_fetcher();
+            sims_scan_except(
+                metric,
+                len,
+                summaries,
+                seeds,
+                threads,
+                &mut fetcher,
+                hits,
+                deadline,
+            )
+        } else {
+            let mut fetcher = RawFileFetcher {
+                dataset: &self.dataset,
+                bytes: Vec::new(),
+            };
+            sims_scan_except(
+                metric,
+                len,
+                summaries,
+                seeds,
+                threads,
+                &mut fetcher,
+                hits,
+                deadline,
+            )
+        }
+    }
+
+    /// The scan's fetcher for a materialized index.
+    pub(crate) fn leaf_fetcher(&self) -> LeafOrderFetcher<'_> {
+        LeafOrderFetcher {
+            store: &self.store,
+            leaves: &self.leaves,
+            starts: self.summaries.leaf_starts(),
+            leaf: None,
+            leaf_buf: Vec::new(),
+        }
+    }
+
+    /// The in-memory summaries the scan reads.
+    #[cfg(test)]
+    pub(crate) fn summaries(&self) -> &Summaries {
+        &self.summaries
     }
 
     /// Approximate search (Algorithm 4): the best entry of the target leaf
@@ -968,31 +1018,34 @@ impl<D: Directory> SortedLeafIndex<D> {
 }
 
 /// SIMS fetcher for non-materialized indexes: candidates arrive in raw-file
-/// position order, so fetches walk the raw file forward (skip-sequential).
+/// position order, so fetches walk the raw file forward (skip-sequential),
+/// through one byte buffer.
 struct RawFileFetcher<'a> {
     dataset: &'a Dataset,
+    bytes: Vec<u8>,
 }
 
 impl SeriesFetcher for RawFileFetcher<'_> {
     const POSITION_ORDER: bool = true;
 
     fn fetch(&mut self, pos: u64, out: &mut [Value]) -> Result<u64> {
-        self.dataset.read_into(pos, out)?;
+        self.dataset.read_into_with(pos, out, &mut self.bytes)?;
         Ok(pos)
     }
 }
 
 /// SIMS fetcher for materialized indexes: candidates arrive in scan (leaf)
-/// order, which is the physical order of the (bulk-loaded) index file;
-/// reads each needed leaf block once, forward.
-struct LeafOrderFetcher<'a> {
+/// order within a sweep, which is the physical order of the (bulk-loaded)
+/// index file; reads each needed leaf block once, forward, and starts over
+/// where the next sweep starts.
+pub(crate) struct LeafOrderFetcher<'a> {
     store: &'a LeafStore,
     leaves: &'a [LeafMeta],
     /// First scan index of each leaf, plus the total.
     starts: &'a [usize],
-    cur_leaf: usize,
+    /// The leaf held in `leaf_buf`.
+    leaf: Option<usize>,
     leaf_buf: Vec<u8>,
-    loaded: bool,
 }
 
 impl SeriesFetcher for LeafOrderFetcher<'_> {
@@ -1000,18 +1053,17 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
 
     fn fetch(&mut self, i: u64, out: &mut [Value]) -> Result<u64> {
         let (i, starts) = (i as usize, self.starts);
-        // Advance to the leaf containing scan index i (indexes arrive in
-        // increasing order).
-        if !self.loaded || i >= starts[self.cur_leaf + 1] {
-            while i >= starts[self.cur_leaf + 1] {
-                self.cur_leaf += 1;
+        let leaf = match self.leaf {
+            Some(l) if (starts[l]..starts[l + 1]).contains(&i) => l,
+            _ => {
+                let l = starts.partition_point(|&s| s <= i) - 1;
+                self.leaf = None;
+                self.store.read_leaf(&self.leaves[l], &mut self.leaf_buf)?;
+                self.leaf = Some(l);
+                l
             }
-            self.store
-                .read_leaf(&self.leaves[self.cur_leaf], &mut self.leaf_buf)?;
-            self.loaded = true;
-        }
-        let slot = i - starts[self.cur_leaf];
-        let e = self.store.entry_slice(&self.leaf_buf, slot);
+        };
+        let e = self.store.entry_slice(&self.leaf_buf, i - starts[leaf]);
         self.store.entry().series_into(e, out);
         Ok(self.store.entry().pos(e))
     }

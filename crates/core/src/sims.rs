@@ -12,30 +12,33 @@
 //! the directory, the leaf's block of symbols and positions loaded by the
 //! first query that needs it ("if SAX sums are not in memory, load them",
 //! one leaf at a time) — and a leaf of the sorted order is a tight box in
-//! SAX space. The scan walks the leaves in
-//! batches of [`PARALLEL_MIN_KEYS`] keys, each batch under the cutoff the
-//! collector holds when it starts (the probe's, at first), in two phases:
+//! SAX space. The scan bounds every leaf's box once
+//! ([`QueryDistTable::box_bound`]) and visits the leaves best bound first —
+//! in ascending `(box bound, leaf)` order, skipping outright every leaf
+//! whose box is beyond the probe's cutoff — in batches that start at one
+//! leaf's worth of keys and double. Each batch runs under the cutoff the
+//! collector holds when it starts, in two phases:
 //!
-//! * **A — bound.** Every leaf's box is lower-bounded first
-//!   ([`QueryDistTable::box_bound`]); a leaf whose box is already beyond the
-//!   cutoff is skipped whole, none of its keys touched — nor read, if no
-//!   query loaded its block before. Inside the surviving leaves (their
-//!   blocks loaded by the worker that gets there first) the table-sum
-//!   kernel bounds each entry and keeps only those at or under the cutoff
-//!   ([`QueryDistTable::bounds_under`]) — a short list of `(where it is
-//!   stored, bound)` candidates instead of a bound per record. Workers
-//!   share nothing they write but a leaf's load-once block, so a full
-//!   batch is split over scoped threads by contiguous leaf ranges; a near
-//!   query, whose probe already pruned almost every leaf, never fills one
-//!   and never spawns.
-//! * **B — fetch.** The candidates are walked sequentially in storage order
-//!   — raw-file position for pointer indexes, scan (leaf) order for
-//!   materialized ones — each re-checked against the cutoff as it tightens,
-//!   then fetched and measured. Candidates accumulate across batches and
-//!   are swept once, after the last batch, unless [`SWEEP_CANDIDATES`] of
-//!   them pile up first: then they are swept early, which tightens the
-//!   cutoff for the batches still to come and bounds the scan's working set
-//!   by a batch rather than by the index.
+//! * **A — bound.** Inside the batch's leaves (their blocks loaded by the
+//!   worker that gets there first) the key pass bounds each entry and keeps
+//!   only those at or under the cutoff ([`QueryDistTable::key_filter`]: a
+//!   4-bit fast-scan prefilter, then the exact sum of its few survivors) —
+//!   a short list of `(where it is stored, bound)` candidates instead of a
+//!   bound per record. Workers share nothing they write but a leaf's
+//!   load-once block, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
+//!   with blocks no query has loaded yet (a cold scan reads and decodes in
+//!   parallel), is split over scoped threads by leaf ranges; a near query,
+//!   whose probe already pruned almost every leaf, never spawns.
+//! * **B — fetch.** The batch's candidates are swept in storage order —
+//!   raw-file position for pointer indexes, scan index for materialized
+//!   ones — each re-checked against the cutoff as it tightens, then fetched
+//!   and measured.
+//!
+//! The sweep tightens the cutoff the next batch starts under, and the best
+//! boxes come first, so the candidates that set the final answer are
+//! fetched early and most later leaves are bounded under a cutoff close to
+//! it. The scan stops at the first box over the cutoff: every box after it
+//! in the order is over too.
 //!
 //! The fetch is a [`SeriesFetcher`]; the lower bound and true distance are a
 //! [`Distance`] ([`Ed`], [`Dtw`] — both reduce their bound to one per-query
@@ -51,13 +54,13 @@
 //!   distances resolve to the lower position whatever order the scan visits
 //!   records in — a materialized index returns exactly what a pointer
 //!   index does.
-//! * **Monotone fetches.** A sweep visits its candidates in strictly
-//!   increasing storage order, which is what makes the scan
+//! * **Monotone fetches, per sweep.** A sweep visits its candidates in
+//!   strictly increasing storage order, which is what makes it
 //!   *skip-sequential* (every raw-file/leaf read moves forward, never seeks
-//!   back). Scan indexes also keep increasing from one sweep to the next, so
-//!   a materialized index's [`SeriesFetcher`] is a forward-only cursor over
-//!   the leaf file for the whole scan; a pointer index restarts its walk of
-//!   the raw file only when a badly seeded query needs a second sweep.
+//!   back). The next sweep starts over: its batch's leaves may lie before
+//!   the last one's, so a [`SeriesFetcher`] is a forward cursor that
+//!   restarts per sweep. Batches hold disjoint leaves, so a materialized
+//!   index's cursor still reads each leaf at most once per scan.
 //! * **Kernel dispatch is process-wide and answer-invariant.** The bound
 //!   kernels and the early-abandoning Euclidean distance go through
 //!   `coconut_series::simd`'s runtime dispatch (AVX2 where available, a
@@ -69,8 +72,8 @@
 //!   key count and each works from the one cutoff it started under, so the
 //!   candidate lists — and with them every [`QueryStats`] field — are the
 //!   same for any thread count, and whichever blocks earlier queries left
-//!   loaded; the workers share only the read-only table and the summaries
-//!   and return their candidates in leaf order. Note this is
+//!   loaded; the workers share only the read-only table and the summaries,
+//!   and a sweep sorts what they return. Note this is
 //!   *query* parallelism; the *build*-side rule that concurrent workers
 //!   divide the memory budget (K sorters get `budget / K` each) is
 //!   documented on [`coconut_storage::ExternalSorter::new`] and
@@ -82,12 +85,14 @@
 //!   [`crate::split::SplitPolicy`] or packing cut the leaves; a different
 //!   cut (like a different probe seed) only changes how much is skipped.
 
+use std::ops::Range;
+
 use coconut_series::distance::euclidean_sq_early_abandon;
 use coconut_series::dtw::{dtw_sq_early_abandon, lb_keogh_sq, Envelope};
 use coconut_series::index::{Answer, QueryStats};
 use coconut_series::Value;
 use coconut_storage::{Deadline, Result};
-use coconut_summary::mindist::{envelope_segment_bounds, QueryDistTable};
+use coconut_summary::mindist::{envelope_segment_bounds, KeyFilter, QueryDistTable};
 use coconut_summary::paa::paa;
 use coconut_summary::{SaxConfig, ZKey};
 
@@ -103,8 +108,9 @@ const DEADLINE_STRIDE: usize = 64;
 /// Fetches the raw series of a scan candidate.
 ///
 /// Implementations are stateful cursors: SIMS guarantees candidates arrive
-/// in increasing storage order, so fetchers can stream forward
-/// (skip-sequentially).
+/// in increasing storage order within a sweep, so fetchers can stream
+/// forward (skip-sequentially), starting over when a sweep begins behind
+/// where the last one ended.
 pub trait SeriesFetcher {
     /// Which order is storage order, and so what a candidate is known by:
     /// its raw-file position (`true`, pointer indexes) or its scan index,
@@ -117,19 +123,17 @@ pub trait SeriesFetcher {
     fn fetch(&mut self, at: u64, out: &mut [Value]) -> Result<u64>;
 }
 
-/// Below this many keys a bound pass runs single-threaded: one bound costs
-/// nanoseconds, so spawning scoped OS threads only pays for itself once the
-/// pass itself reaches milliseconds (measured in `bench_query`'s
-/// `sims_threads` group — at 20k keys extra threads *lose* ~35%).
+/// Below this many keys a batch whose blocks are all loaded is bounded on
+/// one thread: a fast-scan bound costs about a nanosecond, so spawning a
+/// scoped OS thread only pays for itself once the pass outlasts the spawn.
+/// `repro bench_distance`'s `key_pass_threads` rows (one loaded pass over
+/// 2,000-entry blocks, one thread vs two, on a shared 2-vCPU Xeon VM, 18
+/// runs): two threads never win at 32,000 keys and below, and from 64,000
+/// up they win only while the second vCPU is idle — 10 of 18 runs at
+/// 128,000 keys, by up to 1.7×, losing the other 8 by up to 2.5×. The
+/// threshold sits at the top of that crossover: on a busy server the second
+/// core is another query's.
 pub const PARALLEL_MIN_KEYS: usize = 1 << 17;
-
-/// Once this many candidates have survived phase A, phase B sweeps them
-/// before the next batch is bounded: the fetches tighten the cutoff, so the
-/// remaining batches keep fewer, and a query the probe seeded badly (a
-/// quarter of the keys can survive a loose k-NN cutoff) holds a batch of
-/// candidates at a time instead of all of them. Most queries stay under it
-/// and fetch in one sweep.
-pub const SWEEP_CANDIDATES: usize = 1 << 14;
 
 /// Cut `items` into at most `parts` contiguous chunks of near-equal total
 /// `weight`, in order.
@@ -364,7 +368,7 @@ impl Collector for TopK {
     }
 
     fn offer(&mut self, candidate: Answer) {
-        // Seed leaves are met again by the scan.
+        // A seed offered by the caller is met again by a scan of every leaf.
         if candidate.dist > self.cutoff || self.best.iter().any(|b| b.pos == candidate.pos) {
             return;
         }
@@ -427,7 +431,7 @@ type Candidate = (u64, f64);
 
 /// One phase-A worker's reusable buffers: the kernel's `(entry, bound)`
 /// output for the leaf at hand, and the candidates of its share. The first
-/// part's list is also where a scan's candidates pile up until a sweep.
+/// part's list is also where a batch's candidates gather for its sweep.
 struct Part {
     under: Vec<(usize, f64)>,
     kept: Vec<Candidate>,
@@ -442,23 +446,22 @@ impl Default for Part {
     }
 }
 
-/// Phase A over one batch of `leaves`: append every entry whose bound does
-/// not exceed `cutoff` (known by position if `by_pos`, by scan index
-/// otherwise) to the first of `parts` (there is always one), in scan order,
-/// splitting the batch
-/// over `workers` scoped threads by contiguous leaf ranges (one worker runs
-/// inline, spawning nothing). A worker loads the blocks of its leaves that
-/// no query touched before, so a cold scan reads and decodes in parallel.
-/// Each worker fills one of `parts`, the scan's reusable buffers — the
-/// first appends where the candidates pile up, the others' lists follow it
-/// there: they are allocated here, by the thread that keeps them, so they
-/// grow in its allocator arena batch after batch instead of leaving a
-/// high-water mark in the arena of every short-lived worker.
+/// Phase A over one batch of `leaves`: append every entry `filter` keeps
+/// (known by position if `by_pos`, by scan index otherwise) to the first of
+/// `parts` (there is always one), splitting the batch over `workers` scoped
+/// threads by leaf ranges of near-equal key counts (one worker runs inline,
+/// spawning nothing). A worker loads the blocks of its leaves that no query
+/// touched before, so a cold scan reads and decodes in parallel. Each
+/// worker fills one of `parts`, the scan's reusable buffers — the first
+/// appends where the candidates gather, the others' lists follow it there:
+/// they are allocated here, by the thread that keeps them, so they grow in
+/// its allocator arena batch after batch instead of leaving a high-water
+/// mark in the arena of every short-lived worker.
 fn bound_batch(
-    table: &QueryDistTable,
+    filter: &KeyFilter<'_>,
     summaries: &Summaries,
     leaves: &[usize],
-    (cutoff, by_pos): (f64, bool),
+    by_pos: bool,
     workers: usize,
     parts: &mut Vec<Part>,
 ) -> Result<()> {
@@ -473,7 +476,7 @@ fn bound_batch(
                 let block = summaries.block(l)?;
                 let start = summaries.leaf_starts()[l];
                 part.under.clear();
-                table.bounds_under(block.symbols, cutoff, 0, &mut part.under);
+                filter.bounds_under(block.symbols, 0, &mut part.under);
                 part.kept.extend(part.under.iter().map(|&(e, bound)| {
                     let at = if by_pos {
                         block.pos[e]
@@ -496,18 +499,45 @@ fn bound_batch(
     loaded.into_iter().collect()
 }
 
-/// The SIMS scan (Algorithm 5), seeded by the probe's hits in `hits`: walk
-/// the leaves in batches of [`PARALLEL_MIN_KEYS`] keys (phase A: leaf
-/// boxes, then the keys of the surviving leaves, with `threads` workers)
-/// and fetch the surviving candidates in storage order (phase B) — see the
-/// module docs. One sweep of phase B serves the whole scan unless more
-/// than [`SWEEP_CANDIDATES`] pile up first, so the working set is bounded
-/// by a batch, not by the index. `deadline` is checked per batch and every
-/// 64 candidates; an expired deadline aborts with
-/// [`coconut_storage::Error::Deadline`].
+/// The leaves outside `resolved` whose box bound does not exceed `cutoff`,
+/// as `(bound, leaf)` in ascending order — the order the scan visits them
+/// in — and the entries the other leaves outside `resolved` hold.
+fn leaf_order(
+    table: &QueryDistTable,
+    summaries: &Summaries,
+    resolved: &Range<usize>,
+    cutoff: f64,
+) -> (Vec<(f64, usize)>, u64) {
+    let mut order = Vec::new();
+    let mut pruned = 0;
+    for leaf in 0..summaries.leaf_count() {
+        // Resolved leaves are bounded all the same: `lower_bounds` counts
+        // one per leaf box.
+        let (lo, hi) = summaries.leaf_box(leaf);
+        let bound = table.box_bound(lo, hi);
+        if resolved.contains(&leaf) {
+            continue;
+        }
+        if bound <= cutoff {
+            order.push((bound, leaf));
+        } else {
+            pruned += summaries.leaf_len(leaf) as u64;
+        }
+    }
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    (order, pruned)
+}
+
+/// The SIMS scan (Algorithm 5), seeded by the probe's hits in `hits`: bound
+/// every leaf box, then visit the surviving leaves best box first, in
+/// batches of one leaf's worth of keys, doubling (phase A: the keys of the
+/// batch's leaves, with `threads` workers), each swept in storage order
+/// (phase B) before the next starts — see the module docs. `deadline` is
+/// checked per batch and every 64 candidates; an expired deadline aborts
+/// with [`coconut_storage::Error::Deadline`].
 ///
 /// The returned [`QueryStats`] count the `lower_bounds` computed (one per
-/// leaf box, one per key of a surviving leaf), `records_fetched`, and
+/// leaf box, one per key of a visited leaf), `records_fetched`, and
 /// `pruned` records skipped unfetched — every entry of a skipped leaf
 /// included, so `pruned + records_fetched == summaries.len()`.
 pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
@@ -519,66 +549,100 @@ pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
     hits: &mut C,
     deadline: Deadline,
 ) -> Result<QueryStats> {
-    let limits = (PARALLEL_MIN_KEYS, SWEEP_CANDIDATES);
-    scan_batched(
-        dist, series_len, summaries, threads, fetcher, hits, deadline, limits,
+    let every_leaf = 0..0;
+    sims_scan_except(
+        dist, series_len, summaries, every_leaf, threads, fetcher, hits, deadline,
     )
 }
 
-/// [`sims_scan`] with explicit `(keys per batch, candidates per sweep)`
-/// (so tests can reach the multi-batch, multi-sweep and threaded paths on
-/// a few thousand keys).
+/// [`sims_scan`] of the leaves outside `resolved`: leaves whose every entry
+/// `hits` has already been offered or seen bounded over its cutoff — the
+/// probe's seed leaves, which it evaluates in bound order — so nothing in
+/// them can enter the answer any more. Their boxes are still bounded (and
+/// counted), their entries are neither: `pruned + records_fetched` covers
+/// the other leaves' entries.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sims_scan_except<D: Distance, F: SeriesFetcher, C: Collector>(
+    dist: &D,
+    series_len: usize,
+    summaries: &Summaries,
+    resolved: Range<usize>,
+    threads: usize,
+    fetcher: &mut F,
+    hits: &mut C,
+    deadline: Deadline,
+) -> Result<QueryStats> {
+    let leaf_keys = summaries.len().div_ceil(summaries.leaf_count().max(1));
+    let limits = (leaf_keys, PARALLEL_MIN_KEYS);
+    scan_batched(
+        dist, series_len, summaries, resolved, threads, fetcher, hits, deadline, limits,
+    )
+}
+
+/// [`sims_scan`] with explicit `(keys of the first batch, keys that make a
+/// loaded batch parallel)` (so tests can reach the threaded path on a few
+/// thousand keys).
 #[allow(clippy::too_many_arguments)]
 fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
     series_len: usize,
     summaries: &Summaries,
+    resolved: Range<usize>,
     threads: usize,
     fetcher: &mut F,
     hits: &mut C,
     deadline: Deadline,
-    (batch_keys, sweep_candidates): (usize, usize),
+    (first_batch_keys, parallel_min_keys): (usize, usize),
 ) -> Result<QueryStats> {
     let mut stats = QueryStats::default();
     let table = dist.table();
+    deadline.check()?;
+    let (order, pruned) = leaf_order(table, summaries, &resolved, hits.cutoff());
+    stats.lower_bounds += summaries.leaf_count() as u64;
+    stats.pruned += pruned;
     let mut buf = vec![0.0 as Value; series_len];
     let mut parts = vec![Part::default()];
     let mut batch: Vec<usize> = Vec::new();
-    let leaves = summaries.leaf_count();
+    let mut batch_keys = first_batch_keys.max(1);
     let mut next = 0;
-    while next < leaves {
-        // Phase A: the next leaves whose box survives, a batch of keys.
+    loop {
+        // Phase A: the next leaves in box order, a batch of keys, up to
+        // the first box over the cutoff — and every box after it is too.
         deadline.check()?;
         let mut cutoff = hits.cutoff();
         let mut keys = 0;
         batch.clear();
-        while next < leaves && keys < batch_keys {
-            let (lo, hi) = summaries.leaf_box(next);
-            if table.box_bound(lo, hi) <= cutoff {
-                batch.push(next);
-                keys += summaries.leaf_len(next);
-            } else {
-                stats.pruned += summaries.leaf_len(next) as u64;
+        while let Some(&(bound, leaf)) = order.get(next) {
+            if bound > cutoff || keys >= batch_keys {
+                break;
             }
+            batch.push(leaf);
+            keys += summaries.leaf_len(leaf);
             next += 1;
         }
-        // A full batch is worth splitting; a short one (the whole scan of
-        // a near query, the tail of any other) runs inline.
-        let workers = if keys < batch_keys { 1 } else { threads };
-        let before = parts[0].kept.len();
-        let by = (cutoff, F::POSITION_ORDER);
-        bound_batch(table, summaries, &batch, by, workers, &mut parts)?;
+        if batch.is_empty() {
+            break;
+        }
+        batch_keys = batch_keys.saturating_mul(2);
+        let parallel = threads > 1
+            && batch.len() > 1
+            && (keys >= parallel_min_keys || batch.iter().any(|&l| !summaries.is_loaded(l)));
+        let workers = if parallel { threads } else { 1 };
+        let filter = table.key_filter(cutoff);
+        bound_batch(
+            &filter,
+            summaries,
+            &batch,
+            F::POSITION_ORDER,
+            workers,
+            &mut parts,
+        )?;
         let candidates = &mut parts[0].kept;
         stats.lower_bounds += keys as u64;
-        stats.pruned += (keys - (candidates.len() - before)) as u64;
-        if candidates.len() < sweep_candidates && next < leaves {
-            continue;
-        }
+        stats.pruned += (keys - candidates.len()) as u64;
 
         // Phase B: fetch in storage order under the tightening cutoff.
-        if F::POSITION_ORDER {
-            candidates.sort_unstable_by_key(|&(pos, _)| pos);
-        }
+        candidates.sort_unstable_by_key(|&(at, _)| at);
         for (n, &(at, bound)) in candidates.iter().enumerate() {
             if n.is_multiple_of(DEADLINE_STRIDE) {
                 deadline.check()?;
@@ -596,7 +660,8 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
         }
         candidates.clear();
     }
-    stats.lower_bounds += leaves as u64;
+    let unvisited = order[next..].iter().map(|&(_, l)| summaries.leaf_len(l));
+    stats.pruned += unvisited.sum::<usize>() as u64;
     Ok(stats)
 }
 
@@ -750,6 +815,7 @@ mod tests {
                     &ed,
                     64,
                     &sums,
+                    0..0,
                     threads,
                     &mut fetcher,
                     &mut hits,
@@ -765,17 +831,212 @@ mod tests {
                 assert_eq!(stats.pruned + stats.records_fetched, 3000);
                 stats
             };
-            // 200-key batches (threaded: each reaches the batch size) and a
-            // sweep every 50 candidates; then one batch, one sweep.
-            for limits in [(200, 50), (usize::MAX, usize::MAX)] {
+            // A first batch of one key (so one leaf) or of one leaf's keys,
+            // with every multi-leaf batch threaded, those from 100 keys, or
+            // none; then one batch and one sweep.
+            for limits in [
+                (1, 1),
+                (LEAF, 100),
+                (1, usize::MAX),
+                (usize::MAX, usize::MAX),
+            ] {
                 let one = run(1, limits);
                 assert_eq!(run(2, limits), one);
                 assert_eq!(run(4, limits), one);
             }
-            // Sweeping early tightens the cutoff for the later batches.
-            assert!(
-                run(1, (200, 50)).lower_bounds <= run(1, (usize::MAX, usize::MAX)).lower_bounds
-            );
+            // Sweeping between batches tightens the cutoff the later ones
+            // bound under.
+            assert!(run(1, (1, usize::MAX)).lower_bounds <= run(1, (usize::MAX, 1)).lower_bounds);
+        }
+    }
+
+    /// A fetcher that logs where every fetch was asked for.
+    struct Logged<F> {
+        inner: F,
+        log: Vec<u64>,
+    }
+
+    impl<F: SeriesFetcher> SeriesFetcher for Logged<F> {
+        const POSITION_ORDER: bool = F::POSITION_ORDER;
+
+        fn fetch(&mut self, at: u64, out: &mut [Value]) -> Result<u64> {
+            self.log.push(at);
+            self.inner.fetch(at, out)
+        }
+    }
+
+    #[test]
+    fn leaves_are_visited_best_box_first_and_the_scan_stops_at_the_cutoff() {
+        const LEAVES: usize = 60;
+        let (data, keys, config) = setup(LEAVES * LEAF, 64);
+        let sums = summarize(&keys, &config);
+        let mut leaf_of = vec![0; data.len()];
+        for l in 0..LEAVES {
+            for &pos in sums.block(l).unwrap().pos {
+                leaf_of[pos as usize] = l;
+            }
+        }
+        for seed in 0..4 {
+            let q = query(60 + seed, 64);
+            let ed = Ed::new(&q, &config);
+            let oracle = brute_force(&q, &data);
+            let (order, pruned) = leaf_order(ed.table(), &sums, &(0..0), f64::INFINITY);
+            assert_eq!((order.len(), pruned), (LEAVES, 0));
+            assert!(order
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)));
+            // With one-leaf first batches, batch `k` is the `2^k` leaves
+            // from order rank `2^k - 1`: every fetch of a batch comes before
+            // any of the next one's.
+            let mut batch_of = vec![0; LEAVES];
+            for (rank, &(_, leaf)) in order.iter().enumerate() {
+                batch_of[leaf] = (rank + 1).ilog2();
+            }
+            let mut fetcher = Logged {
+                inner: VecFetcher { data: &data },
+                log: Vec::new(),
+            };
+            let mut hits = TopK::new(3, f64::INFINITY);
+            let limits = (LEAF, usize::MAX);
+            scan_batched(
+                &ed,
+                64,
+                &sums,
+                0..0,
+                1,
+                &mut fetcher,
+                &mut hits,
+                Deadline::NONE,
+                limits,
+            )
+            .unwrap();
+            assert_eq!(hits.into_answers(), oracle[..3]);
+            let batches: Vec<u32> = fetcher
+                .log
+                .iter()
+                .map(|&p| batch_of[leaf_of[p as usize]])
+                .collect();
+            assert_eq!(batches.first(), Some(&0));
+            assert!(batches.windows(2).all(|w| w[0] <= w[1]), "{batches:?}");
+
+            // Seeded with the answer, the cutoff never moves: the scan
+            // bounds the keys of exactly the leaves whose box is under it.
+            let mut seeded = TopK::new(1, f64::INFINITY);
+            seeded.offer(oracle[0]);
+            let mut fetcher = VecFetcher { data: &data };
+            let stats = scan_batched(
+                &ed,
+                64,
+                &sums,
+                0..0,
+                1,
+                &mut fetcher,
+                &mut seeded,
+                Deadline::NONE,
+                limits,
+            )
+            .unwrap();
+            let under = order.iter().filter(|&&(b, _)| b <= oracle[0].dist).count();
+            assert!(under < LEAVES, "seed {seed}: no leaf pruned");
+            assert_eq!(stats.lower_bounds, (LEAVES + under * LEAF) as u64);
+            assert_eq!(stats.pruned + stats.records_fetched, data.len() as u64);
+        }
+    }
+
+    /// A tree of leaves of 20 over 2,000 random walks in `dir`, its dataset
+    /// (whose I/O counters the tree shares) and the walks.
+    fn tree_of_2000(
+        dir: &coconut_storage::TempDir,
+        materialized: bool,
+    ) -> (
+        crate::CoconutTree,
+        coconut_series::dataset::Dataset,
+        Vec<Vec<Value>>,
+    ) {
+        use crate::{BuildOptions, CoconutTree, IndexConfig};
+        use coconut_series::dataset::{write_dataset, Dataset};
+        use coconut_storage::IoStats;
+        let io = std::sync::Arc::new(IoStats::new());
+        let path = dir.path().join("data.bin");
+        if !path.exists() {
+            write_dataset(&path, &mut RandomWalkGen::new(5), 2_000, 64, &io).unwrap();
+        }
+        let ds = Dataset::open(&path, io).unwrap();
+        let mut config = IndexConfig::default_for_len(64);
+        config.leaf_capacity = 20;
+        let opts = BuildOptions {
+            materialized,
+            ..BuildOptions::default()
+        };
+        let tree = CoconutTree::build(&ds, &config, dir.path(), opts).unwrap();
+        let all = (0..ds.len()).map(|p| ds.get(p).unwrap()).collect();
+        (tree, ds, all)
+    }
+
+    #[test]
+    fn a_materialized_scan_restarts_per_sweep_and_reads_each_leaf_once() {
+        let dir = coconut_storage::TempDir::new("sims-full").unwrap();
+        let (tree, ds, all) = tree_of_2000(&dir, true);
+        let sums = tree.summaries();
+        // Every block in place: what the scan reads is payloads alone.
+        for l in 0..sums.leaf_count() {
+            sums.block(l).unwrap();
+        }
+        let io = ds.file().stats();
+        let entry_bytes = tree.store.entry().entry_bytes() as u64;
+        for seed in 0..3 {
+            let q = query(80 + seed, 64);
+            let mut fetcher = Logged {
+                inner: tree.leaf_fetcher(),
+                log: Vec::new(),
+            };
+            let mut hits = TopK::new(5, f64::INFINITY);
+            let before = io.snapshot();
+            let ed = Ed::new(&q, &tree.config().sax);
+            sims_scan(&ed, 64, sums, 2, &mut fetcher, &mut hits, Deadline::NONE).unwrap();
+            let read = io.snapshot().since(&before);
+            assert_eq!(hits.into_answers(), brute_force(&q, &all)[..5]);
+            // Scan indexes rise within a sweep and fall back between some.
+            let falls = fetcher.log.windows(2).filter(|w| w[1] < w[0]).count();
+            assert!(falls >= 2, "seed {seed}: {falls} falls");
+            let mut touched: Vec<usize> = fetcher
+                .log
+                .iter()
+                .map(|&i| sums.leaf_starts().partition_point(|&s| s as u64 <= i) - 1)
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(read.seq_reads + read.rand_reads, touched.len() as u64);
+            let bytes = touched
+                .iter()
+                .map(|&l| sums.leaf_len(l) as u64 * entry_bytes);
+            assert_eq!(read.bytes_read, bytes.sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn the_probe_and_the_scan_account_for_every_record_once() {
+        use crate::Query;
+        let dir = coconut_storage::TempDir::new("sims-seeds").unwrap();
+        for materialized in [false, true] {
+            let (tree, _, all) = tree_of_2000(&dir, materialized);
+            for seed in 0..4 {
+                let q = query(90 + seed, 64);
+                let oracle = brute_force(&q, &all);
+                let wide = Query {
+                    radius: 4,
+                    ..Query::knn(3)
+                };
+                for (query, k) in [(Query::nearest(), 1), (Query::knn(7), 7), (wide, 3)] {
+                    let (answers, stats) = tree.search(&q, &query).unwrap();
+                    assert_eq!(answers, oracle[..k], "{query:?}");
+                    // The scan passes the probe's leaves by: nothing is
+                    // fetched or pruned twice.
+                    assert_eq!(stats.pruned + stats.records_fetched, 2_000, "{query:?}");
+                    let seeds = 1..=2 * query.radius as u64 + 1;
+                    assert!(seeds.contains(&stats.leaves_visited), "{query:?}");
+                }
+            }
         }
     }
 
@@ -789,14 +1050,13 @@ mod tests {
         // A cutoff about a third of the keys pass.
         let mut all = parallel_mindists(&paa(&q, config.segments), &keys, &config, 1);
         all.sort_by(f64::total_cmp);
-        let cutoff = all[1000];
+        let filter = ed.table().key_filter(all[1000]);
         let mut parts = vec![Part::default()];
-        bound_batch(ed.table(), &sums, &leaves, (cutoff, false), 1, &mut parts).unwrap();
+        bound_batch(&filter, &sums, &leaves, false, 1, &mut parts).unwrap();
         let inline = std::mem::take(&mut parts[0].kept);
         assert!(!inline.is_empty() && inline.windows(2).all(|w| w[0].0 < w[1].0));
         for workers in [2, 4, 200] {
-            let by = (cutoff, false);
-            bound_batch(ed.table(), &sums, &leaves, by, workers, &mut parts).unwrap();
+            bound_batch(&filter, &sums, &leaves, false, workers, &mut parts).unwrap();
             assert_eq!(
                 std::mem::take(&mut parts[0].kept),
                 inline,

@@ -1,0 +1,88 @@
+//! The `leaf.read` fault site under a query: an injected read error fails
+//! the query that meets it with a typed I/O error and leaves the leaf's
+//! block unloaded, so the next query reads the leaf again and answers
+//! exactly — on a freshly opened index and through a pinned LSM snapshot.
+//!
+//! One test in a file of its own: the fault plan is process-global, and
+//! no other test may meet it.
+
+use std::sync::Arc;
+
+use coconut_core::{BuildOptions, CoconutTree, IndexConfig, LsmCoconut, Query};
+use coconut_series::dataset::{write_dataset, Dataset};
+use coconut_series::distance::{euclidean, znormalize};
+use coconut_series::gen::{Generator, RandomWalkGen};
+use coconut_series::index::Answer;
+use coconut_series::Value;
+use coconut_storage::{fault, Error, FaultPlan, IoStats, TempDir};
+
+const LEN: usize = 64;
+const N: u64 = 3_000;
+
+fn config() -> IndexConfig {
+    let mut c = IndexConfig::default_for_len(LEN);
+    c.leaf_capacity = 10;
+    c
+}
+
+fn brute_force(ds: &Dataset, q: &[Value]) -> Answer {
+    let mut best = Answer::none();
+    for pos in 0..ds.len() {
+        best.merge(Answer {
+            pos,
+            dist: euclidean(q, &ds.get(pos).unwrap()),
+        });
+    }
+    best
+}
+
+/// Fail the next leaf read of the process.
+fn fail_next_leaf_read() -> Arc<FaultPlan> {
+    fault::install(FaultPlan::parse("leaf.read=err@1", 0).unwrap())
+}
+
+fn assert_injected_io_error(err: Error) {
+    match err {
+        Error::Io(e) => assert!(e.to_string().contains("leaf.read"), "{e}"),
+        other => panic!("expected an injected I/O error, got {other}"),
+    }
+}
+
+#[test]
+fn a_failed_leaf_read_fails_one_query_and_the_next_is_exact() {
+    let dir = TempDir::new("read-faults").unwrap();
+    let stats = Arc::new(IoStats::new());
+    let path = dir.path().join("data.bin");
+    write_dataset(&path, &mut RandomWalkGen::new(31), N, LEN, &stats).unwrap();
+    let ds = Dataset::open(&path, stats).unwrap();
+    let mut q = RandomWalkGen::new(4_242).generate(LEN);
+    znormalize(&mut q);
+    let oracle = brute_force(&ds, &q);
+
+    let built = CoconutTree::build(&ds, &config(), dir.path(), BuildOptions::default()).unwrap();
+    let tree = CoconutTree::open(built.index_path(), &ds, 2).unwrap();
+    let plan = fail_next_leaf_read();
+    assert_injected_io_error(tree.exact_search(&q).unwrap_err());
+    assert_eq!(tree.loaded_blocks(), 0, "the failed block stays unloaded");
+    let (found, _) = tree.exact_search(&q).unwrap();
+    assert_eq!(found, oracle);
+    assert!(tree.loaded_blocks() > 0);
+    assert_eq!(plan.injected(), 1);
+    fault::clear();
+
+    // Two fresh runs, pinned before the fault: their blocks load on the
+    // snapshot's first query.
+    let lsm = LsmCoconut::new(config(), BuildOptions::default(), dir.path().join("lsm")).unwrap();
+    lsm.set_max_runs(100);
+    lsm.ingest_upto(&ds, N / 2).unwrap();
+    lsm.ingest_upto(&ds, N).unwrap();
+    lsm.wait_for_compactions().unwrap();
+    let snapshot = lsm.snapshot();
+    assert_eq!(snapshot.run_count(), 2);
+    let plan = fail_next_leaf_read();
+    assert_injected_io_error(snapshot.search(&q, &Query::nearest()).unwrap_err());
+    let (answers, _) = snapshot.search(&q, &Query::nearest()).unwrap();
+    assert_eq!(answers, [oracle]);
+    assert_eq!(plan.injected(), 1);
+    fault::clear();
+}

@@ -211,6 +211,12 @@ impl Dataset {
 
     /// Read series `pos` into `out` (`out.len()` must equal `series_len`).
     pub fn read_into(&self, pos: u64, out: &mut [Value]) -> Result<()> {
+        self.read_into_with(pos, out, &mut Vec::new())
+    }
+
+    /// [`Dataset::read_into`] through the caller's byte buffer `bytes`
+    /// (resized to one series), so a loop of fetches allocates once.
+    pub fn read_into_with(&self, pos: u64, out: &mut [Value], bytes: &mut Vec<u8>) -> Result<()> {
         if pos >= self.count {
             return Err(Error::invalid(format!(
                 "series {pos} out of range ({})",
@@ -220,10 +226,10 @@ impl Dataset {
         if out.len() != self.series_len {
             return Err(Error::invalid("output buffer length != series length"));
         }
-        let mut bytes = vec![0u8; self.series_bytes()];
-        self.file.read_exact_at(&mut bytes, self.offset_of(pos))?;
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            out[i] = le_value(chunk);
+        bytes.resize(self.series_bytes(), 0);
+        self.file.read_exact_at(bytes, self.offset_of(pos))?;
+        for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *o = le_value(chunk);
         }
         Ok(())
     }

@@ -45,11 +45,12 @@ impl Answer {
 /// Figure 9f reports `records_fetched` ("visited records") directly.
 ///
 /// For the Coconut indexes the counters are exact and repeat run to run,
-/// whatever the thread count. The exact scan accounts for every record it
-/// covers, so over an index (or snapshot, or shard set) of `N` records
-/// `pruned + records_fetched >= N` — the probe's own work comes on top —
-/// while `lower_bounds <= N + leaves`: a leaf whose box bound already
-/// exceeds the cutoff is skipped without bounding its keys.
+/// whatever the thread count. The probe accounts for the records of its
+/// seed leaves and the exact scan for every other one, so an exact query
+/// over an index (or snapshot, or shard set) of `N` records has
+/// `pruned + records_fetched == N`, while `lower_bounds <= N + leaves`: a
+/// leaf whose box bound already exceeds the cutoff is skipped without
+/// bounding its keys.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Leaf nodes (or equivalent disk units) read: for the Coconut indexes,

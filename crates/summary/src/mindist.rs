@@ -23,6 +23,23 @@
 //! symbol blocks: [`QueryDistTable::box_bound`] lower-bounds a whole leaf,
 //! [`QueryDistTable::bounds_under`] its entries, keeping only those at or
 //! under a cutoff.
+//!
+//! # The fast-scan prefilter
+//!
+//! Near a good cutoff almost every entry of a surviving leaf is rejected, so
+//! [`KeyFilter`] rejects most of them without the `f64` table sum. Per
+//! segment it keeps 16 bytes: for each 4-bit symbol prefix, the smallest
+//! table entry over the symbols sharing it, scaled and quantised against the
+//! cutoff. SAX breakpoints nest — the regions of the symbols under one
+//! prefix tile the prefix's region — so that minimum lower-bounds the entry
+//! of every full symbol. Quantisation floors, against a scale whose 255 lies
+//! a margin past the squared cutoff, so an entry whose byte sum saturates
+//! provably has an exact bound over the cutoff, whatever the rounding. 16
+//! bytes is one `PSHUFB` table, and 4 bits is what `PSHUFB` indexes: an AVX2
+//! pass looks up and saturating-adds 32 entries per segment in a handful of
+//! instructions, where the exact kernel gathers 4 `f64`s at a time. Only the
+//! survivors (a few percent near a tight cutoff) get the exact sum, so the
+//! `(entry, bound)` output is bit-identical to the exact kernel's.
 
 use crate::breakpoints::{region, region_table};
 use crate::config::SaxConfig;
@@ -176,6 +193,21 @@ const ABANDON_STRIDE: usize = 4;
 /// assumption already baked into [`mindist_paa_zkey`] and the summarizer).
 const MAX_SEGMENTS: usize = 32;
 
+/// Entries of a segment's fast-scan table: one per 4-bit symbol prefix.
+const NIBBLES: usize = 16;
+
+/// Entries per fast-scan block: one AVX2 register of symbol bytes.
+const FAST_SCAN_BATCH: usize = 32;
+
+/// Fast-scan survivors whose exact sums are computed side by side.
+const REFINE_GROUP: usize = 8;
+
+/// How far past the squared cutoff a saturated fast-scan sum lies. Far more
+/// than the relative rounding of the scaling, the quantisation and a
+/// 32-term `f64` sum (under 50 ulps together), far less than one step of
+/// the 255-step scale.
+const FAST_SCAN_MARGIN: f64 = 1.0 / (1u64 << 32) as f64;
+
 /// Per-segment `pext` masks recovering SAX symbols from a z-order key in
 /// two `PEXT` instructions per segment instead of `card_bits` shift/mask
 /// steps per *bit*. Symbol `j`'s bits sit at key positions
@@ -287,6 +319,9 @@ pub struct QueryDistTable {
     /// zero). A row only grows moving away from it, so the minimum over a
     /// symbol interval sits at the interval's end nearer this symbol.
     nearest: Vec<u8>,
+    /// Per segment, for each 4-bit symbol prefix, the smallest table entry
+    /// of the symbols under it ([`KeyFilter`]'s lookup tables, unscaled).
+    prefix_min: Vec<f64>,
     decoder: SymbolDecoder,
 }
 
@@ -314,9 +349,12 @@ impl QueryDistTable {
         let rt = region_table(config.card_bits);
         let mut table = vec![f64::INFINITY; config.segments * TABLE_ROW];
         let mut nearest = Vec::with_capacity(config.segments);
+        let mut prefix_min = vec![f64::INFINITY; config.segments * NIBBLES];
         for (j, row) in table.chunks_exact_mut(TABLE_ROW).enumerate() {
             for (s, entry) in row[..card].iter_mut().enumerate() {
                 *entry = dist_sq(j, rt.lo()[s], rt.hi()[s]);
+                let min = &mut prefix_min[j * NIBBLES + nibble(s as u8, config.card_bits)];
+                *min = min.min(*entry);
             }
             let at = (0..card).min_by(|&a, &b| row[a].total_cmp(&row[b]));
             nearest.push(at.unwrap_or(0) as u8);
@@ -326,6 +364,7 @@ impl QueryDistTable {
             scale: config.series_len as f64 / config.segments as f64,
             table,
             nearest,
+            prefix_min,
             decoder: SymbolDecoder::new(config),
         }
     }
@@ -375,8 +414,9 @@ impl QueryDistTable {
     /// ([`SymbolDecoder::decode_into`]; `block.len() / segments` entries)
     /// and push `(first + e, bound)` for each entry `e` whose bound does
     /// not exceed `cutoff` — the fused bound-and-filter of the SIMS key
-    /// pass. Bounds are bit-identical to [`QueryDistTable::mindist_zkey`]
-    /// of the encoded keys on every dispatch.
+    /// pass, fast-scan prefilter included ([`KeyFilter::bounds_under`]).
+    /// Bounds are bit-identical to [`QueryDistTable::mindist_zkey`] of the
+    /// encoded keys on every dispatch.
     pub fn bounds_under(
         &self,
         block: &[u8],
@@ -384,7 +424,7 @@ impl QueryDistTable {
         first: usize,
         out: &mut Vec<(usize, f64)>,
     ) {
-        self.bounds_under_with(coconut_series::simd::active(), block, cutoff, first, out);
+        self.key_filter(cutoff).bounds_under(block, first, out);
     }
 
     /// [`QueryDistTable::bounds_under`] with an explicit dispatch (exposed
@@ -397,40 +437,45 @@ impl QueryDistTable {
         first: usize,
         out: &mut Vec<(usize, f64)>,
     ) {
-        let w = self.config.segments;
-        assert_eq!(block.len() % w, 0);
-        let count = block.len() / w;
+        self.key_filter(cutoff)
+            .bounds_under_with(dispatch, block, first, out);
+    }
+
+    /// `cutoff` prepared for the key pass: the squared limit and the
+    /// fast-scan tables quantised against it — built once and shared by
+    /// every block bounded under that cutoff. The prefilter is skipped when
+    /// there is nothing to quantise against (an infinite cutoff, or one so
+    /// small that 255 steps of it overflow).
+    pub fn key_filter(&self, cutoff: f64) -> KeyFilter<'_> {
         // Filter in squared space first, so the square root is only paid
         // by the few entries near the cutoff: a scaled sum above `limit`
         // has a (correctly rounded) root above `cutoff`, because `limit`
         // is padded past the square of the next float up.
         let limit = cutoff * cutoff * (1.0 + 4.0 * f64::EPSILON);
-        let mut keep = |e: usize, raw: f64| {
-            let scaled = self.scale * raw;
-            if scaled > limit {
-                return;
+        // Scaled terms in steps of `limit * (1 + margin) / 255`; a limit of
+        // zero makes every positive term a full 255.
+        let inv = 255.0 / (limit * (1.0 + FAST_SCAN_MARGIN));
+        let lut = (limit.is_finite() && (limit == 0.0 || inv.is_finite())).then(|| {
+            let mut lut = [0u8; MAX_SEGMENTS * NIBBLES];
+            for (q, &min) in lut.iter_mut().zip(&self.prefix_min) {
+                let steps = self.scale * min * inv;
+                // Flooring keeps `q` at or under the term; NaN (an unused
+                // prefix's `inf * 0`) becomes 0, which rejects nothing.
+                *q = if steps >= 255.0 {
+                    255
+                } else if steps > 0.0 {
+                    steps as u8
+                } else {
+                    0
+                };
             }
-            let bound = scaled.sqrt();
-            if bound <= cutoff {
-                out.push((first + e, bound));
-            }
-        };
-        let use_avx2 = use_avx2(dispatch);
-        let n8 = count - count % MINDIST_BATCH;
-        let mut raw = [0.0f64; MINDIST_BATCH];
-        for e in (0..n8).step_by(MINDIST_BATCH) {
-            if self.accumulate_block(use_avx2, &block[e..], count, limit, &mut raw) {
-                for (b, &r) in raw.iter().enumerate() {
-                    keep(e + b, r);
-                }
-            }
-        }
-        for e in n8..count {
-            let mut acc = 0.0f64;
-            for j in 0..w {
-                acc += self.table[j * TABLE_ROW + block[j * count + e] as usize];
-            }
-            keep(e, acc);
+            lut
+        });
+        KeyFilter {
+            table: self,
+            cutoff,
+            limit,
+            lut,
         }
     }
 
@@ -502,6 +547,236 @@ impl QueryDistTable {
         let _ = use_avx2;
         accumulate_block_scalar(&self.table, w, sym, stride, self.scale, limit, out)
     }
+
+    /// The raw bound of entry `e` of a segment-major block of `count`
+    /// entries: its table entries summed in segment order, as every kernel
+    /// sums them.
+    #[inline]
+    fn entry_raw(&self, block: &[u8], count: usize, e: usize) -> f64 {
+        let mut acc = 0.0f64;
+        for j in 0..self.config.segments {
+            acc += self.table[j * TABLE_ROW + block[j * count + e] as usize];
+        }
+        acc
+    }
+}
+
+/// A [`QueryDistTable`] and a cutoff, ready to bound symbol blocks under it
+/// ([`QueryDistTable::key_filter`]): the SIMS key pass builds one per batch,
+/// the probe one per leaf.
+pub struct KeyFilter<'a> {
+    table: &'a QueryDistTable,
+    cutoff: f64,
+    /// The squared cutoff, padded: a scaled raw bound above it is over.
+    limit: f64,
+    /// Per segment, [`NIBBLES`] quantised lower bounds of the scaled terms
+    /// (`None`: no prefilter).
+    lut: Option<[u8; MAX_SEGMENTS * NIBBLES]>,
+}
+
+impl KeyFilter<'_> {
+    /// Push `(first + e, bound)` for each entry `e` of `block` whose bound
+    /// does not exceed the cutoff ([`QueryDistTable::bounds_under`]), in
+    /// entry order.
+    pub fn bounds_under(&self, block: &[u8], first: usize, out: &mut Vec<(usize, f64)>) {
+        self.bounds_under_with(coconut_series::simd::active(), block, first, out);
+    }
+
+    /// [`KeyFilter::bounds_under`] with an explicit dispatch. On AVX2 the
+    /// fast-scan pass runs first, 32 entries at a time (`PSHUFB` and
+    /// saturating adds; the scalar mirror takes the tail), and only its
+    /// survivors get the exact sum. The scalar dispatch runs the exact
+    /// kernel alone: byte-wise table lookups cost more there than the `f64`
+    /// sums they would spare. The output is the same either way.
+    pub fn bounds_under_with(
+        &self,
+        dispatch: Dispatch,
+        block: &[u8],
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        match &self.lut {
+            Some(lut) if use_avx2(dispatch) => self.fast_scan_under(true, lut, block, first, out),
+            _ => self.exact_bounds_under_with(dispatch, block, first, out),
+        }
+    }
+
+    /// The fast-scan pass under `lut` — AVX2 on full batches if `use_avx2`,
+    /// the scalar mirror everywhere else — then the exact sum of its
+    /// survivors.
+    fn fast_scan_under(
+        &self,
+        use_avx2: bool,
+        lut: &[u8; MAX_SEGMENTS * NIBBLES],
+        block: &[u8],
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let w = self.table.config.segments;
+        assert_eq!(block.len() % w, 0);
+        let count = block.len() / w;
+        let lut = &lut[..w * NIBBLES];
+        let shift = nibble_shift(self.table.config.card_bits);
+        // Survivors wait in groups, so their exact sums run side by side.
+        let mut group = [0usize; REFINE_GROUP];
+        let mut waiting = 0;
+        for e in (0..count).step_by(FAST_SCAN_BATCH) {
+            let n = (count - e).min(FAST_SCAN_BATCH);
+            let mut survivors = fast_scan(use_avx2, lut, shift, block, count, e, n);
+            while survivors != 0 {
+                group[waiting] = e + survivors.trailing_zeros() as usize;
+                survivors &= survivors - 1;
+                waiting += 1;
+                if waiting == REFINE_GROUP {
+                    self.refine(&group, block, count, first, out);
+                    waiting = 0;
+                }
+            }
+        }
+        self.refine(&group[..waiting], block, count, first, out);
+    }
+
+    /// Keep those of `entries` (at most [`REFINE_GROUP`], ascending) whose
+    /// exact bound is at or under the cutoff: one accumulator per entry,
+    /// each summing its table entries in segment order — the additions of
+    /// every other kernel, in their order, so the bounds are bit-identical;
+    /// the independent sums only let the processor overlap them.
+    fn refine(
+        &self,
+        entries: &[usize],
+        block: &[u8],
+        count: usize,
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        if entries.is_empty() {
+            return;
+        }
+        let mut acc = [0.0f64; REFINE_GROUP];
+        for (row, symbols) in self
+            .table
+            .table
+            .chunks_exact(TABLE_ROW)
+            .zip(block.chunks_exact(count))
+        {
+            for (a, &e) in acc.iter_mut().zip(entries) {
+                *a += row[symbols[e] as usize];
+            }
+        }
+        for (&a, &e) in acc.iter().zip(entries) {
+            self.keep(first + e, a, out);
+        }
+    }
+
+    /// [`KeyFilter::bounds_under_with`] without the prefilter: the exact
+    /// `f64` sum of every entry, eight at a time (AVX2 gathers or their
+    /// scalar mirror) — the reference the prefiltered pass equals.
+    pub fn exact_bounds_under_with(
+        &self,
+        dispatch: Dispatch,
+        block: &[u8],
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let table = self.table;
+        let w = table.config.segments;
+        assert_eq!(block.len() % w, 0);
+        let count = block.len() / w;
+        let use_avx2 = use_avx2(dispatch);
+        let n8 = count - count % MINDIST_BATCH;
+        let mut raw = [0.0f64; MINDIST_BATCH];
+        for e in (0..n8).step_by(MINDIST_BATCH) {
+            if table.accumulate_block(use_avx2, &block[e..], count, self.limit, &mut raw) {
+                for (b, &r) in raw.iter().enumerate() {
+                    self.keep(first + e + b, r, out);
+                }
+            }
+        }
+        for e in n8..count {
+            self.keep(first + e, table.entry_raw(block, count, e), out);
+        }
+    }
+
+    /// Push `(at, bound)` if the raw bound `raw` is at or under the cutoff.
+    #[inline]
+    fn keep(&self, at: usize, raw: f64, out: &mut Vec<(usize, f64)>) {
+        let scaled = self.table.scale * raw;
+        if scaled > self.limit {
+            return;
+        }
+        let bound = scaled.sqrt();
+        if bound <= self.cutoff {
+            out.push((at, bound));
+        }
+    }
+}
+
+/// How far a symbol of `card_bits` bits shifts right to leave its 4-bit
+/// prefix (none for alphabets of 16 symbols or fewer: the symbol is its own
+/// prefix).
+fn nibble_shift(card_bits: u8) -> u32 {
+    card_bits.saturating_sub(4) as u32
+}
+
+/// The fast-scan table slot of `symbol`: its 4-bit prefix. Masked, so a
+/// byte no valid symbol takes still indexes inside the segment's 16 slots.
+#[inline]
+fn nibble(symbol: u8, card_bits: u8) -> usize {
+    ((symbol >> nibble_shift(card_bits)) & 0x0F) as usize
+}
+
+/// The fast-scan pass over the `n <= 32` entries from `e` of a segment-major
+/// block of `count` entries, under `lut` (one 16-byte table per segment):
+/// per entry, the saturating `u8` sum of its segments' table bytes. Returns
+/// the survivors — entries whose sum did not saturate — as a bit mask (bit
+/// `b` = entry `e + b`). Full batches take the AVX2 path where `use_avx2`
+/// allows, everything else the scalar mirror; both return the same mask.
+#[inline]
+fn fast_scan(
+    use_avx2: bool,
+    lut: &[u8],
+    shift: u32,
+    block: &[u8],
+    count: usize,
+    e: usize,
+    n: usize,
+) -> u32 {
+    let segments = lut.len() / NIBBLES;
+    assert!(n <= FAST_SCAN_BATCH && block.len() >= (segments - 1) * count + e + n);
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 && n == FAST_SCAN_BATCH {
+        // SAFETY: AVX2 support verified by `use_avx2`; `lut` holds
+        // `NIBBLES` bytes per segment, and the assertion above keeps the
+        // 32 bytes read at `j * count + e` inside `block` for every segment.
+        return unsafe { x86::fast_scan_avx2(lut, segments, shift, block, count, e) };
+    }
+    let _ = use_avx2;
+    fast_scan_scalar(lut, segments, shift, &block[e..], count, n)
+}
+
+/// Scalar mirror of [`x86::fast_scan_avx2`] over the first `n` entries of
+/// the segment-major `block` (rows `count` bytes apart).
+fn fast_scan_scalar(
+    lut: &[u8],
+    segments: usize,
+    shift: u32,
+    block: &[u8],
+    count: usize,
+    n: usize,
+) -> u32 {
+    let mut acc = [0u8; FAST_SCAN_BATCH];
+    for j in 0..segments {
+        let row = &lut[j * NIBBLES..(j + 1) * NIBBLES];
+        let lane = &block[j * count..j * count + n];
+        for (a, &s) in acc.iter_mut().zip(lane) {
+            *a = a.saturating_add(row[((s >> shift) & 0x0F) as usize]);
+        }
+    }
+    acc[..n]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &a)| a < u8::MAX)
+        .fold(0, |mask, (b, _)| mask | 1 << b)
 }
 
 /// Whether `dispatch` selects the AVX2 kernels on this machine.
@@ -545,7 +820,7 @@ fn accumulate_block_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{PextMask, ZKey, ABANDON_STRIDE, MINDIST_BATCH, TABLE_ROW};
+    use super::{PextMask, ZKey, ABANDON_STRIDE, MINDIST_BATCH, NIBBLES, TABLE_ROW};
     use std::arch::x86_64::*;
 
     /// Decode keys via BMI2 `PEXT`: two extracts per segment instead of one
@@ -611,6 +886,40 @@ mod x86 {
         _mm256_storeu_pd(out.as_mut_ptr().add(4), acc_hi);
         true
     }
+
+    /// The fast-scan pass over 32 entries: per segment, load the entries'
+    /// 32 symbol bytes, shift each down to its 4-bit prefix, look the
+    /// prefixes up in the segment's 16-byte table (`PSHUFB`, the table
+    /// broadcast to both lanes) and add with unsigned saturation. Returns
+    /// the entries whose sum stayed under 255 as a bit mask.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support; `lut` must hold `segments * 16`
+    /// bytes and `block` 32 bytes at `j * count + e` for every segment `j`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fast_scan_avx2(
+        lut: &[u8],
+        segments: usize,
+        shift: u32,
+        block: &[u8],
+        count: usize,
+        e: usize,
+    ) -> u32 {
+        let low_nibble = _mm256_set1_epi8(0x0F);
+        let shift = _mm_cvtsi32_si128(shift as i32);
+        let mut acc = _mm256_setzero_si256();
+        for j in 0..segments {
+            let symbols = _mm256_loadu_si256(block.as_ptr().add(j * count + e) as *const __m256i);
+            // 16-bit shifts: with `shift <= 4` a byte's low 4 result bits
+            // all come from the byte itself.
+            let prefix = _mm256_and_si256(_mm256_srl_epi16(symbols, shift), low_nibble);
+            let row = _mm_loadu_si128(lut.as_ptr().add(j * NIBBLES) as *const __m128i);
+            let terms = _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(row), prefix);
+            acc = _mm256_adds_epu8(acc, terms);
+        }
+        let saturated = _mm256_cmpeq_epi8(acc, _mm256_set1_epi8(-1));
+        !(_mm256_movemask_epi8(saturated) as u32)
+    }
 }
 
 #[cfg(test)]
@@ -620,6 +929,7 @@ mod tests {
     use crate::sax::sax_word;
     use crate::zorder::interleave;
     use coconut_series::distance::euclidean;
+    use coconut_series::simd::Dispatch;
     use coconut_series::Value;
 
     fn cfg() -> SaxConfig {
@@ -917,6 +1227,179 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How a test bounds a block.
+    #[derive(Debug, Clone, Copy)]
+    enum Pass {
+        /// The exact kernel alone, on a dispatch.
+        Exact(Dispatch),
+        /// The fast scan, on AVX2 (where the CPU has it) or the scalar
+        /// mirror throughout.
+        Fast { avx2: bool },
+    }
+
+    const PASSES: [Pass; 4] = [
+        Pass::Exact(Dispatch::Scalar),
+        Pass::Exact(Dispatch::Avx2),
+        Pass::Fast { avx2: false },
+        Pass::Fast { avx2: true },
+    ];
+
+    /// The `(entry, bound bits)` list `filter` keeps of `block` by `pass`
+    /// (the fast scan falls back to the exact kernel with no cutoff, as
+    /// `bounds_under_with` does).
+    fn kept(filter: &KeyFilter<'_>, pass: Pass, block: &[u8]) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        match (pass, &filter.lut) {
+            (Pass::Fast { avx2 }, Some(lut)) => {
+                filter.fast_scan_under(avx2 && use_avx2(Dispatch::Avx2), lut, block, 3, &mut out)
+            }
+            (Pass::Exact(dispatch), _) => {
+                filter.exact_bounds_under_with(dispatch, block, 3, &mut out)
+            }
+            (Pass::Fast { .. }, None) => {
+                filter.exact_bounds_under_with(Dispatch::Scalar, block, 3, &mut out)
+            }
+        }
+        out.iter().map(|&(e, b)| (e, b.to_bits())).collect()
+    }
+
+    /// A segment-major block of `count` pseudo-random symbols under `c`
+    /// whose first entry holds the table's nearest symbols (bound zero).
+    fn random_block(table: &QueryDistTable, count: usize, seed: u64) -> Vec<u8> {
+        let c = table.config();
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut block = vec![0u8; count * c.segments];
+        for (j, row) in block.chunks_exact_mut(count).enumerate() {
+            for s in row.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Mostly near the query's own symbol, as a sorted leaf is.
+                let near = table.nearest[j] as i64 + (x % 41) as i64 - 20;
+                *s = near.clamp(0, c.cardinality() as i64 - 1) as u8;
+            }
+            row[0] = table.nearest[j];
+        }
+        block
+    }
+
+    #[test]
+    fn fast_scan_keeps_what_the_exact_kernel_keeps() {
+        use coconut_series::dtw::Envelope;
+        for segments in [4usize, 8, 16] {
+            for card_bits in [4u8, 6, 8] {
+                let c = SaxConfig {
+                    series_len: 128,
+                    segments,
+                    card_bits,
+                };
+                let q = wavy(segments as u32 + card_bits as u32, c.series_len);
+                let env = Envelope::new(&q, 6);
+                let (env_lo, env_hi) = envelope_segment_bounds(&env.lower, &env.upper, segments);
+                let tables = [
+                    QueryDistTable::new(&paa(&q, segments), &c),
+                    QueryDistTable::for_envelope(&env_lo, &env_hi, &c),
+                ];
+                for (t, table) in tables.iter().enumerate() {
+                    for count in [1usize, 31, 32, 33, 63, 2000] {
+                        let block = random_block(table, count, (count * 7 + t) as u64);
+                        let mut bounds: Vec<f64> = (0..count)
+                            .map(|e| (table.scale * table.entry_raw(&block, count, e)).sqrt())
+                            .collect();
+                        bounds.sort_by(f64::total_cmp);
+                        // About 3% pass; the tie itself and just under it;
+                        // zero (only the planted entry); none.
+                        let tie = bounds[count * 3 / 100];
+                        for cutoff in [tie, tie.next_down(), 0.0, bounds[count / 2], f64::INFINITY]
+                        {
+                            let filter = table.key_filter(cutoff);
+                            assert_eq!(filter.lut.is_none(), cutoff.is_infinite());
+                            let want = kept(&filter, Pass::Exact(Dispatch::Scalar), &block);
+                            for pass in PASSES {
+                                assert_eq!(
+                                    kept(&filter, pass, &block),
+                                    want,
+                                    "{pass:?} w={segments} b={card_bits} table {t} \
+                                     n={count} cutoff={cutoff}"
+                                );
+                            }
+                            assert!(cutoff < tie || !want.is_empty());
+                            // The mirror rejects what the vector pass does.
+                            let Some(lut) = &filter.lut else { continue };
+                            let (lut, shift) =
+                                (&lut[..segments * NIBBLES], nibble_shift(card_bits));
+                            for e in (0..count.saturating_sub(31)).step_by(FAST_SCAN_BATCH) {
+                                assert_eq!(
+                                    fast_scan(true, lut, shift, &block, count, e, FAST_SCAN_BATCH),
+                                    fast_scan(false, lut, shift, &block, count, e, FAST_SCAN_BATCH)
+                                );
+                            }
+                        }
+                    }
+                    // An empty block keeps nothing, on every pass.
+                    for pass in PASSES {
+                        assert!(kept(&table.key_filter(1.0), pass, &[]).is_empty());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_scan_is_exact_where_scaled_terms_land_on_integers() {
+        // Five segments sit 0.5 below symbol 192's region (the first of its
+        // 4-bit prefix, so the prefix minimum is its own entry `t`) and three
+        // inside their symbol's (0). Where 255 steps span `5t`, each of the
+        // five terms is 51 steps exactly: sweep cutoffs ulps around that
+        // point and the tie itself.
+        let c = SaxConfig {
+            series_len: 64,
+            segments: 8,
+            card_bits: 8,
+        };
+        let lo = region_table(8).lo()[192];
+        let qp = [
+            lo - 0.5,
+            lo - 0.5,
+            lo - 0.5,
+            lo - 0.5,
+            lo - 0.5,
+            0.1,
+            0.1,
+            0.1,
+        ];
+        let table = QueryDistTable::new(&qp, &c);
+        let home = crate::breakpoints::symbol_for(8, 0.1);
+        let count = 40; // a full AVX2 batch and a scalar tail
+        let mut block = vec![192u8; count * 8];
+        block[5 * count..].fill(home);
+        let t = table.table[192];
+        assert_eq!(table.prefix_min[192 >> 4], t);
+        let raw = table.entry_raw(&block, count, 0);
+        let tie = (table.scale * raw).sqrt();
+        let at =
+            (table.scale * 5.0 * t / (1.0 + FAST_SCAN_MARGIN) / (1.0 + 4.0 * f64::EPSILON)).sqrt();
+        let mut on_boundary = 0;
+        for cutoff in (-64..=64)
+            .map(|k| at * (1.0 + k as f64 * f64::EPSILON))
+            .chain([tie, tie.next_down(), tie.next_up()])
+        {
+            let filter = table.key_filter(cutoff);
+            let lut = filter.lut.expect("a finite cutoff quantises");
+            on_boundary += usize::from(lut[192 >> 4] == 51);
+            let want = kept(&filter, Pass::Exact(Dispatch::Scalar), &block);
+            for pass in PASSES {
+                assert_eq!(
+                    kept(&filter, pass, &block),
+                    want,
+                    "{pass:?} cutoff {cutoff}"
+                );
+            }
+            assert_eq!(want.len(), if cutoff >= tie { count } else { 0 });
+        }
+        assert!(on_boundary > 0, "no cutoff put a term on 51 steps");
     }
 
     #[test]

@@ -223,6 +223,65 @@ proptest! {
     }
 
     #[test]
+    fn fast_scan_bounds_equal_the_exact_kernel(
+        q in znormed(128),
+        shape in (0usize..3, 0usize..3),
+        count in 1usize..300,
+        seed in any::<u64>(),
+        keep in 0usize..330,
+        band in 0usize..6,
+    ) {
+        // The 4-bit prefilter may only skip the exact sum of entries the
+        // exact kernel rejects: the same `(entry, bound)` list, bit for bit,
+        // on every dispatch, for ED and DTW tables, any block size (full
+        // 32-entry batches and tails) and a cutoff at an entry's bound, just
+        // under it, or none.
+        use coconut_series::dtw::Envelope;
+        use coconut_series::simd::Dispatch;
+        use coconut_summary::mindist::{envelope_segment_bounds, QueryDistTable};
+        let cfg = SaxConfig {
+            series_len: 128,
+            segments: [4, 8, 16][shape.0],
+            card_bits: [4, 6, 8][shape.1],
+        };
+        let table = if band == 0 {
+            QueryDistTable::new(&paa(&q, cfg.segments), &cfg)
+        } else {
+            let env = Envelope::new(&q, band);
+            let (lo, hi) = envelope_segment_bounds(&env.lower, &env.upper, cfg.segments);
+            QueryDistTable::for_envelope(&lo, &hi, &cfg)
+        };
+        let mut x = seed | 1;
+        let block: Vec<u8> = (0..count * cfg.segments)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % cfg.cardinality() as u64) as u8
+            })
+            .collect();
+        let mut all = Vec::new();
+        table.key_filter(f64::INFINITY).exact_bounds_under_with(Dispatch::Scalar, &block, 0, &mut all);
+        let mut bounds: Vec<f64> = all.iter().map(|&(_, b)| b).collect();
+        bounds.sort_by(f64::total_cmp);
+        let cutoff = match bounds.get(keep % (count + 10)) {
+            Some(&b) if keep % 2 == 0 => b,
+            Some(&b) => b.next_down(),
+            None => f64::INFINITY,
+        };
+        let filter = table.key_filter(cutoff);
+        let mut want = Vec::new();
+        filter.exact_bounds_under_with(Dispatch::Scalar, &block, 5, &mut want);
+        let want: Vec<(usize, u64)> = want.iter().map(|&(e, b)| (e, b.to_bits())).collect();
+        for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+            let mut got = Vec::new();
+            filter.bounds_under_with(dispatch, &block, 5, &mut got);
+            let got: Vec<(usize, u64)> = got.iter().map(|&(e, b)| (e, b.to_bits())).collect();
+            prop_assert_eq!(&got, &want);
+        }
+    }
+
+    #[test]
     fn batched_mindist_handles_wide_configs(
         q in znormed(120),
         words in proptest::collection::vec(proptest::collection::vec(0u8..16, 30), 1..20),
