@@ -25,6 +25,16 @@
 //! 262,144 keys on one thread and split over two scoped threads — the
 //! measurement behind `coconut_core::sims::PARALLEL_MIN_KEYS`.
 //!
+//! The `leaf_*` rows time the leaf codec in **ns per key** over one
+//! 2,000-entry leaf: `leaf_encode` the write path's de-interleave (keys to
+//! the segment-major symbol block, scalar shifts vs BMI2 `PEXT`),
+//! `leaf_keys` the re-interleave LSM merges and tree inserts pay (scalar vs
+//! `PDEP`), and `leaf_load_interleaved_vs_symbols` a cold block load: its
+//! SIMD column is what a query pays now (CRC check, symbol copy, position
+//! decode), its scalar column the same load out of a leaf of interleaved
+//! keys and positions (CRC check, entry loop, `PEXT` decode) — a
+//! cross-layout reference ratio, like `mindist_prebatch_loop_vs_batch_simd`.
+//!
 //! The `crc64` rows give the checksum under every leaf read and manifest
 //! the same trajectory: MB/s of the bit-at-a-time reference, the portable
 //! slicing-by-8 kernel and the carry-less-multiply folding kernel over one
@@ -33,6 +43,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use coconut_core::layout::{crc32, LeafCodec, LeafEntries};
 use coconut_series::distance::znormalize;
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::simd::{detect, kernels_for, Dispatch};
@@ -150,6 +161,76 @@ fn thread_entry(filter: &KeyFilter<'_>, blocks: &[Vec<u8>], keys: usize) -> Thre
         one_thread_us: one / 1e3,
         two_threads_us: two / 1e3,
     }
+}
+
+/// The `leaf_*` rows over the sorted `keys` of one leaf (see the module
+/// docs), in ns per key.
+fn leaf_codec_entries(config: &SaxConfig, keys: &[ZKey]) -> [Entry; 3] {
+    let n = keys.len();
+    let mut leaf = LeafEntries::default();
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    for (pos, &key) in sorted.iter().enumerate() {
+        leaf.push(key, pos as u64 * 7, None);
+    }
+    let decoder = SymbolDecoder::new(config);
+    let per_key = |f: &mut dyn FnMut()| time_ns(15, 200, f) / n as f64;
+    let mut symbols = vec![0u8; n * config.segments];
+    let mut encode = |dispatch: Dispatch| {
+        per_key(&mut || {
+            decoder.decode_into_with(dispatch, leaf.keys(), &mut symbols);
+            std::hint::black_box(&symbols);
+        })
+    };
+    let leaf_encode = Entry {
+        name: format!("leaf_encode_ns_per_key/{n}_keys"),
+        scalar_ns: encode(Dispatch::Scalar),
+        simd_ns: encode(detect()),
+    };
+    let mut back = vec![ZKey::MIN; n];
+    let mut reinterleave = |dispatch: Dispatch| {
+        per_key(&mut || {
+            decoder.interleave_into_with(dispatch, &symbols, &mut back);
+            std::hint::black_box(&back);
+        })
+    };
+    let leaf_keys = Entry {
+        name: format!("leaf_keys_ns_per_key/{n}_keys"),
+        scalar_ns: reinterleave(Dispatch::Scalar),
+        simd_ns: reinterleave(detect()),
+    };
+    // The leaf as stored now, and as stored before: 16-byte interleaved
+    // keys and 8-byte positions, entry after entry.
+    let codec = LeafCodec::new(config, false);
+    let mut stored = Vec::new();
+    codec.encode(&leaf, 0..n, &mut stored);
+    let mut interleaved = Vec::with_capacity(n * 24);
+    for (key, pos) in leaf.keys().iter().zip(leaf.pos()) {
+        interleaved.extend_from_slice(&key.0.to_le_bytes());
+        interleaved.extend_from_slice(&pos.to_le_bytes());
+    }
+    let mut pos = vec![0u64; n];
+    let mut keys = Vec::with_capacity(n);
+    let leaf_load = Entry {
+        name: format!("leaf_load_interleaved_vs_symbols_ns_per_key/{n}_keys"),
+        scalar_ns: per_key(&mut || {
+            std::hint::black_box(crc32(&interleaved));
+            keys.clear();
+            for (entry, p) in interleaved.chunks_exact(24).zip(pos.iter_mut()) {
+                let (key, at) = entry.split_at(16);
+                keys.push(ZKey(u128::from_le_bytes(key.try_into().expect("16 bytes"))));
+                *p = u64::from_le_bytes(at.try_into().expect("8 bytes"));
+            }
+            decoder.decode_into(&keys, &mut symbols);
+            std::hint::black_box((&symbols, &pos));
+        }),
+        simd_ns: per_key(&mut || {
+            std::hint::black_box(crc32(&stored));
+            codec.parts(&stored).load_into(&mut symbols, &mut pos);
+            std::hint::black_box((&symbols, &pos));
+        }),
+    };
+    [leaf_encode, leaf_keys, leaf_load]
 }
 
 fn series(seed: u64, len: usize) -> Vec<f32> {
@@ -281,6 +362,8 @@ pub fn run(env: &Env) -> Result<()> {
         };
         entries.extend([exact, fast, vs]);
     }
+    entries.extend(leaf_codec_entries(&config, &keys[..LEAF_KEYS]));
+
     // Distinct copies, so the largest pass streams its symbols from memory
     // as a real one does rather than from cache.
     let tight_filter = table.key_filter(tight);

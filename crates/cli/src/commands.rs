@@ -325,16 +325,8 @@ pub fn run(cmd: Command) -> Result<()> {
             for o in &outcomes {
                 match &o.error {
                     None => println!(
-                        "run {:>3}  [{}..{})  ok: {} leaves verified{}",
-                        o.id,
-                        o.start,
-                        o.end,
-                        o.report.checked,
-                        if o.report.unchecked > 0 {
-                            format!(" ({} legacy unchecked)", o.report.unchecked)
-                        } else {
-                            String::new()
-                        }
+                        "run {:>3}  [{}..{})  ok: {} leaves verified",
+                        o.id, o.start, o.end, o.report.checked,
                     ),
                     Some(e) => {
                         println!("run {:>3}  [{}..{})  CORRUPT: {e}", o.id, o.start, o.end);

@@ -15,109 +15,262 @@
 //! strictly left-to-right (sequential I/O); only post-build inserts can
 //! append out-of-order blocks and break contiguity.
 //!
-//! Entries are `key (16B) | position (8B) [| series payload]`, the payload
-//! being present in materialized (`-Full`) indexes.
+//! ## The leaf
 //!
-//! ## Checksums (layout checksum version 1)
+//! A leaf is stored as the block a query scans ([`LeafCodec`]). Its `count`
+//! entries, in `(key, position)` order, are laid out column by column:
 //!
-//! Current writers emit a `DIR2` directory carrying one CRC per leaf (over
-//! that leaf's packed entry bytes) plus a whole-directory CRC, and a header
-//! whose byte 50 records the checksum version with a header CRC in bytes
-//! 60..64. [`LeafStore::read_leaf`] verifies a leaf's CRC on every read, so
-//! bit rot surfaces as a typed [`Error::Corrupt`] instead of a wrong
-//! answer. Legacy files (`DIR1`, header byte 50 zero) still decode — their
-//! leaves carry CRC 0, meaning *unchecked*, and answer exactly as before.
+//! ```text
+//! [ symbols: segments × count bytes ][ positions: count × u64 ][ payloads ]
+//! ```
+//!
+//! The symbols are segment-major: entry `e`'s segment `j` sits at
+//! `j * count + e`, the layout
+//! [`coconut_summary::QueryDistTable::bounds_under`] reads. Positions are
+//! little-endian raw-file positions. Materialized (`-Full`) leaves follow
+//! them with each entry's series (`series_len` little-endian `f32`s).
+//!
+//! An entry is therefore `segments + 8` bytes plus its payload: 24 at the
+//! default 16 segments, as many as an interleaved key and a position. The
+//! z-order key orders the entries but is not stored. The bulk loader
+//! de-interleaves each leaf's keys once, when it writes the leaf; each
+//! leaf's first key lives in the directory, and the readers that need every
+//! key (LSM merges, tree inserts) re-interleave them
+//! ([`coconut_summary::mindist::SymbolDecoder::interleave_into`]).
+//!
+//! ## One version
+//!
+//! Header byte 48 is the trie tail's version and byte 50 the layout
+//! version, [`LAYOUT_VERSION`]. That version covers three things:
+//!
+//! - the leaf layout above;
+//! - a `DIR2` directory with one CRC per leaf and a whole-directory CRC;
+//! - the header's own CRC in bytes 60..64.
+//!
+//! A file of any other layout, directory or tail version is refused at open
+//! with an [`Error::Corrupt`] naming the version, never misread. Every leaf
+//! read is checked against its CRC ([`LeafStore::read_leaf`]), so bit rot
+//! surfaces as a typed error instead of a wrong answer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use coconut_series::Value;
 use coconut_storage::{crc64, CountedFile, Error, Result};
-use coconut_summary::ZKey;
+use coconut_summary::mindist::SymbolDecoder;
+use coconut_summary::{SaxConfig, ZKey};
 
 /// Offset of the first leaf block (the header page).
 pub const LEAF_REGION_OFFSET: u64 = 4096;
 
 const HEADER_MAGIC: &[u8; 8] = b"CCNTIX01";
-/// Legacy directory format: 28-byte records, no checksums.
-const DIR_MAGIC_V1: &[u8; 4] = b"DIR1";
-/// Checksummed directory format: per-leaf CRC + whole-directory CRC.
-const DIR_MAGIC_V2: &[u8; 4] = b"DIR2";
+/// The directory format: per-leaf CRC + whole-directory CRC.
+const DIR_MAGIC: &[u8; 4] = b"DIR2";
 
-/// The layout checksum version current writers emit (header byte 50).
-pub const CHECKSUM_VERSION: u8 = 1;
+/// The layout version this build writes and reads (header byte 50).
+pub const LAYOUT_VERSION: u8 = 2;
 
-/// The 32-bit CRC used for leaf blocks, directories, and headers: the
-/// low half of the storage layer's CRC-64, which keeps one table for all
-/// on-disk checksums. `0` is reserved to mean *unchecked* (legacy data);
-/// a computed zero is mapped to 1, costing one in 2^32 checksums one bit
-/// of strength.
+/// The 32-bit CRC of leaf blocks, directories and headers: the low half of
+/// the storage layer's CRC-64, which keeps one kernel for every on-disk
+/// checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    match crc64(bytes) as u32 {
-        0 => 1,
-        c => c,
-    }
+    crc64(bytes) as u32
 }
 
-/// Entry encoding parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntryLayout {
-    /// Points per series (payload length when materialized).
-    pub series_len: usize,
-    /// Whether entries embed the raw series.
-    pub materialized: bool,
+/// The entries of one leaf, column by column and in `(key, position)`
+/// order: what [`LeafCodec::encode`] writes and [`LeafCodec::decode`] reads
+/// back.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LeafEntries {
+    keys: Vec<ZKey>,
+    pos: Vec<u64>,
+    /// The entries' series, back to back as little-endian `f32`s (empty for
+    /// pointer leaves).
+    payloads: Vec<u8>,
 }
 
-impl EntryLayout {
-    /// Bytes per entry.
-    pub fn entry_bytes(&self) -> usize {
-        if self.materialized {
-            24 + 4 * self.series_len
-        } else {
-            24
-        }
+impl LeafEntries {
+    /// The entries' z-order keys.
+    pub fn keys(&self) -> &[ZKey] {
+        &self.keys
     }
 
-    /// Encode an entry into `buf` (sized `entry_bytes`). `series` must be
-    /// `Some` iff the layout is materialized.
-    pub fn encode(&self, key: ZKey, pos: u64, series: Option<&[Value]>, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), self.entry_bytes());
-        buf[..16].copy_from_slice(&key.0.to_le_bytes());
-        buf[16..24].copy_from_slice(&pos.to_le_bytes());
-        if self.materialized {
-            // API invariant, not input data: every materialized write site
-            // passes a payload, so this can only panic on a caller bug.
-            #[allow(clippy::expect_used)]
-            let series = series.expect("materialized entry needs a payload");
-            debug_assert_eq!(series.len(), self.series_len);
-            for (i, &v) in series.iter().enumerate() {
-                buf[24 + 4 * i..28 + 4 * i].copy_from_slice(&v.to_le_bytes());
+    /// The entries' raw-file positions.
+    pub fn pos(&self) -> &[u64] {
+        &self.pos
+    }
+
+    /// Entries held.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True when no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Drop every entry, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.pos.clear();
+        self.payloads.clear();
+    }
+
+    /// Append an entry; `series` is its payload (`None` for pointer leaves).
+    pub fn push(&mut self, key: ZKey, pos: u64, series: Option<&[Value]>) {
+        self.keys.push(key);
+        self.pos.push(pos);
+        if let Some(series) = series {
+            for v in series {
+                self.payloads.extend_from_slice(&v.to_le_bytes());
             }
         }
     }
 
-    /// The key of an encoded entry.
-    #[inline]
-    pub fn key(&self, entry: &[u8]) -> ZKey {
-        ZKey(crate::le::u128(&entry[..16]))
+    /// Insert an entry at `at`; `series` as for [`LeafEntries::push`].
+    pub fn insert(&mut self, at: usize, key: ZKey, pos: u64, series: Option<&[Value]>) {
+        let stride = 4 * series.map_or(0, <[Value]>::len);
+        self.keys.insert(at, key);
+        self.pos.insert(at, pos);
+        let bytes = series.into_iter().flatten().flat_map(|v| v.to_le_bytes());
+        self.payloads.splice(at * stride..at * stride, bytes);
     }
 
-    /// The raw-file position of an encoded entry.
-    #[inline]
-    pub fn pos(&self, entry: &[u8]) -> u64 {
-        crate::le::u64(&entry[16..24])
+    /// Append entry `i` of `other`.
+    pub fn push_from(&mut self, other: &LeafEntries, i: usize) {
+        self.keys.push(other.keys[i]);
+        self.pos.push(other.pos[i]);
+        self.payloads.extend_from_slice(other.payload(i));
     }
 
-    /// Decode the embedded series into `out` (materialized layouts only).
+    /// The payload bytes of entry `i` (empty for pointer leaves).
+    pub fn payload(&self, i: usize) -> &[u8] {
+        let stride = self.payloads.len() / self.len().max(1);
+        &self.payloads[i * stride..(i + 1) * stride]
+    }
+}
+
+/// A stored leaf split into its parts ([`LeafCodec::parts`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LeafParts<'a> {
+    /// The entries' SAX symbols, segment-major.
+    symbols: &'a [u8],
+    /// The entries' positions, little-endian `u64`s.
+    positions: &'a [u8],
+    /// The entries' payloads (empty for pointer leaves).
+    payloads: &'a [u8],
+}
+
+impl LeafParts<'_> {
+    /// Entries in the leaf.
+    pub fn len(&self) -> usize {
+        self.positions.len() / 8
+    }
+
+    /// True when the leaf holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The raw-file position of entry `slot`.
     #[inline]
-    pub fn series_into(&self, entry: &[u8], out: &mut [Value]) {
-        debug_assert!(self.materialized);
-        debug_assert_eq!(out.len(), self.series_len);
-        for (i, chunk) in entry[24..24 + 4 * self.series_len]
-            .chunks_exact(4)
-            .enumerate()
-        {
-            out[i] = crate::le::f32(chunk);
+    pub fn pos(&self, slot: usize) -> u64 {
+        crate::le::u64(&self.positions[8 * slot..8 * slot + 8])
+    }
+
+    /// The block load's copy: the symbols into `symbols`, the positions
+    /// decoded into `pos` (both sized to the leaf).
+    pub fn load_into(&self, symbols: &mut [u8], pos: &mut [u64]) {
+        symbols.copy_from_slice(self.symbols);
+        for (p, bytes) in pos.iter_mut().zip(self.positions.chunks_exact(8)) {
+            *p = crate::le::u64(bytes);
         }
+    }
+
+    /// Decode entry `slot`'s payload into `out` (materialized leaves only).
+    #[inline]
+    pub fn series_into(&self, slot: usize, out: &mut [Value]) {
+        let bytes = &self.payloads[4 * out.len() * slot..4 * out.len() * (slot + 1)];
+        for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *o = crate::le::f32(chunk);
+        }
+    }
+}
+
+/// How a leaf's entries lie on disk ([the leaf](self#the-leaf)): the one
+/// codec every leaf writer and reader goes through.
+#[derive(Debug, Clone)]
+pub struct LeafCodec {
+    symbols: SymbolDecoder,
+    payload_bytes: usize,
+}
+
+impl LeafCodec {
+    /// The codec of leaves under `sax`, with payloads if `materialized`.
+    pub fn new(sax: &SaxConfig, materialized: bool) -> Self {
+        LeafCodec {
+            symbols: SymbolDecoder::new(sax),
+            payload_bytes: if materialized { 4 * sax.series_len } else { 0 },
+        }
+    }
+
+    fn segments(&self) -> usize {
+        self.symbols.config().segments
+    }
+
+    /// Bytes per entry: its symbols, its position and its payload.
+    pub fn entry_bytes(&self) -> usize {
+        self.segments() + 8 + self.payload_bytes
+    }
+
+    /// Append the leaf holding entries `range` of `entries` to `out`: their
+    /// keys de-interleaved into the symbol block, then their positions and
+    /// payloads. `entries` must carry payloads iff the codec is
+    /// materialized.
+    pub fn encode(&self, entries: &LeafEntries, range: Range<usize>, out: &mut Vec<u8>) {
+        let count = range.len();
+        debug_assert_eq!(
+            entries.payloads.len(),
+            entries.len() * self.payload_bytes,
+            "payloads must match the codec"
+        );
+        let start = out.len();
+        out.resize(start + count * self.segments(), 0);
+        self.symbols
+            .decode_into(&entries.keys[range.clone()], &mut out[start..]);
+        for p in &entries.pos[range.clone()] {
+            out.extend_from_slice(&p.to_le_bytes());
+        }
+        let pb = self.payload_bytes;
+        out.extend_from_slice(&entries.payloads[range.start * pb..range.end * pb]);
+    }
+
+    /// Split `leaf`, the stored bytes of a whole leaf, into its parts.
+    pub fn parts<'a>(&self, leaf: &'a [u8]) -> LeafParts<'a> {
+        debug_assert_eq!(leaf.len() % self.entry_bytes(), 0);
+        let count = leaf.len() / self.entry_bytes();
+        let (symbols, rest) = leaf.split_at(count * self.segments());
+        let (positions, payloads) = rest.split_at(count * 8);
+        LeafParts {
+            symbols,
+            positions,
+            payloads,
+        }
+    }
+
+    /// Decode the stored leaf `leaf` into `out`: the keys re-interleaved
+    /// from the symbols, the positions and the payloads as they are.
+    pub fn decode(&self, leaf: &[u8], out: &mut LeafEntries) {
+        let parts = self.parts(leaf);
+        out.keys.clear();
+        out.keys.resize(parts.len(), ZKey::MIN);
+        self.symbols.interleave_into(parts.symbols, &mut out.keys);
+        out.pos.clear();
+        out.pos
+            .extend(parts.positions.chunks_exact(8).map(crate::le::u64));
+        out.payloads.clear();
+        out.payloads.extend_from_slice(parts.payloads);
     }
 }
 
@@ -133,13 +286,12 @@ pub struct LeafMeta {
     /// Consecutive physical blocks occupied (1 except for oversized trie
     /// leaves holding more duplicates than one block fits).
     pub blocks_used: u32,
-    /// [`crc32`] over the leaf's packed entry bytes (`count` entries,
-    /// padding excluded); 0 means unchecked (legacy `DIR1` directories).
+    /// [`crc32`] over the leaf's stored bytes (`count` entries, padding
+    /// excluded).
     pub crc: u32,
 }
 
-const LEAF_META_BYTES_V1: usize = 16 + 4 + 4 + 4;
-const LEAF_META_BYTES_V2: usize = LEAF_META_BYTES_V1 + 4;
+const LEAF_META_BYTES: usize = 16 + 4 + 4 + 4 + 4;
 
 /// The fixed index-file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,18 +314,12 @@ pub struct IndexHeader {
     pub num_blocks: u64,
     /// Byte offset of the directory.
     pub dir_offset: u64,
-    /// Encoding version of the index-specific tail. `0` is the original
-    /// encoding (Coconut-Tree tail; binary trie node triples); `1` adds the
-    /// variable-fanout trie node record. Pre-versioning files read as `0`
-    /// because the header byte was reserved-zero.
+    /// Encoding version of the index-specific tail (the trie's; a tree has
+    /// no tail and writes 0).
     pub tail_version: u8,
     /// [`crate::split::SplitPolicyKind::as_u8`] of the policy the index was
-    /// built under (reserved-zero = fixed on pre-versioning files).
+    /// built under.
     pub split_policy: u8,
-    /// Layout checksum version (header byte 50): 0 = legacy, nothing
-    /// checksummed; [`CHECKSUM_VERSION`] = header CRC in bytes 60..64 plus
-    /// a `DIR2` directory with per-leaf CRCs. Readers accept both.
-    pub checksums: u8,
 }
 
 impl IndexHeader {
@@ -191,11 +337,9 @@ impl IndexHeader {
         h[40..48].copy_from_slice(&self.dir_offset.to_le_bytes());
         h[48] = self.tail_version;
         h[49] = self.split_policy;
-        h[50] = self.checksums;
-        if self.checksums != 0 {
-            let crc = crc32(&h[..60]);
-            h[60..64].copy_from_slice(&crc.to_le_bytes());
-        }
+        h[50] = LAYOUT_VERSION;
+        let crc = crc32(&h[..60]);
+        h[60..64].copy_from_slice(&crc.to_le_bytes());
         h
     }
 
@@ -203,11 +347,14 @@ impl IndexHeader {
         if &h[..8] != HEADER_MAGIC {
             return Err(Error::corrupt("bad index magic"));
         }
-        if h[50] != 0 {
-            let stored = crate::le::u32(&h[60..64]);
-            if crc32(&h[..60]) != stored {
-                return Err(Error::corrupt("index header checksum mismatch"));
-            }
+        if h[50] != LAYOUT_VERSION {
+            return Err(Error::corrupt(format!(
+                "unsupported index layout version {} (this build reads version {LAYOUT_VERSION})",
+                h[50]
+            )));
+        }
+        if crc32(&h[..60]) != crate::le::u32(&h[60..64]) {
+            return Err(Error::corrupt("index header checksum mismatch"));
         }
         Ok(IndexHeader {
             kind: h[8],
@@ -221,7 +368,6 @@ impl IndexHeader {
             dir_offset: crate::le::u64(&h[40..48]),
             tail_version: h[48],
             split_policy: h[49],
-            checksums: h[50],
         })
     }
 
@@ -239,12 +385,12 @@ impl IndexHeader {
 }
 
 /// Serialize the leaf directory at the current end of `file`; returns its
-/// offset. Emits the checksummed `DIR2` format: each record carries the
-/// leaf's CRC, and a whole-directory [`crc32`] follows the records so a
-/// torn or bit-rotted directory is detected at open time.
+/// offset. Each record carries the leaf's CRC, and a whole-directory
+/// [`crc32`] follows the records so a torn or bit-rotted directory is
+/// detected at open time.
 pub fn write_directory(file: &CountedFile, leaves: &[LeafMeta]) -> Result<u64> {
-    let mut buf = Vec::with_capacity(12 + leaves.len() * LEAF_META_BYTES_V2 + 4);
-    buf.extend_from_slice(DIR_MAGIC_V2);
+    let mut buf = Vec::with_capacity(12 + leaves.len() * LEAF_META_BYTES + 4);
+    buf.extend_from_slice(DIR_MAGIC);
     buf.extend_from_slice(&(leaves.len() as u64).to_le_bytes());
     for l in leaves {
         buf.extend_from_slice(&l.first_key.0.to_le_bytes());
@@ -258,74 +404,70 @@ pub fn write_directory(file: &CountedFile, leaves: &[LeafMeta]) -> Result<u64> {
     file.append(&buf)
 }
 
-/// Read a directory written by [`write_directory`] (either `DIR2` or the
-/// legacy `DIR1` format, whose leaves read back with CRC 0 = unchecked).
+/// Read a directory written by [`write_directory`]; returns the leaves and
+/// the offset just past the directory (where the tail starts).
 pub fn read_directory(file: &CountedFile, offset: u64) -> Result<(Vec<LeafMeta>, u64)> {
     let mut head = [0u8; 12];
     file.read_exact_at(&mut head, offset)?;
-    let checksummed = match &head[..4] {
-        m if m == DIR_MAGIC_V2 => true,
-        m if m == DIR_MAGIC_V1 => false,
-        _ => return Err(Error::corrupt("bad directory magic")),
-    };
-    let n = crate::le::u64(&head[4..12]) as usize;
-    let meta_bytes = if checksummed {
-        LEAF_META_BYTES_V2
-    } else {
-        LEAF_META_BYTES_V1
-    };
-    let mut buf = vec![0u8; n * meta_bytes];
-    file.read_exact_at(&mut buf, offset + 12)?;
-    let mut end = offset + 12 + (n * meta_bytes) as u64;
-    if checksummed {
-        let mut stored = [0u8; 4];
-        file.read_exact_at(&mut stored, end)?;
-        end += 4;
-        let mut payload = Vec::with_capacity(12 + buf.len());
-        payload.extend_from_slice(&head);
-        payload.extend_from_slice(&buf);
-        if crc32(&payload) != u32::from_le_bytes(stored) {
-            return Err(Error::corrupt("index directory checksum mismatch"));
+    match &head[..4] {
+        m if m == DIR_MAGIC => {}
+        m if m.starts_with(b"DIR") => {
+            return Err(Error::corrupt(format!(
+                "unsupported index directory version {} (this build reads DIR2)",
+                String::from_utf8_lossy(m)
+            )))
         }
+        _ => return Err(Error::corrupt("bad directory magic")),
     }
-    let mut leaves = Vec::with_capacity(n);
-    for c in buf.chunks_exact(meta_bytes) {
-        leaves.push(LeafMeta {
+    let n = crate::le::u64(&head[4..12]);
+    // The records, then the CRC of everything before it.
+    let bytes = n
+        .checked_mul(LEAF_META_BYTES as u64)
+        .and_then(|records| records.checked_add(4))
+        .filter(|&b| offset.saturating_add(12).saturating_add(b) <= file.len())
+        .ok_or_else(|| Error::corrupt(format!("index directory of {n} leaves is truncated")))?;
+    let mut buf = head.to_vec();
+    buf.resize(12 + bytes as usize, 0);
+    file.read_exact_at(&mut buf[12..], offset + 12)?;
+    let (payload, stored) = buf.split_at(buf.len() - 4);
+    if crc32(payload) != crate::le::u32(stored) {
+        return Err(Error::corrupt("index directory checksum mismatch"));
+    }
+    let leaves = payload[12..]
+        .chunks_exact(LEAF_META_BYTES)
+        .map(|c| LeafMeta {
             first_key: ZKey(crate::le::u128(&c[..16])),
             count: crate::le::u32(&c[16..20]),
             block: crate::le::u32(&c[20..24]),
             blocks_used: crate::le::u32(&c[24..28]),
-            crc: if checksummed {
-                crate::le::u32(&c[28..32])
-            } else {
-                0
-            },
-        });
-    }
-    Ok((leaves, end))
+            crc: crate::le::u32(&c[28..32]),
+        })
+        .collect();
+    Ok((leaves, offset + buf.len() as u64))
 }
 
 /// Reader/writer for fixed-size leaf blocks.
 #[derive(Debug, Clone)]
 pub struct LeafStore {
     file: Arc<CountedFile>,
-    entry: EntryLayout,
+    codec: LeafCodec,
     capacity: usize,
 }
 
 impl LeafStore {
-    /// A store over `file` with the given entry layout and leaf capacity.
-    pub fn new(file: Arc<CountedFile>, entry: EntryLayout, capacity: usize) -> Self {
+    /// A store over `file` whose leaves `codec` lays out, `capacity`
+    /// entries per block.
+    pub fn new(file: Arc<CountedFile>, codec: LeafCodec, capacity: usize) -> Self {
         LeafStore {
             file,
-            entry,
+            codec,
             capacity,
         }
     }
 
-    /// The entry layout.
-    pub fn entry(&self) -> &EntryLayout {
-        &self.entry
+    /// The leaf codec.
+    pub fn codec(&self) -> &LeafCodec {
+        &self.codec
     }
 
     /// Leaf capacity in entries.
@@ -335,7 +477,7 @@ impl LeafStore {
 
     /// Bytes per physical block.
     pub fn block_bytes(&self) -> usize {
-        self.capacity * self.entry.entry_bytes()
+        self.capacity * self.codec.entry_bytes()
     }
 
     /// The underlying file.
@@ -347,19 +489,18 @@ impl LeafStore {
         LEAF_REGION_OFFSET + block as u64 * self.block_bytes() as u64
     }
 
-    /// Read the entries of `leaf` into `buf` (resized to fit); afterwards
-    /// `buf` holds `leaf.count` packed entries. When the leaf carries a CRC
-    /// (checksummed `DIR2` directories) the packed bytes are verified and a
-    /// mismatch surfaces as [`Error::Corrupt`] naming the block. The
-    /// read is the `leaf.read` fault site ([`coconut_storage::fault`]).
+    /// Read the stored bytes of `leaf` into `buf` (resized to fit) and
+    /// verify them against the leaf's CRC: a mismatch is an
+    /// [`Error::Corrupt`] naming the block. The read is the `leaf.read`
+    /// fault site ([`coconut_storage::fault`]).
     pub fn read_leaf(&self, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
         coconut_storage::fault::check("leaf.read")?;
-        let bytes = leaf.count as usize * self.entry.entry_bytes();
+        let bytes = leaf.count as usize * self.codec.entry_bytes();
         debug_assert!(bytes <= leaf.blocks_used as usize * self.block_bytes());
         buf.resize(bytes, 0);
         self.file
             .read_exact_at(buf, self.block_offset(leaf.block))?;
-        if leaf.crc != 0 && crc32(buf) != leaf.crc {
+        if crc32(buf) != leaf.crc {
             return Err(Error::corrupt(format!(
                 "leaf block {} failed checksum ({} entries)",
                 leaf.block, leaf.count
@@ -368,22 +509,15 @@ impl LeafStore {
         Ok(())
     }
 
-    /// Write `entries` (packed) as leaf `block`, zero-padding to the block
-    /// boundary. `entries` may span multiple blocks for oversized leaves.
-    pub fn write_leaf(&self, block: u32, entries: &[u8]) -> Result<u32> {
-        debug_assert_eq!(entries.len() % self.entry.entry_bytes(), 0);
-        let blocks_used = entries.len().div_ceil(self.block_bytes()).max(1) as u32;
-        let mut padded = vec![0u8; blocks_used as usize * self.block_bytes()];
-        padded[..entries.len()].copy_from_slice(entries);
-        self.file.write_all_at(&padded, self.block_offset(block))?;
+    /// Write the stored bytes of a leaf ([`LeafCodec::encode`]) as `block`,
+    /// zero-padding `leaf` to the block boundary; returns the blocks used
+    /// (more than one for oversized leaves).
+    pub fn write_leaf(&self, block: u32, leaf: &mut Vec<u8>) -> Result<u32> {
+        debug_assert_eq!(leaf.len() % self.codec.entry_bytes(), 0);
+        let blocks_used = leaf.len().div_ceil(self.block_bytes()).max(1) as u32;
+        leaf.resize(blocks_used as usize * self.block_bytes(), 0);
+        self.file.write_all_at(leaf, self.block_offset(block))?;
         Ok(blocks_used)
-    }
-
-    /// Slice entry `slot` out of a leaf buffer from [`LeafStore::read_leaf`].
-    #[inline]
-    pub fn entry_slice<'a>(&self, buf: &'a [u8], slot: usize) -> &'a [u8] {
-        let eb = self.entry.entry_bytes();
-        &buf[slot * eb..(slot + 1) * eb]
     }
 }
 
@@ -393,79 +527,70 @@ impl LeafStore {
 pub struct ScrubReport {
     /// Leaves whose CRC was verified clean.
     pub checked: u64,
-    /// Leaves carrying CRC 0 (legacy, nothing to verify against).
-    pub unchecked: u64,
 }
 
 impl ScrubReport {
     /// Fold another report into this one.
     pub fn merge(&mut self, other: ScrubReport) {
         self.checked += other.checked;
-        self.unchecked += other.unchecked;
     }
 }
 
-/// Read every leaf once, verifying checksummed leaves against their
-/// directory CRC. Returns on the first corrupt leaf with the
-/// [`Error::Corrupt`] naming its block.
+/// Read every leaf once, verifying it against its directory CRC. Returns on
+/// the first corrupt leaf with the [`Error::Corrupt`] naming its block.
 pub fn scrub_leaves(store: &LeafStore, leaves: &[LeafMeta]) -> Result<ScrubReport> {
-    let mut report = ScrubReport::default();
     let mut buf = Vec::new();
     for leaf in leaves {
         store.read_leaf(leaf, &mut buf)?;
-        if leaf.crc == 0 {
-            report.unchecked += 1;
-        } else {
-            report.checked += 1;
-        }
     }
-    Ok(report)
+    Ok(ScrubReport {
+        checked: leaves.len() as u64,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use coconut_storage::{IoStats, TempDir};
+    use coconut_summary::zorder::interleave;
 
     fn mk_file(dir: &TempDir) -> Arc<CountedFile> {
         Arc::new(CountedFile::create(dir.path().join("ix.bin"), Arc::new(IoStats::new())).unwrap())
     }
 
-    #[test]
-    fn entry_layout_roundtrip_nonmaterialized() {
-        let e = EntryLayout {
-            series_len: 8,
-            materialized: false,
-        };
-        assert_eq!(e.entry_bytes(), 24);
-        let mut buf = vec![0u8; 24];
-        e.encode(ZKey(999), 77, None, &mut buf);
-        assert_eq!(e.key(&buf), ZKey(999));
-        assert_eq!(e.pos(&buf), 77);
+    fn sax(segments: usize, series_len: usize) -> SaxConfig {
+        SaxConfig {
+            series_len,
+            segments,
+            card_bits: 8,
+        }
     }
 
-    #[test]
-    fn entry_layout_roundtrip_materialized() {
-        let e = EntryLayout {
-            series_len: 4,
-            materialized: true,
-        };
-        assert_eq!(e.entry_bytes(), 40);
-        let series = [1.5f32, -2.0, 0.0, 42.0];
-        let mut buf = vec![0u8; 40];
-        e.encode(ZKey(5), 3, Some(&series), &mut buf);
-        assert_eq!(e.key(&buf), ZKey(5));
-        assert_eq!(e.pos(&buf), 3);
-        let mut out = [0f32; 4];
-        e.series_into(&buf, &mut out);
-        assert_eq!(out, series);
+    /// `count` sorted entries under `sax`: key `i` interleaves symbols
+    /// derived from `i`, positions count down from 10,000, and payloads (if
+    /// `materialized`) hold `i` and its negation.
+    fn entries(sax: &SaxConfig, count: usize, materialized: bool) -> LeafEntries {
+        let mut e = LeafEntries::default();
+        let mut rows: Vec<Vec<u8>> = (0..count)
+            .map(|i| {
+                (0..sax.segments)
+                    .map(|j| (i * 7 + j * 31 + i / 3) as u8)
+                    .collect()
+            })
+            .collect();
+        rows.sort_by_key(|r| interleave(r, sax.card_bits));
+        for (i, row) in rows.iter().enumerate() {
+            let series: Vec<Value> = (0..sax.series_len)
+                .map(|p| if p % 2 == 0 { i as f32 } else { -(i as f32) })
+                .collect();
+            let payload = materialized.then_some(series.as_slice());
+            e.push(interleave(row, sax.card_bits), 10_000 - i as u64, payload);
+        }
+        e
     }
 
-    #[test]
-    fn header_roundtrip() {
-        let dir = TempDir::new("layout").unwrap();
-        let f = mk_file(&dir);
-        let h = IndexHeader {
+    fn header() -> IndexHeader {
+        IndexHeader {
             kind: 1,
             materialized: true,
             series_len: 256,
@@ -477,8 +602,106 @@ mod tests {
             dir_offset: 99_999,
             tail_version: 1,
             split_policy: 1,
-            checksums: CHECKSUM_VERSION,
-        };
+        }
+    }
+
+    #[test]
+    fn entry_layout_roundtrip_nonmaterialized() {
+        let s = sax(16, 64);
+        let codec = LeafCodec::new(&s, false);
+        assert_eq!(codec.entry_bytes(), 24);
+        let one = entries(&s, 1, false);
+        let mut leaf = Vec::new();
+        codec.encode(&one, 0..1, &mut leaf);
+        assert_eq!(leaf.len(), 24);
+        let parts = codec.parts(&leaf);
+        assert_eq!(parts.pos(0), 10_000);
+        let mut back = LeafEntries::default();
+        codec.decode(&leaf, &mut back);
+        assert_eq!(back, one);
+    }
+
+    #[test]
+    fn entry_layout_roundtrip_materialized() {
+        let s = sax(4, 4);
+        let codec = LeafCodec::new(&s, true);
+        assert_eq!(codec.entry_bytes(), 4 + 8 + 16);
+        let mut one = LeafEntries::default();
+        let series = [1.5f32, -2.0, 0.0, 42.0];
+        one.push(interleave(&[1, 2, 3, 4], 8), 3, Some(&series));
+        let mut leaf = Vec::new();
+        codec.encode(&one, 0..1, &mut leaf);
+        let parts = codec.parts(&leaf);
+        assert_eq!(parts.symbols, [1, 2, 3, 4]);
+        assert_eq!(parts.pos(0), 3);
+        let mut out = [0f32; 4];
+        parts.series_into(0, &mut out);
+        assert_eq!(out, series);
+        let mut back = LeafEntries::default();
+        codec.decode(&leaf, &mut back);
+        assert_eq!(back, one);
+    }
+
+    #[test]
+    fn a_leaf_roundtrips_to_the_decoders_symbols() {
+        // Pointer and materialized leaves of 1, 7 and 2,001 entries store
+        // `SymbolDecoder`'s block, then the positions, then the payloads,
+        // and decode back to the entries written.
+        let s = sax(16, 8);
+        for materialized in [false, true] {
+            let codec = LeafCodec::new(&s, materialized);
+            for count in [1usize, 7, 2001] {
+                let e = entries(&s, count, materialized);
+                let mut leaf = vec![0xAB]; // encode appends
+                codec.encode(&e, 0..count, &mut leaf);
+                let leaf = &leaf[1..];
+                assert_eq!(leaf.len(), count * codec.entry_bytes());
+                let parts = codec.parts(leaf);
+                let mut symbols = vec![0; count * 16];
+                SymbolDecoder::new(&s).decode_into(&e.keys, &mut symbols);
+                let (mut loaded, mut pos) = (vec![0; count * 16], vec![0; count]);
+                parts.load_into(&mut loaded, &mut pos);
+                assert_eq!(loaded, symbols);
+                assert_eq!(pos, e.pos);
+                assert_eq!(parts.payloads, e.payloads);
+                let mut back = LeafEntries::default();
+                codec.decode(leaf, &mut back);
+                assert_eq!(back, e, "mat={materialized} count={count}");
+                // A sub-range encodes as a leaf of its own.
+                let mut part = Vec::new();
+                codec.encode(&e, count / 2..count, &mut part);
+                codec.decode(&part, &mut back);
+                assert_eq!(back.keys, e.keys[count / 2..]);
+                assert_eq!(back.pos, e.pos[count / 2..]);
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_entries_insert_and_push_from_keep_payloads_aligned() {
+        let s = sax(4, 2);
+        let mut e = entries(&s, 3, true);
+        e.insert(1, ZKey(9), 77, Some(&[5.0, 6.0]));
+        assert_eq!(e.pos, [10_000, 77, 9_999, 9_998]);
+        assert_eq!(
+            e.payload(1),
+            [5.0f32.to_le_bytes(), 6.0f32.to_le_bytes()].concat()
+        );
+        let mut copy = LeafEntries::default();
+        for i in 0..e.len() {
+            copy.push_from(&e, i);
+        }
+        assert_eq!(copy, e);
+        let mut ptr = entries(&s, 2, false);
+        ptr.insert(0, ZKey(1), 5, None);
+        assert!(ptr.payloads.is_empty() && ptr.payload(0).is_empty());
+    }
+
+    #[test]
+    fn header_roundtrip() {
+        let dir = TempDir::new("layout").unwrap();
+        let f = mk_file(&dir);
+        let h = header();
         h.write_to(&f).unwrap();
         assert_eq!(IndexHeader::read_from(&f).unwrap(), h);
     }
@@ -487,20 +710,7 @@ mod tests {
     fn checksummed_header_detects_bit_flip() {
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        let h = IndexHeader {
-            kind: 0,
-            materialized: false,
-            series_len: 64,
-            segments: 16,
-            card_bits: 4,
-            leaf_capacity: 100,
-            entry_count: 9,
-            num_blocks: 1,
-            dir_offset: 4096,
-            tail_version: 1,
-            split_policy: 0,
-            checksums: CHECKSUM_VERSION,
-        };
+        let h = header();
         h.write_to(&f).unwrap();
         // Flip a bit inside the checksummed prefix (entry_count).
         let mut raw = h.encode();
@@ -511,30 +721,24 @@ mod tests {
     }
 
     #[test]
-    fn reserved_zero_header_bytes_decode_as_fixed_legacy() {
-        // Pre-versioning writers left bytes 48/49 zero; they must read back
-        // as tail version 0 under the fixed policy.
+    fn old_header_version_is_refused() {
+        // Layout 1 stored interleaved keys; layout 0 had no checksums. Both
+        // are refused by version, checksum or not.
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        let h = IndexHeader {
-            kind: 0,
-            materialized: false,
-            series_len: 64,
-            segments: 16,
-            card_bits: 4,
-            leaf_capacity: 100,
-            entry_count: 1,
-            num_blocks: 1,
-            dir_offset: 4096,
-            tail_version: 0,
-            split_policy: 0,
-            checksums: 0,
-        };
-        h.write_to(&f).unwrap();
-        let back = IndexHeader::read_from(&f).unwrap();
-        assert_eq!(back.tail_version, 0);
-        assert_eq!(back.split_policy, 0);
-        assert_eq!(back.checksums, 0);
+        for version in [0u8, 1, 3] {
+            let mut raw = header().encode();
+            raw[50] = version;
+            let crc = crc32(&raw[..60]);
+            raw[60..64].copy_from_slice(&crc.to_le_bytes());
+            f.write_all_at(&raw, 0).unwrap();
+            match IndexHeader::read_from(&f) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("layout version {version}")), "{msg}")
+                }
+                other => panic!("version {version}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -580,27 +784,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dir1_directory_reads_unchecked() {
-        // Hand-build the pre-checksum DIR1 encoding (28-byte records, no
-        // trailing CRC) and confirm it decodes with crc = 0 on every leaf.
+    fn old_directory_version_is_refused() {
+        // The pre-checksum `DIR1` encoding: 28-byte records, no CRCs.
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
         let mut buf = Vec::new();
-        buf.extend_from_slice(DIR_MAGIC_V1);
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        for (key, count, block, used) in [(3u128, 5u32, 0u32, 1u32), (900, 7, 1, 2)] {
-            buf.extend_from_slice(&key.to_le_bytes());
-            buf.extend_from_slice(&count.to_le_bytes());
-            buf.extend_from_slice(&block.to_le_bytes());
-            buf.extend_from_slice(&used.to_le_bytes());
-        }
+        buf.extend_from_slice(b"DIR1");
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 28]);
         let off = f.append(&buf).unwrap();
-        let (back, end) = read_directory(&f, off).unwrap();
-        assert_eq!(end, f.len());
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].first_key, ZKey(3));
-        assert_eq!(back[1].blocks_used, 2);
-        assert!(back.iter().all(|l| l.crc == 0), "legacy leaves unchecked");
+        match read_directory(&f, off) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("version DIR1"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -622,64 +818,62 @@ mod tests {
         f.write_all_at(&raw, off + 13).unwrap();
         let err = read_directory(&f, off).unwrap_err();
         assert!(err.to_string().contains("directory checksum"), "{err}");
+        // A leaf count past the end of the file is truncation, not a huge
+        // allocation.
+        let mut count = [0u8; 8];
+        count.copy_from_slice(&u64::MAX.to_le_bytes());
+        f.write_all_at(&count, off + 4).unwrap();
+        let err = read_directory(&f, off).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    /// Write entries `range` of `e` as `block` of `store`; returns its
+    /// directory record.
+    fn write(store: &LeafStore, block: u32, e: &LeafEntries, range: Range<usize>) -> LeafMeta {
+        let mut leaf = Vec::new();
+        store.codec().encode(e, range.clone(), &mut leaf);
+        let crc = crc32(&leaf);
+        let blocks_used = store.write_leaf(block, &mut leaf).unwrap();
+        LeafMeta {
+            first_key: e.keys[range.start],
+            count: range.len() as u32,
+            block,
+            blocks_used,
+            crc,
+        }
     }
 
     #[test]
     fn leafstore_write_read_roundtrip() {
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        let layout = EntryLayout {
-            series_len: 4,
-            materialized: false,
-        };
-        let store = LeafStore::new(f, layout, 3); // 3 entries per block
+        let s = sax(16, 16);
+        let store = LeafStore::new(f, LeafCodec::new(&s, false), 3); // 3 entries per block
         assert_eq!(store.block_bytes(), 72);
-
-        // Leaf 0: two entries (partially full block).
-        let mut entries = vec![0u8; 48];
-        let mut e0 = vec![0u8; 24];
-        layout.encode(ZKey(10), 100, None, &mut e0);
-        let mut e1 = vec![0u8; 24];
-        layout.encode(ZKey(20), 200, None, &mut e1);
-        entries[..24].copy_from_slice(&e0);
-        entries[24..].copy_from_slice(&e1);
-        let used = store.write_leaf(0, &entries).unwrap();
-        assert_eq!(used, 1);
-
-        let leaf = LeafMeta {
-            first_key: ZKey(10),
-            count: 2,
-            block: 0,
-            blocks_used: 1,
-            crc: crc32(&entries),
-        };
+        // Leaf 0: two entries (partially full block); leaf 1 after it.
+        let e = entries(&s, 5, false);
+        let leaf0 = write(&store, 0, &e, 0..2);
+        let leaf1 = write(&store, 1, &e, 2..5);
+        assert_eq!((leaf0.blocks_used, leaf1.blocks_used), (1, 1));
         let mut buf = Vec::new();
-        store.read_leaf(&leaf, &mut buf).unwrap();
-        assert_eq!(buf.len(), 48);
-        assert_eq!(layout.key(store.entry_slice(&buf, 0)), ZKey(10));
-        assert_eq!(layout.pos(store.entry_slice(&buf, 1)), 200);
+        let mut back = LeafEntries::default();
+        for (leaf, range) in [(leaf0, 0..2), (leaf1, 2..5)] {
+            store.read_leaf(&leaf, &mut buf).unwrap();
+            assert_eq!(buf.len(), range.len() * 24);
+            store.codec().decode(&buf, &mut back);
+            assert_eq!(back.keys, e.keys[range.clone()]);
+            assert_eq!(back.pos, e.pos[range]);
+        }
     }
 
     #[test]
     fn leaf_crc_mismatch_is_corrupt_not_wrong() {
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        let layout = EntryLayout {
-            series_len: 4,
-            materialized: false,
-        };
-        let store = LeafStore::new(f.clone(), layout, 3);
-        let mut entries = vec![0u8; 24];
-        layout.encode(ZKey(1), 1, None, &mut entries);
-        store.write_leaf(0, &entries).unwrap();
-        let leaf = LeafMeta {
-            first_key: ZKey(1),
-            count: 1,
-            block: 0,
-            blocks_used: 1,
-            crc: crc32(&entries),
-        };
-        // Reads verify fine, then a bit flips on disk.
+        let s = sax(16, 16);
+        let store = LeafStore::new(f.clone(), LeafCodec::new(&s, false), 3);
+        let leaf = write(&store, 0, &entries(&s, 1, false), 0..1);
+        // Reads verify fine, then a bit flips on disk (in the position).
         let mut buf = Vec::new();
         store.read_leaf(&leaf, &mut buf).unwrap();
         let mut byte = [0u8; 1];
@@ -688,40 +882,32 @@ mod tests {
         f.write_all_at(&byte, LEAF_REGION_OFFSET + 16).unwrap();
         let err = store.read_leaf(&leaf, &mut buf).unwrap_err();
         assert!(err.to_string().contains("failed checksum"), "{err}");
-        // An unchecked (legacy) leaf with crc 0 still reads the raw bytes.
-        let legacy = LeafMeta { crc: 0, ..leaf };
-        store.read_leaf(&legacy, &mut buf).unwrap();
+        // A CRC of 0 is a checksum like any other, not a pass.
+        let zero = LeafMeta { crc: 0, ..leaf };
+        assert!(store.read_leaf(&zero, &mut buf).is_err());
     }
 
     #[test]
     fn oversized_leaf_spans_blocks() {
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        let layout = EntryLayout {
-            series_len: 4,
-            materialized: false,
-        };
-        let store = LeafStore::new(f, layout, 2); // 2 entries per block
-                                                  // 5 entries -> 3 blocks.
-        let mut entries = vec![0u8; 5 * 24];
-        for i in 0..5 {
-            let mut e = vec![0u8; 24];
-            layout.encode(ZKey(i as u128), i, None, &mut e);
-            entries[i as usize * 24..(i as usize + 1) * 24].copy_from_slice(&e);
-        }
-        let used = store.write_leaf(0, &entries).unwrap();
-        assert_eq!(used, 3);
-        let leaf = LeafMeta {
-            first_key: ZKey(0),
-            count: 5,
-            block: 0,
-            blocks_used: 3,
-            crc: crc32(&entries),
-        };
-        let mut buf = Vec::new();
-        store.read_leaf(&leaf, &mut buf).unwrap();
-        for i in 0..5 {
-            assert_eq!(layout.pos(store.entry_slice(&buf, i)), i as u64);
+        let s = sax(16, 16);
+        for materialized in [false, true] {
+            let store = LeafStore::new(f.clone(), LeafCodec::new(&s, materialized), 2);
+            // 5 entries of 2 per block -> 3 blocks, then a leaf after them.
+            let e = entries(&s, 6, materialized);
+            let big = write(&store, 0, &e, 0..5);
+            assert_eq!(big.blocks_used, 3);
+            let next = write(&store, 3, &e, 5..6);
+            let mut buf = Vec::new();
+            let mut back = LeafEntries::default();
+            store.read_leaf(&big, &mut buf).unwrap();
+            store.codec().decode(&buf, &mut back);
+            assert_eq!(back.keys, e.keys[..5]);
+            assert_eq!(back.pos, e.pos[..5]);
+            assert_eq!(back.payloads, e.payloads[..e.payloads.len() * 5 / 6]);
+            store.read_leaf(&next, &mut buf).unwrap();
+            assert_eq!(store.codec().parts(&buf).pos(0), e.pos[5]);
         }
     }
 }

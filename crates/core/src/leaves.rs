@@ -35,10 +35,11 @@
 //!
 //! A leaf's [`LeafBlock`] — its entries' SAX symbols, segment-major (the
 //! z-order keys de-interleaved: the key orders the leaves, only its symbols
-//! bound a distance), and their raw-file positions — is read, CRC-checked
-//! and decoded the first time a query needs it: the probe for its seed
-//! leaves, the scan for a leaf whose box survives the cutoff, inside the
-//! worker that scans it — into its place in two arrays the whole index
+//! bound a distance), and their raw-file positions — is stored on disk as
+//! exactly that ([`crate::layout`]), and is read, CRC-checked and copied the
+//! first time a query needs it: the probe for its seed leaves, the scan for
+//! a leaf whose box survives the cutoff, inside the worker that scans it —
+//! into its place in two arrays the whole index
 //! shares, allocated zeroed by the first query, so the blocks cost no
 //! allocator bookkeeping and go back to the system in one piece with the
 //! index. Opening an index is therefore O(directory) and a
@@ -48,7 +49,7 @@
 //! pointer index never reads a leaf twice, a materialized one goes back to
 //! a leaf only for the payloads it fetches.
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,8 +69,8 @@ use coconut_summary::{SaxConfig, ZKey};
 use crate::builder::BuildReport;
 use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::{
-    crc32, read_directory, write_directory, EntryLayout, IndexHeader, LeafMeta, LeafStore,
-    ScrubReport, CHECKSUM_VERSION, LEAF_REGION_OFFSET,
+    crc32, read_directory, write_directory, IndexHeader, LeafCodec, LeafEntries, LeafMeta,
+    LeafStore, ScrubReport, LEAF_REGION_OFFSET,
 };
 use crate::query::{first, Kind, Metric, Query};
 use crate::records::SortedRecord;
@@ -128,7 +129,7 @@ pub trait Directory: Sized {
 /// to the system when the index (an LSM run, say) is dropped, and of which
 /// only the pages of touched leaves are ever resident.
 pub struct Summaries {
-    decoder: SymbolDecoder,
+    segments: usize,
     /// First scan index of each leaf, plus the total.
     leaf_starts: Vec<usize>,
     /// Per leaf, `segments` lower then `segments` upper symbol bounds.
@@ -232,13 +233,14 @@ impl Summaries {
             start = end;
         }
         let mut s = Self::new(sax, leaves.iter().map(|leaf| (leaf[0].0, leaf.len())), None);
+        let decoder = SymbolDecoder::new(sax);
         let mut symbols = vec![0; entries.len() * sax.segments];
         let mut keys = Vec::new();
         for (leaf, start) in leaves.iter().zip(&s.leaf_starts) {
             keys.clear();
             keys.extend(leaf.iter().map(|&(key, _)| key));
             let block = start * sax.segments..(start + leaf.len()) * sax.segments;
-            s.decoder.decode_into(&keys, &mut symbols[block]);
+            decoder.decode_into(&keys, &mut symbols[block]);
         }
         s.arrays = OnceLock::from(Arrays {
             symbols: WriteOnce::new(symbols),
@@ -274,7 +276,7 @@ impl Summaries {
             key_range_box(first, next, sax, lo, hi);
         }
         Summaries {
-            decoder: SymbolDecoder::new(sax),
+            segments: w,
             loaded: (1..leaf_starts.len())
                 .map(|_| AtomicBool::new(false))
                 .collect(),
@@ -314,7 +316,7 @@ impl Summaries {
     /// Per segment, the smallest and the largest symbol an entry of leaf
     /// `leaf` can hold.
     pub fn leaf_box(&self, leaf: usize) -> (&[u8], &[u8]) {
-        let w = self.decoder.config().segments;
+        let w = self.segments;
         self.boxes[leaf * 2 * w..(leaf + 1) * 2 * w].split_at(w)
     }
 
@@ -331,11 +333,11 @@ impl Summaries {
     }
 
     /// The block of leaf `leaf`: read from the index file, CRC-checked and
-    /// de-interleaved by the first caller that asks (a second one waits for
-    /// it), and only borrowed ever after. A failed load leaves the leaf
-    /// unloaded, so the next caller fails — or succeeds — on its own read.
+    /// copied by the first caller that asks (a second one waits for it), and
+    /// only borrowed ever after. A failed load leaves the leaf unloaded, so
+    /// the next caller fails — or succeeds — on its own read.
     pub fn block(&self, leaf: usize) -> Result<LeafBlock<'_>> {
-        let w = self.decoder.config().segments;
+        let w = self.segments;
         let arrays = self.arrays.get_or_init(|| Arrays {
             symbols: WriteOnce::new(vec![0; self.len() * w]),
             pos: WriteOnce::new(vec![0; self.len()]),
@@ -358,7 +360,7 @@ impl Summaries {
                         arrays.pos.write(entries.clone()),
                     )
                 };
-                self.fill(source, leaf, symbols, pos)?;
+                source.fill(leaf, symbols, pos)?;
                 self.loaded[leaf].store(true, Ordering::Release);
             }
             drop(filling);
@@ -375,32 +377,30 @@ impl Summaries {
             }
         })
     }
+}
 
-    /// Read leaf `leaf` back from `source` into its `symbols` block and its
-    /// `pos`itions.
-    fn fill(
-        &self,
-        source: &LeafSource,
-        leaf: usize,
-        symbols: &mut [u8],
-        pos: &mut [u64],
-    ) -> Result<()> {
-        let (store, entry) = (&source.store, source.store.entry());
-        let mut leaf_buf = Vec::new();
-        store.read_leaf(&source.leaves[leaf], &mut leaf_buf)?;
-        let mut keys = Vec::with_capacity(pos.len());
-        for (slot, pos) in pos.iter_mut().enumerate() {
-            let e = store.entry_slice(&leaf_buf, slot);
-            *pos = entry.pos(e);
-            if !source.range.contains(pos) {
+thread_local! {
+    /// The leaf bytes a block load reads into, one buffer per thread, kept
+    /// from load to load.
+    static LEAF_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+impl LeafSource {
+    /// Read leaf `leaf` into its `symbols` block and its `pos`itions: one
+    /// read into this thread's buffer, the CRC check, a copy of the stored
+    /// symbol block and a decode of the positions, each of which must fall
+    /// in the range the index covers.
+    fn fill(&self, leaf: usize, symbols: &mut [u8], pos: &mut [u64]) -> Result<()> {
+        LEAF_BUF.with_borrow_mut(|buf| {
+            self.store.read_leaf(&self.leaves[leaf], buf)?;
+            self.store.codec().parts(buf).load_into(symbols, pos);
+            if !pos.iter().all(|p| self.range.contains(p)) {
                 return Err(Error::corrupt(
                     "index does not cover a contiguous position range",
                 ));
             }
-            keys.push(entry.key(e));
-        }
-        self.decoder.decode_into(&keys, symbols);
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -498,16 +498,13 @@ impl<D: Directory> SortedLeafIndex<D> {
         range: Range<u64>,
         dir: D,
     ) -> Self {
-        let entry = EntryLayout {
-            series_len: config.sax.series_len,
-            materialized,
-        };
+        let codec = LeafCodec::new(&config.sax, materialized);
         SortedLeafIndex {
             config,
             materialized,
             threads: threads.max(1),
             dataset: dataset.clone(),
-            store: LeafStore::new(file, entry, config.leaf_capacity),
+            store: LeafStore::new(file, codec, config.leaf_capacity),
             leaves: Vec::new(),
             dir,
             summaries: Summaries::new(&config.sax, std::iter::empty(), None),
@@ -528,11 +525,7 @@ impl<D: Directory> SortedLeafIndex<D> {
         mut leaf_sizes: impl Iterator<Item = usize>,
     ) -> Result<()> {
         let n = (self.range.end - self.range.start) as usize;
-        let entry = *self.store.entry();
-        let mut entry_buf = vec![0u8; entry.entry_bytes()];
-        let mut block_buf: Vec<u8> = Vec::new();
-        let mut first_key = ZKey::MIN;
-        let mut in_leaf = 0usize;
+        let mut leaf = LeafEntries::default();
         let mut leaf_size = leaf_sizes.next().unwrap_or(usize::MAX);
 
         while let Some(rec) = next()? {
@@ -548,21 +541,16 @@ impl<D: Directory> SortedLeafIndex<D> {
                     self.range
                 )));
             }
-            entry.encode(key, pos, rec.series(), &mut entry_buf);
-            if in_leaf == 0 {
-                first_key = key;
-            }
-            block_buf.extend_from_slice(&entry_buf);
-            in_leaf += 1;
+            leaf.push(key, pos, rec.series().filter(|_| self.materialized));
             self.entry_count += 1;
-            if in_leaf == leaf_size {
-                self.push_leaf(first_key, &mut block_buf)?;
-                in_leaf = 0;
+            if leaf.len() == leaf_size {
+                self.push_leaf(&leaf)?;
+                leaf.clear();
                 leaf_size = leaf_sizes.next().unwrap_or(usize::MAX);
             }
         }
-        if in_leaf > 0 {
-            self.push_leaf(first_key, &mut block_buf)?;
+        if !leaf.is_empty() {
+            self.push_leaf(&leaf)?;
         }
         if self.entry_count != n as u64 {
             return Err(Error::corrupt(format!(
@@ -590,19 +578,39 @@ impl<D: Directory> SortedLeafIndex<D> {
         self.summaries = Summaries::new(&self.config.sax, leaves, Some(source));
     }
 
-    /// Write the packed entries in `block` as the next leaf at the end of
-    /// the leaf region and clear `block`.
-    pub(crate) fn push_leaf(&mut self, first_key: ZKey, block: &mut Vec<u8>) -> Result<()> {
-        let blocks_used = self.store.write_leaf(self.next_block, block)?;
-        self.leaves.push(LeafMeta {
-            first_key,
-            count: (block.len() / self.store.entry().entry_bytes()) as u32,
-            block: self.next_block,
-            blocks_used,
-            crc: crc32(block),
-        });
-        self.next_block += blocks_used;
-        block.clear();
+    /// Write `entries` as the next leaf at the end of the leaf region.
+    pub(crate) fn push_leaf(&mut self, entries: &LeafEntries) -> Result<()> {
+        let meta = self.write_leaf(self.next_block, entries, 0..entries.len())?;
+        self.next_block += meta.blocks_used;
+        self.leaves.push(meta);
+        Ok(())
+    }
+
+    /// Write entries `range` (not empty) of `entries` as the leaf starting
+    /// at physical block `block`, and return its directory record.
+    pub(crate) fn write_leaf(
+        &self,
+        block: u32,
+        entries: &LeafEntries,
+        range: Range<usize>,
+    ) -> Result<LeafMeta> {
+        let mut leaf = Vec::new();
+        self.store.codec().encode(entries, range.clone(), &mut leaf);
+        let crc = crc32(&leaf);
+        Ok(LeafMeta {
+            first_key: entries.keys()[range.start],
+            count: range.len() as u32,
+            block,
+            blocks_used: self.store.write_leaf(block, &mut leaf)?,
+            crc,
+        })
+    }
+
+    /// Read leaf `leaf` back into `out`, keys re-interleaved.
+    pub(crate) fn read_entries(&self, leaf: usize, out: &mut LeafEntries) -> Result<()> {
+        let mut bytes = Vec::new();
+        self.store.read_leaf(&self.leaves[leaf], &mut bytes)?;
+        self.store.codec().decode(&bytes, out);
         Ok(())
     }
 
@@ -628,7 +636,6 @@ impl<D: Directory> SortedLeafIndex<D> {
             dir_offset,
             tail_version,
             split_policy: self.config.split_policy.as_u8(),
-            checksums: CHECKSUM_VERSION,
         };
         header.write_to(file)?;
         file.sync()
@@ -707,8 +714,7 @@ impl<D: Directory> SortedLeafIndex<D> {
 
     /// Re-read every leaf block and verify it against its directory CRC
     /// (the `coconut scrub` primitive). Returns on the first corrupt leaf
-    /// with a typed [`Error::Corrupt`]; legacy unchecked leaves are counted
-    /// but not verifiable.
+    /// with a typed [`Error::Corrupt`].
     pub fn verify(&self) -> Result<ScrubReport> {
         crate::layout::scrub_leaves(&self.store, &self.leaves)
     }
@@ -819,7 +825,6 @@ impl<D: Directory> SortedLeafIndex<D> {
         hits: &mut C,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let entry = self.store.entry();
         let mut leaf_buf = Vec::new();
         let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
         let mut raw_bytes = Vec::new();
@@ -856,7 +861,8 @@ impl<D: Directory> SortedLeafIndex<D> {
                         self.store.read_leaf(&self.leaves[l], &mut leaf_buf)?;
                         payloads_read = true;
                     }
-                    entry.series_into(self.store.entry_slice(&leaf_buf, slot), &mut series_buf);
+                    let parts = self.store.codec().parts(&leaf_buf);
+                    parts.series_into(slot, &mut series_buf);
                 } else {
                     self.dataset
                         .read_into_with(pos, &mut series_buf, &mut raw_bytes)?;
@@ -1063,9 +1069,9 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
                 l
             }
         };
-        let e = self.store.entry_slice(&self.leaf_buf, i - starts[leaf]);
-        self.store.entry().series_into(e, out);
-        Ok(self.store.entry().pos(e))
+        let parts = self.store.codec().parts(&self.leaf_buf);
+        parts.series_into(i - starts[leaf], out);
+        Ok(parts.pos(i - starts[leaf]))
     }
 }
 

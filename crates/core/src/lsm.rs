@@ -127,7 +127,7 @@ pub struct RunScrub {
     pub start: u64,
     /// End (exclusive) of the run's position range.
     pub end: u64,
-    /// Leaves verified / legacy-unchecked when the scan succeeded.
+    /// Leaves verified when the scan succeeded.
     pub report: ScrubReport,
     /// The corruption the scan hit, if any (`None` = run is clean).
     pub error: Option<String>,
@@ -2385,7 +2385,6 @@ mod tests {
             assert_eq!(clean.len(), 3);
             assert!(clean.iter().all(|r| r.error.is_none()), "{clean:?}");
             assert!(clean.iter().all(|r| r.report.checked > 0), "{clean:?}");
-            assert!(clean.iter().all(|r| r.report.unchecked == 0));
         }
         // Flip one byte inside the last run's leaf region (bit rot the
         // header/directory checks cannot see).

@@ -29,14 +29,11 @@
 //! [`Manifest::decode`] rejects manifests that violate this, so a bug
 //! cannot persist an inconsistent run set that recovery would then trust.
 //!
-//! Format version 2 added the `base` field; version-1 manifests (which
-//! always covered `0..covered_end`) still decode, with `base = 0`.
-//! Version 3 added the split-policy byte ([`crate::split::SplitPolicyKind`])
-//! after `internal_fanout`; version-1/2 manifests decode with the fixed
-//! policy, which is what they were built under. Version 4 added the
-//! compaction-policy byte ([`crate::compaction::CompactionPolicyKind`])
-//! right after it; version-1/2/3 manifests decode as tiered, the only
-//! policy that existed before v4.
+//! The format has one version, [`VERSION`] (4): it carries the base
+//! position, the split-policy byte ([`crate::split::SplitPolicyKind`]) and
+//! the compaction-policy byte ([`crate::compaction::CompactionPolicyKind`]).
+//! A manifest of any other version is refused with a typed error naming
+//! it.
 
 use std::path::{Path, PathBuf};
 
@@ -52,9 +49,8 @@ use crate::split::SplitPolicyKind;
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 const MAGIC: &[u8; 8] = b"CNUTMAN1";
-const VERSION: u32 = 4;
-/// Oldest format version [`Manifest::decode`] still accepts.
-const MIN_VERSION: u32 = 1;
+/// The manifest format version this build writes and reads.
+pub const VERSION: u32 = 4;
 /// magic + version + payload length + crc64.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -162,9 +158,9 @@ impl Manifest {
             return Err(Error::corrupt("bad manifest magic"));
         }
         let version = crate::le::u32(&bytes[8..12]);
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(Error::corrupt(format!(
-                "unsupported manifest version {version} (expected {MIN_VERSION}..={VERSION})"
+                "unsupported manifest version {version} (this build reads version {VERSION})"
             )));
         }
         let payload_len = crate::le::u64(&bytes[12..20]) as usize;
@@ -189,17 +185,9 @@ impl Manifest {
         let leaf_capacity = r.u64()? as usize;
         let fill_factor = f64::from_bits(r.u64()?);
         let internal_fanout = r.u64()? as usize;
-        let split_policy = if version >= 3 {
-            SplitPolicyKind::from_u8(r.u8()?)?
-        } else {
-            SplitPolicyKind::Fixed
-        };
-        let compaction = if version >= 4 {
-            CompactionPolicyKind::from_u8(r.u8()?)?
-        } else {
-            CompactionPolicyKind::Tiered
-        };
-        let base = if version >= 2 { r.u64()? } else { 0 };
+        let split_policy = SplitPolicyKind::from_u8(r.u8()?)?;
+        let compaction = CompactionPolicyKind::from_u8(r.u8()?)?;
+        let base = r.u64()?;
         let covered_end = r.u64()?;
         let next_run_id = r.u64()?;
         let run_count = r.u64()? as usize;
@@ -428,56 +416,30 @@ mod tests {
         out
     }
 
-    // Offset of the split-policy byte in a v3/v4 payload: seq + series_len
-    // + segments = 24, card_bits + materialized = 2, leaf + fill + fanout =
-    // 24. In a v4 payload the compaction-policy byte follows it.
+    // Offset of the split-policy byte in the payload: seq + series_len +
+    // segments = 24, card_bits + materialized = 2, leaf + fill + fanout =
+    // 24. The compaction-policy byte follows it.
     const POLICY_OFF: usize = 8 * 3 + 2 + 8 * 3;
     const COMPACTION_OFF: usize = POLICY_OFF + 1;
 
     #[test]
-    fn version1_manifests_still_decode() {
-        // Re-encode sample() as a v1 frame (no policy bytes, no base field)
-        // by hand and check decode fills fixed/tiered policies and base = 0.
-        let m = sample();
-        let v4 = m.encode();
+    fn old_manifest_versions_are_refused() {
+        // Versions 1-3 lacked the base, split-policy or compaction-policy
+        // fields; each is a typed error naming it, even with a valid
+        // checksum over a payload of its own shape.
+        let v4 = sample().encode();
         let payload = &v4[HEADER_LEN..];
-        let mut v1_payload = Vec::with_capacity(payload.len() - 10);
-        v1_payload.extend_from_slice(&payload[..POLICY_OFF]);
-        v1_payload.extend_from_slice(&payload[POLICY_OFF + 2 + 8..]);
-        let decoded = Manifest::decode(&frame(1, &v1_payload)).unwrap();
-        assert_eq!(decoded, m);
-        assert_eq!(decoded.base, 0);
-        assert_eq!(decoded.config.split_policy, SplitPolicyKind::Fixed);
-        assert_eq!(decoded.compaction, CompactionPolicyKind::Tiered);
-    }
-
-    #[test]
-    fn version2_manifests_still_decode() {
-        // v2 = v4 minus both policy bytes; decodes as fixed/tiered.
-        let m = sample();
-        let v4 = m.encode();
-        let payload = &v4[HEADER_LEN..];
-        let mut v2_payload = Vec::with_capacity(payload.len() - 2);
-        v2_payload.extend_from_slice(&payload[..POLICY_OFF]);
-        v2_payload.extend_from_slice(&payload[POLICY_OFF + 2..]);
-        let decoded = Manifest::decode(&frame(2, &v2_payload)).unwrap();
-        assert_eq!(decoded, m);
-        assert_eq!(decoded.config.split_policy, SplitPolicyKind::Fixed);
-        assert_eq!(decoded.compaction, CompactionPolicyKind::Tiered);
-    }
-
-    #[test]
-    fn version3_manifests_still_decode() {
-        // v3 = v4 minus the compaction byte; decodes as tiered.
-        let m = sample();
-        let v4 = m.encode();
-        let payload = &v4[HEADER_LEN..];
-        let mut v3_payload = Vec::with_capacity(payload.len() - 1);
-        v3_payload.extend_from_slice(&payload[..COMPACTION_OFF]);
-        v3_payload.extend_from_slice(&payload[COMPACTION_OFF + 1..]);
-        let decoded = Manifest::decode(&frame(3, &v3_payload)).unwrap();
-        assert_eq!(decoded, m);
-        assert_eq!(decoded.compaction, CompactionPolicyKind::Tiered);
+        let v1 = [&payload[..POLICY_OFF], &payload[POLICY_OFF + 2 + 8..]].concat();
+        let v2 = [&payload[..POLICY_OFF], &payload[POLICY_OFF + 2..]].concat();
+        let v3 = [&payload[..COMPACTION_OFF], &payload[COMPACTION_OFF + 1..]].concat();
+        for (version, payload) in [(1, v1), (2, v2), (3, v3), (5, payload.to_vec())] {
+            match Manifest::decode(&frame(version, &payload)) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("version {version}")), "{msg}")
+                }
+                other => panic!("version {version}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,6 @@ use coconut_series::Value;
 use coconut_storage::Codec;
 use coconut_summary::ZKey;
 
-use crate::layout::EntryLayout;
-
 /// A record the bulk loader can consume from any sorted stream, and that a
 /// built index can stream back out of its leaves (the LSM compaction path).
 ///
@@ -30,11 +28,10 @@ pub trait SortedRecord: Ord {
     /// The raw series payload (`Some` for materialized records only).
     fn series(&self) -> Option<&[Value]>;
 
-    /// Decode one on-disk leaf entry back into a record — the inverse of
-    /// the bulk loader's [`EntryLayout::encode`]. [`KeySeries`] requires a
-    /// materialized layout; [`KeyPos`] accepts either (it reads only the
-    /// 24-byte header).
-    fn from_entry(layout: &EntryLayout, entry: &[u8]) -> Self;
+    /// The record of one leaf entry read back ([`crate::layout::LeafCodec::decode`]):
+    /// its key, its position and its payload bytes. [`KeySeries`] requires
+    /// a payload; [`KeyPos`] ignores it.
+    fn from_entry(key: ZKey, pos: u64, payload: &[u8]) -> Self;
 }
 
 /// A `(key, position)` pair — the record of non-materialized builds.
@@ -83,11 +80,8 @@ impl SortedRecord for KeyPos {
         None
     }
 
-    fn from_entry(layout: &EntryLayout, entry: &[u8]) -> Self {
-        KeyPos {
-            key: layout.key(entry),
-            pos: layout.pos(entry),
-        }
+    fn from_entry(key: ZKey, pos: u64, _payload: &[u8]) -> Self {
+        KeyPos { key, pos }
     }
 }
 
@@ -135,15 +129,10 @@ impl SortedRecord for KeySeries {
         Some(&self.series)
     }
 
-    fn from_entry(layout: &EntryLayout, entry: &[u8]) -> Self {
-        debug_assert!(layout.materialized, "KeySeries needs an embedded payload");
-        let mut series = vec![0.0 as Value; layout.series_len];
-        layout.series_into(entry, &mut series);
-        KeySeries {
-            key: layout.key(entry),
-            pos: layout.pos(entry),
-            series,
-        }
+    fn from_entry(key: ZKey, pos: u64, payload: &[u8]) -> Self {
+        debug_assert!(!payload.is_empty(), "KeySeries needs an embedded payload");
+        let series = payload.chunks_exact(4).map(crate::le::f32).collect();
+        KeySeries { key, pos, series }
     }
 }
 

@@ -26,8 +26,8 @@
 //!   a short list of `(where it is stored, bound)` candidates instead of a
 //!   bound per record. Workers share nothing they write but a leaf's
 //!   load-once block, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
-//!   with blocks no query has loaded yet (a cold scan reads and decodes in
-//!   parallel), is split over scoped threads by leaf ranges; a near query,
+//!   with blocks no query has loaded yet (a cold scan reads and copies
+//!   blocks in parallel), is split over scoped threads by leaf ranges; a near query,
 //!   whose probe already pruned almost every leaf, never spawns.
 //! * **B — fetch.** The batch's candidates are swept in storage order —
 //!   raw-file position for pointer indexes, scan index for materialized
@@ -194,8 +194,8 @@ pub(crate) fn scatter<S: Send, T: Send>(
 /// at a time by the runtime-dispatched vector kernel (AVX2 gathers + BMI2
 /// decode where available, a bit-identical scalar mirror otherwise).
 ///
-/// [`sims_scan`] no longer bounds raw keys — it works from the decoded,
-/// leaf-ordered [`Summaries`] — so this is a library function for callers
+/// [`sims_scan`] no longer bounds raw keys — it works from the
+/// segment-major symbol blocks of [`Summaries`] — so this is a library function for callers
 /// that hold a bare key array.
 pub fn parallel_mindists(
     query_paa: &[f64],
@@ -245,7 +245,7 @@ fn padded_sq(cutoff: f64) -> f64 {
 /// query, and the true distance per fetched series.
 pub trait Distance: Sync {
     /// The query's squared distance to every SAX region: what lower-bounds
-    /// a key, a decoded symbol block, or a leaf box.
+    /// a key, a symbol block, or a leaf box.
     fn table(&self) -> &QueryDistTable;
 
     /// The distance to `candidate`, or `None` once it provably exceeds
@@ -451,7 +451,7 @@ impl Default for Part {
 /// `parts` (there is always one), splitting the batch over `workers` scoped
 /// threads by leaf ranges of near-equal key counts (one worker runs inline,
 /// spawning nothing). A worker loads the blocks of its leaves that no query
-/// touched before, so a cold scan reads and decodes in parallel. Each
+/// touched before, so a cold scan reads and copies blocks in parallel. Each
 /// worker fills one of `parts`, the scan's reusable buffers — the first
 /// appends where the candidates gather, the others' lists follow it there:
 /// they are allocated here, by the thread that keeps them, so they grow in
@@ -983,7 +983,7 @@ mod tests {
             sums.block(l).unwrap();
         }
         let io = ds.file().stats();
-        let entry_bytes = tree.store.entry().entry_bytes() as u64;
+        let entry_bytes = tree.store.codec().entry_bytes() as u64;
         for seed in 0..3 {
             let q = query(80 + seed, 64);
             let mut fetcher = Logged {

@@ -31,7 +31,7 @@ use coconut_summary::ZKey;
 
 use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
-use crate::layout::{crc32, IndexHeader, LeafMeta, LeafStore};
+use crate::layout::{IndexHeader, LeafEntries, LeafMeta, LeafStore};
 use crate::leaves::{Directory, SortedLeafIndex};
 use crate::records::SortedRecord;
 
@@ -197,10 +197,10 @@ impl CoconutTree {
             store: &self.store,
             leaves: &self.leaves,
             entry_count: self.entry_count,
-            leaf: 0,
+            next_leaf: 0,
             slot: 0,
             buf: Vec::new(),
-            loaded: false,
+            entries: LeafEntries::default(),
             _record: std::marker::PhantomData,
         }
     }
@@ -237,70 +237,39 @@ impl CoconutTree {
             )));
         }
         let key = self.query_key(series)?;
-        let entry = *self.store.entry();
-        let eb = entry.entry_bytes();
-        let mut entry_buf = vec![0u8; eb];
-        let payload = if self.materialized {
-            Some(series)
-        } else {
-            None
-        };
-        entry.encode(key, pos, payload, &mut entry_buf);
-
+        let payload = self.materialized.then_some(series);
+        let mut entries = LeafEntries::default();
         if self.leaves.is_empty() {
-            self.push_leaf(key, &mut entry_buf)?;
+            entries.push(key, pos, payload);
+            self.push_leaf(&entries)?;
         } else {
             let li = self
                 .dir
                 .descend(key)
                 .ok_or_else(|| Error::corrupt("a non-empty tree failed to descend"))?;
-            let mut leaf_buf = Vec::new();
-            self.store.read_leaf(&self.leaves[li], &mut leaf_buf)?;
+            self.read_entries(li, &mut entries)?;
             // Insert position within the leaf (keep sorted by (key, pos)).
-            let count = self.leaves[li].count as usize;
-            let mut slot = count;
-            for s in 0..count {
-                let e = self.store.entry_slice(&leaf_buf, s);
-                if entry.key(e) > key || (entry.key(e) == key && entry.pos(e) > pos) {
-                    slot = s;
-                    break;
-                }
-            }
-            let at = slot * eb;
-            leaf_buf.splice(at..at, entry_buf.iter().copied());
-            if count < self.config.leaf_capacity {
-                self.store.write_leaf(self.leaves[li].block, &leaf_buf)?;
-                self.leaves[li].count += 1;
-                self.leaves[li].crc = crc32(&leaf_buf);
+            let slot = entries
+                .keys()
+                .iter()
+                .zip(entries.pos())
+                .position(|(&k, &p)| (k, p) > (key, pos))
+                .unwrap_or(entries.len());
+            entries.insert(slot, key, pos, payload);
+            let (total, block) = (entries.len(), self.leaves[li].block);
+            if total <= self.config.leaf_capacity {
+                self.leaves[li] = self.write_leaf(block, &entries, 0..total)?;
                 if slot == 0 {
-                    self.leaves[li].first_key = key;
                     self.dir.rebuild(&self.leaves);
                 }
             } else {
                 // Median split: left half stays in place, right half goes to
                 // a fresh block at the end of the file.
-                let total = count + 1;
                 let left = total / 2;
-                let right = total - left;
-                self.store
-                    .write_leaf(self.leaves[li].block, &leaf_buf[..left * eb])?;
-                self.store
-                    .write_leaf(self.next_block, &leaf_buf[left * eb..])?;
-                let right_first = entry.key(self.store.entry_slice(&leaf_buf, left));
-                self.leaves[li].count = left as u32;
-                self.leaves[li].first_key = entry.key(self.store.entry_slice(&leaf_buf, 0));
-                self.leaves[li].crc = crc32(&leaf_buf[..left * eb]);
-                self.leaves.insert(
-                    li + 1,
-                    LeafMeta {
-                        first_key: right_first,
-                        count: right as u32,
-                        block: self.next_block,
-                        blocks_used: 1,
-                        crc: crc32(&leaf_buf[left * eb..]),
-                    },
-                );
-                self.next_block += 1;
+                self.leaves[li] = self.write_leaf(block, &entries, 0..left)?;
+                let right = self.write_leaf(self.next_block, &entries, left..total)?;
+                self.next_block += right.blocks_used;
+                self.leaves.insert(li + 1, right);
                 self.dir.rebuild(&self.leaves);
             }
         }
@@ -339,21 +308,15 @@ impl CoconutTree {
         }
         items.sort_unstable_by_key(|&(k, p, _)| (k, p));
 
-        let entry = *self.store.entry();
-        let eb = entry.entry_bytes();
-
+        let mut merged = LeafEntries::default();
         if self.leaves.is_empty() {
             // Degenerate case: bulk-load the batch as the initial contents.
-            let per_leaf = self.config.bulk_leaf_entries();
-            let mut entry_buf = vec![0u8; eb];
-            let mut block_buf = Vec::with_capacity(per_leaf * eb);
-            for chunk in items.chunks(per_leaf) {
+            for chunk in items.chunks(self.config.bulk_leaf_entries()) {
+                merged.clear();
                 for &(k, p, s) in chunk {
-                    let payload = self.materialized.then_some(s);
-                    entry.encode(k, p, payload, &mut entry_buf);
-                    block_buf.extend_from_slice(&entry_buf);
+                    merged.push(k, p, self.materialized.then_some(s));
                 }
-                self.push_leaf(chunk[0].0, &mut block_buf)?;
+                self.push_leaf(&merged)?;
             }
         } else {
             // Group items by their target leaf under the *current*
@@ -379,44 +342,29 @@ impl CoconutTree {
                 groups.push((li, i, j));
                 i = j;
             }
-            let mut leaf_buf = Vec::new();
-            let mut entry_buf = vec![0u8; eb];
+            let mut old = LeafEntries::default();
             for &(li, lo, hi) in groups.iter().rev() {
                 let group = &items[lo..hi];
-                self.store.read_leaf(&self.leaves[li], &mut leaf_buf)?;
-                let old_count = self.leaves[li].count as usize;
+                self.read_entries(li, &mut old)?;
                 // Merge existing entries with the (sorted) group.
-                let total = old_count + group.len();
-                let mut merged = Vec::with_capacity(total * eb);
-                let mut a = 0usize; // existing slot
-                let mut b = 0usize; // group index
-                while a < old_count || b < group.len() {
-                    let take_new = if a == old_count {
-                        true
-                    } else if b == group.len() {
-                        false
-                    } else {
-                        let e = self.store.entry_slice(&leaf_buf, a);
-                        (group[b].0, group[b].1) < (entry.key(e), entry.pos(e))
-                    };
-                    if take_new {
-                        let (k, p, s) = group[b];
-                        let payload = self.materialized.then_some(s);
-                        entry.encode(k, p, payload, &mut entry_buf);
-                        merged.extend_from_slice(&entry_buf);
-                        b += 1;
-                    } else {
-                        merged.extend_from_slice(self.store.entry_slice(&leaf_buf, a));
+                merged.clear();
+                let mut a = 0usize; // existing entry
+                for &(k, p, s) in group {
+                    while a < old.len() && (old.keys()[a], old.pos()[a]) < (k, p) {
+                        merged.push_from(&old, a);
                         a += 1;
                     }
+                    merged.push(k, p, self.materialized.then_some(s));
+                }
+                for a in a..old.len() {
+                    merged.push_from(&old, a);
                 }
                 // Split into evenly sized pieces of at most `capacity`.
+                let total = merged.len();
                 let pieces = total.div_ceil(self.config.leaf_capacity);
                 let per_piece = total.div_ceil(pieces);
                 let mut new_metas = Vec::with_capacity(pieces);
-                for (pi, piece) in merged.chunks(per_piece * eb).enumerate() {
-                    let count = (piece.len() / eb) as u32;
-                    let first_key = entry.key(&piece[..eb]);
+                for (pi, start) in (0..total).step_by(per_piece).enumerate() {
                     let block = if pi == 0 {
                         self.leaves[li].block
                     } else {
@@ -424,15 +372,10 @@ impl CoconutTree {
                         self.next_block += 1;
                         block
                     };
-                    let blocks_used = self.store.write_leaf(block, piece)?;
-                    debug_assert_eq!(blocks_used, 1);
-                    new_metas.push(LeafMeta {
-                        first_key,
-                        count,
-                        block,
-                        blocks_used,
-                        crc: crc32(piece),
-                    });
+                    let meta =
+                        self.write_leaf(block, &merged, start..total.min(start + per_piece))?;
+                    debug_assert_eq!(meta.blocks_used, 1);
+                    new_metas.push(meta);
                 }
                 self.leaves.splice(li..=li, new_metas);
             }
@@ -447,15 +390,17 @@ impl CoconutTree {
 
 /// A forward scan over a tree's leaf entries in leaf (= sorted) order,
 /// yielding decoded records; created by [`CoconutTree::leaf_entries`].
-/// Reads each leaf block once, sequentially.
+/// Reads each leaf block once, sequentially, and re-interleaves its keys.
 pub struct LeafEntryStream<'a, R> {
     store: &'a LeafStore,
     leaves: &'a [LeafMeta],
     entry_count: u64,
-    leaf: usize,
+    /// The leaf to read when `entries` runs out.
+    next_leaf: usize,
+    /// The next entry of `entries` to yield.
     slot: usize,
     buf: Vec<u8>,
-    loaded: bool,
+    entries: LeafEntries,
     _record: std::marker::PhantomData<R>,
 }
 
@@ -463,23 +408,18 @@ impl<R: SortedRecord> RecordStream for LeafEntryStream<'_, R> {
     type Item = R;
 
     fn next_item(&mut self) -> Result<Option<R>> {
-        loop {
-            let Some(meta) = self.leaves.get(self.leaf) else {
+        while self.slot == self.entries.len() {
+            let Some(meta) = self.leaves.get(self.next_leaf) else {
                 return Ok(None);
             };
-            if self.slot < meta.count as usize {
-                if !self.loaded {
-                    self.store.read_leaf(meta, &mut self.buf)?;
-                    self.loaded = true;
-                }
-                let e = self.store.entry_slice(&self.buf, self.slot);
-                self.slot += 1;
-                return Ok(Some(R::from_entry(self.store.entry(), e)));
-            }
-            self.leaf += 1;
+            self.store.read_leaf(meta, &mut self.buf)?;
+            self.store.codec().decode(&self.buf, &mut self.entries);
+            self.next_leaf += 1;
             self.slot = 0;
-            self.loaded = false;
         }
+        let (e, i) = (&self.entries, self.slot);
+        self.slot += 1;
+        Ok(Some(R::from_entry(e.keys()[i], e.pos()[i], e.payload(i))))
     }
 
     fn report(&self) -> SortReport {
@@ -495,6 +435,7 @@ impl<R: SortedRecord> RecordStream for LeafEntryStream<'_, R> {
 mod tests {
     use super::*;
     use crate::query::{first, Metric, Query};
+    use crate::records::{KeyPos, KeySeries};
     use coconut_series::dataset::write_dataset;
     use coconut_series::distance::{euclidean, znormalize};
     use coconut_series::gen::{Generator, RandomWalkGen};
@@ -698,6 +639,79 @@ mod tests {
             let (ans, _) = tree.exact_search(&q).unwrap();
             let expect = brute_force(&ds, &q);
             assert_eq!(ans.pos, expect.pos, "seed {seed}");
+        }
+    }
+
+    /// Every `(key, pos)` of `ds`, sorted: what the leaves of a tree over
+    /// all of it hold, in order.
+    fn sorted_entries(ds: &Dataset) -> Vec<KeyPos> {
+        let mut summarizer = Summarizer::new(small_config().sax);
+        let mut all: Vec<KeyPos> = (0..ds.len())
+            .map(|pos| KeyPos {
+                key: summarizer.zkey(&ds.get(pos).unwrap()),
+                pos,
+            })
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    fn streamed<R: SortedRecord>(tree: &CoconutTree) -> Vec<R> {
+        let mut stream = tree.leaf_entries::<R>();
+        std::iter::from_fn(|| stream.next_item().unwrap()).collect()
+    }
+
+    #[test]
+    fn leaf_entries_yield_what_was_written() {
+        let dir = TempDir::new("ctree").unwrap();
+        let ds = make_dataset(&dir, 700);
+        let want = sorted_entries(&ds);
+        for opts in [
+            BuildOptions::default(),
+            BuildOptions::default().materialized(),
+        ] {
+            let tree = CoconutTree::build(&ds, &small_config(), dir.path(), opts).unwrap();
+            let reopened = CoconutTree::open(tree.index_path(), &ds, 1).unwrap();
+            assert_eq!(streamed::<KeyPos>(&reopened), want);
+            if tree.is_materialized() {
+                for r in streamed::<KeySeries>(&reopened) {
+                    assert_eq!(r.series, ds.get(r.pos).unwrap(), "pos {}", r.pos);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inserted_trees_answer_like_a_fresh_build() {
+        let dir = TempDir::new("ctree").unwrap();
+        let ds = make_dataset(&dir, 500);
+        let queries = [Query::nearest(), Query::knn(6), Query::range(9.0), dtw(4)];
+        for opts in [
+            BuildOptions::default(),
+            BuildOptions::default().materialized(),
+        ] {
+            let config = small_config();
+            let fresh = CoconutTree::build(&ds, &config, dir.path(), opts.clone()).unwrap();
+            let mut grown =
+                CoconutTree::build_range(&ds, 0..300, &config, dir.path(), opts).unwrap();
+            for pos in 300..360 {
+                grown.insert(pos, &ds.get(pos).unwrap()).unwrap();
+            }
+            let batch: Vec<Vec<Value>> = (360..500).map(|p| ds.get(p).unwrap()).collect();
+            grown.insert_batch(360, &batch).unwrap();
+            assert!(grown.contiguity() < 1.0);
+            assert_eq!(streamed::<KeyPos>(&grown), sorted_entries(&ds));
+            for seed in 950..955 {
+                let q = query(seed);
+                for query in &queries {
+                    assert_eq!(
+                        grown.search(&q, query).unwrap().0,
+                        fresh.search(&q, query).unwrap().0,
+                        "mat={} seed={seed} {query:?}",
+                        grown.is_materialized()
+                    );
+                }
+            }
         }
     }
 

@@ -44,9 +44,12 @@ use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::{IndexHeader, LeafMeta};
 use crate::leaves::{Directory, SortedLeafIndex};
 use crate::records::KeyPos;
-use crate::split::{child_counts, merge_slots, SplitPolicy, SplitPolicyKind};
+use crate::split::{child_counts, merge_slots, SplitPolicy};
 
 static TRIE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// The trie tail encoding this build writes and reads (header byte 48).
+pub const TAIL_VERSION: u8 = 1;
 
 /// The Coconut-Trie index: sorted leaves under [`PrefixNodes`].
 pub type CoconutTrie = SortedLeafIndex<PrefixNodes>;
@@ -71,7 +74,6 @@ enum TrieNode {
 pub struct PrefixNodes {
     /// Interleaved key bits (`SaxConfig::word_bits`).
     total_bits: usize,
-    policy: SplitPolicyKind,
     nodes: Vec<TrieNode>,
     /// Slot arena for `TrieNode::Multi` nodes (empty on fixed builds).
     children: Vec<u32>,
@@ -204,7 +206,6 @@ impl Directory for PrefixNodes {
     fn empty(config: &IndexConfig) -> Self {
         PrefixNodes {
             total_bits: config.sax.word_bits(),
-            policy: config.split_policy,
             nodes: Vec::new(),
             children: Vec::new(),
             root: None,
@@ -286,17 +287,12 @@ impl Directory for PrefixNodes {
         }
     }
 
-    /// Trie skeleton tail. Version 0 (fixed policy) is the original
-    /// fixed-width encoding — node count, then 13-byte (tag, a, b)
-    /// triples — kept byte-for-byte so fixed builds round-trip against
-    /// pre-versioning readers and files. Version 1 (adaptive policy)
-    /// uses variable-length records to fit the Multi node's slot table.
+    /// Trie skeleton tail ([`TAIL_VERSION`]): the node count, one
+    /// variable-length record per node (a tag byte, then `depth, zero, one`
+    /// for a binary split, the leaf number for a leaf, `depth, bits` and
+    /// `2^bits` child slots for a variable-fanout split), then the root.
     fn write_tail(&self, file: &CountedFile) -> Result<u8> {
-        let tail_version: u8 = match self.policy {
-            SplitPolicyKind::Fixed => 0,
-            SplitPolicyKind::Adaptive => 1,
-        };
-        let mut buf = Vec::with_capacity(8 + self.nodes.len() * 13);
+        let mut buf = Vec::with_capacity(12 + self.nodes.len() * 13);
         buf.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
         for n in &self.nodes {
             match *n {
@@ -309,12 +305,8 @@ impl Directory for PrefixNodes {
                 TrieNode::Leaf { leaf } => {
                     buf.push(1);
                     buf.extend_from_slice(&leaf.to_le_bytes());
-                    if tail_version == 0 {
-                        buf.extend_from_slice(&[0u8; 8]);
-                    }
                 }
                 TrieNode::Multi { depth, bits, start } => {
-                    debug_assert_eq!(tail_version, 1, "Multi nodes need tail v1");
                     buf.push(2);
                     buf.extend_from_slice(&depth.to_le_bytes());
                     buf.push(bits);
@@ -327,7 +319,7 @@ impl Directory for PrefixNodes {
         }
         buf.extend_from_slice(&self.root.map_or(u32::MAX, |r| r).to_le_bytes());
         file.append(&buf)?;
-        Ok(tail_version)
+        Ok(TAIL_VERSION)
     }
 
     fn read_tail(
@@ -337,102 +329,62 @@ impl Directory for PrefixNodes {
         _leaves: &[LeafMeta],
         config: &IndexConfig,
     ) -> Result<Self> {
+        if header.tail_version != TAIL_VERSION {
+            return Err(Error::corrupt(format!(
+                "unsupported trie tail version {} (this build reads version {TAIL_VERSION})",
+                header.tail_version
+            )));
+        }
         let mut dir = Self::empty(config);
         let mut count_buf = [0u8; 8];
         file.read_exact_at(&mut count_buf, tail)?;
-        let node_count = u64::from_le_bytes(count_buf) as usize;
-        let nodes = &mut dir.nodes;
-        let children = &mut dir.children;
-        let root_raw = match header.tail_version {
-            0 => {
-                // Fixed-width 13-byte records.
-                let mut nodes_buf = vec![0u8; node_count * 13 + 4];
-                file.read_exact_at(&mut nodes_buf, tail + 8)?;
-                for c in nodes_buf[..node_count * 13].chunks_exact(13) {
-                    let a = crate::le::u32(&c[1..5]);
-                    match c[0] {
-                        0 => {
-                            let zero = crate::le::u32(&c[5..9]);
-                            let one = crate::le::u32(&c[9..13]);
-                            nodes.push(TrieNode::Internal {
-                                depth: a,
-                                zero,
-                                one,
-                            });
-                        }
-                        1 => nodes.push(TrieNode::Leaf { leaf: a }),
-                        t => return Err(Error::corrupt(format!("bad trie node tag {t}"))),
-                    }
+        let node_count = u64::from_le_bytes(count_buf);
+        // Everything after the node count up to end-of-file is records plus
+        // the trailing root.
+        let tail_len = file.len().saturating_sub(tail + 8) as usize;
+        let mut buf = vec![0u8; tail_len];
+        file.read_exact_at(&mut buf, tail + 8)?;
+        let mut off = 0usize;
+        fn take<'a>(buf: &'a [u8], off: &mut usize, n: usize) -> Result<&'a [u8]> {
+            let bytes = buf
+                .get(*off..*off + n)
+                .ok_or_else(|| Error::corrupt("trie tail truncated"))?;
+            *off += n;
+            Ok(bytes)
+        }
+        for _ in 0..node_count {
+            match take(&buf, &mut off, 1)?[0] {
+                0 => {
+                    let c = take(&buf, &mut off, 12)?;
+                    dir.nodes.push(TrieNode::Internal {
+                        depth: crate::le::u32(&c[0..4]),
+                        zero: crate::le::u32(&c[4..8]),
+                        one: crate::le::u32(&c[8..12]),
+                    });
                 }
-                crate::le::u32(&nodes_buf[node_count * 13..])
-            }
-            1 => {
-                // Variable-length records: everything after the node count
-                // up to end-of-file is records plus the trailing root u32.
-                let tail_len = (file.len() - (tail + 8)) as usize;
-                let mut buf = vec![0u8; tail_len];
-                file.read_exact_at(&mut buf, tail + 8)?;
-                let mut off = 0usize;
-                let take = |buf: &[u8], off: &mut usize, n: usize| -> Result<()> {
-                    if *off + n > buf.len() {
-                        return Err(Error::corrupt("trie tail truncated"));
-                    }
-                    *off += n;
-                    Ok(())
-                };
-                for _ in 0..node_count {
-                    take(&buf, &mut off, 1)?;
-                    match buf[off - 1] {
-                        0 => {
-                            take(&buf, &mut off, 12)?;
-                            let c = &buf[off - 12..off];
-                            nodes.push(TrieNode::Internal {
-                                depth: crate::le::u32(&c[0..4]),
-                                zero: crate::le::u32(&c[4..8]),
-                                one: crate::le::u32(&c[8..12]),
-                            });
-                        }
-                        1 => {
-                            take(&buf, &mut off, 4)?;
-                            let leaf = crate::le::u32(&buf[off - 4..off]);
-                            nodes.push(TrieNode::Leaf { leaf });
-                        }
-                        2 => {
-                            take(&buf, &mut off, 5)?;
-                            let c = &buf[off - 5..off];
-                            let depth = crate::le::u32(&c[0..4]);
-                            let bits = c[4];
-                            if bits == 0 || bits > 32 {
-                                return Err(Error::corrupt(format!(
-                                    "bad trie multi-node fanout bits {bits}"
-                                )));
-                            }
-                            let fanout = 1usize << bits;
-                            take(&buf, &mut off, fanout * 4)?;
-                            let start = children.len() as u32;
-                            for s in buf[off - fanout * 4..off].chunks_exact(4) {
-                                children.push(crate::le::u32(s));
-                            }
-                            nodes.push(TrieNode::Multi { depth, bits, start });
-                        }
-                        t => return Err(Error::corrupt(format!("bad trie node tag {t}"))),
-                    }
+                1 => {
+                    let leaf = crate::le::u32(take(&buf, &mut off, 4)?);
+                    dir.nodes.push(TrieNode::Leaf { leaf });
                 }
-                take(&buf, &mut off, 4)?;
-                crate::le::u32(&buf[off - 4..off])
+                2 => {
+                    let c = take(&buf, &mut off, 5)?;
+                    let (depth, bits) = (crate::le::u32(&c[0..4]), c[4]);
+                    if bits == 0 || bits > 32 {
+                        return Err(Error::corrupt(format!(
+                            "bad trie multi-node fanout bits {bits}"
+                        )));
+                    }
+                    let start = dir.children.len() as u32;
+                    let slots = take(&buf, &mut off, 4usize << bits)?;
+                    dir.children
+                        .extend(slots.chunks_exact(4).map(crate::le::u32));
+                    dir.nodes.push(TrieNode::Multi { depth, bits, start });
+                }
+                t => return Err(Error::corrupt(format!("bad trie node tag {t}"))),
             }
-            v => {
-                return Err(Error::corrupt(format!(
-                    "unsupported trie tail version {v} (reader knows 0 and 1)"
-                )))
-            }
-        };
-        let root = if root_raw == u32::MAX {
-            None
-        } else {
-            Some(root_raw)
-        };
-        dir.root = root;
+        }
+        let root_raw = crate::le::u32(take(&buf, &mut off, 4)?);
+        dir.root = (root_raw != u32::MAX).then_some(root_raw);
         Ok(dir)
     }
 }
@@ -488,6 +440,7 @@ mod tests {
     use coconut_series::index::{Answer, SeriesIndex};
     use coconut_series::Value;
     use coconut_storage::{IoStats, TempDir};
+    use coconut_summary::mindist::SymbolDecoder;
     use std::sync::Arc;
 
     const LEN: usize = 64;
@@ -654,6 +607,15 @@ mod tests {
         let q = query(1);
         let (ans, _) = trie.exact_search(&q).unwrap();
         assert!(ans.is_some());
+        // The multi-block leaf loads, cold, as the one key's symbols and
+        // every position in order.
+        let reopened = CoconutTrie::open(trie.index_path(), &ds, 1).unwrap();
+        let block = reopened.summaries().block(0).unwrap();
+        let sax = small_config().sax;
+        let mut symbols = vec![0; 100 * sax.segments];
+        SymbolDecoder::new(&sax).decode_into(&[trie.leaves[0].first_key; 100], &mut symbols);
+        assert_eq!(block.symbols, symbols);
+        assert_eq!(block.pos, (0..100).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -864,8 +826,34 @@ mod tests {
     }
 
     #[test]
+    fn old_tail_version_is_refused() {
+        // Tail version 0 stored fixed-width 13-byte node records; a file
+        // claiming it opens as a typed error naming the version.
+        let dir = TempDir::new("ctrie").unwrap();
+        let ds = make_dataset(&dir, 300);
+        let built =
+            CoconutTrie::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
+        let path = built.index_path().to_path_buf();
+        drop(built);
+        let file = CountedFile::open_rw(&path, Arc::new(IoStats::new())).unwrap();
+        let header = IndexHeader::read_from(&file).unwrap();
+        assert_eq!(header.tail_version, TAIL_VERSION);
+        IndexHeader {
+            tail_version: 0,
+            ..header
+        }
+        .write_to(&file)
+        .unwrap();
+        match CoconutTrie::open(&path, &ds, 1) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("tail version 0"), "{msg}"),
+            Err(other) => panic!("{other}"),
+            Ok(_) => panic!("a version-0 tail opened"),
+        }
+    }
+
+    #[test]
     fn adaptive_open_reloads_identically() {
-        // Exercises the v1 (multi-way) on-disk tail end to end.
+        // Exercises the multi-way node records end to end.
         let dir = TempDir::new("ctrie").unwrap();
         let ds = skewed_dataset(&dir, 800, 4, 3);
         let built =

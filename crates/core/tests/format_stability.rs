@@ -1,11 +1,14 @@
 //! On-disk format stability: the index files this build writes for a fixed
-//! dataset are byte-for-byte the files the format's first writer produced
-//! (pinned as length + CRC-32 goldens), for both index kinds, pointer and
-//! materialized, either split policy, single-sorter and sharded builds.
+//! dataset are byte-for-byte the files the first writer of their layout
+//! version produced (pinned as length + CRC-32 goldens), for both index
+//! kinds, pointer and materialized, either split policy, single-sorter and
+//! sharded builds.
 //!
 //! A refactor of the builders must leave these untouched; a deliberate
-//! format change updates the goldens (and the layout version) in the same
-//! commit.
+//! format change updates the goldens and the layout version
+//! (`coconut_core::layout::LAYOUT_VERSION`) in the same commit. The goldens
+//! below are layout version 2's: leaves stored as symbol blocks, and one
+//! trie tail encoding for both split policies.
 
 use std::sync::Arc;
 
@@ -63,9 +66,9 @@ fn index_files_match_their_golden_fingerprints() {
     }
 }
 
-const GOLDEN_CTREE_PTR: (u64, u32) = (78512, 2323047852);
-const GOLDEN_CTREE_FULL: (u64, u32) = (846512, 3751955753);
-const GOLDEN_CTRIE_PTR: (u64, u32) = (200585, 1939370406);
-const GOLDEN_CTRIE_FULL: (u64, u32) = (2176905, 2769934355);
-const GOLDEN_CTRIE_ADAPTIVE_PTR: (u64, u32) = (122502, 485581809);
-const GOLDEN_CTRIE_ADAPTIVE_FULL: (u64, u32) = (1310342, 2900012672);
+const GOLDEN_CTREE_PTR: (u64, u32) = (78512, 2143144747);
+const GOLDEN_CTREE_FULL: (u64, u32) = (846512, 2204770559);
+const GOLDEN_CTRIE_PTR: (u64, u32) = (199041, 1571387234);
+const GOLDEN_CTRIE_FULL: (u64, u32) = (2175361, 2663726229);
+const GOLDEN_CTRIE_ADAPTIVE_PTR: (u64, u32) = (122502, 3149290158);
+const GOLDEN_CTRIE_ADAPTIVE_FULL: (u64, u32) = (1310342, 3040079402);

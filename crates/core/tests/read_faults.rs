@@ -1,7 +1,10 @@
-//! The `leaf.read` fault site under a query: an injected read error fails
-//! the query that meets it with a typed I/O error and leaves the leaf's
-//! block unloaded, so the next query reads the leaf again and answers
-//! exactly — on a freshly opened index and through a pinned LSM snapshot.
+//! The read-path fault sites under a query. An injected `leaf.read` error
+//! fails the query that meets it with a typed I/O error and leaves the
+//! leaf's block unloaded, so the next query reads the leaf again and
+//! answers exactly — on a freshly opened index and through a pinned LSM
+//! snapshot. An injected `dataset.read` error — a raw fetch of the probe, or
+//! one of the scan's sweeps — fails its query the same way, and the next
+//! query is exact.
 //!
 //! One test in a file of its own: the fault plan is process-global, and
 //! no other test may meet it.
@@ -41,10 +44,10 @@ fn fail_next_leaf_read() -> Arc<FaultPlan> {
     fault::install(FaultPlan::parse("leaf.read=err@1", 0).unwrap())
 }
 
-fn assert_injected_io_error(err: Error) {
+fn assert_injected_io_error(err: Error, site: &str) {
     match err {
-        Error::Io(e) => assert!(e.to_string().contains("leaf.read"), "{e}"),
-        other => panic!("expected an injected I/O error, got {other}"),
+        Error::Io(e) => assert!(e.to_string().contains(site), "{e}"),
+        other => panic!("expected an injected I/O error at {site}, got {other}"),
     }
 }
 
@@ -62,13 +65,32 @@ fn a_failed_leaf_read_fails_one_query_and_the_next_is_exact() {
     let built = CoconutTree::build(&ds, &config(), dir.path(), BuildOptions::default()).unwrap();
     let tree = CoconutTree::open(built.index_path(), &ds, 2).unwrap();
     let plan = fail_next_leaf_read();
-    assert_injected_io_error(tree.exact_search(&q).unwrap_err());
+    assert_injected_io_error(tree.exact_search(&q).unwrap_err(), "leaf.read");
     assert_eq!(tree.loaded_blocks(), 0, "the failed block stays unloaded");
     let (found, _) = tree.exact_search(&q).unwrap();
     assert_eq!(found, oracle);
     assert!(tree.loaded_blocks() > 0);
     assert_eq!(plan.injected(), 1);
     fault::clear();
+
+    // Raw fetches: the probe's first, then the first of the scan's sweeps
+    // (the one after every probe fetch; the approximate query is the probe
+    // alone).
+    let (_, probe) = tree.search(&q, &Query::approx()).unwrap();
+    let (_, exact) = tree.exact_search(&q).unwrap();
+    assert!(
+        exact.records_fetched > probe.records_fetched,
+        "the scan fetches"
+    );
+    for nth in [1, probe.records_fetched + 1] {
+        let spec = format!("dataset.read=err@{nth}");
+        let plan = fault::install(FaultPlan::parse(&spec, 0).unwrap());
+        assert_injected_io_error(tree.exact_search(&q).unwrap_err(), "dataset.read");
+        let (found, _) = tree.exact_search(&q).unwrap();
+        assert_eq!(found, oracle, "after raw fetch {nth} failed");
+        assert_eq!(plan.injected(), 1);
+        fault::clear();
+    }
 
     // Two fresh runs, pinned before the fault: their blocks load on the
     // snapshot's first query.
@@ -80,7 +102,10 @@ fn a_failed_leaf_read_fails_one_query_and_the_next_is_exact() {
     let snapshot = lsm.snapshot();
     assert_eq!(snapshot.run_count(), 2);
     let plan = fail_next_leaf_read();
-    assert_injected_io_error(snapshot.search(&q, &Query::nearest()).unwrap_err());
+    assert_injected_io_error(
+        snapshot.search(&q, &Query::nearest()).unwrap_err(),
+        "leaf.read",
+    );
     let (answers, _) = snapshot.search(&q, &Query::nearest()).unwrap();
     assert_eq!(answers, [oracle]);
     assert_eq!(plan.injected(), 1);

@@ -153,10 +153,14 @@ impl Dataset {
         if series_len == 0 {
             return Err(Error::corrupt("dataset header: zero series length"));
         }
-        let expected = HEADER_LEN + count * (series_len as u64) * 4;
-        if file.len() < expected {
+        let fits = count
+            .checked_mul(series_len as u64 * 4)
+            .and_then(|payload| payload.checked_add(HEADER_LEN))
+            .is_some_and(|expected| expected <= file.len());
+        if !fits {
             return Err(Error::corrupt(format!(
-                "dataset truncated: header promises {expected} bytes, file has {}",
+                "dataset truncated: header promises {count} series of {series_len} points, \
+                 file has {} bytes",
                 file.len()
             )));
         }
@@ -215,8 +219,10 @@ impl Dataset {
     }
 
     /// [`Dataset::read_into`] through the caller's byte buffer `bytes`
-    /// (resized to one series), so a loop of fetches allocates once.
+    /// (resized to one series), so a loop of fetches allocates once. The
+    /// read is the `dataset.read` fault site ([`coconut_storage::fault`]).
     pub fn read_into_with(&self, pos: u64, out: &mut [Value], bytes: &mut Vec<u8>) -> Result<()> {
+        coconut_storage::fault::check("dataset.read")?;
         if pos >= self.count {
             return Err(Error::invalid(format!(
                 "series {pos} out of range ({})",
@@ -524,6 +530,20 @@ mod tests {
             Dataset::open(&path, stats()),
             Err(Error::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn header_promising_more_than_the_file_is_corrupt() {
+        // A 32-byte file whose header claims 2^62 series of one point: the
+        // promised size overflows u64, and must read as truncation.
+        let dir = TempDir::new("dataset").unwrap();
+        let path = dir.path().join("huge.bin");
+        std::fs::write(&path, encode_header(1, 0, 1 << 62)).unwrap();
+        match Dataset::open(&path, stats()) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("dataset truncated"), "{msg}"),
+            Err(other) => panic!("{other}"),
+            Ok(ds) => panic!("opened with {} series", ds.len()),
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!
 //! The exact search works from one per-query [`QueryDistTable`] — for
 //! Euclidean distance ([`QueryDistTable::new`]) and for the DTW envelope
-//! bound ([`QueryDistTable::for_envelope`]) alike — over summaries a
-//! [`SymbolDecoder`] de-interleaved once, leaf by leaf, into segment-major
-//! symbol blocks: [`QueryDistTable::box_bound`] lower-bounds a whole leaf,
+//! bound ([`QueryDistTable::for_envelope`]) alike — over segment-major
+//! symbol blocks, the z-order keys a [`SymbolDecoder`] de-interleaved once,
+//! when their leaf was written: [`QueryDistTable::box_bound`] lower-bounds a whole leaf,
 //! [`QueryDistTable::bounds_under`] its entries, keeping only those at or
 //! under a cutoff.
 //!
@@ -245,7 +245,9 @@ fn pext_masks(segments: usize, card_bits: u8) -> Vec<PextMask> {
 
 /// De-interleaves z-order keys back into SAX symbols, a block at a time and
 /// segment-major: BMI2 `PEXT` where the process-wide dispatch allows it, the
-/// portable [`crate::zorder::deinterleave_into`] otherwise (bit-exact equal).
+/// portable [`crate::zorder::deinterleave_into`] otherwise (bit-exact equal)
+/// — and re-interleaves such a block into its keys
+/// ([`SymbolDecoder::interleave_into`], `PDEP`).
 #[derive(Debug, Clone)]
 pub struct SymbolDecoder {
     config: SaxConfig,
@@ -272,8 +274,43 @@ impl SymbolDecoder {
     /// lands at `j * keys.len() + e` — the layout
     /// [`QueryDistTable::bounds_under`] scans.
     pub fn decode_into(&self, keys: &[ZKey], out: &mut [u8]) {
+        self.decode_into_with(coconut_series::simd::active(), keys, out);
+    }
+
+    /// [`SymbolDecoder::decode_into`] with an explicit dispatch (exposed so
+    /// tests and benchmarks can force either path).
+    pub fn decode_into_with(&self, dispatch: Dispatch, keys: &[ZKey], out: &mut [u8]) {
         assert_eq!(out.len(), keys.len() * self.config.segments);
-        self.decode_strided(coconut_series::simd::active(), keys, out, keys.len());
+        self.decode_strided(dispatch, keys, out, keys.len());
+    }
+
+    /// Re-interleave the segment-major block `block` (`keys.len()` entries,
+    /// the layout [`SymbolDecoder::decode_into`] writes) into `keys` — the
+    /// exact inverse of the decode: BMI2 `PDEP` where the process-wide
+    /// dispatch allows it, [`crate::zorder::interleave`] otherwise
+    /// (bit-exact equal).
+    pub fn interleave_into(&self, block: &[u8], keys: &mut [ZKey]) {
+        self.interleave_into_with(coconut_series::simd::active(), block, keys);
+    }
+
+    /// [`SymbolDecoder::interleave_into`] with an explicit dispatch.
+    pub fn interleave_into_with(&self, dispatch: Dispatch, block: &[u8], keys: &mut [ZKey]) {
+        let (w, count) = (self.config.segments, keys.len());
+        assert_eq!(block.len(), count * w);
+        #[cfg(target_arch = "x86_64")]
+        if dispatch == Dispatch::Avx2 && std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: BMI2 support verified above.
+            unsafe { x86::interleave_pdep(&self.masks, block, keys) };
+            return;
+        }
+        let _ = dispatch;
+        let mut row = [0u8; MAX_SEGMENTS];
+        for (e, key) in keys.iter_mut().enumerate() {
+            for (j, s) in row[..w].iter_mut().enumerate() {
+                *s = block[j * count + e];
+            }
+            *key = crate::zorder::interleave(&row[..w], self.config.card_bits);
+        }
     }
 
     /// Decode `keys` so that key `b`'s segment-`j` symbol lands at
@@ -842,6 +879,28 @@ mod x86 {
         }
     }
 
+    /// Re-interleave a segment-major block via BMI2 `PDEP`: each symbol's
+    /// bits are deposited at exactly the key positions [`decode_pext`]
+    /// extracts them from, so this is its inverse and bit-exact equal to
+    /// [`crate::zorder::interleave`]. Entry `e`'s segment-`j` symbol is
+    /// `block[j * keys.len() + e]`.
+    ///
+    /// # Safety
+    /// Caller must verify BMI2 support.
+    #[target_feature(enable = "bmi2")]
+    pub unsafe fn interleave_pdep(masks: &[PextMask], block: &[u8], keys: &mut [ZKey]) {
+        let count = keys.len();
+        for (e, key) in keys.iter_mut().enumerate() {
+            let (mut lo, mut hi) = (0u64, 0u64);
+            for (j, m) in masks.iter().enumerate() {
+                let s = block[j * count + e] as u64;
+                lo |= _pdep_u64(s, m.lo);
+                hi |= _pdep_u64(s >> m.shift, m.hi);
+            }
+            *key = ZKey((hi as u128) << 64 | lo as u128);
+        }
+    }
+
     /// Sum the per-segment table entries of 8 keys at once: zero-extend
     /// each segment's 8 symbols to i32 lane indices, gather 2×4 `f64`
     /// distances, and add into two 4-lane accumulators; every
@@ -1155,6 +1214,51 @@ mod tests {
                 };
                 let s = extract(klo, m.lo) | (extract(khi, m.hi) << m.shift);
                 assert_eq!(s as u8, symbols[j], "w={segments} b={bits} j={j}");
+            }
+        }
+    }
+
+    #[test]
+    fn interleave_into_inverts_decode_on_every_dispatch() {
+        // Every valid card_bits for each width, a tail of 5 past the
+        // 8-entry blocks, and pseudo-random symbols of every bit pattern.
+        for segments in [1usize, 4, 8, 16, 32] {
+            for card_bits in (1..=8u8).filter(|&b| segments * b as usize <= 128) {
+                let c = SaxConfig {
+                    series_len: 64,
+                    segments,
+                    card_bits,
+                };
+                let count = 37;
+                let mut x = (segments * 131 + card_bits as usize) as u64 | 1;
+                let rows: Vec<Vec<u8>> = (0..count)
+                    .map(|_| {
+                        (0..segments)
+                            .map(|_| {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                (x % (1u64 << card_bits)) as u8
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let want: Vec<ZKey> = rows.iter().map(|r| interleave(r, card_bits)).collect();
+                let mut block = vec![0u8; count * segments];
+                for (e, row) in rows.iter().enumerate() {
+                    for (j, &s) in row.iter().enumerate() {
+                        block[j * count + e] = s;
+                    }
+                }
+                let codec = SymbolDecoder::new(&c);
+                for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+                    let mut keys = vec![ZKey::MIN; count];
+                    codec.interleave_into_with(dispatch, &block, &mut keys);
+                    assert_eq!(keys, want, "{dispatch:?} w={segments} b={card_bits}");
+                    let mut back = vec![0u8; count * segments];
+                    codec.decode_into_with(dispatch, &keys, &mut back);
+                    assert_eq!(back, block, "{dispatch:?} w={segments} b={card_bits}");
+                }
             }
         }
     }
