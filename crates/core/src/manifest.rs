@@ -422,24 +422,50 @@ mod tests {
     const POLICY_OFF: usize = 8 * 3 + 2 + 8 * 3;
     const COMPACTION_OFF: usize = POLICY_OFF + 1;
 
-    #[test]
-    fn old_manifest_versions_are_refused() {
-        // Versions 1-3 lacked the base, split-policy or compaction-policy
-        // fields; each is a typed error naming it, even with a valid
-        // checksum over a payload of its own shape.
+    /// The v4 payload of `sample()` with `cut` removed, framed as `version`
+    /// with a valid checksum over the shortened payload.
+    fn cut_frame(version: u32, cut: std::ops::Range<usize>) -> Vec<u8> {
         let v4 = sample().encode();
         let payload = &v4[HEADER_LEN..];
-        let v1 = [&payload[..POLICY_OFF], &payload[POLICY_OFF + 2 + 8..]].concat();
-        let v2 = [&payload[..POLICY_OFF], &payload[POLICY_OFF + 2..]].concat();
-        let v3 = [&payload[..COMPACTION_OFF], &payload[COMPACTION_OFF + 1..]].concat();
-        for (version, payload) in [(1, v1), (2, v2), (3, v3), (5, payload.to_vec())] {
-            match Manifest::decode(&frame(version, &payload)) {
-                Err(Error::Corrupt(msg)) => {
-                    assert!(msg.contains(&format!("version {version}")), "{msg}")
-                }
-                other => panic!("version {version}: {other:?}"),
+        frame(
+            version,
+            &[&payload[..cut.start], &payload[cut.end..]].concat(),
+        )
+    }
+
+    /// `bytes` decodes as far as its header and is refused there with a
+    /// typed error naming `version`, never misread as the current format.
+    fn assert_refused_naming(bytes: &[u8], version: u32) {
+        match Manifest::decode(bytes) {
+            Err(Error::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("version {version}")), "{msg}")
             }
+            other => panic!("version {version}: {other:?}"),
         }
+    }
+
+    #[test]
+    fn version1_manifests_still_decode() {
+        // v1 = v4 minus both policy bytes and the base field.
+        assert_refused_naming(&cut_frame(1, POLICY_OFF..POLICY_OFF + 2 + 8), 1);
+    }
+
+    #[test]
+    fn version2_manifests_still_decode() {
+        // v2 = v4 minus both policy bytes.
+        assert_refused_naming(&cut_frame(2, POLICY_OFF..POLICY_OFF + 2), 2);
+    }
+
+    #[test]
+    fn version3_manifests_still_decode() {
+        // v3 = v4 minus the compaction byte.
+        assert_refused_naming(&cut_frame(3, COMPACTION_OFF..COMPACTION_OFF + 1), 3);
+    }
+
+    #[test]
+    fn newer_manifest_versions_are_refused() {
+        // A v4-shaped payload under a version this build does not know.
+        assert_refused_naming(&cut_frame(VERSION + 1, 0..0), VERSION + 1);
     }
 
     #[test]
