@@ -11,10 +11,9 @@
 //!    partitioning/merge bug.
 //!
 //! The acceptance bar is zero divergences and zero hangs for
-//! K ∈ {1, 2, 4}; per-K throughput and latency percentiles land in
-//! `results/BENCH_distributed.json`.
+//! K ∈ {1, 2, 4}. It times nothing: `benchmarks/` is the performance
+//! record.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -33,7 +32,6 @@ use coconut_summary::SaxConfig;
 
 use crate::data::{prepare, DataKind};
 use crate::experiments::Env;
-use crate::harness::{Percentiles, Table};
 
 /// Shard counts exercised per run.
 const SHARD_COUNTS: &[usize] = &[1, 2, 4];
@@ -305,13 +303,10 @@ fn round_trip(
         .ok_or_else(|| Error::corrupt(format!("coordinator answered {reply:?}")))
 }
 
-/// What one K-configuration measured.
+/// What one K-configuration counted.
 struct KReport {
-    k: usize,
     requests: usize,
     divergences: usize,
-    wall_s: f64,
-    latencies_ms: Vec<f64>,
 }
 
 /// Build the in-process oracle: the same K-way partition over
@@ -399,24 +394,18 @@ fn run_k(
     }
 
     let mut report = KReport {
-        k,
         requests: 0,
         divergences: 0,
-        wall_s: 0.0,
-        latencies_ms: Vec::new(),
     };
-    let wall = Instant::now();
     for q in queries {
         let qs = fmt_query(q);
 
         // EXACT: remote vs same-K oracle vs single index, bit for bit.
-        let t0 = Instant::now();
         let reply = round_trip(
             &mut out,
             &mut reader,
             &format!("EXACT {qs} deadline_ms={DEADLINE_MS}"),
         )?;
-        report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_answer(&reply)?;
         let local = oracle.exact(q, Deadline::NONE)?;
@@ -429,13 +418,11 @@ fn run_k(
         }
 
         // KNN.
-        let t0 = Instant::now();
         let reply = round_trip(
             &mut out,
             &mut reader,
             &format!("KNN k={KNN_K} {qs} deadline_ms={DEADLINE_MS}"),
         )?;
-        report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_hits(&reply)?;
         let local = oracle.search(q, &Query::knn(KNN_K), false)?.value;
@@ -452,13 +439,11 @@ fn run_k(
         } else {
             1.0
         };
-        let t0 = Instant::now();
         let reply = round_trip(
             &mut out,
             &mut reader,
             &format!("RANGE eps={eps} {qs} deadline_ms={DEADLINE_MS}"),
         )?;
-        report.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
         let remote = parse_hits(&reply)?;
         let local = oracle.search(q, &Query::range(eps), false)?.value;
@@ -468,14 +453,14 @@ fn run_k(
             eprintln!("RANGE diverged (k={k}): remote {remote:?} local {local:?}");
         }
     }
-    report.wall_s = wall.elapsed().as_secs_f64();
     let _ = out.write_all(b"QUIT\n");
     server.shutdown();
     drop(workers); // kills the children
     Ok(report)
 }
 
-/// Run the experiment and write `BENCH_distributed.json`.
+/// Run the experiment; fails on any answer that is not bit-identical to
+/// both oracles.
 pub fn run(env: &Env) -> Result<()> {
     let w = prepare(
         &env.work_dir,
@@ -500,12 +485,7 @@ pub fn run(env: &Env) -> Result<()> {
     single.ingest_upto(&w.dataset, n)?;
     let single_snap = single.snapshot();
 
-    let mut table = Table::new(
-        "distributed",
-        "scatter-gather kNN across shard worker processes, oracle-checked",
-        &["shards", "requests", "qps", "p50_ms", "p99_ms", "diverged"],
-    );
-    let mut reports = Vec::new();
+    let mut total_divergences = 0;
     for &k in SHARD_COUNTS {
         println!("   k={k}: spawning {k} shard worker process(es)");
         let report = run_k(env, &w.path, &w.dataset, &w.queries, &single_snap, k)?;
@@ -513,54 +493,8 @@ pub fn run(env: &Env) -> Result<()> {
             "   k={k}: {} requests, {} divergences",
             report.requests, report.divergences
         );
-        reports.push(report);
+        total_divergences += report.divergences;
     }
-
-    let total_divergences: usize = reports.iter().map(|r| r.divergences).sum();
-    for r in &mut reports {
-        let p = Percentiles::of(&mut r.latencies_ms);
-        let qps = r.requests as f64 / r.wall_s.max(1e-9);
-        table.push_row(vec![
-            r.k.to_string(),
-            r.requests.to_string(),
-            format!("{qps:.0}"),
-            format!("{:.2}", p.p50),
-            format!("{:.2}", p.p99),
-            r.divergences.to_string(),
-        ]);
-    }
-    table.emit(&env.results_dir)?;
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"distributed\",");
-    let _ = writeln!(json, "  \"series\": {n},");
-    let _ = writeln!(json, "  \"series_len\": {},", env.scale.series_len);
-    let _ = writeln!(json, "  \"queries\": {},", env.scale.queries);
-    let _ = writeln!(json, "  \"knn_k\": {KNN_K},");
-    let _ = writeln!(json, "  \"divergences\": {total_divergences},");
-    json.push_str("  \"configs\": [\n");
-    let config_count = reports.len();
-    for (i, r) in reports.iter_mut().enumerate() {
-        let p = Percentiles::of(&mut r.latencies_ms);
-        let qps = r.requests as f64 / r.wall_s.max(1e-9);
-        let _ = writeln!(
-            json,
-            "    {{\"shards\": {}, \"requests\": {}, \"qps\": {qps:.1}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"diverged\": {}}}{}",
-            r.k,
-            r.requests,
-            p.p50,
-            p.p99,
-            r.divergences,
-            if i + 1 == config_count { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::create_dir_all(&env.results_dir)?;
-    let path = env.results_dir.join("BENCH_distributed.json");
-    std::fs::write(&path, json)?;
-    println!("wrote {}", path.display());
 
     if total_divergences > 0 {
         return Err(Error::corrupt(format!(

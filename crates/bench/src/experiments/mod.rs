@@ -21,9 +21,9 @@
 //! | ablation | z-order vs lexicographic ordering (Figs. 2/4) | [`ablation::run`] |
 //! | scaling | sharded construction: build time vs shard count | [`scaling::run`] |
 //! | bench_distance | distance-kernel baseline: scalar vs SIMD | [`bench_distance::run`] |
-//! | streaming | LSM streaming ingest: throughput + latency vs run count | [`streaming::run`] |
-//! | serve | open-loop socket load on the query server under churn | [`serve::run`] |
-//! | distributed | scatter-gather kNN across shard worker processes | [`distributed::run`] |
+//! | streaming | LSM streaming ingest: write/read/space amplification per policy × writers | [`streaming::run`] |
+//! | serve | socket clients against the query server under churn, oracle-checked | [`serve::run`] |
+//! | distributed | scatter-gather kNN across shard worker processes, bit-identity-checked | [`distributed::run`] |
 //! | occupancy | leaf occupancy: fixed vs adaptive node splitting | [`occupancy::run`] |
 //! | chaos | the TCP fabric under seeded fault schedules, oracle-checked | [`chaos::run`] |
 

@@ -1,21 +1,15 @@
-//! End-to-end load test of the query server: an **open-loop** generator
-//! drives concurrent clients over real sockets against a server whose
-//! index is churning (ingest + compaction) underneath, recording latency
-//! percentiles and throughput to `results/BENCH_serve.json`.
-//!
-//! Open-loop means each client sends on a fixed arrival schedule and
-//! measures latency **from the scheduled arrival**, not from the moment
-//! the previous reply came back — so server-side queueing shows up in the
-//! tail instead of silently throttling the offered load (the classic
-//! coordinated-omission mistake).
+//! End-to-end check of the query server: concurrent clients send on a
+//! fixed arrival schedule over real sockets to a server whose index is
+//! churning (ingest + compaction) underneath.
 //!
 //! **Every reply is checked against a brute-force oracle.** Replies carry
 //! `covered=<n>`, the covered prefix of the *snapshot the server pinned*,
 //! so the oracle scans exactly that prefix even though ingest keeps
 //! advancing while requests are in flight. Any divergence, dropped reply,
-//! or server-side timeout fails the experiment — CI runs this per PR.
+//! server-side timeout, or missing `/metrics` signal fails the experiment
+//! — CI runs this on every push. It times nothing: `benchmarks/` is the
+//! performance record.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,7 +26,6 @@ use coconut_summary::SaxConfig;
 
 use crate::data::{prepare, DataKind};
 use crate::experiments::Env;
-use crate::harness::{Percentiles, Table};
 
 /// Concurrent clients (the acceptance bar is at least 8).
 const CLIENTS: usize = 8;
@@ -40,8 +33,7 @@ const CLIENTS: usize = 8;
 /// Requests per client.
 const REQUESTS_PER_CLIENT: usize = 30;
 
-/// Open-loop arrival interval per client (aggregate offered load is
-/// `CLIENTS / ARRIVAL_INTERVAL` requests per second).
+/// Arrival interval per client, so requests keep overlapping the churn.
 const ARRIVAL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Per-request deadline — generous, so timeouts mean real trouble.
@@ -50,9 +42,8 @@ const DEADLINE_MS: u64 = 10_000;
 /// Ingest churn steps while the clients run.
 const CHURN_STEPS: u64 = 8;
 
-/// What one client measured.
+/// What one client counted.
 struct ClientReport {
-    latencies_ms: Vec<f64>,
     sent: usize,
     replied: usize,
     divergences: usize,
@@ -112,13 +103,12 @@ fn client_loop(
     );
     let mut out = stream;
     let mut report = ClientReport {
-        latencies_ms: Vec::with_capacity(REQUESTS_PER_CLIENT),
         sent: 0,
         replied: 0,
         divergences: 0,
     };
     for i in 0..REQUESTS_PER_CLIENT {
-        // Open loop: wait for the scheduled arrival, then measure from it.
+        // Wait for the scheduled arrival.
         let scheduled = start_at + ARRIVAL_INTERVAL * (i as u32 + 1);
         let now = Instant::now();
         if scheduled > now {
@@ -139,12 +129,10 @@ fn client_loop(
         reader
             .read_line(&mut reply)
             .map_err(|e| Error::invalid(format!("client {client_id}: recv: {e}")))?;
-        let latency_ms = (Instant::now() - scheduled).as_secs_f64() * 1e3;
         if reply.is_empty() {
             break; // server closed on us: counts as a dropped request
         }
         report.replied += 1;
-        report.latencies_ms.push(latency_ms);
         let reply = reply.trim();
         if !reply.starts_with("OK") {
             return Err(Error::corrupt(format!(
@@ -197,8 +185,16 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> Result<String> {
     Ok(body.to_string())
 }
 
-/// Run the experiment and write `BENCH_serve.json`.
+/// Run the experiment; fails on any divergence, dropped reply, timeout or
+/// missing metric.
 pub fn run(env: &Env) -> Result<()> {
+    println!("{}\n", check(env)?);
+    Ok(())
+}
+
+/// Drive the clients against the churning server and return the oracle
+/// line [`run`] prints.
+fn check(env: &Env) -> Result<String> {
     let w = prepare(
         &env.work_dir,
         DataKind::RandomWalk,
@@ -278,17 +274,15 @@ pub fn run(env: &Env) -> Result<()> {
         })
     };
 
-    let wall_start = Instant::now();
+    let start_at = Instant::now();
     let clients: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let all_series = Arc::clone(&all_series);
             let series_len = env.scale.series_len;
-            let start_at = wall_start;
             std::thread::spawn(move || client_loop(addr, c, series_len, all_series, start_at))
         })
         .collect();
 
-    let mut latencies_ms: Vec<f64> = Vec::new();
     let mut sent = 0usize;
     let mut replied = 0usize;
     let mut divergences = 0usize;
@@ -296,12 +290,10 @@ pub fn run(env: &Env) -> Result<()> {
         let report = c
             .join()
             .map_err(|_| Error::corrupt("a client thread panicked"))??;
-        latencies_ms.extend_from_slice(&report.latencies_ms);
         sent += report.sent;
         replied += report.replied;
         divergences += report.divergences;
     }
-    let wall_s = wall_start.elapsed().as_secs_f64();
     churn_stop.store(true, Ordering::Relaxed);
     churn
         .join()
@@ -348,57 +340,10 @@ pub fn run(env: &Env) -> Result<()> {
         )));
     }
 
-    let p = Percentiles::of(&mut latencies_ms);
-    let qps = replied as f64 / wall_s.max(1e-9);
-    let mut table = Table::new(
-        "serve",
-        "open-loop socket load against the query server under ingest churn",
-        &[
-            "clients", "requests", "qps", "p50_ms", "p90_ms", "p99_ms", "diverged",
-        ],
-    );
-    table.push_row(vec![
-        CLIENTS.to_string(),
-        replied.to_string(),
-        format!("{qps:.0}"),
-        format!("{:.2}", p.p50),
-        format!("{:.2}", p.p90),
-        format!("{:.2}", p.p99),
-        divergences.to_string(),
-    ]);
-    table.emit(&env.results_dir)?;
-    println!(
+    Ok(format!(
         "   oracle check: {replied} replies over pinned snapshots identical to \
-         brute force; 0 dropped, 0 timeouts\n"
-    );
-
-    // Hand-rolled JSON (no serde in the offline workspace).
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"serve\",");
-    let _ = writeln!(json, "  \"series\": {n},");
-    let _ = writeln!(json, "  \"series_len\": {},", env.scale.series_len);
-    let _ = writeln!(json, "  \"clients\": {CLIENTS},");
-    let _ = writeln!(json, "  \"requests\": {replied},");
-    let _ = writeln!(
-        json,
-        "  \"arrival_interval_ms\": {},",
-        ARRIVAL_INTERVAL.as_millis()
-    );
-    let _ = writeln!(json, "  \"wall_s\": {wall_s:.3},");
-    let _ = writeln!(json, "  \"qps\": {qps:.1},");
-    let _ = writeln!(json, "  \"p50_ms\": {:.3},", p.p50);
-    let _ = writeln!(json, "  \"p90_ms\": {:.3},", p.p90);
-    let _ = writeln!(json, "  \"p99_ms\": {:.3},", p.p99);
-    let _ = writeln!(json, "  \"divergences\": {divergences},");
-    let _ = writeln!(json, "  \"dropped\": {},", sent - replied);
-    let _ = writeln!(json, "  \"timeouts\": {timeouts}");
-    json.push_str("}\n");
-    std::fs::create_dir_all(&env.results_dir)?;
-    let path = env.results_dir.join("BENCH_serve.json");
-    std::fs::write(&path, json)?;
-    println!("wrote {}", path.display());
-    Ok(())
+         brute force; 0 dropped, 0 timeouts"
+    ))
 }
 
 #[cfg(test)]
@@ -407,7 +352,7 @@ mod tests {
     use coconut_storage::TempDir;
 
     #[test]
-    fn serve_load_runs_verifies_and_writes_outputs() {
+    fn serve_load_runs_and_verifies() {
         let (w, r) = (
             TempDir::new("serve-w").unwrap(),
             TempDir::new("serve-r").unwrap(),
@@ -423,12 +368,13 @@ mod tests {
                 threads: 2,
             },
         };
-        run(&env).unwrap();
-        let json = std::fs::read_to_string(r.path().join("BENCH_serve.json")).unwrap();
-        assert!(json.contains("\"experiment\": \"serve\""));
-        assert!(json.contains("\"divergences\": 0"));
-        assert!(json.contains("\"dropped\": 0"));
-        let csv = std::fs::read_to_string(r.path().join("serve.csv")).unwrap();
-        assert!(csv.starts_with("clients,requests,qps"));
+        let line = check(&env).unwrap();
+        let replies = CLIENTS * REQUESTS_PER_CLIENT;
+        assert!(
+            line.contains(&format!("oracle check: {replies} replies")),
+            "{line}"
+        );
+        assert!(line.contains("0 dropped, 0 timeouts"), "{line}");
+        assert!(std::fs::read_dir(r.path()).unwrap().next().is_none());
     }
 }

@@ -11,9 +11,10 @@
 //! each batch is ingested by N concurrent writer handles (group-committed
 //! runs, one manifest fsync per fold) while tiered or leveled compaction
 //! runs on the worker pool, and after each batch a fixed query workload
-//! runs over the covered prefix. Per phase the experiment reports ingest
-//! throughput, the live run count (read amplification), cumulative write
-//! amplification, space amplification, and exact-query latency.
+//! runs over the covered prefix. Per phase the experiment reports the live
+//! run count (read amplification), cumulative write amplification and
+//! space amplification; it times nothing (`benchmarks/` is the performance
+//! record).
 //!
 //! **Every answer is checked against a brute-force oracle over the covered
 //! prefix; any divergence fails the experiment** — CI runs this per PR, so
@@ -25,7 +26,6 @@
 //! hard-fails the run.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use coconut_core::manifest::Manifest;
 use coconut_core::{
@@ -39,7 +39,7 @@ use coconut_summary::SaxConfig;
 
 use crate::data::{prepare, DataKind};
 use crate::experiments::Env;
-use crate::harness::{Percentiles, Table};
+use crate::harness::Table;
 
 /// Batches the raw file is revealed in.
 const BATCHES: u64 = 8;
@@ -54,17 +54,12 @@ const WRITERS: [usize; 3] = [1, 2, 4];
 /// within an envelope.
 const AMP_TOLERANCE: f64 = 1.6;
 
-/// One measured ingest-then-query phase.
+/// The amplification after one ingest-then-query phase.
 struct Phase {
     covered: u64,
-    ingest_s: f64,
-    series_per_s: f64,
     runs: usize,
     write_amp: f64,
     space_amp: f64,
-    avg_query_ms: f64,
-    avg_records_fetched: f64,
-    latency_ms: Percentiles,
 }
 
 /// One policy × writer-count configuration's full result.
@@ -75,10 +70,6 @@ struct Config {
     phases: Vec<Phase>,
     final_write_amp: f64,
     final_space_amp: f64,
-    ingest_commits: u64,
-    runs_committed: u64,
-    compact_all_s: f64,
-    bit_identical: bool,
 }
 
 fn brute_force(prefix: &[Vec<Value>], q: &[Value]) -> Answer {
@@ -139,14 +130,12 @@ fn run_config(
     let mut covered = 0u64;
     while covered < n {
         let upto = (covered + batch).min(n);
-        let ingested = upto - covered;
-        let t0 = Instant::now();
         if writers == 1 {
             lsm.ingest_upto(dataset, upto)?;
         } else {
             // Each writer claims the next slice of the revealed prefix and
             // builds its run concurrently; completed runs group-commit.
-            let step = (ingested / (writers as u64 * 2)).max(1);
+            let step = ((upto - covered) / (writers as u64 * 2)).max(1);
             let lsm_ref = &lsm;
             std::thread::scope(|s| -> Result<()> {
                 let handles: Vec<_> = (0..writers)
@@ -165,20 +154,11 @@ fn run_config(
                 Ok(())
             })?;
         }
-        let ingest_s = t0.elapsed().as_secs_f64();
         covered = upto;
         let prefix = &all[..covered as usize];
 
-        let mut query_s = 0.0;
-        let mut latencies_ms: Vec<f64> = Vec::with_capacity(queries.len());
-        let mut records = 0u64;
         for (qi, q) in queries.iter().enumerate() {
-            let t0 = Instant::now();
-            let (ans, stats) = lsm.exact(q)?;
-            let elapsed = t0.elapsed().as_secs_f64();
-            query_s += elapsed;
-            latencies_ms.push(elapsed * 1e3);
-            records += stats.records_fetched;
+            let (ans, _) = lsm.exact(q)?;
             let oracle = brute_force(prefix, q);
             if ans.pos != oracle.pos {
                 return Err(Error::corrupt(format!(
@@ -188,26 +168,18 @@ fn run_config(
                 )));
             }
         }
-        let nq = queries.len() as f64;
         phases.push(Phase {
             covered,
-            ingest_s,
-            series_per_s: ingested as f64 / ingest_s.max(1e-9),
             runs: lsm.run_count(),
             write_amp: lsm.write_amplification(),
             space_amp: lsm.space_amplification(),
-            avg_query_ms: query_s * 1e3 / nq,
-            avg_records_fetched: records as f64 / nq,
-            latency_ms: Percentiles::of(&mut latencies_ms),
         });
     }
 
     // Settle and fully compact; answers must survive both, and the single
     // remaining run must be bit-identical to a from-scratch bulk load.
     lsm.wait_for_compactions()?;
-    let t0 = Instant::now();
     lsm.compact()?;
-    let compact_all_s = t0.elapsed().as_secs_f64();
     if lsm.run_count() != 1 {
         return Err(Error::corrupt(format!(
             "full compaction ({id}) left more than one run"
@@ -228,8 +200,7 @@ fn run_config(
         .first()
         .ok_or_else(|| Error::corrupt("compacted index lists no runs"))?;
     let compacted = std::fs::read(idx_dir.join(&run_file.file))?;
-    let bit_identical = compacted == reference_index;
-    if !bit_identical {
+    if compacted != reference_index {
         return Err(Error::corrupt(format!(
             "full compaction ({id}) is not bit-identical to a from-scratch \
              build ({} vs {} bytes)",
@@ -238,20 +209,13 @@ fn run_config(
         )));
     }
 
-    let ws = lsm.write_stats();
-    let final_write_amp = lsm.write_amplification();
-    let final_space_amp = lsm.space_amplification();
     Ok(Config {
         id,
         policy,
         writers,
         phases,
-        final_write_amp,
-        final_space_amp,
-        ingest_commits: ws.ingest_commits,
-        runs_committed: ws.runs_committed,
-        compact_all_s,
-        bit_identical,
+        final_write_amp: lsm.write_amplification(),
+        final_space_amp: lsm.space_amplification(),
     })
 }
 
@@ -341,14 +305,9 @@ pub fn run(env: &Env) -> Result<()> {
             "policy",
             "writers",
             "covered",
-            "ingest_s",
-            "series_per_s",
             "runs",
             "write_amp",
             "space_amp",
-            "avg_query_ms",
-            "p50_ms",
-            "p99_ms",
         ],
     );
     for c in &configs {
@@ -357,14 +316,9 @@ pub fn run(env: &Env) -> Result<()> {
                 c.policy.to_string(),
                 c.writers.to_string(),
                 p.covered.to_string(),
-                format!("{:.3}", p.ingest_s),
-                format!("{:.0}", p.series_per_s),
                 p.runs.to_string(),
                 format!("{:.3}", p.write_amp),
                 format!("{:.3}", p.space_amp),
-                format!("{:.2}", p.avg_query_ms),
-                format!("{:.2}", p.latency_ms.p50),
-                format!("{:.2}", p.latency_ms.p99),
             ]);
         }
     }
@@ -399,29 +353,13 @@ pub fn run(env: &Env) -> Result<()> {
         let _ = writeln!(json, "      \"id\": \"{}\",", c.id);
         let _ = writeln!(json, "      \"policy\": \"{}\",", c.policy);
         let _ = writeln!(json, "      \"writers\": {},", c.writers);
-        let _ = writeln!(json, "      \"ingest_commits\": {},", c.ingest_commits);
-        let _ = writeln!(json, "      \"runs_committed\": {},", c.runs_committed);
-        let _ = writeln!(json, "      \"compact_all_s\": {:.3},", c.compact_all_s);
-        let _ = writeln!(json, "      \"bit_identical\": {},", c.bit_identical);
         json.push_str("      \"phases\": [\n");
         for (i, p) in c.phases.iter().enumerate() {
             let _ = write!(
                 json,
-                "        {{\"covered\": {}, \"ingest_s\": {:.3}, \
-                 \"series_per_s\": {:.0}, \"runs\": {}, \"write_amp\": {:.3}, \
-                 \"space_amp\": {:.3}, \"avg_query_ms\": {:.3}, \
-                 \"avg_records_fetched\": {:.1}, \"p50_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}}}",
-                p.covered,
-                p.ingest_s,
-                p.series_per_s,
-                p.runs,
-                p.write_amp,
-                p.space_amp,
-                p.avg_query_ms,
-                p.avg_records_fetched,
-                p.latency_ms.p50,
-                p.latency_ms.p99
+                "        {{\"covered\": {}, \"runs\": {}, \"write_amp\": {:.3}, \
+                 \"space_amp\": {:.3}}}",
+                p.covered, p.runs, p.write_amp, p.space_amp
             );
             json.push_str(if i + 1 < c.phases.len() { ",\n" } else { "\n" });
         }
@@ -476,7 +414,6 @@ mod tests {
             assert!(json.contains(&format!("\"id\": \"{id}\"")), "{json}");
             assert!(json.contains(&format!("\"{id}_write_amp\"")), "{json}");
         }
-        assert!(json.contains("\"bit_identical\": true"));
 
         // A doctored baseline with a much lower committed write-amp makes
         // the regression gate fire.

@@ -117,49 +117,6 @@ impl Table {
     }
 }
 
-/// Latency percentiles summarizing one sample set (seconds, ms — any unit;
-/// outputs are in the inputs' unit).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Percentiles {
-    /// Median.
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-impl Percentiles {
-    /// Compute p50/p90/p99 from a sample set (order irrelevant; the slice
-    /// is sorted in place). Empty input yields all zeros.
-    ///
-    /// Uses linear interpolation between closest ranks, so small sample
-    /// sets (a few hundred queries) don't quantize the tail to a single
-    /// observed value.
-    pub fn of(samples: &mut [f64]) -> Percentiles {
-        if samples.is_empty() {
-            return Percentiles {
-                p50: 0.0,
-                p90: 0.0,
-                p99: 0.0,
-            };
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let at = |q: f64| -> f64 {
-            let rank = q * (samples.len() - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            let frac = rank - lo as f64;
-            samples[lo] * (1.0 - frac) + samples[hi] * frac
-        };
-        Percentiles {
-            p50: at(0.50),
-            p90: at(0.90),
-            p99: at(0.99),
-        }
-    }
-}
-
 /// Format seconds with adaptive precision.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 100.0 {
@@ -205,23 +162,6 @@ mod tests {
         assert_eq!(v, 42);
         assert_eq!(m.io.bytes_read, 100);
         assert!(m.modeled_s() >= m.wall_s);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let mut empty: Vec<f64> = vec![];
-        assert_eq!(Percentiles::of(&mut empty).p99, 0.0);
-
-        let mut one = vec![7.0];
-        let p = Percentiles::of(&mut one);
-        assert_eq!((p.p50, p.p90, p.p99), (7.0, 7.0, 7.0));
-
-        // 1..=100 shuffled: p50 interpolates to 50.5, p99 to 99.01.
-        let mut v: Vec<f64> = (1..=100).rev().map(|x| x as f64).collect();
-        let p = Percentiles::of(&mut v);
-        assert!((p.p50 - 50.5).abs() < 1e-9, "{p:?}");
-        assert!((p.p90 - 90.1).abs() < 1e-9, "{p:?}");
-        assert!((p.p99 - 99.01).abs() < 1e-9, "{p:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end smoke test of `repro distributed`: drives the real binary
 //! (which re-execs itself as shard worker processes) at a micro scale and
-//! checks the committed artifacts. This is the same path CI runs per PR.
+//! checks its exit status and printed oracle verdict. This is the same path
+//! CI runs on every push.
 
 use std::process::Command;
 
@@ -33,12 +34,16 @@ fn repro_distributed_runs_and_verifies() {
         "repro distributed failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
 
-    let json = std::fs::read_to_string(results.path().join("BENCH_distributed.json")).unwrap();
-    assert!(json.contains("\"experiment\": \"distributed\""), "{json}");
-    assert!(json.contains("\"divergences\": 0"), "{json}");
+    // 3 queries x EXACT/KNN/RANGE per shard count; nothing written.
     for shards in [1, 2, 4] {
-        assert!(json.contains(&format!("\"shards\": {shards}")), "{json}");
+        assert!(
+            stdout.contains(&format!("k={shards}: 9 requests, 0 divergences")),
+            "{stdout}"
+        );
     }
-    let csv = std::fs::read_to_string(results.path().join("distributed.csv")).unwrap();
-    assert!(csv.starts_with("shards,requests,qps,p50_ms,p99_ms,diverged"));
+    assert!(
+        stdout.contains("oracle check: every EXACT/KNN/RANGE answer bit-identical"),
+        "{stdout}"
+    );
+    assert!(std::fs::read_dir(results.path()).unwrap().next().is_none());
 }

@@ -17,16 +17,14 @@ usage:
                 (--seed S | --pos P) [--k K] [--radius R]
                 [--dtw BAND] [--range EPS] [--approximate]
   coconut ingest  --data <data.ds> --index-dir DIR [--materialized]
-                  [--leaf N] [--split-policy <fixed|adaptive>]
-                  [--compaction <tiered|leveled>] [--writers N]
+                  [--leaf N] [--compaction <tiered|leveled>] [--writers N]
                   [--memory-mb M] [--batch N] [--max-runs N]
   coconut compact --data <data.ds> --index-dir DIR
   coconut scrub   --data <data.ds> --index-dir DIR [--quarantine]
   coconut serve   --data <data.ds> --index-dir DIR [--addr HOST:PORT]
                   [--workers N] [--queue N] [--deadline-ms MS]
                   [--idle-timeout-ms MS] [--initial N] [--leaf N]
-                  [--split-policy P] [--compaction P] [--shard]
-                  [--memory-mb M]
+                  [--compaction P] [--shard] [--memory-mb M]
   coconut serve   --data <data.ds> --coordinator --shards H:P,H:P,...
                   [--addr HOST:PORT] [--workers N] [--queue N]
                   [--deadline-ms MS] [--idle-timeout-ms MS]
@@ -86,12 +84,9 @@ pub enum Command {
         /// explicit value that conflicts with a recovered index's manifest
         /// is an error rather than silently ignored.
         leaf: Option<usize>,
-        /// Split policy for a *fresh* index; like `leaf`, an explicit value
-        /// conflicting with a recovered manifest is an error.
-        split_policy: Option<SplitPolicyKind>,
-        /// Compaction policy family for a *fresh* index; like
-        /// `split_policy`, an explicit value conflicting with a recovered
-        /// manifest is an error.
+        /// Compaction policy family for a *fresh* index; like `leaf`, an
+        /// explicit value conflicting with a recovered manifest is an
+        /// error.
         compaction: Option<CompactionPolicyKind>,
         /// Number of concurrent ingest writers (group-committed); 1 keeps
         /// the classic single-writer path.
@@ -135,8 +130,6 @@ pub enum Command {
         /// (`None` = serve whatever the recovered index already covers).
         initial: Option<u64>,
         leaf: Option<usize>,
-        /// Split policy for a *fresh* index (see `Ingest::split_policy`).
-        split_policy: Option<SplitPolicyKind>,
         /// Compaction policy family for a *fresh* index (see
         /// `Ingest::compaction`).
         compaction: Option<CompactionPolicyKind>,
@@ -198,10 +191,11 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 
 /// Parse `--split-policy`, surfacing the typed core error (which lists the
 /// valid options) as the parse failure.
-fn parse_policy(opts: &HashMap<String, String>) -> Result<Option<SplitPolicyKind>, String> {
+fn parse_policy(opts: &HashMap<String, String>) -> Result<SplitPolicyKind, String> {
     opts.get("--split-policy")
-        .map(|s| s.parse::<SplitPolicyKind>().map_err(|e| e.to_string()))
-        .transpose()
+        .map_or(Ok(SplitPolicyKind::default()), |s| {
+            s.parse::<SplitPolicyKind>().map_err(|e| e.to_string())
+        })
 }
 
 /// Parse `--compaction` the same way: the typed core error names the valid
@@ -284,7 +278,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 leaf: opts
                     .get("--leaf")
                     .map_or(Ok(2000), |s| parse_num(s, "leaf"))?,
-                split_policy: parse_policy(&opts)?.unwrap_or_default(),
+                split_policy: parse_policy(&opts)?,
                 memory_mb: opts
                     .get("--memory-mb")
                     .map_or(Ok(256), |s| parse_num(s, "memory-mb"))?,
@@ -339,7 +333,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .get("--leaf")
                 .map(|s| parse_num(s, "leaf"))
                 .transpose()?,
-            split_policy: parse_policy(&opts)?,
             compaction: parse_compaction(&opts)?,
             writers: match opts.get("--writers") {
                 Some(s) => {
@@ -459,7 +452,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .get("--leaf")
                     .map(|s| parse_num(s, "leaf"))
                     .transpose()?,
-                split_policy: parse_policy(&opts)?,
                 compaction: parse_compaction(&opts)?,
                 memory_mb: opts
                     .get("--memory-mb")
@@ -608,7 +600,6 @@ mod tests {
                 index_dir: PathBuf::from("./lsm"),
                 materialized: false,
                 leaf: Some(64),
-                split_policy: None,
                 compaction: None,
                 writers: 1,
                 memory_mb: 256,
@@ -669,7 +660,6 @@ mod tests {
                 idle_timeout_ms: Some(30000),
                 initial: Some(5000),
                 leaf: None,
-                split_policy: None,
                 compaction: None,
                 memory_mb: 256,
                 shard: false,
@@ -753,25 +743,6 @@ mod tests {
             panic!()
         };
         assert_eq!(split_policy, SplitPolicyKind::Adaptive);
-
-        // Ingest and serve keep "not given" distinct from "fixed" so the
-        // recovered-manifest conflict check only fires on explicit flags.
-        let c = parse(&argv(
-            "ingest --data d.ds --index-dir ./lsm --split-policy fixed",
-        ))
-        .unwrap();
-        let Command::Ingest { split_policy, .. } = c else {
-            panic!()
-        };
-        assert_eq!(split_policy, Some(SplitPolicyKind::Fixed));
-        let c = parse(&argv(
-            "serve --data d.ds --index-dir ./lsm --split-policy adaptive",
-        ))
-        .unwrap();
-        let Command::Serve { split_policy, .. } = c else {
-            panic!()
-        };
-        assert_eq!(split_policy, Some(SplitPolicyKind::Adaptive));
 
         // Unknown values fail with a message naming the valid options.
         let err = parse(&argv("build --index ctrie --split-policy median x.ds")).unwrap_err();

@@ -194,7 +194,6 @@ pub fn run(cmd: Command) -> Result<()> {
             index_dir,
             materialized,
             leaf,
-            split_policy,
             compaction,
             writers,
             memory_mb,
@@ -209,15 +208,8 @@ pub fn run(cmd: Command) -> Result<()> {
             }
             let stats = Arc::new(IoStats::new());
             let ds = Dataset::open(&data, Arc::clone(&stats))?;
-            let (lsm, fresh) = open_or_create_lsm(
-                &ds,
-                &index_dir,
-                materialized,
-                leaf,
-                split_policy,
-                compaction,
-                memory_mb,
-            )?;
+            let (lsm, fresh) =
+                open_or_create_lsm(&ds, &index_dir, materialized, leaf, compaction, memory_mb)?;
             if let Some(n) = max_runs {
                 lsm.set_max_runs(n);
             }
@@ -368,7 +360,6 @@ pub fn run(cmd: Command) -> Result<()> {
             idle_timeout_ms,
             initial,
             leaf,
-            split_policy,
             compaction,
             memory_mb,
             shard,
@@ -428,7 +419,7 @@ pub fn run(cmd: Command) -> Result<()> {
                     leaf_capacity: leaf.unwrap_or(2000),
                     fill_factor: 1.0,
                     internal_fanout: 64,
-                    split_policy: split_policy.unwrap_or_default(),
+                    split_policy: Default::default(),
                 };
                 let fresh = !Manifest::path_in(&index_dir).exists();
                 let recovered = if fresh {
@@ -463,15 +454,8 @@ pub fn run(cmd: Command) -> Result<()> {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
                 }
             }
-            let (lsm, fresh) = open_or_create_lsm(
-                &ds,
-                &index_dir,
-                false,
-                leaf,
-                split_policy,
-                compaction,
-                memory_mb,
-            )?;
+            let (lsm, fresh) =
+                open_or_create_lsm(&ds, &index_dir, false, leaf, compaction, memory_mb)?;
             if let Some(n) = initial {
                 lsm.ingest_upto(&ds, n.min(ds.len()))?;
             }
@@ -515,7 +499,6 @@ fn open_or_create_lsm(
     index_dir: &std::path::Path,
     materialized: bool,
     leaf: Option<usize>,
-    split_policy: Option<coconut_core::SplitPolicyKind>,
     compaction: Option<CompactionPolicyKind>,
     memory_mb: u64,
 ) -> Result<(LsmCoconut, bool)> {
@@ -534,7 +517,7 @@ fn open_or_create_lsm(
             leaf_capacity: leaf.unwrap_or(2000),
             fill_factor: 1.0,
             internal_fanout: 64,
-            split_policy: split_policy.unwrap_or_default(),
+            split_policy: Default::default(),
         };
         LsmCoconut::create(config, opts, index_dir, 0, compaction.unwrap_or_default())?
     } else {
@@ -553,17 +536,6 @@ fn open_or_create_lsm(
                     "--leaf {l} conflicts with the recovered index in {} \
                      (built with leaf capacity {have}); omit --leaf or use \
                      a fresh --index-dir",
-                    index_dir.display()
-                )));
-            }
-        }
-        if let Some(p) = split_policy {
-            let have = lsm.config().split_policy;
-            if p != have {
-                return Err(Error::invalid(format!(
-                    "--split-policy {p} conflicts with the recovered index \
-                     in {} (built with the {have} policy); omit \
-                     --split-policy or use a fresh --index-dir",
                     index_dir.display()
                 )));
             }
@@ -805,7 +777,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            split_policy: None,
             compaction: None,
             writers: 1,
             memory_mb: 1,
@@ -821,7 +792,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(64),
-            split_policy: None,
             compaction: None,
             writers: 1,
             memory_mb: 1,
@@ -834,7 +804,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: true,
             leaf: None,
-            split_policy: None,
             compaction: None,
             writers: 1,
             memory_mb: 1,
@@ -847,7 +816,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            split_policy: None,
             compaction: None,
             writers: 1,
             memory_mb: 1,
@@ -878,7 +846,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            split_policy: None,
             compaction: None,
             writers: 1,
             memory_mb: 1,
@@ -918,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn split_policy_builds_and_recover_conflicts() {
+    fn adaptive_trie_builds_and_answers() {
         let dir = TempDir::new("cli-policy").unwrap();
         let data = gen_cmd(&dir, "d.ds", 240);
 
@@ -952,29 +919,6 @@ mod tests {
             approximate: false,
         })
         .unwrap();
-
-        // An LSM directory created with the adaptive policy recovers with
-        // no flag or a matching flag, but rejects a conflicting one.
-        let idx_dir = dir.path().join("lsm");
-        let ingest = |split_policy| Command::Ingest {
-            data: data.clone(),
-            index_dir: idx_dir.clone(),
-            materialized: false,
-            leaf: None,
-            split_policy,
-            compaction: None,
-            writers: 1,
-            memory_mb: 1,
-            batch: None,
-            max_runs: None,
-        };
-        run(ingest(Some(coconut_core::SplitPolicyKind::Adaptive))).unwrap();
-        run(ingest(None)).unwrap();
-        run(ingest(Some(coconut_core::SplitPolicyKind::Adaptive))).unwrap();
-        let err = run(ingest(Some(coconut_core::SplitPolicyKind::Fixed))).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("--split-policy"), "{msg}");
-        assert!(msg.contains("adaptive"), "{msg}");
     }
 
     #[test]
@@ -987,7 +931,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            split_policy: None,
             compaction,
             writers,
             memory_mb: 1,

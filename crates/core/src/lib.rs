@@ -78,9 +78,7 @@ pub use compaction::{CompactionPolicy, CompactionPolicyKind, LeveledPolicy, Tier
 pub use config::{BuildOptions, IndexConfig};
 pub use layout::ScrubReport;
 pub use leaves::{Directory, SortedLeafIndex};
-pub use lsm::{
-    IngestWriter, KillPoint, LsmCoconut, RunScrub, Snapshot, WriteStats, QUARANTINE_DIR,
-};
+pub use lsm::{IngestWriter, LsmCoconut, RunScrub, Snapshot, WriteStats, QUARANTINE_DIR};
 pub use query::{Kind, Metric, Query};
 pub use split::{AdaptivePolicy, FixedBinaryPolicy, SplitPolicy, SplitPolicyKind};
 pub use tree::CoconutTree;

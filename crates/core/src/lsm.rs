@@ -38,11 +38,11 @@
 //!   and compaction. [`LsmCoconut::open`] recovers the exact committed run
 //!   set after a crash, deletes orphaned run directories (from interrupted
 //!   ingests or compactions) and leftover manifest temp files, and resumes.
-//!   [`KillPoint`] injects simulated crashes at the three interesting
-//!   instants for the crash-safety test suite; an installed
-//!   [`coconut_storage::FaultPlan`] can schedule the same crashes (sites
-//!   `manifest.before` / `manifest.torn` / `manifest.after`) plus run
-//!   directory creation failures (`run.create`) on deterministic seeds.
+//!   A [`coconut_storage::FaultPlan`] (installed process-wide or on one
+//!   index with [`LsmCoconut::set_fault_plan`]) simulates a crash at the
+//!   three instants of a manifest commit — sites `manifest.before` /
+//!   `manifest.torn` / `manifest.after` — and run directory creation
+//!   failures (`run.create`) on deterministic seeds.
 //! * **Corruption handling**: every run's leaves carry CRCs (see
 //!   [`crate::layout`]); [`LsmCoconut::scrub`] re-reads and verifies all of
 //!   them, and a run whose index file no longer decodes is *quarantined* at
@@ -64,7 +64,7 @@
 //!
 //! A dropped (or killed) `LsmCoconut` never loses committed data: anything
 //! acknowledged by a successful `ingest_upto` return is durable. An ingest
-//! or compaction that *fails* (including simulated kills) poisons the
+//! or compaction that *fails* (including simulated crashes) poisons the
 //! instance — subsequent calls surface the error — mirroring a crashed
 //! process; reopen from disk to continue.
 
@@ -90,27 +90,6 @@ use crate::manifest::{run_dir_name, Manifest, RunMeta};
 use crate::query::{first, Query};
 use crate::records::{KeyPos, KeySeries};
 use crate::tree::{CoconutTree, LeafEntryStream};
-
-/// Simulated crash instants for the crash-safety test suite, armed with
-/// [`LsmCoconut::set_kill_point`]. The *next* manifest commit (run addition
-/// or compaction, whichever comes first) consumes the kill point, leaves
-/// the on-disk state exactly as a real crash at that instant would, and
-/// fails with an error — after which the instance behaves as poisoned and
-/// should be reopened from disk, like a crashed process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPoint {
-    /// Die before anything reaches disk: neither the manifest nor its temp
-    /// file change. The operation's new run directory becomes an orphan.
-    BeforeManifestWrite,
-    /// Die halfway through writing the manifest temp file, before the
-    /// rename: the committed manifest survives untouched and a torn
-    /// `MANIFEST.tmp` is left for recovery to discard.
-    MidManifestWrite,
-    /// Die after the new manifest is durably renamed into place but before
-    /// the obsolete run directories of a compaction are deleted: recovery
-    /// must clean up the orphans.
-    AfterManifestCommit,
-}
 
 /// One live run and its open index.
 struct Run {
@@ -277,7 +256,6 @@ struct Shared {
     compaction_kind: Mutex<CompactionPolicyKind>,
     /// Write-path counters backing the amplification gauges.
     stats: WriteCounters,
-    kill: Mutex<Option<KillPoint>>,
     /// Instance-scoped fault plan consulted *before* the process-global one
     /// at the LSM's sites — lets one index (or one test) inject faults
     /// without perturbing neighbors in the same process.
@@ -400,7 +378,6 @@ impl LsmCoconut {
             policy: Mutex::new(compaction.policy()),
             compaction_kind: Mutex::new(compaction),
             stats: WriteCounters::default(),
-            kill: Mutex::new(None),
             fault_plan: Mutex::new(None),
             poisoned: Mutex::new(None),
         });
@@ -496,7 +473,6 @@ impl LsmCoconut {
             policy: Mutex::new(manifest.compaction.policy()),
             compaction_kind: Mutex::new(manifest.compaction),
             stats: WriteCounters::default(),
-            kill: Mutex::new(None),
             fault_plan: Mutex::new(None),
             poisoned: Mutex::new(None),
         });
@@ -537,15 +513,12 @@ impl LsmCoconut {
         self.set_policy(Box::new(TieredPolicy::with_max_runs(max_runs)));
     }
 
-    /// Arm (or clear) a simulated crash for the next manifest commit.
-    pub fn set_kill_point(&self, kill: Option<KillPoint>) {
-        *self.shared.kill.lock() = kill;
-    }
-
     /// Install (or clear) an instance-scoped [`FaultPlan`], consulted
     /// before the process-global plan at this index's fault sites
     /// (`manifest.before` / `manifest.torn` / `manifest.after` /
-    /// `run.create`).
+    /// `run.create`). `manifest.torn=err@1` crashes the next manifest
+    /// commit halfway through its write; the instance is then poisoned and
+    /// must be reopened from disk, like a crashed process.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         *self.shared.fault_plan.lock() = plan;
     }
@@ -1152,8 +1125,15 @@ fn relative_index_path(dir: &Path, index_path: &Path) -> Result<String> {
         .ok_or_else(|| Error::invalid("run index path is not UTF-8"))
 }
 
-fn simulated_crash(what: &str) -> Error {
-    Error::invalid(format!("simulated crash: killed {what}"))
+/// The injected I/O error of a manifest fault `site`, naming the crash
+/// instant it simulates.
+fn simulated_crash(site: &str, instant: &str) -> Error {
+    match fault::injected_error(site) {
+        Error::Io(e) => Error::Io(std::io::Error::other(format!(
+            "{e}: simulated crash {instant}"
+        ))),
+        other => other,
+    }
 }
 
 /// Consult the instance fault plan first, then the process-global one.
@@ -1191,40 +1171,40 @@ fn encode_manifest(shared: &Shared, st: &State) -> Vec<u8> {
     .encode()
 }
 
-/// The disk half of a commit: write the manifest atomically, honoring an
-/// armed kill point. Called while holding `commit_order` but **not** the
-/// state lock, so queries never wait on the fsyncs. Obsolete run
-/// directories are *not* deleted here — the committer hands them to the GC
-/// list, where pinned snapshots keep them alive until released.
+/// The disk half of a commit: write the manifest atomically. Called while
+/// holding `commit_order` but **not** the state lock, so queries never
+/// wait on the fsyncs. Obsolete run directories are *not* deleted here —
+/// the committer hands them to the GC list, where pinned snapshots keep
+/// them alive until released.
+///
+/// Three fault sites simulate a crash at the instants of the journal
+/// Coconut-LSM's crash model; each leaves the disk as that crash would and
+/// fails the commit with the site's injected I/O error:
+/// * `manifest.before` — nothing reaches disk; the new run directory is
+///   an orphan;
+/// * `manifest.torn` — half the temp file is written, the committed
+///   manifest survives and recovery discards the torn `MANIFEST.tmp`;
+/// * `manifest.after` — the new manifest is durable, but the caller's
+///   cleanup never runs.
 fn write_manifest(shared: &Shared, bytes: &[u8]) -> Result<()> {
     let path = Manifest::path_in(&shared.dir);
-    // An explicitly armed kill point wins; otherwise an installed fault
-    // plan can schedule the same three crash instants deterministically
-    // (`repro chaos` drives whole fault schedules through these sites).
-    let kill = shared.kill.lock().take().or_else(|| {
-        if lsm_fires(shared, "manifest.before").is_some() {
-            Some(KillPoint::BeforeManifestWrite)
-        } else if lsm_fires(shared, "manifest.torn").is_some() {
-            Some(KillPoint::MidManifestWrite)
-        } else if lsm_fires(shared, "manifest.after").is_some() {
-            Some(KillPoint::AfterManifestCommit)
-        } else {
-            None
-        }
-    });
-    match kill {
-        Some(KillPoint::BeforeManifestWrite) => {
-            return Err(simulated_crash("before the manifest write"))
-        }
-        Some(KillPoint::MidManifestWrite) => {
-            atomic_write_torn(&path, bytes, bytes.len() / 2)?;
-            return Err(simulated_crash("mid manifest write"));
-        }
-        Some(KillPoint::AfterManifestCommit) => {
-            atomic_write(&path, bytes)?;
-            return Err(simulated_crash("after the manifest commit"));
-        }
-        None => atomic_write(&path, bytes)?,
+    if lsm_fires(shared, "manifest.before").is_some() {
+        return Err(simulated_crash(
+            "manifest.before",
+            "before the manifest write",
+        ));
+    }
+    if lsm_fires(shared, "manifest.torn").is_some() {
+        atomic_write_torn(&path, bytes, bytes.len() / 2)?;
+        return Err(simulated_crash("manifest.torn", "mid manifest write"));
+    }
+    let crash_after = lsm_fires(shared, "manifest.after").is_some();
+    atomic_write(&path, bytes)?;
+    if crash_after {
+        return Err(simulated_crash(
+            "manifest.after",
+            "after the manifest commit",
+        ));
     }
     Ok(())
 }
@@ -2099,6 +2079,8 @@ mod tests {
         assert_eq!(ans.pos, brute_force(&all, &q).pos);
     }
 
+    /// A crash at each of the three manifest fault sites, armed on the
+    /// instance, recovers to a consistent, oracle-exact prefix.
     #[test]
     fn kill_points_crash_then_open_recovers_consistently() {
         let dir = TempDir::new("lsm").unwrap();
@@ -2107,13 +2089,9 @@ mod tests {
         let mut gen = RandomWalkGen::new(9);
         let (ds, all) = grow_dataset(&path, &stats, &mut gen, &[], 240);
 
-        for (i, kill) in [
-            KillPoint::BeforeManifestWrite,
-            KillPoint::MidManifestWrite,
-            KillPoint::AfterManifestCommit,
-        ]
-        .into_iter()
-        .enumerate()
+        for (i, site) in ["manifest.before", "manifest.torn", "manifest.after"]
+            .into_iter()
+            .enumerate()
         {
             let idx_dir = dir.path().join(format!("idx-{i}"));
             let committed_end;
@@ -2123,10 +2101,13 @@ mod tests {
                 lsm.ingest_upto(&ds, 120).unwrap();
                 lsm.wait_for_compactions().unwrap();
                 committed_end = lsm.covered_end();
-                // Crash while committing the second run.
-                lsm.set_kill_point(Some(kill));
+                // Crash while committing the second run (an instance plan,
+                // so parallel tests are unaffected).
+                let plan = FaultPlan::parse(&format!("{site}=err@1"), 0).unwrap();
+                lsm.set_fault_plan(Some(Arc::new(plan)));
                 let err = lsm.ingest_upto(&ds, 240).unwrap_err();
-                assert!(err.to_string().contains("simulated crash"), "{err}");
+                assert!(matches!(err, Error::Io(_)), "{err}");
+                assert!(err.to_string().contains(site), "{err}");
                 // The instance is poisoned from here on — like a dead
                 // process, everything else must go through recovery. In
                 // particular the "failed" batch can never be silently
@@ -2136,17 +2117,15 @@ mod tests {
                 assert!(lsm.compact().unwrap_err().to_string().contains("poisoned"));
             }
             let lsm = LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()).unwrap();
-            match kill {
-                // The commit never (or only torn) reached disk: the second
-                // run is lost, recovery restores the first commit exactly.
-                KillPoint::BeforeManifestWrite | KillPoint::MidManifestWrite => {
-                    assert_eq!(lsm.covered_end(), committed_end, "{kill:?}");
-                }
-                // The commit is durable; only cleanup was skipped.
-                KillPoint::AfterManifestCommit => {
-                    assert_eq!(lsm.covered_end(), 240, "{kill:?}");
-                }
-            }
+            // Before or torn, the commit never reached disk: the second run
+            // is lost and recovery restores the first commit exactly. After
+            // it, the commit is durable; only cleanup was skipped.
+            let expect = if site == "manifest.after" {
+                240
+            } else {
+                committed_end
+            };
+            assert_eq!(lsm.covered_end(), expect, "{site}");
             // No orphan run directories survive recovery, and no manifest
             // temp file either.
             let on_disk: Vec<String> = std::fs::read_dir(&idx_dir)
@@ -2154,13 +2133,13 @@ mod tests {
                 .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
                 .filter(|n| n.starts_with("run-"))
                 .collect();
-            assert_eq!(on_disk.len(), lsm.run_count(), "{kill:?}: {on_disk:?}");
+            assert_eq!(on_disk.len(), lsm.run_count(), "{site}: {on_disk:?}");
             assert!(!temp_path(&Manifest::path_in(&idx_dir)).exists());
             // Queries over the recovered prefix match the oracle.
             let covered = lsm.covered_end() as usize;
             let q = query(60 + i as u64);
             let (ans, _) = lsm.exact(&q).unwrap();
-            assert_eq!(ans.pos, brute_force(&all[..covered], &q).pos, "{kill:?}");
+            assert_eq!(ans.pos, brute_force(&all[..covered], &q).pos, "{site}");
         }
     }
 
@@ -2420,46 +2399,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_schedules_manifest_crashes_like_kill_points() {
-        let dir = TempDir::new("lsm").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let path = dir.path().join("data.bin");
-        let mut gen = RandomWalkGen::new(11);
-        let (ds, all) = grow_dataset(&path, &stats, &mut gen, &[], 160);
-        for (i, site) in ["manifest.before", "manifest.torn", "manifest.after"]
-            .into_iter()
-            .enumerate()
-        {
-            let idx_dir = dir.path().join(format!("idx-{i}"));
-            let committed_end;
-            {
-                let lsm =
-                    LsmCoconut::new(small_config(), BuildOptions::default(), &idx_dir).unwrap();
-                lsm.ingest_upto(&ds, 80).unwrap();
-                lsm.wait_for_compactions().unwrap();
-                committed_end = lsm.covered_end();
-                // The fault plan arms the same crash the kill point would
-                // (instance-scoped, so parallel tests are unaffected).
-                let plan = FaultPlan::parse(&format!("{site}=err@1"), 42).unwrap();
-                lsm.set_fault_plan(Some(Arc::new(plan)));
-                let err = lsm.ingest_upto(&ds, 160).unwrap_err();
-                assert!(err.to_string().contains("simulated crash"), "{err}");
-            }
-            let lsm = LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()).unwrap();
-            let expect = if site == "manifest.after" {
-                160
-            } else {
-                committed_end
-            };
-            assert_eq!(lsm.covered_end(), expect, "{site}");
-            let covered = lsm.covered_end() as usize;
-            let q = query(200 + i as u64);
-            let (ans, _) = lsm.exact(&q).unwrap();
-            assert_eq!(ans.pos, brute_force(&all[..covered], &q).pos, "{site}");
-        }
-    }
-
-    #[test]
     fn mid_compaction_crash_recovers_and_reingests() {
         let dir = TempDir::new("lsm").unwrap();
         let stats = Arc::new(IoStats::new());
@@ -2474,9 +2413,10 @@ mod tests {
             }
             lsm.wait_for_compactions().unwrap();
             // Crash inside the compaction's manifest commit.
-            lsm.set_kill_point(Some(KillPoint::MidManifestWrite));
+            let plan = FaultPlan::parse("manifest.torn=err@1", 0).unwrap();
+            lsm.set_fault_plan(Some(Arc::new(plan)));
             let err = lsm.compact().unwrap_err();
-            assert!(err.to_string().contains("simulated crash"), "{err}");
+            assert!(err.to_string().contains("manifest.torn"), "{err}");
         }
         // Recovery: the pre-compaction run set answers exactly; the torn
         // temp and the half-built merged run are gone.

@@ -1,19 +1,20 @@
 //! Crash-safety property tests for the LSM subsystem: random interleavings
-//! of batch ingest, compaction, and simulated kill points (the fail-point
-//! hook dies before / mid / after the manifest write), asserting that
+//! of batch ingest, compaction, and simulated crashes (a fault plan fails
+//! the `manifest.before` / `manifest.torn` / `manifest.after` site of one
+//! commit), asserting that
 //! `LsmCoconut::open` always recovers a consistent run set — contiguous
 //! coverage, no orphan run directories, no leftover manifest temp — and
 //! that exact queries over the recovered prefix match a brute-force oracle.
 
 use std::sync::Arc;
 
-use coconut_core::{BuildOptions, IndexConfig, KillPoint, LsmCoconut};
+use coconut_core::{BuildOptions, IndexConfig, LsmCoconut};
 use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::index::{Answer, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{IoStats, TempDir};
+use coconut_storage::{FaultPlan, IoStats, TempDir};
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -56,6 +57,19 @@ fn brute_force(prefix: &[Vec<Value>], q: &[Value]) -> Answer {
     best
 }
 
+/// Crash the next manifest commit of `lsm` at the site `param` picks;
+/// returns the site.
+fn arm_crash(lsm: &LsmCoconut, param: u64) -> &'static str {
+    let site = match param {
+        1 => "manifest.before",
+        2 => "manifest.torn",
+        _ => "manifest.after",
+    };
+    let plan = FaultPlan::parse(&format!("{site}=err@1"), 0).unwrap();
+    lsm.set_fault_plan(Some(Arc::new(plan)));
+    site
+}
+
 /// The consistency bar every recovery must clear.
 fn check_recovered(
     lsm: &LsmCoconut,
@@ -91,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random interleavings of {ingest, compact, crash-then-recover} with
-    /// all three kill points. Every op that "crashes" drops the instance
+    /// all three crash sites. Every op that "crashes" drops the instance
     /// mid-operation and reopens from disk, like a process restart.
     #[test]
     fn random_crash_interleavings_always_recover(
@@ -123,42 +137,30 @@ proptest! {
                     lsm.compact().unwrap();
                     prop_assert_eq!(lsm.run_count(), 1);
                 }
-                // Crash during an ingest commit, at a random kill point.
+                // Crash during an ingest commit, at a random site.
                 3 => {
-                    let kill = match param {
-                        1 => KillPoint::BeforeManifestWrite,
-                        2 => KillPoint::MidManifestWrite,
-                        _ => KillPoint::AfterManifestCommit,
-                    };
                     dataset = grow(&data_path, &stats, &mut gen, &mut all, 30);
                     lsm.wait_for_compactions().unwrap();
-                    lsm.set_kill_point(Some(kill));
-                    let err = lsm.ingest(&dataset).expect_err("armed kill must fire");
-                    prop_assert!(err.to_string().contains("simulated crash"), "{}", err);
+                    let site = arm_crash(&lsm, param);
+                    let err = lsm.ingest(&dataset).expect_err("armed crash must fire");
+                    prop_assert!(err.to_string().contains(site), "{}", err);
                     drop(lsm);
                     lsm = LsmCoconut::open(&idx_dir, &dataset, BuildOptions::default()).unwrap();
                     lsm.set_max_runs(3);
                     check_recovered(&lsm, &idx_dir, &all, qseed);
                 }
-                // Crash during a compaction commit, at a random kill point.
+                // Crash during a compaction commit, at a random site (when
+                // there is anything to compact).
                 _ => {
-                    let kill = match param {
-                        1 => KillPoint::BeforeManifestWrite,
-                        2 => KillPoint::MidManifestWrite,
-                        _ => KillPoint::AfterManifestCommit,
-                    };
                     lsm.wait_for_compactions().unwrap();
                     if lsm.run_count() >= 2 {
-                        lsm.set_kill_point(Some(kill));
-                        let err = lsm.compact().expect_err("armed kill must fire");
-                        prop_assert!(err.to_string().contains("simulated crash"), "{}", err);
+                        let site = arm_crash(&lsm, param);
+                        let err = lsm.compact().expect_err("armed crash must fire");
+                        prop_assert!(err.to_string().contains(site), "{}", err);
                         drop(lsm);
                         lsm = LsmCoconut::open(&idx_dir, &dataset, BuildOptions::default()).unwrap();
                         lsm.set_max_runs(3);
                         check_recovered(&lsm, &idx_dir, &all, qseed);
-                    } else {
-                        // Nothing to compact: disarm and move on.
-                        lsm.set_kill_point(None);
                     }
                 }
             }

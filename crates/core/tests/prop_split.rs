@@ -10,15 +10,13 @@
 
 use std::sync::Arc;
 
-use coconut_core::{
-    BuildOptions, CoconutTrie, IndexConfig, KillPoint, LsmCoconut, SplitPolicyKind,
-};
+use coconut_core::{BuildOptions, CoconutTrie, IndexConfig, LsmCoconut, SplitPolicyKind};
 use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::index::SeriesIndex;
 use coconut_series::Value;
-use coconut_storage::{IoStats, TempDir};
+use coconut_storage::{FaultPlan, IoStats, TempDir};
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -179,7 +177,7 @@ proptest! {
     }
 
     /// An LSM index created with the adaptive policy keeps it through a
-    /// simulated crash at any manifest kill point: recovery reads the
+    /// simulated crash at any manifest fault site: recovery reads the
     /// policy byte back and keeps answering oracle-exact.
     #[test]
     fn adaptive_policy_survives_lsm_crash_recovery(
@@ -197,13 +195,15 @@ proptest! {
         .unwrap();
         lsm.ingest_upto(&ds, 60).unwrap();
         lsm.wait_for_compactions().unwrap();
-        lsm.set_kill_point(Some(match kill {
-            0 => KillPoint::BeforeManifestWrite,
-            1 => KillPoint::MidManifestWrite,
-            _ => KillPoint::AfterManifestCommit,
-        }));
-        let err = lsm.ingest_upto(&ds, 120).expect_err("armed kill must fire");
-        prop_assert!(err.to_string().contains("simulated crash"), "{}", err);
+        let site = match kill {
+            0 => "manifest.before",
+            1 => "manifest.torn",
+            _ => "manifest.after",
+        };
+        let plan = FaultPlan::parse(&format!("{site}=err@1"), 0).unwrap();
+        lsm.set_fault_plan(Some(Arc::new(plan)));
+        let err = lsm.ingest_upto(&ds, 120).expect_err("armed crash must fire");
+        prop_assert!(err.to_string().contains(site), "{}", err);
         drop(lsm);
 
         let lsm = LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()).unwrap();

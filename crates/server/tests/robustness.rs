@@ -1,6 +1,6 @@
 //! End-to-end robustness over a real TCP fabric: idle-read timeouts,
-//! deterministic socket fault injection, and graceful degradation when a
-//! shard dies mid-service.
+//! deterministic socket fault injection, graceful degradation when a
+//! shard dies mid-service, and the wire category of an injected crash.
 //!
 //! The fault plan registry is process-global, and the idle/degradation
 //! tests also move request traffic through the fault sites, so every test
@@ -215,4 +215,27 @@ fn injected_socket_faults_are_survived_by_retries() {
     coconut_storage::fault::clear();
     assert_eq!(reply, clean, "retries must recover the identical answer");
     drop(s0);
+}
+
+#[test]
+fn a_manifest_crash_replies_as_an_io_fault() {
+    let _guard = serial();
+    let dir = TempDir::new("srv-manifest").unwrap();
+    let ds = dataset(&dir, 60);
+    let lsm = Arc::new(
+        LsmCoconut::new(
+            small_config(),
+            BuildOptions::default(),
+            dir.path().join("i"),
+        )
+        .unwrap(),
+    );
+    let engine = Engine::new(lsm, ds, None);
+    let plan = FaultPlan::parse("manifest.torn=err@1", 0).unwrap();
+    engine.lsm().set_fault_plan(Some(Arc::new(plan)));
+    // A coordinator reparses `ERR io:` as a shard I/O fault, not as a bad
+    // request.
+    let reply = engine.execute_line("INGEST upto=60").reply;
+    assert!(reply.starts_with("ERR io:"), "{reply}");
+    assert!(reply.contains("manifest.torn"), "{reply}");
 }

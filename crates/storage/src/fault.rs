@@ -1,5 +1,6 @@
-//! Deterministic fault injection: a seeded, registry-based generalization
-//! of the LSM's original manifest-only kill points.
+//! Deterministic fault injection: one seeded registry of fault sites for
+//! every instrumented operation, from the LSM's manifest commits to the
+//! shard client's sockets.
 //!
 //! A [`FaultPlan`] is a set of rules, each binding a *site* (a short
 //! string naming one instrumented operation, e.g. `atomic.fsync` or
@@ -21,10 +22,10 @@
 //!   [`clear`]) consulted by every hook — the CLI's `--faults` flag and
 //!   the `COCONUT_FAULTS` / `COCONUT_FAULT_SEED` environment variables
 //!   land here;
-//! * **instance** plans held by individual components (e.g.
-//!   `LsmCoconut`'s kill points) and consulted through
-//!   [`FaultPlan::fires`] directly, so tests can target one index
-//!   without perturbing the rest of the process.
+//! * **instance** plans held by individual components (e.g. the plan
+//!   `LsmCoconut::set_fault_plan` installs on one index) and consulted
+//!   through [`FaultPlan::fires`] before the global plan, so tests can
+//!   target one index without perturbing the rest of the process.
 //!
 //! ## Spec syntax
 //!
@@ -174,8 +175,8 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Add one rule programmatically (the API `repro chaos` and the LSM
-    /// kill points use).
+    /// Add one rule programmatically (what [`FaultPlan::parse`] does per
+    /// rule of a spec).
     pub fn add_rule(&mut self, site: &str, action: FaultAction, trigger: Trigger) {
         self.rules.push(Rule {
             site: site.to_string(),

@@ -71,7 +71,8 @@
 //! lsm.wait_for_compactions()?;
 //!
 //! // Simulate a crash halfway through the next commit's manifest write...
-//! lsm.set_kill_point(Some(KillPoint::MidManifestWrite));
+//! let torn = coconut::storage::FaultPlan::parse("manifest.torn=err@1", 0)?;
+//! lsm.set_fault_plan(Some(Arc::new(torn)));
 //! assert!(lsm.ingest_upto(&dataset, 1_000).is_err());
 //! drop(lsm);                                // the "dead process"
 //!
@@ -99,7 +100,7 @@ pub mod prelude {
         AdsIndex, AdsVariant, DsTree, Isax2Index, RTreeIndex, SerialScan, VerticalIndex,
     };
     pub use crate::index::{
-        BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, KillPoint, Kind,
+        BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, Kind,
         LeveledPolicy, LsmCoconut, Metric, Query, Snapshot, TieredPolicy,
     };
     pub use crate::series::dataset::{write_dataset, Dataset, DatasetWriter};

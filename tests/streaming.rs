@@ -7,6 +7,7 @@ use std::sync::Arc;
 use coconut::baselines::SerialScan;
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
+use coconut::storage::FaultPlan;
 
 const LEN: usize = 64;
 
@@ -61,7 +62,8 @@ fn simulated_crash_recovers_committed_prefix() {
         lsm.ingest_upto(&dataset, 300).unwrap();
         lsm.wait_for_compactions().unwrap();
         // Die halfway through the next commit's manifest write.
-        lsm.set_kill_point(Some(KillPoint::MidManifestWrite));
+        let torn = FaultPlan::parse("manifest.torn=err@1", 0).unwrap();
+        lsm.set_fault_plan(Some(Arc::new(torn)));
         assert!(lsm.ingest_upto(&dataset, 600).is_err());
     } // the "crashed process"
     let lsm = LsmCoconut::open(&idx_dir, &dataset, BuildOptions::default()).unwrap();
