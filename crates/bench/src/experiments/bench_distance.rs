@@ -27,13 +27,19 @@
 //!
 //! The `leaf_*` rows time the leaf codec in **ns per key** over one
 //! 2,000-entry leaf: `leaf_encode` the write path's de-interleave (keys to
-//! the segment-major symbol block, scalar shifts vs BMI2 `PEXT`),
+//! the segment-major symbol block, scalar shifts vs BMI2 `PEXT`) and
 //! `leaf_keys` the re-interleave LSM merges and tree inserts pay (scalar vs
-//! `PDEP`), and `leaf_load_interleaved_vs_symbols` a cold block load: its
-//! SIMD column is what a query pays now (CRC check, symbol copy, position
-//! decode), its scalar column the same load out of a leaf of interleaved
-//! keys and positions (CRC check, entry loop, `PEXT` decode) — a
-//! cross-layout reference ratio, like `mindist_prebatch_loop_vs_batch_simd`.
+//! `PDEP`).
+//!
+//! The `leaf_first_use` rows time, in **µs per leaf**, what a query pays
+//! the first time it needs one 2,000-entry leaf of a file the page cache
+//! holds, each leaf used once: `pread_crc_copy_fresh` reads it, checks its
+//! CRC and copies its symbols and positions into zeroed memory no one has
+//! touched (how blocks loaded before they were mapped), `verify_in_place`
+//! checks the CRC and every position where a fresh mapping of the file
+//! holds them (how they load now). `fresh_page_touch_us` is the first write
+//! to one 4 KB page of a fresh zeroed allocation — the page fault the copy
+//! paid per page.
 //!
 //! The `crc64` rows give the checksum under every leaf read and manifest
 //! the same trajectory: MB/s of the bit-at-a-time reference, the portable
@@ -41,6 +47,8 @@
 //! leaf block (48 KB) and over a buffer beyond the L2 cache (2 MB).
 
 use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 use coconut_core::layout::{crc32, LeafCodec, LeafEntries};
@@ -48,7 +56,7 @@ use coconut_series::distance::znormalize;
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::simd::{detect, kernels_for, Dispatch};
 use coconut_storage::atomic::{crc64_folding, crc64_reference, crc64_slicing8};
-use coconut_storage::Result;
+use coconut_storage::{CountedFile, IoStats, Result};
 use coconut_summary::mindist::{mindist_paa_zkey, KeyFilter, QueryDistTable, SymbolDecoder};
 use coconut_summary::paa::paa;
 use coconut_summary::sax::sax_word;
@@ -63,6 +71,10 @@ const SCAN_KEYS: usize = 16 * 1024;
 
 /// Entries of the leaf block the key-pass rows bound.
 const LEAF_KEYS: usize = 2_000;
+
+/// Leaves in each `leaf_first_use` measurement, each used once (12 MB of
+/// 2,000-entry leaves).
+const FIRST_USE_LEAVES: usize = 256;
 
 /// Key counts of the one- vs two-thread key-pass rows.
 const THREAD_KEYS: [usize; 7] = [8_000, 16_000, 32_000, 64_000, 96_000, 128_000, 262_000];
@@ -163,16 +175,22 @@ fn thread_entry(filter: &KeyFilter<'_>, blocks: &[Vec<u8>], keys: usize) -> Thre
     }
 }
 
-/// The `leaf_*` rows over the sorted `keys` of one leaf (see the module
-/// docs), in ns per key.
-fn leaf_codec_entries(config: &SaxConfig, keys: &[ZKey]) -> [Entry; 3] {
-    let n = keys.len();
-    let mut leaf = LeafEntries::default();
+/// One pointer leaf of `keys`, sorted, at positions 0, 7, 14, ...
+fn sorted_leaf(keys: &[ZKey]) -> LeafEntries {
     let mut sorted = keys.to_vec();
     sorted.sort_unstable();
+    let mut leaf = LeafEntries::default();
     for (pos, &key) in sorted.iter().enumerate() {
         leaf.push(key, pos as u64 * 7, None);
     }
+    leaf
+}
+
+/// The `leaf_*` rows over the sorted `keys` of one leaf (see the module
+/// docs), in ns per key.
+fn leaf_codec_entries(config: &SaxConfig, keys: &[ZKey]) -> [Entry; 2] {
+    let n = keys.len();
+    let leaf = sorted_leaf(keys);
     let decoder = SymbolDecoder::new(config);
     let per_key = |f: &mut dyn FnMut()| time_ns(15, 200, f) / n as f64;
     let mut symbols = vec![0u8; n * config.segments];
@@ -199,38 +217,126 @@ fn leaf_codec_entries(config: &SaxConfig, keys: &[ZKey]) -> [Entry; 3] {
         scalar_ns: reinterleave(Dispatch::Scalar),
         simd_ns: reinterleave(detect()),
     };
-    // The leaf as stored now, and as stored before: 16-byte interleaved
-    // keys and 8-byte positions, entry after entry.
+    [leaf_encode, leaf_keys]
+}
+
+/// One `leaf_first_use` row: µs per leaf (or per page).
+struct FirstUse {
+    name: String,
+    us: f64,
+}
+
+/// Zeroed memory no one has touched, at least `bytes` of it. glibc serves
+/// every allocation of 32 MiB or more with a fresh `mmap` (its dynamic
+/// threshold never rises past that), so each call's pages fault on first
+/// touch as a fresh process's would; untouched slack costs nothing.
+fn fresh_zeroed(bytes: usize) -> Vec<u8> {
+    vec![0u8; bytes.max(64 << 20)]
+}
+
+/// Median µs per unit of `work`, which uses `units` things for the first
+/// time, over 5 runs each given fresh things by `setup`.
+fn first_use_us<T>(
+    units: usize,
+    mut setup: impl FnMut() -> Result<T>,
+    mut work: impl FnMut(&mut T) -> Result<()>,
+) -> Result<f64> {
+    let mut timings = Vec::new();
+    for _ in 0..5 {
+        let mut fresh = setup()?;
+        let start = Instant::now();
+        work(&mut fresh)?;
+        timings.push(start.elapsed().as_secs_f64() * 1e6 / units as f64);
+    }
+    timings.sort_by(f64::total_cmp);
+    Ok(timings[timings.len() / 2])
+}
+
+/// The `leaf_first_use` rows (see the module docs) over the sorted `keys`
+/// of one leaf, stored `FIRST_USE_LEAVES` times over in a file in
+/// `work_dir`.
+fn first_use_entries(work_dir: &Path, config: &SaxConfig, keys: &[ZKey]) -> Result<[FirstUse; 3]> {
+    let n = keys.len();
+    let w = config.segments;
     let codec = LeafCodec::new(config, false);
     let mut stored = Vec::new();
-    codec.encode(&leaf, 0..n, &mut stored);
-    let mut interleaved = Vec::with_capacity(n * 24);
-    for (key, pos) in leaf.keys().iter().zip(leaf.pos()) {
-        interleaved.extend_from_slice(&key.0.to_le_bytes());
-        interleaved.extend_from_slice(&pos.to_le_bytes());
+    codec.encode(&sorted_leaf(keys), 0..n, &mut stored);
+    let len = stored.len();
+    let limit = n as u64 * 7;
+
+    std::fs::create_dir_all(work_dir)?;
+    let path = work_dir.join("leaf_first_use.bin");
+    let file = CountedFile::create(&path, Arc::new(IoStats::new()))?;
+    for _ in 0..FIRST_USE_LEAVES {
+        file.append(&stored)?;
     }
-    let mut pos = vec![0u64; n];
-    let mut keys = Vec::with_capacity(n);
-    let leaf_load = Entry {
-        name: format!("leaf_load_interleaved_vs_symbols_ns_per_key/{n}_keys"),
-        scalar_ns: per_key(&mut || {
-            std::hint::black_box(crc32(&interleaved));
-            keys.clear();
-            for (entry, p) in interleaved.chunks_exact(24).zip(pos.iter_mut()) {
-                let (key, at) = entry.split_at(16);
-                keys.push(ZKey(u128::from_le_bytes(key.try_into().expect("16 bytes"))));
-                *p = u64::from_le_bytes(at.try_into().expect("8 bytes"));
+    // The copy's two arrays, symbols then positions, in one fresh region.
+    let positions_at = FIRST_USE_LEAVES * n * w;
+    let mut buf = Vec::new();
+    let copy = first_use_us(
+        FIRST_USE_LEAVES,
+        || Ok(fresh_zeroed(FIRST_USE_LEAVES * len)),
+        |arrays| {
+            for l in 0..FIRST_USE_LEAVES {
+                buf.resize(len, 0);
+                file.read_exact_at(&mut buf, (l * len) as u64)?;
+                std::hint::black_box(crc32(&buf));
+                let parts = codec.parts(&buf);
+                arrays[l * n * w..(l + 1) * n * w].copy_from_slice(&buf[..n * w]);
+                let pos = &mut arrays[positions_at + l * n * 8..positions_at + (l + 1) * n * 8];
+                for (e, p) in pos.chunks_exact_mut(8).enumerate() {
+                    p.copy_from_slice(&parts.pos(e).to_ne_bytes());
+                }
+                let mut decoded = pos
+                    .chunks_exact(8)
+                    .map(|p| u64::from_ne_bytes(p.try_into().expect("8 bytes")));
+                std::hint::black_box(decoded.all(|p| p < limit));
             }
-            decoder.decode_into(&keys, &mut symbols);
-            std::hint::black_box((&symbols, &pos));
-        }),
-        simd_ns: per_key(&mut || {
-            std::hint::black_box(crc32(&stored));
-            codec.parts(&stored).load_into(&mut symbols, &mut pos);
-            std::hint::black_box((&symbols, &pos));
-        }),
-    };
-    [leaf_encode, leaf_keys, leaf_load]
+            Ok(())
+        },
+    )?;
+    let in_place = first_use_us(
+        FIRST_USE_LEAVES,
+        || file.map(),
+        |mapping| {
+            for leaf in mapping.bytes().chunks_exact(len) {
+                std::hint::black_box(crc32(leaf));
+                let parts = codec.parts(leaf);
+                std::hint::black_box((0..n).all(|e| parts.pos(e) < limit));
+            }
+            Ok(())
+        },
+    )?;
+    drop(file);
+    std::fs::remove_file(&path)?;
+
+    const PAGE: usize = 4096;
+    let pages = FIRST_USE_LEAVES * len / PAGE;
+    let touch = first_use_us(
+        pages,
+        || Ok(fresh_zeroed(pages * PAGE)),
+        |fresh| {
+            for page in fresh.chunks_exact_mut(PAGE).take(pages) {
+                page[0] = 1;
+            }
+            std::hint::black_box(fresh);
+            Ok(())
+        },
+    )?;
+    Ok([
+        FirstUse {
+            name: format!("leaf_first_use/pread_crc_copy_fresh_us/{n}_keys"),
+            us: copy,
+        },
+        FirstUse {
+            name: format!("leaf_first_use/verify_in_place_us/{n}_keys"),
+            us: in_place,
+        },
+        FirstUse {
+            name: "fresh_page_touch_us".to_string(),
+            us: touch,
+        },
+    ])
 }
 
 fn series(seed: u64, len: usize) -> Vec<f32> {
@@ -363,6 +469,7 @@ pub fn run(env: &Env) -> Result<()> {
         entries.extend([exact, fast, vs]);
     }
     entries.extend(leaf_codec_entries(&config, &keys[..LEAF_KEYS]));
+    let first_use = first_use_entries(&env.work_dir, &config, &keys[..LEAF_KEYS])?;
 
     // Distinct copies, so the largest pass streams its symbols from memory
     // as a real one does rather than from cache.
@@ -432,6 +539,16 @@ pub fn run(env: &Env) -> Result<()> {
     }
     threads_out.emit(&env.results_dir)?;
 
+    let mut first_use_out = Table::new(
+        "bench_leaf_first_use",
+        "first use of one leaf block, and of one fresh page (us, median)",
+        &["name", "us"],
+    );
+    for f in &first_use {
+        first_use_out.push_row(vec![f.name.clone(), format!("{:.2}", f.us)]);
+    }
+    first_use_out.emit(&env.results_dir)?;
+
     // Hand-rolled JSON (no serde in the offline workspace); one object per
     // entry keeps the baseline diffable PR over PR.
     let mut json = String::new();
@@ -464,6 +581,15 @@ pub fn run(env: &Env) -> Result<()> {
             t.keys, t.one_thread_us, t.two_threads_us
         );
         json.push_str(if i + 1 < threads.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n  \"leaf_first_use\": [\n");
+    for (i, f) in first_use.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"name\": \"{}\", \"us\": {:.2}}}",
+            f.name, f.us
+        );
+        json.push_str(if i + 1 < first_use.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"checksums\": [\n");
     for (i, c) in checksums.iter().enumerate() {

@@ -49,8 +49,10 @@
 //!
 //! A file of any other layout, directory or tail version is refused at open
 //! with an [`Error::Corrupt`] naming the version, never misread. Every leaf
-//! read is checked against its CRC ([`LeafStore::read_leaf`]), so bit rot
-//! surfaces as a typed error instead of a wrong answer.
+//! is checked against its CRC before its bytes are used — read
+//! ([`LeafStore::read_leaf`]) or borrowed from a mapping of the file
+//! ([`LeafStore::check_leaf`]) — so bit rot surfaces as a typed error
+//! instead of a wrong answer.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -177,15 +179,6 @@ impl LeafParts<'_> {
     #[inline]
     pub fn pos(&self, slot: usize) -> u64 {
         crate::le::u64(&self.positions[8 * slot..8 * slot + 8])
-    }
-
-    /// The block load's copy: the symbols into `symbols`, the positions
-    /// decoded into `pos` (both sized to the leaf).
-    pub fn load_into(&self, symbols: &mut [u8], pos: &mut [u64]) {
-        symbols.copy_from_slice(self.symbols);
-        for (p, bytes) in pos.iter_mut().zip(self.positions.chunks_exact(8)) {
-            *p = crate::le::u64(bytes);
-        }
     }
 
     /// Decode entry `slot`'s payload into `out` (materialized leaves only).
@@ -379,9 +372,17 @@ impl IndexHeader {
     /// Read and validate the header.
     pub fn read_from(file: &CountedFile) -> Result<Self> {
         let mut h = [0u8; 64];
-        file.read_exact_at(&mut h, 0)?;
+        read_index(file, &mut h, 0)?;
         Self::decode(&h)
     }
+}
+
+/// Read `buf.len()` bytes of the index file at `offset`: every read `open`
+/// makes (header, directory, tail) goes through here, the `index.read`
+/// fault site ([`coconut_storage::fault`]).
+pub(crate) fn read_index(file: &CountedFile, buf: &mut [u8], offset: u64) -> Result<()> {
+    coconut_storage::fault::check("index.read")?;
+    file.read_exact_at(buf, offset)
 }
 
 /// Serialize the leaf directory at the current end of `file`; returns its
@@ -408,7 +409,7 @@ pub fn write_directory(file: &CountedFile, leaves: &[LeafMeta]) -> Result<u64> {
 /// the offset just past the directory (where the tail starts).
 pub fn read_directory(file: &CountedFile, offset: u64) -> Result<(Vec<LeafMeta>, u64)> {
     let mut head = [0u8; 12];
-    file.read_exact_at(&mut head, offset)?;
+    read_index(file, &mut head, offset)?;
     match &head[..4] {
         m if m == DIR_MAGIC => {}
         m if m.starts_with(b"DIR") => {
@@ -428,7 +429,7 @@ pub fn read_directory(file: &CountedFile, offset: u64) -> Result<(Vec<LeafMeta>,
         .ok_or_else(|| Error::corrupt(format!("index directory of {n} leaves is truncated")))?;
     let mut buf = head.to_vec();
     buf.resize(12 + bytes as usize, 0);
-    file.read_exact_at(&mut buf[12..], offset + 12)?;
+    read_index(file, &mut buf[12..], offset + 12)?;
     let (payload, stored) = buf.split_at(buf.len() - 4);
     if crc32(payload) != crate::le::u32(stored) {
         return Err(Error::corrupt("index directory checksum mismatch"));
@@ -489,24 +490,37 @@ impl LeafStore {
         LEAF_REGION_OFFSET + block as u64 * self.block_bytes() as u64
     }
 
-    /// Read the stored bytes of `leaf` into `buf` (resized to fit) and
-    /// verify them against the leaf's CRC: a mismatch is an
-    /// [`Error::Corrupt`] naming the block. The read is the `leaf.read`
-    /// fault site ([`coconut_storage::fault`]).
-    pub fn read_leaf(&self, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
-        coconut_storage::fault::check("leaf.read")?;
-        let bytes = leaf.count as usize * self.codec.entry_bytes();
-        debug_assert!(bytes <= leaf.blocks_used as usize * self.block_bytes());
-        buf.resize(bytes, 0);
-        self.file
-            .read_exact_at(buf, self.block_offset(leaf.block))?;
-        if crc32(buf) != leaf.crc {
+    /// Where in the file the blocks `leaf` occupies lie, and where its
+    /// stored bytes (`count` entries, padding excluded) end.
+    pub fn leaf_span(&self, leaf: &LeafMeta) -> (Range<u64>, u64) {
+        let start = self.block_offset(leaf.block);
+        let blocks = leaf.blocks_used as u64 * self.block_bytes() as u64;
+        let stored = leaf.count as u64 * self.codec.entry_bytes() as u64;
+        debug_assert!(stored <= blocks);
+        (start..start + blocks, start + stored)
+    }
+
+    /// Check `stored`, the stored bytes of `leaf`, against the leaf's CRC:
+    /// a mismatch is an [`Error::Corrupt`] naming the block.
+    pub fn check_leaf(&self, leaf: &LeafMeta, stored: &[u8]) -> Result<()> {
+        if crc32(stored) != leaf.crc {
             return Err(Error::corrupt(format!(
                 "leaf block {} failed checksum ({} entries)",
                 leaf.block, leaf.count
             )));
         }
         Ok(())
+    }
+
+    /// Read the stored bytes of `leaf` into `buf` (resized to fit) and
+    /// check them ([`LeafStore::check_leaf`]). The read is the `leaf.read`
+    /// fault site ([`coconut_storage::fault`]).
+    pub fn read_leaf(&self, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
+        coconut_storage::fault::check("leaf.read")?;
+        let (blocks, stored_end) = self.leaf_span(leaf);
+        buf.resize((stored_end - blocks.start) as usize, 0);
+        self.file.read_exact_at(buf, blocks.start)?;
+        self.check_leaf(leaf, buf)
     }
 
     /// Write the stored bytes of a leaf ([`LeafCodec::encode`]) as `block`,
@@ -659,9 +673,8 @@ mod tests {
                 let parts = codec.parts(leaf);
                 let mut symbols = vec![0; count * 16];
                 SymbolDecoder::new(&s).decode_into(&e.keys, &mut symbols);
-                let (mut loaded, mut pos) = (vec![0; count * 16], vec![0; count]);
-                parts.load_into(&mut loaded, &mut pos);
-                assert_eq!(loaded, symbols);
+                assert_eq!(parts.symbols, symbols);
+                let pos: Vec<u64> = (0..count).map(|i| parts.pos(i)).collect();
                 assert_eq!(pos, e.pos);
                 assert_eq!(parts.payloads, e.payloads);
                 let mut back = LeafEntries::default();

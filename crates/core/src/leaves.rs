@@ -23,7 +23,7 @@
 //!
 //! # The summaries
 //!
-//! [`Summaries`] is a directory of load-once leaf blocks, one shape for
+//! [`Summaries`] is a directory of verify-once leaf blocks, one shape for
 //! pointer and materialized indexes. What an index holds from the moment it
 //! is built, opened or changed is read off the leaf directory alone: where
 //! each leaf starts in scan order and one symbol box per leaf. Sorting makes
@@ -36,20 +36,19 @@
 //! A leaf's [`LeafBlock`] — its entries' SAX symbols, segment-major (the
 //! z-order keys de-interleaved: the key orders the leaves, only its symbols
 //! bound a distance), and their raw-file positions — is stored on disk as
-//! exactly that ([`crate::layout`]), and is read, CRC-checked and copied the
-//! first time a query needs it: the probe for its seed leaves, the scan for
-//! a leaf whose box survives the cutoff, inside the worker that scans it —
-//! into its place in two arrays the whole index
-//! shares, allocated zeroed by the first query, so the blocks cost no
-//! allocator bookkeeping and go back to the system in one piece with the
-//! index. Opening an index is therefore O(directory) and a
+//! exactly that ([`crate::layout`]), so it is never copied: the first block
+//! a query asks for maps the index file read-only, and the first time a
+//! query needs a leaf — the probe for its seed leaves, the scan for a leaf
+//! whose box survives the cutoff, inside the worker that scans it — its
+//! bytes are checked where they lie (CRC, positions) and borrowed ever
+//! after. Only the pages of touched leaves become resident, and they go
+//! back with the mapping. Opening an index is therefore O(directory) and a
 //! build or a compaction holds no summaries beside its buffers ("if SAX
 //! sums are not in memory, load them", Algorithm 5, taken leaf by leaf). A
-//! cold query reads the leaves it cannot prune; a warm one reads none — a
-//! pointer index never reads a leaf twice, a materialized one goes back to
-//! a leaf only for the payloads it fetches.
+//! cold query verifies the leaves it cannot prune; a warm one reads none —
+//! a pointer index never reads a leaf twice, a materialized one goes back
+//! to a leaf only for the payloads it fetches.
 
-use std::cell::{RefCell, UnsafeCell};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,8 +59,7 @@ use parking_lot::Mutex;
 use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{CountedFile, Deadline, Error, IoStats, Result};
-use coconut_summary::mindist::SymbolDecoder;
+use coconut_storage::{CountedFile, Deadline, Error, IoStats, Mapping, Result};
 use coconut_summary::sax::Summarizer;
 use coconut_summary::zorder::key_range_box;
 use coconut_summary::{SaxConfig, ZKey};
@@ -120,104 +118,150 @@ pub trait Directory: Sized {
 }
 
 /// The in-memory summarizations SIMS scans, in leaf order: per leaf a
-/// symbol box (from the directory, always there) and a [`LeafBlock`] loaded
-/// the first time a query touches the leaf — 16 B of symbols and 8 B of
-/// position per entry at the default configuration.
+/// symbol box (from the directory, always there) and a [`LeafBlock`]
+/// verified the first time a query touches the leaf — 16 B of symbols and
+/// 8 B of position per entry at the default configuration.
 ///
-/// The blocks of one index share two arrays, allocated zeroed by the first
-/// query and filled leaf by leaf: one allocation the allocator hands back
-/// to the system when the index (an LSM run, say) is dropped, and of which
-/// only the pages of touched leaves are ever resident.
+/// The blocks are the stored leaves themselves, borrowed from a read-only
+/// mapping of the index file made by the first block a query asks for:
+/// nothing is copied, only the pages of touched leaves become resident,
+/// and they go back with the mapping when the index (an LSM run, say) is
+/// dropped or its leaves change.
 pub struct Summaries {
     segments: usize,
     /// First scan index of each leaf, plus the total.
     leaf_starts: Vec<usize>,
     /// Per leaf, `segments` lower then `segments` upper symbol bounds.
     boxes: Vec<u8>,
-    /// Per leaf, whether its part of `arrays` is filled: set (`Release`)
-    /// after the fill, read (`Acquire`) before the part is.
+    /// Per leaf, whether its stored bytes passed every check: set
+    /// (`Release`) after the checks, read (`Acquire`) before the bytes are
+    /// borrowed.
     loaded: Vec<AtomicBool>,
-    /// Per leaf, held while its part of `arrays` is being filled.
-    filling: Vec<Mutex<()>>,
-    arrays: OnceLock<Arrays>,
-    /// Where blocks load from (`None`: built with every block in place).
-    source: Option<LeafSource>,
+    /// Per leaf, held while its stored bytes are being checked.
+    verifying: Vec<Mutex<()>>,
+    blocks: Blocks,
 }
 
-/// One leaf as the probe and the scan read it.
+/// One leaf as the probe and the scan read it: a view of its stored bytes
+/// ([the leaf](crate::layout#the-leaf)) up to the end of its positions.
 #[derive(Clone, Copy)]
 pub struct LeafBlock<'a> {
     /// The entries' SAX symbols, segment-major: entry `e`'s segment `j`
     /// sits at `j * count + e`, so one segment of eight consecutive entries
     /// is one 8-byte load.
     pub symbols: &'a [u8],
-    /// The entries' raw-file positions.
-    pub pos: &'a [u64],
+    /// The entries' raw-file positions, little-endian: they start
+    /// `segments × count` bytes into the leaf, so in general not 8-aligned.
+    positions: &'a [u8],
 }
 
-/// Every leaf's symbols (leaf `l`'s block at `leaf_starts[l] * segments`)
-/// and positions (at `leaf_starts[l]`), in scan order.
-struct Arrays {
-    symbols: WriteOnce<u8>,
-    pos: WriteOnce<u64>,
-}
-
-/// A fixed-size array that threads fill in disjoint parts, each part once,
-/// and read only afterwards. The array itself enforces none of this: the
-/// accessors are `unsafe` and [`Summaries::block`], their one caller, keeps
-/// the discipline with a lock per part.
-struct WriteOnce<T>(Box<[UnsafeCell<T>]>);
-
-// SAFETY: the cells are reached only through `read` and `write`, whose
-// callers guarantee that a part being written is referenced by nobody else;
-// given that, sharing the array is sharing `&[T]` and handing out disjoint
-// `&mut [T]`, which needs `T: Sync + Send`.
-unsafe impl<T: Send + Sync> Sync for WriteOnce<T> {}
-
-impl<T> WriteOnce<T> {
-    fn new(values: Vec<T>) -> Self {
-        let values = Box::into_raw(values.into_boxed_slice());
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
-        // slices have one layout and the box may own it under either type.
-        WriteOnce(unsafe { Box::from_raw(values as *mut [UnsafeCell<T>]) })
+impl LeafBlock<'_> {
+    /// Split the stored bytes of a leaf of `count` entries under `segments`
+    /// symbols per entry (`stored` may run on past the positions).
+    fn new(stored: &[u8], segments: usize, count: usize) -> LeafBlock<'_> {
+        let (symbols, rest) = stored.split_at(segments * count);
+        LeafBlock {
+            symbols,
+            positions: &rest[..8 * count],
+        }
     }
 
-    /// # Safety
-    ///
-    /// No write to `part` may be in progress or start while the returned
-    /// slice is alive.
-    unsafe fn read(&self, part: Range<usize>) -> &[T] {
-        let cells = &self.0[part];
-        // SAFETY: the cells are `cells.len()` initialised `T`s, and the
-        // caller rules out a concurrent write.
-        unsafe { std::slice::from_raw_parts(cells.as_ptr().cast(), cells.len()) }
+    /// Entries in the leaf.
+    pub fn len(&self) -> usize {
+        self.positions.len() / 8
     }
 
-    /// # Safety
-    ///
-    /// The caller must be the only one reading or writing `part` while the
-    /// returned slice is alive.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn write(&self, part: Range<usize>) -> &mut [T] {
-        let cells = &self.0[part];
-        // SAFETY: the pointer comes out of `UnsafeCell`s, so writing through
-        // it is allowed, and the caller holds the part exclusively.
-        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), cells.len()) }
+    /// True when the leaf holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The raw-file position of entry `entry`.
+    #[inline]
+    pub fn pos(&self, entry: usize) -> u64 {
+        crate::le::u64(&self.positions[8 * entry..8 * entry + 8])
     }
 }
 
-/// The leaves of an index file, as [`Summaries`] reads them back.
-struct LeafSource {
+/// Where the blocks' stored bytes are.
+enum Blocks {
+    /// Every leaf's stored bytes, back to back in leaf order
+    /// ([`Summaries::from_sorted`]), every one of them in place.
+    Owned(Vec<u8>),
+    /// The leaves of an index file.
+    File(LeafFile),
+}
+
+/// The leaves of an index file, as [`Summaries`] borrows them.
+struct LeafFile {
     store: LeafStore,
     leaves: Vec<LeafMeta>,
     /// Every position must fall in the range the index covers.
     range: Range<u64>,
+    /// The whole file, mapped by the first leaf verified.
+    mapping: OnceLock<Mapping>,
+}
+
+impl LeafFile {
+    /// The file's mapping, made now if no leaf made it before.
+    fn mapping(&self) -> Result<&Mapping> {
+        if let Some(mapping) = self.mapping.get() {
+            return Ok(mapping);
+        }
+        // Racing first leaves may map twice; one mapping is kept.
+        let mapped = self.store.file().map()?;
+        Ok(self.mapping.get_or_init(|| mapped))
+    }
+
+    /// The stored bytes of leaf `leaf` in the mapping, and the file range
+    /// of the blocks they start: an [`Error::Corrupt`] if the file ends
+    /// before them.
+    fn stored(&self, leaf: usize) -> Result<(&[u8], Range<usize>)> {
+        let (blocks, stored_end) = self.store.leaf_span(&self.leaves[leaf]);
+        let blocks = blocks.start as usize..blocks.end as usize;
+        let bytes = self.mapping()?.bytes();
+        let stored = bytes
+            .get(blocks.start..stored_end as usize)
+            .ok_or_else(|| {
+                Error::corrupt(format!(
+                    "leaf block {} lies past the end of the index file",
+                    self.leaves[leaf].block
+                ))
+            })?;
+        Ok((stored, blocks))
+    }
+
+    /// Every check a read of leaf `leaf` runs, on its bytes in place: the
+    /// `leaf.read` fault site, the bytes inside the file (counted as a read
+    /// of them), the CRC, every position inside the covered range. Then the
+    /// whole pages of its blocks past the positions — the payloads of a
+    /// materialized leaf, the padding of a part-full one — are handed back,
+    /// so the fault-around that mapped them keeps none of them resident.
+    fn verify(&self, leaf: usize, segments: usize) -> Result<()> {
+        coconut_storage::fault::check("leaf.read")?;
+        let meta = &self.leaves[leaf];
+        let (stored, blocks) = self.stored(leaf)?;
+        self.store
+            .file()
+            .record_mapped_read(blocks.start as u64, stored.len() as u64);
+        self.store.check_leaf(meta, stored)?;
+        let block = LeafBlock::new(stored, segments, meta.count as usize);
+        if !(0..block.len()).all(|e| self.range.contains(&block.pos(e))) {
+            return Err(Error::corrupt(
+                "index does not cover a contiguous position range",
+            ));
+        }
+        let positions_end = blocks.start + (segments + 8) * block.len();
+        self.mapping()?.drop_pages(positions_end..blocks.end);
+        Ok(())
+    }
 }
 
 impl Summaries {
     /// Summaries over `(key, position)`-sorted `entries` cut into leaves of
     /// `leaf_sizes` entries (the last leaf takes the rest) — what an index
-    /// holding exactly those leaves would end up with, every block loaded.
+    /// holding exactly those leaves would end up with, every block in
+    /// place, stored as a pointer index stores them.
     pub fn from_sorted(
         sax: &SaxConfig,
         entries: &[(ZKey, u64)],
@@ -232,22 +276,18 @@ impl Summaries {
             leaves.push(&entries[start..end]);
             start = end;
         }
-        let mut s = Self::new(sax, leaves.iter().map(|leaf| (leaf[0].0, leaf.len())), None);
-        let decoder = SymbolDecoder::new(sax);
-        let mut symbols = vec![0; entries.len() * sax.segments];
-        let mut keys = Vec::new();
-        for (leaf, start) in leaves.iter().zip(&s.leaf_starts) {
-            keys.clear();
-            keys.extend(leaf.iter().map(|&(key, _)| key));
-            let block = start * sax.segments..(start + leaf.len()) * sax.segments;
-            decoder.decode_into(&keys, &mut symbols[block]);
+        let codec = LeafCodec::new(sax, false);
+        let mut stored = Vec::with_capacity(entries.len() * codec.entry_bytes());
+        let mut leaf_entries = LeafEntries::default();
+        for leaf in &leaves {
+            leaf_entries.clear();
+            for &(key, pos) in *leaf {
+                leaf_entries.push(key, pos, None);
+            }
+            codec.encode(&leaf_entries, 0..leaf.len(), &mut stored);
         }
-        s.arrays = OnceLock::from(Arrays {
-            symbols: WriteOnce::new(symbols),
-            pos: WriteOnce::new(entries.iter().map(|&(_, pos)| pos).collect()),
-        });
-        s.loaded = leaves.iter().map(|_| AtomicBool::new(true)).collect();
-        s
+        let leaves = leaves.iter().map(|leaf| (leaf[0].0, leaf.len()));
+        Self::new(sax, leaves, Blocks::Owned(stored))
     }
 
     /// The directory level alone — O(leaves), nothing read: `leaves` yields
@@ -255,7 +295,7 @@ impl Summaries {
     fn new(
         sax: &SaxConfig,
         leaves: impl Iterator<Item = (ZKey, usize)> + Clone,
-        source: Option<LeafSource>,
+        blocks: Blocks,
     ) -> Self {
         let w = sax.segments;
         let mut leaf_starts = vec![0];
@@ -275,16 +315,27 @@ impl Summaries {
             let (lo, hi) = lo_hi.split_at_mut(w);
             key_range_box(first, next, sax, lo, hi);
         }
+        let in_place = matches!(blocks, Blocks::Owned(_));
         Summaries {
             segments: w,
             loaded: (1..leaf_starts.len())
-                .map(|_| AtomicBool::new(false))
+                .map(|_| AtomicBool::new(in_place))
                 .collect(),
-            filling: (1..leaf_starts.len()).map(|_| Mutex::new(())).collect(),
-            arrays: OnceLock::new(),
+            verifying: (1..leaf_starts.len()).map(|_| Mutex::new(())).collect(),
             leaf_starts,
             boxes,
-            source,
+            blocks,
+        }
+    }
+
+    /// Forget every verified block and the mapping under them, before the
+    /// file is written: a leaf is checked again, against the directory of
+    /// the moment, the next time it is asked for.
+    fn unmap(&mut self) {
+        if let Blocks::File(file) = &mut self.blocks {
+            if file.mapping.take().is_some() {
+                self.loaded.iter_mut().for_each(|l| *l.get_mut() = false);
+            }
         }
     }
 
@@ -320,87 +371,43 @@ impl Summaries {
         self.boxes[leaf * 2 * w..(leaf + 1) * 2 * w].split_at(w)
     }
 
-    /// Leaves whose block is in memory.
+    /// Leaves whose block a query has verified (all of them for
+    /// [`Summaries::from_sorted`]).
     pub fn loaded_blocks(&self) -> usize {
         (0..self.leaf_count())
             .filter(|&l| self.is_loaded(l))
             .count()
     }
 
-    /// Whether leaf `leaf`'s block is in memory.
+    /// Whether leaf `leaf`'s block is verified.
     pub(crate) fn is_loaded(&self, leaf: usize) -> bool {
         self.loaded[leaf].load(Ordering::Acquire)
     }
 
-    /// The block of leaf `leaf`: read from the index file, CRC-checked and
-    /// copied by the first caller that asks (a second one waits for it), and
-    /// only borrowed ever after. A failed load leaves the leaf unloaded, so
-    /// the next caller fails — or succeeds — on its own read.
+    /// The block of leaf `leaf`: verified in place by the first caller that
+    /// asks (a second one waits for it) and only borrowed ever after. A
+    /// failed check leaves the leaf unverified, so the next caller fails —
+    /// or succeeds — on its own check.
     pub fn block(&self, leaf: usize) -> Result<LeafBlock<'_>> {
-        let w = self.segments;
-        let arrays = self.arrays.get_or_init(|| Arrays {
-            symbols: WriteOnce::new(vec![0; self.len() * w]),
-            pos: WriteOnce::new(vec![0; self.len()]),
-        });
-        let entries = self.leaf_starts[leaf]..self.leaf_starts[leaf + 1];
-        let symbols = entries.start * w..entries.end * w;
-        if !self.is_loaded(leaf) {
-            let filling = self.filling[leaf].lock();
-            if !self.loaded[leaf].load(Ordering::Relaxed) {
-                let Some(source) = &self.source else {
-                    return Err(Error::invalid("summaries hold no leaf file to load from"));
-                };
-                // SAFETY: a leaf's parts of the two arrays are written here
-                // only, with the leaf's fill lock held and its flag unset,
-                // and read only once the flag is set — so nobody else
-                // refers to them.
-                let (symbols, pos) = unsafe {
-                    (
-                        arrays.symbols.write(symbols.clone()),
-                        arrays.pos.write(entries.clone()),
-                    )
-                };
-                source.fill(leaf, symbols, pos)?;
-                self.loaded[leaf].store(true, Ordering::Release);
+        let count = self.leaf_len(leaf);
+        let stored = match &self.blocks {
+            Blocks::Owned(stored) => {
+                let entry = self.segments + 8;
+                &stored[self.leaf_starts[leaf] * entry..self.leaf_starts[leaf + 1] * entry]
             }
-            drop(filling);
-        }
-        // SAFETY: the flag is set, so these parts are never written again;
-        // their one write is ordered before this read either by the flag
-        // (`Release` store after the write, `Acquire` load that saw it) or
-        // by the fill lock (released by the writer after the write, taken
-        // here before the flag was seen set).
-        Ok(unsafe {
-            LeafBlock {
-                symbols: arrays.symbols.read(symbols),
-                pos: arrays.pos.read(entries),
+            Blocks::File(file) => {
+                if !self.is_loaded(leaf) {
+                    let verifying = self.verifying[leaf].lock();
+                    if !self.loaded[leaf].load(Ordering::Relaxed) {
+                        file.verify(leaf, self.segments)?;
+                        self.loaded[leaf].store(true, Ordering::Release);
+                    }
+                    drop(verifying);
+                }
+                file.stored(leaf)?.0
             }
-        })
-    }
-}
-
-thread_local! {
-    /// The leaf bytes a block load reads into, one buffer per thread, kept
-    /// from load to load.
-    static LEAF_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-impl LeafSource {
-    /// Read leaf `leaf` into its `symbols` block and its `pos`itions: one
-    /// read into this thread's buffer, the CRC check, a copy of the stored
-    /// symbol block and a decode of the positions, each of which must fall
-    /// in the range the index covers.
-    fn fill(&self, leaf: usize, symbols: &mut [u8], pos: &mut [u64]) -> Result<()> {
-        LEAF_BUF.with_borrow_mut(|buf| {
-            self.store.read_leaf(&self.leaves[leaf], buf)?;
-            self.store.codec().parts(buf).load_into(symbols, pos);
-            if !pos.iter().all(|p| self.range.contains(p)) {
-                return Err(Error::corrupt(
-                    "index does not cover a contiguous position range",
-                ));
-            }
-            Ok(())
-        })
+        };
+        Ok(LeafBlock::new(stored, self.segments, count))
     }
 }
 
@@ -507,7 +514,7 @@ impl<D: Directory> SortedLeafIndex<D> {
             store: LeafStore::new(file, codec, config.leaf_capacity),
             leaves: Vec::new(),
             dir,
-            summaries: Summaries::new(&config.sax, std::iter::empty(), None),
+            summaries: Summaries::new(&config.sax, std::iter::empty(), Blocks::Owned(Vec::new())),
             entry_count: 0,
             next_block: 0,
             range,
@@ -566,16 +573,17 @@ impl<D: Directory> SortedLeafIndex<D> {
     }
 
     /// Re-derive the summaries' directory level after `leaves` changed:
-    /// O(leaves), and every block of the old directory is dropped (a query
-    /// reloads the ones it touches).
+    /// O(leaves), and every block of the old directory is dropped with its
+    /// mapping (a query verifies the ones it touches again).
     pub(crate) fn leaves_changed(&mut self) {
-        let source = LeafSource {
+        let file = LeafFile {
             store: self.store.clone(),
             leaves: self.leaves.clone(),
             range: self.range.clone(),
+            mapping: OnceLock::new(),
         };
         let leaves = self.leaves.iter().map(|l| (l.first_key, l.count as usize));
-        self.summaries = Summaries::new(&self.config.sax, leaves, Some(source));
+        self.summaries = Summaries::new(&self.config.sax, leaves, Blocks::File(file));
     }
 
     /// Write `entries` as the next leaf at the end of the leaf region.
@@ -587,13 +595,16 @@ impl<D: Directory> SortedLeafIndex<D> {
     }
 
     /// Write entries `range` (not empty) of `entries` as the leaf starting
-    /// at physical block `block`, and return its directory record.
+    /// at physical block `block`, and return its directory record. The
+    /// file is unmapped first: no block stays borrowed from bytes that
+    /// change, even if the write fails before `leaves_changed`.
     pub(crate) fn write_leaf(
-        &self,
+        &mut self,
         block: u32,
         entries: &LeafEntries,
         range: Range<usize>,
     ) -> Result<LeafMeta> {
+        self.summaries.unmap();
         let mut leaf = Vec::new();
         self.store.codec().encode(entries, range.clone(), &mut leaf);
         let crc = crc32(&leaf);
@@ -840,12 +851,12 @@ impl<D: Directory> SortedLeafIndex<D> {
             metric
                 .table()
                 .bounds_under(block.symbols, hits.cutoff(), 0, &mut under);
-            stats.pruned += (block.pos.len() - under.len()) as u64;
+            stats.pruned += (block.len() - under.len()) as u64;
             order.clear();
             order.extend(
                 under
                     .iter()
-                    .map(|&(slot, bound)| (bound, block.pos[slot], slot)),
+                    .map(|&(slot, bound)| (bound, block.pos(slot), slot)),
             );
             order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             // A materialized leaf is read back only if a payload is wanted.

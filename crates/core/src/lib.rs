@@ -49,6 +49,7 @@
 //! in `coconut-server`.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 // Everything in this crate is reachable from the query server, where a
 // stray panic kills a worker thread: unwrap/expect are denied outside
 // tests, with explicit per-site `allow`s where an invariant makes the

@@ -9,25 +9,25 @@
 //!
 //! [`sims_scan`] is that loop, and it uses what the sort bought: the
 //! summaries ([`Summaries`]) are kept leaf by leaf — a box per leaf from
-//! the directory, the leaf's block of symbols and positions loaded by the
-//! first query that needs it ("if SAX sums are not in memory, load them",
-//! one leaf at a time) — and a leaf of the sorted order is a tight box in
-//! SAX space. The scan bounds every leaf's box once
-//! ([`QueryDistTable::box_bound`]) and visits the leaves best bound first —
-//! in ascending `(box bound, leaf)` order, skipping outright every leaf
-//! whose box is beyond the probe's cutoff — in batches that start at one
-//! leaf's worth of keys and double. Each batch runs under the cutoff the
-//! collector holds when it starts, in two phases:
+//! the directory, the leaf's block of symbols and positions verified in
+//! place, in a mapping of the index file, by the first query that needs it
+//! ("if SAX sums are not in memory, load them", one leaf at a time) — and a
+//! leaf of the sorted order is a tight box in SAX space. The scan bounds
+//! every leaf's box once ([`QueryDistTable::box_bound`]) and visits the
+//! leaves best bound first — in ascending `(box bound, leaf)` order,
+//! skipping outright every leaf whose box is beyond the probe's cutoff — in
+//! batches that start at one leaf's worth of keys and double. Each batch
+//! runs under the cutoff the collector holds when it starts, in two phases:
 //!
-//! * **A — bound.** Inside the batch's leaves (their blocks loaded by the
+//! * **A — bound.** Inside the batch's leaves (their blocks verified by the
 //!   worker that gets there first) the key pass bounds each entry and keeps
 //!   only those at or under the cutoff ([`QueryDistTable::key_filter`]: a
 //!   4-bit fast-scan prefilter, then the exact sum of its few survivors) —
 //!   a short list of `(where it is stored, bound)` candidates instead of a
 //!   bound per record. Workers share nothing they write but a leaf's
-//!   load-once block, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
-//!   with blocks no query has loaded yet (a cold scan reads and copies
-//!   blocks in parallel), is split over scoped threads by leaf ranges; a near query,
+//!   verify-once flag, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
+//!   with blocks no query has verified yet (a cold scan checks blocks in
+//!   parallel), is split over scoped threads by leaf ranges; a near query,
 //!   whose probe already pruned almost every leaf, never spawns.
 //! * **B — fetch.** The batch's candidates are swept in storage order —
 //!   raw-file position for pointer indexes, scan index for materialized
@@ -450,8 +450,8 @@ impl Default for Part {
 /// (known by position if `by_pos`, by scan index otherwise) to the first of
 /// `parts` (there is always one), splitting the batch over `workers` scoped
 /// threads by leaf ranges of near-equal key counts (one worker runs inline,
-/// spawning nothing). A worker loads the blocks of its leaves that no query
-/// touched before, so a cold scan reads and copies blocks in parallel. Each
+/// spawning nothing). A worker verifies the blocks of its leaves that no
+/// query touched before, so a cold scan checks blocks in parallel. Each
 /// worker fills one of `parts`, the scan's reusable buffers — the first
 /// appends where the candidates gather, the others' lists follow it there:
 /// they are allocated here, by the thread that keeps them, so they grow in
@@ -479,7 +479,7 @@ fn bound_batch(
                 filter.bounds_under(block.symbols, 0, &mut part.under);
                 part.kept.extend(part.under.iter().map(|&(e, bound)| {
                     let at = if by_pos {
-                        block.pos[e]
+                        block.pos(e)
                     } else {
                         (start + e) as u64
                     };
@@ -872,8 +872,9 @@ mod tests {
         let sums = summarize(&keys, &config);
         let mut leaf_of = vec![0; data.len()];
         for l in 0..LEAVES {
-            for &pos in sums.block(l).unwrap().pos {
-                leaf_of[pos as usize] = l;
+            let block = sums.block(l).unwrap();
+            for e in 0..block.len() {
+                leaf_of[block.pos(e) as usize] = l;
             }
         }
         for seed in 0..4 {

@@ -41,7 +41,7 @@ use coconut_summary::ZKey;
 
 use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
-use crate::layout::{IndexHeader, LeafMeta};
+use crate::layout::{read_index, IndexHeader, LeafMeta};
 use crate::leaves::{Directory, SortedLeafIndex};
 use crate::records::KeyPos;
 use crate::split::{child_counts, merge_slots, SplitPolicy};
@@ -337,13 +337,13 @@ impl Directory for PrefixNodes {
         }
         let mut dir = Self::empty(config);
         let mut count_buf = [0u8; 8];
-        file.read_exact_at(&mut count_buf, tail)?;
+        read_index(file, &mut count_buf, tail)?;
         let node_count = u64::from_le_bytes(count_buf);
         // Everything after the node count up to end-of-file is records plus
         // the trailing root.
         let tail_len = file.len().saturating_sub(tail + 8) as usize;
         let mut buf = vec![0u8; tail_len];
-        file.read_exact_at(&mut buf, tail + 8)?;
+        read_index(file, &mut buf, tail + 8)?;
         let mut off = 0usize;
         fn take<'a>(buf: &'a [u8], off: &mut usize, n: usize) -> Result<&'a [u8]> {
             let bytes = buf
@@ -615,7 +615,8 @@ mod tests {
         let mut symbols = vec![0; 100 * sax.segments];
         SymbolDecoder::new(&sax).decode_into(&[trie.leaves[0].first_key; 100], &mut symbols);
         assert_eq!(block.symbols, symbols);
-        assert_eq!(block.pos, (0..100).collect::<Vec<u64>>());
+        let pos: Vec<u64> = (0..block.len()).map(|i| block.pos(i)).collect();
+        assert_eq!(pos, (0..100).collect::<Vec<u64>>());
     }
 
     #[test]

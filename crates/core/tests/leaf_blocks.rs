@@ -1,8 +1,10 @@
-//! The load-once leaf blocks behind [`SortedLeafIndex::search`]: opening an
-//! index reads its directory and nothing else, a query loads only the
-//! leaves it cannot prune, concurrent cold queries and any thread count get
-//! the same answers, and a corrupt leaf fails exactly the queries that
-//! touch it.
+//! The verify-once leaf blocks behind [`SortedLeafIndex::search`]: opening
+//! an index reads its directory and nothing else, a query verifies only the
+//! leaves it cannot prune and counts each as a read of its stored bytes,
+//! concurrent cold queries and any thread count get the same answers, a
+//! corrupt leaf — or one the file no longer holds — fails exactly the
+//! queries that touch it, and blocks borrowed from the index file answer
+//! like blocks built from the sorted entries in memory.
 //!
 //! [`SortedLeafIndex::search`]: coconut_core::SortedLeafIndex::search
 
@@ -10,14 +12,21 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
 use coconut_core::layout::{IndexHeader, LEAF_REGION_OFFSET};
+use coconut_core::leaves::Summaries;
 use coconut_core::records::KeyPos;
-use coconut_core::{BuildOptions, CoconutTree, CoconutTrie, IndexConfig, Kind, Query};
+use coconut_core::sims::{sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, Within};
+use coconut_core::{
+    BuildOptions, CoconutTree, CoconutTrie, Directory, IndexConfig, Kind, Metric, Query,
+    SortedLeafIndex,
+};
 use coconut_series::dataset::{write_dataset, Dataset};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
-use coconut_series::index::{Answer, SeriesIndex};
+use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{CountedFile, Error, IoStats, RecordStream, TempDir};
+use coconut_storage::{CountedFile, Deadline, Error, IoStats, RecordStream, TempDir};
+use coconut_summary::sax::Summarizer;
+use coconut_summary::ZKey;
 
 const LEN: usize = 64;
 const N: u64 = 3_000;
@@ -216,4 +225,189 @@ fn a_corrupt_leaf_fails_the_queries_that_touch_it_and_no_other() {
     }
     assert!(refused >= inside.len(), "{refused} refused");
     assert!(exact > refused, "{exact} exact, {refused} refused");
+}
+
+#[test]
+fn a_cold_query_reads_the_stored_bytes_of_the_blocks_it_verifies() {
+    let dir = TempDir::new("leaf-blocks").unwrap();
+    let ds = dataset(&dir);
+    let path = built_tree(&dir, &ds);
+    // Every leaf holds `LEAF` entries of `segments + 8` stored bytes.
+    let leaf_bytes = (LEAF * (config().sax.segments + 8)) as u64;
+    let series_bytes = (LEN * 4) as u64;
+    for seed in 0..4 {
+        for query in [Query::nearest(), Query::knn(10)] {
+            let tree = CoconutTree::open(&path, &ds, 2).unwrap();
+            let ((_, stats), read) =
+                bytes_read_by(&ds, || tree.search(&walk(300 + seed), &query).unwrap());
+            assert!(tree.loaded_blocks() > 0);
+            assert_eq!(
+                read,
+                tree.loaded_blocks() as u64 * leaf_bytes + stats.records_fetched * series_bytes,
+                "seed {seed} {:?}",
+                query.kind
+            );
+        }
+    }
+}
+
+#[test]
+fn a_file_cut_after_open_fails_the_queries_that_need_a_cut_leaf() {
+    let dir = TempDir::new("leaf-blocks").unwrap();
+    let ds = dataset(&dir);
+    let path = built_tree(&dir, &ds);
+    // Cut the file in the middle of leaf 200: that leaf, every one after
+    // it and the directory are gone.
+    const CUT: usize = 200;
+    let (cut, kept): (Vec<u64>, usize) = {
+        let tree = CoconutTree::open(&path, &ds, 1).unwrap();
+        let mut entries = tree.leaf_entries::<KeyPos>();
+        let kept: usize = tree.leaf_entry_counts()[..CUT].iter().sum();
+        for _ in 0..kept {
+            entries.next_item().unwrap().unwrap();
+        }
+        let mut cut = Vec::new();
+        while let Some(entry) = entries.next_item().unwrap() {
+            cut.push(entry.pos);
+        }
+        (cut, kept)
+    };
+    assert_eq!(kept + cut.len(), N as usize);
+
+    let tree = CoconutTree::open(&path, &ds, 2).unwrap();
+    let entry_bytes = (config().sax.segments + 8) as u64;
+    let at = LEAF_REGION_OFFSET + kept as u64 * entry_bytes + 7;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(at)
+        .unwrap();
+    let (mut exact, mut refused) = (0, 0);
+    for member in (0..N).step_by(25).chain(cut.iter().copied().step_by(10)) {
+        match tree.exact_search(&ds.get(member).unwrap()) {
+            Ok((found, _)) => {
+                assert_eq!((found.pos, found.dist), (member, 0.0));
+                assert!(!cut.contains(&member), "{member} lives in a cut leaf");
+                exact += 1;
+            }
+            Err(Error::Corrupt(msg)) => {
+                assert!(msg.contains("past the end"), "{msg}");
+                refused += 1;
+            }
+            Err(other) => panic!("member {member}: {other}"),
+        }
+    }
+    assert!(refused >= cut.len() / 10, "{refused} refused");
+    assert!(exact > 0, "{exact} exact, {refused} refused");
+}
+
+/// A fetcher over the series in memory: by position, or by scan index
+/// through the sorted `entries`.
+struct InMemory<'a, const BY_POS: bool> {
+    all: &'a [Vec<Value>],
+    entries: &'a [(ZKey, u64)],
+}
+
+impl<const BY_POS: bool> SeriesFetcher for InMemory<'_, BY_POS> {
+    const POSITION_ORDER: bool = BY_POS;
+
+    fn fetch(&mut self, at: u64, out: &mut [Value]) -> coconut_storage::Result<u64> {
+        let pos = if BY_POS {
+            at
+        } else {
+            self.entries[at as usize].1
+        };
+        out.copy_from_slice(&self.all[pos as usize]);
+        Ok(pos)
+    }
+}
+
+/// The answers and counters of a range query of radius `eps` under
+/// `metric`, scanning `summaries` with `fetcher` on two threads.
+fn scan_range<M: Distance, F: SeriesFetcher>(
+    metric: &M,
+    summaries: &Summaries,
+    fetcher: &mut F,
+    eps: f64,
+) -> (Vec<Answer>, QueryStats) {
+    let mut hits = Within::new(eps, f64::INFINITY);
+    let stats = sims_scan(
+        metric,
+        LEN,
+        summaries,
+        2,
+        fetcher,
+        &mut hits,
+        Deadline::NONE,
+    )
+    .unwrap();
+    (hits.into_answers(), stats)
+}
+
+/// A range query's answers and counters on `index` (a range query is the
+/// scan alone, no probe), then those of the same scan over
+/// `Summaries::from_sorted` blocks of `entries`, cut as `index` cuts them.
+fn range_both_ways<D: Directory, const BY_POS: bool>(
+    index: &SortedLeafIndex<D>,
+    entries: &[(ZKey, u64)],
+    all: &[Vec<Value>],
+    q: &[Value],
+    query: &Query,
+) -> [(Vec<Answer>, QueryStats); 2] {
+    let Kind::Range(eps) = query.kind else {
+        unreachable!("a range query")
+    };
+    let sax = config().sax;
+    let in_memory = Summaries::from_sorted(&sax, entries, index.leaf_entry_counts());
+    let mut fetcher = InMemory::<BY_POS> { all, entries };
+    let reference = match query.metric {
+        Metric::Ed => scan_range(&Ed::new(q, &sax), &in_memory, &mut fetcher, eps),
+        Metric::Dtw(band) => scan_range(&Dtw::new(q, band, &sax), &in_memory, &mut fetcher, eps),
+    };
+    [index.search(q, query).unwrap(), reference]
+}
+
+#[test]
+fn mapped_blocks_answer_like_blocks_built_from_sorted_entries() {
+    let dir = TempDir::new("leaf-blocks").unwrap();
+    let ds = dataset(&dir);
+    let all: Vec<Vec<Value>> = (0..N).map(|p| ds.get(p).unwrap()).collect();
+    let mut summarizer = Summarizer::new(config().sax);
+    let mut entries: Vec<(ZKey, u64)> = all.iter().map(|s| summarizer.zkey(s)).zip(0..).collect();
+    entries.sort_unstable();
+
+    let full = BuildOptions {
+        materialized: true,
+        ..BuildOptions::default()
+    };
+    let tree_path = CoconutTree::build(&ds, &config(), dir.path(), full)
+        .unwrap()
+        .index_path()
+        .to_path_buf();
+    let trie_path = CoconutTrie::build(&ds, &config(), dir.path(), BuildOptions::default())
+        .unwrap()
+        .index_path()
+        .to_path_buf();
+    for seed in 0..3 {
+        let q = walk(500 + seed);
+        let mut dists: Vec<f64> = all.iter().map(|s| euclidean(&q, s)).collect();
+        dists.sort_by(f64::total_cmp);
+        let range = Query::range(dists[20]);
+        let dtw_range = Query {
+            metric: Metric::Dtw(4),
+            ..range
+        };
+        for query in [range, dtw_range] {
+            // Fresh opens: every block the scan touches is mapped cold.
+            let tree = CoconutTree::open(&tree_path, &ds, 2).unwrap();
+            let [mapped, in_memory] =
+                range_both_ways::<_, false>(&tree, &entries, &all, &q, &query);
+            assert!(!mapped.0.is_empty());
+            assert_eq!(mapped, in_memory, "materialized tree, seed {seed}");
+            let trie = CoconutTrie::open(&trie_path, &ds, 2).unwrap();
+            let [mapped, in_memory] = range_both_ways::<_, true>(&trie, &entries, &all, &q, &query);
+            assert_eq!(mapped, in_memory, "ctrie, seed {seed}");
+        }
+    }
 }

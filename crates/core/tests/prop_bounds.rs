@@ -76,7 +76,7 @@ proptest! {
                 for (i, bound) in bounds {
                     prop_assert_eq!(i, seen);
                     let (key, pos) = entries[i];
-                    prop_assert_eq!(block.pos[i - start], pos);
+                    prop_assert_eq!(block.pos(i - start), pos);
                     prop_assert_eq!(bound.to_bits(), table.mindist_zkey(key).to_bits());
                     prop_assert!(box_bound <= bound, "leaf {l}: box {box_bound} > key {bound}");
                     let true_dist = distance(&q, &data[pos as usize], band);

@@ -4,14 +4,16 @@
 //! answers exactly — on a freshly opened index and through a pinned LSM
 //! snapshot. An injected `dataset.read` error — a raw fetch of the probe, or
 //! one of the scan's sweeps — fails its query the same way, and the next
-//! query is exact.
+//! query is exact. An injected `index.read` error — any of the header,
+//! directory and trie-tail reads of `open` — fails that `open` the same way,
+//! and the next `open` answers exactly.
 //!
 //! One test in a file of its own: the fault plan is process-global, and
 //! no other test may meet it.
 
 use std::sync::Arc;
 
-use coconut_core::{BuildOptions, CoconutTree, IndexConfig, LsmCoconut, Query};
+use coconut_core::{BuildOptions, CoconutTree, CoconutTrie, IndexConfig, LsmCoconut, Query};
 use coconut_series::dataset::{write_dataset, Dataset};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
@@ -110,4 +112,36 @@ fn a_failed_leaf_read_fails_one_query_and_the_next_is_exact() {
     assert_eq!(answers, [oracle]);
     assert_eq!(plan.injected(), 1);
     fault::clear();
+
+    // Opening: a tree reads its header and its directory (head, then
+    // records); a trie also reads its tail (node count, then nodes).
+    let trie = CoconutTrie::build(&ds, &config(), dir.path(), BuildOptions::default()).unwrap();
+    for nth in 1..=3 {
+        let plan = fault::install(FaultPlan::parse(&format!("index.read=err@{nth}"), 0).unwrap());
+        let Err(err) = CoconutTree::open(built.index_path(), &ds, 2) else {
+            panic!("tree open survived index read {nth} failing");
+        };
+        assert_injected_io_error(err, "index.read");
+        let (found, _) = CoconutTree::open(built.index_path(), &ds, 2)
+            .unwrap()
+            .exact_search(&q)
+            .unwrap();
+        assert_eq!(found, oracle, "after tree index read {nth} failed");
+        assert_eq!(plan.injected(), 1);
+        fault::clear();
+    }
+    for nth in 1..=5 {
+        let plan = fault::install(FaultPlan::parse(&format!("index.read=err@{nth}"), 0).unwrap());
+        let Err(err) = CoconutTrie::open(trie.index_path(), &ds, 2) else {
+            panic!("trie open survived index read {nth} failing");
+        };
+        assert_injected_io_error(err, "index.read");
+        let (found, _) = CoconutTrie::open(trie.index_path(), &ds, 2)
+            .unwrap()
+            .exact_search(&q)
+            .unwrap();
+        assert_eq!(found, oracle, "after trie index read {nth} failed");
+        assert_eq!(plan.injected(), 1);
+        fault::clear();
+    }
 }

@@ -19,6 +19,8 @@
 //!   bit-identical scalar mirror) behind the distance and summarization
 //!   hot paths; `COCONUT_FORCE_SCALAR=1` pins the scalar path.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod dataset;
 pub mod distance;
 pub mod dtw;

@@ -8,7 +8,7 @@
 //!   Every read and write is classified as *sequential* or *random* so that
 //!   experiments can report modeled I/O cost alongside wall-clock time.
 //! * [`CountedFile`] — a positioned file handle whose accesses feed
-//!   [`IoStats`].
+//!   [`IoStats`], and [`Mapping`], a read-only `mmap` of one.
 //! * [`MemoryBudget`] — a shared, thread-safe byte budget used to emulate
 //!   "memory available to the algorithm" (the x-axis of the paper's
 //!   Figures 8a/8b and the fixed-memory setting of Figures 8d/8e/10).
@@ -33,6 +33,7 @@
 //! binary records and raw pages.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod atomic;
 pub mod budget;
@@ -51,6 +52,6 @@ pub use deadline::Deadline;
 pub use error::{Error, Result};
 pub use extsort::{Codec, ExternalSorter, MergedStream, RecordStream, SortReport, SortedStream};
 pub use fault::{FaultAction, FaultPlan, Trigger};
-pub use file::CountedFile;
+pub use file::{CountedFile, Mapping};
 pub use iostats::{DiskProfile, IoSnapshot, IoStats};
 pub use tempdir::TempDir;

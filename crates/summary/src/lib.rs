@@ -21,6 +21,8 @@
 //! indexes, and [`haar`] the Discrete Haar Wavelet Transform used by the
 //! Vertical baseline.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod breakpoints;
 pub mod config;
 pub mod haar;
