@@ -146,6 +146,12 @@ pub fn run(cmd: Command) -> Result<()> {
                 io.random_ops(),
                 io.total_bytes() as f64 / (1 << 20) as f64
             );
+            if let Some(peak) = peak_resident_bytes() {
+                println!(
+                    "memory        {:.1} MiB peak resident ({memory_mb} MiB build budget)",
+                    peak as f64 / (1 << 20) as f64
+                );
+            }
             Ok(())
         }
         Command::Query {
@@ -632,6 +638,15 @@ fn report_time(t0: Instant, qstats: &QueryStats) {
     );
 }
 
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`), or
+/// `None` where that file is missing.
+fn peak_resident_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib << 10)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,5 +999,16 @@ mod tests {
             shards: 1,
         })
         .is_err());
+    }
+
+    #[test]
+    fn peak_resident_set_is_read_where_proc_exists() {
+        let peak = peak_resident_bytes();
+        if std::path::Path::new("/proc/self/status").exists() {
+            // At least the pages this test binary has touched.
+            assert!(peak.is_some_and(|b| b >= 1 << 20), "{peak:?}");
+        } else {
+            assert_eq!(peak, None);
+        }
     }
 }

@@ -531,25 +531,11 @@ impl<D: Directory> SortedLeafIndex<D> {
         mut next: impl FnMut() -> Result<Option<R>>,
         mut leaf_sizes: impl Iterator<Item = usize>,
     ) -> Result<()> {
-        let n = (self.range.end - self.range.start) as usize;
         let mut leaf = LeafEntries::default();
         let mut leaf_size = leaf_sizes.next().unwrap_or(usize::MAX);
 
         while let Some(rec) = next()? {
-            if self.materialized && rec.series().is_none() {
-                return Err(Error::invalid(
-                    "materialized build fed a stream without payloads",
-                ));
-            }
-            let (key, pos) = (rec.key(), rec.pos());
-            if !self.range.contains(&pos) {
-                return Err(Error::invalid(format!(
-                    "record position {pos} outside build range {:?}",
-                    self.range
-                )));
-            }
-            leaf.push(key, pos, rec.series().filter(|_| self.materialized));
-            self.entry_count += 1;
+            self.admit(&mut leaf, &rec)?;
             if leaf.len() == leaf_size {
                 self.push_leaf(&leaf)?;
                 leaf.clear();
@@ -559,7 +545,35 @@ impl<D: Directory> SortedLeafIndex<D> {
         if !leaf.is_empty() {
             self.push_leaf(&leaf)?;
         }
-        if self.entry_count != n as u64 {
+        self.loaded()
+    }
+
+    /// Check one sorted record against the build — a payload when
+    /// materialized, a position inside the range — and append it to `leaf`.
+    pub(crate) fn admit<R: SortedRecord>(&mut self, leaf: &mut LeafEntries, rec: &R) -> Result<()> {
+        if self.materialized && rec.series().is_none() {
+            return Err(Error::invalid(
+                "materialized build fed a stream without payloads",
+            ));
+        }
+        let pos = rec.pos();
+        if !self.range.contains(&pos) {
+            return Err(Error::invalid(format!(
+                "record position {pos} outside build range {:?}",
+                self.range
+            )));
+        }
+        leaf.push(rec.key(), pos, rec.series().filter(|_| self.materialized));
+        self.entry_count += 1;
+        Ok(())
+    }
+
+    /// End a load whose every record went through [`Self::admit`] and
+    /// whose leaves are written: check it covered the range exactly, then
+    /// report it and re-derive the summaries.
+    pub(crate) fn loaded(&mut self) -> Result<()> {
+        let n = self.range.end - self.range.start;
+        if self.entry_count != n {
             return Err(Error::corrupt(format!(
                 "sorted stream held {} records but the build range {:?} spans {n}",
                 self.entry_count, self.range

@@ -26,9 +26,10 @@
 //!   a short list of `(where it is stored, bound)` candidates instead of a
 //!   bound per record. Workers share nothing they write but a leaf's
 //!   verify-once flag, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
-//!   with blocks no query has verified yet (a cold scan checks blocks in
-//!   parallel), is split over scoped threads by leaf ranges; a near query,
-//!   whose probe already pruned almost every leaf, never spawns.
+//!   with [`PARALLEL_MIN_COLD_LEAVES`] blocks no query has verified yet (a
+//!   cold scan checks blocks in parallel), is split over scoped threads by
+//!   leaf ranges; a near query, whose probe already pruned almost every
+//!   leaf, never spawns.
 //! * **B — fetch.** The batch's candidates are swept in storage order —
 //!   raw-file position for pointer indexes, scan index for materialized
 //!   ones — each re-checked against the cutoff as it tightens, then fetched
@@ -134,6 +135,20 @@ pub trait SeriesFetcher {
 /// threshold sits at the top of that crossover: on a busy server the second
 /// core is another query's.
 pub const PARALLEL_MIN_KEYS: usize = 1 << 17;
+
+/// Below this many unverified leaves a batch under [`PARALLEL_MIN_KEYS`]
+/// is verified and bounded on one thread. One worker verifies and bounds a
+/// cold 2,000-entry leaf in about 15 µs, while a process's first spawn
+/// costs about 200 µs, so a second worker pays only from a few dozen cold
+/// leaves per batch — the far and k-NN scans' later batches, not a `--pos`
+/// query's handful. Measured with `coconut query` on 1M × 256 series
+/// (2,000-entry leaves, 2-vCPU Xeon VM), threshold 16 against a second
+/// worker for any cold batch, alternating pairs: `--pos` search 0.50 vs
+/// 0.80 ms on the ctree (60 of 60 pairs) and 0.50 vs 0.70–0.80 ms on the
+/// ctrie (40 of 40); far and 10-NN search held — faster in 40 and 42 of 60
+/// pairs on the ctree, 27 and 27 of 40 on the ctrie. Answers and
+/// `QueryStats` were equal in every pair.
+pub const PARALLEL_MIN_COLD_LEAVES: usize = 16;
 
 /// Cut `items` into at most `parts` contiguous chunks of near-equal total
 /// `weight`, in order.
@@ -624,9 +639,10 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
             break;
         }
         batch_keys = batch_keys.saturating_mul(2);
+        let cold = batch.iter().filter(|&&l| !summaries.is_loaded(l)).count();
         let parallel = threads > 1
             && batch.len() > 1
-            && (keys >= parallel_min_keys || batch.iter().any(|&l| !summaries.is_loaded(l)));
+            && (keys >= parallel_min_keys || cold >= PARALLEL_MIN_COLD_LEAVES);
         let workers = if parallel { threads } else { 1 };
         let filter = table.key_filter(cutoff);
         bound_batch(

@@ -5,10 +5,14 @@
 //! iSAX prefix, here a prefix of the interleaved z-order key — but builds
 //! the index *bottom-up* from the externally sorted summarizations and
 //! compacts it, so that leaves end up contiguous on disk. Because the keys
-//! are sorted, every prefix node covers a contiguous key range; the
-//! recursive builder emits a leaf as soon as a subtree fits in one node,
-//! which is exactly the fixpoint `CompactSubtree` reaches by repeatedly
-//! merging sibling leaves that fit together.
+//! are sorted, every prefix node covers a contiguous key range, and the
+//! builder emits a leaf as soon as a subtree fits in one node — exactly the
+//! fixpoint `CompactSubtree` reaches by repeatedly merging sibling leaves
+//! that fit together. Under the paper's binary split that is decided on the
+//! sorted stream as it arrives: a lookahead of `capacity + 1` records shows
+//! whether the first record's prefix run closes within one leaf, so the
+//! build holds that lookahead and the leaf being written — no summary array
+//! — and stays inside the sorter's memory budget however large the data.
 //!
 //! What Coconut-Trie does **not** fix (by design — it isolates the
 //! contiguity variable) is occupancy: prefix boundaries cannot balance
@@ -26,25 +30,29 @@
 //! the occupancy Coconut-Tree gets — without giving up prefix semantics.
 //! Both policies produce bit-identical *query answers* (exact search runs
 //! over the same sorted keys either way); only the leaf partitioning and
-//! the approximate-search seed differ.
+//! the approximate-search seed differ. The adaptive policy chooses each
+//! fanout from its whole window's key histogram, so it carves in memory:
+//! it holds the sorted keys, plus their positions for pointer builds —
+//! 24 B per series, 16 B for -Full builds.
 //!
 //! The leaves, their persistence and every query live in
 //! [`crate::leaves::SortedLeafIndex`]; this module is what makes the index
 //! a *trie*: the [`PrefixNodes`] directory, its on-disk tail, and the
 //! prefix carving that decides where one leaf ends and the next begins.
 
+use std::collections::vec_deque::{Drain, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coconut_storage::{CountedFile, Error, Result};
+use coconut_storage::{CountedFile, Error, RecordStream, Result};
 use coconut_summary::ZKey;
 
 use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
-use crate::layout::{read_index, IndexHeader, LeafMeta};
+use crate::layout::{read_index, IndexHeader, LeafEntries, LeafMeta};
 use crate::leaves::{Directory, SortedLeafIndex};
-use crate::records::KeyPos;
-use crate::split::{child_counts, merge_slots, SplitPolicy};
+use crate::records::{KeyPos, SortedRecord};
+use crate::split::{child_counts, merge_slots, SplitPolicy, SplitPolicyKind};
 
 static TRIE_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -80,7 +88,9 @@ pub struct PrefixNodes {
     root: Option<u32>,
 }
 
-/// One bulk load's carving state: the sorted keys, the policy, and the
+/// The recursive carve over sorted keys held in memory — the adaptive
+/// policy's bulk load, and the reference the fixed policy's
+/// [`carve_stream`] is tested against: the sorted keys, the policy, and the
 /// leaf sizes emitted so far (leaf `i` takes the next `leaf_sizes[i]` keys).
 struct Carver<'a> {
     dir: &'a mut PrefixNodes,
@@ -195,6 +205,127 @@ impl Carver<'_> {
     }
 }
 
+/// A binary split still open on the streaming carve's path from the root:
+/// the bit it splits on, the prefix its window's keys share (their first
+/// `depth` bits) and its zero child once carved.
+struct OpenSplit {
+    depth: usize,
+    prefix: ZKey,
+    zero: Option<u32>,
+}
+
+/// The skeleton a streaming carve produced, in the recursive carve's node
+/// order.
+#[derive(Debug, Default, PartialEq)]
+struct Carved {
+    nodes: Vec<TrieNode>,
+    root: Option<u32>,
+    leaves: u32,
+    oversized: u64,
+}
+
+/// The fixed binary carve over a sorted record stream: the nodes and leaves
+/// [`Carver::carve`] makes under [`crate::split::FixedBinaryPolicy`],
+/// without holding the stream. `emit` receives each leaf's records, left to
+/// right.
+///
+/// A window is every key sharing one prefix, and it starts at the first
+/// unwritten record, so a lookahead of `capacity + 1` records tells whether
+/// it fits one leaf: it does unless the last of them still shares the
+/// prefix. The carve descends from the first record's window until it
+/// fits — pushing an open split where the first key has bit 0, and passing
+/// through without a node where it has bit 1 — emits that leaf, then climbs:
+/// a split whose window goes on gets its one child next, one whose window
+/// ended with its zero child makes no node, and one with both children
+/// becomes an internal node. Only a run of identical keys longer than
+/// `capacity` is read past the lookahead: it is one oversized leaf.
+fn carve_stream<R: SortedRecord>(
+    total_bits: usize,
+    capacity: usize,
+    mut next: impl FnMut() -> Result<Option<R>>,
+    mut emit: impl FnMut(Drain<'_, R>) -> Result<()>,
+) -> Result<Carved> {
+    let prefix = |key: ZKey, depth: usize| key.prefix(depth, total_bits);
+    let mut ahead: VecDeque<R> = VecDeque::with_capacity(capacity + 1);
+    let mut open: Vec<OpenSplit> = Vec::new();
+    let mut out = Carved::default();
+    let mut depth = 0;
+    // The subtree that ended with the last leaf written.
+    let mut closed: Option<u32> = None;
+    let mut more = true;
+    loop {
+        while more && ahead.len() <= capacity {
+            match next()? {
+                Some(rec) => ahead.push_back(rec),
+                None => more = false,
+            }
+        }
+        let first = ahead.front().map(SortedRecord::key);
+        while let Some(node) = closed.take() {
+            let Some(split) = open.last_mut() else {
+                debug_assert!(first.is_none(), "the root window is every key");
+                out.root = Some(node);
+                break;
+            };
+            match split.zero {
+                None if first.is_some_and(|k| prefix(k, split.depth) == split.prefix) => {
+                    split.zero = Some(node);
+                    depth = split.depth + 1;
+                }
+                None => {
+                    open.pop();
+                    closed = Some(node);
+                }
+                Some(zero) => {
+                    out.nodes.push(TrieNode::Internal {
+                        depth: split.depth as u32,
+                        zero,
+                        one: node,
+                    });
+                    open.pop();
+                    closed = Some(out.nodes.len() as u32 - 1);
+                }
+            }
+        }
+        let Some(first) = first else {
+            return Ok(out);
+        };
+        while depth < total_bits
+            && ahead.len() > capacity
+            && prefix(ahead[capacity].key(), depth) == prefix(first, depth)
+        {
+            if first.bit(depth, total_bits) == 0 {
+                open.push(OpenSplit {
+                    depth,
+                    prefix: prefix(first, depth),
+                    zero: None,
+                });
+            }
+            depth += 1;
+        }
+        let mut size =
+            ahead.partition_point(|rec| prefix(rec.key(), depth) == prefix(first, depth));
+        if size > capacity {
+            // Identical keys beyond capacity cannot be refined further;
+            // count the oversized leaf instead of absorbing it silently.
+            out.oversized += 1;
+            while more && size == ahead.len() {
+                match next()? {
+                    Some(rec) => {
+                        size += usize::from(rec.key() == first);
+                        ahead.push_back(rec);
+                    }
+                    None => more = false,
+                }
+            }
+        }
+        emit(ahead.drain(..size))?;
+        out.nodes.push(TrieNode::Leaf { leaf: out.leaves });
+        out.leaves += 1;
+        closed = Some(out.nodes.len() as u32 - 1);
+    }
+}
+
 impl Directory for PrefixNodes {
     const KIND: u8 = 1;
     const NAME: &'static str = "CTrie";
@@ -214,54 +345,19 @@ impl Directory for PrefixNodes {
 
     fn bulk_load(trie: &mut CoconutTrie, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
         let (range, sax) = (trie.range.clone(), trie.config.sax);
-        // Phase 1: sort the (key, position) pairs. Like the paper, we rely
-        // on the summarizations fitting in memory ("usually all the
-        // summarizations and their offsets fit in main memory"); the raw
-        // payloads of -Full builds are still sorted externally below.
-        let mut sorted: Vec<KeyPos> = Vec::with_capacity((range.end - range.start) as usize);
-        {
-            let mut stream = key_pos_stream(&trie.dataset, range.clone(), &sax, opts, tmp_dir)?;
-            trie.build_report.sort = stream.report();
-            while let Some(kp) = stream.next_item()? {
-                sorted.push(kp);
+        match (trie.config.split_policy, opts.materialized) {
+            // The paper's binary split carves the one sorted stream as it
+            // arrives: pointer builds sort `(key, pos)`, -Full builds sort
+            // whole records once and write them straight into their leaves.
+            (SplitPolicyKind::Fixed, false) => {
+                let mut stream = key_pos_stream(&trie.dataset, range, &sax, opts, tmp_dir)?;
+                trie.load_carved(stream.as_mut())?;
             }
-        }
-
-        // Phase 2: recursively carve the sorted order into prefix leaves
-        // (insertBottomUp + CompactSubtree): a maximal subtree whose entries
-        // fit one leaf becomes one leaf. How an oversized subtree splits is
-        // the policy's call (fixed binary vs adaptive variable fanout).
-        let keys: Vec<ZKey> = sorted.iter().map(|kp| kp.key).collect();
-        let policy = trie.config.split_policy.policy();
-        let mut carver = Carver {
-            keys: &keys,
-            policy: &*policy,
-            capacity: trie.config.leaf_capacity,
-            leaf_sizes: Vec::new(),
-            oversized: 0,
-            dir: &mut trie.dir,
-        };
-        let root = (!keys.is_empty()).then(|| carver.carve(0, keys.len(), 0));
-        let Carver {
-            leaf_sizes,
-            oversized,
-            ..
-        } = carver;
-        drop(keys);
-        trie.dir.root = root;
-        trie.build_report.oversized_leaves = oversized;
-
-        // Phase 3: write the leaves contiguously, left to right.
-        if opts.materialized {
-            // The -Full variant re-sorts with payloads and streams them into
-            // the leaf layout (the extra sort-merge passes the paper charges
-            // Coconut-Trie-Full for).
-            drop(sorted);
-            let mut stream = key_series_stream(&trie.dataset, range, &sax, opts, tmp_dir)?;
-            trie.load(|| stream.next_item(), leaf_sizes.into_iter())?;
-        } else {
-            let mut records = sorted.iter();
-            trie.load(|| Ok(records.next().copied()), leaf_sizes.into_iter())?;
+            (SplitPolicyKind::Fixed, true) => {
+                let mut stream = key_series_stream(&trie.dataset, range, &sax, opts, tmp_dir)?;
+                trie.load_carved(stream.as_mut())?;
+            }
+            (SplitPolicyKind::Adaptive, _) => trie.load_adaptive(tmp_dir, opts)?,
         }
         trie.persist()
     }
@@ -390,6 +486,88 @@ impl Directory for PrefixNodes {
 }
 
 impl CoconutTrie {
+    /// Write the leaves [`carve_stream`] cuts from `stream` and take its
+    /// skeleton: a lookahead of one leaf is all the build holds.
+    fn load_carved<R: SortedRecord>(
+        &mut self,
+        stream: &mut dyn RecordStream<Item = R>,
+    ) -> Result<()> {
+        let (total_bits, capacity) = (self.dir.total_bits, self.config.leaf_capacity);
+        let mut leaf = LeafEntries::default();
+        let carved = carve_stream(
+            total_bits,
+            capacity,
+            || stream.next_item(),
+            |records| {
+                for rec in records {
+                    self.admit(&mut leaf, &rec)?;
+                }
+                self.push_leaf(&leaf)?;
+                leaf.clear();
+                Ok(())
+            },
+        )?;
+        self.build_report.sort = stream.report();
+        self.build_report.oversized_leaves = carved.oversized;
+        self.dir.nodes = carved.nodes;
+        self.dir.root = carved.root;
+        self.loaded()
+    }
+
+    /// The adaptive policy picks each fanout from its whole window's key
+    /// histogram, so it carves in memory: the sorted keys, plus their
+    /// positions for pointer builds (a -Full build sorts again with the
+    /// payloads once its leaves are cut).
+    fn load_adaptive(&mut self, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
+        let (range, sax) = (self.range.clone(), self.config.sax);
+        let n = (range.end - range.start) as usize;
+        let mut keys: Vec<ZKey> = Vec::with_capacity(n);
+        let mut positions: Vec<u64> = Vec::with_capacity(if opts.materialized { 0 } else { n });
+        {
+            let mut stream = key_pos_stream(&self.dataset, range.clone(), &sax, opts, tmp_dir)?;
+            while let Some(kp) = stream.next_item()? {
+                keys.push(kp.key);
+                if !opts.materialized {
+                    positions.push(kp.pos);
+                }
+            }
+            self.build_report.sort = stream.report();
+        }
+
+        // insertBottomUp + CompactSubtree: a maximal subtree whose entries
+        // fit one leaf becomes one leaf; the policy chooses how an oversized
+        // subtree splits.
+        let policy = self.config.split_policy.policy();
+        let mut carver = Carver {
+            keys: &keys,
+            policy: &*policy,
+            capacity: self.config.leaf_capacity,
+            leaf_sizes: Vec::new(),
+            oversized: 0,
+            dir: &mut self.dir,
+        };
+        let root = (!keys.is_empty()).then(|| carver.carve(0, keys.len(), 0));
+        let Carver {
+            leaf_sizes,
+            oversized,
+            ..
+        } = carver;
+        self.dir.root = root;
+        self.build_report.oversized_leaves = oversized;
+
+        if opts.materialized {
+            drop(keys);
+            let mut stream = key_series_stream(&self.dataset, range, &sax, opts, tmp_dir)?;
+            self.load(|| stream.next_item(), leaf_sizes.into_iter())
+        } else {
+            let mut records = keys
+                .iter()
+                .zip(&positions)
+                .map(|(&key, &pos)| KeyPos { key, pos });
+            self.load(|| Ok(records.next()), leaf_sizes.into_iter())
+        }
+    }
+
     /// Number of trie nodes (internal + leaf) in the skeleton.
     pub fn node_count(&self) -> usize {
         self.dir.nodes.len()
@@ -441,6 +619,7 @@ mod tests {
     use coconut_series::Value;
     use coconut_storage::{IoStats, TempDir};
     use coconut_summary::mindist::SymbolDecoder;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     const LEN: usize = 64;
@@ -926,6 +1105,149 @@ mod tests {
             let reopened = CoconutTrie::open(trie.index_path(), &ds, 2).unwrap();
             assert_eq!(reopened.oversized_leaf_count(), 1);
             assert_eq!(reopened.build_report().oversized_leaves, 0, "not rebuilt");
+        }
+    }
+
+    /// The recursive carve under the fixed policy: its skeleton and leaf
+    /// sizes.
+    fn recursive_carve(keys: &[ZKey], total_bits: usize, capacity: usize) -> (Carved, Vec<usize>) {
+        let mut dir = PrefixNodes {
+            total_bits,
+            nodes: Vec::new(),
+            children: Vec::new(),
+            root: None,
+        };
+        let mut carver = Carver {
+            dir: &mut dir,
+            keys,
+            policy: &crate::split::FixedBinaryPolicy,
+            capacity,
+            leaf_sizes: Vec::new(),
+            oversized: 0,
+        };
+        let root = (!keys.is_empty()).then(|| carver.carve(0, keys.len(), 0));
+        let Carver {
+            leaf_sizes,
+            oversized,
+            ..
+        } = carver;
+        let carved = Carved {
+            nodes: dir.nodes,
+            root,
+            leaves: leaf_sizes.len() as u32,
+            oversized,
+        };
+        (carved, leaf_sizes)
+    }
+
+    /// The streaming carve over the same sorted keys (key `i` at position
+    /// `i`), asserting as it goes that it holds at most `capacity + 1`
+    /// unwritten records outside a run of identical keys, and that the
+    /// leaves arrive in order.
+    fn streamed_carve(keys: &[ZKey], total_bits: usize, capacity: usize) -> (Carved, Vec<usize>) {
+        let (pulled, written) = (Cell::new(0usize), Cell::new(0usize));
+        let mut sizes = Vec::new();
+        let carved = carve_stream(
+            total_bits,
+            capacity,
+            || {
+                let (i, w) = (pulled.get(), written.get());
+                let Some(&key) = keys.get(i) else {
+                    return Ok(None);
+                };
+                if i + 1 - w > capacity + 1 {
+                    assert!(
+                        keys[w..i].iter().all(|&k| k == keys[w]),
+                        "read {} records ahead of the writer outside an identical-key run",
+                        i + 1 - w
+                    );
+                }
+                pulled.set(i + 1);
+                Ok(Some(KeyPos { key, pos: i as u64 }))
+            },
+            |records| {
+                let start = written.get();
+                let pos: Vec<u64> = records.map(|r| r.pos).collect();
+                assert_eq!(
+                    pos,
+                    (start as u64..(start + pos.len()) as u64).collect::<Vec<_>>()
+                );
+                written.set(start + pos.len());
+                sizes.push(pos.len());
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(written.get(), keys.len());
+        (carved, sizes)
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn streaming_carve_matches_the_recursive_carve() {
+        let mut rng = 7u64;
+        let mut cases: Vec<(usize, usize, Vec<u128>)> = Vec::new();
+        for &total_bits in &[6usize, 12, 64, 128] {
+            let mask = if total_bits == 128 {
+                u128::MAX
+            } else {
+                (1u128 << total_bits) - 1
+            };
+            for &capacity in &[1usize, 2, 3, 7, 32] {
+                let random = |n: usize, rng: &mut u64| -> Vec<u128> {
+                    (0..n)
+                        .map(|_| ((splitmix(rng) as u128) << 64 | splitmix(rng) as u128) & mask)
+                        .collect()
+                };
+                cases.push((total_bits, capacity, Vec::new()));
+                cases.push((total_bits, capacity, random(1, &mut rng)));
+                cases.push((total_bits, capacity, random(500, &mut rng)));
+                // Clustered: a few centres, each with noise in its low bits.
+                let centres = random(4, &mut rng);
+                let noise = mask >> (total_bits * 3 / 4);
+                let clustered = (0..400)
+                    .map(|i| centres[i % 4] ^ (splitmix(&mut rng) as u128 & noise))
+                    .collect();
+                cases.push((total_bits, capacity, clustered));
+                // Duplicate-heavy: a handful of values, some in runs far
+                // longer than a leaf.
+                let values = random(5, &mut rng);
+                let dups = (0..300)
+                    .map(|_| values[splitmix(&mut rng) as usize % values.len()])
+                    .collect();
+                cases.push((total_bits, capacity, dups));
+                cases.push((total_bits, capacity, vec![values[0]; 3 * capacity + 2]));
+                // Pairs that differ only in their last bit, and one long
+                // run of a key beside its last-bit neighbour.
+                let pairs = random(60, &mut rng)
+                    .into_iter()
+                    .flat_map(|k| [k & !1, k | 1])
+                    .collect();
+                cases.push((total_bits, capacity, pairs));
+                let mut run = vec![values[1] & !1; 2 * capacity + 1];
+                run.extend(std::iter::repeat_n(values[1] | 1, capacity + 1));
+                run.push(values[2]);
+                cases.push((total_bits, capacity, run));
+            }
+        }
+        for (i, (total_bits, capacity, mut raw)) in cases.into_iter().enumerate() {
+            raw.sort_unstable();
+            let keys: Vec<ZKey> = raw.into_iter().map(ZKey).collect();
+            let expected = recursive_carve(&keys, total_bits, capacity);
+            let streamed = streamed_carve(&keys, total_bits, capacity);
+            assert_eq!(
+                streamed,
+                expected,
+                "case {i}: {} keys of {total_bits} bits, capacity {capacity}",
+                keys.len()
+            );
         }
     }
 }
