@@ -28,8 +28,7 @@
 //! The `leaf_*` rows time the leaf codec in **ns per key** over one
 //! 2,000-entry leaf: `leaf_encode` the write path's de-interleave (keys to
 //! the segment-major symbol block, scalar shifts vs BMI2 `PEXT`) and
-//! `leaf_keys` the re-interleave LSM merges and tree inserts pay (scalar vs
-//! `PDEP`).
+//! `leaf_keys` the re-interleave LSM merges pay (scalar vs `PDEP`).
 //!
 //! The `leaf_first_use` rows time, in **µs per leaf**, what a query pays
 //! the first time it needs one 2,000-entry leaf of a file the page cache
@@ -260,7 +259,7 @@ fn first_use_entries(work_dir: &Path, config: &SaxConfig, keys: &[ZKey]) -> Resu
     let w = config.segments;
     let codec = LeafCodec::new(config, false);
     let mut stored = Vec::new();
-    codec.encode(&sorted_leaf(keys), 0..n, &mut stored);
+    codec.encode(&sorted_leaf(keys), &mut stored);
     let len = stored.len();
     let limit = n as u64 * 7;
 

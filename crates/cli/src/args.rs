@@ -14,8 +14,8 @@ usage:
                 [--split-policy <fixed|adaptive>]
                 [--memory-mb M] [--shards N] [--out-dir DIR] <data.ds>
   coconut query --index <path.idx> --data <data.ds>
-                (--seed S | --pos P) [--k K] [--radius R]
-                [--dtw BAND] [--range EPS] [--approximate]
+                (--seed S | --pos P) [--radius R]
+                ([--k K] [--dtw BAND] [--approximate] | --range EPS)
   coconut ingest  --data <data.ds> --index-dir DIR [--materialized]
                   [--leaf N] [--compaction <tiered|leveled>] [--writers N]
                   [--memory-mb M] [--batch N] [--max-runs N]
@@ -305,12 +305,34 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if seed.is_none() && pos_opt.is_none() {
                 return Err("query: need --seed or --pos".into());
             }
+            let k = opts.get("--k").map_or(Ok(1), |s| parse_num(s, "k"))?;
+            if k == 0 {
+                return Err("query: --k must be at least 1".into());
+            }
+            let range_eps: Option<f64> = opts
+                .get("--range")
+                .map(|s| parse_num(s, "range eps"))
+                .transpose()?;
+            if let Some(eps) = range_eps {
+                if !eps.is_finite() || eps < 0.0 {
+                    return Err(format!(
+                        "query: --range must be finite and non-negative, got {eps}"
+                    ));
+                }
+                // A range query would silently drop these modes.
+                if let Some(flag) = ["--dtw", "--approximate", "--k"]
+                    .into_iter()
+                    .find(|f| opts.contains_key(*f))
+                {
+                    return Err(format!("query: --range cannot be combined with {flag}"));
+                }
+            }
             Ok(Command::Query {
                 index: PathBuf::from(req(&opts, "--index")?),
                 data: PathBuf::from(req(&opts, "--data")?),
                 seed,
                 pos: pos_opt,
-                k: opts.get("--k").map_or(Ok(1), |s| parse_num(s, "k"))?,
+                k,
                 radius: opts
                     .get("--radius")
                     .map_or(Ok(1), |s| parse_num(s, "radius"))?,
@@ -318,10 +340,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .get("--dtw")
                     .map(|s| parse_num(s, "dtw band"))
                     .transpose()?,
-                range_eps: opts
-                    .get("--range")
-                    .map(|s| parse_num(s, "range eps"))
-                    .transpose()?,
+                range_eps,
                 approximate: opts.contains_key("--approximate"),
             })
         }
@@ -559,10 +578,7 @@ mod tests {
         assert_eq!(range_eps, None);
         assert!(!approximate);
 
-        let c = parse(&argv(
-            "query --index i.idx --data d.ds --pos 7 --range 2.5 --approximate",
-        ))
-        .unwrap();
+        let c = parse(&argv("query --index i.idx --data d.ds --pos 7 --range 2.5")).unwrap();
         let Command::Query {
             pos,
             range_eps,
@@ -574,7 +590,47 @@ mod tests {
         };
         assert_eq!(pos, Some(7));
         assert_eq!(range_eps, Some(2.5));
+        assert!(!approximate);
+
+        let c = parse(&argv(
+            "query --index i.idx --data d.ds --pos 7 --approximate",
+        ))
+        .unwrap();
+        let Command::Query { approximate, .. } = c else {
+            panic!()
+        };
         assert!(approximate);
+    }
+
+    #[test]
+    fn query_refuses_what_it_would_not_run() {
+        let query = |rest: &str| parse(&argv(&format!("query --index i --data d --seed 1 {rest}")));
+        for eps in ["nan", "NaN", "inf", "-inf", "-1", "-0.5"] {
+            let err = query(&format!("--range {eps}")).unwrap_err();
+            assert!(err.contains("--range must be finite"), "{eps}: {err}");
+        }
+        assert!(query("--k 0")
+            .unwrap_err()
+            .contains("--k must be at least 1"));
+        for flag in ["--dtw 4", "--approximate", "--k 5", "--k 1"] {
+            let err = query(&format!("--range 2 {flag}")).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.contains(&format!("cannot be combined with {name}")),
+                "{err}"
+            );
+        }
+        // What a mode does run still parses.
+        for ok in [
+            "--range 0",
+            "--range 2.5",
+            "--k 1",
+            "--k 7",
+            "--dtw 4",
+            "--approximate",
+        ] {
+            assert!(query(ok).is_ok(), "{ok}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Leaf blocks are fixed-size (`leaf_capacity * entry_bytes`), so occupancy
 //! below capacity shows up as on-disk slack — exactly how the paper's
 //! Figure 8c space-overhead comparison works. Bulk loading writes blocks
-//! strictly left-to-right (sequential I/O); only post-build inserts can
-//! append out-of-order blocks and break contiguity.
+//! strictly left-to-right (sequential I/O), each leaf starting where the
+//! one before it ends, and nothing writes the file after the build.
 //!
 //! ## The leaf
 //!
@@ -35,7 +35,7 @@
 //! z-order key orders the entries but is not stored. The bulk loader
 //! de-interleaves each leaf's keys once, when it writes the leaf; each
 //! leaf's first key lives in the directory, and the readers that need every
-//! key (LSM merges, tree inserts) re-interleave them
+//! key (LSM merges) re-interleave them
 //! ([`coconut_summary::mindist::SymbolDecoder::interleave_into`]).
 //!
 //! ## One version
@@ -130,22 +130,6 @@ impl LeafEntries {
         }
     }
 
-    /// Insert an entry at `at`; `series` as for [`LeafEntries::push`].
-    pub fn insert(&mut self, at: usize, key: ZKey, pos: u64, series: Option<&[Value]>) {
-        let stride = 4 * series.map_or(0, <[Value]>::len);
-        self.keys.insert(at, key);
-        self.pos.insert(at, pos);
-        let bytes = series.into_iter().flatten().flat_map(|v| v.to_le_bytes());
-        self.payloads.splice(at * stride..at * stride, bytes);
-    }
-
-    /// Append entry `i` of `other`.
-    pub fn push_from(&mut self, other: &LeafEntries, i: usize) {
-        self.keys.push(other.keys[i]);
-        self.pos.push(other.pos[i]);
-        self.payloads.extend_from_slice(other.payload(i));
-    }
-
     /// The payload bytes of entry `i` (empty for pointer leaves).
     pub fn payload(&self, i: usize) -> &[u8] {
         let stride = self.payloads.len() / self.len().max(1);
@@ -217,26 +201,23 @@ impl LeafCodec {
         self.segments() + 8 + self.payload_bytes
     }
 
-    /// Append the leaf holding entries `range` of `entries` to `out`: their
-    /// keys de-interleaved into the symbol block, then their positions and
+    /// Append the leaf holding `entries` to `out`: their keys
+    /// de-interleaved into the symbol block, then their positions and
     /// payloads. `entries` must carry payloads iff the codec is
     /// materialized.
-    pub fn encode(&self, entries: &LeafEntries, range: Range<usize>, out: &mut Vec<u8>) {
-        let count = range.len();
+    pub fn encode(&self, entries: &LeafEntries, out: &mut Vec<u8>) {
         debug_assert_eq!(
             entries.payloads.len(),
             entries.len() * self.payload_bytes,
             "payloads must match the codec"
         );
         let start = out.len();
-        out.resize(start + count * self.segments(), 0);
-        self.symbols
-            .decode_into(&entries.keys[range.clone()], &mut out[start..]);
-        for p in &entries.pos[range.clone()] {
+        out.resize(start + entries.len() * self.segments(), 0);
+        self.symbols.decode_into(&entries.keys, &mut out[start..]);
+        for p in &entries.pos {
             out.extend_from_slice(&p.to_le_bytes());
         }
-        let pb = self.payload_bytes;
-        out.extend_from_slice(&entries.payloads[range.start * pb..range.end * pb]);
+        out.extend_from_slice(&entries.payloads);
     }
 
     /// Split `leaf`, the stored bytes of a whole leaf, into its parts.
@@ -626,7 +607,7 @@ mod tests {
         assert_eq!(codec.entry_bytes(), 24);
         let one = entries(&s, 1, false);
         let mut leaf = Vec::new();
-        codec.encode(&one, 0..1, &mut leaf);
+        codec.encode(&one, &mut leaf);
         assert_eq!(leaf.len(), 24);
         let parts = codec.parts(&leaf);
         assert_eq!(parts.pos(0), 10_000);
@@ -644,7 +625,7 @@ mod tests {
         let series = [1.5f32, -2.0, 0.0, 42.0];
         one.push(interleave(&[1, 2, 3, 4], 8), 3, Some(&series));
         let mut leaf = Vec::new();
-        codec.encode(&one, 0..1, &mut leaf);
+        codec.encode(&one, &mut leaf);
         let parts = codec.parts(&leaf);
         assert_eq!(parts.symbols, [1, 2, 3, 4]);
         assert_eq!(parts.pos(0), 3);
@@ -667,7 +648,7 @@ mod tests {
             for count in [1usize, 7, 2001] {
                 let e = entries(&s, count, materialized);
                 let mut leaf = vec![0xAB]; // encode appends
-                codec.encode(&e, 0..count, &mut leaf);
+                codec.encode(&e, &mut leaf);
                 let leaf = &leaf[1..];
                 assert_eq!(leaf.len(), count * codec.entry_bytes());
                 let parts = codec.parts(leaf);
@@ -680,34 +661,8 @@ mod tests {
                 let mut back = LeafEntries::default();
                 codec.decode(leaf, &mut back);
                 assert_eq!(back, e, "mat={materialized} count={count}");
-                // A sub-range encodes as a leaf of its own.
-                let mut part = Vec::new();
-                codec.encode(&e, count / 2..count, &mut part);
-                codec.decode(&part, &mut back);
-                assert_eq!(back.keys, e.keys[count / 2..]);
-                assert_eq!(back.pos, e.pos[count / 2..]);
             }
         }
-    }
-
-    #[test]
-    fn leaf_entries_insert_and_push_from_keep_payloads_aligned() {
-        let s = sax(4, 2);
-        let mut e = entries(&s, 3, true);
-        e.insert(1, ZKey(9), 77, Some(&[5.0, 6.0]));
-        assert_eq!(e.pos, [10_000, 77, 9_999, 9_998]);
-        assert_eq!(
-            e.payload(1),
-            [5.0f32.to_le_bytes(), 6.0f32.to_le_bytes()].concat()
-        );
-        let mut copy = LeafEntries::default();
-        for i in 0..e.len() {
-            copy.push_from(&e, i);
-        }
-        assert_eq!(copy, e);
-        let mut ptr = entries(&s, 2, false);
-        ptr.insert(0, ZKey(1), 5, None);
-        assert!(ptr.payloads.is_empty() && ptr.payload(0).is_empty());
     }
 
     #[test]
@@ -843,8 +798,14 @@ mod tests {
     /// Write entries `range` of `e` as `block` of `store`; returns its
     /// directory record.
     fn write(store: &LeafStore, block: u32, e: &LeafEntries, range: Range<usize>) -> LeafMeta {
+        let stride = e.payloads.len() / e.len();
+        let part = LeafEntries {
+            keys: e.keys[range.clone()].to_vec(),
+            pos: e.pos[range.clone()].to_vec(),
+            payloads: e.payloads[range.start * stride..range.end * stride].to_vec(),
+        };
         let mut leaf = Vec::new();
-        store.codec().encode(e, range.clone(), &mut leaf);
+        store.codec().encode(&part, &mut leaf);
         let crc = crc32(&leaf);
         let blocks_used = store.write_leaf(block, &mut leaf).unwrap();
         LeafMeta {

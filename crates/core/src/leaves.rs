@@ -25,7 +25,7 @@
 //!
 //! [`Summaries`] is a directory of verify-once leaf blocks, one shape for
 //! pointer and materialized indexes. What an index holds from the moment it
-//! is built, opened or changed is read off the leaf directory alone: where
+//! is built or opened is read off the leaf directory alone: where
 //! each leaf starts in scan order and one symbol box per leaf. Sorting makes
 //! a leaf a contiguous range of the z-order curve, so the prefix its first
 //! key shares with the next leaf's first key is an iSAX word covering all of
@@ -92,14 +92,16 @@ pub trait Directory: Sized {
 
     /// Sort the records of `index`'s range, pack them into leaves under
     /// this flavor's cutting policy, build the directory over them and
-    /// persist the index file.
+    /// persist the index file. Only [`SortedLeafIndex::build_range`] can
+    /// call it, since nothing outside this crate can make an [`Unbuilt`].
     fn bulk_load(
         index: &mut SortedLeafIndex<Self>,
         tmp_dir: &Path,
         opts: &BuildOptions,
+        fresh: Unbuilt,
     ) -> Result<()>;
 
-    /// The leaf `key` would be inserted into (`None` on an empty index).
+    /// The leaf whose key range holds `key` (`None` on an empty index).
     fn descend(&self, key: ZKey) -> Option<usize>;
 
     /// Append the directory's on-disk tail (after the leaf directory) and
@@ -117,6 +119,11 @@ pub trait Directory: Sized {
     ) -> Result<Self>;
 }
 
+/// Proof that the index [`Directory::bulk_load`] is handed was created
+/// empty for it: only this crate makes one, so no caller can load a built
+/// index again and rewrite a file that may be mapped.
+pub struct Unbuilt(());
+
 /// The in-memory summarizations SIMS scans, in leaf order: per leaf a
 /// symbol box (from the directory, always there) and a [`LeafBlock`]
 /// verified the first time a query touches the leaf — 16 B of symbols and
@@ -126,7 +133,7 @@ pub trait Directory: Sized {
 /// mapping of the index file made by the first block a query asks for:
 /// nothing is copied, only the pages of touched leaves become resident,
 /// and they go back with the mapping when the index (an LSM run, say) is
-/// dropped or its leaves change.
+/// dropped.
 pub struct Summaries {
     segments: usize,
     /// First scan index of each leaf, plus the total.
@@ -284,7 +291,7 @@ impl Summaries {
             for &(key, pos) in *leaf {
                 leaf_entries.push(key, pos, None);
             }
-            codec.encode(&leaf_entries, 0..leaf.len(), &mut stored);
+            codec.encode(&leaf_entries, &mut stored);
         }
         let leaves = leaves.iter().map(|leaf| (leaf[0].0, leaf.len()));
         Self::new(sax, leaves, Blocks::Owned(stored))
@@ -325,17 +332,6 @@ impl Summaries {
             leaf_starts,
             boxes,
             blocks,
-        }
-    }
-
-    /// Forget every verified block and the mapping under them, before the
-    /// file is written: a leaf is checked again, against the directory of
-    /// the moment, the next time it is asked for.
-    fn unmap(&mut self) {
-        if let Blocks::File(file) = &mut self.blocks {
-            if file.mapping.take().is_some() {
-                self.loaded.iter_mut().for_each(|l| *l.get_mut() = false);
-            }
         }
     }
 
@@ -416,7 +412,7 @@ impl Summaries {
 /// instantiations).
 pub struct SortedLeafIndex<D> {
     pub(crate) config: IndexConfig,
-    pub(crate) materialized: bool,
+    materialized: bool,
     threads: usize,
     pub(crate) dataset: Dataset,
     pub(crate) store: LeafStore,
@@ -424,7 +420,7 @@ pub struct SortedLeafIndex<D> {
     pub(crate) dir: D,
     summaries: Summaries,
     pub(crate) entry_count: u64,
-    pub(crate) next_block: u32,
+    next_block: u32,
     /// Positions covered: `range.start..range.end` of the dataset.
     pub(crate) range: Range<u64>,
     pub(crate) build_report: BuildReport,
@@ -452,7 +448,7 @@ impl<D: Directory> SortedLeafIndex<D> {
         opts: BuildOptions,
     ) -> Result<Self> {
         let mut index = Self::create(dataset, range, config, dir, &opts)?;
-        D::bulk_load(&mut index, dir, &opts)?;
+        D::bulk_load(&mut index, dir, &opts, Unbuilt(()))?;
         Ok(index)
     }
 
@@ -586,9 +582,10 @@ impl<D: Directory> SortedLeafIndex<D> {
         Ok(())
     }
 
-    /// Re-derive the summaries' directory level after `leaves` changed:
-    /// O(leaves), and every block of the old directory is dropped with its
-    /// mapping (a query verifies the ones it touches again).
+    /// Derive the summaries' directory level from `leaves`, once per
+    /// index: after a load has written every leaf, or after `open` has read
+    /// the directory. O(leaves); no block is verified until a query asks
+    /// for it.
     pub(crate) fn leaves_changed(&mut self) {
         let file = LeafFile {
             store: self.store.clone(),
@@ -600,42 +597,21 @@ impl<D: Directory> SortedLeafIndex<D> {
         self.summaries = Summaries::new(&self.config.sax, leaves, Blocks::File(file));
     }
 
-    /// Write `entries` as the next leaf at the end of the leaf region.
+    /// Write `entries` (not empty) as the next leaf at the end of the leaf
+    /// region, and record it in the directory.
     pub(crate) fn push_leaf(&mut self, entries: &LeafEntries) -> Result<()> {
-        let meta = self.write_leaf(self.next_block, entries, 0..entries.len())?;
+        let mut leaf = Vec::new();
+        self.store.codec().encode(entries, &mut leaf);
+        let crc = crc32(&leaf);
+        let meta = LeafMeta {
+            first_key: entries.keys()[0],
+            count: entries.len() as u32,
+            block: self.next_block,
+            blocks_used: self.store.write_leaf(self.next_block, &mut leaf)?,
+            crc,
+        };
         self.next_block += meta.blocks_used;
         self.leaves.push(meta);
-        Ok(())
-    }
-
-    /// Write entries `range` (not empty) of `entries` as the leaf starting
-    /// at physical block `block`, and return its directory record. The
-    /// file is unmapped first: no block stays borrowed from bytes that
-    /// change, even if the write fails before `leaves_changed`.
-    pub(crate) fn write_leaf(
-        &mut self,
-        block: u32,
-        entries: &LeafEntries,
-        range: Range<usize>,
-    ) -> Result<LeafMeta> {
-        self.summaries.unmap();
-        let mut leaf = Vec::new();
-        self.store.codec().encode(entries, range.clone(), &mut leaf);
-        let crc = crc32(&leaf);
-        Ok(LeafMeta {
-            first_key: entries.keys()[range.start],
-            count: range.len() as u32,
-            block,
-            blocks_used: self.store.write_leaf(block, &mut leaf)?,
-            crc,
-        })
-    }
-
-    /// Read leaf `leaf` back into `out`, keys re-interleaved.
-    pub(crate) fn read_entries(&self, leaf: usize, out: &mut LeafEntries) -> Result<()> {
-        let mut bytes = Vec::new();
-        self.store.read_leaf(&self.leaves[leaf], &mut bytes)?;
-        self.store.codec().decode(&bytes, out);
         Ok(())
     }
 
@@ -792,7 +768,7 @@ impl<D: Directory> SortedLeafIndex<D> {
     }
 
     /// Leaves whose block — symbols and positions — a query has loaded so
-    /// far (none right after a build, an open or an insert).
+    /// far (none right after a build or an open).
     pub fn loaded_blocks(&self) -> usize {
         self.summaries.loaded_blocks()
     }
@@ -1123,5 +1099,70 @@ impl<D: Directory> SeriesIndex for SortedLeafIndex<D> {
 
     fn avg_leaf_fill(&self) -> f64 {
         self.avg_fill()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::{CoconutTree, CoconutTrie, LsmCoconut};
+    use coconut_series::dataset::write_dataset;
+    use coconut_series::gen::RandomWalkGen;
+    use coconut_storage::TempDir;
+
+    /// The directory of `index` lays its leaves back to back from block 0:
+    /// leaf `i + 1` starts where leaf `i`'s blocks end, and the last leaf
+    /// ends at the header's `num_blocks`, where the directory follows.
+    pub(crate) fn assert_packed<D: Directory>(index: &SortedLeafIndex<D>) {
+        let mut end = 0;
+        for (i, leaf) in index.leaves.iter().enumerate() {
+            assert_eq!(leaf.block, end, "leaf {i} of {}", index.leaves.len());
+            end = leaf.block + leaf.blocks_used;
+        }
+        let header = IndexHeader::read_from(index.store.file()).unwrap();
+        assert_eq!(end as u64, header.num_blocks);
+        let block_bytes = index.store.block_bytes() as u64;
+        assert_eq!(
+            header.dir_offset,
+            LEAF_REGION_OFFSET + header.num_blocks * block_bytes
+        );
+    }
+
+    #[test]
+    fn every_build_packs_its_leaves_back_to_back() {
+        let dir = TempDir::new("leaves").unwrap();
+        let stats = Arc::new(IoStats::new());
+        let path = dir.path().join("data.bin");
+        write_dataset(&path, &mut RandomWalkGen::new(31), 1_000, 64, &stats).unwrap();
+        let ds = Dataset::open(&path, stats).unwrap();
+        let mut config = IndexConfig::default_for_len(64);
+        config.leaf_capacity = 32;
+        let adaptive = config.with_split_policy(SplitPolicyKind::Adaptive);
+        let (ptr, full) = (
+            BuildOptions::default(),
+            BuildOptions::default().materialized(),
+        );
+
+        for opts in [ptr.clone(), full] {
+            let tree = CoconutTree::build(&ds, &config, dir.path(), opts).unwrap();
+            assert_packed(&tree);
+            assert_packed(&CoconutTree::open(tree.index_path(), &ds, 1).unwrap());
+        }
+        for config in [config, adaptive] {
+            let trie = CoconutTrie::build(&ds, &config, dir.path(), ptr.clone()).unwrap();
+            assert_packed(&trie);
+            assert_packed(&CoconutTrie::open(trie.index_path(), &ds, 1).unwrap());
+        }
+
+        // A run an LSM merged from four ingested ones.
+        let lsm_dir = TempDir::new("leaves-lsm").unwrap();
+        let lsm = LsmCoconut::new(config, ptr, lsm_dir.path()).unwrap();
+        for upto in [250, 500, 750, 1_000] {
+            lsm.ingest_upto(&ds, upto).unwrap();
+        }
+        lsm.compact().unwrap();
+        let snapshot = lsm.snapshot();
+        assert_eq!(snapshot.runs().len(), 1);
+        assert_packed(&snapshot.runs()[0]);
     }
 }

@@ -974,6 +974,12 @@ impl Snapshot {
         self.runs.len()
     }
 
+    /// The pinned runs, in position order.
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> &[Arc<CoconutTree>] {
+        &self.runs
+    }
+
     /// Total entries across the pinned runs.
     pub fn len(&self) -> u64 {
         self.runs.iter().map(|r| r.len()).sum()

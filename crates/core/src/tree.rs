@@ -11,28 +11,24 @@
 //!
 //! The leaves, their persistence and every query live in
 //! [`crate::leaves::SortedLeafIndex`]; this module is what makes the index
-//! a *tree*: the [`SeparatorLevels`] directory, fixed-size leaf packing,
-//! and B+-tree updates.
+//! a *tree*: the [`SeparatorLevels`] directory and fixed-size leaf packing.
 //!
-//! Post-build [`CoconutTree::insert`] implements classic B+-tree leaf
-//! inserts with median splits; split-off leaves are appended at the end of
-//! the file, so updates gradually trade away contiguity (measured by
-//! [`CoconutTree::contiguity`]) — the effect the paper's update experiment
-//! (Figure 10a) studies.
+//! A tree's file is written once, by its bulk load, and never changes
+//! after. The paper's B+-tree inserts (Figure 10a) are not kept: updates go
+//! to [`crate::LsmCoconut`], whose every run is a bulk-loaded tree and whose
+//! merges bulk-load new ones.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use coconut_series::dataset::Dataset;
-use coconut_series::Value;
-use coconut_storage::{CountedFile, Error, RecordStream, Result, SortReport};
-use coconut_summary::sax::Summarizer;
+use coconut_storage::{CountedFile, RecordStream, Result, SortReport};
 use coconut_summary::ZKey;
 
 use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::{IndexHeader, LeafEntries, LeafMeta, LeafStore};
-use crate::leaves::{Directory, SortedLeafIndex};
+use crate::leaves::{Directory, SortedLeafIndex, Unbuilt};
 use crate::records::SortedRecord;
 
 static TREE_ID: AtomicU64 = AtomicU64::new(0);
@@ -87,7 +83,12 @@ impl Directory for SeparatorLevels {
         }
     }
 
-    fn bulk_load(tree: &mut CoconutTree, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
+    fn bulk_load(
+        tree: &mut CoconutTree,
+        tmp_dir: &Path,
+        opts: &BuildOptions,
+        _: Unbuilt,
+    ) -> Result<()> {
         let (range, sax) = (tree.range.clone(), tree.config.sax);
         if opts.materialized {
             let mut stream = key_series_stream(&tree.dataset, range, &sax, opts, tmp_dir)?;
@@ -209,183 +210,6 @@ impl CoconutTree {
     pub fn height(&self) -> usize {
         self.dir.levels.len()
     }
-
-    /// Fraction of logically adjacent leaves that are physically adjacent
-    /// on disk (1.0 right after bulk loading; decays as inserts split).
-    pub fn contiguity(&self) -> f64 {
-        if self.leaves.len() < 2 {
-            return 1.0;
-        }
-        let adjacent = self
-            .leaves
-            .windows(2)
-            .filter(|w| w[1].block == w[0].block + w[0].blocks_used)
-            .count();
-        adjacent as f64 / (self.leaves.len() - 1) as f64
-    }
-
-    /// Insert one new series that was appended to the dataset at `pos`
-    /// (must extend the covered range contiguously). Classic B+-tree leaf
-    /// insert with a median split on overflow; the split-off leaf goes to
-    /// the end of the file, degrading contiguity — this is the cost the
-    /// paper's Figure 10a measures against bulk-loaded batches.
-    pub fn insert(&mut self, pos: u64, series: &[Value]) -> Result<()> {
-        if pos != self.range.end {
-            return Err(Error::invalid(format!(
-                "insert position {pos} must extend the covered range (expected {})",
-                self.range.end
-            )));
-        }
-        let key = self.query_key(series)?;
-        let payload = self.materialized.then_some(series);
-        let mut entries = LeafEntries::default();
-        if self.leaves.is_empty() {
-            entries.push(key, pos, payload);
-            self.push_leaf(&entries)?;
-        } else {
-            let li = self
-                .dir
-                .descend(key)
-                .ok_or_else(|| Error::corrupt("a non-empty tree failed to descend"))?;
-            self.read_entries(li, &mut entries)?;
-            // Insert position within the leaf (keep sorted by (key, pos)).
-            let slot = entries
-                .keys()
-                .iter()
-                .zip(entries.pos())
-                .position(|(&k, &p)| (k, p) > (key, pos))
-                .unwrap_or(entries.len());
-            entries.insert(slot, key, pos, payload);
-            let (total, block) = (entries.len(), self.leaves[li].block);
-            if total <= self.config.leaf_capacity {
-                self.leaves[li] = self.write_leaf(block, &entries, 0..total)?;
-                if slot == 0 {
-                    self.dir.rebuild(&self.leaves);
-                }
-            } else {
-                // Median split: left half stays in place, right half goes to
-                // a fresh block at the end of the file.
-                let left = total / 2;
-                self.leaves[li] = self.write_leaf(block, &entries, 0..left)?;
-                let right = self.write_leaf(self.next_block, &entries, left..total)?;
-                self.next_block += right.blocks_used;
-                self.leaves.insert(li + 1, right);
-                self.dir.rebuild(&self.leaves);
-            }
-        }
-        self.entry_count += 1;
-        self.range.end = pos + 1;
-        self.leaves_changed();
-        Ok(())
-    }
-
-    /// Insert a batch of series appended to the dataset starting at
-    /// `first_pos` — the workload of the paper's Figure 10a.
-    ///
-    /// Unlike repeated [`CoconutTree::insert`] calls, the batch is sorted by
-    /// key and grouped by target leaf, so every touched leaf is read and
-    /// rewritten exactly once ("our bulk loading algorithm has to perform
-    /// less splits when larger pieces of data are loaded"). Overflowing
-    /// leaves split into evenly sized pieces (median splitting, ≥ half
-    /// full), with new blocks appended at the end of the file.
-    pub fn insert_batch(&mut self, first_pos: u64, batch: &[Vec<Value>]) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if first_pos != self.range.end {
-            return Err(Error::invalid(format!(
-                "batch start {first_pos} must extend the covered range (expected {})",
-                self.range.end
-            )));
-        }
-        let mut summarizer = Summarizer::new(self.config.sax);
-        let mut items: Vec<(ZKey, u64, &[Value])> = Vec::with_capacity(batch.len());
-        for (i, s) in batch.iter().enumerate() {
-            if s.len() != self.config.sax.series_len {
-                return Err(Error::invalid("series length mismatch in batch"));
-            }
-            items.push((summarizer.zkey(s), first_pos + i as u64, s.as_slice()));
-        }
-        items.sort_unstable_by_key(|&(k, p, _)| (k, p));
-
-        let mut merged = LeafEntries::default();
-        if self.leaves.is_empty() {
-            // Degenerate case: bulk-load the batch as the initial contents.
-            for chunk in items.chunks(self.config.bulk_leaf_entries()) {
-                merged.clear();
-                for &(k, p, s) in chunk {
-                    merged.push(k, p, self.materialized.then_some(s));
-                }
-                self.push_leaf(&merged)?;
-            }
-        } else {
-            // Group items by their target leaf under the *current*
-            // directory, then process groups from the highest leaf index
-            // down: splits insert new leaves after the touched one, which
-            // cannot disturb lower indices.
-            let first_keys: Vec<ZKey> = self.leaves.iter().map(|l| l.first_key).collect();
-            let mut groups: Vec<(usize, usize, usize)> = Vec::new(); // (leaf, lo, hi)
-            let mut i = 0usize;
-            while i < items.len() {
-                let li = first_keys
-                    .partition_point(|&k| k <= items[i].0)
-                    .saturating_sub(1);
-                let mut j = i + 1;
-                while j < items.len()
-                    && first_keys
-                        .partition_point(|&k| k <= items[j].0)
-                        .saturating_sub(1)
-                        == li
-                {
-                    j += 1;
-                }
-                groups.push((li, i, j));
-                i = j;
-            }
-            let mut old = LeafEntries::default();
-            for &(li, lo, hi) in groups.iter().rev() {
-                let group = &items[lo..hi];
-                self.read_entries(li, &mut old)?;
-                // Merge existing entries with the (sorted) group.
-                merged.clear();
-                let mut a = 0usize; // existing entry
-                for &(k, p, s) in group {
-                    while a < old.len() && (old.keys()[a], old.pos()[a]) < (k, p) {
-                        merged.push_from(&old, a);
-                        a += 1;
-                    }
-                    merged.push(k, p, self.materialized.then_some(s));
-                }
-                for a in a..old.len() {
-                    merged.push_from(&old, a);
-                }
-                // Split into evenly sized pieces of at most `capacity`.
-                let total = merged.len();
-                let pieces = total.div_ceil(self.config.leaf_capacity);
-                let per_piece = total.div_ceil(pieces);
-                let mut new_metas = Vec::with_capacity(pieces);
-                for (pi, start) in (0..total).step_by(per_piece).enumerate() {
-                    let block = if pi == 0 {
-                        self.leaves[li].block
-                    } else {
-                        let block = self.next_block;
-                        self.next_block += 1;
-                        block
-                    };
-                    let meta =
-                        self.write_leaf(block, &merged, start..total.min(start + per_piece))?;
-                    debug_assert_eq!(meta.blocks_used, 1);
-                    new_metas.push(meta);
-                }
-                self.leaves.splice(li..=li, new_metas);
-            }
-        }
-        self.entry_count += items.len() as u64;
-        self.range.end = first_pos + batch.len() as u64;
-        self.dir.rebuild(&self.leaves);
-        self.leaves_changed();
-        self.persist()
-    }
 }
 
 /// A forward scan over a tree's leaf entries in leaf (= sorted) order,
@@ -440,7 +264,9 @@ mod tests {
     use coconut_series::distance::{euclidean, znormalize};
     use coconut_series::gen::{Generator, RandomWalkGen};
     use coconut_series::index::{Answer, SeriesIndex};
+    use coconut_series::Value;
     use coconut_storage::{IoStats, TempDir};
+    use coconut_summary::sax::Summarizer;
     use std::sync::Arc;
 
     fn dtw(band: usize) -> Query {
@@ -491,7 +317,7 @@ mod tests {
             CoconutTree::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
         assert_eq!(tree.len(), 1000);
         assert_eq!(tree.leaf_count(), 1000u64.div_ceil(32));
-        assert_eq!(tree.contiguity(), 1.0);
+        crate::leaves::tests::assert_packed(&tree);
         // All leaves except possibly the last are full.
         assert!(tree.avg_fill() > 0.9, "fill {}", tree.avg_fill());
         assert!(tree.height() >= 1);
@@ -599,49 +425,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inserts_keep_exact_correct_and_degrade_contiguity() {
-        let dir = TempDir::new("ctree").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let path = dir.path().join("data.bin");
-        // Write 300 series, build over them, then append 100 more.
-        let mut g = RandomWalkGen::new(17);
-        {
-            let mut w = coconut_series::dataset::DatasetWriter::create(
-                &path,
-                LEN,
-                true,
-                Arc::clone(&stats),
-            )
-            .unwrap();
-            for _ in 0..400 {
-                let mut s = g.generate(LEN);
-                znormalize(&mut s);
-                w.append(&s).unwrap();
-            }
-            w.finish().unwrap();
-        }
-        let ds = Dataset::open(&path, stats).unwrap();
-        let mut tree = CoconutTree::build_range(
-            &ds,
-            0..300,
-            &small_config(),
-            dir.path(),
-            BuildOptions::default(),
-        )
-        .unwrap();
-        let batch: Vec<Vec<Value>> = (300..400).map(|p| ds.get(p).unwrap()).collect();
-        tree.insert_batch(300, &batch).unwrap();
-        assert_eq!(tree.len(), 400);
-        assert!(tree.contiguity() < 1.0, "splits should break contiguity");
-        for seed in 600..606 {
-            let q = query(seed);
-            let (ans, _) = tree.exact_search(&q).unwrap();
-            let expect = brute_force(&ds, &q);
-            assert_eq!(ans.pos, expect.pos, "seed {seed}");
-        }
-    }
-
     /// Every `(key, pos)` of `ds`, sorted: what the leaves of a tree over
     /// all of it hold, in order.
     fn sorted_entries(ds: &Dataset) -> Vec<KeyPos> {
@@ -679,57 +462,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn inserted_trees_answer_like_a_fresh_build() {
-        let dir = TempDir::new("ctree").unwrap();
-        let ds = make_dataset(&dir, 500);
-        let queries = [Query::nearest(), Query::knn(6), Query::range(9.0), dtw(4)];
-        for opts in [
-            BuildOptions::default(),
-            BuildOptions::default().materialized(),
-        ] {
-            let config = small_config();
-            let fresh = CoconutTree::build(&ds, &config, dir.path(), opts.clone()).unwrap();
-            let mut grown =
-                CoconutTree::build_range(&ds, 0..300, &config, dir.path(), opts).unwrap();
-            for pos in 300..360 {
-                grown.insert(pos, &ds.get(pos).unwrap()).unwrap();
-            }
-            let batch: Vec<Vec<Value>> = (360..500).map(|p| ds.get(p).unwrap()).collect();
-            grown.insert_batch(360, &batch).unwrap();
-            assert!(grown.contiguity() < 1.0);
-            assert_eq!(streamed::<KeyPos>(&grown), sorted_entries(&ds));
-            for seed in 950..955 {
-                let q = query(seed);
-                for query in &queries {
-                    assert_eq!(
-                        grown.search(&q, query).unwrap().0,
-                        fresh.search(&q, query).unwrap().0,
-                        "mat={} seed={seed} {query:?}",
-                        grown.is_materialized()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn insert_rejects_non_contiguous_position() {
-        let dir = TempDir::new("ctree").unwrap();
-        let ds = make_dataset(&dir, 100);
-        let mut tree = CoconutTree::build_range(
-            &ds,
-            0..50,
-            &small_config(),
-            dir.path(),
-            BuildOptions::default(),
-        )
-        .unwrap();
-        let q = query(1);
-        assert!(tree.insert(60, &q).is_err());
-        assert!(tree.insert(50, &ds.get(50).unwrap()).is_ok());
     }
 
     #[test]

@@ -50,7 +50,7 @@ use coconut_summary::ZKey;
 use crate::builder::{key_pos_stream, key_series_stream};
 use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::{read_index, IndexHeader, LeafEntries, LeafMeta};
-use crate::leaves::{Directory, SortedLeafIndex};
+use crate::leaves::{Directory, SortedLeafIndex, Unbuilt};
 use crate::records::{KeyPos, SortedRecord};
 use crate::split::{child_counts, merge_slots, SplitPolicy, SplitPolicyKind};
 
@@ -343,7 +343,12 @@ impl Directory for PrefixNodes {
         }
     }
 
-    fn bulk_load(trie: &mut CoconutTrie, tmp_dir: &Path, opts: &BuildOptions) -> Result<()> {
+    fn bulk_load(
+        trie: &mut CoconutTrie,
+        tmp_dir: &Path,
+        opts: &BuildOptions,
+        _: Unbuilt,
+    ) -> Result<()> {
         let (range, sax) = (trie.range.clone(), trie.config.sax);
         match (trie.config.split_policy, opts.materialized) {
             // The paper's binary split carves the one sorted stream as it

@@ -15,10 +15,9 @@
 //!
 //! Beside the matrix: answers *and* work counters do not depend on the
 //! thread count; a bound below every leaf box prunes the whole index
-//! untouched; one-leaf and empty indexes answer, reopened too; inserts drop
-//! the loaded leaf blocks and every search after one reloads what it
-//! touches; and the probe returns the true best of its seed leaves while
-//! fetching only part of them.
+//! untouched; one-leaf and empty indexes answer, reopened too; and the
+//! probe returns the true best of its seed leaves while fetching only part
+//! of them.
 
 use std::sync::Arc;
 
@@ -381,44 +380,6 @@ fn one_leaf_and_empty_indexes_answer() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn inserts_invalidate_the_summaries_and_the_next_search_reloads_them() {
-    let dir = TempDir::new("query-matrix").unwrap();
-    let all = series();
-    let ds = dataset(&dir, &all);
-    for materialized in [false, true] {
-        let mut tree =
-            CoconutTree::build_range(&ds, 0..100, &config(), dir.path(), opts(materialized))
-                .unwrap();
-        let check = |tree: &CoconutTree, covered: usize| {
-            for q in queries() {
-                for query in exact_queries() {
-                    let oracle = brute_force(&all[..covered], &q, query.metric);
-                    let got = tree.search(&q, &query).unwrap().0;
-                    let at = format!("full={materialized}, {covered} covered, {query:?}");
-                    assert_eq!(bits(&got), bits(&expected(&oracle, &query)), "{at}");
-                }
-            }
-        };
-        // Warm blocks, then grow the tree under them: one at a time
-        // (splitting leaves), then a batch, searching after each step.
-        check(&tree, 100);
-        assert!(tree.loaded_blocks() > 0);
-        for pos in 100..140 {
-            tree.insert(pos, &all[pos as usize]).unwrap();
-            assert_eq!(tree.loaded_blocks(), 0);
-            // The new member is found, by a search that reloads what it
-            // touches.
-            let (found, _) = tree.exact_search(&all[pos as usize]).unwrap();
-            let first = brute_force(&all[..=pos as usize], &all[pos as usize], Metric::Ed)[0];
-            assert_eq!(bits(&[found]), bits(&[first]), "after insert {pos}");
-        }
-        check(&tree, 140);
-        tree.insert_batch(140, &all[140..]).unwrap();
-        check(&tree, N as usize);
     }
 }
 

@@ -188,11 +188,11 @@ impl CountedFile {
 ///
 /// Two limits come with borrowing bytes from a file rather than reading
 /// them. The file must not be truncated or rewritten while it is mapped;
-/// nothing in this workspace does either to an index file a reader has
-/// mapped (an index rewrites its leaves only through `&mut self`, after
-/// dropping its mapping, and maps the file again on the next read). And a
-/// device error while the kernel faults a page in raises `SIGBUS` in the
-/// reading thread instead of returning [`Error::Io`].
+/// nothing in this workspace does either to an index file: every write to
+/// one happens inside its build, before the index is returned, and a built
+/// index has no method that writes. And a device error while the kernel
+/// faults a page in raises `SIGBUS` in the reading thread instead of
+/// returning [`Error::Io`].
 #[derive(Debug)]
 pub struct Mapping {
     ptr: NonNull<u8>,
@@ -242,10 +242,10 @@ impl Mapping {
     pub fn bytes(&self) -> &[u8] {
         // SAFETY: `ptr` is the start of a live mapping of `len` readable
         // bytes (or dangling with `len == 0`), unmapped only when `self`
-        // drops. The bytes do not change while the slice lives: no code here
-        // truncates or rewrites an index file while it is mapped — inserts
-        // go through `&mut self`, which drops the mapping before the first
-        // write, and `leaves_changed` maps the file again on the next read.
+        // drops. The bytes do not change while the slice lives: every write
+        // to an index file happens inside its build, before the index is
+        // returned and so before anything can map it, and a built index has
+        // no method that writes.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 

@@ -9,9 +9,6 @@
 //!   experiments can report modeled I/O cost alongside wall-clock time.
 //! * [`CountedFile`] — a positioned file handle whose accesses feed
 //!   [`IoStats`], and [`Mapping`], a read-only `mmap` of one.
-//! * [`MemoryBudget`] — a shared, thread-safe byte budget used to emulate
-//!   "memory available to the algorithm" (the x-axis of the paper's
-//!   Figures 8a/8b and the fixed-memory setting of Figures 8d/8e/10).
 //! * [`ExternalSorter`] — bottom-up bulk loading's workhorse: run
 //!   generation under a memory budget followed by k-way merge
 //!   (the "partitioning" and "merging" phases of Section 3.1).
@@ -36,7 +33,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod atomic;
-pub mod budget;
 pub mod deadline;
 pub mod error;
 pub mod extsort;
@@ -47,7 +43,6 @@ pub mod metrics;
 pub mod tempdir;
 
 pub use atomic::{atomic_write, crc64};
-pub use budget::MemoryBudget;
 pub use deadline::Deadline;
 pub use error::{Error, Result};
 pub use extsort::{Codec, ExternalSorter, MergedStream, RecordStream, SortReport, SortedStream};

@@ -37,12 +37,11 @@ fn main() -> coconut::storage::Result<()> {
         coconut::index::BuildOptions::default(),
     )?;
     println!(
-        "built Coconut-Tree in {:.0} ms: {} leaves, height {}, fill {:.0}%, contiguity {:.0}%",
+        "built Coconut-Tree in {:.0} ms: {} leaves, height {}, fill {:.0}%",
         t0.elapsed().as_secs_f64() * 1e3,
         tree.leaf_count(),
         tree.height(),
-        tree.avg_fill() * 100.0,
-        tree.contiguity() * 100.0
+        tree.avg_fill() * 100.0
     );
 
     // 3. Query: approximate first (one leaf neighborhood), then exact

@@ -106,6 +106,6 @@ pub mod prelude {
     pub use crate::series::dataset::{write_dataset, Dataset, DatasetWriter};
     pub use crate::series::gen::{AstronomyGen, Generator, RandomWalkGen, SeismicGen};
     pub use crate::series::index::{Answer, QueryStats, SeriesIndex};
-    pub use crate::storage::{Deadline, IoStats, MemoryBudget, TempDir};
+    pub use crate::storage::{Deadline, IoStats, TempDir};
     pub use crate::summary::config::SaxConfig;
 }

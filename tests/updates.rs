@@ -1,5 +1,5 @@
-//! Update-path integration tests: B+-tree inserts, batch bulk inserts, LSM
-//! ingestion and the ADS+ extension path all stay exact as data arrives.
+//! Update-path integration tests: LSM ingestion, whose every batch is a
+//! bulk-loaded run, and the ADS+ extension path stay exact as data arrives.
 
 use std::sync::Arc;
 
@@ -49,31 +49,39 @@ fn batched_inserts_match_full_rebuild() {
     let reference = CoconutTree::build(&dataset, &config(), dir.path(), opts.clone()).unwrap();
 
     for batch_size in [1u64, 7, 50, 300] {
-        let mut tree =
-            CoconutTree::build_range(&dataset, 0..N / 2, &config(), dir.path(), opts.clone())
-                .unwrap();
+        let lsm_dir = TempDir::new("updates-lsm").unwrap();
+        let lsm = LsmCoconut::new(config(), opts.clone(), lsm_dir.path()).unwrap();
+        lsm.ingest_upto(&dataset, N / 2).unwrap();
         let mut covered = N / 2;
         while covered < N {
-            let hi = (covered + batch_size).min(N);
-            let batch: Vec<Vec<f32>> = (covered..hi).map(|p| dataset.get(p).unwrap()).collect();
-            tree.insert_batch(covered, &batch).unwrap();
-            covered = hi;
+            covered = (covered + batch_size).min(N);
+            lsm.ingest_upto(&dataset, covered).unwrap();
+            assert_eq!(lsm.len(), covered, "batch={batch_size}");
         }
-        assert_eq!(tree.len(), N, "batch={batch_size}");
         for q in &queries {
-            let (a, _) = tree.exact_search(q).unwrap();
+            let (a, _) = lsm.exact(q).unwrap();
             let (b, _) = reference.exact_search(q).unwrap();
             assert_eq!(a.pos, b.pos, "batch={batch_size}");
         }
-        // Leaves stay within capacity and at least half full after splits.
-        assert!(
-            tree.avg_fill() > 0.45,
-            "batch={batch_size} fill={}",
-            tree.avg_fill()
+        // A full compaction leaves one run holding every entry, packed as
+        // the reference's leaves are.
+        lsm.compact().unwrap();
+        assert_eq!(lsm.run_count(), 1, "batch={batch_size}");
+        assert_eq!(
+            lsm.leaf_fill_fractions().len() as u64,
+            reference.leaf_count(),
+            "batch={batch_size}"
         );
+        for q in &queries {
+            let (a, _) = lsm.exact(q).unwrap();
+            let (b, _) = reference.exact_search(q).unwrap();
+            assert_eq!(a.pos, b.pos, "batch={batch_size}");
+        }
     }
 }
 
+/// The LSM, whose runs are bulk-loaded B+-trees, against ADS+'s top-down
+/// inserts.
 #[test]
 fn lsm_and_btree_and_ads_agree_under_growth() {
     let (dir, dataset, queries) = setup();
@@ -85,8 +93,6 @@ fn lsm_and_btree_and_ads_agree_under_growth() {
     };
     let sax = SaxConfig::default_for_len(LEN);
 
-    let mut tree =
-        CoconutTree::build_range(&dataset, 0..200, &config(), dir.path(), opts.clone()).unwrap();
     let lsm = LsmCoconut::new(config(), opts, dir.path()).unwrap();
     lsm.set_max_runs(2);
     lsm.ingest_upto(&dataset, 200).unwrap();
@@ -105,66 +111,25 @@ fn lsm_and_btree_and_ads_agree_under_growth() {
     let mut covered = 200u64;
     for step in 0..4 {
         let hi = (covered + 100).min(N);
-        let batch: Vec<Vec<f32>> = (covered..hi).map(|p| dataset.get(p).unwrap()).collect();
-        tree.insert_batch(covered, &batch).unwrap();
         lsm.ingest_upto(&dataset, hi).unwrap();
         ads.extend_to(hi).unwrap();
         covered = hi;
 
-        // All three must agree with a scan over the covered prefix. Build
-        // the truth by scanning only the covered range via the full scan
-        // (queries are over the whole dataset once covered == N).
+        // Both must agree with a scan once everything is covered, and with
+        // each other before (they cover the same prefix).
         if covered == N {
             let scan = SerialScan::new(&dataset);
             for q in &queries {
                 let (truth, _) = scan.exact(q).unwrap();
-                assert_eq!(
-                    tree.exact_search(q).unwrap().0.pos,
-                    truth.pos,
-                    "step {step}"
-                );
                 assert_eq!(lsm.exact(q).unwrap().0.pos, truth.pos, "step {step}");
                 assert_eq!(ads.exact_search(q).unwrap().0.pos, truth.pos, "step {step}");
             }
         } else {
-            // Before full coverage the three indexes must agree with each
-            // other (they cover the same prefix).
             for q in &queries {
-                let a = tree.exact_search(q).unwrap().0;
-                let b = lsm.exact(q).unwrap().0;
-                let c = ads.exact_search(q).unwrap().0;
+                let a = lsm.exact(q).unwrap().0;
+                let b = ads.exact_search(q).unwrap().0;
                 assert_eq!(a.pos, b.pos, "step {step}");
-                assert_eq!(a.pos, c.pos, "step {step}");
             }
         }
     }
-}
-
-#[test]
-fn single_inserts_preserve_structure_invariants() {
-    let (dir, dataset, _) = setup();
-    let opts = BuildOptions {
-        memory_bytes: 1 << 20,
-        materialized: false,
-        threads: 1,
-        shards: 1,
-    };
-    let mut tree = CoconutTree::build_range(&dataset, 0..100, &config(), dir.path(), opts).unwrap();
-    let before = tree.contiguity();
-    assert_eq!(before, 1.0);
-    for pos in 100..300u64 {
-        let s = dataset.get(pos).unwrap();
-        tree.insert(pos, &s).unwrap();
-        assert_eq!(tree.len(), pos + 1);
-    }
-    // Splits happened; contiguity degraded but fill stays reasonable.
-    assert!(tree.contiguity() < 1.0);
-    assert!(tree.avg_fill() >= 0.45, "fill {}", tree.avg_fill());
-    // The tree still answers exactly.
-    let scan = SerialScan::new(&dataset);
-    let member = dataset.get(250).unwrap();
-    let (truth, _) = scan.exact(&member).unwrap();
-    let (got, _) = tree.exact_search(&member).unwrap();
-    assert_eq!(got.pos, truth.pos);
-    assert!(got.dist < 1e-4);
 }
