@@ -15,7 +15,7 @@ usage:
                 [--memory-mb M] [--shards N] [--out-dir DIR] <data.ds>
   coconut query --index <path.idx> --data <data.ds>
                 (--seed S | --pos P) [--radius R]
-                ([--k K] [--dtw BAND] [--approximate] | --range EPS)
+                ([--k K] [--dtw BAND] | --approximate | --range EPS)
   coconut ingest  --data <data.ds> --index-dir DIR [--materialized]
                   [--leaf N] [--compaction <tiered|leveled>] [--writers N]
                   [--memory-mb M] [--batch N] [--max-runs N]
@@ -29,9 +29,8 @@ usage:
                   [--addr HOST:PORT] [--workers N] [--queue N]
                   [--deadline-ms MS] [--idle-timeout-ms MS]
 
-  --faults SPEC (any command) installs a deterministic fault plan, e.g.
-  --faults atomic.fsync=err@2 --fault-seed 7; COCONUT_FAULTS /
-  COCONUT_FAULT_SEED do the same from the environment.";
+  COCONUT_FAULTS=SPEC (any command) installs a deterministic fault plan,
+  e.g. COCONUT_FAULTS=atomic.fsync=err@2 COCONUT_FAULT_SEED=7.";
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,38 +207,6 @@ fn parse_compaction(
         .transpose()
 }
 
-/// Strip `--faults SPEC` / `--fault-seed N` (valid before any command)
-/// from `argv`, returning the spec and seed when a spec was given. Kept
-/// separate from [`parse`] so the fault plan installs once in `main`
-/// before command dispatch.
-pub fn take_fault_options(argv: &mut Vec<String>) -> Result<Option<(String, u64)>, String> {
-    let mut spec = None;
-    let mut seed = 0u64;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--faults" => {
-                spec = Some(
-                    argv.get(i + 1)
-                        .cloned()
-                        .ok_or("missing value for --faults")?,
-                );
-                argv.drain(i..i + 2);
-            }
-            "--fault-seed" => {
-                let v = argv
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("missing value for --fault-seed")?;
-                seed = parse_num(&v, "fault-seed")?;
-                argv.drain(i..i + 2);
-            }
-            _ => i += 1,
-        }
-    }
-    Ok(spec.map(|s| (s, seed)))
-}
-
 /// Parse a full command line (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some(verb) = argv.first() else {
@@ -325,6 +292,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .find(|f| opts.contains_key(*f))
                 {
                     return Err(format!("query: --range cannot be combined with {flag}"));
+                }
+            }
+            // So would an approximate one: it is a Euclidean 1-NN.
+            if opts.contains_key("--approximate") {
+                if let Some(flag) = ["--dtw", "--k"].into_iter().find(|f| opts.contains_key(*f)) {
+                    return Err(format!(
+                        "query: --approximate cannot be combined with {flag}"
+                    ));
                 }
             }
             Ok(Command::Query {
@@ -557,6 +532,7 @@ mod tests {
 
     #[test]
     fn parses_query_variants() {
+        // A DTW k-NN: both modes are kept.
         let c = parse(&argv(
             "query --index i.idx --data d.ds --seed 3 --k 5 --dtw 10",
         ))
@@ -612,13 +588,24 @@ mod tests {
         assert!(query("--k 0")
             .unwrap_err()
             .contains("--k must be at least 1"));
-        for flag in ["--dtw 4", "--approximate", "--k 5", "--k 1"] {
-            let err = query(&format!("--range 2 {flag}")).unwrap_err();
-            let name = flag.split(' ').next().unwrap();
-            assert!(
-                err.contains(&format!("cannot be combined with {name}")),
-                "{err}"
-            );
+        for (mode, flags) in [
+            (
+                "--range 2",
+                &["--dtw 4", "--approximate", "--k 5", "--k 1"][..],
+            ),
+            ("--approximate", &["--dtw 4", "--k 5", "--k 1"][..]),
+        ] {
+            for flag in flags {
+                let err = query(&format!("{mode} {flag}")).unwrap_err();
+                let (mode, name) = (
+                    mode.split(' ').next().unwrap(),
+                    flag.split(' ').next().unwrap(),
+                );
+                assert!(
+                    err.contains(&format!("{mode} cannot be combined with {name}")),
+                    "{err}"
+                );
+            }
         }
         // What a mode does run still parses.
         for ok in [
@@ -627,6 +614,7 @@ mod tests {
             "--k 1",
             "--k 7",
             "--dtw 4",
+            "--dtw 4 --k 7",
             "--approximate",
         ] {
             assert!(query(ok).is_ok(), "{ok}");

@@ -168,17 +168,17 @@ pub fn run(cmd: Command) -> Result<()> {
             let stats = Arc::new(IoStats::new());
             let ds = Dataset::open(&data, Arc::clone(&stats))?;
             let series = make_query(&ds, seed, pos)?;
-            let (kind, metric) = if let Some(eps) = range_eps {
-                (Kind::Range(eps), Metric::Ed)
-            } else if let Some(band) = dtw_band {
-                (Kind::Nearest, Metric::Dtw(band))
+            // `args::parse` refuses the combinations a mode would drop.
+            let kind = if let Some(eps) = range_eps {
+                Kind::Range(eps)
             } else if approximate {
-                (Kind::Approx, Metric::Ed)
+                Kind::Approx
             } else if k > 1 {
-                (Kind::Knn(k), Metric::Ed)
+                Kind::Knn(k)
             } else {
-                (Kind::Nearest, Metric::Ed)
+                Kind::Nearest
             };
+            let metric = dtw_band.map_or(Metric::Ed, Metric::Dtw);
             let query = Query {
                 metric,
                 radius,
@@ -603,7 +603,10 @@ fn answer_lines(query: &Query, hits: &[Answer]) -> String {
                 out += &format!("  #{:<10} dist {:.4}\n", h.pos, h.dist);
             }
         }
-        (Kind::Knn(k), _) => {
+        (Kind::Knn(k), metric) => {
+            if let Metric::Dtw(band) = metric {
+                out += &format!("DTW(band {band}) ");
+            }
             out += &format!("top-{k} nearest:\n");
             for (rank, h) in hits.iter().enumerate() {
                 out += &format!("  {}. #{:<10} dist {:.4}\n", rank + 1, h.pos, h.dist);
@@ -755,6 +758,7 @@ mod tests {
         for idx in [&tree_idx, &trie_idx] {
             run(q(idx, 5, None, None)).unwrap(); // k-NN
             run(q(idx, 1, Some(4), None)).unwrap(); // DTW
+            run(q(idx, 5, Some(4), None)).unwrap(); // DTW k-NN
             run(q(idx, 1, None, Some(10.0))).unwrap(); // range
         }
 
@@ -768,7 +772,17 @@ mod tests {
             metric: Metric::Dtw(4),
             ..Query::nearest()
         };
-        for query in [Query::nearest(), Query::knn(5), Query::range(10.0), dtw] {
+        let dtw_knn = Query {
+            metric: Metric::Dtw(4),
+            ..Query::knn(5)
+        };
+        for query in [
+            Query::nearest(),
+            Query::knn(5),
+            Query::range(10.0),
+            dtw,
+            dtw_knn,
+        ] {
             let (on_tree, _) = tree(&series, &query).unwrap();
             let (on_trie, _) = trie(&series, &query).unwrap();
             assert!(!on_tree.is_empty(), "{query:?}");

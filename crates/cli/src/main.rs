@@ -16,31 +16,12 @@ mod args;
 mod commands;
 
 fn main() -> ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // Install the deterministic fault plan (CLI `--faults`/`--fault-seed`
-    // override the COCONUT_FAULTS / COCONUT_FAULT_SEED environment) before
-    // any command touches disk or the network.
-    match args::take_fault_options(&mut argv) {
-        Ok(Some((spec, seed))) => match coconut_storage::FaultPlan::parse(&spec, seed) {
-            Ok(plan) => {
-                coconut_storage::fault::install(plan);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {
-            if let Err(e) = coconut_storage::fault::install_from_env() {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{}", args::USAGE);
-            return ExitCode::FAILURE;
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // Install the deterministic fault plan of COCONUT_FAULTS /
+    // COCONUT_FAULT_SEED before any command touches disk or the network.
+    if let Err(e) = coconut_storage::fault::install_from_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     match args::parse(&argv) {
         Ok(cmd) => match commands::run(cmd) {

@@ -4,22 +4,22 @@
 //! scan the raw file sequentially, compute each series' sortable
 //! summarization (`invSAX`), and sort the records externally under the
 //! memory budget. Non-materialized builds sort only `(key, position)`
-//! pairs; `-Full` builds sort whole records.
+//! pairs; `-Full` builds sort whole records. Every build sorts through
+//! [`crate::shard`], on `BuildOptions::shards` workers.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use coconut_series::dataset::Dataset;
-use coconut_storage::{ExternalSorter, IoStats, RecordStream, Result, SortReport, SortedStream};
-use coconut_summary::sax::Summarizer;
+use coconut_storage::{IoStats, MergedStream, Result, SortReport, SortedStream};
 use coconut_summary::SaxConfig;
 
 use crate::config::BuildOptions;
-use crate::records::{KeyPos, KeyPosCodec, KeySeries, KeySeriesCodec};
+use crate::records::{KeyPosCodec, KeySeriesCodec};
 use crate::shard::{sorted_key_pos_sharded, sorted_key_series_sharded};
 
-/// Scan `positions` of `dataset` (a contiguous range) and return the
-/// `(key, position)` pairs sorted by key — the non-materialized pipeline.
+/// Scan `range` of `dataset` and return the `(key, position)` pairs sorted
+/// by key — the non-materialized pipeline on one shard.
 pub fn sorted_key_pos(
     dataset: &Dataset,
     range: std::ops::Range<u64>,
@@ -27,76 +27,31 @@ pub fn sorted_key_pos(
     memory_bytes: u64,
     tmp_dir: &Path,
     stats: &Arc<IoStats>,
-) -> Result<SortedStream<KeyPosCodec>> {
-    debug_assert!(range.end <= dataset.len());
-    let mut summarizer = Summarizer::new(*sax);
-    let mut sorter = ExternalSorter::new(KeyPosCodec, memory_bytes, tmp_dir, Arc::clone(stats))?;
-    // Seek straight to `range.start`: partitioned builds scan K disjoint
-    // ranges, and skip-scanning from position 0 would read the raw file K
-    // times end-to-end (quadratic in the shard count).
-    let mut scan = dataset.scan_range(range);
-    while let Some((pos, series)) = scan.next_series()? {
-        let key = summarizer.zkey(series);
-        sorter.push(KeyPos { key, pos })?;
-    }
-    sorter.finish()
-}
-
-/// Scan `positions` of `dataset` and return whole `(key, position, series)`
-/// records sorted by key — the materialized (`-Full`) pipeline. This is the
-/// expensive sort the paper attributes most of Coconut-Tree-Full's build
-/// time to.
-pub fn sorted_key_series(
-    dataset: &Dataset,
-    range: std::ops::Range<u64>,
-    sax: &SaxConfig,
-    memory_bytes: u64,
-    tmp_dir: &Path,
-    stats: &Arc<IoStats>,
-) -> Result<SortedStream<KeySeriesCodec>> {
-    debug_assert!(range.end <= dataset.len());
-    let mut summarizer = Summarizer::new(*sax);
-    let codec = KeySeriesCodec::new(dataset.series_len());
-    let mut sorter = ExternalSorter::new(codec, memory_bytes, tmp_dir, Arc::clone(stats))?;
-    // Positioned scan for the same reason as `sorted_key_pos`.
-    let mut scan = dataset.scan_range(range);
-    while let Some((pos, series)) = scan.next_series()? {
-        let key = summarizer.zkey(series);
-        sorter.push(KeySeries {
-            key,
-            pos,
-            series: series.to_vec(),
-        })?;
-    }
-    sorter.finish()
+) -> Result<MergedStream<SortedStream<KeyPosCodec>>> {
+    sorted_key_pos_sharded(dataset, range, sax, memory_bytes, tmp_dir, stats, 1)
 }
 
 /// The `(key, position)` records of `range` in sorted order under `opts`:
-/// one external sort, or `opts.shards` parallel sorts K-way merged. The
-/// merged stream is record-for-record identical to one big sort, so either
-/// source feeds the same loader loop.
+/// `opts.shards` parallel sorts (0 is read as 1), K-way merged. The merged
+/// stream is record-for-record identical whatever the shard count.
 pub(crate) fn key_pos_stream(
     dataset: &Dataset,
     range: std::ops::Range<u64>,
     sax: &SaxConfig,
     opts: &BuildOptions,
     tmp_dir: &Path,
-) -> Result<Box<dyn RecordStream<Item = KeyPos>>> {
+) -> Result<MergedStream<SortedStream<KeyPosCodec>>> {
     let stats = dataset.file().stats();
-    let memory = opts.memory_bytes;
-    Ok(if opts.shards > 1 {
-        Box::new(sorted_key_pos_sharded(
-            dataset,
-            range,
-            sax,
-            memory,
-            tmp_dir,
-            stats,
-            opts.shards,
-        )?)
-    } else {
-        Box::new(sorted_key_pos(dataset, range, sax, memory, tmp_dir, stats)?)
-    })
+    let shards = opts.shards.max(1);
+    sorted_key_pos_sharded(
+        dataset,
+        range,
+        sax,
+        opts.memory_bytes,
+        tmp_dir,
+        stats,
+        shards,
+    )
 }
 
 /// [`key_pos_stream`] for materialized (`-Full`) builds: whole records.
@@ -106,24 +61,18 @@ pub(crate) fn key_series_stream(
     sax: &SaxConfig,
     opts: &BuildOptions,
     tmp_dir: &Path,
-) -> Result<Box<dyn RecordStream<Item = KeySeries>>> {
+) -> Result<MergedStream<SortedStream<KeySeriesCodec>>> {
     let stats = dataset.file().stats();
-    let memory = opts.memory_bytes;
-    Ok(if opts.shards > 1 {
-        Box::new(sorted_key_series_sharded(
-            dataset,
-            range,
-            sax,
-            memory,
-            tmp_dir,
-            stats,
-            opts.shards,
-        )?)
-    } else {
-        Box::new(sorted_key_series(
-            dataset, range, sax, memory, tmp_dir, stats,
-        )?)
-    })
+    let shards = opts.shards.max(1);
+    sorted_key_series_sharded(
+        dataset,
+        range,
+        sax,
+        opts.memory_bytes,
+        tmp_dir,
+        stats,
+        shards,
+    )
 }
 
 /// A summary of how a build went, reported by the experiment harness.
@@ -146,7 +95,7 @@ mod tests {
     use super::*;
     use coconut_series::dataset::write_dataset;
     use coconut_series::gen::RandomWalkGen;
-    use coconut_storage::TempDir;
+    use coconut_storage::{RecordStream, TempDir};
 
     fn small_dataset(dir: &TempDir, n: u64, len: usize) -> (Dataset, Arc<IoStats>) {
         let stats = Arc::new(IoStats::new());
@@ -178,7 +127,8 @@ mod tests {
         let dir = TempDir::new("builder").unwrap();
         let (ds, stats) = small_dataset(&dir, 100, 32);
         let sax = SaxConfig::default_for_len(32);
-        let mut stream = sorted_key_series(&ds, 0..100, &sax, 1 << 16, dir.path(), &stats).unwrap();
+        let mut stream =
+            sorted_key_series_sharded(&ds, 0..100, &sax, 1 << 16, dir.path(), &stats, 1).unwrap();
         let mut n = 0;
         while let Some(ks) = stream.next_item().unwrap() {
             let expected = ds.get(ks.pos).unwrap();

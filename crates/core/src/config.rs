@@ -84,9 +84,8 @@ pub struct BuildOptions {
     /// Key-range shards for the build's scan→summarize→sort phase: each
     /// shard runs on its own worker thread with `memory_bytes / shards` of
     /// sort budget, and the per-shard sorted streams are K-way merged into
-    /// the bulk loader. `0` and `1` both mean the single-sorter path; any
-    /// shard count produces a bit-identical index (see
-    /// `crate::shard`).
+    /// the bulk loader. `0` is read as `1`; any shard count produces a
+    /// bit-identical index (see `crate::shard`).
     pub shards: usize,
 }
 
@@ -105,12 +104,6 @@ impl BuildOptions {
     /// Same options but materialized.
     pub fn materialized(mut self) -> Self {
         self.materialized = true;
-        self
-    }
-
-    /// Same options with a specific memory budget.
-    pub fn with_memory(mut self, bytes: u64) -> Self {
-        self.memory_bytes = bytes;
         self
     }
 
@@ -175,12 +168,8 @@ mod tests {
 
     #[test]
     fn build_options_builders() {
-        let o = BuildOptions::default()
-            .materialized()
-            .with_memory(1024)
-            .with_shards(4);
+        let o = BuildOptions::default().materialized().with_shards(4);
         assert!(o.materialized);
-        assert_eq!(o.memory_bytes, 1024);
         assert!(o.threads >= 1);
         assert_eq!(o.shards, 4);
         assert_eq!(BuildOptions::default().shards, 1);

@@ -59,7 +59,7 @@ use parking_lot::Mutex;
 use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{CountedFile, Deadline, Error, IoStats, Mapping, Result};
+use coconut_storage::{CountedFile, Deadline, Error, Mapping, Result};
 use coconut_summary::sax::Summarizer;
 use coconut_summary::zorder::key_range_box;
 use coconut_summary::{SaxConfig, ZKey};
@@ -762,11 +762,6 @@ impl<D: Directory> SortedLeafIndex<D> {
         self.entry_count == 0
     }
 
-    /// The position range of the dataset this index covers.
-    pub fn covered_range(&self) -> Range<u64> {
-        self.range.clone()
-    }
-
     /// Leaves whose block — symbols and positions — a query has loaded so
     /// far (none right after a build or an open).
     pub fn loaded_blocks(&self) -> usize {
@@ -786,11 +781,6 @@ impl<D: Directory> SortedLeafIndex<D> {
             .map(|l| l.blocks_used as u64 * self.config.leaf_capacity as u64)
             .sum();
         self.entry_count as f64 / slots as f64
-    }
-
-    /// Shared I/O statistics (same sink as the dataset).
-    pub fn io_stats(&self) -> &Arc<IoStats> {
-        self.dataset.file().stats()
     }
 
     /// Path of the index file.
@@ -1108,7 +1098,7 @@ pub(crate) mod tests {
     use crate::{CoconutTree, CoconutTrie, LsmCoconut};
     use coconut_series::dataset::write_dataset;
     use coconut_series::gen::RandomWalkGen;
-    use coconut_storage::TempDir;
+    use coconut_storage::{IoStats, TempDir};
 
     /// The directory of `index` lays its leaves back to back from block 0:
     /// leaf `i + 1` starts where leaf `i`'s blocks end, and the last leaf

@@ -771,6 +771,11 @@ impl LsmCoconut {
     /// `coconut scrub` command). Never fails as a whole: each run reports
     /// either its clean [`ScrubReport`] or the corruption the scan hit, so
     /// an operator sees *all* damaged runs, not just the first.
+    ///
+    /// Scrub reads leaves with `pread`, so a device error is reported as
+    /// `Error::Io`. Queries borrow leaf blocks from a mapping of the index
+    /// file, where the same error raises `SIGBUS` instead; scrub is how
+    /// such a block is found before a query touches it.
     pub fn scrub(&self) -> Vec<RunScrub> {
         let runs: Vec<(RunMeta, Arc<CoconutTree>)> = {
             let st = self.shared.state.lock();

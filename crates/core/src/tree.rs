@@ -92,10 +92,10 @@ impl Directory for SeparatorLevels {
         let (range, sax) = (tree.range.clone(), tree.config.sax);
         if opts.materialized {
             let mut stream = key_series_stream(&tree.dataset, range, &sax, opts, tmp_dir)?;
-            tree.pack(stream.as_mut())
+            tree.pack(&mut stream)
         } else {
             let mut stream = key_pos_stream(&tree.dataset, range, &sax, opts, tmp_dir)?;
-            tree.pack(stream.as_mut())
+            tree.pack(&mut stream)
         }
     }
 

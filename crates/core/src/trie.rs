@@ -356,11 +356,11 @@ impl Directory for PrefixNodes {
             // whole records once and write them straight into their leaves.
             (SplitPolicyKind::Fixed, false) => {
                 let mut stream = key_pos_stream(&trie.dataset, range, &sax, opts, tmp_dir)?;
-                trie.load_carved(stream.as_mut())?;
+                trie.load_carved(&mut stream)?;
             }
             (SplitPolicyKind::Fixed, true) => {
                 let mut stream = key_series_stream(&trie.dataset, range, &sax, opts, tmp_dir)?;
-                trie.load_carved(stream.as_mut())?;
+                trie.load_carved(&mut stream)?;
             }
             (SplitPolicyKind::Adaptive, _) => trie.load_adaptive(tmp_dir, opts)?,
         }

@@ -252,13 +252,6 @@ impl Dataset {
         DatasetScan::new(self, 0..self.count, 1 << 20)
     }
 
-    /// A sequential scanner starting at position `pos` (clamped to the end):
-    /// the first read seeks directly to `pos`'s byte offset, so scanning a
-    /// tail of the file costs I/O proportional to the tail, not the file.
-    pub fn scan_from(&self, pos: u64) -> DatasetScan<'_> {
-        DatasetScan::new(self, pos..self.count, 1 << 20)
-    }
-
     /// A sequential scanner over exactly the positions in `range` (clamped
     /// to the dataset bounds). Reads never extend past `range.end`, so
     /// partitioned builds scanning disjoint ranges together read each byte
@@ -446,23 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_from_starts_mid_file() {
-        let dir = TempDir::new("dataset").unwrap();
-        let path = write_simple(&dir, 100, 8);
-        let ds = Dataset::open(&path, stats()).unwrap();
-        let mut scan = ds.scan_from(90);
-        let mut seen = Vec::new();
-        while let Some((pos, s)) = scan.next_series().unwrap() {
-            assert_eq!(s[0], (pos * 1000) as Value);
-            seen.push(pos);
-        }
-        assert_eq!(seen, (90..100).collect::<Vec<_>>());
-        // Starting past the end is an empty scan, not an error.
-        assert!(ds.scan_from(100).next_series().unwrap().is_none());
-        assert!(ds.scan_from(u64::MAX).next_series().unwrap().is_none());
-    }
-
-    #[test]
     fn scan_range_reads_only_the_range() {
         let dir = TempDir::new("dataset").unwrap();
         let path = write_simple(&dir, 1000, 64);
@@ -480,6 +456,21 @@ mod tests {
         // exactly 50 series of 256 bytes each, regardless of chunking.
         let delta = st.snapshot().since(&before);
         assert_eq!(delta.bytes_read, 50 * 64 * 4, "tail scan over-read");
+        // A range reaching past the end stops at the last series, and one
+        // starting at or past the end is an empty scan, not an error.
+        let mut tail = ds.scan_range(990..u64::MAX);
+        let mut seen = Vec::new();
+        while let Some((pos, s)) = tail.next_series().unwrap() {
+            assert_eq!(s[0], (pos * 1000) as Value);
+            seen.push(pos);
+        }
+        assert_eq!(seen, (990..1000).collect::<Vec<_>>());
+        assert!(ds.scan_range(1000..2000).next_series().unwrap().is_none());
+        assert!(ds
+            .scan_range(u64::MAX..u64::MAX)
+            .next_series()
+            .unwrap()
+            .is_none());
     }
 
     #[test]

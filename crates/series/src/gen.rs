@@ -260,36 +260,6 @@ pub fn make_queries(
         .collect()
 }
 
-/// Queries derived from dataset members with additive Gaussian noise of
-/// standard deviation `noise` — the paper's technique for querying the real
-/// datasets ("we obtained additional data series from the raw datasets
-/// using the same technique"). `noise = 0` returns exact members.
-pub fn queries_from_members(
-    dataset: &crate::dataset::Dataset,
-    count: usize,
-    noise: f64,
-    seed: u64,
-) -> crate::Result<Vec<Vec<Value>>> {
-    let mut gauss = Gauss::new(seed);
-    let n = dataset.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let pos = (gauss.uniform() * n as f64) as u64 % n;
-        let mut q = dataset.get(pos)?;
-        if noise > 0.0 {
-            for v in q.iter_mut() {
-                *v += (noise * gauss.sample()) as Value;
-            }
-        }
-        crate::distance::znormalize(&mut q);
-        out.push(q);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,48 +339,6 @@ mod tests {
             assert!(mean(&q).abs() < 1e-4);
             assert!((std_dev(&q) - 1.0).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn member_queries_are_near_their_sources() {
-        use crate::dataset::{write_dataset, Dataset};
-        use coconut_storage::{IoStats, TempDir};
-        use std::sync::Arc;
-        let dir = TempDir::new("genq").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let path = dir.path().join("d.bin");
-        let mut g = RandomWalkGen::new(2);
-        write_dataset(&path, &mut g, 50, 64, &stats).unwrap();
-        let ds = Dataset::open(&path, stats).unwrap();
-
-        // Zero noise: every query is an exact member.
-        let qs = crate::gen::queries_from_members(&ds, 10, 0.0, 7).unwrap();
-        for q in &qs {
-            let mut best = f64::INFINITY;
-            for p in 0..50 {
-                best = best.min(euclidean(q, &ds.get(p).unwrap()));
-            }
-            assert!(best < 1e-4, "zero-noise query not a member (best {best})");
-        }
-        // Small noise: queries stay close to some member.
-        let qs = crate::gen::queries_from_members(&ds, 10, 0.05, 7).unwrap();
-        for q in &qs {
-            let mut best = f64::INFINITY;
-            for p in 0..50 {
-                best = best.min(euclidean(q, &ds.get(p).unwrap()));
-            }
-            assert!(best < 1.5, "noisy query too far from members ({best})");
-        }
-        // Empty dataset: no queries.
-        let empty_path = dir.path().join("e.bin");
-        let w =
-            crate::dataset::DatasetWriter::create(&empty_path, 64, true, Arc::new(IoStats::new()))
-                .unwrap();
-        w.finish().unwrap();
-        let empty = Dataset::open(&empty_path, Arc::new(IoStats::new())).unwrap();
-        assert!(crate::gen::queries_from_members(&empty, 5, 0.0, 1)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! suffices whenever `M > sqrt(N)`; we handle the general case anyway).
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -81,11 +82,13 @@ pub struct ExternalSorter<C: Codec> {
     buffer_capacity: usize,
     runs: RunFiles,
     report: SortReport,
-    sort_id: u64,
+    /// `sort-{process}-{sorter}`: the prefix of this sorter's run files,
+    /// unique across the processes and sorters sharing one `tmp_dir`.
+    name: String,
     io_buf_bytes: usize,
 }
 
-impl<C: Codec> ExternalSorter<C>
+impl<C: Codec + Clone> ExternalSorter<C>
 where
     C::Item: Ord,
 {
@@ -123,7 +126,11 @@ where
             buffer_capacity,
             runs: RunFiles::default(),
             report: SortReport::default(),
-            sort_id: SORT_ID.fetch_add(1, Ordering::Relaxed),
+            name: format!(
+                "sort-{}-{}",
+                std::process::id(),
+                SORT_ID.fetch_add(1, Ordering::Relaxed)
+            ),
             io_buf_bytes: 256 * 1024,
         })
     }
@@ -152,11 +159,6 @@ where
         self.report.items == 0
     }
 
-    fn run_path(&self, idx: usize) -> PathBuf {
-        self.tmp_dir
-            .join(format!("sort-{}-run-{idx}.bin", self.sort_id))
-    }
-
     fn spill_run(&mut self) -> Result<()> {
         if self.buffer.is_empty() {
             return Ok(());
@@ -165,30 +167,60 @@ where
         // created; the `RunFiles` guard cleans up earlier runs on drop.
         crate::fault::check("extsort.spill")?;
         self.buffer.sort_unstable();
-        let path = self.run_path(self.runs.0.len());
-        let file = CountedFile::create(&path, Arc::clone(&self.stats))?;
+        let path = self
+            .tmp_dir
+            .join(format!("{}-run-{}.bin", self.name, self.runs.0.len()));
         // Register the file with the drop-guard *before* writing so a
         // mid-spill I/O error (e.g. disk full) cannot leak a partial run.
-        self.runs.0.push(path);
+        self.runs.0.push(path.clone());
+        // Drained out of a taken buffer, which goes back (with its capacity)
+        // once the run is on disk.
+        let mut buffer = std::mem::take(&mut self.buffer);
+        let mut items = buffer.drain(..);
+        let written = self.write_run(&path, || Ok(items.next()));
+        drop(items);
+        self.buffer = buffer;
+        written?;
+        self.report.runs += 1;
+        Ok(())
+    }
+
+    /// Encode the records `next` yields into a new run file at `path`, in
+    /// appends of `io_buf_bytes`, and sync it.
+    fn write_run(
+        &self,
+        path: &Path,
+        mut next: impl FnMut() -> Result<Option<C::Item>>,
+    ) -> Result<()> {
+        let file = CountedFile::create(path, Arc::clone(&self.stats))?;
         let record = self.codec.record_size();
         let per_flush = (self.io_buf_bytes / record).max(1);
         let mut out = vec![0u8; per_flush * record];
         let mut filled = 0usize;
-        for item in self.buffer.drain(..) {
+        while let Some(item) = next()? {
             self.codec
                 .encode(&item, &mut out[filled * record..(filled + 1) * record]);
             filled += 1;
             if filled == per_flush {
-                file.append(&out[..filled * record])?;
+                file.append(&out)?;
                 filled = 0;
             }
         }
         if filled > 0 {
             file.append(&out[..filled * record])?;
         }
-        file.sync()?;
-        self.report.runs += 1;
-        Ok(())
+        file.sync()
+    }
+
+    /// A [`MergedStream`] over the run files at `paths`, one read buffer of
+    /// at least 4 KiB per run.
+    fn merge_runs(&self, paths: &[PathBuf]) -> Result<MergedStream<RunStream<C>>> {
+        let buf_bytes = self.codec.record_size().max(4096);
+        let runs = paths
+            .iter()
+            .map(|p| RunStream::open(p, self.codec.clone(), buf_bytes, Arc::clone(&self.stats)))
+            .collect::<Result<Vec<_>>>()?;
+        MergedStream::new(runs)
     }
 
     /// Finish pushing and return the globally sorted stream.
@@ -200,11 +232,8 @@ where
             self.buffer.shrink_to_fit();
             let items = std::mem::take(&mut self.buffer);
             return Ok(SortedStream {
-                codec: self.codec,
                 report: self.report,
-                source: StreamSource::Memory {
-                    items: items.into_iter(),
-                },
+                source: Source::Memory(items.into_iter()),
             });
         }
         self.spill_run()?;
@@ -219,8 +248,7 @@ where
         // The merge fan-in is limited by the memory budget: one read buffer
         // per run plus slack. Below the limit we merge all runs at once;
         // above it we do intermediate passes.
-        let record = self.codec.record_size();
-        let min_read_buf = record.max(4096);
+        let min_read_buf = self.codec.record_size().max(4096);
         let max_fanin = (self.budget_bytes / min_read_buf).clamp(2, 128);
         // Every generation of run files lives inside a `RunFiles` guard, so
         // an error (or drop) at any point deletes whatever is on disk.
@@ -231,71 +259,33 @@ where
             for (gi, group) in self.runs.0.chunks(max_fanin).enumerate() {
                 let out_path = self
                     .tmp_dir
-                    .join(format!("sort-{}-pass{pass_no}-{gi}.bin", self.sort_id));
-                if let Err(e) = self.merge_group(group, &out_path) {
-                    let _ = std::fs::remove_file(&out_path);
-                    return Err(e); // `next` and `self.runs` clean up on drop
-                }
-                next.0.push(out_path);
+                    .join(format!("{}-pass{pass_no}-{gi}.bin", self.name));
+                // Guarded before it is written, like a spilled run.
+                next.0.push(out_path.clone());
+                let mut merged = self.merge_runs(group)?;
+                self.write_run(&out_path, || merged.next_item())?;
             }
             self.runs = next; // dropping the old generation deletes it
             pass_no += 1;
         }
         self.report.merge_passes += 1;
-        let readers = self
-            .runs
-            .0
-            .iter()
-            .map(|p| RunReader::open(p, record, min_read_buf, Arc::clone(&self.stats)))
-            .collect::<Result<Vec<_>>>()?;
-        let mut merger = Merger::new(readers, &self.codec)?;
-        // Prime the heap.
-        merger.prime(&self.codec)?;
+        let merged = self.merge_runs(&self.runs.0)?;
         // Success: run-file ownership moves into the stream, which deletes
         // them once it is dropped.
-        let runs = std::mem::take(&mut self.runs);
         Ok(SortedStream {
-            codec: self.codec,
             report: self.report,
-            source: StreamSource::Merge {
-                merger,
-                run_paths: runs,
+            source: Source::Runs {
+                merged,
+                _files: std::mem::take(&mut self.runs),
             },
         })
     }
-
-    fn merge_group(&self, group: &[PathBuf], out_path: &PathBuf) -> Result<()> {
-        let record = self.codec.record_size();
-        let min_read_buf = record.max(4096);
-        let readers = group
-            .iter()
-            .map(|p| RunReader::open(p, record, min_read_buf, Arc::clone(&self.stats)))
-            .collect::<Result<Vec<_>>>()?;
-        let mut merger = Merger::new(readers, &self.codec)?;
-        merger.prime(&self.codec)?;
-        let out = CountedFile::create(out_path, Arc::clone(&self.stats))?;
-        let per_flush = (self.io_buf_bytes / record).max(1);
-        let mut buf = vec![0u8; per_flush * record];
-        let mut filled = 0usize;
-        while let Some(item) = merger.next_item(&self.codec)? {
-            self.codec
-                .encode(&item, &mut buf[filled * record..(filled + 1) * record]);
-            filled += 1;
-            if filled == per_flush {
-                out.append(&buf[..filled * record])?;
-                filled = 0;
-            }
-        }
-        if filled > 0 {
-            out.append(&buf[..filled * record])?;
-        }
-        out.sync()?;
-        Ok(())
-    }
 }
 
-/// A buffered sequential reader over one sorted run.
-struct RunReader {
+/// One sorted run read back from its file, through a buffered sequential
+/// reader, as a [`RecordStream`].
+struct RunStream<C: Codec> {
+    codec: C,
     file: CountedFile,
     record: usize,
     buf: Vec<u8>,
@@ -305,8 +295,9 @@ struct RunReader {
     file_len: u64,
 }
 
-impl RunReader {
-    fn open(path: &PathBuf, record: usize, buf_bytes: usize, stats: Arc<IoStats>) -> Result<Self> {
+impl<C: Codec> RunStream<C> {
+    fn open(path: &Path, codec: C, buf_bytes: usize, stats: Arc<IoStats>) -> Result<Self> {
+        let record = codec.record_size();
         let file = CountedFile::open(path, stats)?;
         let file_len = file.len();
         if file_len % record as u64 != 0 {
@@ -318,7 +309,8 @@ impl RunReader {
             )));
         }
         let records_per_buf = (buf_bytes / record).max(1);
-        Ok(RunReader {
+        Ok(RunStream {
+            codec,
             file,
             record,
             buf: vec![0u8; records_per_buf * record],
@@ -328,9 +320,12 @@ impl RunReader {
             file_len,
         })
     }
+}
 
-    /// Borrow the bytes of the next record, or `None` at end of run.
-    fn next_record(&mut self) -> Result<Option<&[u8]>> {
+impl<C: Codec> RecordStream for RunStream<C> {
+    type Item = C::Item;
+
+    fn next_item(&mut self) -> Result<Option<C::Item>> {
         if self.buf_pos == self.buf_valid {
             let remaining = (self.file_len - self.file_pos) as usize;
             if remaining == 0 {
@@ -345,7 +340,15 @@ impl RunReader {
         }
         let start = self.buf_pos;
         self.buf_pos += self.record;
-        Ok(Some(&self.buf[start..start + self.record]))
+        Ok(Some(self.codec.decode(&self.buf[start..self.buf_pos])))
+    }
+
+    fn report(&self) -> SortReport {
+        SortReport {
+            items: self.file_len / self.record as u64,
+            runs: 1,
+            merge_passes: 0,
+        }
     }
 }
 
@@ -372,106 +375,26 @@ impl<T: Ord> Ord for HeapEntry<T> {
     }
 }
 
-struct Merger<T> {
-    readers: Vec<RunReader>,
-    heap: BinaryHeap<HeapEntry<T>>,
-    primed: bool,
-}
-
-impl<T: Ord> Merger<T> {
-    fn new<C: Codec<Item = T>>(readers: Vec<RunReader>, _codec: &C) -> Result<Self> {
-        Ok(Merger {
-            readers,
-            heap: BinaryHeap::new(),
-            primed: false,
-        })
-    }
-
-    fn prime<C: Codec<Item = T>>(&mut self, codec: &C) -> Result<()> {
-        if self.primed {
-            return Ok(());
-        }
-        for i in 0..self.readers.len() {
-            if let Some(bytes) = self.readers[i].next_record()? {
-                let item = codec.decode(bytes);
-                self.heap.push(HeapEntry {
-                    item: Reverse(item),
-                    source: i,
-                });
-            }
-        }
-        self.primed = true;
-        Ok(())
-    }
-
-    fn next_item<C: Codec<Item = T>>(&mut self, codec: &C) -> Result<Option<T>> {
-        let Some(HeapEntry {
-            item: Reverse(item),
-            source,
-        }) = self.heap.pop()
-        else {
-            return Ok(None);
-        };
-        if let Some(bytes) = self.readers[source].next_record()? {
-            let next = codec.decode(bytes);
-            self.heap.push(HeapEntry {
-                item: Reverse(next),
-                source,
-            });
-        }
-        Ok(Some(item))
-    }
-}
-
-enum StreamSource<C: Codec> {
-    Memory {
-        items: std::vec::IntoIter<C::Item>,
-    },
-    Merge {
-        merger: Merger<C::Item>,
+enum Source<C: Codec> {
+    /// Everything fitted the budget: the sorted buffer itself.
+    Memory(std::vec::IntoIter<C::Item>),
+    /// The spilled runs, merged.
+    Runs {
+        merged: MergedStream<RunStream<C>>,
         /// Owned so the run files are deleted when the stream is dropped.
-        #[allow(dead_code)]
-        run_paths: RunFiles,
+        _files: RunFiles,
     },
 }
 
 /// The output of [`ExternalSorter::finish`]: records in globally sorted order.
 pub struct SortedStream<C: Codec> {
-    codec: C,
     report: SortReport,
-    source: StreamSource<C>,
-}
-
-impl<C: Codec> SortedStream<C>
-where
-    C::Item: Ord,
-{
-    /// The next record, or `None` when exhausted.
-    pub fn next_item(&mut self) -> Result<Option<C::Item>> {
-        match &mut self.source {
-            StreamSource::Memory { items } => Ok(items.next()),
-            StreamSource::Merge { merger, .. } => merger.next_item(&self.codec),
-        }
-    }
-
-    /// How the sort behaved (runs, passes).
-    pub fn report(&self) -> SortReport {
-        self.report
-    }
-
-    /// Drain the stream into a vector (convenience for tests and small sorts).
-    pub fn collect_all(mut self) -> Result<Vec<C::Item>> {
-        let mut out = Vec::new();
-        while let Some(item) = self.next_item()? {
-            out.push(item);
-        }
-        Ok(out)
-    }
+    source: Source<C>,
 }
 
 /// A stream of records in globally non-decreasing order, with a sort
 /// report. Implemented by [`SortedStream`] (one sorter's output) and
-/// [`MergedStream`] (K sorters' outputs merged) so bulk loaders can consume
+/// [`MergedStream`] (K sorted streams merged) so bulk loaders can consume
 /// either through one interface.
 pub trait RecordStream {
     /// The record type.
@@ -482,6 +405,18 @@ pub trait RecordStream {
 
     /// How the underlying sort(s) behaved.
     fn report(&self) -> SortReport;
+
+    /// Drain the stream into a vector (tests and small sorts).
+    fn collect_all(mut self) -> Result<Vec<Self::Item>>
+    where
+        Self: Sized,
+    {
+        let mut out = Vec::new();
+        while let Some(item) = self.next_item()? {
+            out.push(item);
+        }
+        Ok(out)
+    }
 }
 
 impl<C: Codec> RecordStream for SortedStream<C>
@@ -491,25 +426,29 @@ where
     type Item = C::Item;
 
     fn next_item(&mut self) -> Result<Option<C::Item>> {
-        SortedStream::next_item(self)
+        match &mut self.source {
+            Source::Memory(items) => Ok(items.next()),
+            Source::Runs { merged, .. } => merged.next_item(),
+        }
     }
 
+    /// How the sort behaved (runs, passes).
     fn report(&self) -> SortReport {
-        SortedStream::report(self)
+        self.report
     }
 }
 
 /// A K-way merge over already-sorted [`RecordStream`]s: a small binary heap
-/// (one entry per stream, the same loser-selection the run merger uses)
-/// yields the globally sorted order. Because record ordering is total
-/// (`(key, pos)` is unique), the merged order is *identical* to what one
-/// big sort of all inputs would produce — the property that makes sharded
-/// builds bit-identical to single-sorter builds, and LSM compactions
-/// bit-identical to a from-scratch bulk load.
+/// (one entry per stream) yields the globally sorted order. Because record
+/// ordering is total (`(key, pos)` is unique), the merged order is
+/// *identical* to what one big sort of all inputs would produce — the
+/// property that makes sharded builds bit-identical whatever their shard
+/// count, and LSM compactions bit-identical to a from-scratch bulk load.
 ///
-/// The inputs are any [`RecordStream`]s with `Ord` items: per-shard
-/// [`SortedStream`]s during construction, or the leaf-order entry streams
-/// of existing index runs during an LSM compaction.
+/// The inputs are any [`RecordStream`]s with `Ord` items: a sorter's
+/// spilled runs, per-shard [`SortedStream`]s during construction, or the
+/// leaf-order entry streams of existing index runs during an LSM
+/// compaction.
 pub struct MergedStream<S: RecordStream> {
     streams: Vec<S>,
     heap: BinaryHeap<HeapEntry<S::Item>>,
@@ -545,38 +484,6 @@ where
         }
         Ok(merged)
     }
-
-    /// The next record in global order, or `None` when all streams are dry.
-    pub fn next_item(&mut self) -> Result<Option<S::Item>> {
-        let Some(HeapEntry {
-            item: Reverse(item),
-            source,
-        }) = self.heap.pop()
-        else {
-            return Ok(None);
-        };
-        if let Some(next) = self.streams[source].next_item()? {
-            self.heap.push(HeapEntry {
-                item: Reverse(next),
-                source,
-            });
-        }
-        Ok(Some(item))
-    }
-
-    /// The aggregated sort report.
-    pub fn report(&self) -> SortReport {
-        self.report
-    }
-
-    /// Drain into a vector (tests and small merges).
-    pub fn collect_all(mut self) -> Result<Vec<S::Item>> {
-        let mut out = Vec::new();
-        while let Some(item) = self.next_item()? {
-            out.push(item);
-        }
-        Ok(out)
-    }
 }
 
 impl<S: RecordStream> RecordStream for MergedStream<S>
@@ -585,12 +492,22 @@ where
 {
     type Item = S::Item;
 
+    /// The next record in global order, or `None` when all streams are dry.
     fn next_item(&mut self) -> Result<Option<S::Item>> {
-        MergedStream::next_item(self)
+        let Some(mut top) = self.heap.peek_mut() else {
+            return Ok(None);
+        };
+        // The smallest entry's stream refills it in place (one sift-down
+        // when `top` drops) or, once dry, it leaves the heap.
+        Ok(Some(match self.streams[top.source].next_item()? {
+            Some(next) => std::mem::replace(&mut top.item, Reverse(next)).0,
+            None => PeekMut::pop(top).item.0,
+        }))
     }
 
+    /// The aggregated sort report.
     fn report(&self) -> SortReport {
-        MergedStream::report(self)
+        self.report
     }
 }
 
@@ -711,6 +628,7 @@ mod tests {
         pos: u64,
     }
 
+    #[derive(Clone)]
     struct PairCodec;
 
     impl Codec for PairCodec {

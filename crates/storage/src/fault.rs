@@ -19,9 +19,9 @@
 //! Two installation scopes exist:
 //!
 //! * a **process-global** plan ([`install`], [`install_from_env`],
-//!   [`clear`]) consulted by every hook — the CLI's `--faults` flag and
-//!   the `COCONUT_FAULTS` / `COCONUT_FAULT_SEED` environment variables
-//!   land here;
+//!   [`clear`]) consulted by every hook — the `COCONUT_FAULTS` /
+//!   `COCONUT_FAULT_SEED` environment variables, which the CLI reads at
+//!   start-up, land here;
 //! * **instance** plans held by individual components (e.g. the plan
 //!   `LsmCoconut::set_fault_plan` installs on one index) and consulted
 //!   through [`FaultPlan::fires`] before the global plan, so tests can

@@ -65,17 +65,6 @@ impl Default for DiskProfile {
     }
 }
 
-impl DiskProfile {
-    /// An NVMe-like profile, for sensitivity analysis: random accesses are
-    /// only ~10x more expensive than sequential ones instead of ~1000x.
-    pub fn nvme() -> Self {
-        DiskProfile {
-            seek_s: 60.0e-6,
-            seq_bytes_per_s: 2.5e9,
-        }
-    }
-}
-
 impl IoStats {
     /// New, zeroed counters.
     pub fn new() -> Self {
@@ -115,24 +104,6 @@ impl IoStats {
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
-    }
-
-    /// Add every counter of `snap` to this sink. Used by parallel pipelines
-    /// whose workers account I/O privately (so per-worker locality
-    /// classification is not scrambled by interleaving) and fold their
-    /// totals into the shared experiment stats when they join.
-    pub fn absorb(&self, snap: &IoSnapshot) {
-        self.seq_reads.fetch_add(snap.seq_reads, Ordering::Relaxed);
-        self.rand_reads
-            .fetch_add(snap.rand_reads, Ordering::Relaxed);
-        self.seq_writes
-            .fetch_add(snap.seq_writes, Ordering::Relaxed);
-        self.rand_writes
-            .fetch_add(snap.rand_writes, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(snap.bytes_read, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(snap.bytes_written, Ordering::Relaxed);
     }
 
     /// Reset all counters to zero.
@@ -237,22 +208,6 @@ mod tests {
             ..Default::default()
         };
         assert!(random.modeled_seconds(&profile) > 10.0 * sequential.modeled_seconds(&profile));
-    }
-
-    #[test]
-    fn absorb_adds_counters() {
-        let worker = IoStats::new();
-        worker.record_read(100, true);
-        worker.record_write(30, false);
-        let shared = IoStats::new();
-        shared.record_read(1, false);
-        shared.absorb(&worker.snapshot());
-        let snap = shared.snapshot();
-        assert_eq!(snap.seq_reads, 1);
-        assert_eq!(snap.rand_reads, 1);
-        assert_eq!(snap.rand_writes, 1);
-        assert_eq!(snap.bytes_read, 101);
-        assert_eq!(snap.bytes_written, 30);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use coconut_storage::atomic::{crc64, crc64_folding, crc64_reference, crc64_slicing8};
 use coconut_storage::extsort::U64Codec;
-use coconut_storage::{Codec, CountedFile, ExternalSorter, IoStats, TempDir};
+use coconut_storage::{Codec, CountedFile, ExternalSorter, IoStats, RecordStream, TempDir};
 use proptest::prelude::*;
 
 /// A codec with a larger record, to exercise non-trivial serialization.

@@ -5,8 +5,8 @@
 #
 # Builds five indexes over one 20,000 x 128 random-walk dataset: ctree and
 # ctrie, each pointer and materialized, plus an adaptive-split ctrie. It then
-# runs an exact 1-NN, a 10-NN, a range and a DTW query for three seeds
-# against each file. Every file must print the same answer lines; only the
+# runs an exact 1-NN, a 10-NN, a range, a DTW and a DTW 10-NN query for
+# three seeds against each file. Every file must print the same answer lines; only the
 # `time` line (with its fetched/pruned counters) may differ. Exits non-zero
 # on the first divergence, printing the diff.
 set -euo pipefail
@@ -24,7 +24,7 @@ layouts=(
     "ctrie-full:--index ctrie --materialized"
     "ctrie-adaptive:--index ctrie --split-policy adaptive"
 )
-modes=("" "--k 10" "--range 9" "--dtw 6")
+modes=("" "--k 10" "--range 9" "--dtw 6" "--dtw 10 --k 10")
 
 for layout in "${layouts[@]}"; do
     name="${layout%%:*}"

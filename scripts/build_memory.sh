@@ -7,7 +7,9 @@
 # pointer ctree and a pointer ctrie from them with `--memory-mb 4 --shards 2`.
 # `coconut build` prints its peak resident set (VmHWM); the script fails if
 # either build peaks above the budget plus 12 MiB of slack for the binary,
-# the merge's read buffers and the one leaf being written.
+# the merge's read buffers and the one leaf being written. Both builds spill
+# sorted runs into their --out-dir, so the script also fails if that
+# directory holds anything but the index file afterwards.
 set -euo pipefail
 
 coconut="${1:-target/release/coconut}"
@@ -33,6 +35,12 @@ for index in ctree ctrie; do
         status=1
     else
         echo "$index: peak resident $peak MiB (budget $budget_mb MiB + $slack_mb MiB)"
+    fi
+    left="$(find "$work/$index" -mindepth 1 ! -name '*.idx')"
+    if [ -n "$left" ] || [ "$(find "$work/$index" -name '*.idx' | wc -l)" -ne 1 ]; then
+        echo "$index: --out-dir holds more than its index file:" >&2
+        ls -la "$work/$index" >&2
+        status=1
     fi
     rm -rf "${work:?}/$index"
 done
