@@ -2,12 +2,10 @@
 //!
 //! ```text
 //! repro <experiment>... [--full] [--work-dir DIR] [--results-dir DIR]
-//!                       [--n N] [--len L] [--queries Q]
 //!
 //! experiments: fig7 fig8a fig8b fig8c fig8d fig8e fig8f
 //!              fig9a fig9b fig9c fig9d fig9e fig9f
-//!              fig10a fig10b fig10c ablation scaling bench_distance
-//!              streaming serve distributed occupancy
+//!              fig10a fig10b fig10c ablation bench_distance
 //!              fig8 fig9 fig10 all
 //! ```
 //!
@@ -38,13 +36,7 @@ const ALL: &[&str] = &[
     "fig10b",
     "fig10c",
     "ablation",
-    "scaling",
     "bench_distance",
-    "streaming",
-    "serve",
-    "distributed",
-    "occupancy",
-    "chaos",
 ];
 
 fn expand(arg: &str) -> Vec<&'static str> {
@@ -88,30 +80,13 @@ fn run_experiment(name: &str, env: &Env) -> coconut_storage::Result<()> {
         "fig10b" => experiments::fig10::run_10b(env),
         "fig10c" => experiments::fig10::run_10c(env),
         "ablation" => experiments::ablation::run(env),
-        "scaling" => experiments::scaling::run(env),
         "bench_distance" => experiments::bench_distance::run(env),
-        "streaming" => experiments::streaming::run(env),
-        "serve" => experiments::serve::run(env),
-        "distributed" => experiments::distributed::run(env),
-        "occupancy" => experiments::occupancy::run(env),
-        "chaos" => experiments::chaos::run(env),
         _ => unreachable!("expand() only yields known names"),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Re-exec mode: the distributed experiment spawns this binary as its
-    // shard worker processes.
-    if args.first().map(String::as_str) == Some("__shard-worker") {
-        return match experiments::distributed::worker_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("shard worker failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let mut experiments_to_run: Vec<&str> = Vec::new();
     let mut scale = Scale::quick();
     let mut work_dir: Option<PathBuf> = None;
@@ -129,27 +104,9 @@ fn main() -> ExitCode {
                     results_dir = PathBuf::from(d);
                 }
             }
-            // Scale overrides, mainly for smoke tests of the process-
-            // spawning experiments.
-            "--n" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    scale.n = v;
-                }
-            }
-            "--len" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    scale.series_len = v;
-                }
-            }
-            "--queries" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    scale.queries = v;
-                }
-            }
             "-h" | "--help" => {
                 println!(
                     "usage: repro <experiment>... [--full] [--work-dir DIR] [--results-dir DIR]\n\
-                     \x20                          [--n N] [--len L] [--queries Q]\n\
                      experiments: {} fig8 fig9 fig10 all",
                     ALL.join(" ")
                 );

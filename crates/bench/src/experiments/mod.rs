@@ -1,4 +1,7 @@
-//! One runner per table/figure of the paper's evaluation (Section 5).
+//! One runner per table/figure of the paper's evaluation (Section 5), plus
+//! the distance-kernel baseline. The workspace's own subsystems (LSM
+//! ingest, the query server, the shard fabric, split policies) are checked
+//! by `cargo test`, not here.
 //!
 //! | id | paper content | runner |
 //! |----|---------------|--------|
@@ -19,26 +22,14 @@
 //! | fig10b | astronomy end-to-end vs memory | [`fig10::run_10b`] |
 //! | fig10c | seismic end-to-end vs memory | [`fig10::run_10c`] |
 //! | ablation | z-order vs lexicographic ordering (Figs. 2/4) | [`ablation::run`] |
-//! | scaling | sharded construction: build time vs shard count | [`scaling::run`] |
 //! | bench_distance | distance-kernel baseline: scalar vs SIMD | [`bench_distance::run`] |
-//! | streaming | LSM streaming ingest: write/read/space amplification per policy × writers | [`streaming::run`] |
-//! | serve | socket clients against the query server under churn, oracle-checked | [`serve::run`] |
-//! | distributed | scatter-gather kNN across shard worker processes, bit-identity-checked | [`distributed::run`] |
-//! | occupancy | leaf occupancy: fixed vs adaptive node splitting | [`occupancy::run`] |
-//! | chaos | the TCP fabric under seeded fault schedules, oracle-checked | [`chaos::run`] |
 
 pub mod ablation;
 pub mod bench_distance;
-pub mod chaos;
-pub mod distributed;
 pub mod fig10;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod occupancy;
-pub mod scaling;
-pub mod serve;
-pub mod streaming;
 
 use std::path::PathBuf;
 

@@ -1,9 +1,11 @@
 //! Experiment harness reproducing the Coconut paper's evaluation.
 //!
-//! Every figure of the paper's Section 5 has a runner in [`experiments`];
-//! the `repro` binary dispatches to them (`repro fig8a`, `repro all`, ...).
-//! Runners print the same rows/series the paper reports and write CSVs to
-//! `results/`.
+//! Every figure of the paper's Section 5 has a runner in [`experiments`],
+//! beside the distance-kernel baseline (`bench_distance`); the `repro`
+//! binary dispatches to them (`repro fig8a`, `repro all`, ...). Runners
+//! print the same rows/series the paper reports and write CSVs to
+//! `results/`. The workspace's own subsystems (LSM, server, shard fabric)
+//! are checked by `cargo test`, not here.
 //!
 //! Because the original testbed (5×2TB RAID0, 100–277 GB datasets) cannot
 //! be reproduced on a laptop, every measurement reports **both** wall-clock

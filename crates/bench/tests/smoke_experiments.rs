@@ -63,20 +63,6 @@ fn fig9_family_runs() {
 }
 
 #[test]
-fn scaling_runs() {
-    let (w, r) = (
-        TempDir::new("smoke-w").unwrap(),
-        TempDir::new("smoke-r").unwrap(),
-    );
-    let env = micro_env(&w, &r);
-    experiments::scaling::run(&env).unwrap();
-    assert!(csv_exists(&r, "scaling"));
-    let csv = std::fs::read_to_string(r.path().join("scaling.csv")).unwrap();
-    // Every row's identity check passed (run() errors otherwise).
-    assert!(csv.lines().skip(1).all(|l| l.ends_with("yes")), "{csv}");
-}
-
-#[test]
 fn fig10a_runs() {
     let (w, r) = (
         TempDir::new("smoke-w").unwrap(),

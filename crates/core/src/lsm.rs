@@ -859,8 +859,7 @@ impl LsmCoconut {
 
     /// Per-leaf fill fractions (entries / leaf capacity) across every live
     /// run, in run order. The server's `coconut_leaf_fill` histogram is
-    /// rebuilt from this at scrape time; the occupancy experiment reads the
-    /// same numbers for its fill report.
+    /// rebuilt from this at scrape time.
     pub fn leaf_fill_fractions(&self) -> Vec<f64> {
         let cap = self.shared.config.leaf_capacity.max(1) as f64;
         self.snapshot()

@@ -297,24 +297,33 @@ mod tests {
     #[test]
     fn sharded_build_reads_dataset_exactly_once() {
         // The acceptance bar: total raw-file bytes read by a K-shard build
-        // equal one full pass, not K passes.
+        // equal one full pass, not K passes, for both pipelines.
         let dir = TempDir::new("shard").unwrap();
         let (ds, stats) = small_dataset(&dir, 2000, 64);
         let sax = SaxConfig::default_for_len(64);
-        let before = stats.snapshot();
-        let mut merged =
-            sorted_key_pos_sharded(&ds, 0..2000, &sax, 1 << 20, dir.path(), &stats, 8).unwrap();
-        let mut n = 0u64;
-        while merged.next_item().unwrap().is_some() {
-            n += 1;
+        for materialized in [false, true] {
+            let before = stats.snapshot();
+            let n = if materialized {
+                sorted_key_series_sharded(&ds, 0..2000, &sax, 1 << 20, dir.path(), &stats, 8)
+                    .unwrap()
+                    .collect_all()
+                    .unwrap()
+                    .len()
+            } else {
+                sorted_key_pos_sharded(&ds, 0..2000, &sax, 1 << 20, dir.path(), &stats, 8)
+                    .unwrap()
+                    .collect_all()
+                    .unwrap()
+                    .len()
+            };
+            assert_eq!(n, 2000);
+            let delta = stats.snapshot().since(&before);
+            assert_eq!(
+                delta.bytes_read,
+                ds.payload_bytes(),
+                "materialized={materialized}: K shards must read one pass, not K"
+            );
         }
-        assert_eq!(n, 2000);
-        let delta = stats.snapshot().since(&before);
-        assert_eq!(
-            delta.bytes_read,
-            ds.payload_bytes(),
-            "K shards must read one pass, not K"
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! by the SIMS scan over the full sorted key array with MINDIST pruning
 //! ([`crate::sims`]), which is seed-independent — so any two policies yield
 //! bit-identical exact answers over the same data. The `prop_split`
-//! integration suite and the `repro occupancy` experiment enforce this.
+//! integration suite enforces this.
 
 use std::fmt;
 use std::str::FromStr;

@@ -16,7 +16,7 @@
 //! Every step is also a [`crate::fault`] hook: an installed fault plan can
 //! fail the temp write (`atomic.write`, including `short` torn writes),
 //! the fsyncs (`atomic.fsync`), or the rename (`atomic.rename`) — the
-//! deterministic crash schedule `repro chaos` recovers from.
+//! deterministic crash schedule the chaos test recovers from.
 //!
 //! # The checksum
 //!

@@ -14,7 +14,7 @@
 //! stream seeded by `plan seed ^ fnv(site)`, so each site sees the same
 //! fire/no-fire sequence regardless of how hits at *other* sites
 //! interleave. The same spec + seed therefore reproduces the same fault
-//! schedule, which is what lets `repro chaos` oracle-check every reply.
+//! schedule, which is what lets the chaos test oracle-check every reply.
 //!
 //! Two installation scopes exist:
 //!
