@@ -2,6 +2,8 @@
 //! budgets and shard counts (including K = 1 and K greater than the record
 //! count), the sharded pipeline must produce the record stream of an
 //! in-memory sort — and the same index file whatever the shard count.
+//! Two fixed-seed tests pin the whole `CoconutTree::build` in both layouts:
+//! one index file for K in {1, 2, 4}, and one pass over the raw file.
 
 use std::sync::Arc;
 
@@ -98,5 +100,58 @@ proptest! {
         let a = std::fs::read(single.index_path()).unwrap();
         let b = std::fs::read(sharded.index_path()).unwrap();
         prop_assert_eq!(a, b, "n={} shards={} mat={}", n, shards, materialized);
+    }
+}
+
+#[test]
+fn tree_builds_are_bit_identical_for_one_two_and_four_shards() {
+    let dir = TempDir::new("shard-identity").unwrap();
+    let (ds, _) = make_dataset(&dir, 2000, 7);
+    let mut config = IndexConfig::default_for_len(LEN);
+    config.leaf_capacity = 32;
+    for materialized in [false, true] {
+        let opts = BuildOptions {
+            // Half the raw size: every shard count spills and merges.
+            memory_bytes: ds.payload_bytes() / 2,
+            materialized,
+            threads: 2,
+            shards: 1,
+        };
+        let single = CoconutTree::build(&ds, &config, dir.path(), opts.clone()).unwrap();
+        let baseline = std::fs::read(single.index_path()).unwrap();
+        for shards in [2, 4] {
+            let sharded =
+                CoconutTree::build(&ds, &config, dir.path(), opts.clone().with_shards(shards))
+                    .unwrap();
+            let bytes = std::fs::read(sharded.index_path()).unwrap();
+            assert!(
+                bytes == baseline,
+                "materialized={materialized}: {shards} shards differ from 1 shard"
+            );
+        }
+    }
+}
+
+#[test]
+fn tree_build_reads_dataset_once_in_both_layouts() {
+    let dir = TempDir::new("shard-one-pass").unwrap();
+    let (ds, stats) = make_dataset(&dir, 2000, 7);
+    let mut config = IndexConfig::default_for_len(LEN);
+    config.leaf_capacity = 32;
+    for materialized in [false, true] {
+        let opts = BuildOptions {
+            memory_bytes: 256 << 20, // ample: no spills, so reads are the scan alone
+            materialized,
+            threads: 2,
+            shards: 4,
+        };
+        let before = stats.snapshot();
+        CoconutTree::build(&ds, &config, dir.path(), opts).unwrap();
+        let delta = stats.snapshot().since(&before);
+        assert_eq!(
+            delta.bytes_read,
+            ds.payload_bytes(),
+            "materialized={materialized}: a 4-shard build must read one pass, not 4"
+        );
     }
 }
