@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use coconut_core::{CompactionPolicyKind, SplitPolicyKind};
+use coconut_core::SplitPolicyKind;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -17,14 +17,14 @@ usage:
                 (--seed S | --pos P) [--radius R]
                 ([--k K] [--dtw BAND] | --approximate | --range EPS)
   coconut ingest  --data <data.ds> --index-dir DIR [--materialized]
-                  [--leaf N] [--compaction <tiered|leveled>] [--writers N]
+                  [--leaf N] [--writers N]
                   [--memory-mb M] [--batch N] [--max-runs N]
   coconut compact --data <data.ds> --index-dir DIR
   coconut scrub   --data <data.ds> --index-dir DIR [--quarantine]
   coconut serve   --data <data.ds> --index-dir DIR [--addr HOST:PORT]
                   [--workers N] [--queue N] [--deadline-ms MS]
                   [--idle-timeout-ms MS] [--initial N] [--leaf N]
-                  [--compaction P] [--shard] [--memory-mb M]
+                  [--shard] [--memory-mb M]
   coconut serve   --data <data.ds> --coordinator --shards H:P,H:P,...
                   [--addr HOST:PORT] [--workers N] [--queue N]
                   [--deadline-ms MS] [--idle-timeout-ms MS]
@@ -83,10 +83,6 @@ pub enum Command {
         /// explicit value that conflicts with a recovered index's manifest
         /// is an error rather than silently ignored.
         leaf: Option<usize>,
-        /// Compaction policy family for a *fresh* index; like `leaf`, an
-        /// explicit value conflicting with a recovered manifest is an
-        /// error.
-        compaction: Option<CompactionPolicyKind>,
         /// Number of concurrent ingest writers (group-committed); 1 keeps
         /// the classic single-writer path.
         writers: usize,
@@ -94,7 +90,8 @@ pub enum Command {
         /// Ingest the uncovered tail in batches of this many series (one
         /// run per batch); `None` means one run for the whole tail.
         batch: Option<u64>,
-        /// Cap on live runs (tiered-policy read-amplification bound).
+        /// Cap on live runs (the size-tiered policy's read-amplification
+        /// bound).
         max_runs: Option<usize>,
     },
     /// Merge every run of an LSM index directory into one.
@@ -129,9 +126,6 @@ pub enum Command {
         /// (`None` = serve whatever the recovered index already covers).
         initial: Option<u64>,
         leaf: Option<usize>,
-        /// Compaction policy family for a *fresh* index (see
-        /// `Ingest::compaction`).
-        compaction: Option<CompactionPolicyKind>,
         memory_mb: u64,
         /// Shard-worker mode: serve one key-range slice, assigned by a
         /// coordinator's `BUILD` request (recovered from the index
@@ -195,16 +189,6 @@ fn parse_policy(opts: &HashMap<String, String>) -> Result<SplitPolicyKind, Strin
         .map_or(Ok(SplitPolicyKind::default()), |s| {
             s.parse::<SplitPolicyKind>().map_err(|e| e.to_string())
         })
-}
-
-/// Parse `--compaction` the same way: the typed core error names the valid
-/// policy families.
-fn parse_compaction(
-    opts: &HashMap<String, String>,
-) -> Result<Option<CompactionPolicyKind>, String> {
-    opts.get("--compaction")
-        .map(|s| s.parse::<CompactionPolicyKind>().map_err(|e| e.to_string()))
-        .transpose()
 }
 
 /// Parse a full command line (without the program name).
@@ -327,7 +311,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .get("--leaf")
                 .map(|s| parse_num(s, "leaf"))
                 .transpose()?,
-            compaction: parse_compaction(&opts)?,
             writers: match opts.get("--writers") {
                 Some(s) => {
                     let n: usize = parse_num(s, "writers")?;
@@ -446,7 +429,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .get("--leaf")
                     .map(|s| parse_num(s, "leaf"))
                     .transpose()?,
-                compaction: parse_compaction(&opts)?,
                 memory_mb: opts
                     .get("--memory-mb")
                     .map_or(Ok(256), |s| parse_num(s, "memory-mb"))?,
@@ -644,7 +626,6 @@ mod tests {
                 index_dir: PathBuf::from("./lsm"),
                 materialized: false,
                 leaf: Some(64),
-                compaction: None,
                 writers: 1,
                 memory_mb: 256,
                 batch: Some(500),
@@ -704,7 +685,6 @@ mod tests {
                 idle_timeout_ms: Some(30000),
                 initial: Some(5000),
                 leaf: None,
-                compaction: None,
                 memory_mb: 256,
                 shard: false,
                 shards: vec![],
@@ -796,49 +776,29 @@ mod tests {
 
     #[test]
     fn parses_compaction_and_writers() {
-        // "Not given" stays distinct from "tiered" so the
-        // recovered-manifest conflict check only fires on explicit flags.
         let c = parse(&argv("ingest --data d.ds --index-dir ./lsm")).unwrap();
         let Command::Ingest {
-            compaction,
-            writers,
-            ..
+            writers, max_runs, ..
         } = c
         else {
             panic!()
         };
-        assert_eq!(compaction, None);
-        assert_eq!(writers, 1);
+        assert_eq!((writers, max_runs), (1, None));
 
         let c = parse(&argv(
-            "ingest --data d.ds --index-dir ./lsm --compaction leveled --writers 4",
+            "ingest --data d.ds --index-dir ./lsm --max-runs 3 --writers 4",
         ))
         .unwrap();
         let Command::Ingest {
-            compaction,
-            writers,
-            ..
+            writers, max_runs, ..
         } = c
         else {
             panic!()
         };
-        assert_eq!(compaction, Some(CompactionPolicyKind::Leveled));
-        assert_eq!(writers, 4);
+        assert_eq!((writers, max_runs), (4, Some(3)));
 
-        let c = parse(&argv(
-            "serve --data d.ds --index-dir ./lsm --compaction tiered",
-        ))
-        .unwrap();
-        let Command::Serve { compaction, .. } = c else {
-            panic!()
-        };
-        assert_eq!(compaction, Some(CompactionPolicyKind::Tiered));
-
-        // Unknown values fail with a message naming the valid families.
-        let err = parse(&argv("ingest --data d --index-dir x --compaction lazy")).unwrap_err();
-        assert!(err.contains("lazy"), "{err}");
-        assert!(err.contains("tiered") && err.contains("leveled"), "{err}");
         assert!(parse(&argv("ingest --data d --index-dir x --writers 0")).is_err());
+        assert!(parse(&argv("ingest --data d --index-dir x --max-runs 0")).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Command implementations for the `coconut` CLI.
 
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -7,8 +8,8 @@ use std::time::Instant;
 use coconut_core::manifest::Manifest;
 use coconut_core::query::nearest_of;
 use coconut_core::{
-    BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, Kind, LsmCoconut,
-    Metric, Query,
+    BuildOptions, CoconutTree, CoconutTrie, IndexConfig, Kind, LsmCoconut, Metric, Query,
+    SplitPolicyKind,
 };
 use coconut_series::dataset::{write_dataset, Dataset};
 use coconut_series::distance::znormalize;
@@ -20,11 +21,72 @@ use coconut_summary::SaxConfig;
 
 use crate::args::Command;
 
+/// Standard output of the one-shot commands; `None` once its reader has
+/// gone. A closed pipe (`coconut info d.ds | head -1`) ends the output,
+/// not the command: the rest is dropped, and the command finishes and
+/// exits as it would have, without a panic or an error message. `serve`
+/// prints its startup lines with `println!`.
+struct Out(Option<std::io::Stdout>);
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(stdout) = &mut self.0 {
+            match stdout.write(buf) {
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => self.0 = None,
+                written => return written,
+            }
+        }
+        // Dropped bytes count as written, so `write_all` moves on.
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.as_mut().map_or(Ok(()), |stdout| stdout.flush())
+    }
+}
+
+/// Leaf capacity of an LSM index created without `--leaf`.
+const LSM_LEAF: usize = 2000;
+
+/// The index configuration and build options every command builds with:
+/// the default SAX shape for the dataset's series length, full leaves, a
+/// 64-way directory, and the machine's parallelism as the thread budget.
+fn build_setup(
+    ds: &Dataset,
+    leaf: usize,
+    split_policy: SplitPolicyKind,
+    materialized: bool,
+    memory_mb: u64,
+    shards: usize,
+) -> (IndexConfig, BuildOptions) {
+    let config = IndexConfig {
+        sax: SaxConfig::default_for_len(ds.series_len()),
+        leaf_capacity: leaf,
+        fill_factor: 1.0,
+        internal_fanout: 64,
+        split_policy,
+    };
+    let opts = BuildOptions {
+        memory_bytes: memory_mb << 20,
+        materialized,
+        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+        shards,
+    };
+    (config, opts)
+}
+
 /// Execute a parsed command.
 pub fn run(cmd: Command) -> Result<()> {
+    let mut out = Out(Some(std::io::stdout()));
+    /// `println!` through [`Out`].
+    macro_rules! say {
+        ($($arg:tt)*) => {
+            writeln!(out, $($arg)*)?
+        };
+    }
     match cmd {
         Command::Help => {
-            println!("{}", crate::args::USAGE);
+            say!("{}", crate::args::USAGE);
             Ok(())
         }
         Command::Gen {
@@ -32,7 +94,7 @@ pub fn run(cmd: Command) -> Result<()> {
             count,
             len,
             seed,
-            out,
+            out: path,
         } => {
             let stats = Arc::new(IoStats::new());
             let mut generator: Box<dyn Generator> = match kind.as_str() {
@@ -46,10 +108,10 @@ pub fn run(cmd: Command) -> Result<()> {
                 }
             };
             let t0 = Instant::now();
-            write_dataset(&out, generator.as_mut(), count, len, &stats)?;
-            println!(
+            write_dataset(&path, generator.as_mut(), count, len, &stats)?;
+            say!(
                 "wrote {count} {kind} series of {len} points to {} in {:.2}s",
-                out.display(),
+                path.display(),
                 t0.elapsed().as_secs_f64()
             );
             Ok(())
@@ -57,11 +119,11 @@ pub fn run(cmd: Command) -> Result<()> {
         Command::Info { path } => {
             let stats = Arc::new(IoStats::new());
             let ds = Dataset::open(&path, stats)?;
-            println!("dataset       {}", path.display());
-            println!("series        {}", ds.len());
-            println!("series length {}", ds.series_len());
-            println!("z-normalized  {}", ds.znormalized());
-            println!(
+            say!("dataset       {}", path.display());
+            say!("series        {}", ds.len());
+            say!("series length {}", ds.series_len());
+            say!("z-normalized  {}", ds.znormalized());
+            say!(
                 "payload bytes {} ({:.1} MiB)",
                 ds.payload_bytes(),
                 ds.payload_bytes() as f64 / (1 << 20) as f64
@@ -81,19 +143,14 @@ pub fn run(cmd: Command) -> Result<()> {
             let stats = Arc::new(IoStats::new());
             let ds = Dataset::open(&data, Arc::clone(&stats))?;
             std::fs::create_dir_all(&out_dir)?;
-            let config = IndexConfig {
-                sax: SaxConfig::default_for_len(ds.series_len()),
-                leaf_capacity: leaf,
-                fill_factor: 1.0,
-                internal_fanout: 64,
+            let (config, opts) = build_setup(
+                &ds,
+                leaf,
                 split_policy,
-            };
-            let opts = BuildOptions {
-                memory_bytes: memory_mb << 20,
                 materialized,
-                threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-                shards: shards.max(1),
-            };
+                memory_mb,
+                shards.max(1),
+            );
             let shard_count = opts.shards;
             let t0 = Instant::now();
             let (name, path, leaves, fill, oversized, bytes): (String, _, _, _, _, _) =
@@ -127,27 +184,27 @@ pub fn run(cmd: Command) -> Result<()> {
                     }
                 };
             let io = stats.snapshot();
-            println!(
+            say!(
                 "built {name} in {:.2}s ({} build shard{})",
                 t0.elapsed().as_secs_f64(),
                 shard_count,
                 if shard_count == 1 { "" } else { "s" }
             );
-            println!("index file    {}", path.display());
-            println!(
+            say!("index file    {}", path.display());
+            say!(
                 "leaves        {leaves} (avg fill {:.0}%, {oversized} oversized, {} split)",
                 fill * 100.0,
                 config.split_policy
             );
-            println!("size          {:.1} MiB", bytes as f64 / (1 << 20) as f64);
-            println!(
+            say!("size          {:.1} MiB", bytes as f64 / (1 << 20) as f64);
+            say!(
                 "io            {} sequential / {} random ops, {:.1} MiB moved",
                 io.total_ops() - io.random_ops(),
                 io.random_ops(),
                 io.total_bytes() as f64 / (1 << 20) as f64
             );
             if let Some(peak) = peak_resident_bytes() {
-                println!(
+                say!(
                     "memory        {:.1} MiB peak resident ({memory_mb} MiB build budget)",
                     peak as f64 / (1 << 20) as f64
                 );
@@ -187,11 +244,17 @@ pub fn run(cmd: Command) -> Result<()> {
             let search = open_index(&index, &ds)?;
             let t0 = Instant::now();
             let (hits, qstats) = search(&series, &query)?;
-            print!("{}", answer_lines(&query, &hits));
+            write!(out, "{}", answer_lines(&query, &hits))?;
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
             if kind == Kind::Approx {
-                println!("time {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+                say!("time {ms:.1} ms");
             } else {
-                report_time(t0, &qstats);
+                say!(
+                    "time {ms:.1} ms  (fetched {} records, pruned {}, {} lower bounds)",
+                    qstats.records_fetched,
+                    qstats.pruned,
+                    qstats.lower_bounds
+                );
             }
             Ok(())
         }
@@ -200,22 +263,14 @@ pub fn run(cmd: Command) -> Result<()> {
             index_dir,
             materialized,
             leaf,
-            compaction,
             writers,
             memory_mb,
             batch,
             max_runs,
         } => {
-            if max_runs.is_some() && compaction == Some(CompactionPolicyKind::Leveled) {
-                return Err(Error::invalid(
-                    "--max-runs installs a tiered read-amp cap and conflicts with \
-                     --compaction leveled; drop one of the two",
-                ));
-            }
             let stats = Arc::new(IoStats::new());
             let ds = Dataset::open(&data, Arc::clone(&stats))?;
-            let (lsm, fresh) =
-                open_or_create_lsm(&ds, &index_dir, materialized, leaf, compaction, memory_mb)?;
+            let (lsm, fresh) = open_or_create_lsm(&ds, &index_dir, materialized, leaf, memory_mb)?;
             if let Some(n) = max_runs {
                 lsm.set_max_runs(n);
             }
@@ -262,7 +317,7 @@ pub fn run(cmd: Command) -> Result<()> {
             lsm.wait_for_compactions()?;
             let secs = t0.elapsed().as_secs_f64();
             let new = ds.len() - already;
-            println!(
+            say!(
                 "{} {} series into {} in {secs:.2}s ({:.0} series/s, {} writer{})",
                 if fresh { "created;" } else { "recovered;" },
                 new,
@@ -271,15 +326,14 @@ pub fn run(cmd: Command) -> Result<()> {
                 writers,
                 if writers == 1 { "" } else { "s" }
             );
-            println!(
-                "covered       0..{} in {} run{} ({} compaction)",
+            say!(
+                "covered       0..{} in {} run{}",
                 lsm.covered_end(),
                 lsm.run_count(),
-                if lsm.run_count() == 1 { "" } else { "s" },
-                lsm.compaction_kind()
+                if lsm.run_count() == 1 { "" } else { "s" }
             );
             let ws = lsm.write_stats();
-            println!(
+            say!(
                 "commits       {} run{} in {} manifest commit{}; write-amp {:.2}",
                 ws.runs_committed,
                 if ws.runs_committed == 1 { "" } else { "s" },
@@ -287,7 +341,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 if ws.ingest_commits == 1 { "" } else { "s" },
                 lsm.write_amplification()
             );
-            println!(
+            say!(
                 "size          {:.1} MiB",
                 lsm.disk_bytes() as f64 / (1 << 20) as f64
             );
@@ -300,7 +354,7 @@ pub fn run(cmd: Command) -> Result<()> {
             let before = lsm.run_count();
             let t0 = Instant::now();
             lsm.compact()?;
-            println!(
+            say!(
                 "compacted {before} run{} into {} in {:.2}s ({} entries)",
                 if before == 1 { "" } else { "s" },
                 lsm.run_count(),
@@ -322,19 +376,22 @@ pub fn run(cmd: Command) -> Result<()> {
             let mut first_bad: Option<(u64, String)> = None;
             for o in &outcomes {
                 match &o.error {
-                    None => println!(
+                    None => say!(
                         "run {:>3}  [{}..{})  ok: {} leaves verified",
-                        o.id, o.start, o.end, o.report.checked,
+                        o.id,
+                        o.start,
+                        o.end,
+                        o.report.checked,
                     ),
                     Some(e) => {
-                        println!("run {:>3}  [{}..{})  CORRUPT: {e}", o.id, o.start, o.end);
+                        say!("run {:>3}  [{}..{})  CORRUPT: {e}", o.id, o.start, o.end);
                         if first_bad.is_none() {
                             first_bad = Some((o.id, e.clone()));
                         }
                     }
                 }
             }
-            println!(
+            say!(
                 "scrubbed {} run{} in {:.2}s",
                 outcomes.len(),
                 if outcomes.len() == 1 { "" } else { "s" },
@@ -344,7 +401,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 None => Ok(()),
                 Some((id, reason)) if quarantine => {
                     let new_end = lsm.quarantine_from(id, &reason)?;
-                    println!(
+                    say!(
                         "quarantined run {id} and its suffix; index now covers ..{new_end} \
                          (moved to {}/quarantine)",
                         index_dir.display()
@@ -366,7 +423,6 @@ pub fn run(cmd: Command) -> Result<()> {
             idle_timeout_ms,
             initial,
             leaf,
-            compaction,
             memory_mb,
             shard,
             shards,
@@ -414,19 +470,14 @@ pub fn run(cmd: Command) -> Result<()> {
             if shard {
                 // Shard worker: recover the slice index if one exists,
                 // otherwise wait for the coordinator's BUILD to assign it.
-                let opts = BuildOptions {
-                    memory_bytes: memory_mb << 20,
-                    materialized: false,
-                    threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-                    shards: 1,
-                };
-                let idx_config = IndexConfig {
-                    sax: SaxConfig::default_for_len(ds.series_len()),
-                    leaf_capacity: leaf.unwrap_or(2000),
-                    fill_factor: 1.0,
-                    internal_fanout: 64,
-                    split_policy: Default::default(),
-                };
+                let (idx_config, opts) = build_setup(
+                    &ds,
+                    leaf.unwrap_or(LSM_LEAF),
+                    SplitPolicyKind::default(),
+                    false,
+                    memory_mb,
+                    1,
+                );
                 let fresh = !Manifest::path_in(&index_dir).exists();
                 let recovered = if fresh {
                     None
@@ -460,8 +511,7 @@ pub fn run(cmd: Command) -> Result<()> {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
                 }
             }
-            let (lsm, fresh) =
-                open_or_create_lsm(&ds, &index_dir, false, leaf, compaction, memory_mb)?;
+            let (lsm, fresh) = open_or_create_lsm(&ds, &index_dir, false, leaf, memory_mb)?;
             if let Some(n) = initial {
                 lsm.ingest_upto(&ds, n.min(ds.len()))?;
             }
@@ -505,27 +555,23 @@ fn open_or_create_lsm(
     index_dir: &std::path::Path,
     materialized: bool,
     leaf: Option<usize>,
-    compaction: Option<CompactionPolicyKind>,
     memory_mb: u64,
 ) -> Result<(LsmCoconut, bool)> {
-    let opts = BuildOptions {
-        memory_bytes: memory_mb << 20,
+    // LSM runs are built by one sort worker each; writers and the
+    // compaction thread supply the parallelism.
+    let (config, opts) = build_setup(
+        ds,
+        leaf.unwrap_or(LSM_LEAF),
+        SplitPolicyKind::default(),
         materialized,
-        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-        shards: 1,
-    };
+        memory_mb,
+        1,
+    );
     // First use creates the index; later uses recover the manifest (and
     // tolerate a crash of the previous process).
     let fresh = !Manifest::path_in(index_dir).exists();
     let lsm = if fresh {
-        let config = IndexConfig {
-            sax: SaxConfig::default_for_len(ds.series_len()),
-            leaf_capacity: leaf.unwrap_or(2000),
-            fill_factor: 1.0,
-            internal_fanout: 64,
-            split_policy: Default::default(),
-        };
-        LsmCoconut::create(config, opts, index_dir, 0, compaction.unwrap_or_default())?
+        LsmCoconut::new(config, opts, index_dir)?
     } else {
         let lsm = LsmCoconut::open(index_dir, ds, opts)?;
         if materialized && !lsm.is_materialized() {
@@ -542,17 +588,6 @@ fn open_or_create_lsm(
                     "--leaf {l} conflicts with the recovered index in {} \
                      (built with leaf capacity {have}); omit --leaf or use \
                      a fresh --index-dir",
-                    index_dir.display()
-                )));
-            }
-        }
-        if let Some(c) = compaction {
-            let have = lsm.compaction_kind();
-            if c != have {
-                return Err(Error::invalid(format!(
-                    "--compaction {c} conflicts with the recovered index in \
-                     {} (grown under the {have} policy); omit --compaction \
-                     or use a fresh --index-dir",
                     index_dir.display()
                 )));
             }
@@ -629,16 +664,6 @@ fn answer_lines(query: &Query, hits: &[Answer]) -> String {
         }
     }
     out
-}
-
-fn report_time(t0: Instant, qstats: &QueryStats) {
-    println!(
-        "time {:.1} ms  (fetched {} records, pruned {}, {} lower bounds)",
-        t0.elapsed().as_secs_f64() * 1e3,
-        qstats.records_fetched,
-        qstats.pruned,
-        qstats.lower_bounds
-    );
 }
 
 /// The process's peak resident set (`VmHWM` in `/proc/self/status`), or
@@ -806,7 +831,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            compaction: None,
             writers: 1,
             memory_mb: 1,
             batch: Some(60),
@@ -821,7 +845,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(64),
-            compaction: None,
             writers: 1,
             memory_mb: 1,
             batch: None,
@@ -833,7 +856,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: true,
             leaf: None,
-            compaction: None,
             writers: 1,
             memory_mb: 1,
             batch: None,
@@ -845,7 +867,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            compaction: None,
             writers: 1,
             memory_mb: 1,
             batch: None,
@@ -875,7 +896,6 @@ mod tests {
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            compaction: None,
             writers: 1,
             memory_mb: 1,
             batch: Some(80),
@@ -954,33 +974,33 @@ mod tests {
     fn compaction_policy_and_multi_writer_ingest() {
         let dir = TempDir::new("cli-compaction").unwrap();
         let idx_dir = dir.path().join("lsm");
-        let data = gen_cmd(&dir, "d.ds", 240);
-        let ingest = |compaction, writers, max_runs| Command::Ingest {
-            data: data.clone(),
+        let ingest = |data: &Path, writers, max_runs| Command::Ingest {
+            data: data.to_path_buf(),
             index_dir: idx_dir.clone(),
             materialized: false,
             leaf: Some(32),
-            compaction,
             writers,
             memory_mb: 1,
             batch: Some(40),
             max_runs,
         };
-        // --max-runs installs a tiered cap; it cannot combine with leveled.
-        assert!(run(ingest(Some(CompactionPolicyKind::Leveled), 1, Some(3))).is_err());
-        // A leveled, multi-writer ingest creates the index...
-        run(ingest(Some(CompactionPolicyKind::Leveled), 4, None)).unwrap();
-        // ...recovery accepts no flag or a matching one, rejects conflicts.
-        run(ingest(None, 1, None)).unwrap();
-        run(ingest(Some(CompactionPolicyKind::Leveled), 2, None)).unwrap();
-        let err = run(ingest(Some(CompactionPolicyKind::Tiered), 1, None)).unwrap_err();
-        assert!(err.to_string().contains("--compaction"), "{err}");
-        // The grown index is whole and remembers its policy family.
-        let stats = Arc::new(IoStats::new());
-        let ds = Dataset::open(&data, Arc::clone(&stats)).unwrap();
-        let lsm = LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()).unwrap();
+        let open = |data: &Path| {
+            let ds = Dataset::open(data, Arc::new(IoStats::new())).unwrap();
+            LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()).unwrap()
+        };
+        // A multi-writer ingest under a tight run cap creates the index...
+        let data = gen_cmd(&dir, "d.ds", 240);
+        run(ingest(&data, 4, Some(2))).unwrap();
+        let lsm = open(&data);
         assert_eq!(lsm.covered_end(), 240);
-        assert_eq!(lsm.compaction_kind(), CompactionPolicyKind::Leveled);
+        assert!(lsm.run_count() <= 2, "{} runs", lsm.run_count());
+        drop(lsm);
+        // ...and recovery grows it under the default size-tiered ladder.
+        let data2 = gen_cmd(&dir, "d2.ds", 400);
+        run(ingest(&data2, 2, None)).unwrap();
+        let lsm = open(&data2);
+        assert_eq!(lsm.covered_end(), 400);
+        assert_eq!(lsm.len(), 400);
     }
 
     #[test]

@@ -62,8 +62,6 @@ fn torn_manifest_ingest_fails_then_recovers_and_scrubs_clean() {
         "idx",
         "--writers",
         "4",
-        "--compaction",
-        "leveled",
         "--batch",
         "200",
     ];

@@ -1,5 +1,5 @@
-//! Compaction policies for the LSM index: *when* to merge runs, and
-//! *which* adjacent runs to merge.
+//! Compaction policy for the LSM index: *when* to merge runs, and *which*
+//! adjacent runs to merge.
 //!
 //! [`crate::lsm::LsmCoconut`] keeps its runs in raw-file position order
 //! (which, because batches only ever append, is also arrival order — the
@@ -9,9 +9,10 @@
 //!
 //! The policy decides *what* to merge; the mechanics — a K-way
 //! [`coconut_storage::MergedStream`] over the runs' sorted leaf streams,
-//! bulk-loaded into a fresh run on the compaction worker thread — live in
-//! [`crate::lsm`] and are the same for every policy. A leveled policy can
-//! therefore be added by implementing [`CompactionPolicy`] alone.
+//! bulk-loaded into a fresh run on the index's one compaction thread — live
+//! in [`crate::lsm`]. The one policy is size-tiered ([`TieredPolicy`]): its
+//! runs are the temporally bounded partitions a streaming index's windows
+//! are cut from.
 //!
 //! Compaction is also independent of the node-splitting policy
 //! ([`crate::split::SplitPolicy`]): runs are median-packed trees whose
@@ -20,49 +21,41 @@
 //! recovery rebuilds an [`crate::IndexConfig`] equal to the one the index
 //! was created with.
 
-use std::fmt;
 use std::ops::Range;
-use std::str::FromStr;
 
 use coconut_storage::{Error, Result};
 
-/// Which compaction policy family an LSM index runs under. Recorded in the
-/// manifest (format v4) like the split policy is, so `open` resumes with
-/// the shape the index was grown under and the CLI can reject a
-/// conflicting `--compaction` flag.
+/// Which compaction policy family an LSM index runs under. The manifest
+/// keeps one byte for it (format v4): size-tiered, byte 0, is the only
+/// family. Byte 1 named the leveled family, which was removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicyKind {
     /// Size-tiered merging ([`TieredPolicy`]): low write amplification,
     /// read amplification bounded by the run-count cap.
     #[default]
     Tiered,
-    /// Leveled merging ([`LeveledPolicy`]): eager pairwise merges toward
-    /// one run per size level — lower read amplification at the cost of
-    /// more rewriting.
-    Leveled,
 }
 
 impl CompactionPolicyKind {
-    /// Every valid kind, in CLI/display order.
-    pub const ALL: [CompactionPolicyKind; 2] =
-        [CompactionPolicyKind::Tiered, CompactionPolicyKind::Leveled];
-
     /// Stable one-byte encoding for the manifest.
     pub fn as_u8(self) -> u8 {
         match self {
             CompactionPolicyKind::Tiered => 0,
-            CompactionPolicyKind::Leveled => 1,
         }
     }
 
-    /// Decode [`CompactionPolicyKind::as_u8`]; unknown bytes are
-    /// corruption.
+    /// Decode [`CompactionPolicyKind::as_u8`]. Byte 1 (an index grown under
+    /// leveled compaction) is refused with a typed error naming the
+    /// removal; any other unknown byte is corruption.
     pub fn from_u8(v: u8) -> Result<Self> {
         match v {
             0 => Ok(CompactionPolicyKind::Tiered),
-            1 => Ok(CompactionPolicyKind::Leveled),
+            1 => Err(Error::invalid(
+                "this index was grown under leveled compaction, which was \
+                 removed; rebuild it (size-tiered is the one compaction policy)",
+            )),
             other => Err(Error::corrupt(format!(
-                "unknown compaction-policy byte {other} (expected 0=tiered or 1=leveled)"
+                "unknown compaction-policy byte {other} (expected 0=tiered)"
             ))),
         }
     }
@@ -71,48 +64,23 @@ impl CompactionPolicyKind {
     pub fn policy(self) -> Box<dyn CompactionPolicy> {
         match self {
             CompactionPolicyKind::Tiered => Box::new(TieredPolicy::default()),
-            CompactionPolicyKind::Leveled => Box::new(LeveledPolicy::default()),
-        }
-    }
-}
-
-impl fmt::Display for CompactionPolicyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CompactionPolicyKind::Tiered => "tiered",
-            CompactionPolicyKind::Leveled => "leveled",
-        })
-    }
-}
-
-impl FromStr for CompactionPolicyKind {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "tiered" => Ok(CompactionPolicyKind::Tiered),
-            "leveled" => Ok(CompactionPolicyKind::Leveled),
-            other => Err(Error::invalid(format!(
-                "unknown compaction policy '{other}' (valid options: tiered, leveled)"
-            ))),
         }
     }
 }
 
 /// Decides which adjacent runs of an LSM index to merge next.
 ///
-/// `plan` is called with the live runs' entry counts in position order
-/// after every run addition and after every completed compaction; it runs
-/// until no more work is proposed, so a policy can cascade (merge, then
-/// merge the result again). With parallel compaction workers, `plan` is
-/// additionally invoked per contiguous segment of runs not currently being
-/// merged, so disjoint windows execute concurrently; a policy must
-/// therefore be a pure function of the entry counts it is shown.
+/// `plan` is called on the compaction thread with the live runs' entry
+/// counts in position order after every run addition and after every
+/// completed compaction; it runs until no more work is proposed, so a
+/// policy can cascade (merge, then merge the result again). Each call sees
+/// the whole run list, so a global rule such as [`TieredPolicy`]'s run cap
+/// holds after every merge.
 pub trait CompactionPolicy: Send {
-    /// A short display name ("tiered", "leveled", ...).
+    /// A short display name ("tiered", ...).
     fn name(&self) -> &'static str;
 
-    /// The serializable kind of this policy (what the manifest records).
+    /// The family this policy belongs to.
     fn kind(&self) -> CompactionPolicyKind;
 
     /// Given the live runs' entry counts (position order), return the index
@@ -224,96 +192,25 @@ impl CompactionPolicy for TieredPolicy {
     }
 }
 
-/// Leveled compaction (cf. LevelDB/RocksDB leveled style, adapted to
-/// position-contiguous runs): runs are assigned a *level* by size — level
-/// `L` holds runs with `base_entries * fanout^L <= entries <
-/// base_entries * fanout^(L+1)` (everything smaller than
-/// `base_entries * fanout` is level 0) — and whenever two **adjacent** runs
-/// share a level they are merged. Merges are always pairs, so every
-/// compaction job rewrites a bounded, contiguous position range (the
-/// incremental "partial merge" of leveled LSMs) instead of a whole tier.
-///
-/// Steady state is at most one run per level: an ascending ladder of runs
-/// on distinct levels is stable, bounding read amplification by the level
-/// count `O(log_fanout(N))` — lower than tiered's run cap — while each
-/// entry is rewritten up to `fanout` times per level it climbs, the
-/// classic leveled write-amplification tradeoff the streaming benchmark
-/// measures.
-///
-/// The lowest qualifying level merges first (cheap merges cascade upward);
-/// within a level the pair with the fewest combined entries wins, keeping
-/// individual jobs as small as possible.
-#[derive(Debug, Clone)]
-pub struct LeveledPolicy {
-    /// Size ratio between consecutive levels (≥ 2).
-    pub fanout: u64,
-    /// Entry budget of a level-0 run; level `L` targets
-    /// `base_entries * fanout^L`.
-    pub base_entries: u64,
-}
-
-impl Default for LeveledPolicy {
-    fn default() -> Self {
-        LeveledPolicy {
-            fanout: 4,
-            base_entries: 256,
-        }
-    }
-}
-
-impl LeveledPolicy {
-    /// The level of a run with `entries` records.
-    fn level(&self, entries: u64) -> u32 {
-        let fanout = self.fanout.max(2);
-        let mut bound = self.base_entries.max(1).saturating_mul(fanout);
-        let mut level = 0;
-        while entries >= bound {
-            level += 1;
-            bound = bound.saturating_mul(fanout);
-        }
-        level
-    }
-}
-
-impl CompactionPolicy for LeveledPolicy {
-    fn name(&self) -> &'static str {
-        "leveled"
-    }
-
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::Leveled
-    }
-
-    fn plan(&self, run_entries: &[u64]) -> Option<Range<usize>> {
-        let levels: Vec<u32> = run_entries.iter().map(|&e| self.level(e)).collect();
-        run_entries
-            .windows(2)
-            .enumerate()
-            .filter(|&(i, _)| levels[i] == levels[i + 1])
-            // Lowest level first, then the smallest pair; `min_by_key` is
-            // stable, so ties resolve to the earliest (oldest) pair.
-            .min_by_key(|&(i, w)| (levels[i], w[0] + w[1]))
-            .map(|(i, _)| i..i + 2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn kind_codec_roundtrips_and_rejects_unknown() {
-        for kind in CompactionPolicyKind::ALL {
-            assert_eq!(CompactionPolicyKind::from_u8(kind.as_u8()).unwrap(), kind);
-            assert_eq!(
-                kind.to_string().parse::<CompactionPolicyKind>().unwrap(),
-                kind
-            );
-            assert_eq!(kind.policy().kind(), kind);
+        let kind = CompactionPolicyKind::Tiered;
+        assert_eq!(CompactionPolicyKind::from_u8(kind.as_u8()).unwrap(), kind);
+        assert_eq!(kind.policy().kind(), kind);
+        // The removed leveled byte names the removal; other bytes are
+        // corruption.
+        match CompactionPolicyKind::from_u8(1) {
+            Err(Error::InvalidArg(msg)) => assert!(msg.contains("removed"), "{msg}"),
+            other => panic!("{other:?}"),
         }
-        assert!(CompactionPolicyKind::from_u8(7).is_err());
-        let err = "lazy".parse::<CompactionPolicyKind>().unwrap_err();
-        assert!(err.to_string().contains("tiered, leveled"), "{err}");
+        assert!(matches!(
+            CompactionPolicyKind::from_u8(7),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -386,49 +283,5 @@ mod tests {
         let p = TieredPolicy::default();
         assert_eq!(p.plan(&[]), None);
         assert_eq!(p.plan(&[1_000_000]), None);
-        let l = LeveledPolicy::default();
-        assert_eq!(l.plan(&[]), None);
-        assert_eq!(l.plan(&[1_000_000]), None);
-    }
-
-    #[test]
-    fn leveled_levels_follow_base_and_fanout() {
-        let p = LeveledPolicy::default(); // base 256, fanout 4
-        assert_eq!(p.level(0), 0);
-        assert_eq!(p.level(1023), 0);
-        assert_eq!(p.level(1024), 1);
-        assert_eq!(p.level(4095), 1);
-        assert_eq!(p.level(4096), 2);
-    }
-
-    #[test]
-    fn leveled_merges_adjacent_same_level_pairs() {
-        let p = LeveledPolicy::default();
-        // Two level-0 runs merge; the ascending ladder is stable.
-        assert_eq!(p.plan(&[100, 100]), Some(0..2));
-        assert_eq!(p.plan(&[5000, 2000]), None, "levels 2,1: steady state");
-        assert_eq!(p.plan(&[2000, 2000]), Some(0..2));
-        // The lowest qualifying level merges first...
-        assert_eq!(p.plan(&[2000, 2000, 100, 100]), Some(2..4));
-        // ...and within a level the smallest pair wins.
-        assert_eq!(p.plan(&[900, 900, 100, 100]), Some(2..4));
-    }
-
-    #[test]
-    fn leveled_pair_merges_cascade_to_one_run_per_level() {
-        let p = LeveledPolicy::default();
-        // Simulate the maintain loop: equal ingest batches merge pairwise
-        // until every surviving run sits on its own level.
-        let mut runs: Vec<u64> = vec![300; 8];
-        while let Some(w) = p.plan(&runs) {
-            assert_eq!(w.len(), 2, "leveled merges are always pairs");
-            let merged: u64 = runs[w.clone()].iter().sum();
-            runs.splice(w, std::iter::once(merged));
-        }
-        let levels: Vec<u32> = runs.iter().map(|&e| p.level(e)).collect();
-        for pair in levels.windows(2) {
-            assert_ne!(pair[0], pair[1], "{runs:?} -> {levels:?}");
-        }
-        assert_eq!(runs.iter().sum::<u64>(), 2400, "no entries lost");
     }
 }

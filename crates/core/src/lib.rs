@@ -75,7 +75,7 @@ pub mod trie;
 
 pub use backend::{LocalShard, Partial, ShardBackend, ShardInfo, ShardSet};
 pub use coconut_storage::{Deadline, Error, Result};
-pub use compaction::{CompactionPolicy, CompactionPolicyKind, LeveledPolicy, TieredPolicy};
+pub use compaction::{CompactionPolicy, CompactionPolicyKind, TieredPolicy};
 pub use config::{BuildOptions, IndexConfig};
 pub use layout::ScrubReport;
 pub use leaves::{Directory, SortedLeafIndex};

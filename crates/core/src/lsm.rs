@@ -21,18 +21,16 @@
 //!   commit is durable — a crash between a run-file fsync and the manifest
 //!   commit leaves orphan directories for recovery to delete, never an
 //!   acknowledged batch.
-//! * **Compaction**: a [`CompactionPolicy`] (default
-//!   [`TieredPolicy`]; [`crate::compaction::LeveledPolicy`] selectable via
-//!   the manifest-recorded [`CompactionPolicyKind`]) decides which
-//!   adjacent runs to merge; the merge itself is a K-way [`MergedStream`]
-//!   over the runs' already-sorted leaf streams
+//! * **Compaction**: a [`CompactionPolicy`] (the size-tiered
+//!   [`TieredPolicy`] unless [`LsmCoconut::set_policy`] installs another)
+//!   decides which adjacent runs to merge; the merge itself is a K-way
+//!   [`MergedStream`] over the runs' already-sorted leaf streams
 //!   ([`CoconutTree::leaf_entries`]), bulk-loaded into a new run —
-//!   **never** a re-sort of the raw range. Merges execute on a small
-//!   worker pool: a scheduler thread plans non-overlapping windows
-//!   (contiguous segments of runs not already being merged) and dispatches
-//!   them to parallel merge threads, while manifest commits stay
-//!   serialized in mutation order under one commit lock.
-//!   [`LsmCoconut::wait_for_compactions`] is the synchronization point.
+//!   **never** a re-sort of the raw range. Merges run one at a time on the
+//!   index's one compaction thread, which plans over the whole run list
+//!   after every merge; its manifest commits are serialized with ingest's
+//!   under one commit lock. [`LsmCoconut::wait_for_compactions`] is the
+//!   synchronization point.
 //! * **Crash safety**: the live run set lives in a versioned, checksummed
 //!   [`crate::manifest::Manifest`] written atomically on every run addition
 //!   and compaction. [`LsmCoconut::open`] recovers the exact committed run
@@ -228,7 +226,7 @@ pub struct WriteStats {
     pub runs_committed: u64,
 }
 
-/// State shared with the compaction worker thread.
+/// State shared with the compaction thread.
 struct Shared {
     config: IndexConfig,
     opts: BuildOptions,
@@ -251,9 +249,6 @@ struct Shared {
     /// by [`sweep_gc`] when snapshots drop.
     gc: Mutex<Vec<GcRun>>,
     policy: Mutex<Box<dyn CompactionPolicy>>,
-    /// The policy family recorded in every manifest commit; kept in sync
-    /// with `policy` by [`LsmCoconut::set_policy`].
-    compaction_kind: Mutex<CompactionPolicyKind>,
     /// Write-path counters backing the amplification gauges.
     stats: WriteCounters,
     /// Instance-scoped fault plan consulted *before* the process-global one
@@ -266,32 +261,14 @@ struct Shared {
     poisoned: Mutex<Option<String>>,
 }
 
-/// Work items for the compaction scheduler, processed in order.
+/// Work items for the compaction thread, processed in order.
 enum Job {
-    /// Re-plan and dispatch merges until the policy proposes nothing.
+    /// Merge until the policy proposes nothing.
     Maintain,
     /// Merge every live run into a single run.
     CompactAll,
     /// Acknowledge once every previously queued job has finished.
     Sync(Sender<()>),
-}
-
-/// Everything the scheduler thread receives: caller jobs, merge-worker
-/// completions, and the shutdown marker [`LsmCoconut::drop`] sends so the
-/// scheduler can drain in-flight merges, retire the pool, and exit.
-enum Msg {
-    Job(Job),
-    /// A merge worker finished the window holding these run ids.
-    Done {
-        ids: Vec<u64>,
-        result: Result<()>,
-    },
-    Shutdown,
-}
-
-/// A non-overlapping merge window dispatched to the worker pool.
-struct MergeTask {
-    ids: Vec<u64>,
 }
 
 /// An LSM collection of bulk-loaded Coconut-Tree runs with tiered
@@ -300,7 +277,7 @@ struct MergeTask {
 /// in.
 pub struct LsmCoconut {
     shared: Arc<Shared>,
-    jobs: Option<Sender<Msg>>,
+    jobs: Option<Sender<Job>>,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -329,9 +306,8 @@ impl LsmCoconut {
     }
 
     /// The full constructor: [`LsmCoconut::new_based`] with an explicit
-    /// compaction policy family, recorded in the initial manifest commit so
-    /// even a never-ingested index reopens under the policy it was created
-    /// with (the CLI's `--compaction` flag lands here).
+    /// compaction policy family, whose default policy the index starts
+    /// under.
     pub fn create(
         config: IndexConfig,
         opts: BuildOptions,
@@ -376,7 +352,6 @@ impl LsmCoconut {
             ingest: IngestQueue::new(base),
             gc: Mutex::new(Vec::new()),
             policy: Mutex::new(compaction.policy()),
-            compaction_kind: Mutex::new(compaction),
             stats: WriteCounters::default(),
             fault_plan: Mutex::new(None),
             poisoned: Mutex::new(None),
@@ -470,8 +445,7 @@ impl LsmCoconut {
             commit_order: Mutex::new(()),
             ingest: IngestQueue::new(manifest.covered_end),
             gc: Mutex::new(Vec::new()),
-            policy: Mutex::new(manifest.compaction.policy()),
-            compaction_kind: Mutex::new(manifest.compaction),
+            policy: Mutex::new(Box::new(TieredPolicy::default())),
             stats: WriteCounters::default(),
             fault_plan: Mutex::new(None),
             poisoned: Mutex::new(None),
@@ -482,10 +456,9 @@ impl LsmCoconut {
     fn spawn(shared: Arc<Shared>) -> Result<Self> {
         let (tx, rx) = std::sync::mpsc::channel();
         let worker_shared = Arc::clone(&shared);
-        let worker_tx = tx.clone();
         let worker = std::thread::Builder::new()
             .name("coconut-lsm-compactor".into())
-            .spawn(move || scheduler_loop(worker_shared, rx, worker_tx))?;
+            .spawn(move || compaction_loop(worker_shared, rx))?;
         Ok(LsmCoconut {
             shared,
             jobs: Some(tx),
@@ -494,17 +467,10 @@ impl LsmCoconut {
     }
 
     /// Replace the compaction policy (takes effect from the next
-    /// decision). The policy's [`CompactionPolicy::kind`] is recorded in
-    /// every subsequent manifest commit.
+    /// decision). The policy lives in memory only: a reopened index starts
+    /// under the default [`TieredPolicy`].
     pub fn set_policy(&self, policy: Box<dyn CompactionPolicy>) {
-        *self.shared.compaction_kind.lock() = policy.kind();
         *self.shared.policy.lock() = policy;
-    }
-
-    /// The compaction policy family the index is grown under (what the
-    /// manifest records and `--compaction` selects).
-    pub fn compaction_kind(&self) -> CompactionPolicyKind {
-        *self.shared.compaction_kind.lock()
     }
 
     /// Bound read amplification: install a [`TieredPolicy`] that keeps at
@@ -540,8 +506,8 @@ impl LsmCoconut {
         self.jobs
             .as_ref()
             .ok_or_else(|| Error::invalid("LSM index is shutting down"))?
-            .send(Msg::Job(job))
-            .map_err(|_| Error::invalid("LSM compaction worker exited"))
+            .send(job)
+            .map_err(|_| Error::invalid("LSM compaction thread exited"))
     }
 
     /// Index every position of `dataset` not yet covered (the dataset must
@@ -607,7 +573,7 @@ impl LsmCoconut {
         self.send(Job::Sync(ack_tx))?;
         ack_rx
             .recv()
-            .map_err(|_| Error::invalid("LSM compaction worker exited"))?;
+            .map_err(|_| Error::invalid("LSM compaction thread exited"))?;
         self.check_poisoned()
     }
 
@@ -1086,14 +1052,10 @@ fn sweep_gc(shared: &Shared) -> usize {
 
 impl Drop for LsmCoconut {
     fn drop(&mut self) {
-        // Ask the scheduler to drain in-flight merges and exit, then join
-        // so no compaction outlives the index (its builds write into our
-        // directory). A plain channel close is not enough: the merge
-        // workers hold sender clones, so the scheduler's `recv` would
-        // never disconnect on its own.
-        if let Some(jobs) = self.jobs.take() {
-            let _ = jobs.send(Msg::Shutdown);
-        }
+        // Close the job channel — the compaction thread finishes the jobs
+        // already queued and exits — then join, so no compaction outlives
+        // the index (its builds write into our directory).
+        drop(self.jobs.take());
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
@@ -1176,7 +1138,6 @@ fn encode_manifest(shared: &Shared, st: &State) -> Vec<u8> {
         covered_end: st.covered_end,
         next_run_id: st.next_run_id,
         runs: st.runs.iter().map(|r| r.meta.clone()).collect(),
-        compaction: *shared.compaction_kind.lock(),
     }
     .encode()
 }
@@ -1459,212 +1420,81 @@ fn wait_durable(shared: &Shared, upto: u64) -> Result<()> {
     Ok(())
 }
 
-/// How many parallel merge workers the pool runs: derived from the build
-/// thread budget, at least 2 so disjoint windows actually overlap, capped
-/// small — merges are I/O-heavy and share the machine with ingest and
-/// queries.
-fn merge_worker_count(shared: &Shared) -> usize {
-    shared.opts.threads.clamp(2, 4)
-}
-
-/// The compaction scheduler: receives caller jobs and merge completions,
-/// plans non-overlapping windows, and dispatches them to the worker pool.
-/// Manifest commits happen inside [`compact_ids`] on the workers,
-/// serialized by `commit_order`; the scheduler itself never blocks on an
-/// fsync. The first merge error is sticky (poisons the instance), after
-/// which only syncs are acknowledged so waiters can observe it.
-fn scheduler_loop(shared: Arc<Shared>, rx: Receiver<Msg>, tx: Sender<Msg>) {
-    let (task_tx, task_rx) = std::sync::mpsc::channel::<MergeTask>();
-    let task_rx = Arc::new(StdMutex::new(task_rx));
-    let mut pool = Vec::new();
-    for i in 0..merge_worker_count(&shared) {
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        let task_rx = Arc::clone(&task_rx);
-        let handle = std::thread::Builder::new()
-            .name(format!("coconut-lsm-merge-{i}"))
-            .spawn(move || merge_worker_loop(shared, task_rx, tx));
-        if let Ok(h) = handle {
-            pool.push(h);
-        }
-    }
-    // The scheduler's own clone of the message sender was only needed to
-    // seed the workers; the workers and `LsmCoconut` hold the live ones.
-    drop(tx);
-
-    let mut busy: HashSet<u64> = HashSet::new();
-    let mut in_flight = 0usize;
-    let mut compact_all = false;
-    let mut syncs: Vec<Sender<()>> = Vec::new();
-    let mut shutting_down = false;
-
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Job(Job::Maintain) => {}
-            Msg::Job(Job::CompactAll) => compact_all = true,
-            Msg::Job(Job::Sync(ack)) => syncs.push(ack),
-            Msg::Done { ids, result } => {
-                for id in &ids {
-                    busy.remove(id);
+/// The compaction thread: runs the jobs in the order they were sent. Every
+/// job but a full compaction plans over the whole run list and merges until
+/// the policy proposes nothing, so a `Sync` is acknowledged on a settled
+/// run set even when runs arrived without a maintain job. The first merge
+/// error is sticky (poisons the instance), after which only syncs are
+/// acknowledged so waiters can observe it. The thread exits once
+/// [`LsmCoconut`]'s drop closes the channel and the queue is drained.
+fn compaction_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
+    for job in jobs {
+        if shared.poisoned.lock().is_none() {
+            let result = match job {
+                Job::CompactAll => {
+                    let ids: Vec<u64> =
+                        shared.state.lock().runs.iter().map(|r| r.meta.id).collect();
+                    compact_ids(&shared, &ids)
                 }
-                in_flight -= 1;
-                if let Err(e) = result {
-                    *shared.poisoned.lock() = Some(e.to_string());
-                }
-            }
-            Msg::Shutdown => shutting_down = true,
-        }
-        if !shutting_down && shared.poisoned.lock().is_none() {
-            // CompactAll needs the whole run set as its window: wait for
-            // in-flight merges to drain, then run it inline.
-            if compact_all && in_flight == 0 {
-                compact_all = false;
-                if let Err(e) = compact_everything(&shared) {
-                    *shared.poisoned.lock() = Some(e.to_string());
-                }
-            }
-            if shared.poisoned.lock().is_none() {
-                dispatch_merges(&shared, &mut busy, &mut in_flight, &task_tx);
+                Job::Maintain | Job::Sync(_) => maintain(&shared),
+            };
+            if let Err(e) = result {
+                *shared.poisoned.lock() = Some(e.to_string());
             }
         }
-        let poisoned = shared.poisoned.lock().is_some();
-        if in_flight == 0 && (poisoned || !compact_all) {
-            // Idle (or failed): every queued job has finished; ack waiters.
-            for ack in syncs.drain(..) {
-                let _ = ack.send(());
-            }
+        if let Job::Sync(ack) = job {
+            let _ = ack.send(());
         }
-        if shutting_down && in_flight == 0 {
-            break;
-        }
-    }
-    // Retire the pool: closing the task channel ends the workers.
-    drop(task_tx);
-    for h in pool {
-        let _ = h.join();
     }
 }
 
-/// One merge worker: take a planned window, execute it, report back.
-fn merge_worker_loop(
-    shared: Arc<Shared>,
-    tasks: Arc<StdMutex<Receiver<MergeTask>>>,
-    tx: Sender<Msg>,
-) {
+/// Merge the windows the policy proposes, re-planning over the whole run
+/// list after each merge, until it proposes nothing.
+fn maintain(shared: &Arc<Shared>) -> Result<()> {
     loop {
-        // Hold the receiver lock only while waiting for the next task;
-        // the merge itself runs outside it, so workers overlap.
-        let task = {
-            let rx = tasks.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
-        let Ok(task) = task else { break };
-        let result = compact_ids(&shared, &task.ids);
-        if tx
-            .send(Msg::Done {
-                ids: task.ids,
-                result,
-            })
-            .is_err()
-        {
-            break;
-        }
-    }
-}
-
-/// Plan merge windows over maximal contiguous segments of runs not
-/// currently being merged and dispatch them to the pool; repeats until a
-/// full pass proposes nothing, so several disjoint windows run
-/// concurrently. Because planning always re-runs over the *whole* run
-/// list once merges drain, global invariants like `TieredPolicy`'s
-/// `max_runs` cap are re-checked after a group commit lands several runs
-/// in one manifest commit.
-fn dispatch_merges(
-    shared: &Arc<Shared>,
-    busy: &mut HashSet<u64>,
-    in_flight: &mut usize,
-    task_tx: &Sender<MergeTask>,
-) {
-    loop {
-        let window: Option<Vec<u64>> = {
+        let ids: Vec<u64> = {
             let st = shared.state.lock();
-            let policy = shared.policy.lock();
-            plan_one_window(&st.runs, busy, policy.as_ref())
+            let entries: Vec<u64> = st.runs.iter().map(|r| r.meta.entries()).collect();
+            match shared.policy.lock().plan(&entries) {
+                Some(w) if w.len() >= 2 && w.end <= st.runs.len() => {
+                    st.runs[w].iter().map(|r| r.meta.id).collect()
+                }
+                _ => return Ok(()),
+            }
         };
-        let Some(ids) = window else { return };
-        busy.extend(ids.iter().copied());
-        *in_flight += 1;
-        if task_tx.send(MergeTask { ids: ids.clone() }).is_err() {
-            // Pool is gone (shutdown); undo the bookkeeping.
-            for id in &ids {
-                busy.remove(id);
-            }
-            *in_flight -= 1;
-            return;
-        }
+        compact_ids(shared, &ids)?;
     }
 }
 
-/// Find the first window the policy proposes in any maximal contiguous
-/// segment of non-busy runs; returns the window's run ids. Windows never
-/// include a busy run, so concurrent merge jobs cannot overlap.
-fn plan_one_window(
-    runs: &[Run],
-    busy: &HashSet<u64>,
-    policy: &dyn CompactionPolicy,
-) -> Option<Vec<u64>> {
-    let mut seg_start = 0;
-    for i in 0..=runs.len() {
-        if i < runs.len() && !busy.contains(&runs[i].meta.id) {
-            continue;
-        }
-        let segment = &runs[seg_start..i];
-        seg_start = i + 1;
-        if segment.len() < 2 {
-            continue;
-        }
-        let entries: Vec<u64> = segment.iter().map(|r| r.meta.entries()).collect();
-        if let Some(w) = policy.plan(&entries) {
-            if w.len() >= 2 && w.end <= segment.len() {
-                return Some(segment[w].iter().map(|r| r.meta.id).collect());
-            }
-        }
-    }
-    None
-}
-
-/// Merge every live run into a single run (the `CompactAll` job). Runs
-/// inline on the scheduler with the pool drained, so the window is the
-/// entire committed run set.
-fn compact_everything(shared: &Arc<Shared>) -> Result<()> {
-    let ids: Vec<u64> = shared.state.lock().runs.iter().map(|r| r.meta.id).collect();
-    compact_ids(shared, &ids)
+/// Where the adjacent runs `ids` start in `runs`, or `None` once any of
+/// them has left the live set.
+fn window_start(runs: &[Run], ids: &[u64]) -> Option<usize> {
+    let first = runs.iter().position(|r| r.meta.id == ids[0])?;
+    let window = runs.get(first..first + ids.len())?;
+    window
+        .iter()
+        .zip(ids)
+        .all(|(r, id)| r.meta.id == *id)
+        .then_some(first)
 }
 
 /// Merge the adjacent runs with the given ids into one new run: K-way merge
 /// of their sorted leaf streams, bulk-loaded into a fresh `run-<id>/`,
 /// swapped into the run set under the lock, committed to the manifest, and
 /// only then are the old run directories deleted.
+///
+/// Merges run only on the compaction thread, but [`LsmCoconut::quarantine_from`]
+/// can evict runs from another thread: a window it touched before the
+/// merge starts is skipped, and a merge it overtakes is abandoned.
 fn compact_ids(shared: &Arc<Shared>, ids: &[u64]) -> Result<()> {
     if ids.len() < 2 {
         return Ok(());
     }
     let (trees, start, end, new_id, dataset) = {
         let mut st = shared.state.lock();
-        // The window may have been invalidated by the time the job runs
-        // (merge jobs are planned over disjoint windows, but a CompactAll
-        // or quarantine may have rewritten the set); skip silently if so.
-        let Some(first) = st.runs.iter().position(|r| r.meta.id == ids[0]) else {
+        let Some(first) = window_start(&st.runs, ids) else {
             return Ok(());
         };
-        if first + ids.len() > st.runs.len()
-            || !ids
-                .iter()
-                .enumerate()
-                .all(|(i, id)| st.runs[first + i].meta.id == *id)
-        {
-            return Ok(());
-        }
         let window = &st.runs[first..first + ids.len()];
         let start = window[0].meta.start;
         let end = window[ids.len() - 1].meta.end;
@@ -1694,19 +1524,14 @@ fn compact_ids(shared: &Arc<Shared>, ids: &[u64]) -> Result<()> {
 
     let _order = shared.commit_order.lock();
     let mut st = shared.state.lock();
-    // Concurrent merge jobs never overlap this window, so it must still
-    // be present; a typed error (not a panic) keeps a would-be violation
-    // observable through the poisoned state.
-    let first = st
-        .runs
-        .iter()
-        .position(|r| r.meta.id == ids[0])
-        .ok_or_else(|| {
-            Error::corrupt(format!(
-                "compaction window lost run {} between planning and commit",
-                ids[0]
-            ))
-        })?;
+    let Some(first) = window_start(&st.runs, ids) else {
+        // A quarantine evicted part of the window while it merged: the
+        // merged run would cover evicted positions, so drop it.
+        drop(st);
+        drop(merged_tree);
+        let _ = std::fs::remove_dir_all(&run_dir);
+        return Ok(());
+    };
     let replacement = Run {
         meta: RunMeta {
             id: new_id,
@@ -2365,6 +2190,33 @@ mod tests {
     }
 
     #[test]
+    fn merge_skips_a_window_that_quarantine_evicted() {
+        let dir = TempDir::new("lsm").unwrap();
+        let (idx_dir, ds, all) = three_run_index(&dir, 105);
+        let lsm = LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()).unwrap();
+        let ids: Vec<u64> = Manifest::load(&idx_dir)
+            .unwrap()
+            .runs
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        // A window planned over all three runs, whose last run is
+        // quarantined before the merge starts: the merge is skipped.
+        let new_end = lsm.quarantine_from(ids[2], "evicted by a test").unwrap();
+        let next_run_id = lsm.shared.state.lock().next_run_id;
+        compact_ids(&lsm.shared, &ids).unwrap();
+        assert_eq!(lsm.run_count(), 2, "the stale window merged");
+        assert_eq!(lsm.shared.state.lock().next_run_id, next_run_id);
+        // The window that survived still merges.
+        compact_ids(&lsm.shared, &ids[..2]).unwrap();
+        assert_eq!(lsm.run_count(), 1);
+        assert_eq!(lsm.covered_end(), new_end);
+        let q = query(79);
+        let (ans, _) = lsm.exact(&q).unwrap();
+        assert_eq!(ans.pos, brute_force(&all[..new_end as usize], &q).pos);
+    }
+
+    #[test]
     fn scrub_reports_bit_rot_and_quarantine_reduces_prefix() {
         let dir = TempDir::new("lsm").unwrap();
         let (idx_dir, ds, all) = three_run_index(&dir, 103);
@@ -2561,8 +2413,8 @@ mod tests {
         assert_eq!(lsm.write_stats().ingest_commits, 1);
         assert_eq!(lsm.run_count(), K as usize, "group landed K runs at once");
 
-        // The scheduler must notice the K-run pile-up and compact it back
-        // under the cap (the sync job itself re-plans on arrival).
+        // The compaction thread must notice the K-run pile-up and compact
+        // it back under the cap (the sync job itself re-plans on arrival).
         lsm.wait_for_compactions().unwrap();
         assert!(
             lsm.run_count() <= 3,
@@ -2620,39 +2472,24 @@ mod tests {
     }
 
     #[test]
-    fn leveled_policy_round_trips_through_manifest_and_answers_exactly() {
+    fn leveled_manifest_is_refused_at_open() {
         let dir = TempDir::new("lsm").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let path = dir.path().join("data.bin");
-        let idx = dir.path().join("i");
-        let mut gen = RandomWalkGen::new(41);
-        let mut all = Vec::new();
-        {
-            let lsm = LsmCoconut::create(
-                small_config(),
-                BuildOptions::default(),
-                &idx,
-                0,
-                CompactionPolicyKind::Leveled,
-            )
-            .unwrap();
-            assert_eq!(lsm.compaction_kind(), CompactionPolicyKind::Leveled);
-            for _ in 0..5 {
-                let (ds, new_all) = grow_dataset(&path, &stats, &mut gen, &all, 120);
-                all = new_all;
-                lsm.ingest(&ds).unwrap();
-            }
-            lsm.wait_for_compactions().unwrap();
-            let q = query(500);
-            let (ans, _) = lsm.exact(&q).unwrap();
-            assert_eq!(ans.pos, brute_force(&all, &q).pos);
+        let (idx_dir, ds, _) = three_run_index(&dir, 107);
+        // Rewrite the manifest as an index grown under the removed leveled
+        // policy left it: compaction byte 1 (after the 28-byte header and
+        // 51 payload bytes), checksum intact.
+        let path = Manifest::path_in(&idx_dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[28 + 51], 0, "size-tiered is byte 0");
+        bytes[28 + 51] = 1;
+        let crc = coconut_storage::atomic::crc64(&bytes[28..]);
+        bytes[20..28].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match LsmCoconut::open(&idx_dir, &ds, BuildOptions::default()) {
+            Err(Error::InvalidArg(msg)) => assert!(msg.contains("leveled"), "{msg}"),
+            other => panic!("{:?}", other.err()),
         }
-        // The policy family is manifest state: a plain reopen recovers it.
-        let ds = Dataset::open(&path, Arc::clone(&stats)).unwrap();
-        let lsm = LsmCoconut::open(&idx, &ds, BuildOptions::default()).unwrap();
-        assert_eq!(lsm.compaction_kind(), CompactionPolicyKind::Leveled);
-        let q = query(501);
-        let (ans, _) = lsm.exact(&q).unwrap();
-        assert_eq!(ans.pos, brute_force(&all, &q).pos);
+        // Refused before recovery touches the directory.
+        assert!(idx_dir.join(run_dir_name(0)).exists());
     }
 }

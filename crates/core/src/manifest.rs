@@ -31,9 +31,10 @@
 //!
 //! The format has one version, [`VERSION`] (4): it carries the base
 //! position, the split-policy byte ([`crate::split::SplitPolicyKind`]) and
-//! the compaction-policy byte ([`crate::compaction::CompactionPolicyKind`]).
-//! A manifest of any other version is refused with a typed error naming
-//! it.
+//! the compaction-policy byte ([`crate::compaction::CompactionPolicyKind`]),
+//! which is always 0 (size-tiered); a manifest naming the removed leveled
+//! policy is refused with a typed error. A manifest of any other version
+//! is refused with a typed error naming it.
 
 use std::path::{Path, PathBuf};
 
@@ -96,8 +97,6 @@ pub struct Manifest {
     pub config: IndexConfig,
     /// Whether runs embed raw series (`-Full` layout).
     pub materialized: bool,
-    /// The compaction policy family the index is grown under.
-    pub compaction: CompactionPolicyKind,
     /// First raw-file position this index covers: 0 for a whole-dataset
     /// index, the slice start for a shard worker's key-range slice.
     pub base: u64,
@@ -127,7 +126,7 @@ impl Manifest {
         push_u64(&mut payload, self.config.fill_factor.to_bits());
         push_u64(&mut payload, self.config.internal_fanout as u64);
         payload.push(self.config.split_policy.as_u8());
-        payload.push(self.compaction.as_u8());
+        payload.push(CompactionPolicyKind::Tiered.as_u8());
         push_u64(&mut payload, self.base);
         push_u64(&mut payload, self.covered_end);
         push_u64(&mut payload, self.next_run_id);
@@ -186,7 +185,7 @@ impl Manifest {
         let fill_factor = f64::from_bits(r.u64()?);
         let internal_fanout = r.u64()? as usize;
         let split_policy = SplitPolicyKind::from_u8(r.u8()?)?;
-        let compaction = CompactionPolicyKind::from_u8(r.u8()?)?;
+        CompactionPolicyKind::from_u8(r.u8()?)?;
         let base = r.u64()?;
         let covered_end = r.u64()?;
         let next_run_id = r.u64()?;
@@ -223,7 +222,6 @@ impl Manifest {
             seq,
             config,
             materialized,
-            compaction,
             base,
             covered_end,
             next_run_id,
@@ -313,7 +311,6 @@ mod tests {
             seq: 7,
             config: IndexConfig::default_for_len(128),
             materialized: true,
-            compaction: CompactionPolicyKind::Tiered,
             base: 0,
             covered_end: 500,
             next_run_id: 5,
@@ -482,16 +479,23 @@ mod tests {
     }
 
     #[test]
-    fn compaction_policy_roundtrips_in_v4() {
-        let mut m = sample();
-        m.compaction = CompactionPolicyKind::Leveled;
-        let decoded = Manifest::decode(&m.encode()).unwrap();
-        assert_eq!(decoded.compaction, CompactionPolicyKind::Leveled);
-        // An unknown compaction byte is corruption, not a silent default.
-        let encoded = m.encode();
-        let mut bad_payload = encoded[HEADER_LEN..].to_vec();
-        bad_payload[COMPACTION_OFF] = 9;
-        assert!(Manifest::decode(&frame(4, &bad_payload)).is_err());
+    fn leveled_compaction_byte_is_refused() {
+        let encoded = sample().encode();
+        assert_eq!(encoded[HEADER_LEN + COMPACTION_OFF], 0, "tiered is byte 0");
+        // Byte 1 named leveled compaction, which was removed: a typed
+        // refusal that says so, not a silent fallback to tiered.
+        let mut payload = encoded[HEADER_LEN..].to_vec();
+        payload[COMPACTION_OFF] = 1;
+        match Manifest::decode(&frame(VERSION, &payload)) {
+            Err(Error::InvalidArg(msg)) => assert!(msg.contains("leveled"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        // An unknown compaction byte is corruption.
+        payload[COMPACTION_OFF] = 9;
+        assert!(matches!(
+            Manifest::decode(&frame(VERSION, &payload)),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

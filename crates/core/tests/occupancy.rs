@@ -98,7 +98,7 @@ fn p10_gate(baseline: &str, fixed: f64, adaptive: f64) -> Result<(), String> {
 
 #[test]
 fn baseline_parse_extracts_p10() {
-    let j = "{\n  \"gate\": {\"skewed_adaptive_p10\": 0.8125, \"tolerance\": 0.05}\n}";
+    let j = "{\n  \"gate\": {\"skewed_adaptive_p10\": 0.8125}\n}";
     assert_eq!(baseline_p10(j), Some(0.8125));
     assert_eq!(baseline_p10("{}"), None);
     assert!(p10_gate(j, 0.5, 0.8125).is_ok());

@@ -1,5 +1,6 @@
-//! Property tests for concurrent multi-writer ingest under both compaction
-//! policies: random interleavings of {grow-and-multi-writer-ingest, policy
+//! Property tests for concurrent multi-writer ingest under the size-tiered
+//! policy, default and with a two-run cap (whose merges cascade on every
+//! ingest): random interleavings of {grow-and-multi-writer-ingest, policy
 //! switch, forced compaction, crash-during-group-commit} must always
 //! recover a contiguous covered prefix that answers oracle-exactly —
 //! including the case where a group commit dies *between* the run fsyncs
@@ -9,9 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use coconut_core::{
-    BuildOptions, CompactionPolicyKind, IndexConfig, LeveledPolicy, LsmCoconut, TieredPolicy,
-};
+use coconut_core::{BuildOptions, IndexConfig, LsmCoconut, TieredPolicy};
 use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::gen::{Generator, RandomWalkGen};
@@ -197,13 +196,10 @@ proptest! {
         let mut all: Vec<Vec<Value>> = Vec::new();
 
         let mut dataset = grow(&data_path, &stats, &mut gen, &mut all, 40);
-        let mut lsm = LsmCoconut::create(
-            config(),
-            BuildOptions::default(),
-            &idx_dir,
-            0,
-            if seed % 2 == 0 { CompactionPolicyKind::Tiered } else { CompactionPolicyKind::Leveled },
-        ).unwrap();
+        let mut lsm = LsmCoconut::new(config(), BuildOptions::default(), &idx_dir).unwrap();
+        if seed % 2 == 1 {
+            lsm.set_policy(Box::new(TieredPolicy::with_max_runs(2)));
+        }
         let (mut acked, err) = multi_ingest(&lsm, &dataset, dataset.len(), writers, 15);
         prop_assert!(err.is_none(), "{:?}", err);
 
@@ -221,7 +217,7 @@ proptest! {
                 // Swap the compaction policy live, then let it settle.
                 2 => {
                     if param == 1 {
-                        lsm.set_policy(Box::new(LeveledPolicy::default()));
+                        lsm.set_policy(Box::new(TieredPolicy::with_max_runs(2)));
                     } else {
                         lsm.set_policy(Box::new(TieredPolicy::default()));
                     }

@@ -193,12 +193,10 @@ impl Engine {
                     .map(|n| n.to_string())
                     .collect();
                 format!(
-                    "OK healthy covered={} runs={} seq={} compaction={} \
-                     write_amp={:.2} levels={}",
+                    "OK healthy covered={} runs={} seq={} write_amp={:.2} levels={}",
                     snap.covered_end(),
                     snap.run_count(),
                     snap.seq(),
-                    lsm.compaction_kind(),
                     lsm.write_amplification(),
                     if levels.is_empty() {
                         "-".to_string()

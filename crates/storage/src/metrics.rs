@@ -226,6 +226,11 @@ impl RateMeter {
 
     /// Record one event at the current instant.
     pub fn record(&self) {
+        self.add(1);
+    }
+
+    /// Record `n` events at the current instant, reading the clock once.
+    pub fn add(&self, n: u64) {
         let sec = self.second();
         let i = (sec % RATE_SLOTS) as usize;
         let stamped = self.stamps[i].load(Ordering::Relaxed);
@@ -236,7 +241,7 @@ impl RateMeter {
             self.stamps[i].store(sec, Ordering::Relaxed);
             self.counts[i].store(0, Ordering::Relaxed);
         }
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
+        self.counts[i].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Mean events/second over the last `window_s` *completed-or-current*
@@ -458,6 +463,28 @@ mod tests {
         // rate over any window must see them.
         assert!(m.per_second(1) >= 50.0, "{}", m.per_second(1));
         assert!(m.per_second(10) >= 50.0 / 10.0);
+    }
+
+    #[test]
+    fn bulk_add_counts_like_single_events() {
+        let (single, bulk) = (RateMeter::new(), RateMeter::new());
+        for _ in 0..1000 {
+            single.record();
+        }
+        bulk.add(1000);
+        // Every event either meter holds, whichever second it landed in.
+        let events = |m: &RateMeter| -> u64 {
+            m.stamps
+                .iter()
+                .zip(m.counts.iter())
+                .filter(|(stamp, _)| stamp.load(Ordering::Relaxed) != u64::MAX)
+                .map(|(_, count)| count.load(Ordering::Relaxed))
+                .sum()
+        };
+        assert_eq!(events(&single), 1000);
+        assert_eq!(events(&bulk), 1000);
+        let (a, b) = (single.per_second(RATE_SLOTS), bulk.per_second(RATE_SLOTS));
+        assert!((a - b).abs() <= 0.1 * a, "{a} vs {b}");
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub mod prelude {
     };
     pub use crate::index::{
         BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, Kind,
-        LeveledPolicy, LsmCoconut, Metric, Query, Snapshot, TieredPolicy,
+        LsmCoconut, Metric, Query, Snapshot, TieredPolicy,
     };
     pub use crate::series::dataset::{write_dataset, Dataset, DatasetWriter};
     pub use crate::series::gen::{AstronomyGen, Generator, RandomWalkGen, SeismicGen};

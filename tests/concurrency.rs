@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use coconut::baselines::SerialScan;
-use coconut::index::{
-    BuildOptions, CoconutTree, CoconutTrie, CompactionPolicyKind, IndexConfig, LsmCoconut,
-};
+use coconut::index::{BuildOptions, CoconutTree, CoconutTrie, IndexConfig, LsmCoconut};
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
 use coconut::storage::Deadline;
@@ -192,7 +190,8 @@ fn multi_writer_ingest_under_query_load_and_compaction_churn() {
     // The full streaming write path under contention: three writer threads
     // group-commit runs, two query threads verify live snapshots against a
     // brute-force oracle and watch the manifest sequence, while a churn
-    // thread forces full compactions the whole time. The test completing
+    // thread switches the run cap and forces full compactions the whole
+    // time. The test completing
     // at all is the no-deadlock assertion; the oracle and sequence checks
     // are the no-corruption and commit-ordering assertions.
     const STREAM_N: u64 = 900;
@@ -206,7 +205,7 @@ fn multi_writer_ingest_under_query_load_and_compaction_churn() {
 
     let mut config = IndexConfig::default_for_len(LEN);
     config.leaf_capacity = 32;
-    let lsm = LsmCoconut::create(
+    let lsm = LsmCoconut::new(
         config,
         BuildOptions {
             memory_bytes: 1 << 20,
@@ -215,8 +214,6 @@ fn multi_writer_ingest_under_query_load_and_compaction_churn() {
             shards: 1,
         },
         dir.path().join("idx"),
-        0,
-        CompactionPolicyKind::Leveled,
     )
     .unwrap();
 
@@ -277,7 +274,12 @@ fn multi_writer_ingest_under_query_load_and_compaction_churn() {
             let done = &done;
             s.spawn(move || {
                 let mut shuffle = YieldShuffle(0xC0FFEE);
+                let mut round = 0;
                 while !done.load(Ordering::Acquire) {
+                    // Alternate a two-run cap, whose merges cascade on every
+                    // commit, with the default ladder's cap of 12.
+                    round += 1;
+                    lsm.set_max_runs(if round % 2 == 1 { 2 } else { 12 });
                     lsm.compact().unwrap();
                     shuffle.shuffle();
                 }

@@ -1,7 +1,7 @@
 //! Streaming-ingest integration tests at the facade level: the README's
 //! "Streaming ingest" walkthrough (batch ingest → crash → `open()` recovery
-//! → query), run against the public API end to end, and the policy ×
-//! writer-count sweep gated on `results/BENCH_streaming.json`.
+//! → query), run against the public API end to end, and the writer-count
+//! sweep gated on `results/BENCH_streaming.json`.
 
 use std::sync::Arc;
 
@@ -153,7 +153,7 @@ fn baseline_parser_reads_flat_keys() {
     assert_eq!(baseline_value(json, "missing"), None);
 }
 
-/// Every compaction policy × {1, 2, 4} group-committed writers ingests a
+/// {1, 2, 4} group-committed writers under the size-tiered policy ingest a
 /// 6,000 × 128 dataset in 8 batches. After each batch every query must
 /// match a brute-force scan of the covered prefix; a full compaction must
 /// leave one run bit-identical to a from-scratch build; final write/space
@@ -195,67 +195,63 @@ fn policy_writer_sweep_is_exact_and_within_amp_baseline() {
     let reference = std::fs::read(reference.index_path()).unwrap();
 
     let mut finals = Vec::new();
-    for policy in CompactionPolicyKind::ALL {
-        for writers in [1usize, 2, 4] {
-            let id = format!("{policy}_w{writers}");
-            let idx_dir = dir.path().join(&id);
-            let lsm = LsmCoconut::create(config, opts.clone(), &idx_dir, 0, policy).unwrap();
-            if policy == CompactionPolicyKind::Tiered {
-                lsm.set_policy(Box::new(TieredPolicy {
-                    size_ratio: 4,
-                    tier_runs: 3,
-                    max_runs: 6,
-                }));
+    for writers in [1usize, 2, 4] {
+        let id = format!("tiered_w{writers}");
+        let idx_dir = dir.path().join(&id);
+        let lsm = LsmCoconut::new(config, opts.clone(), &idx_dir).unwrap();
+        lsm.set_policy(Box::new(TieredPolicy {
+            size_ratio: 4,
+            tier_runs: 3,
+            max_runs: 6,
+        }));
+        let batch = N.div_ceil(BATCHES);
+        let mut covered = 0u64;
+        while covered < N {
+            let upto = (covered + batch).min(N);
+            if writers == 1 {
+                lsm.ingest_upto(&dataset, upto).unwrap();
+            } else {
+                // Each writer claims the next slice of the revealed
+                // prefix; completed runs group-commit.
+                let step = ((upto - covered) / (writers as u64 * 2)).max(1);
+                std::thread::scope(|s| {
+                    for _ in 0..writers {
+                        s.spawn(|| {
+                            let w = lsm.writer();
+                            while w.ingest_next_upto(&dataset, upto, step).unwrap().is_some() {}
+                        });
+                    }
+                });
             }
-            let batch = N.div_ceil(BATCHES);
-            let mut covered = 0u64;
-            while covered < N {
-                let upto = (covered + batch).min(N);
-                if writers == 1 {
-                    lsm.ingest_upto(&dataset, upto).unwrap();
-                } else {
-                    // Each writer claims the next slice of the revealed
-                    // prefix; completed runs group-commit.
-                    let step = ((upto - covered) / (writers as u64 * 2)).max(1);
-                    std::thread::scope(|s| {
-                        for _ in 0..writers {
-                            s.spawn(|| {
-                                let w = lsm.writer();
-                                while w.ingest_next_upto(&dataset, upto, step).unwrap().is_some() {}
-                            });
-                        }
-                    });
-                }
-                covered = upto;
-                for (qi, q) in queries.iter().enumerate() {
-                    let want = brute_force(&all[..covered as usize], q);
-                    let got = lsm.exact(q).unwrap().0;
-                    assert_eq!(got.pos, want, "{id} covered={covered} query {qi}: {got:?}");
-                }
-            }
-
-            lsm.wait_for_compactions().unwrap();
-            lsm.compact().unwrap();
-            assert_eq!(
-                lsm.run_count(),
-                1,
-                "{id}: full compaction left several runs"
-            );
+            covered = upto;
             for (qi, q) in queries.iter().enumerate() {
+                let want = brute_force(&all[..covered as usize], q);
                 let got = lsm.exact(q).unwrap().0;
-                assert_eq!(got.pos, brute_force(&all, q), "{id} compacted, query {qi}");
+                assert_eq!(got.pos, want, "{id} covered={covered} query {qi}: {got:?}");
             }
-            let manifest = Manifest::load(&idx_dir).unwrap();
-            let compacted = std::fs::read(idx_dir.join(&manifest.runs[0].file)).unwrap();
-            assert!(
-                compacted == reference,
-                "{id}: full compaction is not bit-identical to a from-scratch build \
-                 ({} vs {} bytes)",
-                compacted.len(),
-                reference.len()
-            );
-            finals.push((id, lsm.write_amplification(), lsm.space_amplification()));
         }
+
+        lsm.wait_for_compactions().unwrap();
+        lsm.compact().unwrap();
+        assert_eq!(
+            lsm.run_count(),
+            1,
+            "{id}: full compaction left several runs"
+        );
+        for (qi, q) in queries.iter().enumerate() {
+            let got = lsm.exact(q).unwrap().0;
+            assert_eq!(got.pos, brute_force(&all, q), "{id} compacted, query {qi}");
+        }
+        let manifest = Manifest::load(&idx_dir).unwrap();
+        let compacted = std::fs::read(idx_dir.join(&manifest.runs[0].file)).unwrap();
+        assert!(
+            compacted == reference,
+            "{id}: full compaction is not bit-identical to a from-scratch build \
+             ({} vs {} bytes)",
+            compacted.len(),
+            reference.len()
+        );
+        finals.push((id, lsm.write_amplification(), lsm.space_amplification()));
     }
 
     amp_gate(AMP_BASELINE, &finals).unwrap();
