@@ -139,22 +139,98 @@ pub enum Command {
     Help,
 }
 
-/// Split argv into `--key value` / `--flag` options and positionals.
-fn split(argv: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
-    const FLAGS: &[&str] = &[
-        "--materialized",
-        "--approximate",
-        "--shard",
-        "--coordinator",
-        "--quarantine",
-        "--help",
-        "-h",
-    ];
+/// Options that take no value.
+const FLAGS: &[&str] = &[
+    "--materialized",
+    "--approximate",
+    "--shard",
+    "--coordinator",
+    "--quarantine",
+    "--help",
+    "-h",
+];
+
+/// The options each command reads (`--help` and `-h` are read by all).
+const OPTIONS: &[(&str, &[&str])] = &[
+    ("gen", &["--kind", "--count", "--len", "--seed"]),
+    ("info", &[]),
+    (
+        "build",
+        &[
+            "--index",
+            "--materialized",
+            "--leaf",
+            "--split-policy",
+            "--memory-mb",
+            "--shards",
+            "--out-dir",
+        ],
+    ),
+    (
+        "query",
+        &[
+            "--index",
+            "--data",
+            "--seed",
+            "--pos",
+            "--radius",
+            "--k",
+            "--dtw",
+            "--approximate",
+            "--range",
+        ],
+    ),
+    (
+        "ingest",
+        &[
+            "--data",
+            "--index-dir",
+            "--materialized",
+            "--leaf",
+            "--writers",
+            "--memory-mb",
+            "--batch",
+            "--max-runs",
+        ],
+    ),
+    ("compact", &["--data", "--index-dir"]),
+    ("scrub", &["--data", "--index-dir", "--quarantine"]),
+    (
+        "serve",
+        &[
+            "--data",
+            "--index-dir",
+            "--addr",
+            "--workers",
+            "--queue",
+            "--deadline-ms",
+            "--idle-timeout-ms",
+            "--initial",
+            "--leaf",
+            "--shard",
+            "--memory-mb",
+            "--coordinator",
+            "--shards",
+        ],
+    ),
+];
+
+/// Split `verb`'s argv into `--key value` / `--flag` options and
+/// positionals; an option `verb` does not read is an error naming it.
+fn split(verb: &str, argv: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
+    let accepted = OPTIONS
+        .iter()
+        .find(|(v, _)| *v == verb)
+        .map(|(_, accepted)| *accepted)
+        .ok_or_else(|| format!("unknown command '{verb}'"))?;
     let mut opts = HashMap::new();
     let mut pos = Vec::new();
     let mut i = 0;
     while i < argv.len() {
         let a = &argv[i];
+        if a.starts_with("--") && a != "--help" && !accepted.contains(&a.as_str()) {
+            return Err(format!("{verb}: unknown option {a}"));
+        }
         if FLAGS.contains(&a.as_str()) {
             opts.insert(a.clone(), String::from("true"));
             i += 1;
@@ -200,7 +276,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         return Ok(Command::Help);
     }
     let rest = &argv[1..];
-    let (opts, pos) = split(rest)?;
+    let (opts, pos) = split(verb, rest)?;
     if opts.contains_key("--help") || opts.contains_key("-h") {
         return Ok(Command::Help);
     }
@@ -799,6 +875,80 @@ mod tests {
 
         assert!(parse(&argv("ingest --data d --index-dir x --writers 0")).is_err());
         assert!(parse(&argv("ingest --data d --index-dir x --max-runs 0")).is_err());
+    }
+
+    #[test]
+    fn refuses_options_the_command_does_not_read() {
+        for (line, option) in [
+            (
+                "ingest --data s.ds --index-dir s-lsm --compaction leveled --leaf-size 7",
+                "--compaction",
+            ),
+            (
+                "ingest --data s.ds --index-dir s-lsm --leaf-size 7",
+                "--leaf-size",
+            ),
+            ("build --index ctree --bogus 3 x.ds", "--bogus"),
+            // Options of another command are not this one's.
+            ("build --index ctree --writers 2 x.ds", "--writers"),
+            (
+                "query --index i --data d --seed 1 --materialized",
+                "--materialized",
+            ),
+            (
+                "compact --data d --index-dir x --quarantine",
+                "--quarantine",
+            ),
+            ("info --seed 3 d.ds", "--seed"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            let verb = line.split(' ').next().unwrap();
+            assert_eq!(err, format!("{verb}: unknown option {option}"), "{line}");
+        }
+    }
+
+    /// Each `(command, option)` pair the usage text lists, in order.
+    fn usage_options() -> Vec<(&'static str, &'static str)> {
+        let mut verb = "";
+        let mut pairs = Vec::new();
+        for line in USAGE.lines() {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"coconut") {
+                words.next();
+                verb = words.next().unwrap();
+            } else if !line.starts_with("    ") {
+                continue;
+            }
+            for word in words {
+                let option = word.trim_start_matches(['[', '(']);
+                if let Some(end) = option.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                    pairs.push((verb, &option[..end]));
+                } else {
+                    pairs.push((verb, option));
+                }
+            }
+        }
+        pairs.retain(|(_, option)| option.starts_with("--"));
+        pairs
+    }
+
+    #[test]
+    fn every_usage_option_parses_for_its_command() {
+        let listed = usage_options();
+        assert!(listed.len() > 40, "{listed:?}");
+        for &(verb, option) in &listed {
+            let value = if FLAGS.contains(&option) { "" } else { "1" };
+            let line = format!("{verb} {option} {value}");
+            if let Err(err) = parse(&argv(&line)) {
+                assert!(!err.contains("unknown option"), "{line}: {err}");
+            }
+        }
+        // And every option a command reads is in its usage.
+        for (verb, accepted) in OPTIONS {
+            for option in *accepted {
+                assert!(listed.contains(&(verb, option)), "{verb} {option}");
+            }
+        }
     }
 
     #[test]

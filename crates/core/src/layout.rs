@@ -4,16 +4,18 @@
 //!
 //! ```text
 //! [ header, 4 KiB reserved ]
-//! [ leaf block 0 ][ leaf block 1 ] ...      <- written bottom-up, in order
+//! [ leaf 0 ][ leaf 1 ] ...                  <- written bottom-up, in order
 //! [ directory: LeafMeta per logical leaf ]
 //! [ index-specific tail (e.g. trie nodes) ]
 //! ```
 //!
-//! Leaf blocks are fixed-size (`leaf_capacity * entry_bytes`), so occupancy
-//! below capacity shows up as on-disk slack — exactly how the paper's
-//! Figure 8c space-overhead comparison works. Bulk loading writes blocks
-//! strictly left-to-right (sequential I/O), each leaf starting where the
-//! one before it ends, and nothing writes the file after the build.
+//! Leaves are packed back to back: each starts at the byte where the one
+//! before it ends and takes exactly `count × entry_bytes`, so a part-full
+//! leaf costs no more than its entries. Occupancy is still reported against
+//! the capacity a leaf was cut for ([`crate::SortedLeafIndex::avg_fill`]),
+//! which is how the paper's Figure 8c compares the indexes. Bulk loading
+//! writes leaves strictly left-to-right (sequential I/O), and nothing
+//! writes the file after the build.
 //!
 //! ## The leaf
 //!
@@ -21,38 +23,48 @@
 //! entries, in `(key, position)` order, are laid out column by column:
 //!
 //! ```text
-//! [ symbols: segments × count bytes ][ positions: count × u64 ][ payloads ]
+//! [ symbols: segments × count ][ positions: pos_bytes × count ]
+//! [ payload CRCs: 4 × count ][ payloads ]          <- materialized only
 //! ```
 //!
 //! The symbols are segment-major: entry `e`'s segment `j` sits at
 //! `j * count + e`, the layout
 //! [`coconut_summary::QueryDistTable::bounds_under`] reads. Positions are
-//! little-endian raw-file positions. Materialized (`-Full`) leaves follow
-//! them with each entry's series (`series_len` little-endian `f32`s).
+//! little-endian raw-file positions of `pos_bytes` bytes each, the fewest
+//! that hold the largest position the index covers ([`pos_bytes`]): 3 at
+//! a million series. Materialized (`-Full`) leaves follow them with one
+//! [`crc32`] per entry's payload, then the payloads themselves (`series_len`
+//! little-endian `f32`s each).
 //!
-//! An entry is therefore `segments + 8` bytes plus its payload: 24 at the
-//! default 16 segments, as many as an interleaved key and a position. The
-//! z-order key orders the entries but is not stored. The bulk loader
-//! de-interleaves each leaf's keys once, when it writes the leaf; each
-//! leaf's first key lives in the directory, and the readers that need every
-//! key (LSM merges) re-interleave them
+//! A pointer entry is therefore `segments + pos_bytes` bytes: 19 at the
+//! default 16 segments and a million series. The z-order key orders the
+//! entries but is not stored. The bulk loader de-interleaves each leaf's
+//! keys once, when it writes the leaf; each leaf's first key lives in the
+//! directory, and the readers that need every key (LSM merges)
+//! re-interleave them
 //! ([`coconut_summary::mindist::SymbolDecoder::interleave_into`]).
 //!
 //! ## One version
 //!
 //! Header byte 48 is the trie tail's version and byte 50 the layout
-//! version, [`LAYOUT_VERSION`]. That version covers three things:
+//! version, [`LAYOUT_VERSION`]. That version covers:
 //!
-//! - the leaf layout above;
-//! - a `DIR2` directory with one CRC per leaf and a whole-directory CRC;
+//! - the leaf layout above, with `pos_bytes` in header byte 51;
+//! - header byte 52, reserved for a refinement column and 0 until one is
+//!   written;
+//! - a `DIR3` directory locating each leaf by its byte offset, with one
+//!   CRC per leaf and a whole-directory CRC;
 //! - the header's own CRC in bytes 60..64.
 //!
 //! A file of any other layout, directory or tail version is refused at open
-//! with an [`Error::Corrupt`] naming the version, never misread. Every leaf
-//! is checked against its CRC before its bytes are used — read
+//! with an [`Error::Corrupt`] naming the version, never misread. A leaf's
+//! directory CRC covers the columns the scan reads (symbols and positions),
+//! and is checked before their bytes are used — read
 //! ([`LeafStore::read_leaf`]) or borrowed from a mapping of the file
-//! ([`LeafStore::check_leaf`]) — so bit rot surfaces as a typed error
-//! instead of a wrong answer.
+//! ([`LeafStore::check_leaf`]). A payload is used only through
+//! [`LeafStore::read_leaf`], which checks every payload CRC of the leaf it
+//! reads. Bit rot therefore surfaces as a typed error instead of a wrong
+//! answer.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -62,21 +74,27 @@ use coconut_storage::{crc64, CountedFile, Error, Result};
 use coconut_summary::mindist::SymbolDecoder;
 use coconut_summary::{SaxConfig, ZKey};
 
-/// Offset of the first leaf block (the header page).
+/// Offset of the first leaf (the header page).
 pub const LEAF_REGION_OFFSET: u64 = 4096;
 
 const HEADER_MAGIC: &[u8; 8] = b"CCNTIX01";
-/// The directory format: per-leaf CRC + whole-directory CRC.
-const DIR_MAGIC: &[u8; 4] = b"DIR2";
+/// The directory format: per-leaf byte offset and CRC, whole-directory CRC.
+const DIR_MAGIC: &[u8; 4] = b"DIR3";
 
 /// The layout version this build writes and reads (header byte 50).
-pub const LAYOUT_VERSION: u8 = 2;
+pub const LAYOUT_VERSION: u8 = 3;
 
-/// The 32-bit CRC of leaf blocks, directories and headers: the low half of
-/// the storage layer's CRC-64, which keeps one kernel for every on-disk
-/// checksum.
+/// The 32-bit CRC of leaves, payloads, directories and headers: the low
+/// half of the storage layer's CRC-64, which keeps one kernel for every
+/// on-disk checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
     crc64(bytes) as u32
+}
+
+/// The fewest bytes (1 to 8) that hold `largest`, the largest position an
+/// index stores.
+pub fn pos_bytes(largest: u64) -> usize {
+    ((u64::BITS - largest.leading_zeros()).div_ceil(8) as usize).max(1)
 }
 
 /// The entries of one leaf, column by column and in `(key, position)`
@@ -137,13 +155,57 @@ impl LeafEntries {
     }
 }
 
+/// A leaf's stored positions: little-endian integers of one width.
+#[derive(Debug, Clone, Copy)]
+pub struct Positions<'a> {
+    bytes: &'a [u8],
+    width: usize,
+}
+
+impl<'a> Positions<'a> {
+    /// The positions stored in `bytes`, `width` bytes each.
+    pub fn new(bytes: &'a [u8], width: usize) -> Self {
+        debug_assert!((1..=8).contains(&width) && bytes.len().is_multiple_of(width));
+        Positions { bytes, width }
+    }
+
+    /// Positions stored.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
+
+    /// True when no position is stored.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Position `i`: one unaligned 8-byte load, masked to the width, for
+    /// every position with 8 bytes of the column from its start.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        debug_assert!(i < self.len());
+        let at = i * self.width;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(eight) => crate::le::u64(eight),
+            None => {
+                let mut eight = [0; 8];
+                eight[..self.width].copy_from_slice(&self.bytes[at..at + self.width]);
+                u64::from_le_bytes(eight)
+            }
+        };
+        word & (u64::MAX >> (64 - 8 * self.width))
+    }
+}
+
 /// A stored leaf split into its parts ([`LeafCodec::parts`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LeafParts<'a> {
     /// The entries' SAX symbols, segment-major.
     symbols: &'a [u8],
-    /// The entries' positions, little-endian `u64`s.
-    positions: &'a [u8],
+    /// The entries' positions.
+    positions: Positions<'a>,
+    /// The [`crc32`] of each entry's payload (empty for pointer leaves).
+    payload_crcs: &'a [u8],
     /// The entries' payloads (empty for pointer leaves).
     payloads: &'a [u8],
 }
@@ -151,7 +213,7 @@ pub struct LeafParts<'a> {
 impl LeafParts<'_> {
     /// Entries in the leaf.
     pub fn len(&self) -> usize {
-        self.positions.len() / 8
+        self.positions.len()
     }
 
     /// True when the leaf holds no entry.
@@ -162,7 +224,13 @@ impl LeafParts<'_> {
     /// The raw-file position of entry `slot`.
     #[inline]
     pub fn pos(&self, slot: usize) -> u64 {
-        crate::le::u64(&self.positions[8 * slot..8 * slot + 8])
+        self.positions.get(slot)
+    }
+
+    /// Entry `slot`'s payload bytes (materialized leaves only).
+    fn payload(&self, slot: usize) -> &[u8] {
+        let stride = self.payloads.len() / self.len();
+        &self.payloads[stride * slot..stride * (slot + 1)]
     }
 
     /// Decode entry `slot`'s payload into `out` (materialized leaves only).
@@ -180,14 +248,18 @@ impl LeafParts<'_> {
 #[derive(Debug, Clone)]
 pub struct LeafCodec {
     symbols: SymbolDecoder,
+    pos_bytes: usize,
     payload_bytes: usize,
 }
 
 impl LeafCodec {
-    /// The codec of leaves under `sax`, with payloads if `materialized`.
-    pub fn new(sax: &SaxConfig, materialized: bool) -> Self {
+    /// The codec of leaves under `sax` whose positions take `pos_bytes`
+    /// bytes each, with payloads if `materialized`.
+    pub fn new(sax: &SaxConfig, materialized: bool, pos_bytes: usize) -> Self {
+        debug_assert!((1..=8).contains(&pos_bytes));
         LeafCodec {
             symbols: SymbolDecoder::new(sax),
+            pos_bytes,
             payload_bytes: if materialized { 4 * sax.series_len } else { 0 },
         }
     }
@@ -196,15 +268,44 @@ impl LeafCodec {
         self.symbols.config().segments
     }
 
-    /// Bytes per entry: its symbols, its position and its payload.
+    /// Whether leaves carry payloads.
+    pub fn is_materialized(&self) -> bool {
+        self.payload_bytes > 0
+    }
+
+    /// Bytes per stored position.
+    pub fn pos_bytes(&self) -> usize {
+        self.pos_bytes
+    }
+
+    /// Bytes per entry of the columns the scan reads: its symbols and its
+    /// position.
+    fn scanned_bytes(&self) -> usize {
+        self.segments() + self.pos_bytes
+    }
+
+    /// The columns the scan reads of `leaf`, the stored bytes of a whole
+    /// leaf: its symbols and positions, which its directory CRC covers.
+    pub fn scanned<'a>(&self, leaf: &'a [u8]) -> &'a [u8] {
+        &leaf[..leaf.len() / self.entry_bytes() * self.scanned_bytes()]
+    }
+
+    /// Bytes per entry: its symbols, its position and, materialized, its
+    /// payload's CRC and its payload.
     pub fn entry_bytes(&self) -> usize {
-        self.segments() + 8 + self.payload_bytes
+        let payload = if self.is_materialized() {
+            4 + self.payload_bytes
+        } else {
+            0
+        };
+        self.scanned_bytes() + payload
     }
 
     /// Append the leaf holding `entries` to `out`: their keys
-    /// de-interleaved into the symbol block, then their positions and
-    /// payloads. `entries` must carry payloads iff the codec is
-    /// materialized.
+    /// de-interleaved into the symbol block, then their positions and, if
+    /// materialized, the payloads' CRCs and the payloads. `entries` must
+    /// carry payloads iff the codec is materialized, and every position
+    /// must fit the codec's width.
     pub fn encode(&self, entries: &LeafEntries, out: &mut Vec<u8>) {
         debug_assert_eq!(
             entries.payloads.len(),
@@ -215,9 +316,15 @@ impl LeafCodec {
         out.resize(start + entries.len() * self.segments(), 0);
         self.symbols.decode_into(&entries.keys, &mut out[start..]);
         for p in &entries.pos {
-            out.extend_from_slice(&p.to_le_bytes());
+            debug_assert!(pos_bytes(*p) <= self.pos_bytes, "position {p} too wide");
+            out.extend_from_slice(&p.to_le_bytes()[..self.pos_bytes]);
         }
-        out.extend_from_slice(&entries.payloads);
+        if self.is_materialized() {
+            for payload in entries.payloads.chunks_exact(self.payload_bytes) {
+                out.extend_from_slice(&crc32(payload).to_le_bytes());
+            }
+            out.extend_from_slice(&entries.payloads);
+        }
     }
 
     /// Split `leaf`, the stored bytes of a whole leaf, into its parts.
@@ -225,24 +332,27 @@ impl LeafCodec {
         debug_assert_eq!(leaf.len() % self.entry_bytes(), 0);
         let count = leaf.len() / self.entry_bytes();
         let (symbols, rest) = leaf.split_at(count * self.segments());
-        let (positions, payloads) = rest.split_at(count * 8);
+        let (positions, rest) = rest.split_at(count * self.pos_bytes);
+        let crcs = if self.is_materialized() { 4 * count } else { 0 };
+        let (payload_crcs, payloads) = rest.split_at(crcs);
         LeafParts {
             symbols,
-            positions,
+            positions: Positions::new(positions, self.pos_bytes),
+            payload_crcs,
             payloads,
         }
     }
 
     /// Decode the stored leaf `leaf` into `out`: the keys re-interleaved
-    /// from the symbols, the positions and the payloads as they are.
+    /// from the symbols, the positions widened and the payloads as they
+    /// are.
     pub fn decode(&self, leaf: &[u8], out: &mut LeafEntries) {
         let parts = self.parts(leaf);
         out.keys.clear();
         out.keys.resize(parts.len(), ZKey::MIN);
         self.symbols.interleave_into(parts.symbols, &mut out.keys);
         out.pos.clear();
-        out.pos
-            .extend(parts.positions.chunks_exact(8).map(crate::le::u64));
+        out.pos.extend((0..parts.len()).map(|e| parts.pos(e)));
         out.payloads.clear();
         out.payloads.extend_from_slice(parts.payloads);
     }
@@ -255,17 +365,15 @@ pub struct LeafMeta {
     pub first_key: ZKey,
     /// Number of entries.
     pub count: u32,
-    /// First physical block number.
-    pub block: u32,
-    /// Consecutive physical blocks occupied (1 except for oversized trie
-    /// leaves holding more duplicates than one block fits).
-    pub blocks_used: u32,
-    /// [`crc32`] over the leaf's stored bytes (`count` entries, padding
-    /// excluded).
+    /// Byte offset of the leaf in the index file; it takes `count ×`
+    /// [`LeafCodec::entry_bytes`] from there.
+    pub offset: u64,
+    /// [`crc32`] over the columns the scan reads: the leaf's symbols and
+    /// positions.
     pub crc: u32,
 }
 
-const LEAF_META_BYTES: usize = 16 + 4 + 4 + 4 + 4;
+const LEAF_META_BYTES: usize = 16 + 4 + 8 + 4;
 
 /// The fixed index-file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,12 +388,11 @@ pub struct IndexHeader {
     pub segments: u16,
     /// SAX bits per symbol.
     pub card_bits: u8,
-    /// Max entries per leaf block.
+    /// The entries a leaf is cut for; a trie leaf of duplicate keys may
+    /// hold more.
     pub leaf_capacity: u32,
     /// Total entries in the index.
     pub entry_count: u64,
-    /// Physical leaf blocks written.
-    pub num_blocks: u64,
     /// Byte offset of the directory.
     pub dir_offset: u64,
     /// Encoding version of the index-specific tail (the trie's; a tree has
@@ -294,6 +401,9 @@ pub struct IndexHeader {
     /// [`crate::split::SplitPolicyKind::as_u8`] of the policy the index was
     /// built under.
     pub split_policy: u8,
+    /// Bytes per stored position, 1 to 8 ([`pos_bytes`] of the largest
+    /// position the index covers).
+    pub pos_bytes: u8,
 }
 
 impl IndexHeader {
@@ -307,11 +417,11 @@ impl IndexHeader {
         h[16..20].copy_from_slice(&self.series_len.to_le_bytes());
         h[20..24].copy_from_slice(&self.leaf_capacity.to_le_bytes());
         h[24..32].copy_from_slice(&self.entry_count.to_le_bytes());
-        h[32..40].copy_from_slice(&self.num_blocks.to_le_bytes());
         h[40..48].copy_from_slice(&self.dir_offset.to_le_bytes());
         h[48] = self.tail_version;
         h[49] = self.split_policy;
         h[50] = LAYOUT_VERSION;
+        h[51] = self.pos_bytes;
         let crc = crc32(&h[..60]);
         h[60..64].copy_from_slice(&crc.to_le_bytes());
         h
@@ -330,6 +440,18 @@ impl IndexHeader {
         if crc32(&h[..60]) != crate::le::u32(&h[60..64]) {
             return Err(Error::corrupt("index header checksum mismatch"));
         }
+        if !(1..=8).contains(&h[51]) {
+            return Err(Error::corrupt(format!(
+                "index positions of {} bytes (1 to 8 are stored)",
+                h[51]
+            )));
+        }
+        if h[52] != 0 {
+            return Err(Error::corrupt(format!(
+                "index refinement column of {} bits (this build writes none)",
+                h[52]
+            )));
+        }
         Ok(IndexHeader {
             kind: h[8],
             materialized: h[9] != 0,
@@ -338,10 +460,10 @@ impl IndexHeader {
             series_len: crate::le::u32(&h[16..20]),
             leaf_capacity: crate::le::u32(&h[20..24]),
             entry_count: crate::le::u64(&h[24..32]),
-            num_blocks: crate::le::u64(&h[32..40]),
             dir_offset: crate::le::u64(&h[40..48]),
             tail_version: h[48],
             split_policy: h[49],
+            pos_bytes: h[51],
         })
     }
 
@@ -377,8 +499,7 @@ pub fn write_directory(file: &CountedFile, leaves: &[LeafMeta]) -> Result<u64> {
     for l in leaves {
         buf.extend_from_slice(&l.first_key.0.to_le_bytes());
         buf.extend_from_slice(&l.count.to_le_bytes());
-        buf.extend_from_slice(&l.block.to_le_bytes());
-        buf.extend_from_slice(&l.blocks_used.to_le_bytes());
+        buf.extend_from_slice(&l.offset.to_le_bytes());
         buf.extend_from_slice(&l.crc.to_le_bytes());
     }
     let crc = crc32(&buf);
@@ -395,7 +516,7 @@ pub fn read_directory(file: &CountedFile, offset: u64) -> Result<(Vec<LeafMeta>,
         m if m == DIR_MAGIC => {}
         m if m.starts_with(b"DIR") => {
             return Err(Error::corrupt(format!(
-                "unsupported index directory version {} (this build reads DIR2)",
+                "unsupported index directory version {} (this build reads DIR3)",
                 String::from_utf8_lossy(m)
             )))
         }
@@ -420,31 +541,24 @@ pub fn read_directory(file: &CountedFile, offset: u64) -> Result<(Vec<LeafMeta>,
         .map(|c| LeafMeta {
             first_key: ZKey(crate::le::u128(&c[..16])),
             count: crate::le::u32(&c[16..20]),
-            block: crate::le::u32(&c[20..24]),
-            blocks_used: crate::le::u32(&c[24..28]),
+            offset: crate::le::u64(&c[20..28]),
             crc: crate::le::u32(&c[28..32]),
         })
         .collect();
     Ok((leaves, offset + buf.len() as u64))
 }
 
-/// Reader/writer for fixed-size leaf blocks.
+/// Reader of the leaves of an index file.
 #[derive(Debug, Clone)]
 pub struct LeafStore {
     file: Arc<CountedFile>,
     codec: LeafCodec,
-    capacity: usize,
 }
 
 impl LeafStore {
-    /// A store over `file` whose leaves `codec` lays out, `capacity`
-    /// entries per block.
-    pub fn new(file: Arc<CountedFile>, codec: LeafCodec, capacity: usize) -> Self {
-        LeafStore {
-            file,
-            codec,
-            capacity,
-        }
+    /// A store over `file` whose leaves `codec` lays out.
+    pub fn new(file: Arc<CountedFile>, codec: LeafCodec) -> Self {
+        LeafStore { file, codec }
     }
 
     /// The leaf codec.
@@ -452,67 +566,51 @@ impl LeafStore {
         &self.codec
     }
 
-    /// Leaf capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Bytes per physical block.
-    pub fn block_bytes(&self) -> usize {
-        self.capacity * self.codec.entry_bytes()
-    }
-
     /// The underlying file.
     pub fn file(&self) -> &Arc<CountedFile> {
         &self.file
     }
 
-    fn block_offset(&self, block: u32) -> u64 {
-        LEAF_REGION_OFFSET + block as u64 * self.block_bytes() as u64
+    /// Where in the file `leaf` lies.
+    pub fn leaf_span(&self, leaf: &LeafMeta) -> Range<u64> {
+        let len = leaf.count as u64 * self.codec.entry_bytes() as u64;
+        leaf.offset..leaf.offset.saturating_add(len)
     }
 
-    /// Where in the file the blocks `leaf` occupies lie, and where its
-    /// stored bytes (`count` entries, padding excluded) end.
-    pub fn leaf_span(&self, leaf: &LeafMeta) -> (Range<u64>, u64) {
-        let start = self.block_offset(leaf.block);
-        let blocks = leaf.blocks_used as u64 * self.block_bytes() as u64;
-        let stored = leaf.count as u64 * self.codec.entry_bytes() as u64;
-        debug_assert!(stored <= blocks);
-        (start..start + blocks, start + stored)
-    }
-
-    /// Check `stored`, the stored bytes of `leaf`, against the leaf's CRC:
-    /// a mismatch is an [`Error::Corrupt`] naming the block.
-    pub fn check_leaf(&self, leaf: &LeafMeta, stored: &[u8]) -> Result<()> {
-        if crc32(stored) != leaf.crc {
+    /// Check `scanned`, the symbols and positions of leaf number `index`
+    /// ([`LeafCodec::scanned`]), against the leaf's CRC: a mismatch is an
+    /// [`Error::Corrupt`] naming the leaf.
+    pub fn check_leaf(&self, index: usize, leaf: &LeafMeta, scanned: &[u8]) -> Result<()> {
+        if crc32(scanned) != leaf.crc {
             return Err(Error::corrupt(format!(
-                "leaf block {} failed checksum ({} entries)",
-                leaf.block, leaf.count
+                "leaf {index} (byte {}, {} entries) failed checksum",
+                leaf.offset, leaf.count
             )));
         }
         Ok(())
     }
 
-    /// Read the stored bytes of `leaf` into `buf` (resized to fit) and
-    /// check them ([`LeafStore::check_leaf`]). The read is the `leaf.read`
-    /// fault site ([`coconut_storage::fault`]).
-    pub fn read_leaf(&self, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
+    /// Read the stored bytes of leaf number `index` into `buf` (resized to
+    /// fit) and check them: its symbols and positions against the leaf's
+    /// CRC ([`LeafStore::check_leaf`]), then every payload against its own
+    /// CRC, a mismatch naming the payload's position. The read is the
+    /// `leaf.read` fault site ([`coconut_storage::fault`]).
+    pub fn read_leaf(&self, index: usize, leaf: &LeafMeta, buf: &mut Vec<u8>) -> Result<()> {
         coconut_storage::fault::check("leaf.read")?;
-        let (blocks, stored_end) = self.leaf_span(leaf);
-        buf.resize((stored_end - blocks.start) as usize, 0);
-        self.file.read_exact_at(buf, blocks.start)?;
-        self.check_leaf(leaf, buf)
-    }
-
-    /// Write the stored bytes of a leaf ([`LeafCodec::encode`]) as `block`,
-    /// zero-padding `leaf` to the block boundary; returns the blocks used
-    /// (more than one for oversized leaves).
-    pub fn write_leaf(&self, block: u32, leaf: &mut Vec<u8>) -> Result<u32> {
-        debug_assert_eq!(leaf.len() % self.codec.entry_bytes(), 0);
-        let blocks_used = leaf.len().div_ceil(self.block_bytes()).max(1) as u32;
-        leaf.resize(blocks_used as usize * self.block_bytes(), 0);
-        self.file.write_all_at(leaf, self.block_offset(block))?;
-        Ok(blocks_used)
+        let span = self.leaf_span(leaf);
+        buf.resize((span.end - span.start) as usize, 0);
+        self.file.read_exact_at(buf, span.start)?;
+        self.check_leaf(index, leaf, self.codec.scanned(buf))?;
+        let parts = self.codec.parts(buf);
+        for (slot, crc) in parts.payload_crcs.chunks_exact(4).enumerate() {
+            if crc32(parts.payload(slot)) != crate::le::u32(crc) {
+                return Err(Error::corrupt(format!(
+                    "payload of position {} (leaf {index}) failed checksum",
+                    parts.pos(slot)
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -531,12 +629,13 @@ impl ScrubReport {
     }
 }
 
-/// Read every leaf once, verifying it against its directory CRC. Returns on
-/// the first corrupt leaf with the [`Error::Corrupt`] naming its block.
+/// Read every leaf once, verifying it against its directory CRC and its
+/// payload CRCs. Returns on the first corrupt leaf with the
+/// [`Error::Corrupt`] naming it.
 pub fn scrub_leaves(store: &LeafStore, leaves: &[LeafMeta]) -> Result<ScrubReport> {
     let mut buf = Vec::new();
-    for leaf in leaves {
-        store.read_leaf(leaf, &mut buf)?;
+    for (index, leaf) in leaves.iter().enumerate() {
+        store.read_leaf(index, leaf, &mut buf)?;
     }
     Ok(ScrubReport {
         checked: leaves.len() as u64,
@@ -593,22 +692,22 @@ mod tests {
             card_bits: 8,
             leaf_capacity: 2000,
             entry_count: 123_456,
-            num_blocks: 62,
             dir_offset: 99_999,
             tail_version: 1,
             split_policy: 1,
+            pos_bytes: 3,
         }
     }
 
     #[test]
     fn entry_layout_roundtrip_nonmaterialized() {
         let s = sax(16, 64);
-        let codec = LeafCodec::new(&s, false);
-        assert_eq!(codec.entry_bytes(), 24);
+        let codec = LeafCodec::new(&s, false, 2);
+        assert_eq!(codec.entry_bytes(), 18);
         let one = entries(&s, 1, false);
         let mut leaf = Vec::new();
         codec.encode(&one, &mut leaf);
-        assert_eq!(leaf.len(), 24);
+        assert_eq!(leaf.len(), 18);
         let parts = codec.parts(&leaf);
         assert_eq!(parts.pos(0), 10_000);
         let mut back = LeafEntries::default();
@@ -619,8 +718,8 @@ mod tests {
     #[test]
     fn entry_layout_roundtrip_materialized() {
         let s = sax(4, 4);
-        let codec = LeafCodec::new(&s, true);
-        assert_eq!(codec.entry_bytes(), 4 + 8 + 16);
+        let codec = LeafCodec::new(&s, true, 1);
+        assert_eq!(codec.entry_bytes(), 4 + 1 + 4 + 16);
         let mut one = LeafEntries::default();
         let series = [1.5f32, -2.0, 0.0, 42.0];
         one.push(interleave(&[1, 2, 3, 4], 8), 3, Some(&series));
@@ -629,6 +728,7 @@ mod tests {
         let parts = codec.parts(&leaf);
         assert_eq!(parts.symbols, [1, 2, 3, 4]);
         assert_eq!(parts.pos(0), 3);
+        assert_eq!(parts.payload_crcs, crc32(one.payload(0)).to_le_bytes());
         let mut out = [0f32; 4];
         parts.series_into(0, &mut out);
         assert_eq!(out, series);
@@ -638,13 +738,61 @@ mod tests {
     }
 
     #[test]
+    fn pos_bytes_is_the_narrowest_width() {
+        assert_eq!(pos_bytes(0), 1);
+        for width in 1..=8usize {
+            let largest = u64::MAX >> (64 - 8 * width);
+            assert_eq!(pos_bytes(largest), width, "{largest:#x}");
+            if width < 8 {
+                assert_eq!(pos_bytes(largest + 1), width + 1, "{:#x}", largest + 1);
+            }
+        }
+        // A million series: positions up to 999,999 take 3 bytes.
+        assert_eq!(pos_bytes(999_999), 3);
+    }
+
+    #[test]
+    fn positions_roundtrip_at_every_width_boundary() {
+        // For each width, the largest position it holds and the first one
+        // that needs the next width, each stored at the width that fits it,
+        // in leaves of 1, 2 and 9 entries, so a position is decoded both
+        // with 8 bytes of the column ahead of it and without.
+        let s = sax(4, 4);
+        let key = interleave(&[1, 2, 3, 4], 8);
+        for width in 1..=8usize {
+            let largest = u64::MAX >> (64 - 8 * width);
+            for p in [largest, largest.wrapping_add(1)] {
+                if p == 0 {
+                    continue; // past u64::MAX
+                }
+                let codec = LeafCodec::new(&s, false, pos_bytes(p));
+                for count in [1usize, 2, 9] {
+                    let mut e = LeafEntries::default();
+                    for i in 0..count {
+                        e.push(key, p - (count - 1 - i) as u64, None);
+                    }
+                    let mut leaf = Vec::new();
+                    codec.encode(&e, &mut leaf);
+                    assert_eq!(leaf.len(), count * (4 + pos_bytes(p)));
+                    let parts = codec.parts(&leaf);
+                    let got: Vec<u64> = (0..count).map(|i| parts.pos(i)).collect();
+                    assert_eq!(got, e.pos, "position {p:#x}, {count} entries");
+                    let mut back = LeafEntries::default();
+                    codec.decode(&leaf, &mut back);
+                    assert_eq!(back, e);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_leaf_roundtrips_to_the_decoders_symbols() {
         // Pointer and materialized leaves of 1, 7 and 2,001 entries store
-        // `SymbolDecoder`'s block, then the positions, then the payloads,
-        // and decode back to the entries written.
+        // `SymbolDecoder`'s block, then the positions, then the payload
+        // CRCs and the payloads, and decode back to the entries written.
         let s = sax(16, 8);
         for materialized in [false, true] {
-            let codec = LeafCodec::new(&s, materialized);
+            let codec = LeafCodec::new(&s, materialized, 2);
             for count in [1usize, 7, 2001] {
                 let e = entries(&s, count, materialized);
                 let mut leaf = vec![0xAB]; // encode appends
@@ -658,6 +806,11 @@ mod tests {
                 let pos: Vec<u64> = (0..count).map(|i| parts.pos(i)).collect();
                 assert_eq!(pos, e.pos);
                 assert_eq!(parts.payloads, e.payloads);
+                let crcs: Vec<u8> = (0..count)
+                    .filter(|_| materialized)
+                    .flat_map(|i| crc32(e.payload(i)).to_le_bytes())
+                    .collect();
+                assert_eq!(parts.payload_crcs, crcs);
                 let mut back = LeafEntries::default();
                 codec.decode(leaf, &mut back);
                 assert_eq!(back, e, "mat={materialized} count={count}");
@@ -688,23 +841,60 @@ mod tests {
         assert!(err.to_string().contains("header checksum"), "{err}");
     }
 
+    /// `header()` with byte `at` set to `value` under a valid header CRC.
+    fn rewritten(at: usize, value: u8) -> [u8; 64] {
+        let mut raw = header().encode();
+        raw[at] = value;
+        let crc = crc32(&raw[..60]);
+        raw[60..64].copy_from_slice(&crc.to_le_bytes());
+        raw
+    }
+
     #[test]
     fn old_header_version_is_refused() {
-        // Layout 1 stored interleaved keys; layout 0 had no checksums. Both
-        // are refused by version, checksum or not.
+        // Layout 2 stored 8-byte positions in padded blocks, layout 1
+        // interleaved keys, layout 0 no checksums. All are refused by
+        // version, checksum or not.
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        for version in [0u8, 1, 3] {
-            let mut raw = header().encode();
-            raw[50] = version;
-            let crc = crc32(&raw[..60]);
-            raw[60..64].copy_from_slice(&crc.to_le_bytes());
-            f.write_all_at(&raw, 0).unwrap();
+        for version in [0u8, 1, 2, 4] {
+            f.write_all_at(&rewritten(50, version), 0).unwrap();
             match IndexHeader::read_from(&f) {
                 Err(Error::Corrupt(msg)) => {
                     assert!(msg.contains(&format!("layout version {version}")), "{msg}")
                 }
                 other => panic!("version {version}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn header_refuses_position_widths_and_refinement_it_cannot_read() {
+        let dir = TempDir::new("layout").unwrap();
+        let f = mk_file(&dir);
+        for width in [0u8, 9, 255] {
+            f.write_all_at(&rewritten(51, width), 0).unwrap();
+            match IndexHeader::read_from(&f) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("positions of {width} bytes")),
+                        "{msg}"
+                    )
+                }
+                other => panic!("width {width}: {other:?}"),
+            }
+        }
+        for width in 1..=8u8 {
+            f.write_all_at(&rewritten(51, width), 0).unwrap();
+            assert_eq!(IndexHeader::read_from(&f).unwrap().pos_bytes, width);
+        }
+        for bits in [4u8, 8] {
+            f.write_all_at(&rewritten(52, bits), 0).unwrap();
+            match IndexHeader::read_from(&f) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("column of {bits} bits")), "{msg}")
+                }
+                other => panic!("refine bits {bits}: {other:?}"),
             }
         }
     }
@@ -726,22 +916,19 @@ mod tests {
             LeafMeta {
                 first_key: ZKey(1),
                 count: 10,
-                block: 0,
-                blocks_used: 1,
+                offset: LEAF_REGION_OFFSET,
                 crc: 0xDEAD_BEEF,
             },
             LeafMeta {
                 first_key: ZKey(500),
                 count: 2000,
-                block: 1,
-                blocks_used: 1,
+                offset: LEAF_REGION_OFFSET + 190,
                 crc: 7,
             },
             LeafMeta {
                 first_key: ZKey(u128::MAX),
                 count: 4100,
-                block: 2,
-                blocks_used: 3,
+                offset: u64::MAX - 1,
                 crc: 0,
             },
         ];
@@ -753,17 +940,23 @@ mod tests {
 
     #[test]
     fn old_directory_version_is_refused() {
-        // The pre-checksum `DIR1` encoding: 28-byte records, no CRCs.
+        // The pre-checksum `DIR1` encoding (28-byte records, no CRCs) and
+        // the block-numbered `DIR2` one.
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"DIR1");
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 28]);
-        let off = f.append(&buf).unwrap();
-        match read_directory(&f, off) {
-            Err(Error::Corrupt(msg)) => assert!(msg.contains("version DIR1"), "{msg}"),
-            other => panic!("{other:?}"),
+        for (magic, record) in [(b"DIR1", 28), (b"DIR2", 32)] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(magic);
+            buf.extend_from_slice(&1u64.to_le_bytes());
+            buf.resize(buf.len() + record + 4, 0);
+            let off = f.append(&buf).unwrap();
+            let version = String::from_utf8_lossy(magic).into_owned();
+            match read_directory(&f, off) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("version {version}")), "{msg}")
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 
@@ -774,8 +967,7 @@ mod tests {
         let leaves = vec![LeafMeta {
             first_key: ZKey(42),
             count: 3,
-            block: 0,
-            blocks_used: 1,
+            offset: LEAF_REGION_OFFSET,
             crc: 17,
         }];
         let off = write_directory(&f, &leaves).unwrap();
@@ -795,9 +987,9 @@ mod tests {
         assert!(err.to_string().contains("truncated"), "{err}");
     }
 
-    /// Write entries `range` of `e` as `block` of `store`; returns its
-    /// directory record.
-    fn write(store: &LeafStore, block: u32, e: &LeafEntries, range: Range<usize>) -> LeafMeta {
+    /// Write entries `range` of `e` as the leaf at `offset` of `store`;
+    /// returns its directory record.
+    fn write(store: &LeafStore, offset: u64, e: &LeafEntries, range: Range<usize>) -> LeafMeta {
         let stride = e.payloads.len() / e.len();
         let part = LeafEntries {
             keys: e.keys[range.clone()].to_vec(),
@@ -806,14 +998,12 @@ mod tests {
         };
         let mut leaf = Vec::new();
         store.codec().encode(&part, &mut leaf);
-        let crc = crc32(&leaf);
-        let blocks_used = store.write_leaf(block, &mut leaf).unwrap();
+        store.file().write_all_at(&leaf, offset).unwrap();
         LeafMeta {
             first_key: e.keys[range.start],
             count: range.len() as u32,
-            block,
-            blocks_used,
-            crc,
+            offset,
+            crc: crc32(store.codec().scanned(&leaf)),
         }
     }
 
@@ -822,18 +1012,17 @@ mod tests {
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
         let s = sax(16, 16);
-        let store = LeafStore::new(f, LeafCodec::new(&s, false), 3); // 3 entries per block
-        assert_eq!(store.block_bytes(), 72);
-        // Leaf 0: two entries (partially full block); leaf 1 after it.
+        let store = LeafStore::new(f, LeafCodec::new(&s, false, 2));
+        // Leaf 0 holds two entries, leaf 1 three, right after it.
         let e = entries(&s, 5, false);
-        let leaf0 = write(&store, 0, &e, 0..2);
-        let leaf1 = write(&store, 1, &e, 2..5);
-        assert_eq!((leaf0.blocks_used, leaf1.blocks_used), (1, 1));
+        let leaf0 = write(&store, LEAF_REGION_OFFSET, &e, 0..2);
+        let leaf1 = write(&store, store.leaf_span(&leaf0).end, &e, 2..5);
+        assert_eq!(leaf1.offset, LEAF_REGION_OFFSET + 2 * 18);
         let mut buf = Vec::new();
         let mut back = LeafEntries::default();
-        for (leaf, range) in [(leaf0, 0..2), (leaf1, 2..5)] {
-            store.read_leaf(&leaf, &mut buf).unwrap();
-            assert_eq!(buf.len(), range.len() * 24);
+        for (i, (leaf, range)) in [(leaf0, 0..2), (leaf1, 2..5)].into_iter().enumerate() {
+            store.read_leaf(i, &leaf, &mut buf).unwrap();
+            assert_eq!(buf.len(), range.len() * 18);
             store.codec().decode(&buf, &mut back);
             assert_eq!(back.keys, e.keys[range.clone()]);
             assert_eq!(back.pos, e.pos[range]);
@@ -845,42 +1034,75 @@ mod tests {
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
         let s = sax(16, 16);
-        let store = LeafStore::new(f.clone(), LeafCodec::new(&s, false), 3);
-        let leaf = write(&store, 0, &entries(&s, 1, false), 0..1);
+        let store = LeafStore::new(f.clone(), LeafCodec::new(&s, false, 2));
+        let leaf = write(&store, LEAF_REGION_OFFSET, &entries(&s, 1, false), 0..1);
         // Reads verify fine, then a bit flips on disk (in the position).
         let mut buf = Vec::new();
-        store.read_leaf(&leaf, &mut buf).unwrap();
+        store.read_leaf(3, &leaf, &mut buf).unwrap();
         let mut byte = [0u8; 1];
         f.read_exact_at(&mut byte, LEAF_REGION_OFFSET + 16).unwrap();
         byte[0] ^= 0x80;
         f.write_all_at(&byte, LEAF_REGION_OFFSET + 16).unwrap();
-        let err = store.read_leaf(&leaf, &mut buf).unwrap_err();
+        let err = store.read_leaf(3, &leaf, &mut buf).unwrap_err();
+        assert!(err.to_string().contains("leaf 3 "), "{err}");
         assert!(err.to_string().contains("failed checksum"), "{err}");
         // A CRC of 0 is a checksum like any other, not a pass.
         let zero = LeafMeta { crc: 0, ..leaf };
-        assert!(store.read_leaf(&zero, &mut buf).is_err());
+        assert!(store.read_leaf(3, &zero, &mut buf).is_err());
     }
 
     #[test]
-    fn oversized_leaf_spans_blocks() {
+    fn a_flipped_payload_names_its_position() {
+        let dir = TempDir::new("layout").unwrap();
+        let f = mk_file(&dir);
+        let s = sax(4, 4);
+        let store = LeafStore::new(f.clone(), LeafCodec::new(&s, true, 2));
+        let e = entries(&s, 5, true);
+        let leaf = write(&store, LEAF_REGION_OFFSET, &e, 0..5);
+        let mut buf = Vec::new();
+        store.read_leaf(0, &leaf, &mut buf).unwrap();
+        // Entry 3's payload CRC, then its payload: each flip fails the read
+        // naming position 9,997, and the leaf CRC does not see it.
+        let crcs = LEAF_REGION_OFFSET + 5 * (4 + 2);
+        for at in [crcs + 3 * 4 + 1, crcs + 5 * 4 + 3 * 16 + 7] {
+            let mut byte = [0u8; 1];
+            f.read_exact_at(&mut byte, at).unwrap();
+            f.write_all_at(&[byte[0] ^ 0x04], at).unwrap();
+            match store.read_leaf(0, &leaf, &mut buf) {
+                Err(Error::Corrupt(msg)) => {
+                    assert!(msg.contains("payload of position 9997"), "{msg}")
+                }
+                other => panic!("{other:?}"),
+            }
+            let scanned = store.codec().scanned(&buf);
+            assert!(store.check_leaf(0, &leaf, scanned).is_ok());
+            f.write_all_at(&byte, at).unwrap();
+        }
+        store.read_leaf(0, &leaf, &mut buf).unwrap();
+    }
+
+    #[test]
+    fn oversized_leaf_is_one_leaf() {
+        // A leaf of more entries than any capacity is stored like any
+        // other: `count × entry_bytes` from its offset, and the next leaf
+        // right after it.
         let dir = TempDir::new("layout").unwrap();
         let f = mk_file(&dir);
         let s = sax(16, 16);
         for materialized in [false, true] {
-            let store = LeafStore::new(f.clone(), LeafCodec::new(&s, materialized), 2);
-            // 5 entries of 2 per block -> 3 blocks, then a leaf after them.
+            let store = LeafStore::new(f.clone(), LeafCodec::new(&s, materialized, 2));
             let e = entries(&s, 6, materialized);
-            let big = write(&store, 0, &e, 0..5);
-            assert_eq!(big.blocks_used, 3);
-            let next = write(&store, 3, &e, 5..6);
+            let big = write(&store, LEAF_REGION_OFFSET, &e, 0..5);
+            let next = write(&store, store.leaf_span(&big).end, &e, 5..6);
             let mut buf = Vec::new();
             let mut back = LeafEntries::default();
-            store.read_leaf(&big, &mut buf).unwrap();
+            store.read_leaf(0, &big, &mut buf).unwrap();
+            assert_eq!(buf.len(), 5 * store.codec().entry_bytes());
             store.codec().decode(&buf, &mut back);
             assert_eq!(back.keys, e.keys[..5]);
             assert_eq!(back.pos, e.pos[..5]);
             assert_eq!(back.payloads, e.payloads[..e.payloads.len() * 5 / 6]);
-            store.read_leaf(&next, &mut buf).unwrap();
+            store.read_leaf(1, &next, &mut buf).unwrap();
             assert_eq!(store.codec().parts(&buf).pos(0), e.pos[5]);
         }
     }

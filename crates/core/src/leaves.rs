@@ -67,8 +67,8 @@ use coconut_summary::{SaxConfig, ZKey};
 use crate::builder::BuildReport;
 use crate::config::{BuildOptions, IndexConfig};
 use crate::layout::{
-    crc32, read_directory, write_directory, IndexHeader, LeafCodec, LeafEntries, LeafMeta,
-    LeafStore, ScrubReport, LEAF_REGION_OFFSET,
+    crc32, pos_bytes, read_directory, write_directory, IndexHeader, LeafCodec, LeafEntries,
+    LeafMeta, LeafStore, Positions, ScrubReport, LEAF_REGION_OFFSET,
 };
 use crate::query::{first, Kind, Metric, Query};
 use crate::records::SortedRecord;
@@ -127,7 +127,8 @@ pub struct Unbuilt(());
 /// The in-memory summarizations SIMS scans, in leaf order: per leaf a
 /// symbol box (from the directory, always there) and a [`LeafBlock`]
 /// verified the first time a query touches the leaf — 16 B of symbols and
-/// 8 B of position per entry at the default configuration.
+/// 3 B of position per entry at the default configuration and a million
+/// series.
 ///
 /// The blocks are the stored leaves themselves, borrowed from a read-only
 /// mapping of the index file made by the first block a query asks for:
@@ -136,6 +137,8 @@ pub struct Unbuilt(());
 /// dropped.
 pub struct Summaries {
     segments: usize,
+    /// Bytes per stored position.
+    pos_bytes: usize,
     /// First scan index of each leaf, plus the total.
     leaf_starts: Vec<usize>,
     /// Per leaf, `segments` lower then `segments` upper symbol bounds.
@@ -157,25 +160,27 @@ pub struct LeafBlock<'a> {
     /// sits at `j * count + e`, so one segment of eight consecutive entries
     /// is one 8-byte load.
     pub symbols: &'a [u8],
-    /// The entries' raw-file positions, little-endian: they start
-    /// `segments × count` bytes into the leaf, so in general not 8-aligned.
-    positions: &'a [u8],
+    /// The entries' raw-file positions, little-endian and `pos_bytes` wide:
+    /// they start `segments × count` bytes into the leaf, so in general not
+    /// aligned.
+    positions: Positions<'a>,
 }
 
 impl LeafBlock<'_> {
     /// Split the stored bytes of a leaf of `count` entries under `segments`
-    /// symbols per entry (`stored` may run on past the positions).
-    fn new(stored: &[u8], segments: usize, count: usize) -> LeafBlock<'_> {
+    /// symbols and `pos_bytes` position bytes per entry (`stored` may run on
+    /// past the positions).
+    fn new(stored: &[u8], segments: usize, pos_bytes: usize, count: usize) -> LeafBlock<'_> {
         let (symbols, rest) = stored.split_at(segments * count);
         LeafBlock {
             symbols,
-            positions: &rest[..8 * count],
+            positions: Positions::new(&rest[..pos_bytes * count], pos_bytes),
         }
     }
 
     /// Entries in the leaf.
     pub fn len(&self) -> usize {
-        self.positions.len() / 8
+        self.positions.len()
     }
 
     /// True when the leaf holds no entry.
@@ -186,7 +191,7 @@ impl LeafBlock<'_> {
     /// The raw-file position of entry `entry`.
     #[inline]
     pub fn pos(&self, entry: usize) -> u64 {
-        crate::le::u64(&self.positions[8 * entry..8 * entry + 8])
+        self.positions.get(entry)
     }
 }
 
@@ -220,46 +225,46 @@ impl LeafFile {
         Ok(self.mapping.get_or_init(|| mapped))
     }
 
-    /// The stored bytes of leaf `leaf` in the mapping, and the file range
-    /// of the blocks they start: an [`Error::Corrupt`] if the file ends
-    /// before them.
-    fn stored(&self, leaf: usize) -> Result<(&[u8], Range<usize>)> {
-        let (blocks, stored_end) = self.store.leaf_span(&self.leaves[leaf]);
-        let blocks = blocks.start as usize..blocks.end as usize;
+    /// The stored bytes of leaf `leaf` in the mapping: an
+    /// [`Error::Corrupt`] if the file ends before them.
+    fn stored(&self, leaf: usize) -> Result<&[u8]> {
+        let span = self.store.leaf_span(&self.leaves[leaf]);
         let bytes = self.mapping()?.bytes();
-        let stored = bytes
-            .get(blocks.start..stored_end as usize)
+        bytes
+            .get(span.start as usize..span.end as usize)
             .ok_or_else(|| {
                 Error::corrupt(format!(
-                    "leaf block {} lies past the end of the index file",
-                    self.leaves[leaf].block
+                    "leaf {leaf} (byte {}) lies past the end of the index file",
+                    span.start
                 ))
-            })?;
-        Ok((stored, blocks))
+            })
     }
 
-    /// Every check a read of leaf `leaf` runs, on its bytes in place: the
-    /// `leaf.read` fault site, the bytes inside the file (counted as a read
-    /// of them), the CRC, every position inside the covered range. Then the
-    /// whole pages of its blocks past the positions — the payloads of a
-    /// materialized leaf, the padding of a part-full one — are handed back,
-    /// so the fault-around that mapped them keeps none of them resident.
+    /// Every check a first use of leaf `leaf` runs, on its bytes in place:
+    /// the `leaf.read` fault site, the leaf inside the file, the CRC of its
+    /// symbols and positions (counted as a read of them), every position
+    /// inside the covered range. Then the whole pages past the positions —
+    /// the payloads of a materialized leaf — are handed back, so the
+    /// fault-around that mapped them keeps none of them resident.
     fn verify(&self, leaf: usize, segments: usize) -> Result<()> {
         coconut_storage::fault::check("leaf.read")?;
         let meta = &self.leaves[leaf];
-        let (stored, blocks) = self.stored(leaf)?;
+        let stored = self.stored(leaf)?;
+        let codec = self.store.codec();
+        let scanned = codec.scanned(stored);
         self.store
             .file()
-            .record_mapped_read(blocks.start as u64, stored.len() as u64);
-        self.store.check_leaf(meta, stored)?;
-        let block = LeafBlock::new(stored, segments, meta.count as usize);
+            .record_mapped_read(meta.offset, scanned.len() as u64);
+        self.store.check_leaf(leaf, meta, scanned)?;
+        let block = LeafBlock::new(scanned, segments, codec.pos_bytes(), meta.count as usize);
         if !(0..block.len()).all(|e| self.range.contains(&block.pos(e))) {
             return Err(Error::corrupt(
                 "index does not cover a contiguous position range",
             ));
         }
-        let positions_end = blocks.start + (segments + 8) * block.len();
-        self.mapping()?.drop_pages(positions_end..blocks.end);
+        let start = meta.offset as usize;
+        self.mapping()?
+            .drop_pages(start + scanned.len()..start + stored.len());
         Ok(())
     }
 }
@@ -283,7 +288,8 @@ impl Summaries {
             leaves.push(&entries[start..end]);
             start = end;
         }
-        let codec = LeafCodec::new(sax, false);
+        let largest = entries.iter().map(|&(_, pos)| pos).max().unwrap_or(0);
+        let codec = LeafCodec::new(sax, false, pos_bytes(largest));
         let mut stored = Vec::with_capacity(entries.len() * codec.entry_bytes());
         let mut leaf_entries = LeafEntries::default();
         for leaf in &leaves {
@@ -294,13 +300,14 @@ impl Summaries {
             codec.encode(&leaf_entries, &mut stored);
         }
         let leaves = leaves.iter().map(|leaf| (leaf[0].0, leaf.len()));
-        Self::new(sax, leaves, Blocks::Owned(stored))
+        Self::new(sax, codec.pos_bytes(), leaves, Blocks::Owned(stored))
     }
 
     /// The directory level alone — O(leaves), nothing read: `leaves` yields
     /// each leaf's `(first key, entry count)` in order.
     fn new(
         sax: &SaxConfig,
+        pos_bytes: usize,
         leaves: impl Iterator<Item = (ZKey, usize)> + Clone,
         blocks: Blocks,
     ) -> Self {
@@ -325,6 +332,7 @@ impl Summaries {
         let in_place = matches!(blocks, Blocks::Owned(_));
         Summaries {
             segments: w,
+            pos_bytes,
             loaded: (1..leaf_starts.len())
                 .map(|_| AtomicBool::new(in_place))
                 .collect(),
@@ -388,7 +396,7 @@ impl Summaries {
         let count = self.leaf_len(leaf);
         let stored = match &self.blocks {
             Blocks::Owned(stored) => {
-                let entry = self.segments + 8;
+                let entry = self.segments + self.pos_bytes;
                 &stored[self.leaf_starts[leaf] * entry..self.leaf_starts[leaf + 1] * entry]
             }
             Blocks::File(file) => {
@@ -400,10 +408,10 @@ impl Summaries {
                     }
                     drop(verifying);
                 }
-                file.stored(leaf)?.0
+                file.stored(leaf)?
             }
         };
-        Ok(LeafBlock::new(stored, self.segments, count))
+        Ok(LeafBlock::new(stored, self.segments, self.pos_bytes, count))
     }
 }
 
@@ -420,7 +428,6 @@ pub struct SortedLeafIndex<D> {
     pub(crate) dir: D,
     summaries: Summaries,
     pub(crate) entry_count: u64,
-    next_block: u32,
     /// Positions covered: `range.start..range.end` of the dataset.
     pub(crate) range: Range<u64>,
     pub(crate) build_report: BuildReport,
@@ -481,11 +488,14 @@ impl<D: Directory> SortedLeafIndex<D> {
             &path,
             Arc::clone(dataset.file().stats()),
         )?);
+        // Positions take the fewest bytes that hold the largest one the
+        // range covers.
+        let pos_bytes = pos_bytes(range.end.saturating_sub(1));
         Ok(Self::over(
             file,
             dataset,
             *config,
-            opts.materialized,
+            LeafCodec::new(&config.sax, opts.materialized, pos_bytes),
             opts.threads,
             range,
             D::empty(config),
@@ -496,23 +506,27 @@ impl<D: Directory> SortedLeafIndex<D> {
         file: Arc<CountedFile>,
         dataset: &Dataset,
         config: IndexConfig,
-        materialized: bool,
+        codec: LeafCodec,
         threads: usize,
         range: Range<u64>,
         dir: D,
     ) -> Self {
-        let codec = LeafCodec::new(&config.sax, materialized);
+        let empty = Summaries::new(
+            &config.sax,
+            codec.pos_bytes(),
+            std::iter::empty(),
+            Blocks::Owned(Vec::new()),
+        );
         SortedLeafIndex {
             config,
-            materialized,
+            materialized: codec.is_materialized(),
             threads: threads.max(1),
             dataset: dataset.clone(),
-            store: LeafStore::new(file, codec, config.leaf_capacity),
+            store: LeafStore::new(file, codec),
             leaves: Vec::new(),
             dir,
-            summaries: Summaries::new(&config.sax, std::iter::empty(), Blocks::Owned(Vec::new())),
+            summaries: empty,
             entry_count: 0,
-            next_block: 0,
             range,
             build_report: BuildReport::default(),
         }
@@ -594,24 +608,27 @@ impl<D: Directory> SortedLeafIndex<D> {
             mapping: OnceLock::new(),
         };
         let leaves = self.leaves.iter().map(|l| (l.first_key, l.count as usize));
-        self.summaries = Summaries::new(&self.config.sax, leaves, Blocks::File(file));
+        let pos_bytes = self.store.codec().pos_bytes();
+        self.summaries = Summaries::new(&self.config.sax, pos_bytes, leaves, Blocks::File(file));
     }
 
-    /// Write `entries` (not empty) as the next leaf at the end of the leaf
-    /// region, and record it in the directory.
+    /// Write `entries` (not empty) as the next leaf, right where the last
+    /// one ends, and record it in the directory.
     pub(crate) fn push_leaf(&mut self, entries: &LeafEntries) -> Result<()> {
-        let mut leaf = Vec::new();
-        self.store.codec().encode(entries, &mut leaf);
-        let crc = crc32(&leaf);
-        let meta = LeafMeta {
+        let codec = self.store.codec();
+        let mut leaf = Vec::with_capacity(entries.len() * codec.entry_bytes());
+        codec.encode(entries, &mut leaf);
+        let offset = self
+            .leaves
+            .last()
+            .map_or(LEAF_REGION_OFFSET, |last| self.store.leaf_span(last).end);
+        self.store.file().write_all_at(&leaf, offset)?;
+        self.leaves.push(LeafMeta {
             first_key: entries.keys()[0],
             count: entries.len() as u32,
-            block: self.next_block,
-            blocks_used: self.store.write_leaf(self.next_block, &mut leaf)?,
-            crc,
-        };
-        self.next_block += meta.blocks_used;
-        self.leaves.push(meta);
+            offset,
+            crc: crc32(codec.scanned(&leaf)),
+        });
         Ok(())
     }
 
@@ -633,10 +650,10 @@ impl<D: Directory> SortedLeafIndex<D> {
             card_bits: self.config.sax.card_bits,
             leaf_capacity: self.config.leaf_capacity as u32,
             entry_count: self.entry_count,
-            num_blocks: self.next_block as u64,
             dir_offset,
             tail_version,
             split_policy: self.config.split_policy.as_u8(),
+            pos_bytes: self.store.codec().pos_bytes() as u8,
         };
         header.write_to(file)?;
         file.sync()
@@ -697,18 +714,10 @@ impl<D: Directory> SortedLeafIndex<D> {
         // the common whole-dataset case (the LSM manifest tells
         // `open_range`), and every leaf block loaded cross-checks its
         // entries' positions against it.
-        let mut index = Self::over(
-            file,
-            dataset,
-            config,
-            header.materialized,
-            threads,
-            range,
-            dir,
-        );
+        let codec = LeafCodec::new(&config.sax, header.materialized, header.pos_bytes as usize);
+        let mut index = Self::over(file, dataset, config, codec, threads, range, dir);
         index.leaves = leaves;
         index.entry_count = header.entry_count;
-        index.next_block = header.num_blocks as u32;
         index.leaves_changed();
         Ok(index)
     }
@@ -768,17 +777,20 @@ impl<D: Directory> SortedLeafIndex<D> {
         self.summaries.loaded_blocks()
     }
 
-    /// Mean leaf occupancy relative to the slots of the blocks the leaves
-    /// occupy — near the fill factor for median packing, low by
-    /// construction for prefix splitting (the paper reports ~10%).
+    /// Mean leaf occupancy relative to the capacity the leaves were cut for
+    /// (an oversized leaf counts as many capacities as it needs) — near the
+    /// fill factor for median packing, low by construction for prefix
+    /// splitting (the paper reports ~10%). Leaves are stored packed, so
+    /// this is a property of the cut, not of the file's size.
     pub fn avg_fill(&self) -> f64 {
         if self.leaves.is_empty() {
             return 0.0;
         }
+        let capacity = self.config.leaf_capacity as u64;
         let slots: u64 = self
             .leaves
             .iter()
-            .map(|l| l.blocks_used as u64 * self.config.leaf_capacity as u64)
+            .map(|l| (l.count as u64).div_ceil(capacity) * capacity)
             .sum();
         self.entry_count as f64 / slots as f64
     }
@@ -849,7 +861,7 @@ impl<D: Directory> SortedLeafIndex<D> {
                 }
                 if self.materialized {
                     if !payloads_read {
-                        self.store.read_leaf(&self.leaves[l], &mut leaf_buf)?;
+                        self.store.read_leaf(l, &self.leaves[l], &mut leaf_buf)?;
                         payloads_read = true;
                     }
                     let parts = self.store.codec().parts(&leaf_buf);
@@ -1055,7 +1067,8 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
             _ => {
                 let l = starts.partition_point(|&s| s <= i) - 1;
                 self.leaf = None;
-                self.store.read_leaf(&self.leaves[l], &mut self.leaf_buf)?;
+                self.store
+                    .read_leaf(l, &self.leaves[l], &mut self.leaf_buf)?;
                 self.leaf = Some(l);
                 l
             }
@@ -1100,22 +1113,19 @@ pub(crate) mod tests {
     use coconut_series::gen::RandomWalkGen;
     use coconut_storage::{IoStats, TempDir};
 
-    /// The directory of `index` lays its leaves back to back from block 0:
-    /// leaf `i + 1` starts where leaf `i`'s blocks end, and the last leaf
-    /// ends at the header's `num_blocks`, where the directory follows.
+    /// The directory of `index` lays its leaves back to back from the end of
+    /// the header page: leaf `i + 1` starts at the byte where leaf `i`'s
+    /// `count × entry_bytes` end, and the directory starts where the last
+    /// leaf ends.
     pub(crate) fn assert_packed<D: Directory>(index: &SortedLeafIndex<D>) {
-        let mut end = 0;
+        let entry_bytes = index.store.codec().entry_bytes() as u64;
+        let mut end = LEAF_REGION_OFFSET;
         for (i, leaf) in index.leaves.iter().enumerate() {
-            assert_eq!(leaf.block, end, "leaf {i} of {}", index.leaves.len());
-            end = leaf.block + leaf.blocks_used;
+            assert_eq!(leaf.offset, end, "leaf {i} of {}", index.leaves.len());
+            end += leaf.count as u64 * entry_bytes;
         }
         let header = IndexHeader::read_from(index.store.file()).unwrap();
-        assert_eq!(end as u64, header.num_blocks);
-        let block_bytes = index.store.block_bytes() as u64;
-        assert_eq!(
-            header.dir_offset,
-            LEAF_REGION_OFFSET + header.num_blocks * block_bytes
-        );
+        assert_eq!(header.dir_offset, end);
     }
 
     #[test]

@@ -1841,6 +1841,67 @@ mod tests {
     }
 
     #[test]
+    fn runs_straddling_position_256_store_positions_at_their_own_width() {
+        // Run 0..256 stores 1-byte positions and run 256..400 2-byte ones;
+        // the merge of both covers 0..400 and stores 2-byte positions. Every
+        // layout answers exactly like a scan.
+        let dir = TempDir::new("lsm").unwrap();
+        let stats = Arc::new(IoStats::new());
+        for materialized in [false, true] {
+            let path = dir.path().join(format!("data-{materialized}.bin"));
+            let mut gen = RandomWalkGen::new(256);
+            let opts = BuildOptions {
+                materialized,
+                ..BuildOptions::default()
+            };
+            let idx_dir = dir.path().join(format!("idx-{materialized}"));
+            let lsm = LsmCoconut::new(small_config(), opts.clone(), &idx_dir).unwrap();
+            let mut all = Vec::new();
+            let mut ds = None;
+            for n in [256, 144] {
+                let (d, grown) = grow_dataset(&path, &stats, &mut gen, &all, n);
+                all = grown;
+                lsm.ingest(&d).unwrap();
+                ds = Some(d);
+            }
+            let widths = |lsm: &LsmCoconut| -> Vec<usize> {
+                let snapshot = lsm.snapshot();
+                let runs = snapshot.runs();
+                runs.iter().map(|r| r.store.codec().pos_bytes()).collect()
+            };
+            let answers_exactly = |lsm: &LsmCoconut| {
+                for seed in 0..6 {
+                    // Members of either run, and random walks.
+                    let q = match seed {
+                        0 => all[255].clone(),
+                        1 => all[256].clone(),
+                        2 => all[399].clone(),
+                        _ => query(600 + seed),
+                    };
+                    let mut want: Vec<(u64, f64)> = all
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| (i as u64, euclidean(&q, s)))
+                        .collect();
+                    want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                    let (top, _) = lsm.search(&q, &Query::knn(10)).unwrap();
+                    let got: Vec<(u64, f64)> = top.iter().map(|a| (a.pos, a.dist)).collect();
+                    assert_eq!(got, want[..10], "seed {seed}, materialized={materialized}");
+                }
+            };
+            assert_eq!(widths(&lsm), [1, 2], "materialized={materialized}");
+            answers_exactly(&lsm);
+            lsm.compact().unwrap();
+            assert_eq!(widths(&lsm), [2], "materialized={materialized}");
+            answers_exactly(&lsm);
+            drop(lsm);
+            let reopened = LsmCoconut::open(&idx_dir, ds.as_ref().unwrap(), opts).unwrap();
+            assert_eq!(widths(&reopened), [2], "materialized={materialized}");
+            answers_exactly(&reopened);
+        }
+    }
+
+    #[test]
     fn knn_and_range_merge_across_runs() {
         let dir = TempDir::new("lsm").unwrap();
         let stats = Arc::new(IoStats::new());

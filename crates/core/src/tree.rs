@@ -236,7 +236,7 @@ impl<R: SortedRecord> RecordStream for LeafEntryStream<'_, R> {
             let Some(meta) = self.leaves.get(self.next_leaf) else {
                 return Ok(None);
             };
-            self.store.read_leaf(meta, &mut self.buf)?;
+            self.store.read_leaf(self.next_leaf, meta, &mut self.buf)?;
             self.store.codec().decode(&self.buf, &mut self.entries);
             self.next_leaf += 1;
             self.slot = 0;

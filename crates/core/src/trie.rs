@@ -673,11 +673,9 @@ mod tests {
         assert!(trie.avg_fill() < 0.9, "fill {}", trie.avg_fill());
         // Every leaf respects capacity (no oversized leaves for random data).
         assert!(trie.leaves.iter().all(|l| l.count as usize <= 32));
-        // Leaves are written contiguously: block numbers increase by
-        // blocks_used.
-        for w in trie.leaves.windows(2) {
-            assert_eq!(w[1].block, w[0].block + w[0].blocks_used);
-        }
+        // Leaves are written back to back: each starts where the one before
+        // it ends.
+        crate::leaves::tests::assert_packed(&trie);
     }
 
     #[test]
@@ -786,7 +784,8 @@ mod tests {
             CoconutTrie::build(&ds, &small_config(), dir.path(), BuildOptions::default()).unwrap();
         assert_eq!(trie.leaf_count(), 1);
         assert_eq!(trie.leaves[0].count, 100);
-        assert!(trie.leaves[0].blocks_used > 1);
+        // Its fill counts the four capacities of 32 it needs.
+        assert_eq!(trie.avg_fill(), 100.0 / 128.0);
         // Queries still work.
         let q = query(1);
         let (ans, _) = trie.exact_search(&q).unwrap();

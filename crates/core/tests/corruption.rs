@@ -9,17 +9,23 @@
 //!
 //! Undetected-but-harmless damage (a flipped bit in padding) is allowed:
 //! the property only forbids silent wrongness.
+//!
+//! Beside the random damage, targeted flips hit each section of a stored
+//! leaf — symbols, positions, payload CRCs, payloads — and the header's
+//! version and position-width bytes, and expect the typed error that names
+//! what was damaged.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use coconut_core::{BuildOptions, IndexConfig, LsmCoconut};
+use coconut_core::layout::{crc32, read_directory, IndexHeader, LeafCodec};
+use coconut_core::{BuildOptions, CoconutTree, Error, IndexConfig, LsmCoconut};
 use coconut_series::dataset::{write_dataset, Dataset};
 use coconut_series::gen::RandomWalkGen;
 use coconut_series::index::Answer;
-use coconut_storage::{Deadline, IoStats, TempDir};
+use coconut_storage::{CountedFile, Deadline, IoStats, TempDir};
 
 const N: u64 = 200;
 const LEN: usize = 32;
@@ -185,4 +191,125 @@ proptest! {
         }
         check_damaged_index(&dir);
     }
+}
+
+/// A tree over the fixture's dataset, pointer or materialized, in its own
+/// directory under `dir`; returns the index file.
+fn built_tree(dir: &TempDir, materialized: bool) -> PathBuf {
+    let opts = BuildOptions {
+        materialized,
+        ..BuildOptions::default()
+    };
+    let tree = CoconutTree::build(&open_dataset(), &config(), dir.path(), opts).unwrap();
+    tree.index_path().to_path_buf()
+}
+
+/// XOR `mask` into the byte at `at` of the file at `path`.
+fn flip(path: &Path, at: u64, mask: u8) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[at as usize] ^= mask;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Open the tree at `path` and expect the scrub and a query for `member`
+/// to fail with an [`Error::Corrupt`] containing `names`.
+fn assert_corrupt_naming(path: &Path, member: u64, names: &str, what: &str) {
+    let ds = open_dataset();
+    let tree = CoconutTree::open(path, &ds, 1).unwrap();
+    match tree.verify() {
+        Err(Error::Corrupt(msg)) => assert!(msg.contains(names), "{what}: scrub said {msg}"),
+        other => panic!("{what}: scrub gave {other:?}"),
+    }
+    match tree.exact_search(&ds.get(member).unwrap()) {
+        Err(Error::Corrupt(msg)) => assert!(msg.contains(names), "{what}: query said {msg}"),
+        other => panic!("{what}: query gave {other:?}"),
+    }
+}
+
+#[test]
+fn a_flip_in_each_leaf_section_is_corrupt_naming_the_leaf_or_position() {
+    const VICTIM: usize = 3;
+    const SLOT: usize = 5;
+    for materialized in [false, true] {
+        let dir = TempDir::new("corruption-sections").unwrap();
+        let pristine = built_tree(&dir, materialized);
+        let file = CountedFile::open(&pristine, Arc::new(IoStats::new())).unwrap();
+        let header = IndexHeader::read_from(&file).unwrap();
+        let (leaves, _) = read_directory(&file, header.dir_offset).unwrap();
+        let (segments, pos_bytes) = (config().sax.segments, header.pos_bytes as usize);
+        let codec = LeafCodec::new(&config().sax, materialized, pos_bytes);
+        let leaf = leaves[VICTIM];
+        let count = leaf.count as usize;
+        let bytes = std::fs::read(&pristine).unwrap();
+        let stored = &bytes[leaf.offset as usize..][..count * codec.entry_bytes()];
+        let member = codec.parts(stored).pos(SLOT);
+
+        // Segment 2's symbol and the low byte of the position of entry
+        // `SLOT`, then its payload's CRC and one byte of its payload.
+        let positions = leaf.offset + (segments * count) as u64;
+        let crcs = positions + (pos_bytes * count) as u64;
+        let payloads = crcs + 4 * count as u64;
+        let leaf_name = format!("leaf {VICTIM} ");
+        let payload_name = format!("payload of position {member} ");
+        let mut sections = vec![
+            (
+                "symbol",
+                leaf.offset + (2 * count + SLOT) as u64,
+                &leaf_name,
+            ),
+            (
+                "position",
+                positions + (SLOT * pos_bytes) as u64,
+                &leaf_name,
+            ),
+        ];
+        if materialized {
+            let payload_at = payloads + (SLOT * 4 * config().sax.series_len) as u64 + 6;
+            sections.push(("payload crc", crcs + 4 * SLOT as u64 + 1, &payload_name));
+            sections.push(("payload", payload_at, &payload_name));
+        }
+        for (section, at, names) in sections {
+            let what = format!("{section}, materialized={materialized}");
+            let victim = dir.path().join("victim.idx");
+            std::fs::copy(&pristine, &victim).unwrap();
+            flip(&victim, at, 0x01);
+            assert_corrupt_naming(&victim, member, names, &what);
+        }
+    }
+}
+
+/// A copy of the index at `pristine` with header byte `at` set to `value`
+/// and the header CRC made valid again.
+fn with_header_byte(pristine: &Path, at: usize, value: u8) -> PathBuf {
+    let mut bytes = std::fs::read(pristine).unwrap();
+    bytes[at] = value;
+    let crc = crc32(&bytes[..60]);
+    bytes[60..64].copy_from_slice(&crc.to_le_bytes());
+    let path = pristine.with_extension(format!("{at}-{value}.idx"));
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+#[test]
+fn a_header_of_another_version_or_width_is_refused_at_open() {
+    let dir = TempDir::new("corruption-header").unwrap();
+    let pristine = built_tree(&dir, false);
+    let ds = open_dataset();
+    for (at, value, names) in [
+        (50, 2, "layout version 2"),
+        (51, 0, "positions of 0 bytes"),
+        (51, 9, "positions of 9 bytes"),
+        (52, 4, "refinement column of 4 bits"),
+    ] {
+        let path = with_header_byte(&pristine, at, value);
+        match CoconutTree::open(&path, &ds, 1) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains(names), "byte {at} = {value}: {msg}"),
+            Err(other) => panic!("byte {at} = {value}: {other}"),
+            Ok(_) => panic!("byte {at} = {value} opened"),
+        }
+    }
+    // Rewriting the width byte to the width it holds (1 byte: 200 series)
+    // leaves a file that opens.
+    let same = with_header_byte(&pristine, 51, 1);
+    assert!(CoconutTree::open(&same, &ds, 1).is_ok());
 }

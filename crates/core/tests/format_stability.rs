@@ -7,8 +7,10 @@
 //! A refactor of the builders must leave these untouched; a deliberate
 //! format change updates the goldens and the layout version
 //! (`coconut_core::layout::LAYOUT_VERSION`) in the same commit. The goldens
-//! below are layout version 2's: leaves stored as symbol blocks, and one
-//! trie tail encoding for both split policies.
+//! below are layout version 3's: leaves stored as symbol blocks packed back
+//! to back, positions 2 bytes wide (3,000 series), one CRC per payload in
+//! materialized leaves, and one trie tail encoding for both split
+//! policies.
 
 use std::sync::Arc;
 
@@ -66,9 +68,9 @@ fn index_files_match_their_golden_fingerprints() {
     }
 }
 
-const GOLDEN_CTREE_PTR: (u64, u32) = (78512, 2143144747);
-const GOLDEN_CTREE_FULL: (u64, u32) = (846512, 2204770559);
-const GOLDEN_CTRIE_PTR: (u64, u32) = (199041, 1571387234);
-const GOLDEN_CTRIE_FULL: (u64, u32) = (2175361, 2663726229);
-const GOLDEN_CTRIE_ADAPTIVE_PTR: (u64, u32) = (122502, 3149290158);
-const GOLDEN_CTRIE_ADAPTIVE_FULL: (u64, u32) = (1310342, 3040079402);
+const GOLDEN_CTREE_PTR: (u64, u32) = (60512, 2048663409);
+const GOLDEN_CTREE_FULL: (u64, u32) = (840512, 531230404);
+const GOLDEN_CTRIE_PTR: (u64, u32) = (67761, 944774872);
+const GOLDEN_CTRIE_FULL: (u64, u32) = (847761, 1317646165);
+const GOLDEN_CTRIE_ADAPTIVE_PTR: (u64, u32) = (65142, 4202916792);
+const GOLDEN_CTRIE_ADAPTIVE_FULL: (u64, u32) = (845142, 3767498753);

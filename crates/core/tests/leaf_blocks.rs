@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
-use coconut_core::layout::{IndexHeader, LEAF_REGION_OFFSET};
+use coconut_core::layout::{pos_bytes, IndexHeader, LEAF_REGION_OFFSET};
 use coconut_core::leaves::Summaries;
 use coconut_core::records::KeyPos;
 use coconut_core::sims::{sims_scan, Collector, Distance, Dtw, Ed, SeriesFetcher, Within};
@@ -31,6 +31,12 @@ use coconut_summary::ZKey;
 const LEN: usize = 64;
 const N: u64 = 3_000;
 const LEAF: usize = 10;
+
+/// Stored bytes per pointer entry: its symbols and its position, which
+/// takes the fewest bytes that hold `N - 1`.
+fn entry_bytes() -> usize {
+    config().sax.segments + pos_bytes(N - 1)
+}
 
 fn config() -> IndexConfig {
     let mut c = IndexConfig::default_for_len(LEN);
@@ -184,7 +190,8 @@ fn a_corrupt_leaf_fails_the_queries_that_touch_it_and_no_other() {
     let dir = TempDir::new("leaf-blocks").unwrap();
     let ds = dataset(&dir);
     let path = built_tree(&dir, &ds);
-    // Leaf 40 of the bulk-loaded file is its block 40; note who lives there.
+    // Leaf 40 of the bulk-loaded file starts 40 full leaves into its leaf
+    // region; note who lives there.
     const VICTIM: usize = 40;
     let inside: Vec<u64> = {
         let tree = CoconutTree::open(&path, &ds, 1).unwrap();
@@ -199,7 +206,7 @@ fn a_corrupt_leaf_fails_the_queries_that_touch_it_and_no_other() {
         leaves.nth(VICTIM).unwrap()
     };
     let file = CountedFile::open_rw(&path, Arc::new(IoStats::new())).unwrap();
-    let at = LEAF_REGION_OFFSET + (VICTIM * LEAF * 24) as u64 + 5;
+    let at = LEAF_REGION_OFFSET + (VICTIM * LEAF * entry_bytes()) as u64 + 5;
     let mut byte = [0u8];
     file.read_exact_at(&mut byte, at).unwrap();
     file.write_all_at(&[byte[0] ^ 0x10], at).unwrap();
@@ -232,8 +239,8 @@ fn a_cold_query_reads_the_stored_bytes_of_the_blocks_it_verifies() {
     let dir = TempDir::new("leaf-blocks").unwrap();
     let ds = dataset(&dir);
     let path = built_tree(&dir, &ds);
-    // Every leaf holds `LEAF` entries of `segments + 8` stored bytes.
-    let leaf_bytes = (LEAF * (config().sax.segments + 8)) as u64;
+    // Every leaf holds `LEAF` entries of `entry_bytes()` stored bytes.
+    let leaf_bytes = (LEAF * entry_bytes()) as u64;
     let series_bytes = (LEN * 4) as u64;
     for seed in 0..4 {
         for query in [Query::nearest(), Query::knn(10)] {
@@ -275,8 +282,7 @@ fn a_file_cut_after_open_fails_the_queries_that_need_a_cut_leaf() {
     assert_eq!(kept + cut.len(), N as usize);
 
     let tree = CoconutTree::open(&path, &ds, 2).unwrap();
-    let entry_bytes = (config().sax.segments + 8) as u64;
-    let at = LEAF_REGION_OFFSET + kept as u64 * entry_bytes + 7;
+    let at = LEAF_REGION_OFFSET + (kept * entry_bytes()) as u64 + 7;
     std::fs::OpenOptions::new()
         .write(true)
         .open(&path)

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds stay inside their memory budget, through the real `coconut` binary.
+# Builds stay inside their memory budget, and their files inside their
+# entries' bytes, through the real `coconut` binary.
 #
 #   scripts/build_memory.sh [path/to/coconut]
 #
@@ -10,15 +11,28 @@
 # the merge's read buffers and the one leaf being written. Both builds spill
 # sorted runs into their --out-dir, so the script also fails if that
 # directory holds anything but the index file afterwards.
+#
+# A pointer entry stores 16 symbol bytes and a position of the fewest bytes
+# that hold the largest position (3 at 400,000 series), and leaves are packed
+# back to back. So the script prints each index file's bytes per series and
+# fails above 16 + pos_bytes + 1: the one byte per series left over covers
+# the header, the leaf directory and the trie's nodes, but not a part-full
+# leaf padded to its capacity.
 set -euo pipefail
 
 coconut="${1:-target/release/coconut}"
 budget_mb=4
 slack_mb=12
+count=400000
+pos_bytes=1
+while (((count - 1) >> (8 * pos_bytes))); do
+    pos_bytes=$((pos_bytes + 1))
+done
+max_bytes_per_series=$((16 + pos_bytes + 1))
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-"$coconut" gen --kind randomwalk --count 400000 --len 128 --seed 1 "$work/data.ds" >/dev/null
+"$coconut" gen --kind randomwalk --count "$count" --len 128 --seed 1 "$work/data.ds" >/dev/null
 
 status=0
 for index in ctree ctrie; do
@@ -42,6 +56,16 @@ for index in ctree ctrie; do
         ls -la "$work/$index" >&2
         status=1
     fi
+    for idx in "$work/$index"/*.idx; do
+        bytes="$(wc -c <"$idx")"
+        per_series="$(awk -v b="$bytes" -v n="$count" 'BEGIN { printf "%.3f", b / n }')"
+        if awk -v p="$per_series" -v lim="$max_bytes_per_series" 'BEGIN { exit !(p > lim) }'; then
+            echo "$index: $(basename "$idx") takes $per_series B/series, above $max_bytes_per_series (16 + $pos_bytes + 1)" >&2
+            status=1
+        else
+            echo "$index: $(basename "$idx") takes $per_series B/series (at most $max_bytes_per_series)"
+        fi
+    done
     rm -rf "${work:?}/$index"
 done
 exit "$status"
