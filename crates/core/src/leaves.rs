@@ -830,7 +830,6 @@ impl<D: Directory> SortedLeafIndex<D> {
     ) -> Result<()> {
         let mut leaf_buf = Vec::new();
         let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let mut raw_bytes = Vec::new();
         let mut under = Vec::new();
         let mut order: Vec<(f64, u64, usize)> = Vec::new();
         let mut nearest_first: Vec<usize> = leaves.collect();
@@ -867,8 +866,7 @@ impl<D: Directory> SortedLeafIndex<D> {
                     let parts = self.store.codec().parts(&leaf_buf);
                     parts.series_into(slot, &mut series_buf);
                 } else {
-                    self.dataset
-                        .read_into_with(pos, &mut series_buf, &mut raw_bytes)?;
+                    self.dataset.read_into(pos, &mut series_buf)?;
                 }
                 stats.records_fetched += 1;
                 if let Some(dist) = metric.eval(&series_buf, hits.cutoff()) {
@@ -958,7 +956,6 @@ impl<D: Directory> SortedLeafIndex<D> {
         } else {
             let mut fetcher = RawFileFetcher {
                 dataset: &self.dataset,
-                bytes: Vec::new(),
             };
             sims_scan_except(
                 metric,
@@ -1027,18 +1024,16 @@ impl<D: Directory> SortedLeafIndex<D> {
 }
 
 /// SIMS fetcher for non-materialized indexes: candidates arrive in raw-file
-/// position order, so fetches walk the raw file forward (skip-sequential),
-/// through one byte buffer.
+/// position order, so fetches walk the raw file forward (skip-sequential).
 struct RawFileFetcher<'a> {
     dataset: &'a Dataset,
-    bytes: Vec<u8>,
 }
 
 impl SeriesFetcher for RawFileFetcher<'_> {
     const POSITION_ORDER: bool = true;
 
     fn fetch(&mut self, pos: u64, out: &mut [Value]) -> Result<u64> {
-        self.dataset.read_into_with(pos, out, &mut self.bytes)?;
+        self.dataset.read_into(pos, out)?;
         Ok(pos)
     }
 }

@@ -214,14 +214,9 @@ impl Dataset {
     }
 
     /// Read series `pos` into `out` (`out.len()` must equal `series_len`).
+    /// The read is the `dataset.read` fault site
+    /// ([`coconut_storage::fault`]).
     pub fn read_into(&self, pos: u64, out: &mut [Value]) -> Result<()> {
-        self.read_into_with(pos, out, &mut Vec::new())
-    }
-
-    /// [`Dataset::read_into`] through the caller's byte buffer `bytes`
-    /// (resized to one series), so a loop of fetches allocates once. The
-    /// read is the `dataset.read` fault site ([`coconut_storage::fault`]).
-    pub fn read_into_with(&self, pos: u64, out: &mut [Value], bytes: &mut Vec<u8>) -> Result<()> {
         coconut_storage::fault::check("dataset.read")?;
         if pos >= self.count {
             return Err(Error::invalid(format!(
@@ -232,10 +227,27 @@ impl Dataset {
         if out.len() != self.series_len {
             return Err(Error::invalid("output buffer length != series length"));
         }
-        bytes.resize(self.series_bytes(), 0);
-        self.file.read_exact_at(bytes, self.offset_of(pos))?;
-        for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            *o = le_value(chunk);
+        self.read_values_at(self.offset_of(pos), out)
+    }
+
+    /// Fill `out` from the file bytes at `offset`: read straight into the
+    /// values, then decode them from little-endian in place. The one raw
+    /// read behind both the point read and the scan.
+    fn read_values_at(&self, offset: u64, out: &mut [Value]) -> Result<()> {
+        // SAFETY: the byte view covers exactly `out`'s storage and is the
+        // only borrow of it while it lives; `u8` has alignment 1, and every
+        // bit pattern of four bytes is a valid `f32`, so whatever the read
+        // leaves there is a valid `Value`.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                out.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(out),
+            )
+        };
+        self.file.read_exact_at(bytes, offset)?;
+        // The identity on little-endian hosts, where it compiles away.
+        for v in out.iter_mut() {
+            *v = Value::from_bits(u32::from_le(v.to_bits()));
         }
         Ok(())
     }
@@ -272,7 +284,6 @@ pub struct DatasetScan<'a> {
     ds: &'a Dataset,
     next_pos: u64,
     end_pos: u64,
-    buf_bytes: Vec<u8>,
     buf_values: Vec<Value>,
     buf_first_pos: u64,
     buf_count: usize,
@@ -288,7 +299,6 @@ impl<'a> DatasetScan<'a> {
             ds,
             next_pos,
             end_pos,
-            buf_bytes: Vec::new(),
             buf_values: Vec::new(),
             buf_first_pos: next_pos,
             buf_count: 0,
@@ -306,16 +316,9 @@ impl<'a> DatasetScan<'a> {
             // Refill; never read past the scan's end position.
             let remaining = (self.end_pos - self.next_pos) as usize;
             let n = remaining.min(self.series_per_chunk);
-            let bytes = n * self.ds.series_bytes();
-            self.buf_bytes.resize(bytes, 0);
+            self.buf_values.resize(n * self.ds.series_len, 0.0);
             self.ds
-                .file
-                .read_exact_at(&mut self.buf_bytes, self.ds.offset_of(self.next_pos))?;
-            self.buf_values.clear();
-            self.buf_values.reserve(n * self.ds.series_len);
-            for chunk in self.buf_bytes.chunks_exact(4) {
-                self.buf_values.push(le_value(chunk));
-            }
+                .read_values_at(self.ds.offset_of(self.next_pos), &mut self.buf_values)?;
             self.buf_first_pos = self.next_pos;
             self.buf_count = n;
         }
@@ -365,12 +368,6 @@ fn le_u64(b: &[u8]) -> u64 {
     let mut bytes = [0u8; 8];
     bytes.copy_from_slice(b);
     u64::from_le_bytes(bytes)
-}
-
-fn le_value(b: &[u8]) -> Value {
-    let mut bytes = [0u8; 4];
-    bytes.copy_from_slice(b);
-    Value::from_le_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -490,6 +487,58 @@ mod tests {
         assert_eq!(positions, (0..257).collect::<Vec<_>>());
         let delta = st.snapshot().since(&before);
         assert_eq!(delta.bytes_read, 257 * 16 * 4, "shards must not re-read");
+    }
+
+    #[test]
+    fn reads_return_every_bit_pattern_unchanged() {
+        // Values a decode could disturb: signed zero, NaN payloads (quiet
+        // and signalling), subnormals, infinities and the extremes.
+        let patterns: Vec<Value> = [
+            0x8000_0000u32, // -0.0
+            0x7fc0_1234,    // quiet NaN with a payload
+            0xff80_0001,    // signalling NaN, sign set
+            0x0000_0001,    // smallest subnormal
+            0x807f_ffff,    // largest negative subnormal
+            0x7f80_0000,    // +inf
+            0xff80_0000,    // -inf
+            0x7f7f_ffff,    // f32::MAX
+            0xff7f_ffff,    // f32::MIN
+            0x3f80_0001,    // one ulp above 1.0
+        ]
+        .into_iter()
+        .map(Value::from_bits)
+        .collect();
+        let (n, len) = (11u64, 4usize);
+        let series = |i: u64| -> Vec<Value> {
+            (0..len)
+                .map(|j| patterns[(i as usize * len + j) % patterns.len()])
+                .collect()
+        };
+        let bits = |s: &[Value]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let dir = TempDir::new("dataset").unwrap();
+        let path = dir.path().join("bits.bin");
+        let mut w = DatasetWriter::create(&path, len, false, stats()).unwrap();
+        for i in 0..n {
+            w.append(&series(i)).unwrap();
+        }
+        w.finish().unwrap();
+        let ds = Dataset::open(&path, stats()).unwrap();
+        let got: Vec<Vec<u32>> = (0..n).map(|i| bits(&ds.get(i).unwrap())).collect();
+        for i in 0..n {
+            assert_eq!(got[i as usize], bits(&series(i)), "get({i})");
+        }
+        // 1, 3 and 100 series per chunk: 11 is no multiple of 3, and 100
+        // holds all 11 in one short chunk.
+        for per_chunk in [1usize, 3, 100] {
+            let mut scan = ds.scan_with_chunk(per_chunk * ds.series_bytes());
+            let mut seen = 0u64;
+            while let Some((pos, s)) = scan.next_series().unwrap() {
+                assert_eq!(pos, seen);
+                assert_eq!(bits(s), got[pos as usize], "chunk {per_chunk} pos {pos}");
+                seen += 1;
+            }
+            assert_eq!(seen, n, "chunk {per_chunk}");
+        }
     }
 
     #[test]

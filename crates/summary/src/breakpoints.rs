@@ -12,6 +12,14 @@
 //! `i/2^k == (i * 2^(8-k)) / 256` holds exactly in binary floating point.
 //! This is what makes iSAX's multi-resolution prefixes consistent: the top
 //! `k` bits of a card-256 symbol *are* the card-`2^k` symbol.
+//!
+//! Summarizing a value is a table lookup plus a fix-up ([`symbol_for`]): a
+//! 4,096-cell table over `[-4, 4)`, built once per process, gives a start
+//! symbol, and one step each way along the card-256 breakpoints restores
+//! `bp[s-1] <= v < bp[s]` — the answer a binary search over the
+//! breakpoints gives, bit for bit, for every input. Nesting makes the
+//! card-`2^k` symbol that answer's top `k` bits, so one table serves every
+//! cardinality.
 
 use std::sync::OnceLock;
 
@@ -93,13 +101,89 @@ pub fn breakpoints(bits: u8) -> &'static [f64] {
     &tables()[bits as usize]
 }
 
+/// Cells of the [`SymbolTable`] lookup, spread evenly over `[-4, 4)`.
+const LOOKUP_CELLS: usize = 4096;
+
+/// Cells per unit of value: 4,096 cells over a width of 8.
+const CELLS_PER_UNIT: f64 = LOOKUP_CELLS as f64 / 8.0;
+
+/// The card-256 symbol lookup behind [`symbol_for`]: for each cell of
+/// `[-4, 4)`, the symbol of the cell's lower edge. The card-256
+/// breakpoints lie at least 0.0098 apart and a cell is 0.00195 wide, so a
+/// value's own symbol is at most one step from its cell's — the
+/// construction asserts that spacing, which is what makes one step each
+/// way exact.
+#[derive(Debug)]
+pub(crate) struct SymbolTable {
+    /// The card-256 breakpoints with a floor below and a NaN ceiling
+    /// above: symbol `s` is `[bounds[s], bounds[s + 1])`, and no value is
+    /// at or above the NaN, not even `+inf`.
+    bounds: [f64; 257],
+    start: [u8; LOOKUP_CELLS],
+}
+
+impl SymbolTable {
+    fn new() -> Self {
+        let bp = breakpoints(8);
+        let cell = 1.0 / CELLS_PER_UNIT;
+        assert!(
+            bp.windows(2).all(|w| w[1] - w[0] > 2.0 * cell)
+                && bp[0] > -4.0 + cell
+                && bp[bp.len() - 1] < 4.0 - cell,
+            "no cell of the symbol lookup may hold more than one breakpoint"
+        );
+        let mut bounds = [f64::NAN; 257];
+        bounds[0] = f64::NEG_INFINITY;
+        bounds[1..256].copy_from_slice(bp);
+        let mut start = [0u8; LOOKUP_CELLS];
+        // One walk up the breakpoints: `s` counts those at or under the
+        // cell's lower edge.
+        let mut s = 0usize;
+        for (c, out) in start.iter_mut().enumerate() {
+            let edge = c as f64 * cell - 4.0;
+            while s < bp.len() && bp[s] <= edge {
+                s += 1;
+            }
+            *out = s as u8;
+        }
+        SymbolTable { bounds, start }
+    }
+
+    /// The symbol of `value` at cardinality `2^bits` (`1 <= bits <= 8`):
+    /// the top `bits` bits of its card-256 symbol, the number of card-256
+    /// breakpoints ≤ `value`. A value rounding into a neighbouring cell, or
+    /// clamped into an end cell, is still within one step of its cell's
+    /// symbol, and a NaN casts to cell 0 and stays at symbol 0.
+    #[inline]
+    pub(crate) fn symbol(&self, bits: u8, value: f64) -> u8 {
+        debug_assert!((1..=8).contains(&bits));
+        let cell = ((value + 4.0) * CELLS_PER_UNIT) as isize;
+        let cell = cell.clamp(0, LOOKUP_CELLS as isize - 1) as usize;
+        // Branch-free fix-up: up a step when the next breakpoint is at or
+        // under the value, down one when the floor is above it (never
+        // both: the bounds increase).
+        let s = self.start[cell] as usize;
+        let up = (self.bounds[s + 1] <= value) as usize;
+        let down = (value < self.bounds[s]) as usize;
+        ((s + up - down) >> (8 - bits)) as u8
+    }
+}
+
+/// The process-wide [`SymbolTable`], built on first use.
+pub(crate) fn symbol_table() -> &'static SymbolTable {
+    static TABLE: OnceLock<SymbolTable> = OnceLock::new();
+    TABLE.get_or_init(SymbolTable::new)
+}
+
 /// The SAX symbol of `value` at cardinality `2^bits`: the number of
 /// breakpoints ≤ `value` (a value equal to a breakpoint belongs to the
-/// region above it).
+/// region above it; a NaN is symbol 0). A lookup in a process-wide table
+/// plus a fix-up, equal to a binary search over [`breakpoints`] for every
+/// input.
 #[inline]
 pub fn symbol_for(bits: u8, value: f64) -> u8 {
-    let bp = breakpoints(bits);
-    bp.partition_point(|&b| b <= value) as u8
+    assert!((1..=8).contains(&bits), "bits must be in 1..=8, got {bits}");
+    symbol_table().symbol(bits, value)
 }
 
 /// Precomputed `[lo, hi)` bounds of every symbol at one cardinality, laid

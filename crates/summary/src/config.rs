@@ -2,6 +2,10 @@
 
 use coconut_storage::{Error, Result};
 
+/// Most segments a configuration may have: the query and summarization hot
+/// paths decode words into fixed stack scratch of this many symbols.
+pub(crate) const MAX_SEGMENTS: usize = 32;
+
 /// Parameters of the SAX summarization: how a series of `series_len` points
 /// becomes a word of `segments` symbols of `card_bits` bits each.
 ///
@@ -40,12 +44,11 @@ impl SaxConfig {
                 self.segments, self.series_len
             )));
         }
-        if self.segments > 32 {
-            // The query and summarization hot paths decode words into
-            // fixed 32-byte stack scratch (`mindist`, `Summarizer`); more
-            // segments than that would overrun it at query time.
+        if self.segments > MAX_SEGMENTS {
+            // More segments than the stack scratch of `mindist` and
+            // `Summarizer` holds would overrun it at query time.
             return Err(Error::invalid(format!(
-                "segments ({}) exceeds the supported maximum of 32",
+                "segments ({}) exceeds the supported maximum of {MAX_SEGMENTS}",
                 self.segments
             )));
         }

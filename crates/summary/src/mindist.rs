@@ -42,10 +42,11 @@
 //! `(entry, bound)` output is bit-identical to the exact kernel's.
 
 use crate::breakpoints::{region, region_table};
-use crate::config::SaxConfig;
+use crate::config::{SaxConfig, MAX_SEGMENTS};
 use crate::isax::IsaxMask;
 use crate::zorder::ZKey;
 use coconut_series::simd::Dispatch;
+use std::sync::OnceLock;
 
 /// Squared distance from `value` to the interval `[lo, hi)`; zero inside.
 #[inline]
@@ -107,7 +108,7 @@ pub fn mindist_paa_isax(query_paa: &[f64], mask: &IsaxMask, config: &SaxConfig) 
 /// exact-search scan.
 #[inline]
 pub fn mindist_paa_zkey(query_paa: &[f64], key: ZKey, config: &SaxConfig) -> f64 {
-    let mut symbols = [0u8; 32];
+    let mut symbols = [0u8; MAX_SEGMENTS];
     crate::zorder::deinterleave_into(
         key,
         config.segments,
@@ -189,10 +190,6 @@ const TABLE_ROW: usize = 256;
 /// Segments a block kernel sums between two early-abandon checks.
 const ABANDON_STRIDE: usize = 4;
 
-/// Most segments any stack scratch buffer supports (the workspace-wide
-/// assumption already baked into [`mindist_paa_zkey`] and the summarizer).
-const MAX_SEGMENTS: usize = 32;
-
 /// Entries of a segment's fast-scan table: one per 4-bit symbol prefix.
 const NIBBLES: usize = 16;
 
@@ -243,30 +240,46 @@ fn pext_masks(segments: usize, card_bits: u8) -> Vec<PextMask> {
         .collect()
 }
 
+/// The masks of one configuration, built once per process, so a decoder
+/// costs nothing to make (a query makes one, and so does every
+/// [`crate::sax::Summarizer`]).
+fn masks_for(segments: usize, card_bits: u8) -> &'static [PextMask] {
+    static MASKS: [[OnceLock<Box<[PextMask]>>; 8]; MAX_SEGMENTS] =
+        [const { [const { OnceLock::new() }; 8] }; MAX_SEGMENTS];
+    MASKS[segments - 1][card_bits as usize - 1]
+        .get_or_init(|| pext_masks(segments, card_bits).into_boxed_slice())
+}
+
 /// De-interleaves z-order keys back into SAX symbols, a block at a time and
 /// segment-major: BMI2 `PEXT` where the process-wide dispatch allows it, the
 /// portable [`crate::zorder::deinterleave_into`] otherwise (bit-exact equal)
 /// — and re-interleaves such a block into its keys
 /// ([`SymbolDecoder::interleave_into`], `PDEP`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SymbolDecoder {
     config: SaxConfig,
-    masks: Vec<PextMask>,
+    masks: &'static [PextMask],
 }
 
 impl SymbolDecoder {
-    /// A decoder for keys built under `config`.
+    /// A decoder for keys built under `config`; its masks are shared by
+    /// every decoder of that configuration in the process.
     pub fn new(config: &SaxConfig) -> Self {
-        debug_assert!(config.segments <= MAX_SEGMENTS);
         SymbolDecoder {
             config: *config,
-            masks: pext_masks(config.segments, config.card_bits),
+            masks: masks_for(config.segments, config.card_bits),
         }
     }
 
     /// The configuration of the keys this decoder reads.
     pub fn config(&self) -> &SaxConfig {
         &self.config
+    }
+
+    /// Whether `self` and `other` read the same process-wide masks.
+    #[cfg(test)]
+    pub(crate) fn shares_masks(&self, other: &SymbolDecoder) -> bool {
+        std::ptr::eq(self.masks, other.masks)
     }
 
     /// Decode `keys` into the segment-major block `out`
@@ -300,7 +313,7 @@ impl SymbolDecoder {
         #[cfg(target_arch = "x86_64")]
         if dispatch == Dispatch::Avx2 && std::arch::is_x86_feature_detected!("bmi2") {
             // SAFETY: BMI2 support verified above.
-            unsafe { x86::interleave_pdep(&self.masks, block, keys) };
+            unsafe { x86::interleave_pdep(self.masks, block, keys) };
             return;
         }
         let _ = dispatch;
@@ -321,7 +334,7 @@ impl SymbolDecoder {
         #[cfg(target_arch = "x86_64")]
         if dispatch == Dispatch::Avx2 && std::arch::is_x86_feature_detected!("bmi2") {
             // SAFETY: BMI2 support verified above.
-            unsafe { x86::decode_pext(&self.masks, keys, sym, stride) };
+            unsafe { x86::decode_pext(self.masks, keys, sym, stride) };
             return;
         }
         let _ = dispatch;

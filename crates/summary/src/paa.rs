@@ -6,10 +6,16 @@
 //! segment covers exactly `len/w` points of mass — this keeps the
 //! lower-bounding property of MINDIST intact for any (len, w) combination.
 
+use coconut_series::simd::Dispatch;
 use coconut_series::Value;
 
 /// Compute the `w`-segment PAA of `series` into `out` (`out.len() == w`).
 pub fn paa_into(series: &[Value], out: &mut [f64]) {
+    paa_into_with(coconut_series::simd::active(), series, out);
+}
+
+/// [`paa_into`] on an explicit dispatch (both give bit-identical means).
+pub(crate) fn paa_into_with(dispatch: Dispatch, series: &[Value], out: &mut [f64]) {
     let n = series.len();
     let w = out.len();
     debug_assert!(w > 0 && w <= n);
@@ -17,7 +23,7 @@ pub fn paa_into(series: &[Value], out: &mut [f64]) {
         // Fast path: equal integer segments, summed by the dispatched
         // vector kernel (build-time summarization calls this per series).
         let seg = n / w;
-        (coconut_series::simd::kernels().segment_sums)(series, seg, out);
+        (coconut_series::simd::kernels_for(dispatch).segment_sums)(series, seg, out);
         for o in out.iter_mut() {
             *o /= seg as f64;
         }

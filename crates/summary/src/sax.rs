@@ -4,11 +4,14 @@
 //! segment. Words are stored symbol-per-byte; the sortable form lives in
 //! [`crate::zorder`].
 
+use coconut_series::simd::Dispatch;
 use coconut_series::Value;
 
-use crate::breakpoints::symbol_for;
-use crate::config::SaxConfig;
-use crate::paa::paa_into;
+use crate::breakpoints::{symbol_for, symbol_table, SymbolTable};
+use crate::config::{SaxConfig, MAX_SEGMENTS};
+use crate::mindist::SymbolDecoder;
+use crate::paa::{paa_into, paa_into_with};
+use crate::zorder::ZKey;
 
 /// A full-cardinality SAX word (one `u8` symbol per segment).
 ///
@@ -58,11 +61,15 @@ pub fn sax_word(series: &[Value], config: &SaxConfig) -> SaxWord {
 }
 
 /// A reusable summarizer that avoids per-series allocations — used by the
-/// index-construction scans which summarize millions of series.
+/// index-construction scans which summarize millions of series, and once
+/// per query for its key. Making one builds nothing: it borrows the
+/// process-wide symbol table and the configuration's interleave masks.
 #[derive(Debug, Clone)]
 pub struct Summarizer {
     config: SaxConfig,
-    paa_buf: Vec<f64>,
+    symbols: &'static SymbolTable,
+    decoder: SymbolDecoder,
+    paa_buf: [f64; MAX_SEGMENTS],
 }
 
 impl Summarizer {
@@ -70,7 +77,9 @@ impl Summarizer {
     pub fn new(config: SaxConfig) -> Self {
         Summarizer {
             config,
-            paa_buf: vec![0.0; config.segments],
+            symbols: symbol_table(),
+            decoder: SymbolDecoder::new(&config),
+            paa_buf: [0.0; MAX_SEGMENTS],
         }
     }
 
@@ -81,22 +90,42 @@ impl Summarizer {
 
     /// PAA of `series` (borrowing the internal buffer).
     pub fn paa(&mut self, series: &[Value]) -> &[f64] {
-        paa_into(series, &mut self.paa_buf);
-        &self.paa_buf
+        let w = self.config.segments;
+        paa_into(series, &mut self.paa_buf[..w]);
+        &self.paa_buf[..w]
     }
 
     /// SAX symbols of `series` written into `out`.
     pub fn sax_into(&mut self, series: &[Value], out: &mut [u8]) {
-        paa_into(series, &mut self.paa_buf);
-        sax_from_paa_into(&self.paa_buf, self.config.card_bits, out);
+        self.sax_into_with(coconut_series::simd::active(), series, out);
+    }
+
+    fn sax_into_with(&mut self, dispatch: Dispatch, series: &[Value], out: &mut [u8]) {
+        let w = self.config.segments;
+        debug_assert_eq!(out.len(), w);
+        paa_into_with(dispatch, series, &mut self.paa_buf[..w]);
+        for (o, &v) in out.iter_mut().zip(&self.paa_buf[..w]) {
+            *o = self.symbols.symbol(self.config.card_bits, v);
+        }
     }
 
     /// The sortable z-order key of `series` (PAA → SAX → interleave).
-    pub fn zkey(&mut self, series: &[Value]) -> crate::zorder::ZKey {
-        let mut symbols = [0u8; 32];
+    pub fn zkey(&mut self, series: &[Value]) -> ZKey {
+        self.zkey_with(coconut_series::simd::active(), series)
+    }
+
+    /// [`Summarizer::zkey`] on an explicit dispatch (exposed so tests can
+    /// force either path): PAA sums and the interleave run on that
+    /// dispatch's kernels — BMI2 `PDEP` on [`Dispatch::Avx2`] where the CPU
+    /// has it, [`crate::zorder::interleave`] otherwise — bit-exact equal.
+    pub fn zkey_with(&mut self, dispatch: Dispatch, series: &[Value]) -> ZKey {
+        let mut symbols = [0u8; MAX_SEGMENTS];
         let w = self.config.segments;
-        self.sax_into(series, &mut symbols[..w]);
-        crate::zorder::interleave(&symbols[..w], self.config.card_bits)
+        self.sax_into_with(dispatch, series, &mut symbols[..w]);
+        let mut key = [ZKey::MIN];
+        self.decoder
+            .interleave_into_with(dispatch, &symbols[..w], &mut key);
+        key[0]
     }
 }
 
@@ -157,6 +186,16 @@ mod tests {
         let mut out = vec![0u8; 16];
         s.sax_into(&series, &mut out);
         assert_eq!(out.as_slice(), sax_word(&series, &cfg).symbols());
+    }
+
+    #[test]
+    fn summarizers_share_the_process_tables() {
+        let cfg = config(256, 16, 8);
+        let (a, b) = (Summarizer::new(cfg), Summarizer::new(cfg));
+        assert!(std::ptr::eq(a.symbols, b.symbols));
+        assert!(std::ptr::eq(a.symbols, symbol_table()));
+        assert!(a.decoder.shares_masks(&b.decoder));
+        assert!(a.decoder.shares_masks(&SymbolDecoder::new(&cfg)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::Value;
-use coconut_summary::breakpoints::symbol_for;
+use coconut_summary::breakpoints::{breakpoints, symbol_for};
 use coconut_summary::config::SaxConfig;
 use coconut_summary::isax::IsaxMask;
 use coconut_summary::mindist::{mindist_paa_isax, mindist_paa_sax, mindist_paa_zkey};
@@ -300,6 +300,139 @@ proptest! {
             for (&got, &k) in out.iter().zip(keys.iter()) {
                 prop_assert_eq!(got.to_bits(), mindist_paa_zkey(&qp, k, &cfg).to_bits());
             }
+        }
+    }
+}
+
+/// The symbol a binary search over the breakpoints gives: the reference
+/// the table lookup of [`symbol_for`] must equal bit for bit.
+fn searched_symbol(bits: u8, v: f64) -> u8 {
+    breakpoints(bits).partition_point(|&b| b <= v) as u8
+}
+
+fn assert_symbols_match(values: impl IntoIterator<Item = f64>) {
+    for v in values {
+        for bits in 1..=8u8 {
+            assert_eq!(
+                symbol_for(bits, v),
+                searched_symbol(bits, v),
+                "bits={bits} v={v:e} ({:#018x})",
+                v.to_bits()
+            );
+        }
+    }
+}
+
+#[test]
+fn table_symbols_match_the_search_at_every_breakpoint() {
+    // Each breakpoint of every cardinality (all of them are card-256
+    // breakpoints) and its neighbours one ulp either side.
+    for bits in 1..=8u8 {
+        assert_symbols_match(
+            breakpoints(bits)
+                .iter()
+                .flat_map(|&b| [b.next_down(), b, b.next_up()]),
+        );
+    }
+}
+
+#[test]
+fn table_symbols_match_the_search_at_every_cell_edge() {
+    // The lookup's cells start every 1/512 over [-4, 4): an edge that
+    // rounds into the wrong cell must still come out right.
+    assert_symbols_match((0..=4096).flat_map(|c| {
+        let edge = c as f64 / 512.0 - 4.0;
+        [edge.next_down(), edge, edge.next_up()]
+    }));
+}
+
+#[test]
+fn table_symbols_match_the_search_on_special_values() {
+    assert_symbols_match([
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        -4.0,
+        (-4.0f64).next_down(),
+        4.0,
+        (4.0f64).next_down(),
+        -4.5,
+        4.5,
+        -1e9,
+        1e9,
+        f32::MAX as f64,
+        f32::MIN as f64,
+    ]);
+    for nan in [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_dead_beef),
+        f64::from_bits(0x7ff0_0000_0000_0001),
+    ] {
+        for bits in 1..=8u8 {
+            assert_eq!(symbol_for(bits, nan), 0, "bits={bits}");
+            assert_eq!(searched_symbol(bits, nan), 0, "bits={bits}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn table_symbols_match_the_search(v in -10.0f64..10.0) {
+        for bits in 1..=8u8 {
+            prop_assert_eq!(symbol_for(bits, v), searched_symbol(bits, v));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    #[test]
+    fn summarizer_zkey_equals_interleaved_sax_word(
+        seed in any::<u64>(),
+        shape in 0usize..4,
+        normalize in any::<bool>(),
+    ) {
+        // The summarizer's table symbols and interleave must give the key
+        // of the plain composition: PAA, a binary search per segment, and
+        // the bit-at-a-time interleave. Raw random walks wander past ±4.
+        use coconut_series::gen::{Generator, RandomWalkGen};
+        use coconut_series::simd::Dispatch;
+        use coconut_summary::sax::Summarizer;
+        let cfg = [
+            SaxConfig { series_len: 256, segments: 16, card_bits: 8 },
+            SaxConfig { series_len: 100, segments: 8, card_bits: 5 },
+            SaxConfig { series_len: 120, segments: 30, card_bits: 4 },
+            SaxConfig { series_len: 64, segments: 3, card_bits: 1 },
+        ][shape];
+        let mut gen = RandomWalkGen::new(seed);
+        let mut summarizer = Summarizer::new(cfg);
+        for _ in 0..8 {
+            let mut s = gen.generate(cfg.series_len);
+            if normalize {
+                znormalize(&mut s);
+            }
+            let searched: Vec<u8> = paa(&s, cfg.segments)
+                .iter()
+                .map(|&v| searched_symbol(cfg.card_bits, v))
+                .collect();
+            prop_assert_eq!(sax_word(&s, &cfg).symbols(), &searched[..]);
+            let want = interleave(&searched, cfg.card_bits);
+            for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+                prop_assert_eq!(summarizer.zkey_with(dispatch, &s), want);
+            }
+            prop_assert_eq!(summarizer.zkey(&s), want);
         }
     }
 }

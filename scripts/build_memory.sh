@@ -18,6 +18,11 @@
 # fails above 16 + pos_bytes + 1: the one byte per series left over covers
 # the header, the leaf directory and the trie's nodes, but not a part-full
 # leaf padded to its capacity.
+#
+# Each index is then built again with COCONUT_FORCE_SCALAR=1, which pins the
+# portable kernels in place of the AVX2 and BMI2 ones (PAA sums, the PDEP
+# interleave of each key), and the script fails unless `cmp` finds the two
+# index files byte-identical: the file must not depend on the host CPU.
 set -euo pipefail
 
 coconut="${1:-target/release/coconut}"
@@ -66,6 +71,16 @@ for index in ctree ctrie; do
             echo "$index: $(basename "$idx") takes $per_series B/series (at most $max_bytes_per_series)"
         fi
     done
-    rm -rf "${work:?}/$index"
+    COCONUT_FORCE_SCALAR=1 "$coconut" build --index "$index" --memory-mb "$budget_mb" \
+        --shards 2 --out-dir "$work/$index-scalar" "$work/data.ds" >/dev/null
+    for idx in "$work/$index"/*.idx; do
+        if cmp "$idx" "$work/$index-scalar/$(basename "$idx")"; then
+            echo "$index: $(basename "$idx") is byte-identical under COCONUT_FORCE_SCALAR=1"
+        else
+            echo "$index: $(basename "$idx") differs under COCONUT_FORCE_SCALAR=1" >&2
+            status=1
+        fi
+    done
+    rm -rf "${work:?}/$index" "${work:?}/$index-scalar"
 done
 exit "$status"
