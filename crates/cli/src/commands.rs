@@ -5,6 +5,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use coconut_core::layout::IndexHeader;
 use coconut_core::manifest::Manifest;
 use coconut_core::query::nearest_of;
 use coconut_core::{
@@ -16,7 +17,7 @@ use coconut_series::distance::znormalize;
 use coconut_series::gen::{AstronomyGen, Generator, RandomWalkGen, SeismicGen};
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
-use coconut_storage::{Error, IoStats, Result};
+use coconut_storage::{CountedFile, Error, IoStats, Result};
 use coconut_summary::SaxConfig;
 
 use crate::args::Command;
@@ -614,16 +615,23 @@ fn make_query(ds: &Dataset, seed: Option<u64>, pos: Option<u64>) -> Result<Vec<V
 /// [`SortedLeafIndex::search`]: coconut_core::SortedLeafIndex::search
 type Search = Box<dyn Fn(&[Value], &Query) -> Result<(Vec<Answer>, QueryStats)>>;
 
-/// Open the index file at `path`: try tree first, then trie (each checks
-/// its header).
+/// Open the index file at `path` as the flavor its header's kind byte
+/// names, so a damaged file fails with that flavor's own error.
 fn open_index(path: &Path, ds: &Dataset) -> Result<Search> {
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    Ok(match CoconutTree::open(path, ds, threads) {
-        Ok(tree) => Box::new(move |series, query| tree.search(series, query)),
-        Err(_) => {
+    let file = CountedFile::open(path, Arc::clone(ds.file().stats()))?;
+    let kind = IndexHeader::read_from(&file)?.kind;
+    drop(file);
+    Ok(match kind {
+        CoconutTree::KIND => {
+            let tree = CoconutTree::open(path, ds, threads)?;
+            Box::new(move |series, query| tree.search(series, query))
+        }
+        CoconutTrie::KIND => {
             let trie = CoconutTrie::open(path, ds, threads)?;
             Box::new(move |series, query| trie.search(series, query))
         }
+        other => return Err(Error::corrupt(format!("unknown index kind {other}"))),
     })
 }
 
@@ -818,6 +826,60 @@ mod tests {
             );
             assert_eq!(on_trie, on_tree, "{query:?}");
         }
+    }
+
+    #[test]
+    fn a_damaged_tree_fails_with_the_trees_own_error() {
+        let dir = TempDir::new("cli-damaged").unwrap();
+        let data = gen_cmd(&dir, "d.ds", 200);
+        let out_dir = dir.path().join("ctree");
+        run(Command::Build {
+            index: "ctree".into(),
+            materialized: false,
+            leaf: 32,
+            split_policy: Default::default(),
+            memory_mb: 1,
+            out_dir: out_dir.clone(),
+            data: data.clone(),
+            shards: 1,
+        })
+        .unwrap();
+        let idx = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "idx"))
+            .unwrap();
+        let ds = Dataset::open(&data, Arc::new(IoStats::new())).unwrap();
+        assert!(open_index(&idx, &ds).is_ok());
+        // Flip one byte of the leaf directory's first record.
+        let header =
+            IndexHeader::read_from(&CountedFile::open(&idx, Arc::new(IoStats::new())).unwrap())
+                .unwrap();
+        let mut bytes = std::fs::read(&idx).unwrap();
+        bytes[header.dir_offset as usize + 12] ^= 0x40;
+        std::fs::write(&idx, &bytes).unwrap();
+
+        let Err(tree_err) = CoconutTree::open(&idx, &ds, 1) else {
+            panic!("the damaged tree opened");
+        };
+        let Err(err) = open_index(&idx, &ds) else {
+            panic!("the damaged tree opened through the CLI");
+        };
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert_eq!(err.to_string(), tree_err.to_string());
+        let query = Command::Query {
+            index: idx.clone(),
+            data: data.clone(),
+            seed: Some(5),
+            pos: None,
+            k: 1,
+            radius: 1,
+            dtw_band: None,
+            range_eps: None,
+            approximate: false,
+        };
+        let err = run(query).unwrap_err();
+        assert_eq!(err.to_string(), tree_err.to_string());
     }
 
     #[test]

@@ -195,6 +195,36 @@ impl<'a> Positions<'a> {
         };
         word & (u64::MAX >> (64 - 8 * self.width))
     }
+
+    /// Whether every position lies in `range`: one pass per width, so
+    /// each position is a fixed-size load the compiler unrolls, folded
+    /// into the smallest and the largest.
+    pub fn all_within(&self, range: &Range<u64>) -> bool {
+        fn min_max<const W: usize>(bytes: &[u8]) -> (u64, u64) {
+            bytes
+                .chunks_exact(W)
+                .map(|p| {
+                    let mut eight = [0; 8];
+                    eight[..W].copy_from_slice(p);
+                    u64::from_le_bytes(eight)
+                })
+                .fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)))
+        }
+        if self.is_empty() {
+            return true;
+        }
+        let (lo, hi) = match self.width {
+            1 => min_max::<1>(self.bytes),
+            2 => min_max::<2>(self.bytes),
+            3 => min_max::<3>(self.bytes),
+            4 => min_max::<4>(self.bytes),
+            5 => min_max::<5>(self.bytes),
+            6 => min_max::<6>(self.bytes),
+            7 => min_max::<7>(self.bytes),
+            _ => min_max::<8>(self.bytes),
+        };
+        range.contains(&lo) && range.contains(&hi)
+    }
 }
 
 /// A stored leaf split into its parts ([`LeafCodec::parts`]).
@@ -780,6 +810,30 @@ mod tests {
                     let mut back = LeafEntries::default();
                     codec.decode(&leaf, &mut back);
                     assert_eq!(back, e);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_within_is_the_per_entry_range_check_at_every_width() {
+        for width in 1..=8usize {
+            let top = u64::MAX >> (64 - 8 * width);
+            let values = [0, 1, top / 3, top - 1, top];
+            for count in [0usize, 1, 2, 5, 13] {
+                let stored: Vec<u64> = (0..count).map(|i| values[i * 7 % 5]).collect();
+                let bytes: Vec<u8> = stored
+                    .iter()
+                    .flat_map(|p| p.to_le_bytes()[..width].to_vec())
+                    .collect();
+                let positions = Positions::new(&bytes, width);
+                for range in [0..top, 1..top, 0..top.saturating_add(1), top / 3..top, 5..5] {
+                    let each = (0..count).all(|i| range.contains(&positions.get(i)));
+                    assert_eq!(
+                        positions.all_within(&range),
+                        each,
+                        "width {width}, {count} entries, {range:?}"
+                    );
                 }
             }
         }

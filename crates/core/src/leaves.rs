@@ -7,17 +7,20 @@
 //! carved over the sorted leaves — by median (any boundary between two
 //! records) or by key prefix — and therefore in where the bulk loader cuts
 //! one leaf from the next. Everything else lives here once: the file and
-//! leaf store, persistence, the summaries, the probe, both SIMS fetchers
-//! and the single [`SortedLeafIndex::search`] every query runs through:
+//! leaf store, persistence, the summaries, the probe, the materialized SIMS
+//! fetcher and the single search every query runs through —
+//! `search_runs`, over one index ([`SortedLeafIndex::search`]) or over
+//! the runs of an LSM snapshot ([`crate::Snapshot::search`]) alike, with
+//! one query key, one metric table and one collector:
 //!
-//! 1. **probe** (Algorithm 4): descend the directory to the query key's
-//!    leaf and take it plus `radius` neighbors on each side. Each entry is
-//!    lower-bounded from its symbols, entries are visited in ascending
-//!    `(bound, position)` order and fetched only while their bound can
-//!    still enter the result — the answer is the true best of those
-//!    leaves, for a fraction of their raw fetches;
+//! 1. **probe** (Algorithm 4): descend each run's directory to the query
+//!    key's leaf and take it plus `radius` neighbors on each side. Each
+//!    entry is lower-bounded from its symbols, entries are visited in
+//!    ascending `(bound, position)` order and fetched only while their
+//!    bound can still enter the result — the answer is the true best of
+//!    those leaves, for a fraction of their raw fetches;
 //! 2. unless the query is approximate, the SIMS scan over the summaries of
-//!    every other leaf, seeded by step 1 (Algorithm 5,
+//!    every other leaf of every run, seeded by step 1 (Algorithm 5,
 //!    [`crate::sims::sims_scan`]): the probe leaves nothing in its own
 //!    leaves for the scan to find.
 //!
@@ -29,9 +32,11 @@
 //! each leaf starts in scan order and one symbol box per leaf. Sorting makes
 //! a leaf a contiguous range of the z-order curve, so the prefix its first
 //! key shares with the next leaf's first key is an iSAX word covering all of
-//! its entries ([`coconut_summary::zorder::key_range_box`]) — the
-//! node-level bound of the top-down indexes, obtained from two directory
-//! keys with nothing stored and nothing read.
+//! its entries ([`coconut_summary::zorder::key_range_box`], derived for
+//! every leaf at once through the process-wide `PEXT` decode,
+//! [`SymbolDecoder::key_range_boxes`]) — the node-level bound of the
+//! top-down indexes, obtained from two directory keys with nothing stored
+//! and nothing read.
 //!
 //! A leaf's [`LeafBlock`] — its entries' SAX symbols, segment-major (the
 //! z-order keys de-interleaved: the key orders the leaves, only its symbols
@@ -60,8 +65,8 @@ use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
 use coconut_storage::{CountedFile, Deadline, Error, Mapping, Result};
+use coconut_summary::mindist::SymbolDecoder;
 use coconut_summary::sax::Summarizer;
-use coconut_summary::zorder::key_range_box;
 use coconut_summary::{SaxConfig, ZKey};
 
 use crate::builder::BuildReport;
@@ -72,7 +77,7 @@ use crate::layout::{
 };
 use crate::query::{first, Kind, Metric, Query};
 use crate::records::SortedRecord;
-use crate::sims::{sims_scan_except, Collector, Distance, Dtw, Ed, SeriesFetcher, TopK, Within};
+use crate::sims::{self, Collector, Distance, Dtw, Ed, ScanRun, SeriesFetcher, TopK, Within};
 use crate::split::SplitPolicyKind;
 
 /// What distinguishes one sorted-leaf index flavor from the other: how the
@@ -257,7 +262,7 @@ impl LeafFile {
             .record_mapped_read(meta.offset, scanned.len() as u64);
         self.store.check_leaf(leaf, meta, scanned)?;
         let block = LeafBlock::new(scanned, segments, codec.pos_bytes(), meta.count as usize);
-        if !(0..block.len()).all(|e| self.range.contains(&block.pos(e))) {
+        if !block.positions.all_within(&self.range) {
             return Err(Error::corrupt(
                 "index does not cover a contiguous position range",
             ));
@@ -320,15 +325,10 @@ impl Summaries {
         // A leaf's keys run from its first key up to the next leaf's (the
         // last leaf's: up to the largest key there is).
         let max_key = ZKey(u128::MAX >> (128 - w * sax.card_bits as usize));
-        let uppers = leaves.clone().map(|(first, _)| first).skip(1);
+        let mut bounds: Vec<ZKey> = leaves.map(|(first, _)| first).collect();
+        bounds.push(max_key);
         let mut boxes = vec![0; (leaf_starts.len() - 1) * 2 * w];
-        for (lo_hi, ((first, _), next)) in boxes
-            .chunks_exact_mut(2 * w)
-            .zip(leaves.zip(uppers.chain([max_key])))
-        {
-            let (lo, hi) = lo_hi.split_at_mut(w);
-            key_range_box(first, next, sax, lo, hi);
-        }
+        SymbolDecoder::new(sax).key_range_boxes(&bounds, &mut boxes);
         let in_place = matches!(blocks, Blocks::Owned(_));
         Summaries {
             segments: w,
@@ -434,6 +434,9 @@ pub struct SortedLeafIndex<D> {
 }
 
 impl<D: Directory> SortedLeafIndex<D> {
+    /// The header's index-kind byte of this flavor ([`Directory::KIND`]).
+    pub const KIND: u8 = D::KIND;
+
     /// Bulk-load an index over all of `dataset` (Algorithms 2 and 3). Files
     /// are created in `dir`; sort scratch goes there too.
     pub fn build(
@@ -811,163 +814,13 @@ impl<D: Directory> SortedLeafIndex<D> {
         Ok(Summarizer::new(self.config.sax).zkey(query))
     }
 
-    /// The probe (Algorithm 4): offer `hits` the best entries of `leaves`.
-    /// Every entry is lower-bounded from its symbols in the leaf's block
-    /// (the one the scan uses), and a leaf's entries are fetched in
-    /// ascending `(bound, position)` order while their bound can still
-    /// enter `hits` — so `hits` ends up holding exactly what fetching every
-    /// entry would have left there, and the scan passes these leaves by.
-    /// Leaves are taken nearest `target`
-    /// first: the likeliest to tighten the cutoff that spares the others
-    /// their fetches.
-    fn eval_leaves<M: Distance, C: Collector>(
-        &self,
-        leaves: std::ops::RangeInclusive<usize>,
-        target: usize,
-        metric: &M,
-        hits: &mut C,
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let mut leaf_buf = Vec::new();
-        let mut series_buf = vec![0.0 as Value; self.config.sax.series_len];
-        let mut under = Vec::new();
-        let mut order: Vec<(f64, u64, usize)> = Vec::new();
-        let mut nearest_first: Vec<usize> = leaves.collect();
-        nearest_first.sort_by_key(|&l| (l.abs_diff(target), l));
-        for l in nearest_first {
-            let block = self.summaries.block(l)?;
-            stats.leaves_visited += 1;
-            // Only entries under the cutoff so far can ever be fetched.
-            under.clear();
-            metric
-                .table()
-                .bounds_under(block.symbols, hits.cutoff(), 0, &mut under);
-            stats.pruned += (block.len() - under.len()) as u64;
-            order.clear();
-            order.extend(
-                under
-                    .iter()
-                    .map(|&(slot, bound)| (bound, block.pos(slot), slot)),
-            );
-            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            // A materialized leaf is read back only if a payload is wanted.
-            let mut payloads_read = false;
-            for (fetched, &(bound, pos, slot)) in order.iter().enumerate() {
-                if bound > hits.cutoff() {
-                    // Sorted by bound and the cutoff only tightens.
-                    stats.pruned += (order.len() - fetched) as u64;
-                    break;
-                }
-                if self.materialized {
-                    if !payloads_read {
-                        self.store.read_leaf(l, &self.leaves[l], &mut leaf_buf)?;
-                        payloads_read = true;
-                    }
-                    let parts = self.store.codec().parts(&leaf_buf);
-                    parts.series_into(slot, &mut series_buf);
-                } else {
-                    self.dataset.read_into(pos, &mut series_buf)?;
-                }
-                stats.records_fetched += 1;
-                if let Some(dist) = metric.eval(&series_buf, hits.cutoff()) {
-                    hits.offer(Answer { pos, dist });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Answer `query` for `series` (z-normalized, of the index's series
-    /// length): the one implementation behind every query entry point.
-    /// Answers are `(dist, pos)`-sorted; a 1-NN that finds nothing below
-    /// `query.bound` returns an empty list.
+    /// length): the one-run case of the scan a snapshot runs
+    /// ([`crate::Snapshot::search`]), the one implementation behind every
+    /// query entry point. Answers are `(dist, pos)`-sorted; a 1-NN that
+    /// finds nothing below `query.bound` returns an empty list.
     pub fn search(&self, series: &[Value], query: &Query) -> Result<(Vec<Answer>, QueryStats)> {
-        let key = self.query_key(series)?;
-        match query.metric {
-            Metric::Ed => self.collect(key, query, &Ed::new(series, &self.config.sax)),
-            Metric::Dtw(band) => {
-                self.collect(key, query, &Dtw::new(series, band, &self.config.sax))
-            }
-        }
-    }
-
-    fn collect<M: Distance>(
-        &self,
-        key: ZKey,
-        query: &Query,
-        metric: &M,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        match query.kind {
-            Kind::Knn(0) => Ok((Vec::new(), QueryStats::default())),
-            Kind::Nearest | Kind::Approx => self.run(key, query, metric, TopK::new(1, query.bound)),
-            Kind::Knn(k) => self.run(key, query, metric, TopK::new(k, query.bound)),
-            Kind::Range(eps) => self.run(key, query, metric, Within::new(eps, query.bound)),
-        }
-    }
-
-    fn run<M: Distance, C: Collector>(
-        &self,
-        key: ZKey,
-        query: &Query,
-        metric: &M,
-        mut hits: C,
-    ) -> Result<(Vec<Answer>, QueryStats)> {
-        let mut stats = QueryStats::default();
-        query.deadline.check()?;
-        let mut seeds = 0..0;
-        // A range query's cutoff is fixed: seeds could not tighten it.
-        if !matches!(query.kind, Kind::Range(_)) {
-            if let Some(leaf) = self.dir.descend(key) {
-                let lo = leaf.saturating_sub(query.radius);
-                let hi = leaf.saturating_add(query.radius).min(self.leaves.len() - 1);
-                self.eval_leaves(lo..=hi, leaf, metric, &mut hits, &mut stats)?;
-                seeds = lo..hi + 1;
-            }
-        }
-        if query.kind != Kind::Approx {
-            stats.add(&self.scan(metric, &mut hits, seeds, query.deadline)?);
-        }
-        Ok((hits.into_answers(), stats))
-    }
-
-    /// The SIMS scan over this index's summaries but the probe's `seeds`
-    /// ([`crate::sims::sims_scan_except`]), fetching from the raw file or,
-    /// materialized, from the leaves.
-    fn scan<M: Distance, C: Collector>(
-        &self,
-        metric: &M,
-        hits: &mut C,
-        seeds: Range<usize>,
-        deadline: Deadline,
-    ) -> Result<QueryStats> {
-        let (summaries, len, threads) = (&self.summaries, self.config.sax.series_len, self.threads);
-        if self.materialized {
-            let mut fetcher = self.leaf_fetcher();
-            sims_scan_except(
-                metric,
-                len,
-                summaries,
-                seeds,
-                threads,
-                &mut fetcher,
-                hits,
-                deadline,
-            )
-        } else {
-            let mut fetcher = RawFileFetcher {
-                dataset: &self.dataset,
-            };
-            sims_scan_except(
-                metric,
-                len,
-                summaries,
-                seeds,
-                threads,
-                &mut fetcher,
-                hits,
-                deadline,
-            )
-        }
+        search_runs(&[self], series, query)
     }
 
     /// The scan's fetcher for a materialized index.
@@ -1023,21 +876,6 @@ impl<D: Directory> SortedLeafIndex<D> {
     }
 }
 
-/// SIMS fetcher for non-materialized indexes: candidates arrive in raw-file
-/// position order, so fetches walk the raw file forward (skip-sequential).
-struct RawFileFetcher<'a> {
-    dataset: &'a Dataset,
-}
-
-impl SeriesFetcher for RawFileFetcher<'_> {
-    const POSITION_ORDER: bool = true;
-
-    fn fetch(&mut self, pos: u64, out: &mut [Value]) -> Result<u64> {
-        self.dataset.read_into(pos, out)?;
-        Ok(pos)
-    }
-}
-
 /// SIMS fetcher for materialized indexes: candidates arrive in scan (leaf)
 /// order within a sweep, which is the physical order of the (bulk-loaded)
 /// index file; reads each needed leaf block once, forward, and starts over
@@ -1071,6 +909,405 @@ impl SeriesFetcher for LeafOrderFetcher<'_> {
         let parts = self.store.codec().parts(&self.leaf_buf);
         parts.series_into(i - starts[leaf], out);
         Ok(parts.pos(i - starts[leaf]))
+    }
+}
+
+/// An entry of a probe leaf under the cutoff: its bound, its raw-file
+/// position, the leaf (an index into the probed group) and its slot there.
+/// Ordered so that a max-heap pops the smallest `(bound, position)` first.
+#[derive(Clone, Copy)]
+struct ProbeEntry {
+    bound: f64,
+    pos: u64,
+    leaf: u32,
+    slot: u32,
+}
+
+impl Ord for ProbeEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .bound
+            .total_cmp(&self.bound)
+            .then(other.pos.cmp(&self.pos))
+    }
+}
+
+impl PartialOrd for ProbeEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ProbeEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for ProbeEntry {}
+
+/// Entries of a probe step's first leaf, spread across it, that are
+/// bounded exactly while the cutoff is open; the k-th smallest of their
+/// bounds is the first limit the step's entries are bounded under.
+const PROBE_SAMPLE: usize = 64;
+
+/// The probe's reusable buffers: per leaf of a step, a materialized leaf
+/// read back and whether it was (only once a payload of it is wanted); a
+/// fetched series; the sampled symbols; the kernel's `(entry, bound)`
+/// output; the step's entries taken in.
+#[derive(Default)]
+struct ProbeBufs {
+    leaves: Vec<Vec<u8>>,
+    read: Vec<bool>,
+    series: Vec<Value>,
+    sample: Vec<u8>,
+    under: Vec<(usize, f64)>,
+    entries: Vec<ProbeEntry>,
+}
+
+/// One step of the probe (Algorithm 4): offer `hits` the best entries of
+/// the `(run, leaf)` `group`, fetched in one ascending `(bound, position)`
+/// order (a heap) while their bound can still enter `hits`. So `hits` ends
+/// up holding exactly what fetching every entry would have left there, and
+/// the scan passes the group's leaves by.
+///
+/// An exact bound costs a table sum per entry, so the entries are bounded
+/// in at most two rounds, each through the fast-scan prefilter: those at
+/// or under a limit — the cutoff, or while it is open (fewer than the `k`
+/// answers the query returns), the k-th smallest bound of a sample of the
+/// first leaf — and, if the cutoff is still above that limit once they are
+/// spent, those between the limit and the cutoff. Both rounds together take in, and
+/// fetch in the same order, what bounding every entry exactly would: a
+/// near query bounds the group's entries against a cutoff close to its
+/// answer instead of summing the table for each of them.
+#[allow(clippy::too_many_arguments)]
+fn probe_group<D: Directory, M: Distance, C: Collector>(
+    runs: &[&SortedLeafIndex<D>],
+    group: &[(usize, usize)],
+    k: usize,
+    metric: &M,
+    hits: &mut C,
+    stats: &mut QueryStats,
+    bufs: &mut ProbeBufs,
+) -> Result<()> {
+    let table = metric.table();
+    let blocks = group
+        .iter()
+        .map(|&(r, l)| runs[r].summaries.block(l))
+        .collect::<Result<Vec<_>>>()?;
+    stats.leaves_visited += blocks.len() as u64;
+    let entries: usize = blocks.iter().map(|b| b.len()).sum();
+    if bufs.leaves.len() < group.len() {
+        bufs.leaves.resize_with(group.len(), Vec::new);
+    }
+    bufs.read.clear();
+    bufs.read.resize(group.len(), false);
+    let open = |cutoff: f64| !(cutoff * cutoff).is_finite();
+    let mut limit = hits.cutoff();
+    if open(limit) {
+        if let Some(first) = blocks.first().filter(|b| !b.is_empty()) {
+            limit = sample_bound(table, first, k, &mut bufs.sample, &mut bufs.under);
+        }
+    }
+    // Entries bounded at or under `taken` were taken in by the round
+    // before; those over `limit` are not in yet.
+    let mut taken = f64::NEG_INFINITY;
+    let mut fetched = 0;
+    let mut round = std::mem::take(&mut bufs.entries);
+    round.clear();
+    loop {
+        for (g, block) in blocks.iter().enumerate() {
+            bufs.under.clear();
+            table.bounds_under(block.symbols, limit, 0, &mut bufs.under);
+            round.extend(bufs.under.iter().filter(|&&(_, bound)| bound > taken).map(
+                |&(slot, bound)| ProbeEntry {
+                    bound,
+                    pos: block.pos(slot),
+                    leaf: g as u32,
+                    slot: slot as u32,
+                },
+            ));
+        }
+        let mut heap = std::collections::BinaryHeap::from(round);
+        let mut spent = true;
+        while let Some(entry) = heap.pop() {
+            if entry.bound > hits.cutoff() {
+                // Popped by bound and the cutoff only tightens.
+                spent = false;
+                break;
+            }
+            fetch_entry(runs, group, entry, metric, hits, stats, bufs)?;
+            fetched += 1;
+        }
+        round = heap.into_vec();
+        if !spent || hits.cutoff() <= limit {
+            break;
+        }
+        (taken, limit) = (limit, hits.cutoff());
+    }
+    stats.pruned += (entries - fetched) as u64;
+    bufs.entries = round;
+    Ok(())
+}
+
+/// The `k`-th smallest exact bound among [`PROBE_SAMPLE`] entries spread
+/// across `block` (not empty), bounded as one block of their symbols in
+/// `sample` — infinite when fewer are sampled.
+fn sample_bound(
+    table: &coconut_summary::QueryDistTable,
+    block: &LeafBlock<'_>,
+    k: usize,
+    sample: &mut Vec<u8>,
+    under: &mut Vec<(usize, f64)>,
+) -> f64 {
+    let count = block.len();
+    let picked = PROBE_SAMPLE.min(count);
+    let segments = block.symbols.len() / count;
+    sample.clear();
+    for j in 0..segments {
+        let column = &block.symbols[j * count..(j + 1) * count];
+        sample.extend((0..picked).map(|i| column[i * count / picked]));
+    }
+    under.clear();
+    table.bounds_under(sample, f64::INFINITY, 0, under);
+    let Some(at) = k.checked_sub(1).filter(|&at| at < under.len()) else {
+        return f64::INFINITY;
+    };
+    let (_, &mut (_, nth), _) = under.select_nth_unstable_by(at, |a, b| a.1.total_cmp(&b.1));
+    nth
+}
+
+/// Fetch the probe entry `entry` of `group` — from the raw file, or from
+/// its materialized leaf, read back the first time a payload of it is
+/// wanted — and offer it to `hits` at its true distance.
+fn fetch_entry<D: Directory, M: Distance, C: Collector>(
+    runs: &[&SortedLeafIndex<D>],
+    group: &[(usize, usize)],
+    entry: ProbeEntry,
+    metric: &M,
+    hits: &mut C,
+    stats: &mut QueryStats,
+    bufs: &mut ProbeBufs,
+) -> Result<()> {
+    let (leaf, slot) = (entry.leaf as usize, entry.slot as usize);
+    let (r, l) = group[leaf];
+    let (run, series) = (runs[r], &mut bufs.series);
+    if run.materialized {
+        let stored = &mut bufs.leaves[leaf];
+        if !bufs.read[leaf] {
+            run.store.read_leaf(l, &run.leaves[l], stored)?;
+            bufs.read[leaf] = true;
+        }
+        run.store.codec().parts(stored).series_into(slot, series);
+    } else {
+        run.dataset.read_into(entry.pos, series)?;
+    }
+    stats.records_fetched += 1;
+    if let Some(dist) = metric.eval(series, hits.cutoff()) {
+        hits.offer(Answer {
+            pos: entry.pos,
+            dist,
+        });
+    }
+    Ok(())
+}
+
+/// Answer `query` for `series` over `runs` — indexes of one configuration
+/// and one layout over disjoint position ranges of one dataset, in
+/// ascending position order (the runs of an LSM snapshot; one index is one
+/// run) — with one scan: one query key, one metric table and one collector
+/// for every run.
+///
+/// 1. **probe** (Algorithm 4): descend each run's directory to the query
+///    key's leaf and take it plus `radius` neighbors on each side — every
+///    run's target leaf in one step, then each neighbor, nearest first, on
+///    its own, every step under the cutoff the ones before left
+///    ([`probe_group`]). The answer is the true best of those leaves, for
+///    a fraction of their raw fetches. A range query's cutoff is fixed, so
+///    it skips the probe;
+/// 2. unless the query is approximate, the SIMS scan over the summaries of
+///    every other leaf of every run, seeded by step 1 — one best-box-first
+///    order across the runs ([`crate::sims::scan_runs`]). A pointer sweep
+///    fetches by raw-file position across the runs; a materialized one by
+///    run, then scan index, through one leaf cursor per run.
+///
+/// One run — a static tree or trie, a one-run snapshot — is a probe of its
+/// target leaf, then of each neighbor, and one scan.
+pub(crate) fn search_runs<D: Directory>(
+    runs: &[&SortedLeafIndex<D>],
+    series: &[Value],
+    query: &Query,
+) -> Result<(Vec<Answer>, QueryStats)> {
+    let Some(first) = runs.first() else {
+        return Ok((Vec::new(), QueryStats::default()));
+    };
+    let sax = &first.config.sax;
+    if runs
+        .iter()
+        .any(|r| r.config.sax != *sax || r.materialized != first.materialized)
+    {
+        return Err(Error::invalid(
+            "the runs of one search must share their SAX configuration and layout",
+        ));
+    }
+    let key = first.query_key(series)?;
+    match query.metric {
+        Metric::Ed => collect(runs, key, query, &Ed::new(series, sax)),
+        Metric::Dtw(band) => collect(runs, key, query, &Dtw::new(series, band, sax)),
+    }
+}
+
+fn collect<D: Directory, M: Distance>(
+    runs: &[&SortedLeafIndex<D>],
+    key: ZKey,
+    query: &Query,
+    metric: &M,
+) -> Result<(Vec<Answer>, QueryStats)> {
+    match query.kind {
+        Kind::Knn(0) => Ok((Vec::new(), QueryStats::default())),
+        Kind::Nearest | Kind::Approx => run(runs, key, query, metric, TopK::new(1, query.bound)),
+        Kind::Knn(k) => run(runs, key, query, metric, TopK::new(k, query.bound)),
+        Kind::Range(eps) => run(runs, key, query, metric, Within::new(eps, query.bound)),
+    }
+}
+
+fn run<D: Directory, M: Distance, C: Collector>(
+    runs: &[&SortedLeafIndex<D>],
+    key: ZKey,
+    query: &Query,
+    metric: &M,
+    mut hits: C,
+) -> Result<(Vec<Answer>, QueryStats)> {
+    let mut stats = QueryStats::default();
+    query.deadline.check()?;
+    let mut seeds = vec![0..0; runs.len()];
+    // A range query's cutoff is fixed: seeds could not tighten it.
+    if !matches!(query.kind, Kind::Range(_)) {
+        let mut probe = Vec::new();
+        for (r, run) in runs.iter().enumerate() {
+            if let Some(target) = run.dir.descend(key) {
+                let lo = target.saturating_sub(query.radius);
+                let hi = target
+                    .saturating_add(query.radius)
+                    .min(run.leaves.len() - 1);
+                probe.extend((lo..=hi).map(|l| (l.abs_diff(target), r, l)));
+                seeds[r] = lo..hi + 1;
+            }
+        }
+        probe.sort_unstable();
+        let mut bufs = ProbeBufs {
+            series: vec![0.0; runs[0].config.sax.series_len],
+            ..ProbeBufs::default()
+        };
+        let k = query.limit().unwrap_or(1);
+        // Every run's target leaf in one step (the query's best entries
+        // are likeliest among them, and the first one's close the cutoff
+        // the others are bounded under), then each neighbor on its own.
+        let targets = probe.partition_point(|&(d, _, _)| d == 0);
+        let steps = std::iter::once(&probe[..targets])
+            .chain(probe[targets..].chunks(1))
+            .filter(|step| !step.is_empty());
+        let mut group = Vec::with_capacity(targets);
+        for step in steps {
+            group.clear();
+            group.extend(step.iter().map(|&(_, r, l)| (r, l)));
+            probe_group(runs, &group, k, metric, &mut hits, &mut stats, &mut bufs)?;
+        }
+    }
+    if query.kind != Kind::Approx {
+        stats.add(&scan(runs, metric, &mut hits, &seeds, query.deadline)?);
+    }
+    Ok((hits.into_answers(), stats))
+}
+
+/// The SIMS scan over every run's summaries but the probe's `seeds`
+/// ([`crate::sims::scan_runs`]), fetching from the raw file or,
+/// materialized, from each run's leaves.
+fn scan<D: Directory, M: Distance, C: Collector>(
+    runs: &[&SortedLeafIndex<D>],
+    metric: &M,
+    hits: &mut C,
+    seeds: &[Range<usize>],
+    deadline: Deadline,
+) -> Result<QueryStats> {
+    let scan_runs: Vec<ScanRun<'_>> = runs
+        .iter()
+        .zip(seeds)
+        .map(|(run, seeds)| ScanRun {
+            summaries: &run.summaries,
+            resolved: seeds.clone(),
+        })
+        .collect();
+    let (len, threads) = (runs[0].config.sax.series_len, runs[0].threads);
+    if runs[0].materialized {
+        let mut fetcher = RunsLeafFetcher {
+            firsts: scan_runs
+                .iter()
+                .scan(0, |first, r| {
+                    let at = *first;
+                    *first += r.summaries.len() as u64;
+                    Some(at)
+                })
+                .collect(),
+            cursors: runs.iter().map(|r| r.leaf_fetcher()).collect(),
+        };
+        sims::scan_runs(
+            metric,
+            len,
+            &scan_runs,
+            threads,
+            &mut fetcher,
+            hits,
+            deadline,
+        )
+    } else {
+        let mut fetcher = RawFileFetcher { runs };
+        sims::scan_runs(
+            metric,
+            len,
+            &scan_runs,
+            threads,
+            &mut fetcher,
+            hits,
+            deadline,
+        )
+    }
+}
+
+/// SIMS fetcher for pointer runs: candidates arrive in raw-file position
+/// order across the runs, so fetches walk the raw file forward
+/// (skip-sequential). Each position is read through the dataset handle of
+/// the run covering it: runs opened at different times may hold handles of
+/// different lengths on one growing file.
+struct RawFileFetcher<'a, D> {
+    runs: &'a [&'a SortedLeafIndex<D>],
+}
+
+impl<D> SeriesFetcher for RawFileFetcher<'_, D> {
+    const POSITION_ORDER: bool = true;
+
+    fn fetch(&mut self, pos: u64, out: &mut [Value]) -> Result<u64> {
+        let covering = self.runs.partition_point(|r| r.range.end <= pos);
+        let run = self.runs[covering.min(self.runs.len() - 1)];
+        run.dataset.read_into(pos, out)?;
+        Ok(pos)
+    }
+}
+
+/// SIMS fetcher for materialized runs: a candidate is known by its scan
+/// index in the runs' leaves taken one run after another (run `r`'s from
+/// `firsts[r]` on), and each run reads its leaves through its own cursor.
+struct RunsLeafFetcher<'a> {
+    firsts: Vec<u64>,
+    cursors: Vec<LeafOrderFetcher<'a>>,
+}
+
+impl SeriesFetcher for RunsLeafFetcher<'_> {
+    const POSITION_ORDER: bool = false;
+
+    fn fetch(&mut self, i: u64, out: &mut [Value]) -> Result<u64> {
+        let run = self.firsts.partition_point(|&first| first <= i) - 1;
+        self.cursors[run].fetch(i - self.firsts[run], out)
     }
 }
 
@@ -1121,6 +1358,98 @@ pub(crate) mod tests {
         }
         let header = IndexHeader::read_from(index.store.file()).unwrap();
         assert_eq!(header.dir_offset, end);
+    }
+
+    /// The probe as one round would run it: every entry of `group` bounded
+    /// exactly, fetched in ascending `(bound, position)` order while the
+    /// bound can still enter `hits`.
+    fn probe_by_exact_bounds<D: Directory>(
+        runs: &[&SortedLeafIndex<D>],
+        group: &[(usize, usize)],
+        metric: &Ed<'_>,
+        hits: &mut TopK,
+    ) -> QueryStats {
+        let mut stats = QueryStats::default();
+        let mut all = Vec::new();
+        for &(r, l) in group {
+            let block = runs[r].summaries.block(l).unwrap();
+            let mut under = Vec::new();
+            metric
+                .table()
+                .bounds_under(block.symbols, f64::INFINITY, 0, &mut under);
+            all.extend(under.iter().map(|&(e, b)| (b, block.pos(e))));
+        }
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut series = vec![0.0; runs[0].config.sax.series_len];
+        for &(bound, pos) in &all {
+            if bound > hits.cutoff() {
+                break;
+            }
+            runs[0].dataset.read_into(pos, &mut series).unwrap();
+            stats.records_fetched += 1;
+            if let Some(dist) = metric.eval(&series, hits.cutoff()) {
+                hits.offer(Answer { pos, dist });
+            }
+        }
+        stats.leaves_visited = group.len() as u64;
+        stats.pruned = all.len() as u64 - stats.records_fetched;
+        stats
+    }
+
+    #[test]
+    fn a_probe_step_fetches_what_exact_bounds_would_in_the_same_order() {
+        // Two runs of leaves of 150 entries — more than the sample — so
+        // the first round's limit comes from the sample and the second
+        // round takes in the rest.
+        let dir = TempDir::new("leaves-probe").unwrap();
+        let stats = Arc::new(IoStats::new());
+        let path = dir.path().join("data.bin");
+        write_dataset(&path, &mut RandomWalkGen::new(17), 1_200, 64, &stats).unwrap();
+        let ds = Dataset::open(&path, stats).unwrap();
+        let mut config = IndexConfig::default_for_len(64);
+        config.leaf_capacity = 150;
+        let opts = BuildOptions::default;
+        let a = CoconutTree::build_range(&ds, 0..700, &config, dir.path(), opts()).unwrap();
+        let b = CoconutTree::build_range(&ds, 700..1_200, &config, dir.path(), opts()).unwrap();
+        let runs = [&a, &b];
+        let groups: [&[(usize, usize)]; 3] =
+            [&[(0, 2)], &[(0, 1), (1, 3)], &[(1, 0), (0, 4), (1, 2)]];
+        for seed in 0..6 {
+            let mut q =
+                coconut_series::gen::Generator::generate(&mut RandomWalkGen::new(500 + seed), 64);
+            coconut_series::distance::znormalize(&mut q);
+            if seed % 2 == 1 {
+                // A near query: a member with a little noise.
+                q = ds.get(seed * 97).unwrap();
+                q[7] += 0.05;
+            }
+            let metric = Ed::new(&q, &config.sax);
+            for group in groups {
+                for k in [1, 3, 200] {
+                    let mut want = TopK::new(k, f64::INFINITY);
+                    let want_stats = probe_by_exact_bounds(&runs, group, &metric, &mut want);
+                    let mut got = TopK::new(k, f64::INFINITY);
+                    let mut got_stats = QueryStats::default();
+                    let mut bufs = ProbeBufs {
+                        series: vec![0.0; 64],
+                        ..ProbeBufs::default()
+                    };
+                    probe_group(
+                        &runs,
+                        group,
+                        k,
+                        &metric,
+                        &mut got,
+                        &mut got_stats,
+                        &mut bufs,
+                    )
+                    .unwrap();
+                    let at = format!("seed {seed}, {group:?}, k {k}");
+                    assert_eq!(got.into_answers(), want.into_answers(), "{at}");
+                    assert_eq!(got_stats, want_stats, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

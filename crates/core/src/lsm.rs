@@ -960,23 +960,18 @@ impl Snapshot {
         self.len() == 0
     }
 
-    /// Answer `query` over the pinned runs: each run is searched with the
-    /// bound tightened by what the runs before it found
-    /// ([`Query::tightened`] — runs cover ascending position ranges), and
-    /// the per-run answers merge under the `(dist, pos)` order. Per-run
-    /// work counters are summed.
+    /// Answer `query` over the pinned runs with one scan, of which
+    /// [`crate::SortedLeafIndex::search`] is the one-run case: one query
+    /// key, one metric table and one collector; a probe of every run's
+    /// target leaf ± `radius`, then every other leaf of every run in one
+    /// best-box-first order.
     pub fn search(&self, series: &[Value], query: &Query) -> Result<(Vec<Answer>, QueryStats)> {
-        let mut merged = Vec::new();
-        let mut stats = QueryStats::default();
-        for run in &self.runs {
-            let (answers, s) = run.search(series, &query.tightened(&merged))?;
-            query.merge(&mut merged, answers);
-            stats.add(&s);
-        }
-        Ok((merged, stats))
+        let runs: Vec<&CoconutTree> = self.runs.iter().map(|r| &**r).collect();
+        crate::leaves::search_runs(&runs, series, query)
     }
 
-    /// Approximate 1-NN over the pinned runs (best leaf per run, merged).
+    /// Approximate 1-NN over the pinned runs (the best entry of every
+    /// run's target leaf and its neighbors).
     pub fn approximate(&self, query: &[Value]) -> Result<Answer> {
         Ok(first(self.search(query, &Query::approx())?).0)
     }

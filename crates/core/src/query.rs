@@ -19,11 +19,12 @@
 //! # The bound
 //!
 //! `bound` is *strict*: only candidates with `dist < bound` are returned.
-//! Layers that merge parts covering ascending position ranges (runs of a
-//! snapshot, shards of a set) pass each part the worst distance merged so
-//! far ([`Query::tightened`]); a later part's tie at the bound has a higher
+//! Layers that merge parts covering ascending position ranges (the shards
+//! of a set) pass each part the worst distance merged so far
+//! ([`Query::tightened`]); a later part's tie at the bound has a higher
 //! position than everything already merged and could never displace it, so
-//! dropping it is exact. `f64::INFINITY` disables the bound.
+//! dropping it is exact. The runs of a snapshot share one collector
+//! instead. `f64::INFINITY` disables the bound.
 
 use std::cmp::Ordering;
 

@@ -41,6 +41,19 @@
 //! it. The scan stops at the first box over the cutoff: every box after it
 //! in the order is over too.
 //!
+//! **One scan per snapshot.** The runs of an LSM snapshot share one
+//! configuration, so their leaf boxes are comparable under one table, and
+//! a snapshot is scanned as one index: the scan takes a list of runs, each
+//! its [`Summaries`] and the leaves its probe resolved, bounds every run's
+//! leaf boxes, and visits all of them in one ascending `(box bound, run,
+//! leaf)` order, in the same doubling batches, under one collector. A
+//! sweep fetches by raw-file position across the runs (pointer runs cover
+//! disjoint position ranges of one raw file) or run by run, each in scan
+//! order (materialized, one forward cursor per run). [`sims_scan`] is the
+//! case of one run. A snapshot's query thus pays one table, one leaf order
+//! and one set of batches whatever its run count, and the best boxes of
+//! every run set the cutoff the other runs' leaves are bounded under.
+//!
 //! The fetch is a [`SeriesFetcher`]; the lower bound and true distance are a
 //! [`Distance`] ([`Ed`], [`Dtw`] — both reduce their bound to one per-query
 //! [`QueryDistTable`], so one kernel serves both); and what "beats the
@@ -56,12 +69,13 @@
 //!   records in — a materialized index returns exactly what a pointer
 //!   index does.
 //! * **Monotone fetches, per sweep.** A sweep visits its candidates in
-//!   strictly increasing storage order, which is what makes it
-//!   *skip-sequential* (every raw-file/leaf read moves forward, never seeks
-//!   back). The next sweep starts over: its batch's leaves may lie before
-//!   the last one's, so a [`SeriesFetcher`] is a forward cursor that
-//!   restarts per sweep. Batches hold disjoint leaves, so a materialized
-//!   index's cursor still reads each leaf at most once per scan.
+//!   strictly increasing storage order — across the runs of a snapshot
+//!   too — which is what makes it *skip-sequential* (every raw-file/leaf
+//!   read moves forward, never seeks back). The next sweep starts over: its
+//!   batch's leaves may lie before the last one's, so a [`SeriesFetcher`]
+//!   is a forward cursor that restarts per sweep. Batches hold disjoint
+//!   leaves, so a materialized index's cursor still reads each leaf at most
+//!   once per scan.
 //! * **Kernel dispatch is process-wide and answer-invariant.** The bound
 //!   kernels and the early-abandoning Euclidean distance go through
 //!   `coconut_series::simd`'s runtime dispatch (AVX2 where available, a
@@ -439,9 +453,19 @@ impl Collector for Within {
     }
 }
 
+/// One run of a scan: its summaries, and the leaves of it the probe
+/// already resolved — leaves whose every entry the collector has been
+/// offered or seen bounded over its cutoff, so nothing in them can enter
+/// the answer any more. Their boxes are still bounded (and counted), their
+/// entries are neither.
+pub(crate) struct ScanRun<'a> {
+    pub(crate) summaries: &'a Summaries,
+    pub(crate) resolved: Range<usize>,
+}
+
 /// An entry that survived phase A: where it is stored — its raw-file
-/// position or its scan index, whichever orders the fetcher's storage —
-/// and its lower bound.
+/// position, or its scan index in the runs' leaves taken one run after
+/// another, whichever orders the fetcher's storage — and its lower bound.
 type Candidate = (u64, f64);
 
 /// One phase-A worker's reusable buffers: the kernel's `(entry, bound)`
@@ -461,35 +485,38 @@ impl Default for Part {
     }
 }
 
-/// Phase A over one batch of `leaves`: append every entry `filter` keeps
-/// (known by position if `by_pos`, by scan index otherwise) to the first of
-/// `parts` (there is always one), splitting the batch over `workers` scoped
-/// threads by leaf ranges of near-equal key counts (one worker runs inline,
-/// spawning nothing). A worker verifies the blocks of its leaves that no
-/// query touched before, so a cold scan checks blocks in parallel. Each
-/// worker fills one of `parts`, the scan's reusable buffers — the first
-/// appends where the candidates gather, the others' lists follow it there:
-/// they are allocated here, by the thread that keeps them, so they grow in
-/// its allocator arena batch after batch instead of leaving a high-water
-/// mark in the arena of every short-lived worker.
+/// Phase A over one batch of `(run, leaf)` `leaves`: append every entry
+/// `filter` keeps (known by position if `by_pos`, by scan index otherwise,
+/// run `r`'s from `firsts[r]` on) to the first of `parts` (there is always
+/// one), splitting the batch over `workers` scoped threads by leaf ranges
+/// of near-equal key counts (one worker runs inline, spawning nothing). A
+/// worker verifies the blocks of its leaves that no query touched before,
+/// so a cold scan checks blocks in parallel. Each worker fills one of
+/// `parts`, the scan's reusable buffers — the first appends where the
+/// candidates gather, the others' lists follow it there: they are
+/// allocated here, by the thread that keeps them, so they grow in its
+/// allocator arena batch after batch instead of leaving a high-water mark
+/// in the arena of every short-lived worker.
 fn bound_batch(
     filter: &KeyFilter<'_>,
-    summaries: &Summaries,
-    leaves: &[usize],
+    runs: &[ScanRun<'_>],
+    firsts: &[usize],
+    leaves: &[(usize, usize)],
     by_pos: bool,
     workers: usize,
     parts: &mut Vec<Part>,
 ) -> Result<()> {
-    let shares = balanced_chunks(leaves, workers, |&l| summaries.leaf_len(l));
+    let shares = balanced_chunks(leaves, workers, |&(r, l)| runs[r].summaries.leaf_len(l));
     if parts.len() < shares.len() {
         parts.resize_with(shares.len(), Part::default);
     }
     let loaded = scatter(
         shares.into_iter().zip(parts.iter_mut()),
         |(leaves, part)| -> Result<()> {
-            for &l in leaves {
+            for &(r, l) in leaves {
+                let summaries = runs[r].summaries;
                 let block = summaries.block(l)?;
-                let start = summaries.leaf_starts()[l];
+                let start = firsts[r] + summaries.leaf_starts()[l];
                 part.under.clear();
                 filter.bounds_under(block.symbols, 0, &mut part.under);
                 part.kept.extend(part.under.iter().map(|&(e, bound)| {
@@ -514,36 +541,38 @@ fn bound_batch(
     loaded.into_iter().collect()
 }
 
-/// The leaves outside `resolved` whose box bound does not exceed `cutoff`,
-/// as `(bound, leaf)` in ascending order — the order the scan visits them
-/// in — and the entries the other leaves outside `resolved` hold.
+/// The leaves of `runs` outside their resolved ones whose box bound does
+/// not exceed `cutoff`, as `(bound, run, leaf)` in ascending order — the
+/// one order the scan visits every run's leaves in — and the entries the
+/// other unresolved leaves hold.
 fn leaf_order(
     table: &QueryDistTable,
-    summaries: &Summaries,
-    resolved: &Range<usize>,
+    runs: &[ScanRun<'_>],
     cutoff: f64,
-) -> (Vec<(f64, usize)>, u64) {
+) -> (Vec<(f64, usize, usize)>, u64) {
     let mut order = Vec::new();
     let mut pruned = 0;
-    for leaf in 0..summaries.leaf_count() {
-        // Resolved leaves are bounded all the same: `lower_bounds` counts
-        // one per leaf box.
-        let (lo, hi) = summaries.leaf_box(leaf);
-        let bound = table.box_bound(lo, hi);
-        if resolved.contains(&leaf) {
-            continue;
-        }
-        if bound <= cutoff {
-            order.push((bound, leaf));
-        } else {
-            pruned += summaries.leaf_len(leaf) as u64;
+    for (run, r) in runs.iter().enumerate() {
+        for leaf in 0..r.summaries.leaf_count() {
+            // Resolved leaves are bounded all the same: `lower_bounds`
+            // counts one per leaf box.
+            let (lo, hi) = r.summaries.leaf_box(leaf);
+            let bound = table.box_bound(lo, hi);
+            if r.resolved.contains(&leaf) {
+                continue;
+            }
+            if bound <= cutoff {
+                order.push((bound, run, leaf));
+            } else {
+                pruned += r.summaries.leaf_len(leaf) as u64;
+            }
         }
     }
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
     (order, pruned)
 }
 
-/// The SIMS scan (Algorithm 5), seeded by the probe's hits in `hits`: bound
+/// The SIMS scan (Algorithm 5), seeded by the collector `hits`: bound
 /// every leaf box, then visit the surviving leaves best box first, in
 /// batches of one leaf's worth of keys, doubling (phase A: the keys of the
 /// batch's leaves, with `threads` workers), each swept in storage order
@@ -564,45 +593,46 @@ pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
     hits: &mut C,
     deadline: Deadline,
 ) -> Result<QueryStats> {
-    let every_leaf = 0..0;
-    sims_scan_except(
-        dist, series_len, summaries, every_leaf, threads, fetcher, hits, deadline,
-    )
+    let run = ScanRun {
+        summaries,
+        resolved: 0..0,
+    };
+    scan_runs(dist, series_len, &[run], threads, fetcher, hits, deadline)
 }
 
-/// [`sims_scan`] of the leaves outside `resolved`: leaves whose every entry
-/// `hits` has already been offered or seen bounded over its cutoff — the
-/// probe's seed leaves, which it evaluates in bound order — so nothing in
-/// them can enter the answer any more. Their boxes are still bounded (and
-/// counted), their entries are neither: `pruned + records_fetched` covers
-/// the other leaves' entries.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sims_scan_except<D: Distance, F: SeriesFetcher, C: Collector>(
+/// [`sims_scan`] over several runs at once — the leaves of every run
+/// outside its resolved ones, in one best-box-first order, under one
+/// table and one collector. `fetcher` knows a candidate by its raw-file
+/// position ([`SeriesFetcher::POSITION_ORDER`]: a sweep walks the raw file
+/// forward across the runs) or by its scan index in the runs' leaves
+/// taken one run after another, run `r`'s starting after the entries of
+/// the runs before it (so a sweep goes run by run, each in leaf order).
+/// `pruned + records_fetched` covers the unresolved leaves' entries.
+pub(crate) fn scan_runs<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
     series_len: usize,
-    summaries: &Summaries,
-    resolved: Range<usize>,
+    runs: &[ScanRun<'_>],
     threads: usize,
     fetcher: &mut F,
     hits: &mut C,
     deadline: Deadline,
 ) -> Result<QueryStats> {
-    let leaf_keys = summaries.len().div_ceil(summaries.leaf_count().max(1));
-    let limits = (leaf_keys, PARALLEL_MIN_KEYS);
+    let entries: usize = runs.iter().map(|r| r.summaries.len()).sum();
+    let leaves: usize = runs.iter().map(|r| r.summaries.leaf_count()).sum();
+    let limits = (entries.div_ceil(leaves.max(1)), PARALLEL_MIN_KEYS);
     scan_batched(
-        dist, series_len, summaries, resolved, threads, fetcher, hits, deadline, limits,
+        dist, series_len, runs, threads, fetcher, hits, deadline, limits,
     )
 }
 
-/// [`sims_scan`] with explicit `(keys of the first batch, keys that make a
+/// [`scan_runs`] with explicit `(keys of the first batch, keys that make a
 /// loaded batch parallel)` (so tests can reach the threaded path on a few
 /// thousand keys).
 #[allow(clippy::too_many_arguments)]
 fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
     series_len: usize,
-    summaries: &Summaries,
-    resolved: Range<usize>,
+    runs: &[ScanRun<'_>],
     threads: usize,
     fetcher: &mut F,
     hits: &mut C,
@@ -612,12 +642,24 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
     let mut stats = QueryStats::default();
     let table = dist.table();
     deadline.check()?;
-    let (order, pruned) = leaf_order(table, summaries, &resolved, hits.cutoff());
-    stats.lower_bounds += summaries.leaf_count() as u64;
+    let (order, pruned) = leaf_order(table, runs, hits.cutoff());
+    let leaf_len = |run: usize, leaf: usize| runs[run].summaries.leaf_len(leaf);
+    let firsts: Vec<usize> = runs
+        .iter()
+        .scan(0, |first, r| {
+            let at = *first;
+            *first += r.summaries.len();
+            Some(at)
+        })
+        .collect();
+    stats.lower_bounds += runs
+        .iter()
+        .map(|r| r.summaries.leaf_count() as u64)
+        .sum::<u64>();
     stats.pruned += pruned;
     let mut buf = vec![0.0 as Value; series_len];
     let mut parts = vec![Part::default()];
-    let mut batch: Vec<usize> = Vec::new();
+    let mut batch: Vec<(usize, usize)> = Vec::new();
     let mut batch_keys = first_batch_keys.max(1);
     let mut next = 0;
     loop {
@@ -627,32 +669,29 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
         let mut cutoff = hits.cutoff();
         let mut keys = 0;
         batch.clear();
-        while let Some(&(bound, leaf)) = order.get(next) {
+        while let Some(&(bound, run, leaf)) = order.get(next) {
             if bound > cutoff || keys >= batch_keys {
                 break;
             }
-            batch.push(leaf);
-            keys += summaries.leaf_len(leaf);
+            batch.push((run, leaf));
+            keys += leaf_len(run, leaf);
             next += 1;
         }
         if batch.is_empty() {
             break;
         }
         batch_keys = batch_keys.saturating_mul(2);
-        let cold = batch.iter().filter(|&&l| !summaries.is_loaded(l)).count();
+        let cold = batch
+            .iter()
+            .filter(|&&(r, l)| !runs[r].summaries.is_loaded(l))
+            .count();
         let parallel = threads > 1
             && batch.len() > 1
             && (keys >= parallel_min_keys || cold >= PARALLEL_MIN_COLD_LEAVES);
         let workers = if parallel { threads } else { 1 };
         let filter = table.key_filter(cutoff);
-        bound_batch(
-            &filter,
-            summaries,
-            &batch,
-            F::POSITION_ORDER,
-            workers,
-            &mut parts,
-        )?;
+        let by_pos = F::POSITION_ORDER;
+        bound_batch(&filter, runs, &firsts, &batch, by_pos, workers, &mut parts)?;
         let candidates = &mut parts[0].kept;
         stats.lower_bounds += keys as u64;
         stats.pruned += (keys - candidates.len()) as u64;
@@ -676,7 +715,7 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
         }
         candidates.clear();
     }
-    let unvisited = order[next..].iter().map(|&(_, l)| summaries.leaf_len(l));
+    let unvisited = order[next..].iter().map(|&(_, r, l)| leaf_len(r, l));
     stats.pruned += unvisited.sum::<usize>() as u64;
     Ok(stats)
 }
@@ -756,6 +795,32 @@ mod tests {
         Ok((hits.into_answers(), stats))
     }
 
+    /// [`scan_batched`] over `sums` alone under explicit `limits`.
+    fn scan_one<F: SeriesFetcher, C: Collector>(
+        ed: &Ed<'_>,
+        sums: &Summaries,
+        threads: usize,
+        fetcher: &mut F,
+        hits: &mut C,
+        limits: (usize, usize),
+    ) -> QueryStats {
+        let runs = [ScanRun {
+            summaries: sums,
+            resolved: 0..0,
+        }];
+        scan_batched(
+            ed,
+            64,
+            &runs,
+            threads,
+            fetcher,
+            hits,
+            Deadline::NONE,
+            limits,
+        )
+        .unwrap()
+    }
+
     fn brute_force(query: &[Value], data: &[Vec<Value>]) -> Vec<Answer> {
         let mut all: Vec<Answer> = data
             .iter()
@@ -827,18 +892,7 @@ mod tests {
             let run = |threads: usize, limits: (usize, usize)| {
                 let mut hits = TopK::new(7, f64::INFINITY);
                 let mut fetcher = VecFetcher { data: &data };
-                let stats = scan_batched(
-                    &ed,
-                    64,
-                    &sums,
-                    0..0,
-                    threads,
-                    &mut fetcher,
-                    &mut hits,
-                    Deadline::NONE,
-                    limits,
-                )
-                .unwrap();
+                let stats = scan_one(&ed, &sums, threads, &mut fetcher, &mut hits, limits);
                 assert_eq!(
                     hits.into_answers(),
                     oracle[..7],
@@ -897,16 +951,20 @@ mod tests {
             let q = query(60 + seed, 64);
             let ed = Ed::new(&q, &config);
             let oracle = brute_force(&q, &data);
-            let (order, pruned) = leaf_order(ed.table(), &sums, &(0..0), f64::INFINITY);
+            let run = ScanRun {
+                summaries: &sums,
+                resolved: 0..0,
+            };
+            let (order, pruned) = leaf_order(ed.table(), &[run], f64::INFINITY);
             assert_eq!((order.len(), pruned), (LEAVES, 0));
             assert!(order
                 .windows(2)
-                .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)));
+                .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].2 < w[1].2)));
             // With one-leaf first batches, batch `k` is the `2^k` leaves
             // from order rank `2^k - 1`: every fetch of a batch comes before
             // any of the next one's.
             let mut batch_of = vec![0; LEAVES];
-            for (rank, &(_, leaf)) in order.iter().enumerate() {
+            for (rank, &(_, _, leaf)) in order.iter().enumerate() {
                 batch_of[leaf] = (rank + 1).ilog2();
             }
             let mut fetcher = Logged {
@@ -915,18 +973,7 @@ mod tests {
             };
             let mut hits = TopK::new(3, f64::INFINITY);
             let limits = (LEAF, usize::MAX);
-            scan_batched(
-                &ed,
-                64,
-                &sums,
-                0..0,
-                1,
-                &mut fetcher,
-                &mut hits,
-                Deadline::NONE,
-                limits,
-            )
-            .unwrap();
+            scan_one(&ed, &sums, 1, &mut fetcher, &mut hits, limits);
             assert_eq!(hits.into_answers(), oracle[..3]);
             let batches: Vec<u32> = fetcher
                 .log
@@ -941,19 +988,11 @@ mod tests {
             let mut seeded = TopK::new(1, f64::INFINITY);
             seeded.offer(oracle[0]);
             let mut fetcher = VecFetcher { data: &data };
-            let stats = scan_batched(
-                &ed,
-                64,
-                &sums,
-                0..0,
-                1,
-                &mut fetcher,
-                &mut seeded,
-                Deadline::NONE,
-                limits,
-            )
-            .unwrap();
-            let under = order.iter().filter(|&&(b, _)| b <= oracle[0].dist).count();
+            let stats = scan_one(&ed, &sums, 1, &mut fetcher, &mut seeded, limits);
+            let under = order
+                .iter()
+                .filter(|&&(b, _, _)| b <= oracle[0].dist)
+                .count();
             assert!(under < LEAVES, "seed {seed}: no leaf pruned");
             assert_eq!(stats.lower_bounds, (LEAVES + under * LEAF) as u64);
             assert_eq!(stats.pruned + stats.records_fetched, data.len() as u64);
@@ -1063,24 +1102,31 @@ mod tests {
         let sums = summarize(&keys, &config);
         let q = query(4, 64);
         let ed = Ed::new(&q, &config);
-        let leaves: Vec<usize> = (0..sums.leaf_count()).filter(|l| l % 5 != 2).collect();
+        let runs = [ScanRun {
+            summaries: &sums,
+            resolved: 0..0,
+        }];
+        let leaves: Vec<(usize, usize)> = (0..sums.leaf_count())
+            .filter(|l| l % 5 != 2)
+            .map(|l| (0, l))
+            .collect();
         // A cutoff about a third of the keys pass.
         let mut all = parallel_mindists(&paa(&q, config.segments), &keys, &config, 1);
         all.sort_by(f64::total_cmp);
         let filter = ed.table().key_filter(all[1000]);
         let mut parts = vec![Part::default()];
-        bound_batch(&filter, &sums, &leaves, false, 1, &mut parts).unwrap();
+        bound_batch(&filter, &runs, &[0], &leaves, false, 1, &mut parts).unwrap();
         let inline = std::mem::take(&mut parts[0].kept);
         assert!(!inline.is_empty() && inline.windows(2).all(|w| w[0].0 < w[1].0));
         for workers in [2, 4, 200] {
-            bound_batch(&filter, &sums, &leaves, false, workers, &mut parts).unwrap();
+            bound_batch(&filter, &runs, &[0], &leaves, false, workers, &mut parts).unwrap();
             assert_eq!(
                 std::mem::take(&mut parts[0].kept),
                 inline,
                 "{workers} workers"
             );
         }
-        assert!(balanced_chunks(&leaves, 4, |&l| sums.leaf_len(l)).len() == 4);
+        assert!(balanced_chunks(&leaves, 4, |&(_, l)| sums.leaf_len(l)).len() == 4);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One query matrix: every [`Kind`] × [`Metric`] on every layer that
 //! answers a [`Query`] — pointer and materialized Coconut-Trees and
-//! Coconut-Tries (both split policies), a three-run [`Snapshot`], and a
+//! Coconut-Tries (both split policies), pointer and materialized
+//! three-run [`Snapshot`]s, a five-run one holding a one-leaf run, and a
 //! two-shard [`ShardSet`] — against a brute-force oracle.
 //!
 //! The contract each cell must meet:
@@ -14,7 +15,8 @@
 //! * an expired [`Deadline`] fails with a typed deadline error.
 //!
 //! Beside the matrix: answers *and* work counters do not depend on the
-//! thread count; a bound below every leaf box prunes the whole index
+//! thread count, and a snapshot's counters account for every entry it
+//! covers exactly once; a bound below every leaf box prunes the whole index
 //! untouched; one-leaf and empty indexes answer, reopened too; and the
 //! probe returns the true best of its seed leaves while fetching only part
 //! of them.
@@ -26,7 +28,7 @@ use coconut_core::query::dist_pos;
 use coconut_core::records::KeyPos;
 use coconut_core::{
     BuildOptions, CoconutTree, CoconutTrie, IndexConfig, Kind, LocalShard, LsmCoconut, Metric,
-    Query, ShardSet, SplitPolicyKind,
+    Query, ShardSet, Snapshot, SplitPolicyKind,
 };
 use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
@@ -135,7 +137,32 @@ fn opts(materialized: bool) -> BuildOptions {
     }
 }
 
-/// The seven layers under test, by name.
+/// The three-run ingest and the five-run one: 100, 10 (a single leaf),
+/// 50, 40 and 40 series — no four runs share a size tier, so none merge.
+const THREE_RUNS: [u64; 3] = [N / 3, 2 * N / 3, N];
+const FIVE_RUNS: [u64; 5] = [100, 110, 160, 200, 240];
+
+/// A snapshot of an LSM in `dir/name` that ingested `ds` up to each of
+/// `uptos` in turn, one run per ingest.
+fn snapshot(
+    dir: &TempDir,
+    name: &str,
+    ds: &Dataset,
+    uptos: &[u64],
+    opts: BuildOptions,
+) -> Snapshot {
+    let lsm = LsmCoconut::new(config(), opts, dir.path().join(name)).unwrap();
+    lsm.set_max_runs(100); // no compaction by count: keep every run
+    for &upto in uptos {
+        lsm.ingest_upto(ds, upto).unwrap();
+    }
+    lsm.wait_for_compactions().unwrap();
+    let snapshot = lsm.snapshot();
+    assert_eq!(snapshot.run_count(), uptos.len(), "{name}");
+    snapshot
+}
+
+/// The nine layers under test, by name.
 fn cells(dir: &TempDir, ds: &Dataset) -> Vec<(&'static str, Search)> {
     let adaptive = config().with_split_policy(SplitPolicyKind::Adaptive);
     let mut cells: Vec<(&'static str, Search)> = Vec::new();
@@ -152,18 +179,14 @@ fn cells(dir: &TempDir, ds: &Dataset) -> Vec<(&'static str, Search)> {
         cells.push((name, Box::new(move |s, q| Ok(trie.search(s, q)?.0))));
     }
 
-    let lsm = LsmCoconut::new(config(), opts(false), dir.path().join("lsm")).unwrap();
-    lsm.set_max_runs(100); // no compaction: keep all three runs
-    for upto in [N / 3, 2 * N / 3, N] {
-        lsm.ingest_upto(ds, upto).unwrap();
+    for (name, uptos, materialized) in [
+        ("3-run snapshot", &THREE_RUNS[..], false),
+        ("3-run full snapshot", &THREE_RUNS[..], true),
+        ("5-run snapshot", &FIVE_RUNS[..], false),
+    ] {
+        let snapshot = snapshot(dir, name, ds, uptos, opts(materialized));
+        cells.push((name, Box::new(move |s, q| Ok(snapshot.search(s, q)?.0))));
     }
-    lsm.wait_for_compactions().unwrap();
-    let snapshot = lsm.snapshot();
-    assert_eq!(snapshot.run_count(), 3);
-    cells.push((
-        "3-run snapshot",
-        Box::new(move |s, q| Ok(snapshot.search(s, q)?.0)),
-    ));
 
     let shards = partition(N, 2)
         .into_iter()
@@ -323,6 +346,30 @@ fn answers_and_stats_do_not_depend_on_threads() {
                 let stats = want.1;
                 assert!(stats.pruned + stats.records_fetched >= N, "{query:?}");
                 assert!(stats.lower_bounds <= N + one.leaf_count(), "{query:?}");
+            }
+        }
+
+        // Multi-run snapshots: one scan over every run, so the probe's
+        // leaves and the scan's together meet each covered entry once.
+        for (uptos, name) in [(&THREE_RUNS[..], "three"), (&FIVE_RUNS[..], "five")] {
+            let snap = |threads| {
+                let opts = BuildOptions {
+                    threads,
+                    ..opts(materialized)
+                };
+                let name = format!("{name}-{materialized}-{threads}");
+                snapshot(&dir, &name, &ds, uptos, opts)
+            };
+            let (one, two, four) = (snap(1), snap(2), snap(4));
+            for q in queries() {
+                for query in exact_queries() {
+                    let at = format!("{name} runs, full={materialized}, {query:?}");
+                    let want = one.search(&q, &query).unwrap();
+                    assert_eq!(two.search(&q, &query).unwrap(), want, "{at}");
+                    assert_eq!(four.search(&q, &query).unwrap(), want, "{at}");
+                    let stats = want.1;
+                    assert_eq!(stats.pruned + stats.records_fetched, N, "{at}");
+                }
             }
         }
     }

@@ -26,8 +26,9 @@
 //! ((a1+a5)+(a3+a7))`, and a separate scalar accumulator for the tail —
 //! so both paths perform the same floating-point operations in the same
 //! order and return **bit-identical** results. That is what lets the
-//! property suite assert `SIMD == scalar` to ≤ 1 ulp and the end-to-end
-//! test assert identical query answers under either dispatch.
+//! property suite assert `SIMD == scalar` bit for bit (`to_bits` equal) on
+//! every kernel and the end-to-end test assert identical query answers
+//! under either dispatch.
 
 use crate::Value;
 use std::sync::OnceLock;
@@ -584,11 +585,8 @@ mod tests {
             .collect()
     }
 
-    fn ulp_eq(a: f64, b: f64) -> bool {
-        if a == b {
-            return true;
-        }
-        (a.to_bits() as i64).abs_diff(b.to_bits() as i64) <= 1
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits()
     }
 
     #[test]
@@ -608,21 +606,21 @@ mod tests {
             let a = data(n, 1);
             let b = data(n, 2);
             assert!(
-                ulp_eq((ks.euclidean_sq)(&a, &b), (ka.euclidean_sq)(&a, &b)),
+                same_bits((ks.euclidean_sq)(&a, &b), (ka.euclidean_sq)(&a, &b)),
                 "euclidean_sq n={n}"
             );
             assert_eq!((ks.sum)(&a).to_bits(), (ka.sum)(&a).to_bits(), "sum n={n}");
             let shift = a.first().copied().unwrap_or(0.0) as f64;
             let (s1, q1) = (ks.sum_sumsq)(&a, shift);
             let (s2, q2) = (ka.sum_sumsq)(&a, shift);
-            assert!(ulp_eq(s1, s2) && ulp_eq(q1, q2), "sum_sumsq n={n}");
+            assert!(same_bits(s1, s2) && same_bits(q1, q2), "sum_sumsq n={n}");
             let full = (ks.euclidean_sq)(&a, &b);
             for cutoff in [0.0, full * 0.5, full, full * 2.0, f64::INFINITY] {
                 let r1 = (ks.euclidean_sq_early_abandon)(&a, &b, cutoff);
                 let r2 = (ka.euclidean_sq_early_abandon)(&a, &b, cutoff);
                 assert_eq!(r1.is_some(), r2.is_some(), "abandon n={n} cutoff={cutoff}");
                 if let (Some(x), Some(y)) = (r1, r2) {
-                    assert!(ulp_eq(x, y));
+                    assert!(same_bits(x, y));
                 }
             }
             let mut v1 = a.clone();

@@ -3,8 +3,9 @@
 //! Every kernel is run through both function-pointer tables — the scalar
 //! mirror and whatever [`coconut_series::simd::detect`] picks on this CPU
 //! (AVX2 on x86_64) — over random lengths, including non-lane-multiple
-//! remainders, and the results must agree to ≤ 1 ulp (the implementations
-//! are structured to be bit-identical; the 1-ulp slack is the contract).
+//! remainders, and the results must be bit-identical (`to_bits` equal: the
+//! scalar mirror performs the vector path's operations in its order, and
+//! an ulp of drift would move a SAX symbol and so an index file).
 //! The early-abandon kernel must additionally make the *same* keep/abandon
 //! decision on both paths, including exactly at the cutoff boundary.
 
@@ -20,15 +21,9 @@ fn dispatched() -> &'static Kernels {
     kernels_for(detect())
 }
 
-/// `a` and `b` are equal, or adjacent representable `f64`s.
-fn ulp_eq(a: f64, b: f64) -> bool {
-    if a == b {
-        return true;
-    }
-    if a.is_nan() || b.is_nan() || a.signum() != b.signum() {
-        return false;
-    }
-    (a.to_bits() as i64).abs_diff(b.to_bits() as i64) <= 1
+/// `a` and `b` are the same `f64`, bit for bit.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 fn series(len_max: usize) -> impl Strategy<Value = Vec<Value>> {
@@ -43,7 +38,7 @@ proptest! {
         let b: Vec<Value> = a.iter().map(|&v| v * 0.7 - 1.25).collect();
         let s = (scalar().euclidean_sq)(&a, &b);
         let v = (dispatched().euclidean_sq)(&a, &b);
-        prop_assert!(ulp_eq(s, v), "scalar {s} vs simd {v} (n={})", a.len());
+        prop_assert!(same_bits(s, v), "scalar {s} vs simd {v} (n={})", a.len());
     }
 
     #[test]
@@ -55,7 +50,7 @@ proptest! {
         let v = (dispatched().euclidean_sq_early_abandon)(&a, &b, cutoff);
         prop_assert_eq!(s.is_some(), v.is_some(), "decision split at cutoff {}", cutoff);
         if let (Some(x), Some(y)) = (s, v) {
-            prop_assert!(ulp_eq(x, y));
+            prop_assert!(same_bits(x, y));
         }
     }
 
@@ -69,7 +64,7 @@ proptest! {
         let v = (dispatched().euclidean_sq_early_abandon)(&a, &b, full);
         prop_assert_eq!(s, Some(full));
         prop_assert_eq!(v.is_some(), true);
-        prop_assert!(ulp_eq(v.unwrap(), full));
+        prop_assert!(same_bits(v.unwrap(), full));
         // A hair below the total: abandoned by the final check on both.
         if full > 0.0 {
             let below = f64::from_bits(full.to_bits() - 1);
@@ -82,12 +77,12 @@ proptest! {
     fn sum_and_sumsq_simd_match_scalar(a in series(300)) {
         let s = (scalar().sum)(&a);
         let v = (dispatched().sum)(&a);
-        prop_assert!(ulp_eq(s, v));
+        prop_assert!(same_bits(s, v));
         let shift = a.first().copied().unwrap_or(0.0) as f64;
         let (s1, q1) = (scalar().sum_sumsq)(&a, shift);
         let (s2, q2) = (dispatched().sum_sumsq)(&a, shift);
-        prop_assert!(ulp_eq(s1, s2));
-        prop_assert!(ulp_eq(q1, q2));
+        prop_assert!(same_bits(s1, s2));
+        prop_assert!(same_bits(q1, q2));
     }
 
     #[test]
@@ -109,7 +104,7 @@ proptest! {
             (scalar().segment_sums)(series, seg, &mut s);
             (dispatched().segment_sums)(series, seg, &mut v);
             for (i, (x, y)) in s.iter().zip(v.iter()).enumerate() {
-                prop_assert!(ulp_eq(*x, *y), "segment {} of {} (seg={})", i, w, seg);
+                prop_assert!(same_bits(*x, *y), "segment {} of {} (seg={})", i, w, seg);
             }
         }
     }

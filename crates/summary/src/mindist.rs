@@ -326,6 +326,32 @@ impl SymbolDecoder {
         }
     }
 
+    /// The symbol boxes of consecutive sorted key ranges: range `i` holds
+    /// the keys from `bounds[i]` up to `bounds[i + 1]`, and its box —
+    /// [`crate::zorder::key_range_box`] of the pair, bit for bit — lands in
+    /// `out[i * 2 * segments..]`, `segments` lower then `segments` upper
+    /// symbols. The range starts are decoded a block at a time
+    /// ([`SymbolDecoder::decode_into`]) rather than bit by bit.
+    pub fn key_range_boxes(&self, bounds: &[ZKey], out: &mut [u8]) {
+        self.key_range_boxes_with(coconut_series::simd::active(), bounds, out);
+    }
+
+    /// [`SymbolDecoder::key_range_boxes`] with an explicit dispatch.
+    pub fn key_range_boxes_with(&self, dispatch: Dispatch, bounds: &[ZKey], out: &mut [u8]) {
+        let w = self.config.segments;
+        let starts = &bounds[..bounds.len().saturating_sub(1)];
+        assert_eq!(out.len(), starts.len() * 2 * w);
+        let mut symbols = vec![0; starts.len() * w];
+        self.decode_into_with(dispatch, starts, &mut symbols);
+        for (i, lo_hi) in out.chunks_exact_mut(2 * w).enumerate() {
+            let (lo, hi) = lo_hi.split_at_mut(w);
+            for (j, s) in lo.iter_mut().enumerate() {
+                *s = symbols[j * starts.len() + i];
+            }
+            crate::zorder::widen_to_range(bounds[i], bounds[i + 1], &self.config, lo, hi);
+        }
+    }
+
     /// Decode `keys` so that key `b`'s segment-`j` symbol lands at
     /// `sym[j * stride + b]`.
     fn decode_strided(&self, dispatch: Dispatch, keys: &[ZKey], sym: &mut [u8], stride: usize) {
@@ -1196,6 +1222,53 @@ mod tests {
                         want.to_bits(),
                         "{dispatch:?} w={segments} b={card_bits} key {i}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_range_boxes_are_key_range_box_bit_for_bit() {
+        use crate::zorder::key_range_box;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for card_bits in 1..=8u8 {
+            for segments in [1usize, 3, 8, 16] {
+                let config = SaxConfig {
+                    series_len: 64,
+                    segments,
+                    card_bits,
+                };
+                let width = segments * card_bits as usize;
+                let top = u128::MAX >> (128 - width);
+                // Sorted random keys, some repeated and some sharing long
+                // prefixes, ending at the largest key there is.
+                let mut bounds: Vec<ZKey> = (0..41)
+                    .map(|i| {
+                        let k = (((next() as u128) << 64) | next() as u128) & top;
+                        ZKey(if i % 7 == 3 { k & !0xF } else { k })
+                    })
+                    .collect();
+                bounds.push(ZKey(top));
+                bounds.sort_unstable();
+                for dispatch in [Dispatch::Scalar, coconut_series::simd::detect()] {
+                    let mut out = vec![0u8; (bounds.len() - 1) * 2 * segments];
+                    SymbolDecoder::new(&config).key_range_boxes_with(dispatch, &bounds, &mut out);
+                    let (mut lo, mut hi) = (vec![0; segments], vec![0; segments]);
+                    for (i, pair) in bounds.windows(2).enumerate() {
+                        key_range_box(pair[0], pair[1], &config, &mut lo, &mut hi);
+                        let got = &out[i * 2 * segments..(i + 1) * 2 * segments];
+                        assert_eq!(
+                            got,
+                            [lo.as_slice(), hi.as_slice()].concat(),
+                            "{config:?}, range {i}"
+                        );
+                    }
                 }
             }
         }

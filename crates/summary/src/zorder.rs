@@ -148,11 +148,24 @@ pub fn prefix_bits_at_depth(depth: usize, config: &SaxConfig) -> Vec<u8> {
 /// A sorted leaf is such a range, which makes this its iSAX node word —
 /// read off two keys, with nothing stored.
 pub fn key_range_box(first: ZKey, last: ZKey, config: &SaxConfig, lo: &mut [u8], hi: &mut [u8]) {
+    deinterleave_into(first, config.segments, config.card_bits, lo);
+    widen_to_range(first, last, config, lo, hi);
+}
+
+/// The second half of [`key_range_box`]: with `lo` holding `first`'s
+/// symbols, free the bits below the prefix `first` and `last` share —
+/// clear them in `lo`, set them in `hi`.
+pub(crate) fn widen_to_range(
+    first: ZKey,
+    last: ZKey,
+    config: &SaxConfig,
+    lo: &mut [u8],
+    hi: &mut [u8],
+) {
     debug_assert!(first <= last);
     let (w, bits) = (config.segments, config.card_bits as usize);
     let diff = first.0 ^ last.0;
     let common = (w * bits).saturating_sub(128 - diff.leading_zeros() as usize);
-    deinterleave_into(first, w, config.card_bits, lo);
     for j in 0..w {
         let free = bits - (common + w - 1 - j) / w;
         let span = ((1u16 << free) - 1) as u8;
