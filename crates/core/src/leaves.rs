@@ -45,9 +45,10 @@
 //! a query asks for maps the index file read-only, and the first time a
 //! query needs a leaf — the probe for its seed leaves, the scan for a leaf
 //! whose box survives the cutoff, inside the worker that scans it — its
-//! bytes are checked where they lie (CRC, positions) and borrowed ever
-//! after. Only the pages of touched leaves become resident, and they go
-//! back with the mapping. Opening an index is therefore O(directory) and a
+//! bytes are checked where they lie (CRC, positions), its zone boxes (per
+//! [`ZONE`] entries, each segment's extreme symbols) are derived from the
+//! checked symbols, and both are borrowed ever after. Only the pages of
+//! touched leaves become resident, and they go back with the mapping. Opening an index is therefore O(directory) and a
 //! build or a compaction holds no summaries beside its buffers ("if SAX
 //! sums are not in memory, load them", Algorithm 5, taken leaf by leaf). A
 //! cold query verifies the leaves it cannot prune; a warm one reads none —
@@ -56,7 +57,6 @@
 
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -65,7 +65,7 @@ use coconut_series::dataset::Dataset;
 use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
 use coconut_storage::{CountedFile, Deadline, Error, Mapping, Result};
-use coconut_summary::mindist::SymbolDecoder;
+use coconut_summary::mindist::{zone_boxes, KeyFilter, SymbolDecoder, ZONE};
 use coconut_summary::sax::Summarizer;
 use coconut_summary::{SaxConfig, ZKey};
 
@@ -129,11 +129,14 @@ pub trait Directory: Sized {
 /// index again and rewrite a file that may be mapped.
 pub struct Unbuilt(());
 
-/// The in-memory summarizations SIMS scans, in leaf order: per leaf a
-/// symbol box (from the directory, always there) and a [`LeafBlock`]
-/// verified the first time a query touches the leaf — 16 B of symbols and
-/// 3 B of position per entry at the default configuration and a million
-/// series.
+/// The in-memory summarizations SIMS scans, in leaf order, at two box
+/// levels: per leaf a symbol box (from the directory, always there), and
+/// once the first query touches the leaf, its verified [`LeafBlock`] — 16 B
+/// of symbols and 3 B of position per entry at the default configuration
+/// and a million series — with the block's zone boxes: per [`ZONE`] entries
+/// the smallest and the largest symbol of each segment, derived from the
+/// checked symbols and kept in memory only (0.5 B per entry at 16 segments,
+/// ≈0.5 MiB for a million series once every leaf is touched).
 ///
 /// The blocks are the stored leaves themselves, borrowed from a read-only
 /// mapping of the index file made by the first block a query asks for:
@@ -146,12 +149,15 @@ pub struct Summaries {
     pos_bytes: usize,
     /// First scan index of each leaf, plus the total.
     leaf_starts: Vec<usize>,
-    /// Per leaf, `segments` lower then `segments` upper symbol bounds.
+    /// The leaf boxes, one box block
+    /// ([`KeyFilter::boxes_under`]'s layout): leaf `l`'s lower symbol of
+    /// segment `j` at `j * leaves + l`, its upper one at `(segments + j) *
+    /// leaves + l`.
     boxes: Vec<u8>,
-    /// Per leaf, whether its stored bytes passed every check: set
-    /// (`Release`) after the checks, read (`Acquire`) before the bytes are
-    /// borrowed.
-    loaded: Vec<AtomicBool>,
+    /// Per leaf, the zone boxes of its block, set once its stored bytes
+    /// passed every check — so a set cell is also what marks the block
+    /// verified (`OnceLock` publishes it with the bytes' checks behind it).
+    zones: Vec<OnceLock<Box<[u8]>>>,
     /// Per leaf, held while its stored bytes are being checked.
     verifying: Vec<Mutex<()>>,
     blocks: Blocks,
@@ -165,6 +171,9 @@ pub struct LeafBlock<'a> {
     /// sits at `j * count + e`, so one segment of eight consecutive entries
     /// is one 8-byte load.
     pub symbols: &'a [u8],
+    /// The zone boxes of `symbols` ([`zone_boxes`]): one box per [`ZONE`]
+    /// entries.
+    pub zones: &'a [u8],
     /// The entries' raw-file positions, little-endian and `pos_bytes` wide:
     /// they start `segments × count` bytes into the leaf, so in general not
     /// aligned.
@@ -174,12 +183,36 @@ pub struct LeafBlock<'a> {
 impl LeafBlock<'_> {
     /// Split the stored bytes of a leaf of `count` entries under `segments`
     /// symbols and `pos_bytes` position bytes per entry (`stored` may run on
-    /// past the positions).
-    fn new(stored: &[u8], segments: usize, pos_bytes: usize, count: usize) -> LeafBlock<'_> {
+    /// past the positions), beside the zone boxes of its symbols.
+    fn new<'a>(
+        stored: &'a [u8],
+        zones: &'a [u8],
+        segments: usize,
+        pos_bytes: usize,
+        count: usize,
+    ) -> LeafBlock<'a> {
         let (symbols, rest) = stored.split_at(segments * count);
         LeafBlock {
             symbols,
+            zones,
             positions: Positions::new(&rest[..pos_bytes * count], pos_bytes),
+        }
+    }
+
+    /// Push `(entry, bound)` for each entry whose bound `filter` keeps —
+    /// bounding the zones first and only the entries of surviving ones,
+    /// unless `zoned` is off — and return the bounds computed.
+    pub(crate) fn bounds_under(
+        &self,
+        filter: &KeyFilter<'_>,
+        zoned: bool,
+        out: &mut Vec<(usize, f64)>,
+    ) -> usize {
+        if zoned {
+            filter.zoned_bounds_under(self.symbols, self.zones, 0, out)
+        } else {
+            filter.bounds_under(self.symbols, 0, out);
+            self.len()
         }
     }
 
@@ -261,8 +294,9 @@ impl LeafFile {
             .file()
             .record_mapped_read(meta.offset, scanned.len() as u64);
         self.store.check_leaf(leaf, meta, scanned)?;
-        let block = LeafBlock::new(scanned, segments, codec.pos_bytes(), meta.count as usize);
-        if !block.positions.all_within(&self.range) {
+        let (count, pos_bytes) = (meta.count as usize, codec.pos_bytes());
+        let positions = &scanned[segments * count..][..pos_bytes * count];
+        if !Positions::new(positions, pos_bytes).all_within(&self.range) {
             return Err(Error::corrupt(
                 "index does not cover a contiguous position range",
             ));
@@ -329,18 +363,34 @@ impl Summaries {
         bounds.push(max_key);
         let mut boxes = vec![0; (leaf_starts.len() - 1) * 2 * w];
         SymbolDecoder::new(sax).key_range_boxes(&bounds, &mut boxes);
-        let in_place = matches!(blocks, Blocks::Owned(_));
+        let zones: Vec<OnceLock<Box<[u8]>>> =
+            (1..leaf_starts.len()).map(|_| OnceLock::new()).collect();
+        if let Blocks::Owned(stored) = &blocks {
+            // Every block is in place: derive every leaf's zones now.
+            let entry = w + pos_bytes;
+            for (leaf, cell) in zones.iter().enumerate() {
+                let (start, end) = (leaf_starts[leaf], leaf_starts[leaf + 1]);
+                let symbols = &stored[start * entry..][..(end - start) * w];
+                let _ = cell.set(Self::derive_zones(symbols, w));
+            }
+        }
         Summaries {
             segments: w,
             pos_bytes,
-            loaded: (1..leaf_starts.len())
-                .map(|_| AtomicBool::new(in_place))
-                .collect(),
+            zones,
             verifying: (1..leaf_starts.len()).map(|_| Mutex::new(())).collect(),
             leaf_starts,
             boxes,
             blocks,
         }
+    }
+
+    /// The zone boxes of a block's checked `symbols`.
+    fn derive_zones(symbols: &[u8], segments: usize) -> Box<[u8]> {
+        let zones = (symbols.len() / segments).div_ceil(ZONE);
+        let mut out = vec![0; 2 * segments * zones].into_boxed_slice();
+        zone_boxes(symbols, segments, &mut out);
+        out
     }
 
     /// Entries summarized.
@@ -370,9 +420,19 @@ impl Summaries {
 
     /// Per segment, the smallest and the largest symbol an entry of leaf
     /// `leaf` can hold.
-    pub fn leaf_box(&self, leaf: usize) -> (&[u8], &[u8]) {
-        let w = self.segments;
-        self.boxes[leaf * 2 * w..(leaf + 1) * 2 * w].split_at(w)
+    pub fn leaf_box(&self, leaf: usize) -> (Vec<u8>, Vec<u8>) {
+        let (w, n) = (self.segments, self.leaf_count());
+        let symbol = |row: usize| self.boxes[row * n + leaf];
+        (
+            (0..w).map(symbol).collect(),
+            (w..2 * w).map(symbol).collect(),
+        )
+    }
+
+    /// Every leaf's box, as one box block in leaf order
+    /// ([`KeyFilter::boxes_under`] bounds it).
+    pub fn leaf_boxes(&self) -> &[u8] {
+        &self.boxes
     }
 
     /// Leaves whose block a query has verified (all of them for
@@ -385,33 +445,39 @@ impl Summaries {
 
     /// Whether leaf `leaf`'s block is verified.
     pub(crate) fn is_loaded(&self, leaf: usize) -> bool {
-        self.loaded[leaf].load(Ordering::Acquire)
+        self.zones[leaf].get().is_some()
     }
 
     /// The block of leaf `leaf`: verified in place by the first caller that
-    /// asks (a second one waits for it) and only borrowed ever after. A
-    /// failed check leaves the leaf unverified, so the next caller fails —
-    /// or succeeds — on its own check.
+    /// asks (a second one waits for it), its zone boxes derived from the
+    /// checked symbols, and only borrowed ever after. A failed check leaves
+    /// the leaf unverified and without zones, so the next caller fails — or
+    /// succeeds — on its own check.
     pub fn block(&self, leaf: usize) -> Result<LeafBlock<'_>> {
-        let count = self.leaf_len(leaf);
+        let (w, count) = (self.segments, self.leaf_len(leaf));
+        let cell = &self.zones[leaf];
         let stored = match &self.blocks {
             Blocks::Owned(stored) => {
-                let entry = self.segments + self.pos_bytes;
+                let entry = w + self.pos_bytes;
                 &stored[self.leaf_starts[leaf] * entry..self.leaf_starts[leaf + 1] * entry]
             }
             Blocks::File(file) => {
-                if !self.is_loaded(leaf) {
+                if cell.get().is_none() {
                     let verifying = self.verifying[leaf].lock();
-                    if !self.loaded[leaf].load(Ordering::Relaxed) {
-                        file.verify(leaf, self.segments)?;
-                        self.loaded[leaf].store(true, Ordering::Release);
+                    if cell.get().is_none() {
+                        file.verify(leaf, w)?;
+                        let symbols = &file.stored(leaf)?[..w * count];
+                        let _ = cell.set(Self::derive_zones(symbols, w));
                     }
                     drop(verifying);
                 }
                 file.stored(leaf)?
             }
         };
-        Ok(LeafBlock::new(stored, self.segments, self.pos_bytes, count))
+        // Set by now — when the summaries were made, or above once the
+        // checks passed — so this only reads the cell.
+        let zones = cell.get_or_init(|| Self::derive_zones(&stored[..w * count], w));
+        Ok(LeafBlock::new(stored, zones, w, self.pos_bytes, count))
     }
 }
 
@@ -820,7 +886,20 @@ impl<D: Directory> SortedLeafIndex<D> {
     /// query entry point. Answers are `(dist, pos)`-sorted; a 1-NN that
     /// finds nothing below `query.bound` returns an empty list.
     pub fn search(&self, series: &[Value], query: &Query) -> Result<(Vec<Answer>, QueryStats)> {
-        search_runs(&[self], series, query)
+        search_runs(&[self], series, query, true)
+    }
+
+    /// [`SortedLeafIndex::search`] bounding every entry of a leaf it cannot
+    /// prune, zones skipped: the reference the search is tested against —
+    /// its answers and every [`QueryStats`] field but `lower_bounds` are
+    /// the search's own.
+    #[doc(hidden)]
+    pub fn search_unzoned(
+        &self,
+        series: &[Value],
+        query: &Query,
+    ) -> Result<(Vec<Answer>, QueryStats)> {
+        search_runs(&[self], series, query, false)
     }
 
     /// The scan's fetcher for a materialized index.
@@ -972,20 +1051,23 @@ struct ProbeBufs {
 /// the scan passes the group's leaves by.
 ///
 /// An exact bound costs a table sum per entry, so the entries are bounded
-/// in at most two rounds, each through the fast-scan prefilter: those at
-/// or under a limit — the cutoff, or while it is open (fewer than the `k`
-/// answers the query returns), the k-th smallest bound of a sample of the
-/// first leaf — and, if the cutoff is still above that limit once they are
-/// spent, those between the limit and the cutoff. Both rounds together take in, and
-/// fetch in the same order, what bounding every entry exactly would: a
-/// near query bounds the group's entries against a cutoff close to its
-/// answer instead of summing the table for each of them.
+/// in at most two rounds, each under one [`KeyFilter`] — zone boxes first
+/// (unless `zoned` is off), then the fast-scan prefilter over the entries
+/// of surviving zones: those at or under a limit — the cutoff, or while it
+/// is open (fewer than the `k` answers the query returns), the k-th
+/// smallest bound of a sample of the first leaf — and, if the cutoff is
+/// still above that limit once they are spent, those between the limit and
+/// the cutoff. Both rounds together take in, and fetch in the same order,
+/// what bounding every entry exactly would: a near query bounds the
+/// group's entries against a cutoff close to its answer instead of summing
+/// the table for each of them.
 #[allow(clippy::too_many_arguments)]
 fn probe_group<D: Directory, M: Distance, C: Collector>(
     runs: &[&SortedLeafIndex<D>],
     group: &[(usize, usize)],
     k: usize,
     metric: &M,
+    zoned: bool,
     hits: &mut C,
     stats: &mut QueryStats,
     bufs: &mut ProbeBufs,
@@ -1016,9 +1098,10 @@ fn probe_group<D: Directory, M: Distance, C: Collector>(
     let mut round = std::mem::take(&mut bufs.entries);
     round.clear();
     loop {
+        let filter = table.key_filter(limit);
         for (g, block) in blocks.iter().enumerate() {
             bufs.under.clear();
-            table.bounds_under(block.symbols, limit, 0, &mut bufs.under);
+            block.bounds_under(&filter, zoned, &mut bufs.under);
             round.extend(bufs.under.iter().filter(|&&(_, bound)| bound > taken).map(
                 |&(slot, bound)| ProbeEntry {
                     bound,
@@ -1133,10 +1216,15 @@ fn fetch_entry<D: Directory, M: Distance, C: Collector>(
 ///
 /// One run — a static tree or trie, a one-run snapshot — is a probe of its
 /// target leaf, then of each neighbor, and one scan.
+///
+/// Both steps bound a leaf's entries zone by zone; with `zoned` off they
+/// bound every entry of the leaf instead — the reference the zoned search
+/// equals in everything but `lower_bounds`.
 pub(crate) fn search_runs<D: Directory>(
     runs: &[&SortedLeafIndex<D>],
     series: &[Value],
     query: &Query,
+    zoned: bool,
 ) -> Result<(Vec<Answer>, QueryStats)> {
     let Some(first) = runs.first() else {
         return Ok((Vec::new(), QueryStats::default()));
@@ -1152,8 +1240,8 @@ pub(crate) fn search_runs<D: Directory>(
     }
     let key = first.query_key(series)?;
     match query.metric {
-        Metric::Ed => collect(runs, key, query, &Ed::new(series, sax)),
-        Metric::Dtw(band) => collect(runs, key, query, &Dtw::new(series, band, sax)),
+        Metric::Ed => collect(runs, key, query, &Ed::new(series, sax), zoned),
+        Metric::Dtw(band) => collect(runs, key, query, &Dtw::new(series, band, sax), zoned),
     }
 }
 
@@ -1162,12 +1250,21 @@ fn collect<D: Directory, M: Distance>(
     key: ZKey,
     query: &Query,
     metric: &M,
+    zoned: bool,
 ) -> Result<(Vec<Answer>, QueryStats)> {
+    let top = |k| run(runs, key, query, metric, zoned, TopK::new(k, query.bound));
     match query.kind {
         Kind::Knn(0) => Ok((Vec::new(), QueryStats::default())),
-        Kind::Nearest | Kind::Approx => run(runs, key, query, metric, TopK::new(1, query.bound)),
-        Kind::Knn(k) => run(runs, key, query, metric, TopK::new(k, query.bound)),
-        Kind::Range(eps) => run(runs, key, query, metric, Within::new(eps, query.bound)),
+        Kind::Nearest | Kind::Approx => top(1),
+        Kind::Knn(k) => top(k),
+        Kind::Range(eps) => run(
+            runs,
+            key,
+            query,
+            metric,
+            zoned,
+            Within::new(eps, query.bound),
+        ),
     }
 }
 
@@ -1176,6 +1273,7 @@ fn run<D: Directory, M: Distance, C: Collector>(
     key: ZKey,
     query: &Query,
     metric: &M,
+    zoned: bool,
     mut hits: C,
 ) -> Result<(Vec<Answer>, QueryStats)> {
     let mut stats = QueryStats::default();
@@ -1211,11 +1309,20 @@ fn run<D: Directory, M: Distance, C: Collector>(
         for step in steps {
             group.clear();
             group.extend(step.iter().map(|&(_, r, l)| (r, l)));
-            probe_group(runs, &group, k, metric, &mut hits, &mut stats, &mut bufs)?;
+            probe_group(
+                runs, &group, k, metric, zoned, &mut hits, &mut stats, &mut bufs,
+            )?;
         }
     }
     if query.kind != Kind::Approx {
-        stats.add(&scan(runs, metric, &mut hits, &seeds, query.deadline)?);
+        stats.add(&scan(
+            runs,
+            metric,
+            zoned,
+            &mut hits,
+            &seeds,
+            query.deadline,
+        )?);
     }
     Ok((hits.into_answers(), stats))
 }
@@ -1226,6 +1333,7 @@ fn run<D: Directory, M: Distance, C: Collector>(
 fn scan<D: Directory, M: Distance, C: Collector>(
     runs: &[&SortedLeafIndex<D>],
     metric: &M,
+    zoned: bool,
     hits: &mut C,
     seeds: &[Range<usize>],
     deadline: Deadline,
@@ -1253,6 +1361,7 @@ fn scan<D: Directory, M: Distance, C: Collector>(
         };
         sims::scan_runs(
             metric,
+            zoned,
             len,
             &scan_runs,
             threads,
@@ -1264,6 +1373,7 @@ fn scan<D: Directory, M: Distance, C: Collector>(
         let mut fetcher = RawFileFetcher { runs };
         sims::scan_runs(
             metric,
+            zoned,
             len,
             &scan_runs,
             threads,
@@ -1425,7 +1535,10 @@ pub(crate) mod tests {
             }
             let metric = Ed::new(&q, &config.sax);
             for group in groups {
-                for k in [1, 3, 200] {
+                for (k, zoned) in [1, 3, 200]
+                    .into_iter()
+                    .flat_map(|k| [(k, true), (k, false)])
+                {
                     let mut want = TopK::new(k, f64::INFINITY);
                     let want_stats = probe_by_exact_bounds(&runs, group, &metric, &mut want);
                     let mut got = TopK::new(k, f64::INFINITY);
@@ -1439,12 +1552,13 @@ pub(crate) mod tests {
                         group,
                         k,
                         &metric,
+                        zoned,
                         &mut got,
                         &mut got_stats,
                         &mut bufs,
                     )
                     .unwrap();
-                    let at = format!("seed {seed}, {group:?}, k {k}");
+                    let at = format!("seed {seed}, {group:?}, k {k}, zoned {zoned}");
                     assert_eq!(got.into_answers(), want.into_answers(), "{at}");
                     assert_eq!(got_stats, want_stats, "{at}");
                 }

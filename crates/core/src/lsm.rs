@@ -967,7 +967,20 @@ impl Snapshot {
     /// best-box-first order.
     pub fn search(&self, series: &[Value], query: &Query) -> Result<(Vec<Answer>, QueryStats)> {
         let runs: Vec<&CoconutTree> = self.runs.iter().map(|r| &**r).collect();
-        crate::leaves::search_runs(&runs, series, query)
+        crate::leaves::search_runs(&runs, series, query, true)
+    }
+
+    /// [`Snapshot::search`] with the zones skipped
+    /// ([`crate::SortedLeafIndex::search_unzoned`]): the reference it is
+    /// tested against.
+    #[doc(hidden)]
+    pub fn search_unzoned(
+        &self,
+        series: &[Value],
+        query: &Query,
+    ) -> Result<(Vec<Answer>, QueryStats)> {
+        let runs: Vec<&CoconutTree> = self.runs.iter().map(|r| &**r).collect();
+        crate::leaves::search_runs(&runs, series, query, false)
     }
 
     /// Approximate 1-NN over the pinned runs (the best entry of every

@@ -12,20 +12,28 @@
 //! the directory, the leaf's block of symbols and positions verified in
 //! place, in a mapping of the index file, by the first query that needs it
 //! ("if SAX sums are not in memory, load them", one leaf at a time) — and a
-//! leaf of the sorted order is a tight box in SAX space. The scan bounds
-//! every leaf's box once ([`QueryDistTable::box_bound`]) and visits the
+//! leaf of the sorted order is a tight box in SAX space. Boxes come at two
+//! levels: the leaf's, from the directory, and inside a verified block one
+//! *zone box* per 64 entries (per segment the smallest and the largest
+//! symbol, derived from the checked symbols and kept in memory). A median
+//! leaf's prefix box fixes only a few of a key's bits, while 64 sorted
+//! neighbours share most of theirs, so a zone box is far tighter. One
+//! kernel bounds both ([`KeyFilter::boxes_under`]: the query's nearest
+//! symbols clamped into each box, through the fast scan, 32 boxes a step).
+//! The scan bounds every leaf's box once and visits the
 //! leaves best bound first — in ascending `(box bound, leaf)` order,
 //! skipping outright every leaf whose box is beyond the probe's cutoff — in
 //! batches that start at one leaf's worth of keys and double. Each batch
 //! runs under the cutoff the collector holds when it starts, in two phases:
 //!
 //! * **A — bound.** Inside the batch's leaves (their blocks verified by the
-//!   worker that gets there first) the key pass bounds each entry and keeps
-//!   only those at or under the cutoff ([`QueryDistTable::key_filter`]: a
-//!   4-bit fast-scan prefilter, then the exact sum of its few survivors) —
+//!   worker that gets there first) the key pass bounds each leaf's zones,
+//!   then each entry of the zones that survive, and keeps only the entries
+//!   at or under the cutoff ([`KeyFilter::zoned_bounds_under`]: a 4-bit
+//!   fast-scan prefilter, then the exact sum of its few survivors) —
 //!   a short list of `(where it is stored, bound)` candidates instead of a
 //!   bound per record. Workers share nothing they write but a leaf's
-//!   verify-once flag, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
+//!   verify-once cell, so a batch of [`PARALLEL_MIN_KEYS`] keys, or one
 //!   with [`PARALLEL_MIN_COLD_LEAVES`] blocks no query has verified yet (a
 //!   cold scan checks blocks in parallel), is split over scoped threads by
 //!   leaf ranges; a near query, whose probe already pruned almost every
@@ -94,11 +102,14 @@
 //!   documented on [`coconut_storage::ExternalSorter::new`] and
 //!   `crate::shard`.
 //! * **Leaf boundaries prune work, never answers.** A leaf box contains
-//!   every key of its leaf, so its bound never exceeds theirs: skipping the
-//!   leaf drops only records the key pass would have dropped one by one.
-//!   Answers are therefore bit-identical no matter which
-//!   [`crate::split::SplitPolicy`] or packing cut the leaves; a different
-//!   cut (like a different probe seed) only changes how much is skipped.
+//!   every key of its leaf, and a zone box every key of its zone, so
+//!   neither bound exceeds theirs (the clamped symbols sum smaller table
+//!   entries, in the same segment order): skipping a leaf or a zone drops
+//!   only records the key pass would have dropped one by one. Answers —
+//!   and every [`QueryStats`] counter but `lower_bounds` — are therefore
+//!   bit-identical no matter which [`crate::split::SplitPolicy`] or packing
+//!   cut the leaves, and with zones or without; a different cut (like a
+//!   different probe seed) only changes how much is skipped.
 
 use std::ops::Range;
 
@@ -471,9 +482,11 @@ type Candidate = (u64, f64);
 /// One phase-A worker's reusable buffers: the kernel's `(entry, bound)`
 /// output for the leaf at hand, and the candidates of its share. The first
 /// part's list is also where a batch's candidates gather for its sweep.
+/// Beside them, the bounds the worker computed for the batch.
 struct Part {
     under: Vec<(usize, f64)>,
     kept: Vec<Candidate>,
+    bounded: usize,
 }
 
 impl Default for Part {
@@ -481,6 +494,7 @@ impl Default for Part {
         Part {
             under: Vec::with_capacity(256),
             kept: Vec::with_capacity(256),
+            bounded: 0,
         }
     }
 }
@@ -488,7 +502,9 @@ impl Default for Part {
 /// Phase A over one batch of `(run, leaf)` `leaves`: append every entry
 /// `filter` keeps (known by position if `by_pos`, by scan index otherwise,
 /// run `r`'s from `firsts[r]` on) to the first of `parts` (there is always
-/// one), splitting the batch over `workers` scoped threads by leaf ranges
+/// one), and return the bounds computed — per leaf, its zones and the
+/// entries of its surviving zones, or with `zoned` off every entry. The
+/// batch is split over `workers` scoped threads by leaf ranges
 /// of near-equal key counts (one worker runs inline, spawning nothing). A
 /// worker verifies the blocks of its leaves that no query touched before,
 /// so a cold scan checks blocks in parallel. Each worker fills one of
@@ -497,15 +513,17 @@ impl Default for Part {
 /// allocated here, by the thread that keeps them, so they grow in its
 /// allocator arena batch after batch instead of leaving a high-water mark
 /// in the arena of every short-lived worker.
+#[allow(clippy::too_many_arguments)]
 fn bound_batch(
     filter: &KeyFilter<'_>,
+    zoned: bool,
     runs: &[ScanRun<'_>],
     firsts: &[usize],
     leaves: &[(usize, usize)],
     by_pos: bool,
     workers: usize,
     parts: &mut Vec<Part>,
-) -> Result<()> {
+) -> Result<usize> {
     let shares = balanced_chunks(leaves, workers, |&(r, l)| runs[r].summaries.leaf_len(l));
     if parts.len() < shares.len() {
         parts.resize_with(shares.len(), Part::default);
@@ -518,7 +536,7 @@ fn bound_batch(
                 let block = summaries.block(l)?;
                 let start = firsts[r] + summaries.leaf_starts()[l];
                 part.under.clear();
-                filter.bounds_under(block.symbols, 0, &mut part.under);
+                part.bounded += block.bounds_under(filter, zoned, &mut part.under);
                 part.kept.extend(part.under.iter().map(|&(e, bound)| {
                     let at = if by_pos {
                         block.pos(e)
@@ -533,40 +551,45 @@ fn bound_batch(
     );
     // Every part is drained even when a block failed to load: the buffers
     // outlive the batch.
+    let mut bounded = 0;
     if let Some((first, rest)) = parts.split_first_mut() {
+        bounded += std::mem::take(&mut first.bounded);
         for part in rest {
             first.kept.append(&mut part.kept);
+            bounded += std::mem::take(&mut part.bounded);
         }
     }
-    loaded.into_iter().collect()
+    loaded.into_iter().collect::<Result<()>>()?;
+    Ok(bounded)
 }
 
 /// The leaves of `runs` outside their resolved ones whose box bound does
 /// not exceed `cutoff`, as `(bound, run, leaf)` in ascending order — the
 /// one order the scan visits every run's leaves in — and the entries the
-/// other unresolved leaves hold.
+/// other unresolved leaves hold. Each run's leaf boxes are bounded as one
+/// box block ([`KeyFilter::boxes_under`]).
 fn leaf_order(
     table: &QueryDistTable,
     runs: &[ScanRun<'_>],
     cutoff: f64,
 ) -> (Vec<(f64, usize, usize)>, u64) {
+    let filter = table.key_filter(cutoff);
     let mut order = Vec::new();
+    let mut under = Vec::new();
     let mut pruned = 0;
     for (run, r) in runs.iter().enumerate() {
-        for leaf in 0..r.summaries.leaf_count() {
-            // Resolved leaves are bounded all the same: `lower_bounds`
-            // counts one per leaf box.
-            let (lo, hi) = r.summaries.leaf_box(leaf);
-            let bound = table.box_bound(lo, hi);
-            if r.resolved.contains(&leaf) {
-                continue;
-            }
-            if bound <= cutoff {
-                order.push((bound, run, leaf));
-            } else {
-                pruned += r.summaries.leaf_len(leaf) as u64;
-            }
+        // Resolved leaves are bounded all the same: `lower_bounds` counts
+        // one per leaf box.
+        under.clear();
+        filter.boxes_under(r.summaries.leaf_boxes(), 0, &mut under);
+        let starts = r.summaries.leaf_starts();
+        let resolved = starts[r.resolved.end] - starts[r.resolved.start];
+        let mut kept = 0;
+        for &(leaf, bound) in under.iter().filter(|(l, _)| !r.resolved.contains(l)) {
+            order.push((bound, run, leaf));
+            kept += r.summaries.leaf_len(leaf);
         }
+        pruned += (r.summaries.len() - resolved - kept) as u64;
     }
     order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
     (order, pruned)
@@ -581,9 +604,10 @@ fn leaf_order(
 /// with [`coconut_storage::Error::Deadline`].
 ///
 /// The returned [`QueryStats`] count the `lower_bounds` computed (one per
-/// leaf box, one per key of a visited leaf), `records_fetched`, and
-/// `pruned` records skipped unfetched — every entry of a skipped leaf
-/// included, so `pruned + records_fetched == summaries.len()`.
+/// leaf box, one per zone of a visited leaf, one per key of a surviving
+/// zone), `records_fetched`, and `pruned` records skipped unfetched —
+/// every entry of a skipped leaf included, so `pruned + records_fetched ==
+/// summaries.len()`.
 pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
     series_len: usize,
@@ -597,7 +621,16 @@ pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
         summaries,
         resolved: 0..0,
     };
-    scan_runs(dist, series_len, &[run], threads, fetcher, hits, deadline)
+    scan_runs(
+        dist,
+        true,
+        series_len,
+        &[run],
+        threads,
+        fetcher,
+        hits,
+        deadline,
+    )
 }
 
 /// [`sims_scan`] over several runs at once — the leaves of every run
@@ -607,9 +640,12 @@ pub fn sims_scan<D: Distance, F: SeriesFetcher, C: Collector>(
 /// forward across the runs) or by its scan index in the runs' leaves
 /// taken one run after another, run `r`'s starting after the entries of
 /// the runs before it (so a sweep goes run by run, each in leaf order).
-/// `pruned + records_fetched` covers the unresolved leaves' entries.
+/// `pruned + records_fetched` covers the unresolved leaves' entries. With
+/// `zoned` off the key pass bounds every entry of a visited leaf.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_runs<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
+    zoned: bool,
     series_len: usize,
     runs: &[ScanRun<'_>],
     threads: usize,
@@ -621,7 +657,7 @@ pub(crate) fn scan_runs<D: Distance, F: SeriesFetcher, C: Collector>(
     let leaves: usize = runs.iter().map(|r| r.summaries.leaf_count()).sum();
     let limits = (entries.div_ceil(leaves.max(1)), PARALLEL_MIN_KEYS);
     scan_batched(
-        dist, series_len, runs, threads, fetcher, hits, deadline, limits,
+        dist, zoned, series_len, runs, threads, fetcher, hits, deadline, limits,
     )
 }
 
@@ -631,6 +667,7 @@ pub(crate) fn scan_runs<D: Distance, F: SeriesFetcher, C: Collector>(
 #[allow(clippy::too_many_arguments)]
 fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
     dist: &D,
+    zoned: bool,
     series_len: usize,
     runs: &[ScanRun<'_>],
     threads: usize,
@@ -691,9 +728,11 @@ fn scan_batched<D: Distance, F: SeriesFetcher, C: Collector>(
         let workers = if parallel { threads } else { 1 };
         let filter = table.key_filter(cutoff);
         let by_pos = F::POSITION_ORDER;
-        bound_batch(&filter, runs, &firsts, &batch, by_pos, workers, &mut parts)?;
+        let bounded = bound_batch(
+            &filter, zoned, runs, &firsts, &batch, by_pos, workers, &mut parts,
+        )?;
         let candidates = &mut parts[0].kept;
-        stats.lower_bounds += keys as u64;
+        stats.lower_bounds += bounded as u64;
         stats.pruned += (keys - candidates.len()) as u64;
 
         // Phase B: fetch in storage order under the tightening cutoff.
@@ -810,6 +849,7 @@ mod tests {
         }];
         scan_batched(
             ed,
+            true,
             64,
             &runs,
             threads,
@@ -842,9 +882,10 @@ mod tests {
             let top = TopK::new(1, f64::INFINITY);
             let (ans, stats) = scan(&q, &data, &keys, &config, 2, top, Deadline::NONE).unwrap();
             assert_eq!(ans, brute_force(&q, &data)[..1]);
-            // One bound per leaf box, one per key of a surviving leaf.
+            // One bound per leaf box, one per zone of a surviving leaf (a
+            // leaf of 37 is one zone), one per key of a surviving zone.
             let leaves = 500u64.div_ceil(LEAF as u64);
-            assert!((leaves..=500 + leaves).contains(&stats.lower_bounds));
+            assert!((leaves..=500 + 2 * leaves).contains(&stats.lower_bounds));
             assert_eq!(stats.pruned + stats.records_fetched, 500);
         }
     }
@@ -984,17 +1025,32 @@ mod tests {
             assert!(batches.windows(2).all(|w| w[0] <= w[1]), "{batches:?}");
 
             // Seeded with the answer, the cutoff never moves: the scan
-            // bounds the keys of exactly the leaves whose box is under it.
+            // bounds the zone of exactly the leaves whose box is under it
+            // (a leaf of 37 is one zone), and the keys of exactly the zones
+            // whose box — its symbols' extremes — is under it too.
             let mut seeded = TopK::new(1, f64::INFINITY);
             seeded.offer(oracle[0]);
             let mut fetcher = VecFetcher { data: &data };
             let stats = scan_one(&ed, &sums, 1, &mut fetcher, &mut seeded, limits);
-            let under = order
+            let cutoff = oracle[0].dist;
+            let under: Vec<usize> = order
                 .iter()
-                .filter(|&&(b, _, _)| b <= oracle[0].dist)
+                .filter(|&&(b, _, _)| b <= cutoff)
+                .map(|&(_, _, leaf)| leaf)
+                .collect();
+            assert!(under.len() < LEAVES, "seed {seed}: no leaf pruned");
+            let zones_under = under
+                .iter()
+                .filter(|&&leaf| {
+                    let rows = sums.block(leaf).unwrap().symbols.chunks_exact(LEAF);
+                    let lo: Vec<u8> = rows.clone().map(|r| *r.iter().min().unwrap()).collect();
+                    let hi: Vec<u8> = rows.map(|r| *r.iter().max().unwrap()).collect();
+                    ed.table().box_bound(&lo, &hi) <= cutoff
+                })
                 .count();
-            assert!(under < LEAVES, "seed {seed}: no leaf pruned");
-            assert_eq!(stats.lower_bounds, (LEAVES + under * LEAF) as u64);
+            assert!(zones_under < under.len(), "seed {seed}: no zone pruned");
+            let bounds = LEAVES + under.len() + zones_under * LEAF;
+            assert_eq!(stats.lower_bounds, bounds as u64);
             assert_eq!(stats.pruned + stats.records_fetched, data.len() as u64);
         }
     }
@@ -1115,16 +1171,35 @@ mod tests {
         all.sort_by(f64::total_cmp);
         let filter = ed.table().key_filter(all[1000]);
         let mut parts = vec![Part::default()];
-        bound_batch(&filter, &runs, &[0], &leaves, false, 1, &mut parts).unwrap();
-        let inline = std::mem::take(&mut parts[0].kept);
+        let mut batch = |zoned: bool, workers: usize| {
+            let bounded = bound_batch(
+                &filter,
+                zoned,
+                &runs,
+                &[0],
+                &leaves,
+                false,
+                workers,
+                &mut parts,
+            )
+            .unwrap();
+            (std::mem::take(&mut parts[0].kept), bounded)
+        };
+        let (inline, keys) = batch(false, 1);
         assert!(!inline.is_empty() && inline.windows(2).all(|w| w[0].0 < w[1].0));
+        let (zoned, bounded) = batch(true, 1);
+        assert_eq!(zoned, inline);
+        // One bound per leaf's zone and per key of a surviving zone.
+        assert_eq!(keys, leaves.iter().map(|&(_, l)| sums.leaf_len(l)).sum());
+        assert!((leaves.len()..=keys + leaves.len()).contains(&bounded));
         for workers in [2, 4, 200] {
-            bound_batch(&filter, &runs, &[0], &leaves, false, workers, &mut parts).unwrap();
-            assert_eq!(
-                std::mem::take(&mut parts[0].kept),
-                inline,
-                "{workers} workers"
-            );
+            for (zoned, want) in [(false, keys), (true, bounded)] {
+                assert_eq!(
+                    batch(zoned, workers),
+                    (inline.clone(), want),
+                    "{workers} workers"
+                );
+            }
         }
         assert!(balanced_chunks(&leaves, 4, |&(_, l)| sums.leaf_len(l)).len() == 4);
     }

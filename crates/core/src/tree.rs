@@ -266,6 +266,7 @@ mod tests {
     use coconut_series::index::{Answer, SeriesIndex};
     use coconut_series::Value;
     use coconut_storage::{IoStats, TempDir};
+    use coconut_summary::mindist::ZONE;
     use coconut_summary::sax::Summarizer;
     use std::sync::Arc;
 
@@ -323,6 +324,14 @@ mod tests {
         assert!(tree.height() >= 1);
     }
 
+    /// The most bounds an exact query of `tree` computes: one per leaf box,
+    /// per zone and per entry.
+    fn most_bounds(tree: &CoconutTree) -> u64 {
+        let counts = tree.leaf_entry_counts();
+        let zones: usize = counts.iter().map(|c| c.div_ceil(ZONE)).sum();
+        tree.len() + tree.leaf_count() + zones as u64
+    }
+
     #[test]
     fn exact_search_matches_brute_force() {
         let dir = TempDir::new("ctree").unwrap();
@@ -336,7 +345,7 @@ mod tests {
             assert_eq!(ans.pos, expect.pos, "seed {seed}");
             assert!((ans.dist - expect.dist).abs() < 1e-6);
             assert!(stats.pruned + stats.records_fetched >= 800);
-            assert!(stats.lower_bounds <= 800 + tree.leaf_count());
+            assert!(stats.lower_bounds <= most_bounds(&tree));
         }
     }
 
@@ -659,7 +668,7 @@ mod tests {
                     );
                     assert!((ans.dist - best.dist).abs() < 1e-6);
                     assert!(stats.pruned + stats.records_fetched >= 300);
-                    assert!(stats.lower_bounds <= 300 + tree.leaf_count());
+                    assert!(stats.lower_bounds <= most_bounds(&tree));
                 }
             }
         }

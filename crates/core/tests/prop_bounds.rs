@@ -5,12 +5,12 @@
 //! a leaf) — and for both metrics,
 //!
 //! ```text
-//! leaf box bound  <=  bound of every key in the leaf  <=  true distance
+//! leaf box bound  <=  zone box bound  <=  bound of every key in the zone  <=  true distance
 //! ```
 //!
-//! so skipping a leaf by its box, or a record by its key, never drops an
-//! answer; and the bound the block kernel reports for an entry is, bit for
-//! bit, the bound of its z-order key.
+//! so skipping a leaf by its box, a zone by its box, or a record by its key,
+//! never drops an answer; and the bound the block kernel reports for an
+//! entry is, bit for bit, the bound of its z-order key.
 
 use coconut_core::leaves::Summaries;
 use coconut_core::sims::{Distance, Dtw, Ed};
@@ -18,6 +18,7 @@ use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::dtw::dtw;
 use coconut_series::gen::{Generator, RandomWalkGen};
 use coconut_series::Value;
+use coconut_summary::mindist::ZONE;
 use coconut_summary::sax::Summarizer;
 use coconut_summary::{SaxConfig, ZKey};
 use proptest::prelude::*;
@@ -38,14 +39,14 @@ proptest! {
 
     #[test]
     fn box_bound_le_key_bounds_le_true_distance(
-        n in 1usize..120,
+        n in 1usize..300,
         seed in 0u64..1_000_000,
         // Each distinct series appears `copies` times in a row: above one,
         // identical keys straddle leaf cuts; at `n` and beyond, every key
         // is the same.
         copies in 1usize..150,
         // Leaf sizes, cycled: lone entries next to oversized leaves.
-        cuts in proptest::collection::vec(1usize..40, 1..6),
+        cuts in proptest::collection::vec(1usize..150, 1..6),
         band in 0usize..9,
     ) {
         let config = SaxConfig::default_for_len(LEN);
@@ -68,8 +69,11 @@ proptest! {
                 let start = summaries.leaf_starts()[l];
                 prop_assert_eq!(start, seen);
                 let (lo, hi) = summaries.leaf_box(l);
-                let box_bound = table.box_bound(lo, hi);
+                let box_bound = table.box_bound(&lo, &hi);
                 let block = summaries.block(l).unwrap();
+                let mut zones = Vec::new();
+                table.key_filter(f64::MAX).boxes_under(block.zones, 0, &mut zones);
+                prop_assert_eq!(zones.len(), summaries.leaf_len(l).div_ceil(ZONE));
                 let mut bounds = Vec::new();
                 table.bounds_under(block.symbols, f64::MAX, start, &mut bounds);
                 prop_assert_eq!(bounds.len(), summaries.leaf_len(l));
@@ -78,7 +82,9 @@ proptest! {
                     let (key, pos) = entries[i];
                     prop_assert_eq!(block.pos(i - start), pos);
                     prop_assert_eq!(bound.to_bits(), table.mindist_zkey(key).to_bits());
-                    prop_assert!(box_bound <= bound, "leaf {l}: box {box_bound} > key {bound}");
+                    let zone = zones[(i - start) / ZONE].1;
+                    prop_assert!(box_bound <= zone, "leaf {l}: box {box_bound} > zone {zone}");
+                    prop_assert!(zone <= bound, "leaf {l}: zone {zone} > key {bound}");
                     let true_dist = distance(&q, &data[pos as usize], band);
                     prop_assert!(
                         bound <= true_dist + 1e-6,

@@ -16,7 +16,8 @@
 //!
 //! Beside the matrix: answers *and* work counters do not depend on the
 //! thread count, and a snapshot's counters account for every entry it
-//! covers exactly once; a bound below every leaf box prunes the whole index
+//! covers exactly once; zone boxes change how many bounds a query computes
+//! and nothing else it returns; a bound below every leaf box prunes the whole index
 //! untouched; one-leaf and empty indexes answer, reopened too; and the
 //! probe returns the true best of its seed leaves while fetching only part
 //! of them.
@@ -34,9 +35,10 @@ use coconut_series::dataset::{Dataset, DatasetWriter};
 use coconut_series::distance::{euclidean, znormalize};
 use coconut_series::dtw::dtw;
 use coconut_series::gen::{Generator, RandomWalkGen};
-use coconut_series::index::{Answer, SeriesIndex};
+use coconut_series::index::{Answer, QueryStats, SeriesIndex};
 use coconut_series::Value;
 use coconut_storage::{Deadline, IoStats, RecordStream, Result, TempDir};
+use coconut_summary::mindist::ZONE;
 use coconut_summary::sax::Summarizer;
 
 const LEN: usize = 64;
@@ -321,6 +323,23 @@ fn exact_queries() -> Vec<Query> {
     queries
 }
 
+/// Zones prune bounds, never answers: a search and its zones-off reference
+/// return the same answers and agree on every counter but `lower_bounds`.
+fn assert_zones_save_only_bounds(
+    zoned: &(Vec<Answer>, QueryStats),
+    unzoned: &(Vec<Answer>, QueryStats),
+    at: &str,
+) {
+    assert_eq!(bits(&zoned.0), bits(&unzoned.0), "{at}");
+    let counters = |s: &QueryStats| (s.records_fetched, s.pruned, s.leaves_visited);
+    assert_eq!(counters(&zoned.1), counters(&unzoned.1), "{at}");
+}
+
+/// The zones of leaves holding `counts` entries.
+fn zones(counts: &[usize]) -> u64 {
+    counts.iter().map(|c| c.div_ceil(ZONE) as u64).sum()
+}
+
 #[test]
 fn answers_and_stats_do_not_depend_on_threads() {
     let dir = TempDir::new("query-matrix").unwrap();
@@ -336,16 +355,23 @@ fn answers_and_stats_do_not_depend_on_threads() {
         // (The matrix above checks the default thread count against brute
         // force; equality with it carries that over.)
         let (one, two, four) = (build(1), build(2), build(4));
+        let zones = zones(&one.leaf_entry_counts());
         for q in queries() {
             for query in exact_queries() {
                 let want = one.search(&q, &query).unwrap();
                 assert_eq!(two.search(&q, &query).unwrap(), want, "{query:?}");
                 assert_eq!(four.search(&q, &query).unwrap(), want, "{query:?}");
+                for tree in [&one, &two, &four] {
+                    let unzoned = tree.search_unzoned(&q, &query).unwrap();
+                    assert_zones_save_only_bounds(&want, &unzoned, &format!("{query:?}"));
+                }
                 // The counters account for every record, and bounds are only
-                // computed per leaf box and per key of a surviving leaf.
+                // computed per leaf box, per zone of a surviving leaf and per
+                // key of a surviving zone.
                 let stats = want.1;
                 assert!(stats.pruned + stats.records_fetched >= N, "{query:?}");
-                assert!(stats.lower_bounds <= N + one.leaf_count(), "{query:?}");
+                let most = N + one.leaf_count() + zones;
+                assert!(stats.lower_bounds <= most, "{query:?}");
             }
         }
 
@@ -367,6 +393,10 @@ fn answers_and_stats_do_not_depend_on_threads() {
                     let want = one.search(&q, &query).unwrap();
                     assert_eq!(two.search(&q, &query).unwrap(), want, "{at}");
                     assert_eq!(four.search(&q, &query).unwrap(), want, "{at}");
+                    for snapshot in [&one, &two, &four] {
+                        let unzoned = snapshot.search_unzoned(&q, &query).unwrap();
+                        assert_zones_save_only_bounds(&want, &unzoned, &at);
+                    }
                     let stats = want.1;
                     assert_eq!(stats.pruned + stats.records_fetched, N, "{at}");
                 }

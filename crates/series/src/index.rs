@@ -48,9 +48,10 @@ impl Answer {
 /// whatever the thread count. The probe accounts for the records of its
 /// seed leaves and the exact scan for every other one, so an exact query
 /// over an index (or snapshot, or shard set) of `N` records has
-/// `pruned + records_fetched == N`, while `lower_bounds <= N + leaves`: a
-/// leaf whose box bound already exceeds the cutoff is skipped without
-/// bounding its keys.
+/// `pruned + records_fetched == N`, while `lower_bounds <= N + leaves +
+/// zones` (a zone being 64 entries of a leaf): a leaf whose box bound
+/// already exceeds the cutoff is skipped without bounding its zones, and a
+/// zone whose box bound does without bounding its keys.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Leaf nodes (or equivalent disk units) read: for the Coconut indexes,
@@ -66,9 +67,9 @@ pub struct QueryStats {
     /// tightened before its turn — and the seed-leaf entries the probe
     /// passed over.
     pub pruned: u64,
-    /// Lower bounds computed by the exact scan: one per leaf box plus one
-    /// per key inside a surviving leaf. (The probe's per-entry bounds over
-    /// its few seed leaves are not counted.)
+    /// Lower bounds computed by the exact scan: one per leaf box, one per
+    /// zone box of a surviving leaf, and one per key inside a surviving
+    /// zone. (The probe's bounds over its few seed leaves are not counted.)
     pub lower_bounds: u64,
 }
 

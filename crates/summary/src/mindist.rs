@@ -20,9 +20,12 @@
 //! Euclidean distance ([`QueryDistTable::new`]) and for the DTW envelope
 //! bound ([`QueryDistTable::for_envelope`]) alike — over segment-major
 //! symbol blocks, the z-order keys a [`SymbolDecoder`] de-interleaved once,
-//! when their leaf was written: [`QueryDistTable::box_bound`] lower-bounds a whole leaf,
-//! [`QueryDistTable::bounds_under`] its entries, keeping only those at or
-//! under a cutoff.
+//! when their leaf was written: [`QueryDistTable::box_bound`] lower-bounds
+//! a box of symbols — a whole leaf, or a zone of [`ZONE`] of its entries
+//! ([`zone_boxes`]) — and [`KeyFilter::boxes_under`] a block of boxes at
+//! once; [`QueryDistTable::bounds_under`] bounds a block's entries, keeping
+//! only those at or under a cutoff, and [`KeyFilter::zoned_bounds_under`]
+//! the entries of its surviving zones alone.
 //!
 //! # The fast-scan prefilter
 //!
@@ -39,13 +42,16 @@
 //! pass looks up and saturating-adds 32 entries per segment in a handful of
 //! instructions, where the exact kernel gathers 4 `f64`s at a time. Only the
 //! survivors (a few percent near a tight cutoff) get the exact sum, so the
-//! `(entry, bound)` output is bit-identical to the exact kernel's.
+//! `(entry, bound)` output is bit-identical to the exact kernel's. A box is
+//! bounded by the same pass, as the symbol vector of its nearest symbols to
+//! the query: per segment the query's nearest symbol clamped into the box.
 
 use crate::breakpoints::{region, region_table};
 use crate::config::{SaxConfig, MAX_SEGMENTS};
 use crate::isax::IsaxMask;
 use crate::zorder::ZKey;
 use coconut_series::simd::Dispatch;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Squared distance from `value` to the interval `[lo, hi)`; zero inside.
@@ -328,10 +334,10 @@ impl SymbolDecoder {
 
     /// The symbol boxes of consecutive sorted key ranges: range `i` holds
     /// the keys from `bounds[i]` up to `bounds[i + 1]`, and its box —
-    /// [`crate::zorder::key_range_box`] of the pair, bit for bit — lands in
-    /// `out[i * 2 * segments..]`, `segments` lower then `segments` upper
-    /// symbols. The range starts are decoded a block at a time
-    /// ([`SymbolDecoder::decode_into`]) rather than bit by bit.
+    /// [`crate::zorder::key_range_box`] of the pair, bit for bit — is box
+    /// `i` of the box block `out` ([the layout](KeyFilter::boxes_under)
+    /// the box kernel reads). The range starts are decoded a block at a
+    /// time ([`SymbolDecoder::decode_into`]) rather than bit by bit.
     pub fn key_range_boxes(&self, bounds: &[ZKey], out: &mut [u8]) {
         self.key_range_boxes_with(coconut_series::simd::active(), bounds, out);
     }
@@ -340,15 +346,23 @@ impl SymbolDecoder {
     pub fn key_range_boxes_with(&self, dispatch: Dispatch, bounds: &[ZKey], out: &mut [u8]) {
         let w = self.config.segments;
         let starts = &bounds[..bounds.len().saturating_sub(1)];
-        assert_eq!(out.len(), starts.len() * 2 * w);
-        let mut symbols = vec![0; starts.len() * w];
-        self.decode_into_with(dispatch, starts, &mut symbols);
-        for (i, lo_hi) in out.chunks_exact_mut(2 * w).enumerate() {
-            let (lo, hi) = lo_hi.split_at_mut(w);
+        let n = starts.len();
+        assert_eq!(out.len(), n * 2 * w);
+        // The decoded starts are the lower symbols; widening each range
+        // lowers some of them and sets the upper ones.
+        let (lower, upper) = out.split_at_mut(n * w);
+        self.decode_into_with(dispatch, starts, lower);
+        let (mut lo, mut hi) = ([0u8; MAX_SEGMENTS], [0u8; MAX_SEGMENTS]);
+        let (lo, hi) = (&mut lo[..w], &mut hi[..w]);
+        for (i, pair) in bounds.windows(2).enumerate() {
             for (j, s) in lo.iter_mut().enumerate() {
-                *s = symbols[j * starts.len() + i];
+                *s = lower[j * n + i];
             }
-            crate::zorder::widen_to_range(bounds[i], bounds[i + 1], &self.config, lo, hi);
+            crate::zorder::widen_to_range(pair[0], pair[1], &self.config, lo, hi);
+            for (j, (&l, &h)) in lo.iter().zip(hi.iter()).enumerate() {
+                lower[j * n + i] = l;
+                upper[j * n + i] = h;
+            }
         }
     }
 
@@ -401,11 +415,19 @@ pub struct QueryDistTable {
     decoder: SymbolDecoder,
 }
 
+/// What a table's rows measure from, per segment: the query's PAA value
+/// (Euclidean) or its envelope interval (DTW).
+#[derive(Clone, Copy)]
+enum RowSource<'a> {
+    Point(&'a [f64]),
+    Interval(&'a [f64], &'a [f64]),
+}
+
 impl QueryDistTable {
     /// The Euclidean table: distances from `query_paa` to every region.
     pub fn new(query_paa: &[f64], config: &SaxConfig) -> Self {
         debug_assert_eq!(query_paa.len(), config.segments);
-        Self::tabulate(config, |j, lo, hi| dist_to_region_sq(query_paa[j], lo, hi))
+        Self::tabulate(config, RowSource::Point(query_paa))
     }
 
     /// The DTW table: distances from the query envelope's per-segment
@@ -414,26 +436,49 @@ impl QueryDistTable {
     pub fn for_envelope(env_lo: &[f64], env_hi: &[f64], config: &SaxConfig) -> Self {
         debug_assert_eq!(env_lo.len(), config.segments);
         debug_assert_eq!(env_hi.len(), config.segments);
-        Self::tabulate(config, |j, lo, hi| {
-            interval_dist_sq(env_lo[j], env_hi[j], lo, hi)
-        })
+        Self::tabulate(config, RowSource::Interval(env_lo, env_hi))
     }
 
-    /// Fill the table from `dist_sq(segment, region lo, region hi)`.
-    fn tabulate(config: &SaxConfig, dist_sq: impl Fn(usize, f64, f64) -> f64) -> Self {
+    /// Fill the table row by row, straight from the region bounds: the
+    /// entries, then each 4-bit prefix's minimum over its run of symbols,
+    /// then the row's nearest symbol.
+    fn tabulate(config: &SaxConfig, source: RowSource<'_>) -> Self {
         let card = config.cardinality();
         let rt = region_table(config.card_bits);
+        let (lo, hi) = (&rt.lo()[..card], &rt.hi()[..card]);
+        // Symbols sharing a 4-bit prefix are consecutive.
+        let span = 1usize << nibble_shift(config.card_bits);
         let mut table = vec![f64::INFINITY; config.segments * TABLE_ROW];
         let mut nearest = Vec::with_capacity(config.segments);
         let mut prefix_min = vec![f64::INFINITY; config.segments * NIBBLES];
-        for (j, row) in table.chunks_exact_mut(TABLE_ROW).enumerate() {
-            for (s, entry) in row[..card].iter_mut().enumerate() {
-                *entry = dist_sq(j, rt.lo()[s], rt.hi()[s]);
-                let min = &mut prefix_min[j * NIBBLES + nibble(s as u8, config.card_bits)];
-                *min = min.min(*entry);
+        let rows = table
+            .chunks_exact_mut(TABLE_ROW)
+            .zip(prefix_min.chunks_exact_mut(NIBBLES));
+        for (j, (row, mins)) in rows.enumerate() {
+            let row = &mut row[..card];
+            match source {
+                RowSource::Point(paa) => {
+                    let value = paa[j];
+                    for ((entry, &lo), &hi) in row.iter_mut().zip(lo).zip(hi) {
+                        *entry = dist_to_region_sq(value, lo, hi);
+                    }
+                }
+                RowSource::Interval(env_lo, env_hi) => {
+                    let (a_lo, a_hi) = (env_lo[j], env_hi[j]);
+                    for ((entry, &lo), &hi) in row.iter_mut().zip(lo).zip(hi) {
+                        *entry = interval_dist_sq(a_lo, a_hi, lo, hi);
+                    }
+                }
             }
-            let at = (0..card).min_by(|&a, &b| row[a].total_cmp(&row[b]));
-            nearest.push(at.unwrap_or(0) as u8);
+            for (min, run) in mins.iter_mut().zip(row.chunks(span)) {
+                *min = smallest(run);
+            }
+            // The first minimum of the row lies in the first run holding it.
+            let runs = &mins[..card / span];
+            let least = smallest(runs);
+            let run = runs.iter().position(|&m| m == least).unwrap_or(0);
+            let at = row[run * span..].iter().position(|&e| e == least);
+            nearest.push((run * span + at.unwrap_or(0)) as u8);
         }
         QueryDistTable {
             config: *config,
@@ -473,14 +518,16 @@ impl QueryDistTable {
     /// A lower bound on the bound of every symbol vector inside the box
     /// `lo[j]..=hi[j]` ([`crate::zorder::key_range_box`]): per segment the
     /// smallest table entry of the interval — zero when the query's own
-    /// symbol lies inside, else the entry at the nearer end — summed in
+    /// symbol lies inside, else the entry at the nearer end, the nearest
+    /// symbol clamped into the box, `min(max(nearest, lo), hi)` — summed in
     /// segment order, so it never exceeds the bound of a vector in the box.
+    /// The one-box reference of [`KeyFilter::boxes_under`].
     pub fn box_bound(&self, lo: &[u8], hi: &[u8]) -> f64 {
         debug_assert_eq!(lo.len(), self.config.segments);
         debug_assert_eq!(hi.len(), self.config.segments);
         let mut acc = 0.0f64;
         for (j, (&lo, &hi)) in lo.iter().zip(hi).enumerate() {
-            let at = self.nearest[j].clamp(lo, hi);
+            let at = self.nearest[j].max(lo).min(hi);
             acc += self.table[j * TABLE_ROW + at as usize];
         }
         (self.scale * acc).sqrt()
@@ -637,9 +684,9 @@ impl QueryDistTable {
     }
 }
 
-/// A [`QueryDistTable`] and a cutoff, ready to bound symbol blocks under it
-/// ([`QueryDistTable::key_filter`]): the SIMS key pass builds one per batch,
-/// the probe one per leaf.
+/// A [`QueryDistTable`] and a cutoff, ready to bound symbol blocks and box
+/// blocks under it ([`QueryDistTable::key_filter`]): the SIMS scan builds
+/// one for its leaf order and one per batch, the probe one per round.
 pub struct KeyFilter<'a> {
     table: &'a QueryDistTable,
     cutoff: f64,
@@ -671,41 +718,211 @@ impl KeyFilter<'_> {
         first: usize,
         out: &mut Vec<(usize, f64)>,
     ) {
-        match &self.lut {
-            Some(lut) if use_avx2(dispatch) => self.fast_scan_under(true, lut, block, first, out),
-            _ => self.exact_bounds_under_with(dispatch, block, first, out),
+        let count = self.entries(block);
+        self.ranges_under(dispatch, block, std::iter::once(0..count), first, out);
+    }
+
+    /// [`KeyFilter::bounds_under`] over the entries of `block` whose zone
+    /// survives: `zones` holds the block's zone boxes ([`zone_boxes`]),
+    /// each is bounded by [`KeyFilter::boxes_under`], and only the entries
+    /// of zones at or under the cutoff are bounded. A zone's bound never
+    /// exceeds the bound of an entry in it, so the output is exactly
+    /// [`KeyFilter::bounds_under`]'s. Returns the bounds computed: one per
+    /// zone, one per entry of a surviving zone.
+    pub fn zoned_bounds_under(
+        &self,
+        block: &[u8],
+        zones: &[u8],
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) -> usize {
+        self.zoned_bounds_under_with(coconut_series::simd::active(), block, zones, first, out)
+    }
+
+    /// [`KeyFilter::zoned_bounds_under`] with an explicit dispatch.
+    pub fn zoned_bounds_under_with(
+        &self,
+        dispatch: Dispatch,
+        block: &[u8],
+        zones: &[u8],
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) -> usize {
+        let count = self.entries(block);
+        let zone_count = count.div_ceil(ZONE);
+        assert_eq!(zones.len(), 2 * self.table.config.segments * zone_count);
+        let use_avx2 = use_avx2(dispatch);
+        let mut bounded = zone_count;
+        let (mut next, mut batch, mut survivors) = (0, 0, 0u32);
+        let mut bounds = [0.0; FAST_SCAN_BATCH];
+        let ranges = std::iter::from_fn(|| loop {
+            if survivors != 0 {
+                let z = batch + survivors.trailing_zeros() as usize;
+                survivors &= survivors - 1;
+                let range = z * ZONE..(z * ZONE + ZONE).min(count);
+                bounded += range.len();
+                return Some(range);
+            }
+            if next == zone_count {
+                return None;
+            }
+            let n = (zone_count - next).min(FAST_SCAN_BATCH);
+            survivors = self.box_batch(use_avx2, zones, zone_count, next, n, &mut bounds);
+            (batch, next) = (next, next + n);
+        });
+        self.ranges_under(dispatch, block, ranges, first, out);
+        bounded
+    }
+
+    /// Push `(first + b, bound)` for each box `b` of the box block `boxes`
+    /// whose bound does not exceed the cutoff, in box order. A box block of
+    /// `n` boxes is `2 * segments * n` bytes, segment-major: box `b`'s
+    /// lower symbol of segment `j` at `j * n + b`, its upper one at
+    /// `(segments + j) * n + b` — the layout of the leaf boxes
+    /// ([`SymbolDecoder::key_range_boxes`]) and of the zone boxes
+    /// ([`zone_boxes`]). Bounds are [`QueryDistTable::box_bound`]'s, bit for
+    /// bit.
+    pub fn boxes_under(&self, boxes: &[u8], first: usize, out: &mut Vec<(usize, f64)>) {
+        self.boxes_under_with(coconut_series::simd::active(), boxes, first, out);
+    }
+
+    /// [`KeyFilter::boxes_under`] with an explicit dispatch. Each box is
+    /// bounded as the symbol vector of its nearest symbols to the query
+    /// (the query's nearest symbol clamped into it, 32 boxes per AVX2
+    /// step): through the fast-scan pass on AVX2, and exactly for its
+    /// survivors — the scalar dispatch sums every box exactly. The output
+    /// is the same either way.
+    pub fn boxes_under_with(
+        &self,
+        dispatch: Dispatch,
+        boxes: &[u8],
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let w = self.table.config.segments;
+        assert_eq!(boxes.len() % (2 * w), 0);
+        let count = boxes.len() / (2 * w);
+        let use_avx2 = use_avx2(dispatch);
+        let mut bounds = [0.0; FAST_SCAN_BATCH];
+        for b in (0..count).step_by(FAST_SCAN_BATCH) {
+            let n = (count - b).min(FAST_SCAN_BATCH);
+            let mut kept = self.box_batch(use_avx2, boxes, count, b, n, &mut bounds);
+            while kept != 0 {
+                let i = kept.trailing_zeros() as usize;
+                kept &= kept - 1;
+                out.push((first + b + i, bounds[i]));
+            }
         }
     }
 
-    /// The fast-scan pass under `lut` — AVX2 on full batches if `use_avx2`,
-    /// the scalar mirror everywhere else — then the exact sum of its
-    /// survivors.
+    /// Bound the `n <= 32` boxes from `b` of a box block of `count` boxes:
+    /// returns those at or under the cutoff as a bit mask (bit `i` = box
+    /// `b + i`), their bounds in `bounds[i]`.
+    fn box_batch(
+        &self,
+        use_avx2: bool,
+        boxes: &[u8],
+        count: usize,
+        b: usize,
+        n: usize,
+        bounds: &mut [f64; FAST_SCAN_BATCH],
+    ) -> u32 {
+        let table = self.table;
+        let w = table.config.segments;
+        assert!(n <= FAST_SCAN_BATCH && b + n <= count && boxes.len() == 2 * w * count);
+        // The boxes' nearest symbols, segment-major, 32 to a segment.
+        let mut nearest = [0u8; MAX_SEGMENTS * FAST_SCAN_BATCH];
+        let nearest = &mut nearest[..w * FAST_SCAN_BATCH];
+        clamp_into_boxes(use_avx2, &table.nearest, boxes, count, b, n, nearest);
+        let mut survivors = match &self.lut {
+            Some(lut) if use_avx2 => {
+                let shift = nibble_shift(table.config.card_bits);
+                fast_scan(
+                    true,
+                    &lut[..w * NIBBLES],
+                    shift,
+                    nearest,
+                    FAST_SCAN_BATCH,
+                    0,
+                    n,
+                )
+            }
+            _ => u32::MAX >> (FAST_SCAN_BATCH - n),
+        };
+        let mut kept = 0;
+        while survivors != 0 {
+            let i = survivors.trailing_zeros() as usize;
+            survivors &= survivors - 1;
+            let raw = table.entry_raw(nearest, FAST_SCAN_BATCH, i);
+            if let Some(bound) = self.within(raw) {
+                bounds[i] = bound;
+                kept |= 1 << i;
+            }
+        }
+        kept
+    }
+
+    /// Entries in the segment-major block `block`.
+    fn entries(&self, block: &[u8]) -> usize {
+        let w = self.table.config.segments;
+        assert_eq!(block.len() % w, 0);
+        block.len() / w
+    }
+
+    /// The entries of `block` in `ranges` (ascending, disjoint) at or under
+    /// the cutoff, through the fast scan where the dispatch and the cutoff
+    /// allow it, else the exact kernel.
+    fn ranges_under(
+        &self,
+        dispatch: Dispatch,
+        block: &[u8],
+        ranges: impl Iterator<Item = Range<usize>>,
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        match &self.lut {
+            Some(lut) if use_avx2(dispatch) => {
+                self.fast_scan_under(true, lut, block, ranges, first, out)
+            }
+            _ => {
+                for range in ranges {
+                    self.exact_range_under(dispatch, block, range, first, out);
+                }
+            }
+        }
+    }
+
+    /// The fast-scan pass under `lut` over the entries of `block` in
+    /// `ranges` — AVX2 on full batches if `use_avx2`, the scalar mirror
+    /// everywhere else — then the exact sum of its survivors.
     fn fast_scan_under(
         &self,
         use_avx2: bool,
         lut: &[u8; MAX_SEGMENTS * NIBBLES],
         block: &[u8],
+        ranges: impl Iterator<Item = Range<usize>>,
         first: usize,
         out: &mut Vec<(usize, f64)>,
     ) {
         let w = self.table.config.segments;
-        assert_eq!(block.len() % w, 0);
-        let count = block.len() / w;
+        let count = self.entries(block);
         let lut = &lut[..w * NIBBLES];
         let shift = nibble_shift(self.table.config.card_bits);
         // Survivors wait in groups, so their exact sums run side by side.
         let mut group = [0usize; REFINE_GROUP];
         let mut waiting = 0;
-        for e in (0..count).step_by(FAST_SCAN_BATCH) {
-            let n = (count - e).min(FAST_SCAN_BATCH);
-            let mut survivors = fast_scan(use_avx2, lut, shift, block, count, e, n);
-            while survivors != 0 {
-                group[waiting] = e + survivors.trailing_zeros() as usize;
-                survivors &= survivors - 1;
-                waiting += 1;
-                if waiting == REFINE_GROUP {
-                    self.refine(&group, block, count, first, out);
-                    waiting = 0;
+        for range in ranges {
+            for e in range.clone().step_by(FAST_SCAN_BATCH) {
+                let n = (range.end - e).min(FAST_SCAN_BATCH);
+                let mut survivors = fast_scan(use_avx2, lut, shift, block, count, e, n);
+                while survivors != 0 {
+                    group[waiting] = e + survivors.trailing_zeros() as usize;
+                    survivors &= survivors - 1;
+                    waiting += 1;
+                    if waiting == REFINE_GROUP {
+                        self.refine(&group, block, count, first, out);
+                        waiting = 0;
+                    }
                 }
             }
         }
@@ -754,21 +971,32 @@ impl KeyFilter<'_> {
         first: usize,
         out: &mut Vec<(usize, f64)>,
     ) {
+        let count = self.entries(block);
+        self.exact_range_under(dispatch, block, 0..count, first, out);
+    }
+
+    /// The exact kernel over the entries of `block` in `range`.
+    fn exact_range_under(
+        &self,
+        dispatch: Dispatch,
+        block: &[u8],
+        range: Range<usize>,
+        first: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
         let table = self.table;
-        let w = table.config.segments;
-        assert_eq!(block.len() % w, 0);
-        let count = block.len() / w;
+        let count = self.entries(block);
         let use_avx2 = use_avx2(dispatch);
-        let n8 = count - count % MINDIST_BATCH;
+        let n8 = range.end - range.len() % MINDIST_BATCH;
         let mut raw = [0.0f64; MINDIST_BATCH];
-        for e in (0..n8).step_by(MINDIST_BATCH) {
+        for e in (range.start..n8).step_by(MINDIST_BATCH) {
             if table.accumulate_block(use_avx2, &block[e..], count, self.limit, &mut raw) {
                 for (b, &r) in raw.iter().enumerate() {
                     self.keep(first + e + b, r, out);
                 }
             }
         }
-        for e in n8..count {
+        for e in n8..range.end {
             self.keep(first + e, table.entry_raw(block, count, e), out);
         }
     }
@@ -776,13 +1004,105 @@ impl KeyFilter<'_> {
     /// Push `(at, bound)` if the raw bound `raw` is at or under the cutoff.
     #[inline]
     fn keep(&self, at: usize, raw: f64, out: &mut Vec<(usize, f64)>) {
+        if let Some(bound) = self.within(raw) {
+            out.push((at, bound));
+        }
+    }
+
+    /// The bound of the raw bound `raw`, if it is at or under the cutoff.
+    #[inline]
+    fn within(&self, raw: f64) -> Option<f64> {
         let scaled = self.table.scale * raw;
         if scaled > self.limit {
-            return;
+            return None;
         }
         let bound = scaled.sqrt();
-        if bound <= self.cutoff {
-            out.push((at, bound));
+        (bound <= self.cutoff).then_some(bound)
+    }
+}
+
+/// Clamp each segment's `nearest` symbol into the `n <= 32` boxes from `b`
+/// of a box block of `count` boxes, `min(max(nearest, lo), hi)`: box
+/// `b + i`'s segment-`j` symbol lands at `out[j * 32 + i]`. Full batches
+/// take the AVX2 path where `use_avx2` allows, everything else the scalar
+/// mirror; both write the same bytes.
+fn clamp_into_boxes(
+    use_avx2: bool,
+    nearest: &[u8],
+    boxes: &[u8],
+    count: usize,
+    b: usize,
+    n: usize,
+    out: &mut [u8],
+) {
+    let w = nearest.len();
+    assert!(b + n <= count && boxes.len() == 2 * w * count && out.len() == w * FAST_SCAN_BATCH);
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 && n == FAST_SCAN_BATCH {
+        // SAFETY: AVX2 support verified by `use_avx2`; the assertion above
+        // keeps the 32 bytes read at `j * count + b` and `(w + j) * count +
+        // b` inside `boxes`, and the 32 written at `j * 32` inside `out`,
+        // for every segment `j < w`.
+        unsafe { x86::clamp_into_boxes_avx2(nearest, boxes, count, b, out) };
+        return;
+    }
+    let _ = use_avx2;
+    let (lower, upper) = boxes.split_at(w * count);
+    for (j, &near) in nearest.iter().enumerate() {
+        let (lo, hi) = (&lower[j * count + b..][..n], &upper[j * count + b..][..n]);
+        let row = &mut out[j * FAST_SCAN_BATCH..][..n];
+        for ((s, &lo), &hi) in row.iter_mut().zip(lo).zip(hi) {
+            *s = near.max(lo).min(hi);
+        }
+    }
+}
+
+/// Entries per zone: the unit inside a leaf that [`zone_boxes`] boxes and
+/// [`KeyFilter::zoned_bounds_under`] skips whole. Two fast-scan batches, so
+/// a surviving zone is scanned in two steps. Chosen by measurement on a
+/// million series in leaves of 2,000 (ARCHITECTURE, "The query path").
+pub const ZONE: usize = 64;
+
+/// The zone boxes of the segment-major symbol block `block` (`segments`
+/// rows of equal length, one symbol per entry): for each [`ZONE`] entries
+/// (the last zone takes the rest) and each segment, the smallest and the
+/// largest symbol, as a box block of `entries.div_ceil(ZONE)` boxes in
+/// `out` ([the layout](KeyFilter::boxes_under)).
+pub fn zone_boxes(block: &[u8], segments: usize, out: &mut [u8]) {
+    zone_boxes_with(coconut_series::simd::active(), block, segments, out);
+}
+
+/// [`zone_boxes`] with an explicit dispatch: on AVX2, each full zone's 64
+/// symbols are folded to 32 with byte-wise `min`/`max` and eight zones'
+/// folds reduced together by interleaving (a zone at the end of a row of
+/// 64 entries or more is read as the row's last 64 bytes with the bytes
+/// before it masked out); rows under 64 entries and the scalar dispatch
+/// run the per-zone scalar loop. Both write the same bytes.
+pub fn zone_boxes_with(dispatch: Dispatch, block: &[u8], segments: usize, out: &mut [u8]) {
+    assert!(segments > 0 && block.len().is_multiple_of(segments));
+    let count = block.len() / segments;
+    let zones = count.div_ceil(ZONE);
+    assert_eq!(out.len(), 2 * segments * zones);
+    if count == 0 {
+        return;
+    }
+    let (lower, upper) = out.split_at_mut(segments * zones);
+    let rows = block
+        .chunks_exact(count)
+        .zip(lower.chunks_exact_mut(zones))
+        .zip(upper.chunks_exact_mut(zones));
+    for ((row, lo), hi) in rows {
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2(dispatch) && count >= ZONE {
+            // SAFETY: AVX2 support verified by `use_avx2`; the row holds at
+            // least one full zone, and `lo` and `hi` one byte per zone of it.
+            unsafe { x86::zone_row_avx2(row, lo, hi) };
+            continue;
+        }
+        let _ = dispatch;
+        for ((zone, lo), hi) in row.chunks(ZONE).zip(lo).zip(hi) {
+            *lo = zone.iter().fold(u8::MAX, |m, &s| m.min(s));
+            *hi = zone.iter().fold(0, |m, &s| m.max(s));
         }
     }
 }
@@ -794,11 +1114,25 @@ fn nibble_shift(card_bits: u8) -> u32 {
     card_bits.saturating_sub(4) as u32
 }
 
-/// The fast-scan table slot of `symbol`: its 4-bit prefix. Masked, so a
-/// byte no valid symbol takes still indexes inside the segment's 16 slots.
-#[inline]
-fn nibble(symbol: u8, card_bits: u8) -> usize {
-    ((symbol >> nibble_shift(card_bits)) & 0x0F) as usize
+/// The smallest of table entries `entries`, found four at a time. Table
+/// entries are squares or zero, never NaN or `-0.0`, so the smallest is one
+/// value whatever order finds it: the entry a left-to-right `f64::min`
+/// fold returns, and — compared by `==` — the one `min_by(total_cmp)`
+/// would.
+fn smallest(entries: &[f64]) -> f64 {
+    let mut least = [f64::INFINITY; 4];
+    let mut quads = entries.chunks_exact(4);
+    for quad in &mut quads {
+        for (m, &e) in least.iter_mut().zip(quad) {
+            *m = if e < *m { e } else { *m };
+        }
+    }
+    for &e in quads.remainder() {
+        least[0] = if e < least[0] { e } else { least[0] };
+    }
+    least
+        .into_iter()
+        .fold(f64::INFINITY, |m, e| if e < m { e } else { m })
 }
 
 /// The fast-scan pass over the `n <= 32` entries from `e` of a segment-major
@@ -896,7 +1230,9 @@ fn accumulate_block_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{PextMask, ZKey, ABANDON_STRIDE, MINDIST_BATCH, NIBBLES, TABLE_ROW};
+    use super::{
+        PextMask, ZKey, ABANDON_STRIDE, FAST_SCAN_BATCH, MINDIST_BATCH, NIBBLES, TABLE_ROW, ZONE,
+    };
     use std::arch::x86_64::*;
 
     /// Decode keys via BMI2 `PEXT`: two extracts per segment instead of one
@@ -1017,6 +1353,181 @@ mod x86 {
         }
         let saturated = _mm256_cmpeq_epi8(acc, _mm256_set1_epi8(-1));
         !(_mm256_movemask_epi8(saturated) as u32)
+    }
+
+    /// Clamp each segment's nearest symbol into 32 boxes at once: per
+    /// segment `j`, the broadcast symbol, `max` with the boxes' 32 lower
+    /// symbols at `j * count + b`, `min` with their upper ones at
+    /// `(w + j) * count + b`, stored at `out[j * 32..]`.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support; `boxes` must hold 32 bytes at both
+    /// offsets and `out` 32 at `j * 32` for every segment `j <
+    /// nearest.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn clamp_into_boxes_avx2(
+        nearest: &[u8],
+        boxes: &[u8],
+        count: usize,
+        b: usize,
+        out: &mut [u8],
+    ) {
+        let w = nearest.len();
+        for (j, &near) in nearest.iter().enumerate() {
+            let lo = _mm256_loadu_si256(boxes.as_ptr().add(j * count + b) as *const __m256i);
+            let hi = _mm256_loadu_si256(boxes.as_ptr().add((w + j) * count + b) as *const __m256i);
+            let near = _mm256_set1_epi8(near as i8);
+            let clamped = _mm256_min_epu8(_mm256_max_epu8(near, lo), hi);
+            _mm256_storeu_si256(
+                out.as_mut_ptr().add(j * FAST_SCAN_BATCH) as *mut __m256i,
+                clamped,
+            );
+        }
+    }
+
+    /// `0x00` then `0xFF` bytes: the 64 bytes from offset `n` keep the
+    /// last `n` bytes of a 64-byte window.
+    static KEEP_LAST: [u8; 2 * ZONE] = {
+        let mut keep = [0u8; 2 * ZONE];
+        let mut i = ZONE;
+        while i < 2 * ZONE {
+            keep[i] = 0xFF;
+            i += 1;
+        }
+        keep
+    };
+
+    /// The smallest and the largest symbol of each zone of one segment's
+    /// row into `lo` and `hi`: each zone's two 32-byte halves folded into
+    /// one by `min` and `max` ([`fold_zone`]), the folds of eight zones
+    /// reduced together ([`reduce8`]).
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support; `row` must hold at least [`ZONE`]
+    /// bytes, and `lo` and `hi` one byte per zone of it.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn zone_row_avx2(row: &[u8], lo: &mut [u8], hi: &mut [u8]) {
+        let zones = lo.len();
+        debug_assert!(row.len() >= ZONE && zones == row.len().div_ceil(ZONE));
+        debug_assert_eq!(hi.len(), zones);
+        let mut z = 0;
+        while z < zones {
+            let n = (zones - z).min(8);
+            let mut mins = [_mm256_setzero_si256(); 8];
+            let mut maxs = [_mm256_setzero_si256(); 8];
+            for i in 0..8 {
+                // A short group repeats its last zone.
+                (mins[i], maxs[i]) = fold_zone(row, z + i.min(n - 1));
+            }
+            let (min, max) = (reduce8::<true>(&mins), reduce8::<false>(&maxs));
+            if n == 8 {
+                _mm_storel_epi64(lo.as_mut_ptr().add(z) as *mut __m128i, min);
+                _mm_storel_epi64(hi.as_mut_ptr().add(z) as *mut __m128i, max);
+            } else {
+                let mut bytes = [0u8; 8];
+                _mm_storel_epi64(bytes.as_mut_ptr() as *mut __m128i, min);
+                lo[z..z + n].copy_from_slice(&bytes[..n]);
+                _mm_storel_epi64(bytes.as_mut_ptr() as *mut __m128i, max);
+                hi[z..z + n].copy_from_slice(&bytes[..n]);
+            }
+            z += n;
+        }
+    }
+
+    /// Zone `z` of `row` (at least [`ZONE`] bytes) as 32 bytes holding its
+    /// smallest and 32 holding its largest symbol: the `min` and the `max`
+    /// of its two halves — or, for a last zone shorter than 64, of the
+    /// row's last 64 bytes with those before the zone replaced by the
+    /// identity of the fold (`0xFF` for `min`, `0` for `max`).
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support; zone `z` must start inside `row`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold_zone(row: &[u8], z: usize) -> (__m256i, __m256i) {
+        let (count, start) = (row.len(), z * ZONE);
+        let at = start.min(count - ZONE);
+        let a = _mm256_loadu_si256(row.as_ptr().add(at) as *const __m256i);
+        let b = _mm256_loadu_si256(row.as_ptr().add(at + 32) as *const __m256i);
+        if start + ZONE <= count {
+            return (_mm256_min_epu8(a, b), _mm256_max_epu8(a, b));
+        }
+        let keep = KEEP_LAST.as_ptr().add(count - start);
+        let keep_a = _mm256_loadu_si256(keep as *const __m256i);
+        let keep_b = _mm256_loadu_si256(keep.add(32) as *const __m256i);
+        let ones = _mm256_set1_epi8(-1);
+        let min = _mm256_min_epu8(
+            _mm256_or_si256(a, _mm256_andnot_si256(keep_a, ones)),
+            _mm256_or_si256(b, _mm256_andnot_si256(keep_b, ones)),
+        );
+        let max = _mm256_max_epu8(_mm256_and_si256(a, keep_a), _mm256_and_si256(b, keep_b));
+        (min, max)
+    }
+
+    /// Byte `i` of the low 8 bytes: the `min` (`MIN`) or the `max` of the
+    /// 32 bytes of `v[i]` — three rounds that interleave pairs of vectors
+    /// 8, then 16, then 32 bits at a time within each 128-bit lane and
+    /// fold the two results, then a fold of each lane's halves and one of
+    /// the two lanes.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce8<const MIN: bool>(v: &[__m256i; 8]) -> __m128i {
+        let t = [
+            pick::<MIN>(
+                _mm256_unpacklo_epi8(v[0], v[1]),
+                _mm256_unpackhi_epi8(v[0], v[1]),
+            ),
+            pick::<MIN>(
+                _mm256_unpacklo_epi8(v[2], v[3]),
+                _mm256_unpackhi_epi8(v[2], v[3]),
+            ),
+            pick::<MIN>(
+                _mm256_unpacklo_epi8(v[4], v[5]),
+                _mm256_unpackhi_epi8(v[4], v[5]),
+            ),
+            pick::<MIN>(
+                _mm256_unpacklo_epi8(v[6], v[7]),
+                _mm256_unpackhi_epi8(v[6], v[7]),
+            ),
+        ];
+        let u = [
+            pick::<MIN>(
+                _mm256_unpacklo_epi16(t[0], t[1]),
+                _mm256_unpackhi_epi16(t[0], t[1]),
+            ),
+            pick::<MIN>(
+                _mm256_unpacklo_epi16(t[2], t[3]),
+                _mm256_unpackhi_epi16(t[2], t[3]),
+            ),
+        ];
+        let x = pick::<MIN>(
+            _mm256_unpacklo_epi32(u[0], u[1]),
+            _mm256_unpackhi_epi32(u[0], u[1]),
+        );
+        let y = pick::<MIN>(x, _mm256_srli_si256::<8>(x));
+        let (lane0, lane1) = (_mm256_castsi256_si128(y), _mm256_extracti128_si256::<1>(y));
+        if MIN {
+            _mm_min_epu8(lane0, lane1)
+        } else {
+            _mm_max_epu8(lane0, lane1)
+        }
+    }
+
+    /// Byte-wise unsigned `min` (`MIN`) or `max`.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pick<const MIN: bool>(a: __m256i, b: __m256i) -> __m256i {
+        if MIN {
+            _mm256_min_epu8(a, b)
+        } else {
+            _mm256_max_epu8(a, b)
+        }
     }
 }
 
@@ -1260,9 +1771,12 @@ mod tests {
                     let mut out = vec![0u8; (bounds.len() - 1) * 2 * segments];
                     SymbolDecoder::new(&config).key_range_boxes_with(dispatch, &bounds, &mut out);
                     let (mut lo, mut hi) = (vec![0; segments], vec![0; segments]);
+                    let n = bounds.len() - 1;
                     for (i, pair) in bounds.windows(2).enumerate() {
                         key_range_box(pair[0], pair[1], &config, &mut lo, &mut hi);
-                        let got = &out[i * 2 * segments..(i + 1) * 2 * segments];
+                        // Box `i` of the box block: segment-major, lower
+                        // symbols then upper ones.
+                        let got: Vec<u8> = (0..2 * segments).map(|r| out[r * n + i]).collect();
                         assert_eq!(
                             got,
                             [lo.as_slice(), hi.as_slice()].concat(),
@@ -1441,9 +1955,11 @@ mod tests {
     /// `bounds_under_with` does).
     fn kept(filter: &KeyFilter<'_>, pass: Pass, block: &[u8]) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
+        let entries = std::iter::once(0..block.len() / filter.table.config.segments);
         match (pass, &filter.lut) {
             (Pass::Fast { avx2 }, Some(lut)) => {
-                filter.fast_scan_under(avx2 && use_avx2(Dispatch::Avx2), lut, block, 3, &mut out)
+                let avx2 = avx2 && use_avx2(Dispatch::Avx2);
+                filter.fast_scan_under(avx2, lut, block, entries, 3, &mut out)
             }
             (Pass::Exact(dispatch), _) => {
                 filter.exact_bounds_under_with(dispatch, block, 3, &mut out)
@@ -1590,6 +2106,115 @@ mod tests {
             assert_eq!(want.len(), if cutoff >= tie { count } else { 0 });
         }
         assert!(on_boundary > 0, "no cutoff put a term on 51 steps");
+    }
+
+    /// The table as it was first filled — a closure call per cell, the
+    /// prefix minima folded in cell by cell, `nearest` by `min_by` — kept as
+    /// the reference [`QueryDistTable::tabulate`] must equal bit for bit.
+    fn tabulate_by_closure(
+        config: &SaxConfig,
+        dist_sq: impl Fn(usize, f64, f64) -> f64,
+    ) -> (Vec<f64>, Vec<u8>, Vec<f64>) {
+        let card = config.cardinality();
+        let rt = region_table(config.card_bits);
+        let mut table = vec![f64::INFINITY; config.segments * TABLE_ROW];
+        let mut nearest = Vec::with_capacity(config.segments);
+        let mut prefix_min = vec![f64::INFINITY; config.segments * NIBBLES];
+        for (j, row) in table.chunks_exact_mut(TABLE_ROW).enumerate() {
+            for (s, entry) in row[..card].iter_mut().enumerate() {
+                *entry = dist_sq(j, rt.lo()[s], rt.hi()[s]);
+                let nibble = ((s as u8 >> nibble_shift(config.card_bits)) & 0x0F) as usize;
+                let min = &mut prefix_min[j * NIBBLES + nibble];
+                *min = min.min(*entry);
+            }
+            let at = (0..card).min_by(|&a, &b| row[a].total_cmp(&row[b]));
+            nearest.push(at.unwrap_or(0) as u8);
+        }
+        (table, nearest, prefix_min)
+    }
+
+    #[test]
+    fn tables_are_the_closure_tabulation_bit_for_bit() {
+        use coconut_series::dtw::Envelope;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for card_bits in 1..=8u8 {
+            let rt = region_table(card_bits);
+            // Breakpoints themselves (a value on a boundary touches two
+            // regions), values between and far out, infinities and NaN.
+            let mut values: Vec<f64> = rt.hi()[..rt.hi().len() - 1].to_vec();
+            values.extend([0.0, -0.0, 0.3, -1.7, 9.0, -9.0, f64::INFINITY]);
+            values.extend([f64::NEG_INFINITY, f64::NAN, 1e-300, -1e-300]);
+            for segments in [1usize, 3, 8, 16] {
+                let c = SaxConfig {
+                    series_len: 64,
+                    segments,
+                    card_bits,
+                };
+                for (v, paa) in values.chunks(segments).enumerate() {
+                    let mut paa = paa.to_vec();
+                    paa.resize(segments, 0.25);
+                    let table = QueryDistTable::new(&paa, &c);
+                    let want =
+                        tabulate_by_closure(&c, |j, lo, hi| dist_to_region_sq(paa[j], lo, hi));
+                    let at = format!("ED b={card_bits} w={segments} values {v}");
+                    assert_eq!(bits(&table.table), bits(&want.0), "{at}");
+                    assert_eq!(table.nearest, want.1, "{at}");
+                    assert_eq!(bits(&table.prefix_min), bits(&want.2), "{at}");
+                }
+                // Envelopes of walks, intervals on a breakpoint or
+                // inverted (no region reaches them: no row holds a zero).
+                let q = wavy(card_bits as u32 + segments as u32, c.series_len);
+                let env = Envelope::new(&q, 5);
+                let (mut env_lo, mut env_hi) =
+                    envelope_segment_bounds(&env.lower, &env.upper, segments);
+                let edge = rt.hi()[0];
+                env_lo[0] = edge;
+                env_hi[segments / 2] = env_lo[segments / 2] - 0.75;
+                if segments > 2 {
+                    env_hi[1] = edge;
+                    env_lo[1] = edge;
+                }
+                let table = QueryDistTable::for_envelope(&env_lo, &env_hi, &c);
+                let want = tabulate_by_closure(&c, |j, lo, hi| {
+                    interval_dist_sq(env_lo[j], env_hi[j], lo, hi)
+                });
+                let at = format!("DTW b={card_bits} w={segments}");
+                assert_eq!(bits(&table.table), bits(&want.0), "{at}");
+                assert_eq!(table.nearest, want.1, "{at}");
+                assert_eq!(bits(&table.prefix_min), bits(&want.2), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn zone_boxes_hold_each_zones_extremes_on_every_dispatch() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for segments in [1usize, 3, 16] {
+            for count in [1usize, 37, 63, 64, 65, 127, 128, 129, 513, 2000] {
+                let block: Vec<u8> = (0..count * segments)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect();
+                let zones = count.div_ceil(ZONE);
+                let mut want = vec![0u8; 2 * segments * zones];
+                for j in 0..segments {
+                    for z in 0..zones {
+                        let zone = &block[j * count..][z * ZONE..count.min((z + 1) * ZONE)];
+                        want[j * zones + z] = *zone.iter().min().unwrap();
+                        want[(segments + j) * zones + z] = *zone.iter().max().unwrap();
+                    }
+                }
+                for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+                    let mut got = vec![0u8; want.len()];
+                    zone_boxes_with(dispatch, &block, segments, &mut got);
+                    assert_eq!(got, want, "{dispatch:?} w={segments} n={count}");
+                }
+            }
+        }
     }
 
     #[test]

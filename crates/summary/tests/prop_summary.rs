@@ -436,3 +436,130 @@ proptest! {
         }
     }
 }
+
+/// A segment-major block of `count` entries of `cfg`'s symbols: for odd
+/// `seed`s each segment walks in small steps, as the symbols of a sorted
+/// leaf cluster (so zone boxes are tight and prune); otherwise uniform.
+fn symbol_block(cfg: &SaxConfig, count: usize, seed: u64) -> Vec<u8> {
+    let card = cfg.cardinality() as u64;
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut block = vec![0u8; count * cfg.segments];
+    for row in block.chunks_exact_mut(count) {
+        let mut s = next() % card;
+        for sym in row.iter_mut() {
+            s = if seed % 2 == 1 {
+                (s + card + next() % 5 - 2).min(2 * card - 1) % card
+            } else {
+                next() % card
+            };
+            *sym = s as u8;
+        }
+    }
+    block
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn zone_boxes_survive_wherever_an_entry_does(
+        q in znormed(128),
+        card_bits in 1u8..=8,
+        width in 0usize..17,
+        leaf in 0usize..5,
+        seed in any::<u64>(),
+        cut in 0usize..5,
+        band in 0usize..3,
+    ) {
+        // Zones prune only entries the key filter drops anyway: every zone
+        // holding an entry at or under the cutoff survives, AVX2 and the
+        // scalar mirror keep the same zones at the same bounds (each box's
+        // `box_bound`, bit for bit), the zone boxes are each zone's
+        // per-segment extremes on every dispatch, and the zoned key pass
+        // keeps exactly what the unzoned one does — for segments 1–16 and
+        // 32, every cardinality, leaves with and without a short last zone,
+        // cutoffs of zero, tiny (no prefilter), typical and none.
+        use coconut_series::dtw::Envelope;
+        use coconut_series::simd::Dispatch;
+        use coconut_summary::mindist::{
+            envelope_segment_bounds, zone_boxes_with, QueryDistTable, ZONE,
+        };
+        let count = [1usize, 37, 64, 65, 2000][leaf];
+        let segments = if width == 16 { 32 } else { width + 1 };
+        // 32 segments take 4 bits each at most: the key holds 128.
+        let card_bits = if segments == 32 { card_bits.min(4) } else { card_bits };
+        let cfg = SaxConfig { series_len: 128, segments, card_bits };
+        let table = if band == 0 {
+            QueryDistTable::new(&paa(&q, segments), &cfg)
+        } else {
+            let env = Envelope::new(&q, 3 * band);
+            let (lo, hi) = envelope_segment_bounds(&env.lower, &env.upper, segments);
+            QueryDistTable::for_envelope(&lo, &hi, &cfg)
+        };
+        let block = symbol_block(&cfg, count, seed);
+        let zones = count.div_ceil(ZONE);
+
+        // The zone boxes: each zone's extremes, on every dispatch.
+        let mut want = vec![0u8; 2 * segments * zones];
+        for (j, row) in block.chunks_exact(count).enumerate() {
+            for (z, zone) in row.chunks(ZONE).enumerate() {
+                want[j * zones + z] = *zone.iter().min().unwrap();
+                want[(segments + j) * zones + z] = *zone.iter().max().unwrap();
+            }
+        }
+        let mut boxes = vec![0u8; want.len()];
+        for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+            zone_boxes_with(dispatch, &block, segments, &mut boxes);
+            prop_assert_eq!(&boxes, &want);
+        }
+
+        let mut exact = Vec::new();
+        table.key_filter(f64::INFINITY).exact_bounds_under_with(Dispatch::Scalar, &block, 0, &mut exact);
+        let mut sorted: Vec<f64> = exact.iter().map(|&(_, b)| b).collect();
+        sorted.sort_by(f64::total_cmp);
+        let typical = sorted[count * 3 / 100];
+        let cutoff = [0.0, 1e-160, typical, typical.next_down(), f64::INFINITY][cut];
+        let filter = table.key_filter(cutoff);
+
+        // Every zone box bounded, by both dispatches alike.
+        let mut kept = Vec::new();
+        filter.boxes_under_with(Dispatch::Scalar, &boxes, 0, &mut kept);
+        let mut simd = Vec::new();
+        filter.boxes_under_with(Dispatch::Avx2, &boxes, 0, &mut simd);
+        let bits = |v: &[(usize, f64)]| v.iter().map(|&(i, b)| (i, b.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&kept), bits(&simd));
+        let zone_box = |z: usize| -> (Vec<u8>, Vec<u8>) {
+            let lo = (0..segments).map(|j| boxes[j * zones + z]).collect();
+            let hi = (0..segments).map(|j| boxes[(segments + j) * zones + z]).collect();
+            (lo, hi)
+        };
+        for &(z, bound) in &kept {
+            let (lo, hi) = zone_box(z);
+            prop_assert_eq!(bound.to_bits(), table.box_bound(&lo, &hi).to_bits());
+        }
+        // A zone with an entry at or under the cutoff survives.
+        for &(e, bound) in &exact {
+            if bound <= cutoff {
+                prop_assert!(kept.iter().any(|&(z, _)| z == e / ZONE), "entry {} at {}", e, bound);
+            }
+        }
+
+        // The zoned key pass keeps what the unzoned one does, and counts
+        // each zone and each entry of a surviving zone.
+        let mut unzoned = Vec::new();
+        filter.bounds_under_with(Dispatch::Scalar, &block, 9, &mut unzoned);
+        let surviving: usize = kept.iter().map(|&(z, _)| (count - z * ZONE).min(ZONE)).sum();
+        for dispatch in [Dispatch::Scalar, Dispatch::Avx2] {
+            let mut zoned = Vec::new();
+            let bounded = filter.zoned_bounds_under_with(dispatch, &block, &boxes, 9, &mut zoned);
+            prop_assert_eq!(bits(&zoned), bits(&unzoned));
+            prop_assert_eq!(bounded, zones + surviving);
+        }
+    }
+}

@@ -6,7 +6,9 @@
 # Builds five indexes over one 20,000 x 128 random-walk dataset: ctree and
 # ctrie, each pointer and materialized, plus an adaptive-split ctrie. It then
 # runs an exact 1-NN, a 10-NN, a range, a DTW and a DTW 10-NN query for
-# three seeds against each file. Every file must print the same answer lines; only the
+# three seeds against each file, and a 1-NN and a 10-NN query for three
+# members (`--pos`: near queries, whose tight cutoffs prune the most inside
+# leaves). Every file must print the same answer lines; only the
 # `time` line (with its fetched/pruned counters) may differ. Exits non-zero
 # on the first divergence, printing the diff.
 set -euo pipefail
@@ -25,6 +27,7 @@ layouts=(
     "ctrie-adaptive:--index ctrie --split-policy adaptive"
 )
 modes=("" "--k 10" "--range 9" "--dtw 6" "--dtw 10 --k 10")
+near_modes=("" "--k 10")
 
 for layout in "${layouts[@]}"; do
     name="${layout%%:*}"
@@ -32,12 +35,20 @@ for layout in "${layouts[@]}"; do
     # shellcheck disable=SC2086 # the build flags are word-split on purpose
     "$coconut" build ${layout#*:} --leaf 500 --out-dir "$work/$name" "$work/data.ds" >/dev/null
     index=("$work/$name"/*.idx)
-    for seed in 7 42 1234; do
-        for mode in "${modes[@]}"; do
-            # shellcheck disable=SC2086
-            "$coconut" query --index "${index[0]}" --data "$work/data.ds" --seed "$seed" $mode
+    {
+        for seed in 7 42 1234; do
+            for mode in "${modes[@]}"; do
+                # shellcheck disable=SC2086
+                "$coconut" query --index "${index[0]}" --data "$work/data.ds" --seed "$seed" $mode
+            done
         done
-    done | grep -v '^time ' >"$work/$name.answers"
+        for pos in 3 9876 19999; do
+            for mode in "${near_modes[@]}"; do
+                # shellcheck disable=SC2086
+                "$coconut" query --index "${index[0]}" --data "$work/data.ds" --pos "$pos" $mode
+            done
+        done
+    } | grep -v '^time ' >"$work/$name.answers"
 done
 
 reference="${layouts[0]%%:*}"
@@ -48,4 +59,4 @@ for layout in "${layouts[@]:1}"; do
         exit 1
     fi
 done
-echo "answer parity: ${#layouts[@]} layouts x 3 seeds x ${#modes[@]} query modes agree ($(wc -l <"$work/$reference.answers") lines each)"
+echo "answer parity: ${#layouts[@]} layouts x (3 seeds x ${#modes[@]} + 3 members x ${#near_modes[@]}) queries agree ($(wc -l <"$work/$reference.answers") lines each)"

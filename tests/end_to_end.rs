@@ -10,6 +10,7 @@ use coconut::index::{BuildOptions, CoconutTree, CoconutTrie, IndexConfig};
 use coconut::prelude::*;
 use coconut::series::distance::znormalize;
 use coconut::series::gen::Generator;
+use coconut::summary::mindist::ZONE;
 use coconut::summary::SaxConfig;
 
 const LEN: usize = 64;
@@ -205,12 +206,18 @@ fn query_stats_are_consistent() {
         shards: 1,
     };
     let tree = CoconutTree::build(&f.dataset, &config(), &f.dir_path, opts).unwrap();
+    let zones: u64 = tree
+        .leaf_entry_counts()
+        .iter()
+        .map(|&c| c.div_ceil(ZONE) as u64)
+        .sum();
     for q in &f.queries {
         let (_, s) = tree.exact_search(q).unwrap();
         // Every record is either pruned or fetched during the SIMS phase
         // (the probe adds its own fetches and skips on top); bounds are
-        // computed per leaf box and per key of a surviving leaf only.
+        // computed per leaf box, per zone of a surviving leaf and per key
+        // of a surviving zone only.
         assert!(s.pruned + s.records_fetched >= N);
-        assert!(s.lower_bounds <= N + tree.leaf_count());
+        assert!(s.lower_bounds <= N + tree.leaf_count() + zones);
     }
 }
